@@ -16,6 +16,10 @@
   price the scheduling clock with the analytic per-unit roofline, so
   dispatch decisions — and therefore schedules, placement and traffic
   — are identical across engines;
+- :meth:`ExecutionEngine.execute_split` — :meth:`bind` plus
+  :meth:`execute` for every (unit, GPM) slice of the baseline family's
+  evenly split frame, batched into one pass with bit-identical side
+  effects (:mod:`repro.engine.split`);
 - :meth:`ExecutionEngine.stage_flow` — account and price one unit's
   staging/PA copies.  Byte accounting (fabric transfers, destination
   DRAM writes) is shared; the *visible* cost is engine-specific: the
@@ -76,6 +80,7 @@ from repro.profiling import phase as profiled_phase
 from repro.stats.metrics import UnitExecution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.split import SplitSlices
     from repro.gpu.system import FramebufferTargets, MultiGPUSystem
 
 __all__ = [
@@ -321,10 +326,6 @@ class ExecutionEngine(abc.ABC):
         flows: List[LinkFlow] = []
         dram_demand: Dict[int, float] = {}
 
-        def demand(gpm: int, nbytes: float) -> None:
-            if nbytes > 0:
-                dram_demand[gpm] = dram_demand.get(gpm, 0.0) + nbytes
-
         def absorb(pair: Tuple[float, Dict[int, float]]) -> None:
             nonlocal local_bytes
             local_part, remote_part = pair
@@ -472,6 +473,44 @@ class ExecutionEngine(abc.ABC):
             system.drams[gpm_id].write(local_bytes)
             dram_demand[gpm_id] = dram_demand.get(gpm_id, 0.0) + local_bytes
         return local_bytes, remote
+
+    # -- the baseline family's split schedule ---------------------------------
+
+    def execute_split(
+        self,
+        units: Sequence[WorkUnit],
+        share: float,
+        unique_inflation: float,
+        stream_inflation: float,
+        fb_targets: Optional["FramebufferTargets"],
+        command_source: int = 0,
+    ) -> None:
+        """Bind and execute every unit split across all GPMs, in one pass.
+
+        For each unit in order and each GPM in id order this schedules
+        the slice ``unit.with_screen_share(share, share,
+        unique_inflation, f"gpm{gpm}", stream_inflation)`` bound with
+        ``fb_targets`` and ``command_source`` — every counter, trace
+        interval and recorded job bit-identical to :meth:`bind` plus
+        :meth:`execute` per slice, which stays the oracle (see
+        :mod:`repro.engine.split`), at a fraction of the cost.
+
+        Completion callbacks cannot fire from the batched pass, so a
+        frame with an :meth:`on_complete` subscriber is rejected with
+        :class:`EngineError` before anything is bound.
+        """
+        if self._callbacks:
+            raise EngineError(
+                "execute_split cannot fire on_complete callbacks; bind and "
+                "execute the slices one by one instead"
+            )
+        # Imported here: the split pass builds on this module.
+        from repro.engine.split import execute_split
+
+        execute_split(
+            self, units, share, unique_inflation, stream_inflation,
+            fb_targets, command_source,
+        )
 
     # -- scheduling clock ----------------------------------------------------
 
@@ -732,6 +771,9 @@ class ExecutionEngine(abc.ABC):
         self, resolved: ResolvedUnit, start_at: Optional[float], cycles: float
     ) -> None:
         """Hook: a unit entered the schedule at its scheduling price."""
+
+    def _note_split(self, split: "SplitSlices") -> None:
+        """Hook: a split frame's slices entered the schedule."""
 
     def _note_stall(self, gpm_id: int, label: str, cycles: float) -> None:
         """Hook: a stall entered the schedule."""

@@ -323,6 +323,49 @@ class EventEngine(ExecutionEngine):
             )
         )
 
+    def _note_split(self, split) -> None:
+        """One render job per slice, exactly as :meth:`_note_unit` would
+        record the slice's resolved unit."""
+        n = self.system.num_gpms
+        fabric = self.system.fabric
+        latency = float(self.system.config.link.latency_cycles)
+        routes = [[tuple(fabric.route(s, d)) for d in range(n)] for s in range(n)]
+        src = split.flow_src.tolist()
+        dst = split.flow_dst.tolist()
+        nbytes = split.flow_bytes.tolist()
+        bounds = split.flow_bounds.tolist()
+        for slice_, (label, compute, cycles, dram) in enumerate(
+            zip(
+                split.labels,
+                split.compute.tolist(),
+                split.cycles.tolist(),
+                split.dram_demands(),
+            )
+        ):
+            flows: List[_FlowSpec] = []
+            for row in range(bounds[slice_], bounds[slice_ + 1]):
+                route = routes[src[row]][dst[row]]
+                if route:
+                    flows.append(
+                        _FlowSpec(
+                            route=route,
+                            nbytes=nbytes[row],
+                            latency=latency * len(route),
+                        )
+                    )
+            self._jobs.append(
+                _Job(
+                    label=label,
+                    gpm=slice_ % n,
+                    kind="render",
+                    start_floor=0.0,
+                    compute=compute,
+                    dram=dram,
+                    flows=flows,
+                    provisional_cycles=cycles,
+                )
+            )
+
     def _note_stall(self, gpm_id: int, label: str, cycles: float) -> None:
         self._jobs.append(
             _Job(

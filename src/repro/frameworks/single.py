@@ -70,21 +70,20 @@ class SingleKernelBaseline(RenderingFramework):
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
         )
         self._place_uploads(system, units)
-        for unit in units:
-            if num_gpms == 1:
+        if num_gpms == 1:
+            for unit in units:
                 system.execute_unit(unit, 0, fb_targets=fb_targets)
-                continue
-            for gpm in range(num_gpms):
-                slice_unit = unit.with_screen_share(
-                    pixel_share=even_share,
-                    geometry_share=even_share,
-                    unique_inflation=cost.interleave_unique_inflation,
-                    label_suffix=f"gpm{gpm}",
-                    stream_inflation=cost.interleave_stream_inflation,
-                )
-                system.execute_unit(
-                    slice_unit, gpm, fb_targets=fb_targets, command_source=0
-                )
+        else:
+            # Every draw split evenly over every GPM, all slices bound
+            # in one batched pass.
+            system.engine.execute_split(
+                units,
+                even_share,
+                cost.interleave_unique_inflation,
+                cost.interleave_stream_inflation,
+                fb_targets,
+                command_source=0,
+            )
         # No composition phase: ROPs write the interleaved framebuffer
         # directly during rendering, so no CompositionSchedule is
         # handed to the engine and the trace's composition lane is

@@ -18,6 +18,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 
 class SetAssociativeCache:
     """An LRU set-associative cache simulated exactly.
@@ -118,9 +120,31 @@ def working_set_hit_rate(
         return 0.0
     if reuse_factor < 1.0:
         raise ValueError("reuse_factor must be >= 1 (each byte touched once)")
+    return _hit_rate(unique_bytes, cache_bytes, reuse_factor, min)
+
+
+def _hit_rate(unique_bytes, cache_bytes, reuse_factor, lo):
+    """The working-set curve itself, for positive inputs and reuse >= 1."""
     compulsory_hit = 1.0 - 1.0 / reuse_factor
-    capacity_ratio = min(1.0, cache_bytes / unique_bytes)
+    capacity_ratio = lo(1.0, cache_bytes / unique_bytes)
     return compulsory_hit * capacity_ratio
+
+
+def cache_exit_bytes(stream_bytes, unique_bytes, cache_bytes, lo=min, hi=max):
+    """Bytes a request stream pulls through a working-set cache.
+
+    The one formula behind :func:`miss_bytes` and the remote cache's
+    filter: ``stream_bytes / unique_bytes`` (at least 1) is the reuse
+    factor of :func:`working_set_hit_rate`, and what misses never drops
+    below the compulsory footprint.  Both byte counts must be positive.
+    It takes one float pair with ``lo``/``hi`` the builtins
+    ``min``/``max``, or numpy columns with ``np.minimum``/``np.maximum``
+    — the same IEEE-754 operations either way, so the scalar and the
+    column call shapes agree bit for bit.
+    """
+    reuse = hi(1.0, stream_bytes / unique_bytes)
+    hit = _hit_rate(unique_bytes, cache_bytes, reuse, lo)
+    return hi(stream_bytes * (1.0 - hit), lo(unique_bytes, stream_bytes))
 
 
 def miss_bytes(
@@ -134,14 +158,27 @@ def miss_bytes(
     is never below the compulsory ``unique_bytes`` (if the stream is at
     least that long) and never above the stream itself.
     """
-    if stream_bytes <= 0:
+    if stream_bytes <= 0 or unique_bytes <= 0:
         return 0.0
-    if unique_bytes <= 0:
-        return 0.0
-    reuse = max(1.0, stream_bytes / unique_bytes)
-    hit = working_set_hit_rate(unique_bytes, cache_bytes, reuse)
-    out = stream_bytes * (1.0 - hit)
-    return min(stream_bytes, max(out, min(unique_bytes, stream_bytes)))
+    return min(
+        stream_bytes, cache_exit_bytes(stream_bytes, unique_bytes, cache_bytes)
+    )
+
+
+def miss_bytes_columns(
+    stream_bytes: np.ndarray, unique_bytes: np.ndarray, cache_bytes: float
+) -> np.ndarray:
+    """:func:`miss_bytes` over columns of streams, bit for bit."""
+    out = np.zeros(stream_bytes.shape)
+    live = (stream_bytes > 0) & (unique_bytes > 0)
+    stream = stream_bytes[live]
+    out[live] = np.minimum(
+        stream,
+        cache_exit_bytes(
+            stream, unique_bytes[live], cache_bytes, np.minimum, np.maximum
+        ),
+    )
+    return out
 
 
 @dataclass

@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
+import numpy as np
+
 
 class TrafficType(enum.Enum):
     """Why bytes crossed a link."""
@@ -25,6 +27,11 @@ class TrafficType(enum.Enum):
     COMMAND = "command"
     PREALLOC = "prealloc"
     STEAL = "steal"
+
+
+#: Every traffic type, in a fixed order: batched transfers
+#: (:meth:`LinkFabric.transfer_batch`) name a row's type by its index.
+TRAFFIC_TYPES: Tuple[TrafficType, ...] = tuple(TrafficType)
 
 
 @dataclass
@@ -80,6 +87,59 @@ class LinkFabric:
             self._links[(src, dst)] = stats
         stats.add(nbytes, traffic)
         return nbytes / self.bytes_per_cycle + self.latency_cycles
+
+    def transfer_batch(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        nbytes: np.ndarray,
+        traffic: np.ndarray,
+    ) -> None:
+        """Record many transfers exactly as :meth:`transfer` row by row.
+
+        ``src``, ``dst`` and ``nbytes`` are equal-length columns and
+        ``traffic`` holds each row's index into :data:`TRAFFIC_TYPES`.
+        Rows :meth:`transfer` ignores (within one GPM, no bytes) are
+        ignored here too.  Each link's total and per-type bytes
+        accumulate row by row (``np.add.at`` in row order, never a
+        pairwise sum) and new links and types are inserted in first-use
+        order, so every float and every dict order matches the scalar
+        calls.
+        """
+        if src.size:
+            for gpm in (src.min(), src.max(), dst.min(), dst.max()):
+                self._check(int(gpm))
+        keep = (src != dst) & (nbytes > 0)
+        src, dst, nbytes, traffic = src[keep], dst[keep], nbytes[keep], traffic[keep]
+        if not nbytes.size:
+            return
+        width = int(max(src.max(), dst.max())) + 1
+        keys, first, row_link = np.unique(
+            src * width + dst, return_index=True, return_inverse=True
+        )
+        pairs = [divmod(key, width) for key in keys.tolist()]
+        for index in np.argsort(first, kind="stable").tolist():
+            if pairs[index] not in self._links:
+                self._links[pairs[index]] = LinkStats(*pairs[index])
+        links = [self._links[pair] for pair in pairs]
+        totals = np.array([stats.bytes_total for stats in links])
+        np.add.at(totals, row_link, nbytes)
+        for stats, total in zip(links, totals.tolist()):
+            stats.bytes_total = total
+        kinds = len(TRAFFIC_TYPES)
+        keys, first, row_slot = np.unique(
+            row_link * kinds + traffic, return_index=True, return_inverse=True
+        )
+        slots = [divmod(key, kinds) for key in keys.tolist()]
+        for index in np.argsort(first, kind="stable").tolist():
+            link, code = slots[index]
+            links[link].by_type.setdefault(TRAFFIC_TYPES[code], 0.0)
+        by_type = np.array(
+            [links[link].by_type[TRAFFIC_TYPES[code]] for link, code in slots]
+        )
+        np.add.at(by_type, row_slot, nbytes)
+        for (link, code), value in zip(slots, by_type.tolist()):
+            links[link].by_type[TRAFFIC_TYPES[code]] = value
 
     # -- queries ------------------------------------------------------------
 

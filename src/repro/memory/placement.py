@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.memory.address import Resource
 
@@ -39,6 +40,20 @@ class _Entry:
     owners: List[int]
     #: GPMs holding a full replica (local reads everywhere in the set).
     replicas: Set[int] = field(default_factory=set)
+    #: Read-only ``{gpm: page fraction}`` view of :attr:`owners`, built
+    #: on first use; whoever rewrites ``owners`` resets it to ``None``.
+    fractions: Optional[Mapping[int, float]] = None
+
+    def owner_fractions(self) -> Mapping[int, float]:
+        if self.fractions is None:
+            counts: Dict[int, float] = {}
+            for owner in self.owners:
+                counts[owner] = counts.get(owner, 0.0) + 1.0
+            total = len(self.owners)
+            self.fractions = MappingProxyType(
+                {gpm: count / total for gpm, count in counts.items()}
+            )
+        return self.fractions
 
 
 class PagePlacement:
@@ -91,20 +106,21 @@ class PagePlacement:
     def is_placed(self, resource: Resource) -> bool:
         return resource.resource_id in self._entries
 
-    def owner_fractions(self, resource: Resource, toucher: int) -> Dict[int, float]:
+    def owner_fractions(
+        self, resource: Resource, toucher: int
+    ) -> Mapping[int, float]:
         """Fraction of the resource's pages owned by each GPM.
 
         Touching an unplaced resource places it first (first touch).  If
         ``toucher`` holds a replica, the resource is fully local to it.
+        The map is read-only and cached per resource — rebuilt only when
+        the resource's page owners change (placement, :meth:`migrate`)
+        — so a touch costs a lookup, not a walk over every page.
         """
         entry = self._entry(resource, toucher)
         if toucher in entry.replicas:
-            return {toucher: 1.0}
-        total = len(entry.owners)
-        fractions: Dict[int, float] = {}
-        for owner in entry.owners:
-            fractions[owner] = fractions.get(owner, 0.0) + 1.0
-        return {gpm: count / total for gpm, count in fractions.items()}
+            return MappingProxyType({toucher: 1.0})
+        return entry.owner_fractions()
 
     def local_fraction(self, resource: Resource, gpm: int) -> float:
         """Fraction of the resource local to ``gpm`` (places if needed)."""
@@ -120,7 +136,8 @@ class PagePlacement:
         entry = self._entries.get(resource.resource_id)
         if entry is None:
             return False
-        return all(owner == gpm for owner in entry.owners)
+        fractions = entry.owner_fractions()
+        return len(fractions) == 1 and gpm in fractions
 
     # -- explicit placement ------------------------------------------------
 
@@ -229,6 +246,7 @@ class PagePlacement:
                 self.resident_bytes[gpm] += self.page_bytes
                 entry.owners[index] = gpm
                 moved_pages += 1
+        entry.fractions = None
         for replica in entry.replicas:
             if replica != gpm:
                 self.resident_bytes[replica] -= resource.size_bytes

@@ -15,8 +15,17 @@ rate the cache achieves on that unit's remote working set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.memory.cache import working_set_hit_rate
+import numpy as np
+
+from repro.memory.cache import cache_exit_bytes
+
+
+def _crossing(stream_bytes, unique_bytes, cache_bytes, lo, hi):
+    """:func:`cache_exit_bytes` of a remote stream (footprint clamped)."""
+    unique = hi(lo(unique_bytes, stream_bytes), 1e-9)
+    return cache_exit_bytes(stream_bytes, unique, cache_bytes, lo, hi)
 
 
 @dataclass
@@ -51,13 +60,13 @@ class RemoteCache:
         if self.capacity_bytes == 0:
             self.miss_bytes += stream_bytes
             return stream_bytes
-        unique = max(min(unique_bytes, stream_bytes), 1e-9)
-        reuse = max(1.0, stream_bytes / unique)
-        hit = working_set_hit_rate(
-            unique, self.capacity_bytes * self.effectiveness, reuse
+        crossing = _crossing(
+            stream_bytes,
+            unique_bytes,
+            self.capacity_bytes * self.effectiveness,
+            min,
+            max,
         )
-        crossing = stream_bytes * (1.0 - hit)
-        crossing = max(crossing, min(unique, stream_bytes))
         self.hits_bytes += stream_bytes - crossing
         self.miss_bytes += crossing
         return crossing
@@ -70,3 +79,43 @@ class RemoteCache:
     def reset(self) -> None:
         self.hits_bytes = 0.0
         self.miss_bytes = 0.0
+
+
+def filter_columns(
+    caches: Sequence[RemoteCache],
+    gpm: np.ndarray,
+    stream_bytes: np.ndarray,
+    unique_bytes: np.ndarray,
+) -> np.ndarray:
+    """:meth:`RemoteCache.filter` over many rows; returns the crossings.
+
+    Row ``r`` goes through ``caches[gpm[r]]``.  The crossing is the
+    scalar formula evaluated elementwise, and each cache's hit/miss
+    counters advance row by row (``np.add.at`` in row order), so rows
+    given in call order leave every counter bit-identical to one
+    ``filter`` call per row.
+    """
+    crossing = np.zeros(stream_bytes.shape)
+    live = stream_bytes > 0
+    gpm, stream, unique = gpm[live], stream_bytes[live], unique_bytes[live]
+    sized = np.array([cache.capacity_bytes != 0 for cache in caches])[gpm]
+    effective = np.array(
+        [cache.capacity_bytes * cache.effectiveness for cache in caches]
+    )
+    out = stream.copy()  # a zero-capacity cache passes everything
+    out[sized] = _crossing(
+        stream[sized],
+        unique[sized],
+        effective[gpm[sized]],
+        np.minimum,
+        np.maximum,
+    )
+    crossing[live] = out
+    hits = np.array([cache.hits_bytes for cache in caches])
+    misses = np.array([cache.miss_bytes for cache in caches])
+    np.add.at(hits, gpm[sized], stream[sized] - out[sized])
+    np.add.at(misses, gpm, out)
+    for cache, hit, miss in zip(caches, hits.tolist(), misses.tolist()):
+        cache.hits_bytes = hit
+        cache.miss_bytes = miss
+    return crossing

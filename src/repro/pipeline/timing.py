@@ -85,32 +85,57 @@ class StageBreakdown:
         return max(stages, key=stages.get)
 
 
+def stage_cycles(
+    vertices,
+    triangles_setup,
+    fragments,
+    shader_complexity,
+    texel_requests,
+    pixels_out,
+    draw_count,
+    gpm: GPMConfig,
+    cost: CostModel,
+) -> Tuple:
+    """Eq. 3's per-stage cycles, for one unit or for columns of units.
+
+    Returns ``(vertex, setup, raster, fragment, texture, rop,
+    overhead)`` cycles — :class:`StageBreakdown`'s field order.  The
+    counts are one unit's floats or numpy columns of them; every stage
+    is the same product/quotient chain either way, so the two call
+    shapes agree bit for bit.
+    """
+    cores = gpm.shader_cores
+    setup_rate = gpm.num_pmes * cost.triangles_per_cycle_per_pme
+    # TXUs pipeline the anisotropic taps of one sample: throughput is
+    # one *sample* per TXU-cycle, while the taps hit the memory system.
+    samples = texel_requests / cost.anisotropic_texels_per_sample
+    return (
+        vertices * cost.vertex_shader_cycles / cores,
+        triangles_setup / setup_rate,
+        fragments / cost.raster_fragments_per_cycle,
+        fragments * cost.fragment_shader_cycles * shader_complexity / cores,
+        samples / gpm.texture_units,
+        pixels_out / gpm.rop_throughput,
+        cost.draw_overhead_cycles * draw_count,
+    )
+
+
 def price_work_unit(
     unit: WorkUnit, gpm: GPMConfig, cost: CostModel
 ) -> StageBreakdown:
     """Price ``unit`` on a GPM with configuration ``gpm``."""
-    cores = gpm.shader_cores
-    vertex_cycles = unit.vertices * cost.vertex_shader_cycles / cores
-    setup_rate = gpm.num_pmes * cost.triangles_per_cycle_per_pme
-    setup_cycles = unit.triangles_setup / setup_rate
-    raster_cycles = unit.fragments / cost.raster_fragments_per_cycle
-    fragment_cycles = (
-        unit.fragments * cost.fragment_shader_cycles * unit.shader_complexity / cores
-    )
-    # TXUs pipeline the anisotropic taps of one sample: throughput is
-    # one *sample* per TXU-cycle, while the taps hit the memory system.
-    samples = unit.texel_requests / cost.anisotropic_texels_per_sample
-    texture_cycles = samples / gpm.texture_units
-    rop_cycles = unit.pixels_out / gpm.rop_throughput
-    overhead_cycles = cost.draw_overhead_cycles * unit.draw_count
     return StageBreakdown(
-        vertex_cycles=vertex_cycles,
-        setup_cycles=setup_cycles,
-        raster_cycles=raster_cycles,
-        fragment_cycles=fragment_cycles,
-        texture_cycles=texture_cycles,
-        rop_cycles=rop_cycles,
-        overhead_cycles=overhead_cycles,
+        *stage_cycles(
+            unit.vertices,
+            unit.triangles_setup,
+            unit.fragments,
+            unit.shader_complexity,
+            unit.texel_requests,
+            unit.pixels_out,
+            unit.draw_count,
+            gpm,
+            cost,
+        )
     )
 
 
@@ -128,35 +153,18 @@ def price_work_units(
     """
     if not units:
         return ()
-    cores = gpm.shader_cores
-    setup_rate = gpm.num_pmes * cost.triangles_per_cycle_per_pme
-    vertices = np.array([unit.vertices for unit in units])
-    triangles_setup = np.array([unit.triangles_setup for unit in units])
-    fragments = np.array([unit.fragments for unit in units])
-    complexity = np.array([unit.shader_complexity for unit in units])
-    texels = np.array([unit.texel_requests for unit in units])
-    pixels = np.array([unit.pixels_out for unit in units])
-    draws = np.array([unit.draw_count for unit in units])
-
-    vertex_cycles = vertices * cost.vertex_shader_cycles / cores
-    setup_cycles = triangles_setup / setup_rate
-    raster_cycles = fragments / cost.raster_fragments_per_cycle
-    fragment_cycles = (
-        fragments * cost.fragment_shader_cycles * complexity / cores
+    columns = stage_cycles(
+        np.array([unit.vertices for unit in units]),
+        np.array([unit.triangles_setup for unit in units]),
+        np.array([unit.fragments for unit in units]),
+        np.array([unit.shader_complexity for unit in units]),
+        np.array([unit.texel_requests for unit in units]),
+        np.array([unit.pixels_out for unit in units]),
+        np.array([unit.draw_count for unit in units]),
+        gpm,
+        cost,
     )
-    samples = texels / cost.anisotropic_texels_per_sample
-    texture_cycles = samples / gpm.texture_units
-    rop_cycles = pixels / gpm.rop_throughput
-    overhead_cycles = cost.draw_overhead_cycles * draws
     return tuple(
-        StageBreakdown(
-            vertex_cycles=vertex_cycles[i],
-            setup_cycles=setup_cycles[i],
-            raster_cycles=raster_cycles[i],
-            fragment_cycles=fragment_cycles[i],
-            texture_cycles=texture_cycles[i],
-            rop_cycles=rop_cycles[i],
-            overhead_cycles=overhead_cycles[i],
-        )
+        StageBreakdown(*(column[i] for column in columns))
         for i in range(len(units))
     )

@@ -24,6 +24,7 @@ from repro.engine import (
 )
 from repro.frameworks.base import build_framework
 from repro.gpu.system import MultiGPUSystem
+from repro.memory.placement import PlacementPolicy
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
 from repro.scene.scene import Scene
@@ -1195,3 +1196,327 @@ class TestIncrementalWindowLoop:
         message = str(excinfo.value)
         assert "stalled" in message
         assert "wedged-unit" in message
+
+
+# ---------------------------------------------------------------------------
+# The baseline family's split bind vs. the per-slice oracle
+# ---------------------------------------------------------------------------
+
+
+def _per_slice(
+    system, units, share, unique_inflation, stream_inflation, fb_targets,
+    command_source,
+):
+    """The oracle: every (unit, GPM) slice bound and executed alone."""
+    for unit in units:
+        for gpm in range(system.num_gpms):
+            slice_unit = unit.with_screen_share(
+                pixel_share=share,
+                geometry_share=share,
+                unique_inflation=unique_inflation,
+                label_suffix=f"gpm{gpm}",
+                stream_inflation=stream_inflation,
+            )
+            system.execute_unit(
+                slice_unit, gpm, fb_targets=fb_targets,
+                command_source=command_source,
+            )
+
+
+def _per_slice_render_frame_on(self, system, frame, workload):
+    """``SingleKernelBaseline.render_frame_on`` with one bind per slice."""
+    share = 1.0 / system.num_gpms
+    cost = self.config.cost
+    units = self.characterizer.characterize_frame(
+        frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
+    )
+    self._place_uploads(system, units)
+    _per_slice(
+        system, units, share, cost.interleave_unique_inflation,
+        cost.interleave_stream_inflation,
+        {gpm: share for gpm in range(system.num_gpms)}, 0,
+    )
+    return system.frame_result(self.name, workload)
+
+
+def _split_resources():
+    """A small pool, so units repeat resources within and across units."""
+    from repro.memory.address import texture_resource, vertex_resource
+
+    page = 64 * 1024
+    textures = tuple(
+        texture_resource(i, (1 + 2 * i) * page + 17) for i in range(8)
+    )
+    vertices = tuple(vertex_resource(i, (1 + i) * page // 2) for i in range(6))
+    return textures, vertices
+
+
+def _prepare_placement(placement, resources):
+    """Fixed, interleaved, striped and replicated resources; the rest
+    stay unplaced, so binding places them on first touch."""
+    textures, vertices = resources
+    placement.place_fixed(textures[0], 0)
+    placement.place_fixed(textures[1], 2)
+    placement.place_interleaved(textures[2])
+    placement.place_striped(textures[3], [1, 3])
+    placement.place_fixed(textures[4], 1)
+    placement.replicate(textures[4], [0, 3])
+    placement.place_interleaved(vertices[0])
+    placement.replicate(vertices[0], [2])
+
+
+def _split_units(rng, resources, count):
+    """A random unit soup: zero-touch units, zero-byte touches, repeated
+    resources, streams below their footprint, units without commands."""
+    from repro.memory.address import Touch
+    from repro.pipeline.workunit import WorkUnit
+
+    textures, vertices = resources
+
+    def touch(resource):
+        species = int(rng.integers(0, 4))
+        if species == 0:
+            return Touch(resource)  # zero bytes
+        unique = float(rng.uniform(0.0, 4.0 * MB))
+        return Touch(
+            resource,
+            unique_bytes=unique,
+            stream_bytes=unique * float(rng.uniform(0.5, 6.0)),
+            write_bytes=float(rng.uniform(0.0, 0.1 * MB)) if species == 3 else 0.0,
+        )
+
+    def pick(pool, most):
+        chosen = rng.integers(0, len(pool), size=int(rng.integers(0, most + 1)))
+        return tuple(touch(pool[int(i)]) for i in chosen)
+
+    units = []
+    for index in range(count):
+        fragments = float(rng.uniform(0.0, 2e5))
+        units.append(
+            WorkUnit(
+                label=f"u{index}",
+                views=int(rng.integers(1, 3)),
+                vertices=float(rng.uniform(0.0, 5e4)),
+                triangles_setup=float(rng.uniform(0.0, 3e4)),
+                triangles_raster=float(rng.uniform(0.0, 3e4)),
+                fragments=fragments,
+                pixels_out=fragments * float(rng.uniform(0.0, 1.0)),
+                texel_requests=fragments * float(rng.uniform(0.0, 8.0)),
+                shader_complexity=float(rng.uniform(0.5, 3.0)),
+                texture_touches=pick(textures, 3),
+                vertex_touches=pick(vertices, 2),
+                z_stream_bytes=float(rng.uniform(0.0, 2 * MB)),
+                z_unique_bytes=float(rng.uniform(0.0, 1 * MB)),
+                fb_write_bytes=(
+                    float(rng.uniform(0.0, 1 * MB)) if rng.random() < 0.8 else 0.0
+                ),
+                command_bytes=float(rng.choice([0.0, 256.0, 4096.0])),
+                viewports=(),
+                fraction=float(rng.uniform(0.1, 1.0)),
+                draw_count=float(rng.uniform(0.5, 3.0)),
+            )
+        )
+    return units
+
+
+def _machine_state(system, observed):
+    """Everything binding and executing leave behind, comparably."""
+    engine = system.engine
+    fabric = system.fabric
+    state = {
+        "links": [
+            (key, stats.bytes_total, list(stats.by_type.items()))
+            for key, stats in fabric._links.items()
+        ],
+        "bytes_by_type": list(fabric.bytes_by_type().items()),
+        "total_bytes": fabric.total_bytes,
+        "drams": [
+            (d.local_read_bytes, d.local_write_bytes, d.remote_served_bytes)
+            for d in system.drams
+        ],
+        "remote_caches": [
+            (c.hits_bytes, c.miss_bytes) for c in system.remote_caches
+        ],
+        "gpms": [
+            (
+                g.ready_at, g.busy_cycles, list(g.executed),
+                g.transformed_vertices, g.rendered_pixels,
+                g.rendered_triangles,
+            )
+            for g in system.gpms
+        ],
+        "intervals": list(engine._intervals),
+        "phase_bytes": list(engine._phase_bytes.items()),
+        "placement": [
+            (key, list(entry.owners), sorted(entry.replicas))
+            for key, entry in system.placement._entries.items()
+        ],
+        "resident": list(system.placement.resident_bytes),
+        "observed": list(observed),
+    }
+    if isinstance(engine, EventEngine):
+        state["jobs"] = [
+            (
+                job.label, job.gpm, job.kind, job.start_floor, job.compute,
+                list(job.dram.items()),
+                [(f.route, f.nbytes, f.latency, f.rate_scale) for f in job.flows],
+                job.provisional_cycles,
+            )
+            for job in engine._jobs
+        ]
+    state["trace"] = engine.finish_frame()
+    state["result"] = system.frame_result("split", "soup").to_dict()
+    return state
+
+
+#: Machine and schedule knobs of the random-soup oracle cases.
+_SPLIT_CASES = {
+    "even-targets": {},
+    "no-remote-cache": {"numa": False},
+    "skewed-targets": {
+        "fb_targets": {0: 0.5, 2: 0.3, 3: 0.2}, "command_source": 2,
+    },
+    "private-targets": {"fb_targets": None, "command_source": 1},
+    "ring": {"topology": "ring", "command_source": 3},
+    "switch": {"topology": "switch"},
+    "migration-observer": {"observer": True},
+}
+
+
+class TestSplitBind:
+    """``execute_split`` == ``bind`` + ``execute`` per slice, bit for bit."""
+
+    @staticmethod
+    def _system(knobs, policy, engine, resources):
+        from repro.extensions.migration import MigrationEngine
+        from repro.extensions.topology import Topology, install_topology
+
+        config = baseline_system().with_engine(engine)
+        if not knobs.get("numa", True):
+            config = replace(config, numa_optimizations=False)
+        system = MultiGPUSystem(config, policy)
+        if "topology" in knobs:
+            install_topology(system, Topology(knobs["topology"]))
+        _prepare_placement(system.placement, resources)
+        system.begin_frame()
+        observed = []
+        if knobs.get("observer"):
+            migration = MigrationEngine()
+
+            def observe(resource, gpm, nbytes):
+                observed.append((resource, gpm, nbytes))
+                migration.observe_remote(resource, gpm, nbytes)
+
+            system.remote_observer = observe
+        return system, observed
+
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    @pytest.mark.parametrize(
+        "policy", list(PlacementPolicy), ids=lambda policy: policy.value
+    )
+    @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+    def test_random_unit_soups_match_per_slice_oracle(
+        self, case, policy, engine, monkeypatch
+    ):
+        import numpy as np
+
+        # Several passes per soup, the last one partial: every counter
+        # must carry across pass boundaries.
+        monkeypatch.setattr("repro.engine.split._CHUNK_UNITS", 7)
+        knobs = _SPLIT_CASES[case]
+        resources = _split_resources()
+        seed = 20261016 + sorted(_SPLIT_CASES).index(case)
+        units = _split_units(np.random.default_rng(seed), resources, 24)
+        schedule = (
+            units, 0.25, 1.8, 1.4,
+            knobs.get("fb_targets", {gpm: 0.25 for gpm in range(4)}),
+            knobs.get("command_source", 0),
+        )
+        oracle_system, oracle_seen = self._system(
+            knobs, policy, engine, resources
+        )
+        _per_slice(oracle_system, *schedule)
+        split_system, split_seen = self._system(knobs, policy, engine, resources)
+        split_system.engine.execute_split(*schedule)
+        oracle = _machine_state(oracle_system, oracle_seen)
+        split = _machine_state(split_system, split_seen)
+        for key, expected in oracle.items():
+            assert split[key] == expected, key  # == : bit-exact
+        assert bool(split_seen) == bool(knobs.get("observer"))
+
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    @pytest.mark.parametrize(
+        "framework", ["baseline", "1tbs-bw", "baseline-mig", "baseline:topo=ring"]
+    )
+    def test_frameworks_match_per_slice_schedule(
+        self, framework, engine, monkeypatch
+    ):
+        """Real frames, end to end, on one persistent machine each."""
+        from repro.frameworks.single import SingleKernelBaseline
+
+        scene = fast_scene()
+        config = baseline_system().with_engine(engine)
+        split = build_framework(framework, config)
+        split_result = split.render_scene(scene)
+        monkeypatch.setattr(
+            SingleKernelBaseline, "render_frame_on", _per_slice_render_frame_on
+        )
+        oracle = build_framework(framework, config)
+        oracle_result = oracle.render_scene(scene)
+        assert split_result.to_dict() == oracle_result.to_dict()
+        assert _machine_state(split.last_system, []) == _machine_state(
+            oracle.last_system, []
+        )
+
+    def test_completion_subscribers_are_rejected(self, config):
+        import numpy as np
+
+        system = MultiGPUSystem(config)
+        system.begin_frame()
+        system.engine.on_complete(lambda resolved, execution: None)
+        units = _split_units(np.random.default_rng(1), _split_resources(), 4)
+        with pytest.raises(EngineError, match="on_complete"):
+            system.engine.execute_split(units, 0.25, 1.0, 1.0, None)
+        # Rejected before anything was bound.
+        assert system.fabric.total_bytes == 0.0
+        assert not system.placement._entries
+        assert all(gpm.ready_at == 0.0 for gpm in system.gpms)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((0.0, 1.0, 1.0, None), "pixel_share"),
+            ((0.25, 0.5, 1.0, None), "unique_inflation"),
+            ((0.25, 1.0, 0.5, None), "stream_inflation"),
+            ((0.25, 1.0, 1.0, None, 4), "out of range"),
+        ],
+    )
+    def test_rejects_malformed_splits(self, config, shape, message):
+        import numpy as np
+
+        system = MultiGPUSystem(config)
+        system.begin_frame()
+        units = _split_units(np.random.default_rng(2), _split_resources(), 2)
+        with pytest.raises(ValueError, match=message):
+            system.engine.execute_split(units, *shape)
+
+    def test_profile_splits_bind_from_price(self, config):
+        """``oovr run baseline ... --profile`` still separates the two."""
+        import numpy as np
+
+        from repro.profiling import PhaseProfile, capture
+
+        record = (
+            Sweep().frameworks("baseline").workloads("HL2-640").fast()
+            .run(profile=True).to_records()[0]
+        )
+        assert record["profile_bind_s"] > 0
+        assert record["profile_price_s"] > 0
+        system = MultiGPUSystem(config)
+        system.begin_frame()
+        units = _split_units(np.random.default_rng(3), _split_resources(), 8)
+        with capture(PhaseProfile()) as profile:
+            system.engine.execute_split(units, 0.25, 1.0, 1.0, None)
+        # Eq. 3 and the roofline are priced; everything else binds.
+        assert profile.calls == {"bind": 1, "price": 2}
+        assert profile.seconds["bind"] > 0 and profile.seconds["price"] > 0

@@ -145,6 +145,143 @@ class TestPlacement:
         assert placement.total_resident_bytes == 0.0
 
 
+class TestOwnerFractionCache:
+    def test_map_is_cached_and_read_only(self):
+        placement = PagePlacement(4, PAGE, PlacementPolicy.INTERLEAVED)
+        r = texture_resource(0, 6 * PAGE)
+        fractions = placement.owner_fractions(r, toucher=0)
+        assert fractions == {0: 2 / 6, 1: 2 / 6, 2: 1 / 6, 3: 1 / 6}
+        assert placement.owner_fractions(r, toucher=3) is fractions
+        with pytest.raises(TypeError):
+            fractions[0] = 1.0  # type: ignore[index]
+
+    def test_migrate_rebuilds_fractions(self):
+        placement = PagePlacement(4, PAGE, PlacementPolicy.INTERLEAVED)
+        r = texture_resource(0, 8 * PAGE)
+        before = placement.owner_fractions(r, toucher=0)
+        assert not placement.is_home(r, 2)
+        placement.migrate(r, 2)
+        assert placement.owner_fractions(r, toucher=0) == {2: 1.0}
+        assert placement.is_home(r, 2)
+        # The map handed out earlier still describes the old layout.
+        assert before == {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
+
+    def test_replica_takes_precedence(self):
+        placement = PagePlacement(4, PAGE)
+        r = texture_resource(0, 4 * PAGE)
+        placement.place_fixed(r, 0)
+        assert placement.owner_fractions(r, toucher=3) == {0: 1.0}
+        placement.replicate(r, [3])
+        local = placement.owner_fractions(r, toucher=3)
+        assert local == {3: 1.0}
+        with pytest.raises(TypeError):
+            local[0] = 1.0  # type: ignore[index]
+        assert placement.owner_fractions(r, toucher=1) == {0: 1.0}
+        assert placement.is_home(r, 0) and not placement.is_home(r, 3)
+        placement.migrate(r, 1)  # drops the replicas
+        assert placement.owner_fractions(r, toucher=3) == {1: 1.0}
+
+    def test_reset_forgets_cached_fractions(self):
+        placement = PagePlacement(4, PAGE)
+        r = texture_resource(0, 4 * PAGE)
+        assert placement.owner_fractions(r, toucher=2) == {2: 1.0}
+        placement.reset()
+        assert not placement.is_home(r, 2)
+        assert placement.owner_fractions(r, toucher=1) == {1: 1.0}
+        assert placement.is_home(r, 1)
+
+
+class TestColumnKernels:
+    """The batched memory kernels equal their scalar calls, bit for bit."""
+
+    @staticmethod
+    def _streams(seed, rows):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        unique = rng.uniform(0.0, 4.0 * MB, rows)
+        stream = unique * rng.uniform(0.3, 8.0, rows)
+        unique[rng.random(rows) < 0.1] = 0.0
+        stream[rng.random(rows) < 0.1] = 0.0
+        return stream, unique
+
+    def test_miss_bytes_columns(self):
+        from repro.memory.cache import miss_bytes_columns
+
+        stream, unique = self._streams(1, 400)
+        for cache_bytes in (64 * KB, 1.0 * MB, 0.0):
+            assert miss_bytes_columns(stream, unique, cache_bytes).tolist() == [
+                miss_bytes(s, u, cache_bytes)
+                for s, u in zip(stream.tolist(), unique.tolist())
+            ]
+
+    def test_filter_columns(self):
+        import numpy as np
+
+        from repro.memory.remote_cache import filter_columns
+
+        def caches():
+            return [
+                RemoteCache(512.0 * KB),
+                RemoteCache(0.0),
+                RemoteCache(64.0 * KB, effectiveness=0.5),
+            ]
+
+        stream, unique = self._streams(2, 400)
+        gpm = np.random.default_rng(3).integers(0, 3, stream.size)
+        scalar = caches()
+        expected = [
+            scalar[g].filter(s, u)
+            for g, s, u in zip(gpm.tolist(), stream.tolist(), unique.tolist())
+        ]
+        batched = caches()
+        assert filter_columns(batched, gpm, stream, unique).tolist() == expected
+        assert [(c.hits_bytes, c.miss_bytes) for c in batched] == [
+            (c.hits_bytes, c.miss_bytes) for c in scalar
+        ]
+
+    @pytest.mark.parametrize("topology", [None, "ring", "switch"])
+    def test_transfer_batch(self, topology):
+        import numpy as np
+
+        from repro.extensions.topology import RoutedLinkFabric, Topology
+        from repro.memory.link import TRAFFIC_TYPES
+
+        def fabric():
+            if topology is None:
+                return LinkFabric(4, 32.0)
+            return RoutedLinkFabric(4, 32.0, topology=Topology(topology))
+
+        rng = np.random.default_rng(4)
+        src = rng.integers(0, 4, 300)
+        dst = rng.integers(0, 4, 300)  # some rows stay within one GPM
+        nbytes = rng.uniform(0.0, 1e5, 300)
+        nbytes[rng.random(300) < 0.1] = 0.0
+        traffic = rng.integers(0, len(TRAFFIC_TYPES), 300)
+        scalar = fabric()
+        for row in range(300):
+            scalar.transfer(
+                int(src[row]), int(dst[row]), float(nbytes[row]),
+                TRAFFIC_TYPES[traffic[row]],
+            )
+        batched = fabric()
+        batched.transfer_batch(src, dst, nbytes, traffic)
+
+        def state(links):
+            return (
+                [
+                    (key, s.bytes_total, list(s.by_type.items()))
+                    for key, s in links._links.items()
+                ],
+                list(links.bytes_by_type().items()),
+                links.total_bytes,
+            )
+
+        assert state(batched) == state(scalar)
+        with pytest.raises(ValueError):
+            batched.transfer_batch(src, dst + 4, nbytes, traffic)
+
+
 class TestSetAssociativeCache:
     def test_first_access_misses_then_hits(self):
         cache = SetAssociativeCache(1024, 2, 64)
