@@ -482,7 +482,7 @@ class ExecutionEngine(abc.ABC):
         share: float,
         unique_inflation: float,
         stream_inflation: float,
-        fb_targets: Optional["FramebufferTargets"],
+        fb_targets: "FramebufferTargets",
         command_source: int = 0,
     ) -> None:
         """Bind and execute every unit split across all GPMs, in one pass.
@@ -490,9 +490,11 @@ class ExecutionEngine(abc.ABC):
         For each unit in order and each GPM in id order this schedules
         the slice ``unit.with_screen_share(share, share,
         unique_inflation, f"gpm{gpm}", stream_inflation)`` bound with
-        ``fb_targets`` and ``command_source`` — every counter, trace
-        interval and recorded job bit-identical to :meth:`bind` plus
-        :meth:`execute` per slice, which stays the oracle (see
+        ``fb_targets`` (a non-empty owner -> fraction map; the split
+        schedule has no private render target) and ``command_source``
+        — every counter, trace interval and recorded job bit-identical
+        to :meth:`bind` plus :meth:`execute` per slice, which stays the
+        oracle (see
         :mod:`repro.engine.split`), at a fraction of the cost.
 
         Completion callbacks cannot fire from the batched pass, so a

@@ -25,8 +25,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.config import SystemConfig
 from repro.memory.link import TRAFFIC_TYPES, LinkFabric, TrafficType
 
@@ -132,46 +130,14 @@ class RoutedLinkFabric(LinkFabric):
             cycles += super().transfer(hop_src, hop_dst, nbytes, traffic)
         return cycles
 
-    def transfer_batch(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        nbytes: np.ndarray,
-        traffic: np.ndarray,
-    ) -> None:
-        """:meth:`transfer` row by row: logical totals, then every hop."""
-        n = self.num_gpms
-        if src.size and (
-            min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n
+    def transfer_batch(self, src, dst, nbytes, traffic) -> None:
+        """:meth:`transfer` row by row, so the logical totals and every
+        hop land in call order (the base class's batched bookkeeping
+        knows no routes)."""
+        for s, d, b, t in zip(
+            src.tolist(), dst.tolist(), nbytes.tolist(), traffic.tolist()
         ):
-            raise ValueError("transfer endpoints must be real GPMs")
-        keep = (src != dst) & (nbytes > 0)
-        src, dst, nbytes, traffic = src[keep], dst[keep], nbytes[keep], traffic[keep]
-        if not nbytes.size:
-            return
-        self._logical_total = np.add.accumulate(
-            np.concatenate(([self._logical_total], nbytes))
-        )[-1].item()
-        codes, first = np.unique(traffic, return_index=True)
-        for code in codes[np.argsort(first, kind="stable")].tolist():
-            self._logical_by_type.setdefault(TRAFFIC_TYPES[code], 0.0)
-        totals = np.array(
-            [self._logical_by_type.get(kind, 0.0) for kind in TRAFFIC_TYPES]
-        )
-        np.add.at(totals, traffic, nbytes)
-        for code in codes.tolist():
-            self._logical_by_type[TRAFFIC_TYPES[code]] = totals[code].item()
-        # Expand each row into its route's hops, in route order.
-        routes = [self.route(s, d) for s in range(n) for d in range(n)]
-        lengths = np.array([len(route) for route in routes], dtype=np.int64)
-        hop_src = np.array([h[0] for route in routes for h in route], np.int64)
-        hop_dst = np.array([h[1] for route in routes for h in route], np.int64)
-        pair = src * n + dst
-        counts = lengths[pair]
-        row = np.repeat(np.arange(pair.size), counts)
-        within = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-        hop = (np.cumsum(lengths) - lengths)[pair][row] + within
-        super().transfer_batch(hop_src[hop], hop_dst[hop], nbytes[row], traffic[row])
+            self.transfer(s, d, b, TRAFFIC_TYPES[t])
 
     # ``hops`` comes from the base class's precomputed matrix, which is
     # built from this subclass's ``route`` on first use.

@@ -1376,7 +1376,6 @@ _SPLIT_CASES = {
     "skewed-targets": {
         "fb_targets": {0: 0.5, 2: 0.3, 3: 0.2}, "command_source": 2,
     },
-    "private-targets": {"fb_targets": None, "command_source": 1},
     "ring": {"topology": "ring", "command_source": 3},
     "switch": {"topology": "switch"},
     "migration-observer": {"observer": True},
@@ -1476,7 +1475,7 @@ class TestSplitBind:
         system.engine.on_complete(lambda resolved, execution: None)
         units = _split_units(np.random.default_rng(1), _split_resources(), 4)
         with pytest.raises(EngineError, match="on_complete"):
-            system.engine.execute_split(units, 0.25, 1.0, 1.0, None)
+            system.engine.execute_split(units, 0.25, 1.0, 1.0, {0: 1.0})
         # Rejected before anything was bound.
         assert system.fabric.total_bytes == 0.0
         assert not system.placement._entries
@@ -1485,10 +1484,11 @@ class TestSplitBind:
     @pytest.mark.parametrize(
         "shape, message",
         [
-            ((0.0, 1.0, 1.0, None), "pixel_share"),
-            ((0.25, 0.5, 1.0, None), "unique_inflation"),
-            ((0.25, 1.0, 0.5, None), "stream_inflation"),
-            ((0.25, 1.0, 1.0, None, 4), "out of range"),
+            ((0.0, 1.0, 1.0, {0: 1.0}), "pixel_share"),
+            ((0.25, 0.5, 1.0, {0: 1.0}), "unique_inflation"),
+            ((0.25, 1.0, 0.5, {0: 1.0}), "stream_inflation"),
+            ((0.25, 1.0, 1.0, {0: 1.0}, 4), "out of range"),
+            ((0.25, 1.0, 1.0, {}), "fb_targets"),
         ],
     )
     def test_rejects_malformed_splits(self, config, shape, message):
@@ -1516,7 +1516,7 @@ class TestSplitBind:
         system.begin_frame()
         units = _split_units(np.random.default_rng(3), _split_resources(), 8)
         with capture(PhaseProfile()) as profile:
-            system.engine.execute_split(units, 0.25, 1.0, 1.0, None)
+            system.engine.execute_split(units, 0.25, 1.0, 1.0, {0: 1.0})
         # Eq. 3 and the roofline are priced; everything else binds.
         assert profile.calls == {"bind": 1, "price": 2}
         assert profile.seconds["bind"] > 0 and profile.seconds["price"] > 0
