@@ -56,15 +56,40 @@ def test_oovr_full_frame(benchmark):
     benchmark.pedantic(run, rounds=3, iterations=1)
 
 
-def _best_seconds(fn, repeats=3):
-    """Best-of-N wall time of ``fn()`` after one warm-up call."""
-    fn()
+def _best_seconds(fn, repeats=3, warm=True):
+    """Best-of-N wall time of ``fn()``, after one warm-up call unless
+    the caller has already warmed it."""
+    if warm:
+        fn()
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _reference_loop_ab(spec, reference_repeats=2):
+    """Same-host A/B of the window loop against the retained reference
+    loop on one event cell, under the same reuse state, so the ratio
+    isolates the loop itself.  Both loops' results are asserted equal
+    before either side is timed (the asserting runs warm the cell)."""
+    from repro.engine.event import EventEngine
+
+    expected = spec.execute().to_dict()
+    EventEngine.use_reference_loop = True
+    try:
+        assert spec.execute().to_dict() == expected
+        reference_s = _best_seconds(
+            spec.execute, repeats=reference_repeats, warm=False
+        )
+    finally:
+        EventEngine.use_reference_loop = False
+    seconds = _best_seconds(spec.execute, repeats=2)
+    return seconds, {
+        "reference_loop_seconds": round(reference_s, 4),
+        "incremental_loop_speedup": round(reference_s / seconds, 2),
+    }
 
 
 def test_cell_throughput():
@@ -78,7 +103,10 @@ def test_cell_throughput():
       each with its speedup over the PR 7 seed pinned in
       ``benchmarks/golden/cell_throughput_baseline.json``.  The event
       entry carries the window-loop trajectory: a same-host A/B of the
-      incremental loop against the retained scalar reference loop, and
+      incremental loop against the retained scalar reference loop on
+      that cell and on the baseline HL2-1280 FULL cell
+      (``baseline_cell``, where the loop's cost is), both cells'
+      results asserted equal under the two loops before timing, and
       the loop's own counters (windows per frame, mean live rows per
       window, per-window wall cost) captured via the profiling layer;
     - ``hot_path_kernels`` — the per-cell hot-path kernels measured
@@ -110,7 +138,6 @@ def test_cell_throughput():
     flattering number.
     """
     from repro import profiling
-    from repro.engine.event import EventEngine
     from repro.reuse import reuse_scope
 
     baseline = json.loads(GOLDEN_BASELINE.read_text())["kernels"]
@@ -121,8 +148,11 @@ def test_cell_throughput():
         spec = RunSpec(
             framework="oo-vr", workload="HL2-1280", engine=engine
         )
-        spec.execute()  # warm the memoised scene before timing
-        seconds = _best_seconds(spec.execute, repeats=2)
+        if engine == "event":
+            seconds, loop_ab = _reference_loop_ab(spec)
+        else:
+            spec.execute()  # warm the memoised scene before timing
+            seconds = _best_seconds(spec.execute, repeats=2)
         rate = 1.0 / seconds
         engines[engine] = {
             "seconds": round(seconds, 4),
@@ -133,18 +163,18 @@ def test_cell_throughput():
         }
         if engine != "event":
             continue
-        # Same-host A/B: the incremental window loop against the
-        # retained scalar reference loop (both under the same reuse
-        # state, so the ratio isolates the loop itself).
-        EventEngine.use_reference_loop = True
-        try:
-            reference_s = _best_seconds(spec.execute, repeats=2)
-        finally:
-            EventEngine.use_reference_loop = False
-        engines[engine]["reference_loop_seconds"] = round(reference_s, 4)
-        engines[engine]["incremental_loop_speedup"] = round(
-            reference_s / seconds, 2
+        engines[engine].update(loop_ab)
+        # The baseline cell beside it: its crowded windows (dozens of
+        # live rows each) are where the window loop's cost is.  The
+        # reference loop takes seconds per frame there, so it is timed
+        # once.
+        baseline_s, baseline_ab = _reference_loop_ab(
+            RunSpec(framework="baseline", workload="HL2-1280", engine=engine),
+            reference_repeats=1,
         )
+        engines[engine]["baseline_cell"] = {
+            "seconds": round(baseline_s, 4), **baseline_ab
+        }
         # Window-loop counters, straight from the engine's profiling
         # instrumentation (the same numbers `oovr run --profile
         # --engine event` prints).

@@ -64,6 +64,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import truediv
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -91,8 +92,6 @@ _REL = 1e-12
 #: loop would otherwise spin silently; no reachable schedule from the
 #: public recording API produces even one.
 _MAX_ZERO_WINDOWS = 8
-
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
 
 Link = Tuple[int, int]
 
@@ -129,9 +128,9 @@ class _Job:
 class _RunState:
     """Runtime handle of one activated job.
 
-    The demand state itself lives in the pass's :class:`_JobArrays`
-    rows (indexed by ``idx``); this is just the bookkeeping needed to
-    emit the job's trace interval when it retires.
+    The demand state itself lives in the pass's rows (the job is
+    ``idx`` there); this is just the bookkeeping needed to emit the
+    job's trace interval when it retires.
     """
 
     __slots__ = ("job", "idx", "start")
@@ -143,7 +142,7 @@ class _RunState:
 
 
 class _JobArrays:
-    """Struct-of-array demand state for one simulation pass.
+    """Struct-of-array demand state for one reference simulation pass.
 
     One row per DRAM demand and per link flow across *all* jobs of the
     pass, built once after every ``_note_shed`` scale-down has been
@@ -530,116 +529,164 @@ class EventEngine(ExecutionEngine):
     def _simulate(
         self, jobs: Sequence[_Job], background: Sequence[_Job] = ()
     ) -> _SimResult:
-        """The incremental window loop (the production path).
+        """The window loop (the production path).
 
-        Behaviourally bit-equal to :meth:`_simulate_reference`, but each
-        window touches O(live) rows instead of O(total): compact live
-        sets for compute/DRAM/latency/streaming rows are maintained on
-        job start, component drain and retirement (never rebuilt from
-        full-array ``nonzero`` scans), per-link streaming user counts
-        are updated by +/-1 over a flow's precomputed route slice when
-        it enters or leaves the streaming state, and jobs retire
-        through the same crossing-decremented pending counters.
+        Bit-equal to :meth:`_simulate_reference` on every
+        :class:`_SimResult` field, ``windows`` and ``live_rows``
+        included: each window evaluates the identical IEEE-754 double
+        operations on the identical values (Python float arithmetic *is*
+        C-double arithmetic, and ``min`` and user counts are
+        order-independent).  Only the bookkeeping around them differs,
+        under this contract:
 
-        Profiling showed the retained loop's cost is *numpy calls per
-        window*, not array size — real frames average a handful of
-        live rows across thousands of windows — so the window body
-        here is scalar Python over the live sets, with zero per-window
-        array allocations.  That is still a pure layout change: every
-        share/horizon/depletion expression evaluates the identical
-        IEEE-754 double operations on the identical values (``tolist``
-        round-trips float64 exactly, Python float arithmetic *is*
-        C-double arithmetic, and ``min``/user-count/elementwise ops
-        are order-independent), so completion times — and the event
-        goldens pinned on them — are bit-equal to the reference walk.
+        - **One row list.**  Every live demand is a ``(rem, rate)`` row
+          whose horizon is ``rem / rate`` and which drains as ``rem -
+          dt * rate``: a DRAM row at its DRAM's share, a streaming flow
+          at its route's share, and compute and wire latency at rate
+          ``1.0`` — exact, since ``x / 1.0 == x`` and ``dt * 1.0 == dt``
+          — so one ``min`` and one depletion pass cover a window.
+        - **Shared timers.**  Compute and wire-latency rows both drain as
+          ``rem - dt``.  Rows that enter in the same window with
+          bit-equal values therefore stay bit-equal until they cross the
+          dust threshold together, so they share one row, a timer, whose
+          crossing drains every member: a baseline slice's flows share
+          one latency, slices started together share one compute value,
+          and a compute value equal to a latency value shares with it.
+          ``live_rows`` still counts members, not timers.
+        - **Shares change only between windows.**  Each DRAM's
+          ``dram_bw / users`` and each link's ``link_bw / users`` are
+          cached per resource and recomputed only when its user count
+          changes (``bw / 1 == bw``, so one expression covers the
+          uncontended case).  Every crossing's side effects (a DRAM or
+          link losing a user, a drained latency row entering the
+          streaming state) land after the whole depletion pass, so the
+          next window sees them, as the reference's per-window rescan
+          does.  A single-hop flow with ``rate_scale == 1.0`` takes its
+          link's share as its rate: ``(h * 1.0) / 1.0 == h``.
+        - **Retirement order.**  A job's open components (its compute,
+          DRAM rows and flows) are counted when it starts; it completes
+          when the last one crosses.  The retirement scan runs only in
+          windows where some job completed, and still retires in
+          ``active`` order, then ``bg_active`` order.  The start scan
+          runs only after a retirement or while a start floor (render or
+          background) is waiting; otherwise it could start nothing.
+        - **Accounting order.**  ``link_bytes`` is summed once after the
+          loop, job by job in the order the reference accounts them:
+          zero-demand jobs when they start, the rest when they retire.
+
+        The window body is scalar Python over the live rows: a few dozen
+        rows per window cost less as Python floats than as per-window
+        numpy calls.
         """
         system = self.system
         n = system.num_gpms
         dram_bw = system.config.gpm.dram_bytes_per_cycle
         link_bw = system.config.link.bytes_per_cycle
+        inf = float("inf")
 
         all_jobs: List[_Job] = [*jobs, *background]
-        arrays = _JobArrays(all_jobs)
-        index_of = {id(job): idx for idx, job in enumerate(all_jobs)}
-        # Scalar views of the SoA rows: exact float64 -> double copies.
-        compute_rem = arrays.compute.tolist()
-        dram_job = arrays.dram_job.tolist()
-        dram_gpm = arrays.dram_gpm.tolist()
-        dram_rem = arrays.dram_rem.tolist()
-        flow_job = arrays.flow_job.tolist()
-        flow_lat = arrays.flow_lat.tolist()
-        flow_bytes = arrays.flow_bytes.tolist()
-        flow_scale = arrays.flow_scale.tolist()
-        route_len = arrays.route_len.tolist()
-        offsets = arrays.route_offsets.tolist()
-        links_flat = arrays.route_links.tolist()
-        #: Per-flow contended-link id lists, precomputed once per pass.
-        routes = [
-            links_flat[offsets[row] : offsets[row + 1]]
-            for row in range(len(flow_job))
-        ]
-        job_d0 = arrays.job_d0.tolist()
-        job_f0 = arrays.job_f0.tolist()
-        zero_demand = arrays.zero_demand.tolist()
-        num_links = len(arrays.links)
-        pending = arrays.pending0.tolist()
-        link_busy_acc = [0.0] * num_links
-        #: Streaming flows currently crossing each link — maintained
-        #: incrementally (+/-1 per route element on stream enter/leave),
-        #: it equals the reference loop's per-window route bincount.
-        link_users = [0] * num_links
+        #: Open components per started job (compute, DRAM rows, flows —
+        #: a flow stays open until its latency *and* bytes drain).
+        pending = [0] * len(all_jobs)
 
-        # Live row sets: the only state the window body walks.
-        c_live: Set[int] = set()
-        d_live: Set[int] = set()
-        lat_live: Set[int] = set()
-        b_live: Set[int] = set()
+        # Resources: 0 is the rate-1 clock of timers, 1 + gpm a DRAM,
+        # then links in first-seen order.  Per resource: current users,
+        # per-user share and (links only) busy cycles.
+        users = [0] * (1 + n)
+        share = [1.0] + [dram_bw] * n
+        busy_acc = [0.0] * (1 + n)
+        link_res: Dict[Link, int] = {}
+        busy_links: Set[int] = set()
+        #: Route -> (resource ids, hop count, the single resource or -1).
+        routes: Dict[Tuple[Link, ...], Tuple[List[int], float, int]] = {}
 
-        def enter_stream(row: int) -> None:
-            b_live.add(row)
-            for lid in routes[row]:
-                link_users[lid] += 1
+        def route_entry(route: Tuple[Link, ...]):
+            ids = []
+            for link in route:
+                res = link_res.get(link)
+                if res is None:
+                    res = link_res[link] = len(share)
+                    users.append(0)
+                    share.append(link_bw)
+                    busy_acc.append(0.0)
+                ids.append(res)
+            hops = float(len(route))
+            entry = routes[route] = (ids, hops, ids[0] if hops == 1.0 else -1)
+            return entry
 
-        def leave_stream(row: int) -> None:
-            b_live.discard(row)
-            for lid in routes[row]:
-                link_users[lid] -= 1
+        # The live rows, as parallel lists.  ``src`` is the resource
+        # whose share is the row's rate, or -1 for a multi-hop or
+        # rate-scaled flow.  A row is a timer (its member list: job
+        # indices for compute, flow records for latency), a DRAM row
+        # (its job index) or a streaming flow (its record ``(job,
+        # nbytes, route resources, rate_scale, hops, src)``).
+        rems: List[float] = []
+        rates: List[float] = []
+        srcs: List[int] = []
+        rows: List = []
+        #: Timers entering in this window, keyed by their value.
+        fresh: Dict[float, list] = {}
+        #: Rows or shares changed since ``rates`` was last built.
+        stale = False
+        live = 0
 
-        def enter_rows(idx: int) -> None:
-            """Register a newly-activated job's live demand rows."""
-            if compute_rem[idx] > _EPS:
-                c_live.add(idx)
-            d0, d1 = job_d0[idx], job_d0[idx + 1]
-            if d1 > d0:
-                # DRAM rows are built above the dust threshold.
-                d_live.update(range(d0, d1))
-            for row in range(job_f0[idx], job_f0[idx + 1]):
-                if flow_lat[row] > _EPS:
-                    lat_live.add(row)
-                elif flow_bytes[row] > _EPS:
-                    enter_stream(row)
+        def enter_stream(flow: tuple) -> None:
+            rems.append(flow[1])
+            srcs.append(flow[5])
+            rows.append(flow)
+            for res in flow[2]:
+                count = users[res] + 1
+                users[res] = count
+                share[res] = link_bw / count
+                if count == 1:
+                    busy_links.add(res)
 
-        def clear_rows(idx: int) -> None:
-            """Drop a retiring job's rows from the live sets.
-
-            Retirement requires every pending component to have crossed
-            the dust threshold, so these are no-ops on any normal path;
-            kept as cheap O(job rows) insurance so a leaked live row
-            can never outlive its job.
-            """
-            c_live.discard(idx)
-            for row in range(job_d0[idx], job_d0[idx + 1]):
-                d_live.discard(row)
-            for row in range(job_f0[idx], job_f0[idx + 1]):
-                lat_live.discard(row)
-                if row in b_live:
-                    leave_stream(row)
+        def start(idx: int) -> int:
+            """Register a starting job's live rows; return how many
+            components it opened (zero: the job completes instantly)."""
+            job = all_jobs[idx]
+            opened = 0
+            if job.compute > _EPS:
+                fresh.setdefault(job.compute, []).append(idx)
+                opened = 1
+            for gpm, nbytes in job.dram.items():
+                if nbytes > _EPS:
+                    res = 1 + gpm
+                    rems.append(nbytes)
+                    srcs.append(res)
+                    rows.append(idx)
+                    count = users[res] + 1
+                    users[res] = count
+                    share[res] = dram_bw / count
+                    opened += 1
+            for spec in job.flows:
+                latency = spec.latency
+                nbytes = spec.nbytes
+                if not (latency > _EPS or nbytes > _EPS):
+                    continue
+                opened += 1
+                route = spec.route
+                ids, hops, single = routes.get(route) or route_entry(route)
+                scale = spec.rate_scale
+                flow = (
+                    idx, nbytes, ids, scale, hops,
+                    single if scale == 1.0 else -1,
+                )
+                if latency > _EPS:
+                    fresh.setdefault(latency, []).append(flow)
+                else:
+                    enter_stream(flow)
+            pending[idx] = opened
+            return opened
 
         queues: List[deque] = [deque() for _ in range(n)]
-        for job in jobs:
-            queues[job.gpm].append(job)
-        bg_pending: List[_Job] = sorted(
-            background, key=lambda job: job.start_floor
+        for idx, job in enumerate(jobs):
+            queues[job.gpm].append(idx)
+        bg_pending = deque(
+            sorted(
+                range(len(jobs), len(all_jobs)),
+                key=lambda idx: all_jobs[idx].start_floor,
+            )
         )
         bg_active: List[_RunState] = []
 
@@ -648,26 +695,21 @@ class EventEngine(ExecutionEngine):
         busy = [0.0] * n
         end = [0.0] * n
         intervals: List[TraceInterval] = []
-        link_bytes: Dict[Link, float] = {}
-
-        def account_bytes(job: _Job) -> None:
-            for spec in job.flows:
-                for link in spec.route:
-                    link_bytes[link] = link_bytes.get(link, 0.0) + spec.nbytes
+        #: Jobs in the order the reference accounts their link bytes.
+        accounted: List[_Job] = []
 
         total_components = sum(
-            1 + len(job.dram) + len(job.flows)
-            for job in (*jobs, *background)
+            1 + len(job.dram) + len(job.flows) for job in all_jobs
         )
-        max_steps = 1000 + 16 * (
-            total_components + len(jobs) + len(background)
-        )
+        max_steps = 1000 + 16 * (total_components + len(all_jobs))
         steps = 0
         zero_windows = 0
         windows = 0
         live_rows = 0
+        next_start = inf
+        rescan = True
 
-        while active or any(queues) or bg_active or bg_pending:
+        while active or bg_active or bg_pending or any(queues):
             steps += 1
             if steps > max_steps:
                 raise EngineError(
@@ -675,109 +717,91 @@ class EventEngine(ExecutionEngine):
                     f"({len(jobs)} jobs, {steps} steps)"
                 )
 
-            # Start any idle GPM's head job whose floor has passed;
-            # zero-demand units complete instantly and hand the GPM to
-            # the next queued job within the same window.
-            next_start = float("inf")
-            for gpm in range(n):
-                while gpm not in active and queues[gpm]:
-                    floor = queues[gpm][0].start_floor
-                    if floor > t * (1 + _REL) + _EPS:
-                        next_start = min(next_start, floor)
-                        break
-                    job = queues[gpm].popleft()
-                    idx = index_of[id(job)]
-                    start = max(t, floor)
-                    if zero_demand[idx]:  # instantaneous
+            if rescan:
+                # Start any idle GPM's head job whose floor has passed;
+                # zero-demand units complete instantly and hand the GPM
+                # to the next queued job within the same window.
+                next_start = inf
+                for gpm in range(n):
+                    queue = queues[gpm]
+                    while gpm not in active and queue:
+                        job = all_jobs[queue[0]]
+                        floor = job.start_floor
+                        if floor > t * (1 + _REL) + _EPS:
+                            next_start = min(next_start, floor)
+                            break
+                        idx = queue.popleft()
+                        begin = max(t, floor)
+                        opened = start(idx)
+                        if opened:
+                            live += opened
+                            stale = True
+                            active[gpm] = _RunState(job, idx, begin)
+                            continue
                         intervals.append(
                             TraceInterval(
                                 gpm=gpm, label=job.label,
-                                start=start, end=start,
-                                kind=job.kind,
+                                start=begin, end=begin, kind=job.kind,
                             )
                         )
-                        end[gpm] = max(end[gpm], start)
-                        account_bytes(job)
+                        end[gpm] = max(end[gpm], begin)
+                        accounted.append(job)
+                # Background copies activate on their floor regardless of
+                # what their GPM is doing — the copy engines, not the
+                # SMs, move the bytes.
+                while bg_pending:
+                    job = all_jobs[bg_pending[0]]
+                    floor = job.start_floor
+                    if floor > t * (1 + _REL) + _EPS:
+                        next_start = min(next_start, floor)
+                        break
+                    idx = bg_pending.popleft()
+                    begin = max(t, floor)
+                    opened = start(idx)
+                    if opened:
+                        live += opened
+                        stale = True
+                        bg_active.append(_RunState(job, idx, begin))
                         continue
-                    active[gpm] = _RunState(job, idx, start)
-                    enter_rows(idx)
-            # Background copies activate on their floor regardless of
-            # what their GPM is doing — the copy engines, not the SMs,
-            # move the bytes.
-            while bg_pending:
-                floor = bg_pending[0].start_floor
-                if floor > t * (1 + _REL) + _EPS:
-                    next_start = min(next_start, floor)
-                    break
-                job = bg_pending.pop(0)
-                idx = index_of[id(job)]
-                start = max(t, floor)
-                if zero_demand[idx]:
                     intervals.append(
                         TraceInterval(
                             gpm=job.gpm, label=job.label,
-                            start=start, end=start,
-                            kind=job.kind,
+                            start=begin, end=begin, kind=job.kind,
                         )
                     )
-                    account_bytes(job)
-                    continue
-                bg_active.append(_RunState(job, idx, start))
-                enter_rows(idx)
+                    accounted.append(job)
+                for value, members in fresh.items():
+                    rems.append(value)
+                    srcs.append(0)
+                    rows.append(members)
+                fresh.clear()
 
-            if not active and not bg_active:
-                if next_start == float("inf"):
-                    break
-                t = next_start
-                continue
+                if not active and not bg_active:
+                    if next_start == inf:
+                        break
+                    t = next_start
+                    continue
 
             windows += 1
-            live_rows += (
-                len(c_live) + len(d_live) + len(lat_live) + len(b_live)
-            )
-
-            # Concurrent users per shared resource in this window —
-            # the same share expressions as the reference loop, over
-            # the same live value sets (the per-row ``(row, share)``
-            # pairs are kept so the depletion pass below subtracts
-            # the exact same share each horizon was computed from).
-            d_shares = []
-            if d_live:
-                users = [0] * n
-                for row in d_live:
-                    users[dram_gpm[row]] += 1
-                for row in d_live:
-                    d_shares.append((row, dram_bw / users[dram_gpm[row]]))
-            b_rates = []
-            for row in b_live:
-                # Bandwidth share on the most contended link of the
-                # route, serialised over the hop count (links with no
-                # active flow are floored to one user; a streaming
-                # flow's route is never empty).
-                hop = min(
-                    link_bw / u if (u := link_users[lid]) > 1 else link_bw
-                    for lid in routes[row]
-                )
-                b_rates.append(
-                    (row, (hop * flow_scale[row]) / route_len[row])
-                )
+            live_rows += live
 
             # Time to the next completion or rate change.
-            dt = next_start - t if next_start != float("inf") else float("inf")
-            if c_live:
-                dt = min(dt, min(compute_rem[idx] for idx in c_live))
-            if d_shares:
-                dt = min(
-                    dt, min(dram_rem[row] / share for row, share in d_shares)
-                )
-            if lat_live:
-                dt = min(dt, min(flow_lat[row] for row in lat_live))
-            if b_rates:
-                dt = min(
-                    dt, min(flow_bytes[row] / rate for row, rate in b_rates)
-                )
+            dt = next_start - t if next_start != inf else inf
+            if rems:
+                if stale:
+                    # A multi-hop or rate-scaled flow (src -1) streams
+                    # at the share on its route's most contended link,
+                    # scaled and serialised over the hop count.
+                    rates = [
+                        share[src] if src >= 0
+                        else (min([share[res] for res in row[2]])
+                              * row[3]) / row[4]
+                        for src, row in zip(srcs, rows)
+                    ]
+                    stale = False
+                dt = min(dt, min(map(truediv, rems, rates)))
 
-            if dt == float("inf"):
+            if dt == inf:
                 # Active demand that drains at rate zero: tolerate a
                 # bounded streak, then raise the diagnostic instead of
                 # spinning (or silently force-retiring) forever.
@@ -789,65 +813,76 @@ class EventEngine(ExecutionEngine):
                 zero_windows = 0
             dt = max(dt, 0.0)
 
-            # Advance the window: deplete demands, accumulate occupancy
-            # and retire the per-job open-component counts as rows
-            # cross the dust threshold (crossings also update the live
-            # sets, so the next window never rescans retired rows).
-            if dt > 0.0:
-                t += dt
-                for gpm in active:
-                    busy[gpm] += dt
-                for lid in range(num_links):
-                    if link_users[lid] > 0:
-                        link_busy_acc[lid] += dt
-                if c_live:
-                    done = []
-                    for idx in c_live:
-                        remaining = compute_rem[idx] - dt
-                        compute_rem[idx] = remaining
-                        if remaining <= _EPS:
-                            done.append(idx)
-                    c_live.difference_update(done)
-                for row, share in d_shares:
-                    remaining = dram_rem[row] - dt * share
-                    dram_rem[row] = remaining
-                    if remaining <= _EPS:
-                        pending[dram_job[row]] -= 1
-                        d_live.discard(row)
-                if lat_live:
-                    expired = []
-                    for row in lat_live:
-                        remaining = flow_lat[row] - dt
-                        flow_lat[row] = remaining
-                        if remaining <= _EPS:
-                            expired.append(row)
-                    if expired:
-                        lat_live.difference_update(expired)
-                        # A flow with nothing left to stream is done
-                        # the moment its wire latency drains; the rest
-                        # enter the streaming state and start loading
-                        # their route's links next window.
-                        for row in expired:
-                            if flow_bytes[row] > _EPS:
-                                enter_stream(row)
-                            else:
-                                pending[flow_job[row]] -= 1
-                for row, rate in b_rates:
-                    remaining = flow_bytes[row] - dt * rate
-                    flow_bytes[row] = remaining
-                    if remaining <= _EPS:
-                        pending[flow_job[row]] -= 1
-                        leave_stream(row)
+            # Advance the window: deplete every live row at the rate read
+            # above, then apply the crossings' side effects.
+            rescan = next_start != inf
+            if not dt > 0.0:
+                continue
+            t += dt
+            for gpm in active:
+                busy[gpm] += dt
+            for res in busy_links:
+                busy_acc[res] += dt
+            rems = [rem - dt * rate for rem, rate in zip(rems, rates)]
+            if not (rems and min(rems) <= _EPS):
+                continue
 
-            # Retire completed jobs: compute drained and no DRAM or
-            # flow component still above the dust threshold.
-            for gpm in list(active):
-                state = active[gpm]
-                if not (
-                    compute_rem[state.idx] <= _EPS
-                    and pending[state.idx] == 0
-                ):
+            finished = False
+            entering = []
+            for i in reversed(
+                [i for i, rem in enumerate(rems) if rem <= _EPS]
+            ):
+                del rems[i]
+                src = srcs.pop(i)
+                row = rows.pop(i)
+                if src == 0:  # a timer: compute or wire latency drained
+                    live -= len(row)
+                    for member in row:
+                        if type(member) is int:
+                            job = member
+                        elif member[1] > _EPS:
+                            # The bytes start streaming next window.
+                            entering.append(member)
+                            continue
+                        else:
+                            job = member[0]
+                        left = pending[job] - 1
+                        pending[job] = left
+                        if not left:
+                            finished = True
                     continue
+                live -= 1
+                if 0 < src <= n:  # a DRAM row
+                    job = row
+                    count = users[src] - 1
+                    users[src] = count
+                    if count:
+                        share[src] = dram_bw / count
+                else:  # a streaming flow
+                    job = row[0]
+                    for res in row[2]:
+                        count = users[res] - 1
+                        users[res] = count
+                        if count:
+                            share[res] = link_bw / count
+                        else:
+                            busy_links.discard(res)
+                left = pending[job] - 1
+                pending[job] = left
+                if not left:
+                    finished = True
+            for flow in entering:
+                enter_stream(flow)
+            live += len(entering)
+            stale = True
+            if not finished:
+                continue
+
+            # Retire completed jobs in the reference's order.
+            for gpm in [
+                gpm for gpm, state in active.items() if not pending[state.idx]
+            ]:
+                state = active.pop(gpm)
                 intervals.append(
                     TraceInterval(
                         gpm=gpm, label=state.job.label,
@@ -855,29 +890,30 @@ class EventEngine(ExecutionEngine):
                     )
                 )
                 end[gpm] = max(end[gpm], t)
-                account_bytes(state.job)
-                del active[gpm]
-                clear_rows(state.idx)
-            for state in list(bg_active):
-                if not (
-                    compute_rem[state.idx] <= _EPS
-                    and pending[state.idx] == 0
-                ):
-                    continue
+                accounted.append(state.job)
+                rescan = True
+            for state in [
+                state for state in bg_active if not pending[state.idx]
+            ]:
                 intervals.append(
                     TraceInterval(
                         gpm=state.job.gpm, label=state.job.label,
                         start=state.start, end=t, kind=state.job.kind,
                     )
                 )
-                account_bytes(state.job)
+                accounted.append(state.job)
                 bg_active.remove(state)
-                clear_rows(state.idx)
+                rescan = True
 
+        link_bytes: Dict[Link, float] = {}
+        for job in accounted:
+            for spec in job.flows:
+                for link in spec.route:
+                    link_bytes[link] = link_bytes.get(link, 0.0) + spec.nbytes
         link_busy: Dict[Link, float] = {
-            arrays.links[i]: link_busy_acc[i]
-            for i in range(num_links)
-            if link_busy_acc[i] > 0.0
+            link: busy_acc[res]
+            for link, res in link_res.items()
+            if busy_acc[res] > 0.0
         }
         return _SimResult(
             busy=busy,

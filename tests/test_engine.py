@@ -1109,12 +1109,161 @@ def _random_flow_soup(engine, rng):
     return jobs, background
 
 
+def _lockstep_flow_soup(engine, rng):
+    """A schedule whose values come from small sets, so rows tie.
+
+    Each round gives every GPM one job, and most rounds share one start
+    floor, so several GPMs start in the same window with equal compute
+    and wire-latency values — the rows the incremental loop puts on one
+    shared timer.  One compute value equals the one-hop latency and
+    another the two-hop latency.  Jobs carry several flows on one
+    route, dust flows and latency-only flows; rounds mix in zero-demand
+    jobs and software stall copies streaming at ``parallelism x
+    len(route)``, and background copies land in their destination's
+    DRAM on the same floors.
+    """
+    from repro.engine.event import _FlowSpec, _Job
+
+    fabric = engine.system.fabric
+    n = engine.system.num_gpms
+    hop_latency = 8.0
+    computes = (hop_latency, 2 * hop_latency, 40.0)
+    sizes = (64.0, 192.0)
+    drams = (500.0, 1500.0)
+    parallelism = 4.5
+    spacing = 400.0
+
+    def pick(values):
+        return values[int(rng.integers(0, len(values)))]
+
+    def route(src, dst):
+        path = tuple(fabric.route(src, dst))
+        assert path
+        return path
+
+    jobs = []
+    floors = []
+    for round_ in range(int(rng.integers(3, 7))):
+        floor = spacing * round_ if rng.random() < 0.75 else 0.0
+        floors.append(floor)
+        compute = pick(computes)
+        for gpm in range(n):
+            label = f"r{round_}g{gpm}"
+            peer = (gpm + 1 + int(rng.integers(0, n - 1))) % n
+            species = int(rng.integers(0, 6))
+            if species == 0:  # zero-demand, dust flow only
+                jobs.append(
+                    _Job(
+                        label=label, gpm=gpm, kind="render",
+                        start_floor=floor, compute=0.0, dram={},
+                        flows=[
+                            _FlowSpec(
+                                route=route(peer, gpm), nbytes=0.0,
+                                latency=0.0,
+                            )
+                        ],
+                        provisional_cycles=1.0,
+                    )
+                )
+                continue
+            if species == 1:  # software stall copy from every peer
+                jobs.append(
+                    _Job(
+                        label=label, gpm=gpm, kind="stall",
+                        start_floor=0.0, compute=0.0, dram={},
+                        flows=[
+                            _FlowSpec(
+                                route=path, nbytes=pick(sizes),
+                                latency=0.0,
+                                rate_scale=parallelism * len(path),
+                            )
+                            for path in (
+                                route(src, gpm)
+                                for src in range(n)
+                                if src != gpm
+                            )
+                        ],
+                        provisional_cycles=1.0,
+                    )
+                )
+                continue
+            path = route(peer, gpm)
+            flows = [
+                _FlowSpec(
+                    route=path, nbytes=pick(sizes),
+                    latency=hop_latency * len(path),
+                )
+                for _ in range(int(rng.integers(2, 5)))
+            ]
+            if rng.random() < 0.5:  # a dust flow on the same route
+                flows.append(_FlowSpec(route=path, nbytes=0.0, latency=0.0))
+            if rng.random() < 0.5:  # latency only, on another route
+                back = route(gpm, peer)
+                flows.append(
+                    _FlowSpec(
+                        route=back, nbytes=0.0,
+                        latency=hop_latency * len(back),
+                    )
+                )
+            jobs.append(
+                _Job(
+                    label=label, gpm=gpm, kind="render",
+                    start_floor=floor, compute=compute,
+                    dram={gpm: pick(drams), peer: pick(drams)},
+                    flows=flows,
+                    provisional_cycles=1.0,
+                )
+            )
+    background = []
+    for index in range(int(rng.integers(1, 4))):
+        dst = int(rng.integers(0, n))
+        src = (dst + 1 + int(rng.integers(0, n - 1))) % n
+        path = route(src, dst)
+        nbytes = pick(sizes)
+        background.append(
+            _Job(
+                label=f"stage{index}", gpm=dst, kind="stage",
+                start_floor=pick(floors), compute=0.0, dram={dst: nbytes},
+                flows=[
+                    _FlowSpec(
+                        route=path, nbytes=nbytes, latency=0.0,
+                        rate_scale=float(len(path)),
+                    )
+                ],
+                provisional_cycles=0.0,
+            )
+        )
+    return jobs, background
+
+
+_SOUPS = {"random": _random_flow_soup, "lockstep": _lockstep_flow_soup}
+
+
 class TestIncrementalWindowLoop:
     """The incremental loop is bit-equal to the full-scan oracle."""
 
     @staticmethod
-    def _engine(config):
-        return MultiGPUSystem(config.with_engine("event")).engine
+    def _engine(config, topology=None):
+        system = MultiGPUSystem(config.with_engine("event"))
+        if topology is not None:
+            from repro.extensions.topology import Topology, install_topology
+
+            install_topology(system, Topology(topology))
+        return system.engine
+
+    @staticmethod
+    def _assert_loops_agree(engine, jobs, background):
+        from dataclasses import fields
+
+        # _simulate never mutates its inputs, so both loops replay the
+        # identical schedule.
+        fast = engine._simulate(jobs, background)
+        slow = engine._simulate_reference(jobs, background)
+        for field in fields(fast):
+            # == : bit-exact, not approx
+            assert getattr(fast, field.name) == getattr(slow, field.name), (
+                field.name
+            )
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_flow_soups_match_reference_exactly(self, config, seed):
@@ -1122,18 +1271,21 @@ class TestIncrementalWindowLoop:
 
         engine = self._engine(config)
         rng = np.random.default_rng(20260808 + seed)
-        jobs, background = _random_flow_soup(engine, rng)
-        # _simulate never mutates its inputs, so both loops replay the
-        # identical schedule.
-        fast = engine._simulate(jobs, background)
-        slow = engine._simulate_reference(jobs, background)
-        assert fast.busy == slow.busy  # == : bit-exact, not approx
-        assert fast.end == slow.end
-        assert fast.intervals == slow.intervals
-        assert fast.link_busy == slow.link_busy
-        assert fast.link_bytes == slow.link_bytes
-        assert fast.windows == slow.windows
-        assert fast.live_rows == slow.live_rows
+        self._assert_loops_agree(engine, *_random_flow_soup(engine, rng))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("topology", ["fully-connected", "ring", "switch"])
+    @pytest.mark.parametrize("soup", sorted(_SOUPS))
+    def test_soups_match_reference_on_every_fabric(
+        self, config, soup, topology, seed
+    ):
+        """Routed fabrics bring multi-hop ``min``-over-route shares and
+        scaled copy rates; the lockstep soup brings tied timers."""
+        import numpy as np
+
+        engine = self._engine(config, topology)
+        rng = np.random.default_rng(20261017 + seed)
+        self._assert_loops_agree(engine, *_SOUPS[soup](engine, rng))
 
     def test_latency_only_and_background_only_soup(self, config):
         """Degenerate pass: no streaming rows at all, floors only."""
@@ -1158,16 +1310,20 @@ class TestIncrementalWindowLoop:
         assert fast.end == slow.end == [12.0, 0.0, 0.0, 0.0]
         assert fast.intervals == slow.intervals
 
-    def test_reference_loop_flag_is_bit_exact_end_to_end(self):
-        """``use_reference_loop`` (the bench A/B switch) changes nothing."""
+    @pytest.mark.parametrize(
+        "framework", ["baseline", "baseline-mig", "tile-v", "oo-vr"]
+    )
+    def test_reference_loop_flag_is_bit_exact_end_to_end(
+        self, framework, monkeypatch
+    ):
+        """``use_reference_loop`` (the bench A/B switch) changes nothing,
+        on the baseline family's crowded windows as on oo-vr's sparse
+        ones."""
         scene = fast_scene()
         cfg = baseline_system().with_engine("event")
-        default = build_framework("oo-vr", cfg).render_scene(scene)
-        EventEngine.use_reference_loop = True
-        try:
-            reference = build_framework("oo-vr", cfg).render_scene(scene)
-        finally:
-            EventEngine.use_reference_loop = False
+        default = build_framework(framework, cfg).render_scene(scene)
+        monkeypatch.setattr(EventEngine, "use_reference_loop", True)
+        reference = build_framework(framework, cfg).render_scene(scene)
         assert default.to_dict() == reference.to_dict()
 
     @pytest.mark.parametrize("loop", ["_simulate", "_simulate_reference"])
