@@ -121,12 +121,10 @@ def test_cell_throughput():
     - ``scene_build`` — the vectorized scene generator against the
       retained scalar reference (both sides emit frames *and* batches,
       equality asserted field-for-field before timing, gate >= 3x),
-      plus the compiled-scene store's cold/warm/absent whole-cell wall
-      times with byte-identical results asserted first, and a
-      ``plan_store`` block timing the compiled-plan store on the
-      warm-scene fast cell — absent/cold/warm walls plus the profiled
+      plus a ``plan_store`` block timing the compiled-plan store on
+      the fast cell — absent/cold/warm walls plus the profiled
       bind+price phase seconds, gated at a >= 2x phase speedup warm
-      vs. absent (results again asserted identical before timing);
+      vs. absent (results asserted identical before timing);
     - ``shared_workload_sweep`` — a 4-cell serial sweep whose cells all
       share one workload, run with the reuse cache on and off.  The
       CSVs are asserted byte-identical before either side is timed,
@@ -291,7 +289,6 @@ def test_cell_throughput():
     from dataclasses import replace as dataclass_replace
 
     from repro.scene.benchmarks import parse_workload
-    from repro.scene.store import SceneStore, scene_store_scope
     from repro.scene.synthetic import SyntheticSceneGenerator
     from repro.session.spec import cached_scene
 
@@ -346,61 +343,19 @@ def test_cell_throughput():
     # retained scalar reference on the same host.
     assert scene_build["speedup_vs_reference"] >= 3.0
 
-    # Cold-vs-warm compiled-scene store, whole-cell wall time.  The
-    # cold pass builds and persists, the warm pass mmap-loads; results
-    # are asserted identical to a store-less cell before timing.
-    store_dir = tempfile.mkdtemp(prefix="oovr-scene-bench-")
-    try:
-        store = SceneStore(store_dir)
-        cell_spec = RunSpec(framework="oo-vr", workload="HL2-1280")
-
-        def cell(active_store):
-            cached_scene.cache_clear()
-            if active_store is None:
-                return cell_spec.execute()
-            with scene_store_scope(active_store):
-                return cell_spec.execute()
-
-        plain_result = cell(None)
-        start = time.perf_counter()
-        cold_result = cell(store)
-        cold_s = time.perf_counter() - start
-        warm_result = cell(store)
-        assert cold_result.to_dict() == plain_result.to_dict()
-        assert warm_result.to_dict() == plain_result.to_dict()
-        warm_s = _best_seconds(lambda: cell(store), repeats=2)
-        no_store_s = _best_seconds(lambda: cell(None), repeats=2)
-        profile = profiling.PhaseProfile()
-        with profiling.capture(profile):
-            cell(store)
-        scene_s = profile.seconds.get("scene", 0.0)
-        total_s = profile.total_seconds
-        scene_build["store"] = {
-            "cold_cell_seconds": round(cold_s, 4),
-            "warm_cell_seconds": round(warm_s, 4),
-            "no_store_cell_seconds": round(no_store_s, 4),
-            "warm_speedup_vs_no_store": round(no_store_s / warm_s, 2),
-            "warm_scene_phase_fraction": round(scene_s / total_s, 4),
-            "byte_identical": True,
-        }
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-
-    # -- compiled-plan store: absent/cold/warm on the warm-scene cell ---
-    # The fast oo-vr cell with a warm scene store, so the scene wall is
-    # already gone and the plan store's effect on the bind+price phases
-    # is isolated.  Results are asserted identical across all three
-    # store states before anything is timed; the gate is on *phase
-    # seconds* (bind + price with the store warm must be at least 2x
-    # cheaper than with no store), which is a same-host A/B the whole-
+    # -- compiled-plan store: absent/cold/warm on the fast cell ---------
+    # The fast oo-vr cell, its scene rebuilt on every call.  Results are
+    # asserted identical across all three store states before anything
+    # is timed; the gate is on *phase seconds* (bind + price with the
+    # store warm must be at least 2x cheaper than with no store), which
+    # scene building never enters, so it is a same-host A/B the whole-
     # cell walls merely contextualise.
     from repro.plan.store import PlanStore, plan_store_scope
     from repro.reuse import get_cache
 
     plan_root = tempfile.mkdtemp(prefix="oovr-plan-bench-")
     try:
-        scene_store = SceneStore(Path(plan_root) / "scenes")
-        plan_store = PlanStore(Path(plan_root) / "plans")
+        plan_store = PlanStore(plan_root)
         fast_spec = RunSpec(framework="oo-vr", workload="HL2-1280").with_preset(
             FAST
         )
@@ -411,13 +366,11 @@ def test_cell_throughput():
             # build path (and with it the store consult) to run.
             cached_scene.cache_clear()
             get_cache().clear()
-            with scene_store_scope(scene_store):
-                if active_plan is None:
-                    return fast_spec.execute()
-                with plan_store_scope(active_plan):
-                    return fast_spec.execute()
+            if active_plan is None:
+                return fast_spec.execute()
+            with plan_store_scope(active_plan):
+                return fast_spec.execute()
 
-        plan_cell(None)  # warm the scene store itself
         absent_result = plan_cell(None)
         start = time.perf_counter()
         cold_result = plan_cell(plan_store)
@@ -440,7 +393,7 @@ def test_cell_throughput():
         absent_phase_s, _ = bind_price_seconds(None)
         warm_phase_s, warm_profile = bind_price_seconds(plan_store)
         scene_build["plan_store"] = {
-            "cell": "oo-vr HL2-1280 FAST preset, scene store warm",
+            "cell": "oo-vr HL2-1280 FAST preset, scene rebuilt per call",
             "cold_cell_seconds": round(plan_cold_s, 4),
             "warm_cell_seconds": round(plan_warm_s, 4),
             "no_store_cell_seconds": round(plan_absent_s, 4),
@@ -457,7 +410,7 @@ def test_cell_throughput():
             "byte_identical": True,
         }
         # The gate: a warm plan store halves (at least) the combined
-        # bind+price phase cost of the warm-scene cell.
+        # bind+price phase cost of the fast cell.
         assert scene_build["plan_store"]["warm_bind_price_speedup"] >= 2.0
         assert scene_build["plan_store"]["warm_plan_hits"] > 0
     finally:

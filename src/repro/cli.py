@@ -14,9 +14,6 @@ Every experiment command is a thin wrapper over the Session/Sweep API
     oovr run oo-vr HL2-1280 --engine event  # contention-aware timing
     oovr sweep --fast --engine event  # whole grid on the event engine
     oovr sweep --fast --cache .oovr-cache  # memoise cells on disk
-    oovr sweep --fast --scene-store .oovr-scenes  # mmap compiled scenes
-    oovr scene warm .oovr-scenes --fast   # pre-compile the suite
-    oovr scene info .oovr-scenes          # store inventory
     oovr sweep --fast --plan-store .oovr-plans  # mmap compiled work plans
     oovr plan warm .oovr-plans --fast     # pre-characterize the suite
     oovr plan info .oovr-plans            # plan-store inventory
@@ -169,7 +166,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = session.run(
         profile=args.profile,
         reuse=not args.no_reuse,
-        scene_store=args.scene_store,
         plan_store=args.plan_store,
     )
     if args.json:
@@ -218,10 +214,11 @@ def _csv_list(text: str) -> Sequence[str]:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _grid(args: argparse.Namespace) -> Sweep:
+    """The grid named by ``--frameworks``/``--workloads``/``--fast``/
+    ``--frames``/``--seed``, shared by ``oovr sweep`` and ``oovr plan
+    warm`` so both reject the same bad input (exit 2)."""
     sweep = Sweep().preset(_experiment(args))
-    if args.engine is not None:
-        sweep.engine(args.engine)
     if args.frameworks is None:
         sweep.frameworks(*framework_names())
     else:
@@ -238,18 +235,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep.frames(args.frames)
     if args.seed is not None:
         sweep.seed(args.seed)
-    cache = ResultCache(args.cache) if args.cache else None
-    scene_store = None
-    if args.scene_store:
-        from repro.scene.store import SceneStore
+    return sweep
 
-        # Built here (not inside Sweep.run) so the hit/miss stats of
-        # this invocation can be reported below.
-        scene_store = SceneStore(args.scene_store)
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    sweep = _grid(args)
+    if args.engine is not None:
+        sweep.engine(args.engine)
+    cache = ResultCache(args.cache) if args.cache else None
     plan_store = None
     if args.plan_store:
         from repro.plan.store import PlanStore
 
+        # Built here (not inside Sweep.run) so the hit/miss stats of
+        # this invocation can be reported below.
         plan_store = PlanStore(args.plan_store)
     if args.shard and not args.cache:
         print(
@@ -286,7 +285,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         on_result=_on_result(args),
         profile=args.profile,
         reuse=not args.no_reuse,
-        scene_store=scene_store,
         plan_store=plan_store,
     )
 
@@ -325,12 +323,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
     if cache is not None:
         print(f"cache: {cache.stats.summary()} -> {args.cache}")
-    if scene_store is not None:
-        stats = scene_store.stats
-        print(
-            f"scene store: {stats.hits} hits, {stats.misses} misses "
-            f"-> {args.scene_store}"
-        )
     if plan_store is not None:
         stats = plan_store.stats
         print(
@@ -476,86 +468,23 @@ def _cmd_cache_manifest(args: argparse.Namespace) -> int:
     return 0 if complete else 1
 
 
-def _resolve_store_dir(given: Optional[str], env_var: str, kind: str) -> str:
-    """The store directory of an info/clear subcommand.
+def _plan_store_dir(given: Optional[str]) -> str:
+    """The store directory of ``oovr plan info|clear``.
 
     The positional wins; without one the environment default the
-    run/sweep paths already honor (``$OOVR_SCENE_STORE`` /
-    ``$OOVR_PLAN_STORE``) applies, so ``oovr scene info`` inspects the
-    same store ``oovr sweep`` just used.  Neither given is a usage
-    error (exit 2 via :class:`SessionError`).
+    run/sweep paths already honor (``$OOVR_PLAN_STORE``) applies, so
+    ``oovr plan info`` inspects the same store ``oovr sweep`` just
+    used.  Neither given is a usage error (exit 2 via
+    :class:`SessionError`).
     """
     if given:
         return given
-    from_env = os.environ.get(env_var)
+    from_env = os.environ.get("OOVR_PLAN_STORE")
     if from_env:
         return from_env
     raise SessionError(
-        f"no {kind} store directory given and ${env_var} is not set"
+        "no plan store directory given and $OOVR_PLAN_STORE is not set"
     )
-
-
-def _cmd_scene(args: argparse.Namespace) -> int:
-    from repro.scene.store import SceneStore
-
-    if args.scene_command == "warm":
-        store = SceneStore(args.dir)
-        experiment = _experiment(args)
-        names = (
-            _csv_list(args.workloads) if args.workloads else tuple(WORKLOADS)
-        )
-        num_frames = args.frames if args.frames is not None else experiment.num_frames
-        seed = args.seed if args.seed is not None else experiment.seed
-        for workload in names:
-            before = store.stats.stores
-            try:
-                scene = store.get_or_build(
-                    workload, num_frames, seed, experiment.draw_scale
-                )
-            except KeyError as error:
-                # Unknown workload names are usage errors (exit 2),
-                # not tracebacks.
-                raise SessionError(error.args[0]) from None
-            status = "compiled" if store.stats.stores > before else "present"
-            print(
-                f"  {workload:<12} {status}  "
-                f"({scene.num_draws} objects/frame, {len(scene)} frames)"
-            )
-        print(
-            f"scene store {args.dir}: {store.stats.misses} compiled, "
-            f"{store.stats.hits} already present"
-        )
-        return 0
-    directory = _resolve_store_dir(args.dir, "OOVR_SCENE_STORE", "scene")
-    if not os.path.isdir(directory):
-        # Inspection/maintenance must not create the directory a typo
-        # names (SceneStore.__init__ would mkdir it).
-        print(f"error: no scene store at {directory}", file=sys.stderr)
-        return 2
-    store = SceneStore(directory)
-    if args.scene_command == "info":
-        info = store.info()
-        if getattr(args, "json", False):
-            print(json.dumps(info, indent=2))
-            return 0
-        print(f"scene store at {info['root']}:")
-        print(f"  entries     : {info['entries']}")
-        print(f"  corrupt     : {info['corrupt']}")
-        print(f"  total bytes : {info['total_bytes']}")
-        for scene in info["scenes"]:
-            if scene.get("corrupt"):
-                print(f"  {scene['file']}: corrupt ({scene['bytes']} bytes)")
-                continue
-            print(
-                f"  {scene['key'][:12]} {scene['workload']:<12} "
-                f"frames={scene['num_frames']} seed={scene['seed']} "
-                f"scale={scene['draw_scale']:g} "
-                f"objects={scene['num_objects']} ({scene['bytes']} bytes)"
-            )
-        return 0
-    removed = store.clear()
-    print(f"cleared {removed} compiled scene(s) from {directory}")
-    return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -564,20 +493,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.plan_command == "warm":
         from repro.session.spec import cached_scene
 
+        # Validated exactly like `oovr sweep` before anything is
+        # compiled: unknown names, --frames 0, a negative --seed and an
+        # empty --workloads/--frameworks list are usage errors (exit 2).
+        specs = _grid(args).specs()
+        workloads = dict.fromkeys(spec.workload for spec in specs)
+        frameworks = dict.fromkeys(spec.framework for spec in specs)
+        point = specs[0]
         store = PlanStore(args.dir)
-        experiment = _experiment(args)
-        workloads = (
-            _csv_list(args.workloads) if args.workloads else tuple(WORKLOADS)
-        )
-        frameworks = (
-            _csv_list(args.frameworks)
-            if args.frameworks
-            else tuple(framework_names())
-        )
-        num_frames = (
-            args.frames if args.frames is not None else experiment.num_frames
-        )
-        seed = args.seed if args.seed is not None else experiment.seed
         with plan_store_scope(store):
             for workload in workloads:
                 before = store.stats.stores
@@ -586,18 +509,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 # characterisation each framework's render path would,
                 # so every store entry is written by its consumer's own
                 # code path.
-                try:
-                    scene = cached_scene(
-                        workload, num_frames, seed, experiment.draw_scale
-                    )
-                    for name in frameworks:
-                        framework = build_framework(name)
-                        for frame in scene.frames:
-                            framework.warm_plan(frame)
-                except KeyError as error:
-                    # Unknown workload/framework names are usage
-                    # errors (exit 2), not tracebacks.
-                    raise SessionError(error.args[0]) from None
+                scene = cached_scene(
+                    workload, point.num_frames, point.seed, point.draw_scale
+                )
+                for name in frameworks:
+                    framework = build_framework(name)
+                    for frame in scene.frames:
+                        framework.warm_plan(frame)
                 compiled = store.stats.stores - before
                 status = (
                     f"compiled {compiled} plan(s)" if compiled else "present"
@@ -608,7 +526,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             f"{store.stats.hits} already present"
         )
         return 0
-    directory = _resolve_store_dir(args.dir, "OOVR_PLAN_STORE", "plan")
+    directory = _plan_store_dir(args.dir)
     if not os.path.isdir(directory):
         # Inspection/maintenance must not create the directory a typo
         # names (PlanStore.__init__ would mkdir it).
@@ -688,7 +606,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             poll_interval=args.poll_interval,
             lease_limit=args.lease_limit,
             max_idle=args.max_idle,
-            scene_store=args.scene_store,
             plan_store=args.plan_store,
         )
     except ValueError as error:
@@ -901,13 +818,6 @@ def make_parser() -> argparse.ArgumentParser:
         "identical either way",
     )
     run.add_argument(
-        "--scene-store", metavar="DIR",
-        default=os.environ.get("OOVR_SCENE_STORE"),
-        help="persistent compiled-scene store: mmap-load the scene "
-        "when already compiled, build-and-store otherwise (default: "
-        "$OOVR_SCENE_STORE); results are byte-identical either way",
-    )
-    run.add_argument(
         "--plan-store", metavar="DIR",
         default=os.environ.get("OOVR_PLAN_STORE"),
         help="persistent compiled work-plan store: mmap-load frame "
@@ -984,14 +894,6 @@ def make_parser() -> argparse.ArgumentParser:
         "same workload); records are byte-identical either way",
     )
     sweep.add_argument(
-        "--scene-store", metavar="DIR",
-        default=os.environ.get("OOVR_SCENE_STORE"),
-        help="persistent compiled-scene store shared by every process "
-        "of the sweep: each workload point is compiled once and "
-        "mmap-loaded everywhere else (default: $OOVR_SCENE_STORE); "
-        "records are byte-identical either way",
-    )
-    sweep.add_argument(
         "--plan-store", metavar="DIR",
         default=os.environ.get("OOVR_PLAN_STORE"),
         help="persistent compiled work-plan store shared by every "
@@ -1041,47 +943,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     cache_manifest.add_argument("dir", help="cache directory")
     cache_manifest.set_defaults(func=_cmd_cache_manifest)
-
-    scene = sub.add_parser(
-        "scene", help="warm/inspect/clear compiled-scene stores"
-    )
-    scene_sub = scene.add_subparsers(dest="scene_command", required=True)
-    scene_warm = scene_sub.add_parser(
-        "warm",
-        help="pre-compile workload points into a store so later runs "
-        "and worker fleets mmap-load instead of building",
-    )
-    scene_warm.add_argument("dir", help="scene store directory (created)")
-    scene_warm.add_argument(
-        "--workloads",
-        help="comma-separated workload names (default: the full suite)",
-    )
-    scene_warm.add_argument(
-        "--fast", action="store_true", help="scaled-down scenes"
-    )
-    scene_warm.add_argument("--frames", type=int, help="frames per scene")
-    scene_warm.add_argument("--seed", type=int, help="scene-generation seed")
-    scene_warm.set_defaults(func=_cmd_scene)
-    scene_info = scene_sub.add_parser(
-        "info", help="store inventory (entries, workload points, bytes)"
-    )
-    scene_info.add_argument(
-        "dir", nargs="?", default=None,
-        help="scene store directory (default: $OOVR_SCENE_STORE)",
-    )
-    scene_info.add_argument(
-        "--json", action="store_true",
-        help="machine-readable inventory (SceneStore.info document)",
-    )
-    scene_info.set_defaults(func=_cmd_scene)
-    scene_clear = scene_sub.add_parser(
-        "clear", help="drop every compiled scene"
-    )
-    scene_clear.add_argument(
-        "dir", nargs="?", default=None,
-        help="scene store directory (default: $OOVR_SCENE_STORE)",
-    )
-    scene_clear.set_defaults(func=_cmd_scene)
 
     plan = sub.add_parser(
         "plan", help="warm/inspect/clear compiled work-plan stores"
@@ -1201,13 +1062,6 @@ def make_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--max-idle", type=float, default=None, metavar="SECONDS",
         help="exit after this long without work (default: wait forever)",
-    )
-    worker.add_argument(
-        "--scene-store", metavar="DIR",
-        default=os.environ.get("OOVR_SCENE_STORE"),
-        help="persistent compiled-scene store for leased cells — a "
-        "fleet sharing one directory compiles each workload point "
-        "once (default: $OOVR_SCENE_STORE)",
     )
     worker.add_argument(
         "--plan-store", metavar="DIR",

@@ -1,8 +1,8 @@
 """Persistent compiled work-plan artifact store.
 
-With the compiled-scene store (:mod:`repro.scene.store`) taking the
-scene wall off disk-warm runs, the dominant remaining per-point cost is
-the *work plan*: Eq. 3 frame characterisation
+Scene construction is cheap (the vectorized generator builds the
+full-scale suite in a fraction of a second), so the dominant per-point
+cost before rendering is the *work plan*: Eq. 3 frame characterisation
 (:meth:`DrawCharacterizer.characterize_frame
 <repro.pipeline.characterize.DrawCharacterizer.characterize_frame>`)
 and the middleware's TSL batch grouping plus merges
@@ -11,25 +11,27 @@ reuse memo (:mod:`repro.reuse`) amortises both *within* one process,
 but every worker of a ``--jobs N`` sweep and every ``oovr worker`` of a
 service fleet re-characterises every (workload, cost config) point
 cold.  This module makes the compiled plan a first-class on-disk
-artifact, in the exact idiom of the scene store:
+artifact, in the content-addressed idiom of :mod:`repro.session.cache`:
 
 - **Key contract**: entries are addressed by a SHA-256 over the
   canonical JSON of ``(store_version, plan_version, kind, scene
   content key, cost fingerprint, plan knobs)``.  The *scene content
-  key* is :func:`repro.scene.store.scene_key` plus the frame id —
-  stamped onto every frame by :func:`~repro.session.spec.cached_scene`,
-  so frames from trace replays or hand-built scenes (no stamp) simply
-  bypass the store.  The *cost fingerprint* is a SHA-256 over the
-  canonical JSON of the frozen :class:`~repro.config.CostModel`, so
-  frameworks sharing a cost model (the common case: variants differ in
-  link/topology knobs, never in pipeline costs) share entries — the
-  cross-framework dedup.  ``PLAN_VERSION`` is the version of the
-  *characterisation output*: any change to the pricing or grouping
-  maths that moves numbers must bump it; old entries then stop
-  matching their key and degrade to a rebuild-and-rewrite, never to
-  silently stale numbers.  (A change to scene *generation* bumps
-  ``GENERATOR_VERSION`` instead, which re-keys the scene content key
-  and with it every plan entry.)
+  key* is a SHA-256 over :data:`~repro.scene.synthetic.GENERATOR_VERSION`
+  and the workload point ``(workload, num_frames, seed, draw_scale)``,
+  plus the frame id.  :func:`~repro.session.spec.cached_scene` stamps
+  it onto every frame through :func:`stamp_plan_content_keys` — this
+  module is the only one that knows the key — so frames from trace
+  replays or hand-built scenes (no stamp) simply bypass the store.
+  The *cost fingerprint* is a SHA-256 over the canonical JSON of the
+  frozen :class:`~repro.config.CostModel`, so frameworks sharing a
+  cost model (the common case: variants differ in link/topology knobs,
+  never in pipeline costs) share entries — the cross-framework dedup.
+  ``PLAN_VERSION`` is the version of the *characterisation output*:
+  any change to the pricing or grouping maths that moves numbers must
+  bump it; old entries then stop matching their key and degrade to a
+  rebuild-and-rewrite, never to silently stale numbers.  (A change to
+  scene *generation* bumps ``GENERATOR_VERSION`` instead, which
+  re-keys every plan entry.)
 - **Format**: one ``.plan`` file per entry — an ``OOVRPLN1`` magic, a
   canonical JSON header (entry metadata and an array directory), then
   the plan's struct-of-array columns as raw little-endian buffers at
@@ -54,10 +56,10 @@ artifact, in the exact idiom of the scene store:
   version/key-mismatched entries count as corrupt misses and degrade
   to rebuild-and-rewrite.
 
-The *active* store is module state scoped exactly like the scene
-store's: :func:`plan_store_scope` for sessions and sweeps,
-:func:`set_plan_store` for process-pool initialisers and service
-workers, :func:`active_plan_store` for the hook sites.
+The *active* store is module state scoped exactly like
+:mod:`repro.reuse`'s flags: :func:`plan_store_scope` for sessions and
+sweeps, :func:`set_plan_store` for process-pool initialisers and
+service workers, :func:`active_plan_store` for the hook sites.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ from repro.memory.address import Touch, texture_resource, vertex_resource
 from repro.pipeline.batch import EYE_BOTH, EYE_LEFT, EYE_RIGHT, FrameCounters
 from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import WorkUnit
+from repro.scene.synthetic import GENERATOR_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scene.scene import Frame
+    from repro.scene.scene import Frame, Scene
 
 __all__ = [
     "PLAN_VERSION",
@@ -96,6 +99,7 @@ __all__ = [
     "plan_content_key",
     "plan_store_scope",
     "set_plan_store",
+    "stamp_plan_content_keys",
 ]
 
 #: File magic of a compiled-plan entry.
@@ -110,9 +114,9 @@ PLAN_VERSION = 1
 #: and friendly to mmap page reuse.
 ALIGNMENT = 64
 
-#: The attribute :func:`~repro.session.spec.cached_scene` stamps onto
-#: every frame of a store-keyable scene.  Frames without it (trace
-#: replays, hand-built scenes) make the plan store inert for them.
+#: The attribute :func:`stamp_plan_content_keys` sets on every frame
+#: of a store-keyable scene.  Frames without it (trace replays,
+#: hand-built scenes) make the plan store inert for them.
 CONTENT_KEY_ATTR = "plan_content_key"
 
 #: The :class:`FrameCounters` array columns persisted verbatim, in
@@ -156,6 +160,32 @@ _UNIT_SCALAR_COLUMNS = (
     "unit_command_bytes",
     "unit_draw_count",
 )
+
+
+def stamp_plan_content_keys(
+    scene: "Scene",
+    workload: str,
+    num_frames: int,
+    seed: int,
+    draw_scale: float,
+) -> None:
+    """Stamp every frame of a generated scene with its content key.
+
+    The key is a SHA-256 over :data:`GENERATOR_VERSION` and the
+    workload point, plus the frame id, so bumping the generator version
+    re-keys every plan entry built from the old scenes.
+    """
+    content = _key_of(
+        {
+            "generator_version": GENERATOR_VERSION,
+            "workload": workload,
+            "num_frames": num_frames,
+            "seed": seed,
+            "draw_scale": draw_scale,
+        }
+    )
+    for frame in scene.frames:
+        frame.__dict__[CONTENT_KEY_ATTR] = f"{content}:{frame.frame_id}"
 
 
 def plan_content_key(frame: "Frame") -> Optional[str]:
@@ -771,7 +801,7 @@ def _materialise_group(
     return tuple(pairs)
 
 
-# -- the active store (scoped like the scene store's) --------------------
+# -- the active store (scoped like repro.reuse's flags) ------------------
 
 _active_store: Optional[PlanStore] = None
 

@@ -11,9 +11,7 @@ This subpackage models everything the rendering frameworks consume:
 - :mod:`repro.scene.scene` — frames and multi-frame scenes, including
   expansion of stereo draws for SMP-less pipelines;
 - :mod:`repro.scene.synthetic` — seeded generators producing game-like
-  object distributions;
-- :mod:`repro.scene.store` — the persistent compiled-scene artifact
-  store (content-addressed, mmap-loaded);
+  object distributions (vectorized, with a scalar reference oracle);
 - :mod:`repro.scene.benchmarks` — the Table 3 suite (DM3, HL2, NFS,
   UT3, WE) at the paper's resolutions;
 - :mod:`repro.scene.vr` — Table 1 VR-vs-PC display requirement constants.
@@ -28,13 +26,6 @@ from repro.scene.synthetic import (
     GENERATOR_VERSION,
     SceneProfile,
     SyntheticSceneGenerator,
-)
-from repro.scene.store import (
-    SceneStore,
-    active_scene_store,
-    scene_key,
-    scene_store_scope,
-    set_scene_store,
 )
 from repro.scene.benchmarks import (
     BENCHMARKS,
@@ -59,12 +50,7 @@ __all__ = [
     "Scene",
     "GENERATOR_VERSION",
     "SceneProfile",
-    "SceneStore",
     "SyntheticSceneGenerator",
-    "active_scene_store",
-    "scene_key",
-    "scene_store_scope",
-    "set_scene_store",
     "BENCHMARKS",
     "WORKLOADS",
     "BenchmarkSpec",

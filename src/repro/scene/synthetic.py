@@ -49,8 +49,11 @@ batched path shadows PCG64's internal 32-bit buffer used by
 
 :data:`GENERATOR_VERSION` names the output contract of this module: any
 change that alters generated scenes (new draw order, new distribution,
-changed derived arithmetic) must bump it so persisted compiled scenes
-(:mod:`repro.scene.store`) keyed on the old behaviour are invalidated.
+changed derived arithmetic) must bump it.  Bumping it re-keys every
+plan entry: the compiled-plan store (:mod:`repro.plan.store`) folds it
+into the content key :func:`~repro.session.spec.cached_scene` stamps
+on each frame, so plans compiled from old scenes are never served for
+new ones.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ KB = 1024
 MB = 1024 * KB
 
 #: Version of the scene-generation algorithm's *output* (not its code).
-#: Bump on any change that moves generated scenes — it keys the on-disk
-#: compiled-scene store (:mod:`repro.scene.store`), so stale artifacts
-#: degrade to a rebuild instead of silently serving old numbers.
+#: Bump on any change that moves generated scenes — bumping it re-keys
+#: every plan entry (:mod:`repro.plan.store`), so stale plans degrade
+#: to a rebuild instead of silently serving old numbers.
 GENERATOR_VERSION = 1
 
 

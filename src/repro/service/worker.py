@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from repro.plan.store import PlanStore, plan_store_scope
-from repro.scene.store import SceneStore, scene_store_scope
 from repro.service.client import ServiceClient, ServiceError
 from repro.session.cache import CacheMergeError, encode_entry, spec_key
 from repro.session.executor import ProcessExecutor, SerialExecutor
@@ -49,7 +48,6 @@ class SweepWorker:
         max_idle: Optional[float] = None,
         retries: int = DEFAULT_RETRIES,
         client: Optional[ServiceClient] = None,
-        scene_store: Optional[Union[SceneStore, str, Path]] = None,
         plan_store: Optional[Union[PlanStore, str, Path]] = None,
     ) -> None:
         self.client = client or ServiceClient(server)
@@ -70,17 +68,10 @@ class SweepWorker:
         self.executor = (
             ProcessExecutor(self.jobs) if self.jobs > 1 else SerialExecutor()
         )
-        #: Optional compiled-scene store (:mod:`repro.scene.store`):
-        #: every lease executes under it, so a fleet sharing one store
-        #: directory compiles each workload point once across hosts.
-        self.scene_store: Optional[SceneStore] = (
-            scene_store
-            if isinstance(scene_store, SceneStore) or scene_store is None
-            else SceneStore(scene_store)
-        )
         #: Optional compiled work-plan store (:mod:`repro.plan.store`):
-        #: a fleet sharing one directory characterises each (workload,
-        #: cost config) point once across hosts.
+        #: every lease executes under it, so a fleet sharing one
+        #: directory characterises each (workload, cost config) point
+        #: once across hosts.
         self.plan_store: Optional[PlanStore] = (
             plan_store
             if isinstance(plan_store, PlanStore) or plan_store is None
@@ -98,9 +89,7 @@ class SweepWorker:
         specs = specs_from_wire(lease["specs"])
         # No cache here: the server's cache is the store of record and
         # already filtered hits out at submit time.
-        with scene_store_scope(self.scene_store), plan_store_scope(
-            self.plan_store
-        ):
+        with plan_store_scope(self.plan_store):
             results = self.executor.run(specs)
         entries = [
             {"key": spec_key(spec), "payload": encode_entry(spec, result)}

@@ -23,9 +23,9 @@ is a cell (or grid of cells) of the paper's evaluation space
 stable content hash of the spec (:func:`spec_key`); pass it (or a
 directory path) as ``Sweep.run(cache=...)`` to skip already-executed
 grid cells while staying byte-identical to an uncached run.  The
-compiled-scene store (:mod:`repro.scene.store`) is the same idea one
-layer down: ``run(scene_store=...)`` mmap-loads already-compiled
-workload points instead of rebuilding them in every process, again
+compiled-plan store (:mod:`repro.plan.store`) is the same idea one
+layer down: ``run(plan_store=...)`` mmap-loads already-characterised
+work plans instead of recomputing them in every process, again
 byte-identical either way.
 
 *Where* a sweep executes is a pluggable backend

@@ -59,7 +59,6 @@ from typing import (
 from repro.profiling import PhaseProfile, capture, phase
 from repro.reuse import reuse_enabled, set_reuse
 from repro.plan.store import active_plan_store, set_plan_store
-from repro.scene.store import active_scene_store, set_scene_store
 from repro.session.cache import ResultCache, spec_key
 from repro.session.spec import RunSpec
 from repro.stats.metrics import SceneResult
@@ -111,21 +110,14 @@ def _execute_spec(spec: RunSpec) -> SceneResult:
     return spec.execute()
 
 
-def _init_worker(
-    reuse_flag: bool,
-    store_root: Optional[str],
-    plan_root: Optional[str] = None,
-) -> None:
+def _init_worker(reuse_flag: bool, plan_root: Optional[str]) -> None:
     """Pool-worker initializer: inherit the parent's reuse flag and
-    compiled scene/plan stores.  The stores travel as directory paths
-    (a :class:`~repro.scene.store.SceneStore` /
+    compiled-plan store.  The store travels as a directory path (a
     :class:`~repro.plan.store.PlanStore` holds no picklable state worth
     shipping), so each worker opens its own handle on the shared
-    directory and loads — rather than rebuilds — every workload point
-    (and every characterised work plan) another process already
-    compiled."""
+    directory and loads — rather than rebuilds — every work plan
+    another process already compiled."""
     set_reuse(reuse_flag)
-    set_scene_store(store_root)
     set_plan_store(plan_root)
 
 
@@ -254,17 +246,15 @@ class ProcessExecutor:
             # Workers start with an empty per-process reuse cache (the
             # isolation contract); only the caller's on/off *flag* is
             # forwarded, so `reuse=False` sweeps stay reuse-free in the
-            # pool too.  The active scene and plan stores (if any) are
-            # forwarded as directory paths so every worker shares the
-            # same on-disk compiled scenes and work plans.
-            store = active_scene_store()
+            # pool too.  The active plan store (if any) is forwarded as
+            # a directory path so every worker shares the same on-disk
+            # work plans.
             plan_store = active_plan_store()
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
                 initargs=(
                     reuse_enabled(),
-                    str(store.root) if store is not None else None,
                     str(plan_store.root) if plan_store is not None else None,
                 ),
             ) as pool:

@@ -35,7 +35,6 @@ from repro.plan.store import PlanStore, plan_store_scope
 from repro.profiling import PhaseProfile, capture, phase
 from repro.reuse import reuse_scope
 from repro.scene.scene import Scene
-from repro.scene.store import SceneStore, scene_store_scope
 from repro.session.cache import ResultCache
 from repro.session.executor import (
     ProfilingSerialExecutor,
@@ -92,6 +91,8 @@ class _ScaleMixin:
         return self
 
     def seed(self, seed: int):
+        if seed < 0:
+            raise SessionError("seed must be non-negative")
         self._seed = int(seed)
         return self
 
@@ -196,7 +197,6 @@ class Session(_ScaleMixin):
         self,
         profile: bool = False,
         reuse: bool = True,
-        scene_store: Optional[Union[SceneStore, str, Path]] = None,
         plan_store: Optional[Union[PlanStore, str, Path]] = None,
     ) -> SceneResult:
         """Execute the run and return its :class:`SceneResult`.
@@ -211,23 +211,18 @@ class Session(_ScaleMixin):
         :mod:`repro.reuse` cache for the run's duration (results are
         byte-identical either way — only the wall clock changes).
 
-        ``scene_store`` (a :class:`~repro.scene.store.SceneStore` or a
-        directory path) activates the persistent compiled-scene store
-        for the run's duration: the scene is mmap-loaded from disk when
-        already compiled, built-and-stored otherwise.  ``plan_store``
-        does the same for the compiled work-plan store
-        (:mod:`repro.plan.store`): Eq. 3 characterisation and the
-        middleware grouping are mmap-loaded when already compiled,
-        built-and-stored otherwise.  Results are byte-identical with
-        either store cold, warm or absent.
+        ``plan_store`` (a :class:`~repro.plan.store.PlanStore` or a
+        directory path) activates the compiled work-plan store for the
+        run's duration: Eq. 3 characterisation and the middleware
+        grouping are mmap-loaded when already compiled, built-and-stored
+        otherwise.  Results are byte-identical with the store cold,
+        warm or absent.
         """
         spec = self.spec()
         framework = spec.build()
         self.last_framework = framework
         self.last_profile = None
-        with reuse_scope(reuse), scene_store_scope(
-            scene_store
-        ), plan_store_scope(plan_store):
+        with reuse_scope(reuse), plan_store_scope(plan_store):
             if not profile:
                 return framework.render_scene(spec.scene())
             self.last_profile = PhaseProfile()
@@ -318,7 +313,6 @@ class Sweep(_ScaleMixin):
         shard: Optional[Union[str, Tuple[int, int]]] = None,
         profile: bool = False,
         reuse: bool = True,
-        scene_store: Optional[Union[SceneStore, str, Path]] = None,
         plan_store: Optional[Union[PlanStore, str, Path]] = None,
     ) -> ResultSet:
         """Execute the grid into a :class:`ResultSet`.
@@ -371,17 +365,9 @@ class Sweep(_ScaleMixin):
         either way; grid cells sharing a workload are simply slower
         without the cache.
 
-        ``scene_store`` (a :class:`~repro.scene.store.SceneStore` or a
-        directory path) activates the persistent compiled-scene store
-        for the sweep's duration: workload points already compiled on
-        disk are mmap-loaded instead of rebuilt, and the process
-        backend forwards the store path to its workers so a ``jobs=N``
-        sweep compiles each workload point once instead of N times.
-        Records are byte-identical with the store cold, warm or absent.
-
         ``plan_store`` (a :class:`~repro.plan.store.PlanStore` or a
-        directory path) does the same for the compiled work-plan store
-        (:mod:`repro.plan.store`): Eq. 3 frame characterisation and the
+        directory path) activates the compiled work-plan store for the
+        sweep's duration: Eq. 3 frame characterisation and the
         middleware batch grouping are mmap-loaded per (workload, cost
         config) point when already compiled, built-and-stored
         otherwise, and the process backend forwards the store path so a
@@ -403,9 +389,7 @@ class Sweep(_ScaleMixin):
             backend: SweepExecutor = ProfilingSerialExecutor()
         else:
             backend = make_executor(executor, jobs=jobs, shard=shard)
-        with reuse_scope(reuse), scene_store_scope(
-            scene_store
-        ), plan_store_scope(plan_store):
+        with reuse_scope(reuse), plan_store_scope(plan_store):
             results = backend.run(specs, cache=cache, on_result=on_result)
         if len(results) != len(specs):
             raise SessionError(

@@ -13,13 +13,19 @@ canonical home of what :mod:`repro.experiments.runner` used to define.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.profiling import phase
-from repro.scene.benchmarks import WORKLOADS, parse_workload
+from repro.plan.store import stamp_plan_content_keys
+from repro.profiling import add_counter, phase
+from repro.scene.benchmarks import (
+    WORKLOADS,
+    make_benchmark_scene,
+    parse_workload,
+)
 from repro.scene.scene import Scene
 from repro.stats.metrics import SceneResult
 
@@ -56,6 +62,8 @@ class ExperimentConfig:
             raise ValueError("draw_scale must be positive")
         if self.num_frames < 1:
             raise ValueError("need at least one frame")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 #: The full-scale preset used by the benchmark harness.
@@ -72,7 +80,10 @@ def cached_scene(
 
     The single scene-construction path shared by :meth:`RunSpec.scene`,
     :meth:`Session.scene <repro.session.session.Session.scene>` and the
-    legacy ``runner.scene_for`` helper.
+    legacy ``runner.scene_for`` helper.  It builds the scene with the
+    vectorized generator and reports the ``scene_build_s``,
+    ``scene_objects_built`` and ``scene_frames_built`` counters to any
+    active :func:`repro.profiling.capture`.
 
     This memo is also the identity source the reuse cache
     (:mod:`repro.reuse`) builds on: cells of a sweep that share a
@@ -84,39 +95,23 @@ def cached_scene(
     cache's identity anchors make the old frames' entries unreachable
     rather than stale.
 
-    When a compiled-scene store is active (:mod:`repro.scene.store` —
-    threaded through ``Session/Sweep.run(scene_store=...)`` and the
-    ``--scene-store`` CLI flag), the store is consulted *before*
-    building: its entries are keyed by a SHA-256 over ``(workload,
-    num_frames, seed, draw_scale)`` — exactly this memo's key — plus
-    the store and generator versions, so a store hit is by construction
-    the same scene this function would build, mmap-loaded instead of
-    generated.  Loading happens inside the memo, so store-loaded scenes
-    carry the same per-process identity anchor as built ones.  Corrupt
-    or stale store entries degrade to a rebuild-and-rewrite, never to a
-    different scene.
+    Each frame is stamped with its plan content key
+    (:func:`repro.plan.store.stamp_plan_content_keys`), so the
+    compiled-plan store can address frame-derived plans by content.
+    Frames from trace replays or hand-built scenes never get the
+    stamp, which leaves the plan store inert for them.
     """
-    from repro.plan.store import CONTENT_KEY_ATTR
-    from repro.scene.store import (
-        active_scene_store,
-        build_scene_counted,
-        scene_key,
+    start = time.perf_counter()
+    scene = make_benchmark_scene(
+        workload, num_frames=num_frames, seed=seed, draw_scale=draw_scale
     )
-
-    store = active_scene_store()
-    if store is not None:
-        scene = store.get_or_build(workload, num_frames, seed, draw_scale)
-    else:
-        scene = build_scene_counted(workload, num_frames, seed, draw_scale)
-    # Stamp each frame with its scene-content key so the compiled-plan
-    # store (:mod:`repro.plan.store`) can address frame-derived plans by
-    # content.  The key rides on scene_key — which folds in
-    # GENERATOR_VERSION — so regenerating scenes re-keys their plans
-    # too.  Frames from trace replays or hand-built scenes never get the
-    # stamp, which leaves the plan store inert for them.
-    content = scene_key(workload, num_frames, seed, draw_scale)
-    for frame in scene.frames:
-        frame.__dict__[CONTENT_KEY_ATTR] = f"{content}:{frame.frame_id}"
+    add_counter("scene_build_s", time.perf_counter() - start)
+    add_counter(
+        "scene_objects_built",
+        sum(len(frame.objects) for frame in scene.frames),
+    )
+    add_counter("scene_frames_built", len(scene.frames))
+    stamp_plan_content_keys(scene, workload, num_frames, seed, draw_scale)
     return scene
 
 
@@ -177,6 +172,8 @@ class RunSpec:
                 raise SpecError(str(error)) from error
         if self.num_frames < 1:
             raise SpecError("need at least one frame")
+        if self.seed < 0:
+            raise SpecError("seed must be non-negative")
         if self.draw_scale <= 0:
             raise SpecError("draw_scale must be positive")
         if self.config is not None:

@@ -48,6 +48,56 @@ class TestCLI:
         assert "single frame" in out
         assert "traffic by type" in out
 
+    def test_run_flag_aliases(self, capsys):
+        assert (
+            cli.main(
+                ["run", "--framework", "oo-vr", "--workload", "DM3-640",
+                 "--fast"]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "single frame" in out
+
+    def test_run_mixed_positional_and_alias(self, capsys):
+        assert (
+            cli.main(["run", "oo-vr", "--workload", "DM3-640", "--fast"])
+            == 0
+        )
+        assert "single frame" in capsys.readouterr().out
+
+    def test_run_conflicting_names_error(self, capsys):
+        assert (
+            cli.main(
+                ["run", "oo-vr", "DM3-640", "--framework", "baseline",
+                 "--fast"]
+            )
+            == 2
+        )
+        assert "too many framework/workload names" in capsys.readouterr().err
+
+    def test_run_missing_names_error(self, capsys):
+        assert cli.main(["run", "oo-vr", "--fast"]) == 2
+        assert "needs a framework and a workload" in capsys.readouterr().err
+
+    def test_sweep_negative_seed_is_a_usage_error(self, capsys):
+        assert (
+            cli.main(
+                ["sweep", "--frameworks", "oo-vr", "--workloads", "WE",
+                 "--fast", "--seed", "-1"]
+            )
+            == 2
+        )
+        assert capsys.readouterr().err == (
+            "error: seed must be non-negative\n"
+        )
+
+    def test_scene_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scene", "info", "x"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'scene'" in capsys.readouterr().err
+
     def test_unknown_engine_is_a_one_line_error(self, capsys):
         # No traceback, exit 2, and the message lists what *would* work.
         assert cli.main(["run", "oo-vr", "DM3-640", "--engine", "bogus"]) == 2

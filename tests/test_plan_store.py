@@ -17,6 +17,7 @@ the reuse memo's identity anchoring are unchanged, with only the
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import threading
 
@@ -28,6 +29,7 @@ from repro.config import SystemConfig
 from repro.frameworks.base import build_framework
 from repro.pipeline.batch import frame_counters, work_units_from_counters
 from repro.pipeline.smp import SMPMode
+from repro.plan import store as plan_store
 from repro.plan.store import (
     _COUNTER_COLUMNS,
     PLAN_VERSION,
@@ -41,7 +43,7 @@ from repro.plan.store import (
     set_plan_store,
 )
 from repro.reuse import get_cache
-from repro.scene.store import scene_key
+from repro.scene.synthetic import GENERATOR_VERSION
 from repro.session.session import Session, Sweep
 from repro.session.spec import cached_scene
 
@@ -77,12 +79,52 @@ def oracle_ingredients(workload: str = "DM3-640"):
 # ---------------------------------------------------------------------------
 
 
+def content_key(workload="DM3-640", num_frames=2, seed=2019, scale=0.15):
+    """The plan content key cached_scene stamps on a point's frame 0."""
+    scene = cached_scene(workload, num_frames, seed, scale)
+    return plan_content_key(scene.frames[0])
+
+
 class TestPlanKeys:
     def test_content_key_is_stamped_by_cached_scene(self):
+        # SHA-256 over the generator version and the workload point,
+        # plus the frame id — nothing else joins the address.
+        point = {
+            "generator_version": GENERATOR_VERSION,
+            "workload": "DM3-640",
+            "num_frames": 2,
+            "seed": 2019,
+            "draw_scale": 0.15,
+        }
+        canonical = json.dumps(point, sort_keys=True, separators=(",", ":"))
+        base = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         scene = cached_scene("DM3-640", 2, 2019, 0.15)
-        base = scene_key("DM3-640", 2, 2019, 0.15)
         for frame in scene.frames:
             assert plan_content_key(frame) == f"{base}:{frame.frame_id}"
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ("WE", 2, 2019, 0.15),
+            ("DM3-640", 3, 2019, 0.15),
+            ("DM3-640", 2, 7, 0.15),
+            ("DM3-640", 2, 2019, 0.1),
+        ],
+        ids=["workload", "frames", "seed", "scale"],
+    )
+    def test_content_key_tracks_the_workload_point(self, point):
+        assert content_key(*point) != content_key()
+
+    def test_generator_version_re_keys_every_plan(self, monkeypatch):
+        before = content_key()
+        cached_scene.cache_clear()
+        monkeypatch.setattr(
+            plan_store, "GENERATOR_VERSION", GENERATOR_VERSION + 1
+        )
+        # Bumping the version orphans (never corrupts) every entry
+        # built from the old scenes.
+        assert content_key() != before
+        assert GENERATOR_VERSION == 1
 
     def test_unstamped_frame_makes_store_inert(self, tmp_path):
         frame = stamped_frame()
@@ -527,15 +569,24 @@ class TestPlanCLI:
         )
         assert "unknown benchmark" in capsys.readouterr().err
 
-    def test_scene_warm_unknown_workload_exit_2(self, capsys, tmp_path):
-        assert (
-            cli.main(
-                ["scene", "warm", str(tmp_path / "scenes"), "--fast",
-                 "--workloads", "nope"]
-            )
-            == 2
-        )
-        assert "unknown benchmark" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--frames", "0"], "need at least one frame"),
+            (["--seed", "-1"], "seed must be non-negative"),
+            (["--workloads", ","], "names no workloads"),
+            (["--frameworks", ","], "names no frameworks"),
+        ],
+        ids=["frames", "seed", "workloads", "frameworks"],
+    )
+    def test_plan_warm_rejects_bad_input_exit_2(
+        self, capsys, tmp_path, argv, message
+    ):
+        store_dir = tmp_path / "plans"
+        assert cli.main(["plan", "warm", str(store_dir), "--fast"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not store_dir.exists()  # nothing was compiled
 
     def test_plan_info_missing_directory(self, capsys, tmp_path):
         missing = str(tmp_path / "nope")
@@ -598,30 +649,3 @@ class TestPlanCLI:
             assert fh.read() == want
         with open(warm_csv, "rb") as fh:
             assert fh.read() == want
-
-
-class TestSceneStoreEnvCLI:
-    """`oovr scene info|clear` honor $OOVR_SCENE_STORE like plan's."""
-
-    def test_scene_info_env_default(self, capsys, tmp_path, monkeypatch):
-        store_dir = str(tmp_path / "env-scenes")
-        assert (
-            cli.main(
-                ["scene", "warm", store_dir, "--fast",
-                 "--workloads", "DM3-640"]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        monkeypatch.setenv("OOVR_SCENE_STORE", store_dir)
-        assert cli.main(["scene", "info"]) == 0
-        assert "DM3-640" in capsys.readouterr().out
-        assert cli.main(["scene", "clear"]) == 0
-        assert "cleared 1" in capsys.readouterr().out
-
-    def test_scene_info_no_dir_no_env(self, capsys, monkeypatch):
-        monkeypatch.delenv("OOVR_SCENE_STORE", raising=False)
-        assert cli.main(["scene", "info"]) == 2
-        err = capsys.readouterr().err
-        assert "no scene store directory given" in err
-        assert "OOVR_SCENE_STORE" in err

@@ -125,6 +125,14 @@ class TestWireProtocol:
         with pytest.raises(SpecError):
             spec_from_wire(wire)
 
+    def test_negative_seed_surfaces_spec_error(self):
+        from repro.session import SpecError
+
+        wire = spec_to_wire(RunSpec(framework="oo-vr", workload="WE"))
+        wire["seed"] = -1
+        with pytest.raises(SpecError, match="seed must be non-negative"):
+            spec_from_wire(wire)
+
     def test_version_mismatch_rejected(self):
         with pytest.raises(ProtocolError, match="version"):
             check_version({"version": 99}, "request")
@@ -433,10 +441,13 @@ class TestLoopback:
             # Structured-but-invalid bodies are 400s too, each shape
             # with a speaking message.
             client = ServiceClient(server.url)
+            negative_seed = spec_to_wire(tiny_specs()[0])
+            negative_seed["seed"] = -1
             for body, match in (
                 ({"specs": "all of them"}, "list"),
                 ({"specs": []}, "empty"),
                 ({"specs": [{"workload": "WE"}]}, "framework"),
+                ({"specs": [negative_seed]}, "400: seed must be non-negative"),
             ):
                 with pytest.raises(ServiceError, match=match):
                     client._request("POST", "/sweeps", body)

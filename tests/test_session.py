@@ -64,6 +64,12 @@ class TestSessionBuilder:
         with pytest.raises(SessionError):
             Session().scale(0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SessionError, match="seed must be non-negative"):
+            Session().seed(-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ExperimentConfig(seed=-1)
+
     def test_fast_preset_applied(self):
         spec = Session().framework("oo-vr").workload("WE").fast().spec()
         assert spec.draw_scale == FAST.draw_scale
@@ -319,6 +325,26 @@ class TestSceneMemoisationAliasing:
             ), "memoised scene was mutated by a previous render"
 
 
+class TestSceneBuildCounters:
+    def test_profiled_sweep_exports_scene_counters(self):
+        from repro.session.spec import cached_scene
+
+        cached_scene.cache_clear()  # profile the build, not a memo hit
+        record = (
+            Sweep()
+            .frameworks("oo-vr")
+            .workloads("HL2-1280")
+            .fast()
+            .run(profile=True)
+            .to_records()
+        )[0]
+        assert record["profile_scene_objects_built"] > 0
+        assert record["profile_scene_frames_built"] == 2.0
+        assert record["profile_scene_build_s"] > 0
+        for gone in ("store_hit", "store_miss", "load_s"):
+            assert f"profile_scene_{gone}" not in record
+
+
 class TestFrameworkVariants:
     def test_ablation_variant_builds(self):
         framework = build_framework("oo-vr:no-dhc")
@@ -404,3 +430,5 @@ class TestRunSpec:
             RunSpec(framework="oo-vr", workload="WE", num_frames=0).validate()
         with pytest.raises(SpecError):
             RunSpec(framework="oo-vr", workload="WE", draw_scale=-1).validate()
+        with pytest.raises(SpecError, match="seed must be non-negative"):
+            RunSpec(framework="oo-vr", workload="WE", seed=-1).validate()
