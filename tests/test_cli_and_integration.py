@@ -98,6 +98,13 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "invalid choice: 'scene'" in capsys.readouterr().err
 
+    def test_scene_store_env_is_ignored(self, capsys, tmp_path, monkeypatch):
+        store_dir = tmp_path / "env-store"
+        monkeypatch.setenv("OOVR_SCENE_STORE", str(store_dir))
+        assert cli.main(["run", "oo-vr", "DM3-640", "--fast"]) == 0
+        assert "single frame" in capsys.readouterr().out
+        assert not store_dir.exists()
+
     def test_unknown_engine_is_a_one_line_error(self, capsys):
         # No traceback, exit 2, and the message lists what *would* work.
         assert cli.main(["run", "oo-vr", "DM3-640", "--engine", "bogus"]) == 2

@@ -488,6 +488,36 @@ class TestStoreResults:
         assert "profile_plan_store_miss" not in warm
         assert "profile_plan_build_s" not in warm
 
+    def test_generator_bump_misses_once_then_hits(self, tmp_path, monkeypatch):
+        """Entries keyed under an older GENERATOR_VERSION are orphaned,
+        never served: the first pass after a bump misses and rebuilds
+        beside them, the next one hits, and the numbers never move."""
+        grid = lambda: (
+            Sweep().frameworks("oo-vr").workloads("DM3-640").fast()
+        )
+        point = lambda record: {
+            k: v for k, v in record.items() if not k.startswith("profile_")
+        }
+        cold = grid().run(profile=True, plan_store=tmp_path).to_records()[0]
+        old_entries = {p.name for p in PlanStore(tmp_path).entry_paths()}
+        assert old_entries
+        monkeypatch.setattr(
+            plan_store, "GENERATOR_VERSION", GENERATOR_VERSION + 1
+        )
+        fresh_memo()
+        bumped = grid().run(profile=True, plan_store=tmp_path).to_records()[0]
+        assert "profile_plan_store_hit" not in bumped
+        assert bumped["profile_plan_store_miss"] >= 1
+        assert point(bumped) == point(cold)
+        entries = {p.name for p in PlanStore(tmp_path).entry_paths()}
+        assert old_entries < entries
+        assert len(entries) == 2 * len(old_entries)
+        fresh_memo()
+        warm = grid().run(profile=True, plan_store=tmp_path).to_records()[0]
+        assert warm["profile_plan_store_hit"] >= 1
+        assert "profile_plan_store_miss" not in warm
+        assert point(warm) == point(cold)
+
     def test_jobs4_sweep_characterizes_each_point_once(self, tmp_path):
         """A --jobs 4 cold sweep leaves every (workload, cost) point
         compiled exactly once fleet-wide: the store holds one entry set
@@ -576,8 +606,13 @@ class TestPlanCLI:
             (["--seed", "-1"], "seed must be non-negative"),
             (["--workloads", ","], "names no workloads"),
             (["--frameworks", ","], "names no frameworks"),
+            (["--frameworks", "oo-vr,oo-vr"], "listed twice"),
+            (["--workloads", "WE,WE"], "listed twice"),
         ],
-        ids=["frames", "seed", "workloads", "frameworks"],
+        ids=[
+            "frames", "seed", "workloads", "frameworks",
+            "duplicate-frameworks", "duplicate-workloads",
+        ],
     )
     def test_plan_warm_rejects_bad_input_exit_2(
         self, capsys, tmp_path, argv, message

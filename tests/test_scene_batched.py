@@ -4,6 +4,8 @@ The batched generator path (:meth:`SyntheticSceneGenerator.make_frame`)
 is bit-identical to the scalar reference path it replaced — every
 object, texture and viewport field compares equal with ``==`` and the
 RNG stream position matches, so no golden anywhere in the repo moves.
+Generated scenes also share one texture object per material, and a
+memo eviction rebuilds an identical scene with the same plan keys.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.plan.store import plan_content_key
 from repro.scene.batch import ObjectBatch
+from repro.scene.benchmarks import make_benchmark_scene
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
+from repro.session.spec import cached_scene
 
 BATCH_COLUMNS = (
     "object_ids",
@@ -142,3 +147,37 @@ class TestBatchedConstruction:
                 fast_frame = fast_gen.make_frame(frame_id)
                 assert_frames_identical(ref_frame, fast_frame)
             assert rng_position(ref_gen) == rng_position(fast_gen)
+
+
+class TestGeneratedScene:
+    """The generator is the only way scenes are built, so every scene
+    carries its contracts: one shared texture object per material, and
+    a rebuild of the same point is identical down to its plan keys."""
+
+    def test_generated_scene_interns_textures(self):
+        scene = make_benchmark_scene(
+            "HL2-1280", num_frames=2, seed=2019, draw_scale=0.15
+        )
+        seen = {}
+        for frame in scene.frames:
+            for obj in frame.objects:
+                for texture in obj.textures:
+                    assert (
+                        seen.setdefault(texture.texture_id, texture)
+                        is texture
+                    )
+        assert seen
+
+    def test_rebuilt_scene_is_identical_and_keeps_its_keys(self):
+        cached_scene.cache_clear()
+        first = cached_scene("WE", 2, 2019, 0.15)
+        cached_scene.cache_clear()
+        rebuilt = cached_scene("WE", 2, 2019, 0.15)
+        cached_scene.cache_clear()
+        assert rebuilt is not first
+        assert rebuilt.name == first.name
+        assert len(rebuilt.frames) == len(first.frames) == 2
+        for old, new in zip(first.frames, rebuilt.frames):
+            assert_frames_identical(old, new)
+            assert plan_content_key(new) == plan_content_key(old)
+            assert plan_content_key(new) is not None

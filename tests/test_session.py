@@ -70,6 +70,19 @@ class TestSessionBuilder:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             ExperimentConfig(seed=-1)
 
+    def test_sweep_negative_seed_rejected(self):
+        with pytest.raises(SessionError, match="seed must be non-negative"):
+            Sweep().seed(-1)
+
+    def test_zero_seed_accepted(self):
+        # Zero is a valid numpy seed; only negative seeds are rejected.
+        session = Session().seed(0).framework("oo-vr").workload("WE")
+        assert session.spec().seed == 0
+        (spec,) = Sweep().seed(0).frameworks("oo-vr").workloads("WE").specs()
+        assert spec.seed == 0
+        RunSpec(framework="oo-vr", workload="WE", seed=0).validate()
+        assert ExperimentConfig(seed=0).seed == 0
+
     def test_fast_preset_applied(self):
         spec = Session().framework("oo-vr").workload("WE").fast().spec()
         assert spec.draw_scale == FAST.draw_scale
@@ -343,6 +356,35 @@ class TestSceneBuildCounters:
         assert record["profile_scene_build_s"] > 0
         for gone in ("store_hit", "store_miss", "load_s"):
             assert f"profile_scene_{gone}" not in record
+
+    def test_memo_hit_builds_nothing(self):
+        """A repeat of the same workload point is answered by the memo,
+        so its profile reports no scene build at all."""
+        from repro.session.spec import cached_scene
+
+        cached_scene.cache_clear()
+        grid = lambda: (
+            Sweep().frameworks("oo-vr").workloads("HL2-1280").fast()
+        )
+        grid().run()
+        record = grid().run(profile=True).to_records()[0]
+        for counter in ("build_s", "objects_built", "frames_built"):
+            assert f"profile_scene_{counter}" not in record
+
+    def test_memo_hit_results_byte_identical(self):
+        """A cell served from the memoised scene renders byte-identically
+        to one whose scene was just built."""
+        from repro.session.spec import cached_scene
+
+        cell = lambda: (
+            Session().framework("oo-vr").workload("HL2-1280").fast()
+        )
+        cached_scene.cache_clear()
+        built = cell().run()
+        memoised = cell().run()
+        assert json.dumps(memoised.to_dict(), sort_keys=True) == json.dumps(
+            built.to_dict(), sort_keys=True
+        )
 
 
 class TestFrameworkVariants:
