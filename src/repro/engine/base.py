@@ -17,9 +17,10 @@
   dispatch decisions — and therefore schedules, placement and traffic
   — are identical across engines;
 - :meth:`ExecutionEngine.execute_split` — :meth:`bind` plus
-  :meth:`execute` for every (unit, GPM) slice of the baseline family's
-  evenly split frame, batched into one pass with bit-identical side
-  effects (:mod:`repro.engine.split`);
+  :meth:`execute` for every slice of a statically scheduled frame
+  (the baseline family, tile-level and object-level SFR, AFR), each
+  staged slice's :meth:`stage_flow` landing before it, batched into
+  one pass with bit-identical side effects (:mod:`repro.engine.split`);
 - :meth:`ExecutionEngine.stage_flow` — account and price one unit's
   staging/PA copies.  Byte accounting (fabric transfers, destination
   DRAM writes) is shared; the *visible* cost is engine-specific: the
@@ -80,7 +81,8 @@ from repro.profiling import phase as profiled_phase
 from repro.stats.metrics import UnitExecution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.split import SplitSlices
+    from repro.engine.split import SliceSchedule, SplitSlices
+    from repro.gpu.staging import StagingManager
     from repro.gpu.system import FramebufferTargets, MultiGPUSystem
 
 __all__ = [
@@ -474,28 +476,31 @@ class ExecutionEngine(abc.ABC):
             dram_demand[gpm_id] = dram_demand.get(gpm_id, 0.0) + local_bytes
         return local_bytes, remote
 
-    # -- the baseline family's split schedule ---------------------------------
+    # -- statically scheduled frames -----------------------------------------
 
     def execute_split(
         self,
         units: Sequence[WorkUnit],
-        share: float,
-        unique_inflation: float,
-        stream_inflation: float,
-        fb_targets: "FramebufferTargets",
-        command_source: int = 0,
+        schedule: "SliceSchedule",
+        staging: Optional["StagingManager"] = None,
     ) -> None:
-        """Bind and execute every unit split across all GPMs, in one pass.
+        """Bind and execute a statically scheduled frame in one pass.
 
-        For each unit in order and each GPM in id order this schedules
-        the slice ``unit.with_screen_share(share, share,
-        unique_inflation, f"gpm{gpm}", stream_inflation)`` bound with
-        ``fb_targets`` (a non-empty owner -> fraction map; the split
-        schedule has no private render target) and ``command_source``
-        — every counter, trace interval and recorded job bit-identical
-        to :meth:`bind` plus :meth:`execute` per slice, which stays the
-        oracle (see
-        :mod:`repro.engine.split`), at a fraction of the cost.
+        ``schedule`` (a :class:`~repro.engine.split.SliceSchedule`)
+        lists the frame's slices in visit order, each one of ``units``
+        on one GPM with its own pixel and geometry shares, unique and
+        stream inflation, command source and framebuffer target (a
+        shared owner map, or the slice's own GPM).  Every counter,
+        trace interval and recorded job lands bit-identically to
+        shaping each slice with ``with_screen_share`` and running
+        :meth:`bind` plus :meth:`execute` on it, which stays the oracle
+        (see :mod:`repro.engine.split`), at a fraction of the cost.
+
+        ``staging`` is the optional staging prelude: a software
+        :class:`~repro.gpu.staging.StagingManager` whose rules resolve
+        every slice's copy, which then lands before the slice renders
+        exactly as ``staging.stage_unit(slice, gpm, factor_scale)``
+        with the slice's ``stage_scale`` lands it.
 
         Completion callbacks cannot fire from the batched pass, so a
         frame with an :meth:`on_complete` subscriber is rejected with
@@ -506,13 +511,10 @@ class ExecutionEngine(abc.ABC):
                 "execute_split cannot fire on_complete callbacks; bind and "
                 "execute the slices one by one instead"
             )
-        # Imported here: the split pass builds on this module.
+        # Imported here: the slice pass builds on this module.
         from repro.engine.split import execute_split
 
-        execute_split(
-            self, units, share, unique_inflation, stream_inflation,
-            fb_targets, command_source,
-        )
+        execute_split(self, units, schedule, staging)
 
     # -- scheduling clock ----------------------------------------------------
 
@@ -775,7 +777,8 @@ class ExecutionEngine(abc.ABC):
         """Hook: a unit entered the schedule at its scheduling price."""
 
     def _note_split(self, split: "SplitSlices") -> None:
-        """Hook: a split frame's slices entered the schedule."""
+        """Hook: a slice pass's slices (and their staging copies)
+        entered the schedule."""
 
     def _note_stall(self, gpm_id: int, label: str, cycles: float) -> None:
         """Hook: a stall entered the schedule."""

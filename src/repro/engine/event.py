@@ -324,7 +324,8 @@ class EventEngine(ExecutionEngine):
 
     def _note_split(self, split) -> None:
         """One render job per slice, exactly as :meth:`_note_unit` would
-        record the slice's resolved unit."""
+        record the slice's resolved unit, each staged slice's copy first
+        (:meth:`_note_stage`)."""
         n = self.system.num_gpms
         fabric = self.system.fabric
         latency = float(self.system.config.link.latency_cycles)
@@ -333,14 +334,18 @@ class EventEngine(ExecutionEngine):
         dst = split.flow_dst.tolist()
         nbytes = split.flow_bytes.tolist()
         bounds = split.flow_bounds.tolist()
-        for slice_, (label, compute, cycles, dram) in enumerate(
+        for slice_, (label, gpm, compute, cycles, dram) in enumerate(
             zip(
                 split.labels,
+                split.gpm.tolist(),
                 split.compute.tolist(),
                 split.cycles.tolist(),
                 split.dram_demands(),
             )
         ):
+            stage = split.stages.get(slice_)
+            if stage is not None:
+                self._note_stage(*stage)
             flows: List[_FlowSpec] = []
             for row in range(bounds[slice_], bounds[slice_ + 1]):
                 route = routes[src[row]][dst[row]]
@@ -355,7 +360,7 @@ class EventEngine(ExecutionEngine):
             self._jobs.append(
                 _Job(
                     label=label,
-                    gpm=slice_ % n,
+                    gpm=gpm,
                     kind="render",
                     start_floor=0.0,
                     compute=compute,

@@ -1,48 +1,65 @@
-"""The split bind: a whole frame of the baseline family's schedule at once.
+"""The slice pass: a statically scheduled frame, bound in one batch.
 
-The naive single-programming-model baseline (Sec. 2.3, Fig. 4) splits
-every draw across all GPMs: for each unit in order and each GPM in id
-order it binds and executes the slice ``unit.with_screen_share(share,
-share, unique_inflation, f"gpm{gpm}", stream_inflation)`` with the same
-framebuffer targets and command source.  Bound one slice at a time,
-every unit is re-split, re-priced and re-bound once per GPM in scalar
-Python.  :func:`execute_split` (behind
+Four of the paper's software schemes fix every frame's assignment
+before it runs: the baseline family splits each draw evenly over all
+GPMs (Sec. 2.3), tile-level SFR renders each draw's share of every
+strip it overlaps on that strip's GPM (Sec. 4.2), object-level SFR
+deals whole draws out round robin (Sec. 4.3) and AFR renders a frame
+on one GPM (Sec. 4.1).  Each describes its frame as a
+:class:`SliceSchedule` — slices in visit order, each one unit on one
+GPM with its own shares, inflation, framebuffer target and command
+source — and hands it to :func:`execute_split` (behind
 :meth:`ExecutionEngine.execute_split
-<repro.engine.base.ExecutionEngine.execute_split>`) binds the frame in
-one pass instead:
+<repro.engine.base.ExecutionEngine.execute_split>`).  Bound one slice
+at a time (``with_screen_share``, ``stage_unit``, ``bind``,
+``execute``), every slice is re-split, re-staged, re-priced and
+re-bound in scalar Python; the pass binds the schedule in one go:
 
-- each unit's slice shape and Eq. 3 price are derived once (the slices
-  of one unit differ only in their label);
-- owner fractions are read once per (resource, GPM) from the placement
-  map's per-resource cache;
+- every slice's shape and Eq. 3 price are derived as columns
+  (:func:`~repro.pipeline.timing.stage_cycles`, shared with
+  ``price_work_unit``);
+- the optional staging prelude applies
+  :meth:`StagingManager._stage_touch
+  <repro.gpu.staging.StagingManager._stage_touch>` to every (touch,
+  GPM) visit in order, and each slice's copy lands before its render,
+  as :meth:`~repro.engine.base.ExecutionEngine.stage_flow` lands it:
+  fabric and DRAM bytes, ``staging`` phase bytes, the ``stage`` stall
+  on the GPM clock and trace and the event engine's stall job;
+- owner fractions are read once per visited (resource, GPM) pair, in
+  first-visit order, from the placement map's per-resource cache;
 - the frame's (touch, owner), framebuffer-target and command rows are
-  laid out in scalar visit order — unit, GPM, texture then vertex
-  touches, page owners, targets, command — and the L2 miss model and
-  the remote-cache crossing run as numpy column kernels over them
+  laid out in visit order — slice, texture then vertex touches, page
+  owners, targets, command — and the L2 miss model and the
+  remote-cache crossing run as numpy column kernels over them
   (:func:`~repro.memory.cache.miss_bytes_columns`,
   :func:`~repro.memory.remote_cache.filter_columns`: the scalar
   formulas, elementwise).
 
-Every side effect lands bit-identically to the per-slice binds.  Floats
-accumulate in scalar visit order only — ``np.add.at``,
-``np.add.accumulate`` or a plain loop, never ``np.sum``, whose pairwise
-summation rounds differently — dict keys are inserted in first-use
-order, and each slice's render-phase bytes are the builtin ``sum()``
-over the same flow sequence the scalar bind sums.  The per-slice path
-stays the production path of every other framework and is this one's
-oracle: ``tests/test_engine.py::TestSplitBind`` asserts every counter,
-trace and recorded event-engine job equal with ``==``.
+Every side effect lands bit-identically to the per-slice path.  Floats
+accumulate in visit order only — ``np.add.at``, ``np.add.accumulate``
+or a plain loop, never ``np.sum``, whose pairwise summation rounds
+differently — dict keys are inserted in first-use order, and each
+slice's render-phase bytes are the builtin ``sum()`` over the same flow
+sequence the scalar bind sums.  The prelude may place every visited
+resource before the first bind reads it: a staged visit leaves its
+resource fully local to the visiting GPM (placed there, homed there or
+replicated there), and nothing later in the frame takes that away.
+The per-slice ``bind``, ``execute`` and ``stage_unit`` stay the
+production path of the clock-driven dispatchers (OO-VR, OO_APP) and
+are this pass's oracle: ``tests/test_engine.py::TestSplitBind``
+asserts every counter, trace, recorded event-engine job and staged
+byte equal with ``==``, against each framework's per-slice
+``render_frame_on`` too.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.base import KIND_TO_TRAFFIC
+from repro.engine.base import KIND_TO_TRAFFIC, StageCopy
 from repro.engine.trace import TraceInterval
 from repro.memory.cache import miss_bytes_columns
 from repro.memory.link import TRAFFIC_TYPES, TrafficType
@@ -54,9 +71,10 @@ from repro.profiling import phase as profiled_phase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.base import ExecutionEngine
+    from repro.gpu.staging import StagingManager
     from repro.gpu.system import FramebufferTargets, MultiGPUSystem
 
-__all__ = ["SplitSlices", "execute_split"]
+__all__ = ["SliceSchedule", "SplitSlices", "execute_split", "slice_schedule"]
 
 _CODE = {traffic: code for code, traffic in enumerate(TRAFFIC_TYPES)}
 _KIND_CODE = {kind: _CODE[traffic] for kind, traffic in KIND_TO_TRAFFIC.items()}
@@ -68,6 +86,70 @@ _CHUNK_UNITS = 256
 _DEPTH_THEN_WRITE = np.array(
     [_CODE[TrafficType.ZTEST], _CODE[TrafficType.FRAMEBUFFER]], np.int64
 )
+
+
+class SliceSchedule(NamedTuple):
+    """A statically scheduled frame: its slices, in visit order.
+
+    Slice ``s`` renders ``units[unit[s]].with_screen_share(
+    pixel_share[s], geometry_share[s], unique_inflation[s], ...,
+    stream_inflation[s])`` on GPM ``gpm[s]`` under ``labels[s]``, its
+    commands shipped from GPM ``command_source[s]``.  Every column has
+    one entry per slice; :func:`slice_schedule` builds one.
+    """
+
+    unit: np.ndarray
+    gpm: np.ndarray
+    labels: Sequence[str]
+    pixel_share: np.ndarray
+    geometry_share: np.ndarray
+    unique_inflation: np.ndarray
+    stream_inflation: np.ndarray
+    command_source: np.ndarray
+    #: Each slice's ``factor_scale`` under a staging prelude.
+    stage_scale: np.ndarray
+    #: The owner -> fraction map every slice's framebuffer bytes go to,
+    #: or ``None``: each slice writes its own GPM's region.
+    fb_targets: Optional["FramebufferTargets"]
+
+    def part(self, start: int, stop: int) -> "SliceSchedule":
+        """Slices ``start:stop``."""
+        return SliceSchedule(
+            *(column[start:stop] for column in self[:-1]), self.fb_targets
+        )
+
+
+def slice_schedule(
+    unit,
+    gpm,
+    labels: Sequence[str],
+    *,
+    pixel_share=1.0,
+    geometry_share=1.0,
+    unique_inflation=1.0,
+    stream_inflation=1.0,
+    command_source=0,
+    stage_scale=1.0,
+    fb_targets: Optional["FramebufferTargets"] = None,
+) -> SliceSchedule:
+    """A :class:`SliceSchedule`; a scalar applies to every slice."""
+    unit = np.asarray(unit, np.int64)
+
+    def column(values, dtype=np.float64):
+        return np.broadcast_to(np.asarray(values, dtype), unit.shape)
+
+    return SliceSchedule(
+        unit=unit,
+        gpm=column(gpm, np.int64),
+        labels=labels,
+        pixel_share=column(pixel_share),
+        geometry_share=column(geometry_share),
+        unique_inflation=column(unique_inflation),
+        stream_inflation=column(stream_inflation),
+        command_source=column(command_source, np.int64),
+        stage_scale=column(stage_scale),
+        fb_targets=fb_targets,
+    )
 
 
 def _column(items: Sequence, name: str) -> np.ndarray:
@@ -93,31 +175,36 @@ def _running(start: float, amounts: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([start], amounts)))
 
 
-class _TouchRows(NamedTuple):
-    """The frame's (touch, GPM, page owner) rows, in scalar visit order."""
+def _merge(order_key: np.ndarray, *columns: np.ndarray):
+    """Columns reordered by a stable sort on ``order_key``."""
+    order = np.argsort(order_key, kind="stable")
+    return tuple(column[order] for column in columns)
 
-    #: The (touch, GPM) visit each row belongs to, numbered in order.
-    visit: np.ndarray
-    touch: np.ndarray
+
+class _Visits(NamedTuple):
+    """Every (touch, slice) visit of a pass, in visit order, with the
+    slice's footprint of the touch."""
+
     slice: np.ndarray
+    touch: np.ndarray
     gpm: np.ndarray
-    owner: np.ndarray
     stream: np.ndarray
     unique: np.ndarray
     write: np.ndarray
-    traffic: np.ndarray
     #: Each touch's own resource object (the remote observer's argument).
     resources: List
 
 
-def _touch_rows(
-    placement: PagePlacement,
-    units: Sequence[WorkUnit],
-    n: int,
-    share: float,
-    unique_inflation: float,
-    stream_inflation: float,
-) -> _TouchRows:
+def _visits(
+    units: Sequence[WorkUnit], local: np.ndarray, schedule: SliceSchedule
+) -> _Visits:
+    """Each slice's visits to its unit's texture, then vertex touches.
+
+    ``units`` are the pass's distinct units and slice ``s`` renders
+    ``units[local[s]]``.  Footprints are built as ``with_screen_share``
+    and ``Touch.scaled`` build them (``Touch`` floors a stream at its
+    unique footprint).
+    """
     counts = np.array(
         [(len(u.texture_touches), len(u.vertex_touches)) for u in units],
         np.int64,
@@ -129,89 +216,170 @@ def _touch_rows(
         for touch in group
     ]
     per_unit = counts[:, 0] + counts[:, 1]
-    unit_of = np.repeat(np.arange(len(units)), per_unit)
     texture = np.repeat(np.tile([True, False], len(units)), counts.ravel())
-    resources = [touch.resource for touch in touches]
+    slice_, offset = _ragged(per_unit[local])
+    visited = (np.cumsum(per_unit) - per_unit)[local[slice_]] + offset
+    pixel = schedule.pixel_share[slice_]
+    geometry = schedule.geometry_share[slice_]
+    on_texture = texture[visited]
+    unique = _column(touches, "unique_bytes")[visited] * np.where(
+        on_texture,
+        np.minimum(1.0, pixel * schedule.unique_inflation[slice_]),
+        geometry,
+    )
+    stream = np.maximum(
+        _column(touches, "stream_bytes")[visited]
+        * np.where(
+            on_texture,
+            np.minimum(1.0, pixel * schedule.stream_inflation[slice_]),
+            geometry,
+        ),
+        unique,
+    )
+    write = _column(touches, "write_bytes")[visited] * np.where(
+        on_texture, pixel, geometry
+    )
+    return _Visits(
+        slice=slice_,
+        touch=visited,
+        gpm=schedule.gpm[slice_],
+        stream=stream,
+        unique=unique,
+        write=write,
+        resources=[touch.resource for touch in touches],
+    )
 
-    # Owner maps per (resource, GPM).  Resources are read in first-use
-    # order and on GPM 0 first — every unit's first slice — so
-    # first-touch and interleaved placement land exactly where the
-    # per-slice binds would place them.
+
+class _Copies(NamedTuple):
+    """A pass's staging copies (the positive shortfalls), in visit order."""
+
+    slice: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    nbytes: np.ndarray
+    traffic: np.ndarray
+
+
+_NO_COPIES = _Copies(*(np.empty(0, dtype) for dtype in (int, int, int, float, int)))
+
+
+def _stage(
+    staging: "StagingManager",
+    num_gpms: int,
+    visits: _Visits,
+    stage_scale: np.ndarray,
+) -> _Copies:
+    """The staging prelude: every visit's copy shortfall, resolved —
+    placing and replicating resources — in visit order."""
+    stage_touch = staging._stage_touch
+    resources = visits.resources
+    shortfall = np.array(
+        [
+            stage_touch(resources[touch], nbytes, gpm, scale)
+            for touch, nbytes, gpm, scale in zip(
+                visits.touch.tolist(),
+                visits.unique.tolist(),
+                visits.gpm.tolist(),
+                stage_scale[visits.slice].tolist(),
+            )
+        ],
+        np.float64,
+    )
+    copied = shortfall > 0
+    dst = visits.gpm[copied]
+    source = np.array([staging.source(gpm) for gpm in range(num_gpms)], np.int64)
+    return _Copies(
+        slice=visits.slice[copied],
+        src=source[dst],
+        dst=dst,
+        nbytes=shortfall[copied],
+        traffic=np.full(dst.size, _CODE[staging.traffic_type]),
+    )
+
+
+class _TouchRows(NamedTuple):
+    """The pass's (touch, slice, page owner) rows, in visit order."""
+
+    #: The visit each row belongs to, numbered in order.
+    visit: np.ndarray
+    touch: np.ndarray
+    slice: np.ndarray
+    gpm: np.ndarray
+    owner: np.ndarray
+    stream: np.ndarray
+    unique: np.ndarray
+    write: np.ndarray
+    traffic: np.ndarray
+    resources: List
+
+
+def _touch_rows(
+    placement: "PagePlacement", num_gpms: int, visits: _Visits
+) -> _TouchRows:
+    """Every visit split over the visited resource's page owners."""
+    n = num_gpms
+    # Owner maps per visited (resource, GPM) pair, read in first-visit
+    # order: a resource's first read places it when it is still
+    # unplaced, so first-touch and interleaved placement land exactly
+    # where the per-slice binds place them.
     index: Dict = {}
+    first_resource: List = []
+    traffic_of: List[int] = []
+    resource_of: List[int] = []
+    for resource in visits.resources:
+        number = index.get(resource.resource_id)
+        if number is None:
+            number = index[resource.resource_id] = len(first_resource)
+            first_resource.append(resource)
+            traffic_of.append(_KIND_CODE[resource.kind])
+        resource_of.append(number)
+    resource_of_touch = np.array(resource_of, np.int64)
+    pairs, first_visit, pair_of_visit = np.unique(
+        resource_of_touch[visits.touch] * n + visits.gpm,
+        return_index=True,
+        return_inverse=True,
+    )
+    pair_list = pairs.tolist()
+    pattern_of_pair = np.empty(pairs.size, np.int64)
     patterns: Dict[tuple, int] = {}
     starts: List[int] = []
     lengths: List[int] = []
     owners: List[int] = []
     fractions: List[float] = []
-    pattern_of: List[int] = []
-    traffic_of: List[int] = []
-    resource_of: List[int] = []
-    for resource in resources:
-        number = index.get(resource.resource_id)
-        if number is None:
-            number = index[resource.resource_id] = len(traffic_of)
-            traffic_of.append(_KIND_CODE[resource.kind])
-            for gpm in range(n):
-                items = tuple(placement.owner_fractions(resource, gpm).items())
-                pattern = patterns.get(items)
-                if pattern is None:
-                    pattern = patterns[items] = len(starts)
-                    starts.append(len(owners))
-                    lengths.append(len(items))
-                    owners.extend(owner for owner, _ in items)
-                    fractions.extend(fraction for _, fraction in items)
-                pattern_of.append(pattern)
-        resource_of.append(number)
-
-    # A unit's visits run GPM by GPM, each over the unit's touches.
-    touch_ids = np.arange(unit_of.size)
-    first = (np.cumsum(per_unit) - per_unit)[unit_of]
-    position = (first * n + touch_ids - first)[:, None] + np.arange(
-        n
-    ) * per_unit[unit_of][:, None]
-    visit_touch = np.empty(unit_of.size * n, np.int64)
-    visit_gpm = np.empty(unit_of.size * n, np.int64)
-    visit_touch[position.ravel()] = np.repeat(touch_ids, n)
-    visit_gpm[position.ravel()] = np.tile(np.arange(n), unit_of.size)
-    resource_of_touch = np.array(resource_of, np.int64)
-    pattern = np.array(pattern_of, np.int64)[
-        resource_of_touch[visit_touch] * n + visit_gpm
-    ]
+    for pair in np.argsort(first_visit, kind="stable").tolist():
+        number, gpm = divmod(pair_list[pair], n)
+        items = tuple(
+            placement.owner_fractions(first_resource[number], gpm).items()
+        )
+        pattern = patterns.get(items)
+        if pattern is None:
+            pattern = patterns[items] = len(starts)
+            starts.append(len(owners))
+            lengths.append(len(items))
+            owners.extend(owner for owner, _ in items)
+            fractions.extend(fraction for _, fraction in items)
+        pattern_of_pair[pair] = pattern
+    pattern = pattern_of_pair[pair_of_visit]
     visit, offset = _ragged(np.array(lengths, np.int64)[pattern])
     slot = np.array(starts, np.int64)[pattern[visit]] + offset
-    touch = visit_touch[visit]
-    gpm = visit_gpm[visit]
+    touch = visits.touch[visit]
     fraction = np.array(fractions, np.float64)[slot]
-
-    # Slice footprints, as with_screen_share / Touch.scaled build them
-    # (Touch floors a stream at its unique footprint).
-    unique_share = min(1.0, share * unique_inflation)
-    stream_share = min(1.0, share * stream_inflation)
-    unique = _column(touches, "unique_bytes") * np.where(
-        texture, unique_share, share
-    )
-    stream = np.maximum(
-        _column(touches, "stream_bytes")
-        * np.where(texture, stream_share, share),
-        unique,
-    )
-    write = _column(touches, "write_bytes") * share
     return _TouchRows(
         visit=visit,
         touch=touch,
-        slice=unit_of[touch] * n + gpm,
-        gpm=gpm,
+        slice=visits.slice[visit],
+        gpm=visits.gpm[visit],
         owner=np.array(owners, np.int64)[slot],
-        stream=stream[touch] * fraction,
-        unique=unique[touch] * fraction,
-        write=write[touch] * fraction,
+        stream=visits.stream[visit] * fraction,
+        unique=visits.unique[visit] * fraction,
+        write=visits.write[visit] * fraction,
         traffic=np.array(traffic_of, np.int64)[resource_of_touch[touch]],
-        resources=resources,
+        resources=visits.resources,
     )
 
 
 class _TargetRows(NamedTuple):
-    """Every slice's framebuffer targets, in scalar visit order."""
+    """Every slice's framebuffer targets, in visit order."""
 
     slice: np.ndarray
     gpm: np.ndarray
@@ -224,53 +392,70 @@ class _TargetRows(NamedTuple):
 
 def _target_rows(
     units: Sequence[WorkUnit],
-    n: int,
-    share: float,
-    fb_targets: "FramebufferTargets",
+    local: np.ndarray,
+    schedule: SliceSchedule,
     bytes_per_ztest: float,
 ) -> _TargetRows:
-    slices = len(units) * n
-    owners = np.fromiter(fb_targets.keys(), np.int64, len(fb_targets))
-    shares = np.fromiter(fb_targets.values(), np.float64, len(fb_targets))
-    slice_ = np.repeat(np.arange(slices), owners.size)
-    owner = np.tile(owners, slices)
-    fraction = np.tile(shares, slices)
-    unit = slice_ // n
-    pixels = _column(units, "pixels_out") * share
+    slices = local.size
+    if schedule.fb_targets is None:
+        slice_ = np.arange(slices)
+        owner = schedule.gpm
+        fraction = np.ones(slices)
+    else:
+        targets = schedule.fb_targets
+        owners = np.fromiter(targets.keys(), np.int64, len(targets))
+        shares = np.fromiter(targets.values(), np.float64, len(targets))
+        slice_ = np.repeat(np.arange(slices), owners.size)
+        owner = np.tile(owners, slices)
+        fraction = np.tile(shares, slices)
+    share = schedule.pixel_share
+
+    def scaled(name: str) -> np.ndarray:
+        return (_column(units, name)[local] * share)[slice_] * fraction
+
+    pixels = _column(units, "pixels_out")[local] * share
     return _TargetRows(
         slice=slice_,
-        gpm=slice_ % n,
+        gpm=schedule.gpm[slice_],
         owner=owner,
-        z_stream=(_column(units, "z_stream_bytes") * share)[unit] * fraction,
-        z_unique=(_column(units, "z_unique_bytes") * share)[unit] * fraction,
-        color=(_column(units, "fb_write_bytes") * share)[unit] * fraction,
-        z_write=(pixels * bytes_per_ztest)[unit] * fraction,
+        z_stream=scaled("z_stream_bytes"),
+        z_unique=scaled("z_unique_bytes"),
+        color=scaled("fb_write_bytes"),
+        z_write=(pixels * bytes_per_ztest)[slice_] * fraction,
     )
 
 
 class SplitSlices:
-    """What a split frame scheduled: one slice per (unit, GPM), in order.
+    """What a slice pass scheduled, in visit order.
 
     Handed to :meth:`ExecutionEngine._note_split
     <repro.engine.base.ExecutionEngine._note_split>` so engines that
     record the schedule can do so without per-slice binds.  Slice ``s``
-    is unit ``s // num_gpms`` on GPM ``s % num_gpms``; ``compute`` and
-    ``cycles`` are its Eq. 3 compute cycles and scheduling-clock price;
-    its link transfers, in ``ResolvedUnit.flows`` order, are rows
-    ``flow_bounds[s]:flow_bounds[s + 1]`` of the ``flow_*`` columns.
+    renders on GPM ``gpm[s]``; ``compute`` and ``cycles`` are its Eq. 3
+    compute cycles and scheduling-clock price; its link transfers, in
+    ``ResolvedUnit.flows`` order, are rows
+    ``flow_bounds[s]:flow_bounds[s + 1]`` of the ``flow_*`` columns.  A
+    staged slice's copy entered the schedule first: ``stages[s]`` holds
+    the arguments :meth:`~repro.engine.base.ExecutionEngine.stage_flow`
+    would have handed ``_note_stage``, the slice's copies as one chunk
+    (they share a source and a destination, so the chunk is their sum
+    in visit order).
     """
 
     def __init__(
         self,
         num_gpms: int,
-        labels: List[str],
+        labels: Sequence[str],
+        gpm: np.ndarray,
         compute: np.ndarray,
         cycles: np.ndarray,
         flows: "_Flows",
         demand: "_Demand",
+        stages: Dict[int, tuple],
     ) -> None:
         self.num_gpms = num_gpms
         self.labels = labels
+        self.gpm = gpm
         self.compute = compute
         self.cycles = cycles
         self.flow_bounds = np.searchsorted(
@@ -279,6 +464,7 @@ class SplitSlices:
         self.flow_src = flows.src
         self.flow_dst = flows.dst
         self.flow_bytes = flows.nbytes
+        self.stages = stages
         self._demand = demand
 
     def dram_demands(self) -> List[Dict[int, float]]:
@@ -299,7 +485,7 @@ class SplitSlices:
 
 
 class _Flows(NamedTuple):
-    """A split frame's link transfers, merged into scalar visit order."""
+    """A pass's render transfers, merged into visit order."""
 
     slice: np.ndarray
     src: np.ndarray
@@ -318,85 +504,120 @@ class _Demand(NamedTuple):
     nbytes: np.ndarray
 
 
-def _merge(order_key: np.ndarray, *columns: np.ndarray):
-    """Columns reordered by a stable sort on ``order_key``."""
-    order = np.argsort(order_key, kind="stable")
-    return tuple(column[order] for column in columns)
+def _check(
+    system: "MultiGPUSystem",
+    units: Sequence[WorkUnit],
+    schedule: SliceSchedule,
+    staging: Optional["StagingManager"],
+) -> None:
+    """Reject a malformed schedule before anything is bound."""
+    size = schedule.unit.size
+    if any(len(column) != size for column in schedule[:-1]):
+        raise ValueError("every slice needs one entry in every column")
+    if not size:
+        return
+    if schedule.unit.min() < 0 or schedule.unit.max() >= len(units):
+        raise ValueError("slice unit index out of range")
+    for name in ("pixel_share", "geometry_share"):
+        share = getattr(schedule, name)
+        if not np.all((share > 0.0) & (share <= 1.0)):
+            raise ValueError(f"{name} must be in (0, 1]")
+    for name in ("unique_inflation", "stream_inflation"):
+        if not np.all(getattr(schedule, name) >= 1.0):
+            raise ValueError(f"{name} is at least 1")
+    for column in (schedule.gpm, schedule.command_source):
+        bad = column[(column < 0) | (column >= system.num_gpms)]
+        if bad.size:
+            raise ValueError(f"GPM {bad[0]} out of range")
+    if schedule.fb_targets is not None and not schedule.fb_targets:
+        raise ValueError("fb_targets must name at least one owner GPM")
+    if staging is not None and (staging.system is not system or staging.prefetched):
+        raise ValueError(
+            "the staging prelude takes this system's software staging "
+            "manager; prefetched copies stage through stage_unit"
+        )
 
 
 def execute_split(
     engine: "ExecutionEngine",
     units: Sequence[WorkUnit],
-    share: float,
-    unique_inflation: float,
-    stream_inflation: float,
-    fb_targets: "FramebufferTargets",
-    command_source: int,
+    schedule: SliceSchedule,
+    staging: Optional["StagingManager"] = None,
 ) -> None:
     """See :meth:`ExecutionEngine.execute_split
     <repro.engine.base.ExecutionEngine.execute_split>`."""
-    system = engine.system
-    n = system.num_gpms
-    if not 0.0 < share <= 1.0:
-        raise ValueError("pixel_share must be in (0, 1]")
-    if unique_inflation < 1.0:
-        raise ValueError("unique_inflation is at least 1")
-    if stream_inflation < 1.0:
-        raise ValueError("stream_inflation is at least 1")
-    if not 0 <= command_source < n:
-        raise ValueError(f"GPM {command_source} out of range")
-    if not fb_targets:
-        raise ValueError("fb_targets must name at least one owner GPM")
-    # Chunks of units keep the frame's columns small; every counter
-    # simply continues in the next chunk, so the visit order holds.
-    for start in range(0, len(units), _CHUNK_UNITS):
-        _execute_chunk(
-            engine, units[start : start + _CHUNK_UNITS], share,
-            unique_inflation, stream_inflation, fb_targets, command_source,
-        )
+    _check(engine.system, units, schedule, staging)
+    # Passes over the slices of at most _CHUNK_UNITS units keep the
+    # columns small; every counter simply continues in the next pass,
+    # so the visit order holds.
+    unit = schedule.unit
+    runs = np.flatnonzero(unit[1:] != unit[:-1]) + 1
+    starts = np.concatenate(([0], runs))[::_CHUNK_UNITS].tolist()
+    for start, stop in zip(starts, starts[1:] + [unit.size]):
+        if stop > start:
+            _execute_chunk(engine, units, schedule.part(start, stop), staging)
 
 
 def _execute_chunk(
     engine: "ExecutionEngine",
     units: Sequence[WorkUnit],
-    share: float,
-    unique_inflation: float,
-    stream_inflation: float,
-    fb_targets: "FramebufferTargets",
-    command_source: int,
+    schedule: SliceSchedule,
+    staging: Optional["StagingManager"],
 ) -> None:
     system = engine.system
-    n = system.num_gpms
     config = system.config
     with profiled_phase("bind"):
-        vertices = _column(units, "vertices") * share
-        pixels = _column(units, "pixels_out") * share
-        triangles = _column(units, "triangles_raster") * share
-        setup = _column(units, "triangles_setup") * share
-        fragments = _column(units, "fragments") * share
-        texels = _column(units, "texel_requests") * share
-        complexity = _column(units, "shader_complexity")
-        draws = _column(units, "draw_count")
+        ids, local = np.unique(schedule.unit, return_inverse=True)
+        chunk = [units[index] for index in ids.tolist()]
+
+        def per_slice(name: str, share=None) -> np.ndarray:
+            column = _column(chunk, name)[local]
+            return column if share is None else column * share
+
+        vertices = per_slice("vertices", schedule.geometry_share)
+        setup = per_slice("triangles_setup", schedule.geometry_share)
+        triangles = per_slice("triangles_raster", schedule.geometry_share)
+        fragments = per_slice("fragments", schedule.pixel_share)
+        texels = per_slice("texel_requests", schedule.pixel_share)
+        pixels = per_slice("pixels_out", schedule.pixel_share)
         with profiled_phase("price"):
             stages = stage_cycles(
-                vertices, setup, fragments, complexity, texels, pixels,
-                draws, config.gpm, config.cost,
+                vertices, setup, fragments, per_slice("shader_complexity"),
+                texels, pixels, per_slice("draw_count"), config.gpm,
+                config.cost,
             )
             # max() is exact in any order; only sums need visit order.
-            compute = np.repeat(np.max(stages[:-1], axis=0) + stages[-1], n)
-        local, link, linked, flows, demand = _bind_memory(
-            system, units, share, unique_inflation, stream_inflation,
-            fb_targets, command_source,
+            compute = np.max(stages[:-1], axis=0) + stages[-1]
+        visits = _visits(chunk, local, schedule)
+        copies = _NO_COPIES
+        if staging is not None:
+            copies = _stage(staging, system.num_gpms, visits, schedule.stage_scale)
+        touches = _touch_rows(system.placement, system.num_gpms, visits)
+        targets = _target_rows(
+            chunk, local, schedule, config.cost.bytes_per_ztest
+        )
+        local_bytes, link, linked, flows, demand = _bind_memory(
+            system, chunk, local, schedule, touches, targets, copies
         )
         with profiled_phase("price"):
-            cycles = _roofline(system, compute, local, link, linked)
-        labels = [f"{unit.label}/gpm{gpm}" for unit in units for gpm in range(n)]
-        _schedule(engine, labels, cycles, vertices, pixels, triangles)
-        split = SplitSlices(n, labels, compute, cycles, flows, demand)
+            cycles = _roofline(
+                system, schedule.gpm, compute, local_bytes, link, linked
+            )
+        staged, stall, stage_args = _land_copies(
+            engine, staging, schedule, copies
+        )
+        _schedule(
+            engine, schedule, cycles, staged, stall, vertices, pixels,
+            triangles,
+        )
+        split = SplitSlices(
+            system.num_gpms, schedule.labels, schedule.gpm, compute, cycles,
+            flows, demand, stage_args,
+        )
         nbytes = flows.nbytes.tolist()
         bounds = split.flow_bounds.tolist()
         render = engine._phase_bytes["render"]
-        for slice_ in range(len(labels)):
+        for slice_ in range(local.size):
             # The builtin sum() over the slice's flows, as the scalar
             # bind sums them: CPython >= 3.12 compensates float sum(),
             # so a running += would not be equivalent.
@@ -405,30 +626,66 @@ def _execute_chunk(
         engine._note_split(split)
 
 
+def _land_copies(
+    engine: "ExecutionEngine",
+    staging: Optional["StagingManager"],
+    schedule: SliceSchedule,
+    copies: _Copies,
+):
+    """Each slice's staging copy, as ``stage_flow`` sums, prices and
+    records it (the fabric and DRAM bytes land in :func:`_bind_memory`).
+
+    Advances the manager's ``staged_bytes`` and the ``staging`` phase
+    bytes; returns which slices copied anything, their stall cycles
+    and, per such slice, the ``_note_stage`` arguments.
+    """
+    slices = schedule.unit.size
+    copied = np.zeros(slices)
+    np.add.at(copied, copies.slice, copies.nbytes)
+    staged = copied > 0
+    if staging is None:
+        return staged, np.zeros(slices), {}
+    parallelism = staging.parallelism
+    stall = copied / (engine.system.config.link.bytes_per_cycle * parallelism)
+    rows = np.flatnonzero(staged)
+    stage_args: Dict[int, tuple] = {}
+    for slice_, gpm, nbytes, cycles in zip(
+        rows.tolist(),
+        schedule.gpm[rows].tolist(),
+        copied[rows].tolist(),
+        stall[rows].tolist(),
+    ):
+        chunk = StageCopy(staging.source(gpm), gpm, nbytes, staging.traffic_type)
+        stage_args[slice_] = (
+            gpm, (chunk,), nbytes, cycles, parallelism, False, None, "stage",
+        )
+    staging.staged_bytes = _running(staging.staged_bytes, copied)[-1].item()
+    phase = engine._phase_bytes
+    crossed = copies.nbytes[copies.src != copies.dst]
+    phase["staging"] = _running(phase["staging"], crossed)[-1].item()
+    return staged, stall, stage_args
+
+
 def _bind_memory(
     system: "MultiGPUSystem",
     units: Sequence[WorkUnit],
-    share: float,
-    unique_inflation: float,
-    stream_inflation: float,
-    fb_targets: "FramebufferTargets",
-    command_source: int,
+    local: np.ndarray,
+    schedule: SliceSchedule,
+    touches: _TouchRows,
+    targets: _TargetRows,
+    copies: _Copies,
 ):
     """Resolve every slice's memory image, with the machine's accounting.
 
     Returns per-slice local DRAM bytes, the per-(slice, peer) link-byte
     roll-up and which peers it holds, the merged transfers and the
-    ``dram_demand`` contributions.
+    ``dram_demand`` contributions.  A staged slice's copies land on the
+    fabric and in DRAM before its render traffic.
     """
     n = system.num_gpms
-    slices = len(units) * n
+    slices = local.size
+    gpm = schedule.gpm
     l2_bytes = float(system.config.gpm.l2_bytes)
-    touches = _touch_rows(
-        system.placement, units, n, share, unique_inflation, stream_inflation
-    )
-    targets = _target_rows(
-        units, n, share, fb_targets, system.config.cost.bytes_per_ztest
-    )
 
     # Local rows go through the memory-side L2; remote rows only through
     # the toucher's remote cache, whose calls from touches and depth
@@ -484,11 +741,10 @@ def _bind_memory(
     p_slice = np.repeat(r_slice, 2)[moved]
     p_owner = np.repeat(r_owner, 2)[moved]
     p_bytes = pair_bytes[moved]
-    command = _column(units, "command_bytes")
-    every = np.arange(slices)
-    c_slice = every[(np.repeat(command, n) > 0) & (every % n != command_source)]
-    c_bytes = command[c_slice // n]
-    c_source = np.full(c_slice.size, command_source)
+    command = _column(units, "command_bytes")[local]
+    c_slice = np.flatnonzero((command > 0) & (schedule.command_source != gpm))
+    c_bytes = command[c_slice]
+    c_source = schedule.command_source[c_slice]
     flows = _Flows(
         *_merge(
             np.concatenate((x_slice, p_slice, c_slice)),
@@ -497,7 +753,7 @@ def _bind_memory(
                 (x_owner, np.column_stack((r_owner, r_gpm)).ravel()[moved], c_source)
             ),
             np.concatenate(
-                (x_gpm, np.column_stack((r_gpm, r_owner)).ravel()[moved], c_slice % n)
+                (x_gpm, np.column_stack((r_gpm, r_owner)).ravel()[moved], gpm[c_slice])
             ),
             np.concatenate((x_bytes, p_bytes, c_bytes)),
             np.concatenate(
@@ -512,7 +768,16 @@ def _bind_memory(
     )
 
     # The machine's accounting, each counter in visit order.
-    system.fabric.transfer_batch(flows.src, flows.dst, flows.nbytes, flows.traffic)
+    staged_first = np.concatenate((copies.slice * 2, flows.slice * 2 + 1))
+    system.fabric.transfer_batch(
+        *_merge(
+            staged_first,
+            np.concatenate((copies.src, flows.src)),
+            np.concatenate((copies.dst, flows.dst)),
+            np.concatenate((copies.nbytes, flows.nbytes)),
+            np.concatenate((copies.traffic, flows.traffic)),
+        )
+    )
     drams = system.drams
     served = flows.served_by >= 0
     _advance(
@@ -523,24 +788,28 @@ def _bind_memory(
         drams, "local_read_bytes", touches.gpm[t_local][reads], t_local_bytes[reads]
     )
     writes = f_local_bytes > 0
+    l_slice = targets.slice[f_local][writes]
     _advance(
         drams,
         "local_write_bytes",
-        targets.gpm[f_local][writes],
-        f_local_bytes[writes],
+        *_merge(
+            np.concatenate((copies.slice * 2, l_slice * 2 + 1)),
+            np.concatenate((copies.dst, targets.gpm[f_local][writes])),
+            np.concatenate((copies.nbytes, f_local_bytes[writes])),
+        ),
     )
     observer = system.remote_observer
     if observer is not None:
-        for touch, gpm, nbytes in zip(
+        for touch, gpm_, nbytes in zip(
             touches.touch[crossed].tolist(), x_gpm.tolist(), x_bytes.tolist()
         ):
-            observer(touches.resources[touch], gpm, nbytes)
+            observer(touches.resources[touch], gpm_, nbytes)
 
     # Per-slice roll-ups: local bytes (touches, then the framebuffer)
     # and link bytes per peer (touches, framebuffer totals, command).
-    local = np.zeros(slices)
+    local_bytes = np.zeros(slices)
     np.add.at(
-        local,
+        local_bytes,
         np.concatenate((touches.slice[t_local], targets.slice[f_local])),
         np.concatenate((t_local_bytes, f_local_bytes)),
     )
@@ -550,14 +819,14 @@ def _bind_memory(
         (
             x_slice * n + x_owner,
             r_slice[linked_target] * n + r_owner[linked_target],
-            c_slice * n + command_source,
+            c_slice * n + c_source,
         )
     )
     link = np.zeros(slices * n)
     np.add.at(link, peer, np.concatenate((x_bytes, f_total[linked_target], c_bytes)))
     linked = np.bincount(peer, minlength=slices * n) > 0
 
-    # dram_demand contributions: per (touch, GPM) visit its remote
+    # dram_demand contributions: per (touch, slice) visit its remote
     # owners, then its local part; per slice its targets' depth reads
     # and writes, then the framebuffer's local part.
     t_bytes = np.zeros(touches.gpm.size)
@@ -565,7 +834,6 @@ def _bind_memory(
     t_bytes[t_local] = t_local_bytes
     rows = np.flatnonzero(t_bytes > 0)
     rows = rows[np.argsort(touches.visit[rows] * 2 + t_local[rows], kind="stable")]
-    l_slice = targets.slice[f_local][writes]
     fb_slice, fb_gpm, fb_bytes = _merge(
         np.concatenate((p_slice * 2, l_slice * 2 + 1)),
         np.concatenate((p_slice, l_slice)),
@@ -580,11 +848,12 @@ def _bind_memory(
             np.concatenate((t_bytes[rows], fb_bytes)),
         )
     )
-    return local, link, linked, flows, demand
+    return local_bytes, link, linked, flows, demand
 
 
 def _roofline(
     system: "MultiGPUSystem",
+    gpm: np.ndarray,
     compute: np.ndarray,
     local: np.ndarray,
     link: np.ndarray,
@@ -593,7 +862,6 @@ def _roofline(
     """:meth:`ExecutionEngine.price`'s cycles for every slice."""
     n = system.num_gpms
     config = system.config
-    gpm = np.arange(local.size) % n
     # hops[s, peer]: the hop count of a peer -> slice-GPM transfer.
     hops = np.array(
         [[system.fabric.hops(peer, g) for peer in range(n)] for g in range(n)],
@@ -612,39 +880,53 @@ def _roofline(
 
 def _schedule(
     engine: "ExecutionEngine",
-    labels: List[str],
+    schedule: SliceSchedule,
     cycles: np.ndarray,
+    staged: np.ndarray,
+    stall: np.ndarray,
     vertices: np.ndarray,
     pixels: np.ndarray,
     triangles: np.ndarray,
 ) -> None:
-    """Run every slice on its GPM, as :meth:`ExecutionEngine.execute`."""
-    gpms = engine.system.gpms
-    n = len(gpms)
-    per_gpm = cycles.reshape(-1, n)
-    starts = np.empty_like(per_gpm)
-    ends = np.empty_like(per_gpm)
-    for g, gpm in enumerate(gpms):
-        clock = _running(gpm.ready_at, per_gpm[:, g])
-        starts[:, g] = clock[:-1]
-        ends[:, g] = clock[1:]
+    """Run every slice on its GPM, as :meth:`ExecutionEngine.execute`,
+    a staged slice's ``stage`` stall (as ``stage_flow`` charges it)
+    first."""
+    ops = 1 + staged
+    op_slice = np.repeat(np.arange(cycles.size), ops)
+    is_stall = np.zeros(op_slice.size, bool)
+    is_stall[(np.cumsum(ops) - ops)[staged]] = True
+    op_cycles = np.where(is_stall, stall[op_slice], cycles[op_slice])
+    op_gpm = schedule.gpm[op_slice]
+    labels = [schedule.labels[slice_] for slice_ in op_slice.tolist()]
+    for op in np.flatnonzero(is_stall).tolist():
+        labels[op] = "stage"
+    starts = np.empty(op_slice.size)
+    ends = np.empty(op_slice.size)
+    for g, gpm in enumerate(engine.system.gpms):
+        mine = np.flatnonzero(op_gpm == g)
+        clock = _running(gpm.ready_at, op_cycles[mine])
+        starts[mine] = clock[:-1]
+        ends[mine] = clock[1:]
         gpm.ready_at = clock[-1].item()
-        gpm.busy_cycles = _running(gpm.busy_cycles, per_gpm[:, g])[-1].item()
+        gpm.busy_cycles = _running(gpm.busy_cycles, op_cycles[mine])[-1].item()
+        rendered = op_slice[mine[~is_stall[mine]]]
         gpm.transformed_vertices = _running(
-            gpm.transformed_vertices, vertices
+            gpm.transformed_vertices, vertices[rendered]
         )[-1].item()
-        gpm.rendered_pixels = _running(gpm.rendered_pixels, pixels)[-1].item()
+        gpm.rendered_pixels = _running(gpm.rendered_pixels, pixels[rendered])[
+            -1
+        ].item()
         gpm.rendered_triangles = _running(
-            gpm.rendered_triangles, triangles
+            gpm.rendered_triangles, triangles[rendered]
         )[-1].item()
-        gpm.executed.extend(labels[g::n])
+        gpm.executed.extend([labels[op] for op in mine.tolist()])
     engine._intervals.extend(
         map(
             TraceInterval,
-            list(range(n)) * (len(labels) // n),
+            op_gpm.tolist(),
             labels,
-            starts.ravel().tolist(),
-            ends.ravel().tolist(),
-            repeat("render"),
+            starts.tolist(),
+            ends.tolist(),
+            ["stall" if stalled else "render" for stalled in is_stall.tolist()],
         )
     )

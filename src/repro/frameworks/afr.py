@@ -18,7 +18,7 @@ Consequences the experiments measure:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.frameworks.base import RenderingFramework, register_framework
 from repro.gpu.system import MultiGPUSystem
@@ -40,16 +40,35 @@ class AlternateFrameRendering(RenderingFramework):
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:
+        from repro.engine.split import slice_schedule
+
         gpm = self._frame_gpm(frame)
         units = self.characterizer.characterize_frame(
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
         )
-        for unit in units:
-            # Segmented memory: replicate this frame's resources into the
-            # rendering GPM's segment so every access is local.
-            for touch in unit.texture_touches + unit.vertex_touches:
-                system.placement.replicate(touch.resource, [gpm])
-            system.execute_unit(unit, gpm, fb_targets={gpm: 1.0}, command_source=gpm)
+        # Segmented memory: replicate this frame's resources into the
+        # rendering GPM's segment so every access is local.  A replica
+        # is made once, so replicating each resource at its first use
+        # up front leaves the placement exactly as replicating every
+        # unit's touches just before the unit renders.
+        resources = {
+            touch.resource.resource_id: touch.resource
+            for unit in units
+            for group in (unit.texture_touches, unit.vertex_touches)
+            for touch in group
+        }
+        for resource in resources.values():
+            system.placement.replicate(resource, [gpm])
+        system.engine.execute_split(
+            units,
+            slice_schedule(
+                range(len(units)),
+                gpm,
+                [unit.label for unit in units],
+                command_source=gpm,
+                fb_targets=None,
+            ),
+        )
         # One GPM owns the whole frame: no staging flows, no
         # composition schedule — the engine's other phases stay empty.
         return system.frame_result(self.name, workload)

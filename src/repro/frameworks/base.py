@@ -104,9 +104,9 @@ class RenderingFramework(abc.ABC):
         this framework's render path would, so an active compiled-plan
         store (:mod:`repro.plan.store`) is populated by the same code
         that consumes it.  The default covers the per-eye-sequential
-        schemes (baseline, AFR, object-level SFR); frameworks with a
-        different front end override it, and schemes that only price
-        per-draw (tile-level SFR) make it a no-op.
+        schemes (baseline, AFR, object-level SFR, tile-level SFR (V));
+        frameworks with a different front end (tile-level SFR (H)'s
+        multi-view draws, the OO middleware's batches) override it.
         """
         from repro.pipeline.smp import SMPMode
 

@@ -21,9 +21,8 @@ What the paper measures on this scheme:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.config import SystemConfig
 from repro.frameworks.base import RenderingFramework, register_framework
 from repro.gpu.composition import compose_master
 from repro.gpu.staging import StagingManager
@@ -45,8 +44,9 @@ class ObjectLevelSFR(RenderingFramework):
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:
+        from repro.engine.split import slice_schedule
+
         num_gpms = system.num_gpms
-        rendered_pixels = [0.0] * num_gpms
         # "Distributes the rendering object along with its required
         # data per GPM": the object's working set is staged into the
         # renderer's DRAM before the draw runs.
@@ -56,26 +56,42 @@ class ObjectLevelSFR(RenderingFramework):
             parallelism=self.config.cost.stage_parallelism,
         )
         staging.begin_frame()
-        next_gpm = 0
-        assigned_gpm_of_object: Dict[int, int] = {}
         units = self.characterizer.characterize_frame(
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
         )
-        for draw, unit in zip(frame.stereo_draws(), units):
-            # Profiling pass assigns draws round-robin in programmer
-            # order; objects with dependencies follow their parent so
-            # the programmer-defined order holds on one GPM.
-            parent = draw.obj.depends_on
-            if parent is not None and parent in assigned_gpm_of_object:
-                gpm = assigned_gpm_of_object[parent]
-            else:
-                gpm = next_gpm
-                next_gpm = (next_gpm + 1) % num_gpms
-            assigned_gpm_of_object[draw.obj.object_id] = gpm
-            staging.stage_unit(unit, gpm)
-            system.execute_unit(
-                unit, gpm, fb_targets={gpm: 1.0}, command_source=self.root
-            )
+        # Profiling pass assigns draws round-robin in programmer order;
+        # objects with dependencies follow their parent so the
+        # programmer-defined order holds on one GPM.  Each object
+        # issues one draw per visible eye (stereo_draws order).
+        gpms: List[int] = []
+        next_gpm = 0
+        assigned_gpm_of_object: Dict[int, int] = {}
+        for obj in frame.objects:
+            for viewport in (obj.viewport_left, obj.viewport_right):
+                if viewport is None:
+                    continue
+                parent = obj.depends_on
+                if parent is not None and parent in assigned_gpm_of_object:
+                    gpm = assigned_gpm_of_object[parent]
+                else:
+                    gpm = next_gpm
+                    next_gpm = (next_gpm + 1) % num_gpms
+                assigned_gpm_of_object[obj.object_id] = gpm
+                gpms.append(gpm)
+        system.engine.execute_split(
+            units,
+            slice_schedule(
+                range(len(units)),
+                gpms,
+                [unit.label for unit in units],
+                command_source=self.root,
+                # Each worker renders into its private local buffer.
+                fb_targets=None,
+            ),
+            staging,
+        )
+        rendered_pixels = [0.0] * num_gpms
+        for unit, gpm in zip(units, gpms):
             rendered_pixels[gpm] += unit.pixels_out
         # The master-node assembly is handed to the execution engine as
         # a composition schedule; its barrier price lands on the

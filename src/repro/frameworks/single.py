@@ -19,7 +19,9 @@ Two registered variants:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.config import SystemConfig, baseline_system
 from repro.frameworks.base import RenderingFramework, register_framework
@@ -58,6 +60,8 @@ class SingleKernelBaseline(RenderingFramework):
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:
+        from repro.engine.split import slice_schedule
+
         num_gpms = system.num_gpms
         cost = self.config.cost
         even_share = 1.0 / num_gpms
@@ -70,20 +74,29 @@ class SingleKernelBaseline(RenderingFramework):
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
         )
         self._place_uploads(system, units)
+        # Every draw split evenly over every GPM (a lone GPM renders
+        # each draw whole), all slices bound in one batched pass.
         if num_gpms == 1:
-            for unit in units:
-                system.execute_unit(unit, 0, fb_targets=fb_targets)
+            labels = [unit.label for unit in units]
         else:
-            # Every draw split evenly over every GPM, all slices bound
-            # in one batched pass.
-            system.engine.execute_split(
-                units,
-                even_share,
-                cost.interleave_unique_inflation,
-                cost.interleave_stream_inflation,
-                fb_targets,
-                command_source=0,
-            )
+            labels = [
+                f"{unit.label}/gpm{gpm}"
+                for unit in units
+                for gpm in range(num_gpms)
+            ]
+        system.engine.execute_split(
+            units,
+            slice_schedule(
+                np.repeat(np.arange(len(units)), num_gpms),
+                np.tile(np.arange(num_gpms), len(units)),
+                labels,
+                pixel_share=even_share,
+                geometry_share=even_share,
+                unique_inflation=cost.interleave_unique_inflation,
+                stream_inflation=cost.interleave_stream_inflation,
+                fb_targets=fb_targets,
+            ),
+        )
         # No composition phase: ROPs write the interleaved framebuffer
         # directly during rendering, so no CompositionSchedule is
         # handed to the engine and the trace's composition lane is

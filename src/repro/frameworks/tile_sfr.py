@@ -23,16 +23,17 @@ pixels.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.config import SystemConfig
 from repro.frameworks.base import RenderingFramework, register_framework
 from repro.gpu.system import MultiGPUSystem
 from repro.gpu.staging import StagingManager
 from repro.memory.placement import PlacementPolicy
-from repro.pipeline.raster import StripShare, normalize_pixel_shares, strip_shares
+from repro.pipeline.raster import strip_share_columns
 from repro.pipeline.smp import SMPMode
-from repro.pipeline.workunit import WorkUnit
 from repro.scene.geometry import (
     Viewport,
     horizontal_strips,
@@ -90,20 +91,60 @@ class TileSplitFrameRendering(RenderingFramework):
 
     # -- rendering -----------------------------------------------------------
 
-    def warm_plan(self, frame: Frame) -> None:
-        """No-op: tile SFR prices per draw and keeps no frame plan."""
-
-    def _draw_stream(self, frame: Frame) -> List[Tuple[StereoDraw, SMPMode]]:
+    def _frame_plan(self) -> Tuple[SMPMode, str]:
+        """The SMP mode and draw expansion this orientation renders."""
         if self.orientation is TileOrientation.VERTICAL:
             # SMP cannot span strips: two sequential per-eye passes.
-            return [(d, SMPMode.SEQUENTIAL) for d in frame.stereo_draws()]
+            return SMPMode.SEQUENTIAL, "stereo"
         # Horizontal strips contain both eyes: SMP multi-view draws.
-        return [(d, SMPMode.SIMULTANEOUS) for d in frame.multiview_draws()]
+        return SMPMode.SIMULTANEOUS, "multiview"
+
+    def warm_plan(self, frame: Frame) -> None:
+        """Compile the frame plan this orientation renders from."""
+        mode, expansion = self._frame_plan()
+        self.characterizer.characterize_frame(
+            frame, mode=mode, expansion=expansion
+        )
+
+    def _strip_slices(self, frame: Frame, expansion: str):
+        """``(draw, strip, pixel share)`` of every draw's strip slices.
+
+        The draws' rectangles, in stereo-frame coordinates and draw
+        order (:meth:`stereo_space_viewports` of every draw of the
+        ``expansion`` stream), feed the column form of
+        :func:`~repro.pipeline.raster.strip_shares`.
+        """
+        shift = float(frame.width)
+        per_eye = expansion == "stereo"
+        rows: List[Tuple[int, float, float, float, float]] = []
+        draw = 0
+        for obj in frame.objects:
+            left, right = obj.viewport_left, obj.viewport_right
+            if left is not None:
+                rows.append((draw, left.x0, left.y0, left.x1, left.y1))
+                if per_eye:
+                    draw += 1
+            if right is not None:
+                # Shifted into the right half, as Viewport.shifted does.
+                rows.append(
+                    (draw, right.x0 + shift, right.y0 + 0.0,
+                     right.x1 + shift, right.y1 + 0.0)
+                )
+                if per_eye:
+                    draw += 1
+            if not per_eye:
+                draw += 1
+        columns = np.array(rows, np.float64).reshape(-1, 5).T
+        return strip_share_columns(
+            draw, columns[0].astype(np.int64), *columns[1:],
+            self.strips(frame),
+        )
 
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:
-        strips = self.strips(frame)
+        from repro.engine.split import slice_schedule
+
         cost = self.config.cost
         # Cluster-heritage SFR stages each strip's working set into its
         # GPM's memory segment every frame ("the large texture data
@@ -116,47 +157,35 @@ class TileSplitFrameRendering(RenderingFramework):
             parallelism=cost.tile_stage_parallelism,
         )
         staging.begin_frame()
-        for draw, mode in self._draw_stream(frame):
-            unit = self.characterizer.characterize(draw, mode=mode)
-            shares = normalize_pixel_shares(
-                strip_shares(
-                    self.stereo_space_viewports(draw, frame.width), strips
-                )
-            )
-            if not shares:
-                continue
-            for share in shares:
-                if share.pixel_share <= 0.0:
-                    # Geometry-only discovery work: the strip transforms
-                    # the object and finds no pixels.
-                    slice_unit = unit.with_screen_share(
-                        pixel_share=1e-9,
-                        geometry_share=share.geometry_share,
-                        unique_inflation=1.0,
-                        label_suffix=f"strip{share.strip_index}",
-                    )
-                else:
-                    slice_unit = unit.with_screen_share(
-                        pixel_share=min(1.0, share.pixel_share),
-                        geometry_share=share.geometry_share,
-                        unique_inflation=cost.tile_unique_inflation,
-                        label_suffix=f"strip{share.strip_index}",
-                    )
-                gpm = share.strip_index
+        mode, expansion = self._frame_plan()
+        units = self.characterizer.characterize_frame(
+            frame, mode=mode, expansion=expansion
+        )
+        draw, strip, share = self._strip_slices(frame, expansion)
+        views = np.array([unit.views for unit in units], np.int64)[draw]
+        system.engine.execute_split(
+            units,
+            slice_schedule(
+                draw,
+                strip,
+                [
+                    f"{units[index].label}/strip{gpm}"
+                    for index, gpm in zip(draw.tolist(), strip.tolist())
+                ],
+                pixel_share=np.minimum(1.0, share),
+                unique_inflation=cost.tile_unique_inflation,
+                # Strips own their framebuffer region: writes are local.
+                fb_targets=None,
                 # Multi-view slices stage most of each eye's region
                 # separately; caches, not the copies, share the rest.
-                staging.stage_unit(
-                    slice_unit, gpm,
-                    factor_scale=1.0 + 0.6 * (slice_unit.views - 1),
-                )
-                # Strips own their framebuffer region: writes are local.
-                system.execute_unit(
-                    slice_unit, gpm, fb_targets={gpm: 1.0}, command_source=0
-                )
+                stage_scale=1.0 + 0.6 * (views - 1),
+            ),
+            staging,
+        )
         # Sort-first needs no composition pass (strips tile the frame),
         # so nothing is scheduled on the engine's composition phase;
-        # the staging copies above were already priced by its
-        # stage_flow (a stall here, since tile-SFR has no PA units).
+        # the staging copies above were already priced like stage_flow
+        # (a stall here, since tile-SFR has no PA units).
         return system.frame_result(self.name, workload)
 
 

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.base import StageCopy, StageOutcome
 from repro.gpu.system import MultiGPUSystem
-from repro.memory.address import Touch
+from repro.memory.address import Resource
 from repro.memory.link import TrafficType
 from repro.pipeline.workunit import WorkUnit
 
@@ -59,14 +59,22 @@ class StagingManager:
         self._staged.clear()
         self.staged_bytes = 0.0
 
-    def _stage_touch(self, touch: Touch, gpm: int, scale: float = 1.0) -> float:
+    def source(self, gpm: int) -> int:
+        """The GPM a copy into ``gpm`` streams from."""
+        return (gpm + 1) % self.system.num_gpms
+
+    def _stage_touch(
+        self, resource: Resource, unique_bytes: float, gpm: int,
+        scale: float = 1.0,
+    ) -> float:
         """Resolve one touch's placement; returns the copy shortfall.
 
         Pure placement bookkeeping — the returned bytes still have to
         be moved, which the engine does when :meth:`stage_unit` emits
-        the collected shortfalls as one staging flow.
+        the collected shortfalls as one staging flow (or the slice
+        pass, :meth:`~repro.engine.base.ExecutionEngine.execute_split`,
+        lands them before each slice).
         """
-        resource = touch.resource
         placement = self.system.placement
         if not placement.is_placed(resource):
             # First toucher: pages land local for free (first touch by
@@ -84,7 +92,7 @@ class StagingManager:
         factor = self.factor * scale
         wanted = min(
             float(resource.size_bytes) * max(factor, 1.0),
-            self._staged.get(key, 0.0) + touch.unique_bytes * factor,
+            self._staged.get(key, 0.0) + unique_bytes * factor,
         )
         shortfall = wanted - self._staged.get(key, 0.0)
         if shortfall <= 0:
@@ -112,19 +120,25 @@ class StagingManager:
         prefetched one — is the engine's
         (:meth:`~repro.engine.base.ExecutionEngine.stage_flow`).
         """
-        src = (gpm + 1) % self.system.num_gpms
+        src = self.source(gpm)
         copies: List[StageCopy] = []
         for touch in unit.texture_touches:
             copies.append(
                 StageCopy(
-                    src, gpm, self._stage_touch(touch, gpm, factor_scale),
+                    src, gpm,
+                    self._stage_touch(
+                        touch.resource, touch.unique_bytes, gpm, factor_scale
+                    ),
                     self.traffic_type,
                 )
             )
         for touch in unit.vertex_touches:
             copies.append(
                 StageCopy(
-                    src, gpm, self._stage_touch(touch, gpm, factor_scale),
+                    src, gpm,
+                    self._stage_touch(
+                        touch.resource, touch.unique_bytes, gpm, factor_scale
+                    ),
                     self.traffic_type,
                 )
             )

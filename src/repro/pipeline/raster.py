@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.scene.geometry import Viewport
 
 #: Raster tile edge in pixels (16x16 tiled rasterisation, Table 2).
@@ -50,7 +52,10 @@ def strip_shares(
     which triangles land where without transforming them, so each
     overlapping strip transforms the whole object (this is the
     "object overlapping across the tiles" redundancy of Section 4.2).
-    Strips with no overlap contribute nothing.
+    Only strips the draw covers with positive area get a share: a strip
+    the draw merely touches along an edge (a zero-area intersection,
+    which :meth:`Viewport.intersection` reports as ``None``) gets none,
+    so every listed share has ``pixel_share > 0``.
     """
     total_area = sum(v.area for v in viewports)
     shares: List[StripShare] = []
@@ -64,19 +69,56 @@ def strip_shares(
                 overlaps = True
         if not overlaps:
             continue
-        pixel_share = overlap_area / total_area if total_area else 0.0
-        if pixel_share <= 0.0:
-            # Degenerate overlap (zero-area sliver): the strip still
-            # pays geometry to discover it owns no pixels.
-            pixel_share = 0.0
         shares.append(
             StripShare(
                 strip_index=index,
-                pixel_share=pixel_share,
+                pixel_share=overlap_area / total_area,
                 geometry_share=1.0,
             )
         )
     return shares
+
+
+def strip_share_columns(
+    draws: int,
+    draw: np.ndarray,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    strips: Sequence[Viewport],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every draw's normalised strip shares, as columns.
+
+    Row ``r`` is one screen rectangle of draw ``draw[r]``; a draw's
+    rectangles are consecutive rows in its viewport order.  Returns
+    ``(draw, strip, pixel_share)`` for every (draw, strip) overlap,
+    draw by draw and strip by strip: the floats
+    ``normalize_pixel_shares(strip_shares(viewports, strips))`` lists
+    for each draw.  Every area, overlap and share is the scalar
+    expression elementwise, and the sums accumulate in the scalar
+    order (``np.add.at``).
+    """
+    sx0, sy0, sx1, sy1 = (
+        np.array([getattr(strip, edge) for strip in strips], np.float64)
+        for edge in ("x0", "y0", "x1", "y1")
+    )
+    ix0 = np.maximum(x0[:, None], sx0)
+    iy0 = np.maximum(y0[:, None], sy0)
+    ix1 = np.minimum(x1[:, None], sx1)
+    iy1 = np.minimum(y1[:, None], sy1)
+    hit = (ix1 > ix0) & (iy1 > iy0)
+    overlap = np.zeros((draws, len(strips)))
+    np.add.at(overlap, draw, np.where(hit, (ix1 - ix0) * (iy1 - iy0), 0.0))
+    overlaps = np.zeros((draws, len(strips)), bool)
+    np.logical_or.at(overlaps, draw, hit)
+    total_area = np.zeros(draws)
+    np.add.at(total_area, draw, (x1 - x0) * (y1 - y0))
+    shared, strip = np.nonzero(overlaps)
+    share = overlap[shared, strip] / total_area[shared]
+    total = np.zeros(draws)
+    np.add.at(total, shared, share)
+    return shared, strip, share / total[shared]
 
 
 def normalize_pixel_shares(shares: List[StripShare]) -> List[StripShare]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.config import ConfigError, baseline_system
@@ -663,6 +664,18 @@ def _event_trace_summary(framework, workload="HL2-640"):
     return session.last_framework.last_system.last_trace.phase_summary()
 
 
+#: The frameworks whose fixed-spec event trace summaries are pinned,
+#: with their golden file stems.
+_EVENT_GOLDENS = (
+    ("oo-vr", "event_trace_oovr"),
+    ("oo-app", "event_trace_ooapp"),
+    ("tile-v", "event_trace_tilev"),
+    ("tile-h", "event_trace_tileh"),
+    ("object", "event_trace_object"),
+    ("afr", "event_trace_afr"),
+)
+
+
 def regenerate_event_golden():  # pragma: no cover - maintenance helper
     """Rewrite the event-engine goldens after a *deliberate* change.
 
@@ -676,10 +689,7 @@ def regenerate_event_golden():  # pragma: no cover - maintenance helper
     import pathlib
 
     golden = pathlib.Path(__file__).parent.parent / "benchmarks" / "golden"
-    for framework, stem in (
-        ("oo-vr", "event_trace_oovr"),
-        ("oo-app", "event_trace_ooapp"),
-    ):
+    for framework, stem in _EVENT_GOLDENS:
         path = golden / f"{stem}_hl2-640.json"
         path.write_text(
             json.dumps(
@@ -877,10 +887,7 @@ class TestFullFrameCoverage:
         e_comp = event.last_system.last_trace.composition_cycles
         assert e_comp > a_comp * 1.5
 
-    @pytest.mark.parametrize(
-        "framework,stem",
-        [("oo-vr", "event_trace_oovr"), ("oo-app", "event_trace_ooapp")],
-    )
+    @pytest.mark.parametrize("framework,stem", _EVENT_GOLDENS)
     def test_event_golden_trace_summary(self, framework, stem):
         """Event-engine timing changes must be deliberate.
 
@@ -1355,44 +1362,201 @@ class TestIncrementalWindowLoop:
 
 
 # ---------------------------------------------------------------------------
-# The baseline family's split bind vs. the per-slice oracle
+# The slice pass vs. the per-slice oracle
 # ---------------------------------------------------------------------------
 
 
-def _per_slice(
-    system, units, share, unique_inflation, stream_inflation, fb_targets,
-    command_source,
+def _per_slice(system, units, schedule, staging=None):
+    """The oracle: every slice shaped, staged, bound and executed alone."""
+    for s, index in enumerate(schedule.unit.tolist()):
+        gpm = int(schedule.gpm[s])
+        slice_unit = replace(
+            units[index].with_screen_share(
+                pixel_share=float(schedule.pixel_share[s]),
+                geometry_share=float(schedule.geometry_share[s]),
+                unique_inflation=float(schedule.unique_inflation[s]),
+                label_suffix="",
+                stream_inflation=float(schedule.stream_inflation[s]),
+            ),
+            label=schedule.labels[s],
+        )
+        if staging is not None:
+            staging.stage_unit(
+                slice_unit, gpm, factor_scale=float(schedule.stage_scale[s])
+            )
+        system.execute_unit(
+            slice_unit, gpm, fb_targets=schedule.fb_targets,
+            command_source=int(schedule.command_source[s]),
+        )
+
+
+def _even_split(
+    units, share, unique_inflation, stream_inflation, fb_targets,
+    command_source=0, num_gpms=4,
 ):
-    """The oracle: every (unit, GPM) slice bound and executed alone."""
-    for unit in units:
-        for gpm in range(system.num_gpms):
-            slice_unit = unit.with_screen_share(
-                pixel_share=share,
-                geometry_share=share,
-                unique_inflation=unique_inflation,
-                label_suffix=f"gpm{gpm}",
-                stream_inflation=stream_inflation,
-            )
-            system.execute_unit(
-                slice_unit, gpm, fb_targets=fb_targets,
-                command_source=command_source,
-            )
+    """The baseline family's shape: every unit on every GPM, one share."""
+    import numpy as np
+
+    from repro.engine.split import slice_schedule
+
+    return slice_schedule(
+        np.repeat(np.arange(len(units)), num_gpms),
+        np.tile(np.arange(num_gpms), len(units)),
+        [f"{unit.label}/gpm{gpm}" for unit in units for gpm in range(num_gpms)],
+        pixel_share=share,
+        geometry_share=share,
+        unique_inflation=unique_inflation,
+        stream_inflation=stream_inflation,
+        command_source=command_source,
+        fb_targets=fb_targets,
+    )
 
 
 def _per_slice_render_frame_on(self, system, frame, workload):
     """``SingleKernelBaseline.render_frame_on`` with one bind per slice."""
     share = 1.0 / system.num_gpms
     cost = self.config.cost
+    fb_targets = {gpm: share for gpm in range(system.num_gpms)}
     units = self.characterizer.characterize_frame(
         frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
     )
     self._place_uploads(system, units)
-    _per_slice(
-        system, units, share, cost.interleave_unique_inflation,
-        cost.interleave_stream_inflation,
-        {gpm: share for gpm in range(system.num_gpms)}, 0,
-    )
+    if system.num_gpms == 1:
+        for unit in units:
+            system.execute_unit(unit, 0, fb_targets=fb_targets)
+    else:
+        for unit in units:
+            for gpm in range(system.num_gpms):
+                slice_unit = unit.with_screen_share(
+                    pixel_share=share,
+                    geometry_share=share,
+                    unique_inflation=cost.interleave_unique_inflation,
+                    label_suffix=f"gpm{gpm}",
+                    stream_inflation=cost.interleave_stream_inflation,
+                )
+                system.execute_unit(
+                    slice_unit, gpm, fb_targets=fb_targets, command_source=0
+                )
     return system.frame_result(self.name, workload)
+
+
+def _per_slice_tile_render_frame_on(self, system, frame, workload):
+    """``TileSplitFrameRendering.render_frame_on``, one draw and one
+    strip slice at a time."""
+    from repro.frameworks.tile_sfr import TileOrientation
+    from repro.gpu.staging import StagingManager
+    from repro.pipeline.raster import normalize_pixel_shares, strip_shares
+
+    strips = self.strips(frame)
+    cost = self.config.cost
+    staging = StagingManager(
+        system,
+        factor=cost.tile_stage_factor,
+        parallelism=cost.tile_stage_parallelism,
+    )
+    staging.begin_frame()
+    if self.orientation is TileOrientation.VERTICAL:
+        stream = [(d, SMPMode.SEQUENTIAL) for d in frame.stereo_draws()]
+    else:
+        stream = [(d, SMPMode.SIMULTANEOUS) for d in frame.multiview_draws()]
+    for draw, mode in stream:
+        unit = self.characterizer.characterize(draw, mode=mode)
+        shares = normalize_pixel_shares(
+            strip_shares(self.stereo_space_viewports(draw, frame.width), strips)
+        )
+        for share in shares:
+            slice_unit = unit.with_screen_share(
+                pixel_share=min(1.0, share.pixel_share),
+                geometry_share=share.geometry_share,
+                unique_inflation=cost.tile_unique_inflation,
+                label_suffix=f"strip{share.strip_index}",
+            )
+            gpm = share.strip_index
+            staging.stage_unit(
+                slice_unit, gpm,
+                factor_scale=1.0 + 0.6 * (slice_unit.views - 1),
+            )
+            system.execute_unit(
+                slice_unit, gpm, fb_targets={gpm: 1.0}, command_source=0
+            )
+    return system.frame_result(self.name, workload)
+
+
+def _per_slice_object_render_frame_on(self, system, frame, workload):
+    """``ObjectLevelSFR.render_frame_on`` with one bind per draw."""
+    from repro.gpu.composition import compose_master
+    from repro.gpu.staging import StagingManager
+
+    num_gpms = system.num_gpms
+    rendered_pixels = [0.0] * num_gpms
+    staging = StagingManager(
+        system,
+        factor=self.config.cost.object_stage_factor,
+        parallelism=self.config.cost.stage_parallelism,
+    )
+    staging.begin_frame()
+    next_gpm = 0
+    assigned_gpm_of_object = {}
+    units = self.characterizer.characterize_frame(
+        frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
+    )
+    for draw, unit in zip(frame.stereo_draws(), units):
+        parent = draw.obj.depends_on
+        if parent is not None and parent in assigned_gpm_of_object:
+            gpm = assigned_gpm_of_object[parent]
+        else:
+            gpm = next_gpm
+            next_gpm = (next_gpm + 1) % num_gpms
+        assigned_gpm_of_object[draw.obj.object_id] = gpm
+        staging.stage_unit(unit, gpm)
+        system.execute_unit(
+            unit, gpm, fb_targets={gpm: 1.0}, command_source=self.root
+        )
+        rendered_pixels[gpm] += unit.pixels_out
+    compose_master(system, rendered_pixels, root=self.root)
+    return system.frame_result(self.name, workload)
+
+
+def _per_slice_afr_render_frame_on(self, system, frame, workload):
+    """``AlternateFrameRendering.render_frame_on`` with one bind per
+    draw, each draw's resources replicated just before it renders."""
+    gpm = self._frame_gpm(frame)
+    units = self.characterizer.characterize_frame(
+        frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
+    )
+    for unit in units:
+        for touch in unit.texture_touches + unit.vertex_touches:
+            system.placement.replicate(touch.resource, [gpm])
+        system.execute_unit(
+            unit, gpm, fb_targets={gpm: 1.0}, command_source=gpm
+        )
+    return system.frame_result(self.name, workload)
+
+
+#: Each batched framework: the class whose render_frame_on its
+#: per-slice oracle body replaces, and that body.
+_BASELINE_ORACLE = (
+    "repro.frameworks.single.SingleKernelBaseline", _per_slice_render_frame_on
+)
+_TILE_ORACLE = (
+    "repro.frameworks.tile_sfr.TileSplitFrameRendering",
+    _per_slice_tile_render_frame_on,
+)
+_PER_SLICE_ORACLES = {
+    "baseline": _BASELINE_ORACLE,
+    "1tbs-bw": _BASELINE_ORACLE,
+    "baseline-mig": _BASELINE_ORACLE,
+    "tile-v": _TILE_ORACLE,
+    "tile-h": _TILE_ORACLE,
+    "object": (
+        "repro.frameworks.object_sfr.ObjectLevelSFR",
+        _per_slice_object_render_frame_on,
+    ),
+    "afr": (
+        "repro.frameworks.afr.AlternateFrameRendering",
+        _per_slice_afr_render_frame_on,
+    ),
+}
 
 
 def _split_resources():
@@ -1475,8 +1639,46 @@ def _split_units(rng, resources, count):
     return units
 
 
-def _machine_state(system, observed):
-    """Everything binding and executing leave behind, comparably."""
+def _slice_soup(rng, units, num_gpms, fb_targets):
+    """A random schedule over ``units``: uneven per-slice shares and
+    inflation, every GPM visited, units split into several slices and
+    revisited out of order, commands from every GPM."""
+    from repro.engine.split import slice_schedule
+
+    count = 3 * len(units)
+    unit = np.sort(rng.integers(0, len(units), size=count))
+    # A few slices revisit earlier units, out of visit order.
+    back = rng.random(count) < 0.1
+    unit[back] = rng.integers(0, len(units), size=int(back.sum()))
+    gpm = rng.integers(0, num_gpms, size=count)
+    gpm[:num_gpms] = np.arange(num_gpms)
+
+    def shares():
+        return np.where(
+            rng.random(count) < 0.2, 1.0, rng.uniform(0.01, 1.0, size=count)
+        )
+
+    def inflation():
+        return np.where(
+            rng.random(count) < 0.3, 1.0, rng.uniform(1.0, 6.0, size=count)
+        )
+
+    return slice_schedule(
+        unit,
+        gpm,
+        [f"u{index}/s{s}" for s, index in enumerate(unit.tolist())],
+        pixel_share=shares(),
+        geometry_share=shares(),
+        unique_inflation=inflation(),
+        stream_inflation=inflation(),
+        command_source=rng.integers(0, num_gpms, size=count),
+        stage_scale=rng.choice([1.0, 1.6, 0.5], size=count),
+        fb_targets=fb_targets,
+    )
+
+
+def _machine_state(system, observed, staging=()):
+    """Everything binding, staging and executing leave behind."""
     engine = system.engine
     fabric = system.fabric
     state = {
@@ -1509,6 +1711,10 @@ def _machine_state(system, observed):
         ],
         "resident": list(system.placement.resident_bytes),
         "observed": list(observed),
+        "staging": [
+            (manager.staged_bytes, list(manager._staged.items()))
+            for manager in staging
+        ],
     }
     if isinstance(engine, EventEngine):
         state["jobs"] = [
@@ -1525,7 +1731,7 @@ def _machine_state(system, observed):
     return state
 
 
-#: Machine and schedule knobs of the random-soup oracle cases.
+#: Machine and schedule knobs of the even-split soup cases.
 _SPLIT_CASES = {
     "even-targets": {},
     "no-remote-cache": {"numa": False},
@@ -1537,9 +1743,21 @@ _SPLIT_CASES = {
     "migration-observer": {"observer": True},
 }
 
+#: Machine knobs of the random slice-soup cases; every case runs with
+#: and without a staging prelude.
+_SOUP_CASES = {
+    "own-targets": {},
+    "shared-targets": {"fb_targets": {0: 0.5, 2: 0.3, 3: 0.2}},
+    "no-remote-cache": {"numa": False},
+    "ring": {"topology": "ring"},
+    "switch": {"topology": "switch"},
+    "migration-observer": {"observer": True, "fb_targets": {1: 1.0}},
+}
+
 
 class TestSplitBind:
-    """``execute_split`` == ``bind`` + ``execute`` per slice, bit for bit."""
+    """``execute_split`` == per-slice ``stage_unit`` + ``bind`` +
+    ``execute``, bit for bit."""
 
     @staticmethod
     def _system(knobs, policy, engine, resources):
@@ -1573,8 +1791,6 @@ class TestSplitBind:
     def test_random_unit_soups_match_per_slice_oracle(
         self, case, policy, engine, monkeypatch
     ):
-        import numpy as np
-
         # Several passes per soup, the last one partial: every counter
         # must carry across pass boundaries.
         monkeypatch.setattr("repro.engine.split._CHUNK_UNITS", 7)
@@ -1582,7 +1798,7 @@ class TestSplitBind:
         resources = _split_resources()
         seed = 20261016 + sorted(_SPLIT_CASES).index(case)
         units = _split_units(np.random.default_rng(seed), resources, 24)
-        schedule = (
+        schedule = _even_split(
             units, 0.25, 1.8, 1.4,
             knobs.get("fb_targets", {gpm: 0.25 for gpm in range(4)}),
             knobs.get("command_source", 0),
@@ -1590,9 +1806,9 @@ class TestSplitBind:
         oracle_system, oracle_seen = self._system(
             knobs, policy, engine, resources
         )
-        _per_slice(oracle_system, *schedule)
+        _per_slice(oracle_system, units, schedule)
         split_system, split_seen = self._system(knobs, policy, engine, resources)
-        split_system.engine.execute_split(*schedule)
+        split_system.engine.execute_split(units, schedule)
         oracle = _machine_state(oracle_system, oracle_seen)
         split = _machine_state(split_system, split_seen)
         for key, expected in oracle.items():
@@ -1600,66 +1816,171 @@ class TestSplitBind:
         assert bool(split_seen) == bool(knobs.get("observer"))
 
     @pytest.mark.parametrize("engine", ["analytic", "event"])
+    @pytest.mark.parametrize("staged", [False, True], ids=["bare", "staged"])
     @pytest.mark.parametrize(
-        "framework", ["baseline", "1tbs-bw", "baseline-mig", "baseline:topo=ring"]
+        "policy", list(PlacementPolicy), ids=lambda policy: policy.value
+    )
+    @pytest.mark.parametrize("case", sorted(_SOUP_CASES))
+    def test_random_slice_soups_match_per_slice_oracle(
+        self, case, policy, staged, engine, monkeypatch
+    ):
+        """Uneven slices of a unit soup, optionally staged: resources
+        start unplaced, homed on the slice's GPM, fixed elsewhere,
+        interleaved, striped or replicated, and the staged bytes reach
+        the footprint cap."""
+        from repro.gpu.staging import StagingManager
+
+        monkeypatch.setattr("repro.engine.split._CHUNK_UNITS", 5)
+        knobs = _SOUP_CASES[case]
+        resources = _split_resources()
+        seed = 20261017 + sorted(_SOUP_CASES).index(case)
+        rng = np.random.default_rng(seed)
+        units = _split_units(rng, resources, 20)
+        schedule = _slice_soup(rng, units, 4, knobs.get("fb_targets"))
+        factor = float(rng.uniform(0.5, 3.0))
+        states = []
+        for run in (_per_slice, None):
+            system, seen = self._system(knobs, policy, engine, resources)
+            staging = None
+            if staged:
+                staging = StagingManager(system, factor=factor, parallelism=4.5)
+                staging.begin_frame()
+            if run is None:
+                system.engine.execute_split(units, schedule, staging)
+            else:
+                run(system, units, schedule, staging)
+            managers = () if staging is None else (staging,)
+            states.append(_machine_state(system, seen, managers))
+        oracle, split = states
+        for key, expected in oracle.items():
+            assert split[key] == expected, key  # == : bit-exact
+        if staged:
+            [(staged_bytes, entries)] = oracle["staging"]
+            assert staged_bytes > 0
+            # Some shortfalls ran into the footprint cap.
+            sizes = {
+                resource.resource_id: resource.size_bytes
+                for pool in resources for resource in pool
+            }
+            assert any(
+                wanted == sizes[key] * max(factor, 1.0)
+                for (key, _), wanted in entries
+            )
+
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    @pytest.mark.parametrize(
+        "framework, num_gpms",
+        [
+            pytest.param(framework, 4, id=framework)
+            for framework in (
+                "baseline", "1tbs-bw", "baseline-mig", "baseline:topo=ring",
+                "tile-v", "tile-h", "tile-v:topo=ring", "object",
+                "object:fov", "afr",
+            )
+        ]
+        # A lone GPM: whole draws under their own labels, staging
+        # copies that never leave the GPM.
+        + [
+            pytest.param(framework, 1, id=f"{framework}-1gpm")
+            for framework in ("baseline", "tile-v", "tile-h", "object", "afr")
+        ],
     )
     def test_frameworks_match_per_slice_schedule(
-        self, framework, engine, monkeypatch
+        self, framework, num_gpms, engine, monkeypatch
     ):
         """Real frames, end to end, on one persistent machine each."""
-        from repro.frameworks.single import SingleKernelBaseline
+        from repro.gpu.staging import StagingManager
 
+        managers = []
+        begin_frame = StagingManager.begin_frame
+
+        def record(self):
+            managers.append(self)
+            begin_frame(self)
+
+        monkeypatch.setattr(StagingManager, "begin_frame", record)
         scene = fast_scene()
-        config = baseline_system().with_engine(engine)
+        config = baseline_system(num_gpms=num_gpms).with_engine(engine)
         split = build_framework(framework, config)
         split_result = split.render_scene(scene)
-        monkeypatch.setattr(
-            SingleKernelBaseline, "render_frame_on", _per_slice_render_frame_on
-        )
+        split_managers = list(managers)
+        managers.clear()
+        target, body = _PER_SLICE_ORACLES[framework.split(":")[0]]
+        monkeypatch.setattr(f"{target}.render_frame_on", body)
         oracle = build_framework(framework, config)
         oracle_result = oracle.render_scene(scene)
         assert split_result.to_dict() == oracle_result.to_dict()
-        assert _machine_state(split.last_system, []) == _machine_state(
-            oracle.last_system, []
+        assert _machine_state(split.last_system, [], split_managers) == (
+            _machine_state(oracle.last_system, [], managers)
         )
+        assert len(managers) == len(split_managers)
+        assert bool(managers) == framework.startswith(("tile", "object"))
 
     def test_completion_subscribers_are_rejected(self, config):
-        import numpy as np
+        from repro.gpu.staging import StagingManager
 
-        system = MultiGPUSystem(config)
-        system.begin_frame()
-        system.engine.on_complete(lambda resolved, execution: None)
         units = _split_units(np.random.default_rng(1), _split_resources(), 4)
-        with pytest.raises(EngineError, match="on_complete"):
-            system.engine.execute_split(units, 0.25, 1.0, 1.0, {0: 1.0})
-        # Rejected before anything was bound.
-        assert system.fabric.total_bytes == 0.0
-        assert not system.placement._entries
-        assert all(gpm.ready_at == 0.0 for gpm in system.gpms)
+        schedule = _even_split(units, 0.25, 1.0, 1.0, {0: 1.0})
+        for staged in (False, True):
+            system = MultiGPUSystem(config)
+            system.begin_frame()
+            system.engine.on_complete(lambda resolved, execution: None)
+            staging = StagingManager(system) if staged else None
+            with pytest.raises(EngineError, match="on_complete"):
+                system.engine.execute_split(units, schedule, staging)
+            # Rejected before anything was staged or bound.
+            assert system.fabric.total_bytes == 0.0
+            assert not system.placement._entries
+            assert all(gpm.ready_at == 0.0 for gpm in system.gpms)
 
     @pytest.mark.parametrize(
-        "shape, message",
+        "column, value, message",
         [
-            ((0.0, 1.0, 1.0, {0: 1.0}), "pixel_share"),
-            ((0.25, 0.5, 1.0, {0: 1.0}), "unique_inflation"),
-            ((0.25, 1.0, 0.5, {0: 1.0}), "stream_inflation"),
-            ((0.25, 1.0, 1.0, {0: 1.0}, 4), "out of range"),
-            ((0.25, 1.0, 1.0, {}), "fb_targets"),
+            ("pixel_share", 0.0, "pixel_share"),
+            ("geometry_share", 1.5, "geometry_share"),
+            ("unique_inflation", 0.5, "unique_inflation"),
+            ("stream_inflation", 0.5, "stream_inflation"),
+            ("command_source", 4, "out of range"),
+            ("gpm", -1, "out of range"),
+            ("unit", 2, "unit index"),
+            ("labels", ("only one",), "every column"),
+            ("fb_targets", {}, "fb_targets"),
+        ],
+        ids=[
+            "pixel_share", "geometry_share", "unique_inflation",
+            "stream_inflation", "command_source", "gpm", "unit", "labels",
+            "fb_targets",
         ],
     )
-    def test_rejects_malformed_splits(self, config, shape, message):
-        import numpy as np
+    def test_rejects_malformed_splits(self, config, column, value, message):
+        system = MultiGPUSystem(config)
+        system.begin_frame()
+        units = _split_units(np.random.default_rng(2), _split_resources(), 2)
+        schedule = _even_split(units, 0.25, 1.0, 1.0, {0: 1.0})
+        if isinstance(getattr(schedule, column), np.ndarray):
+            value = np.full(schedule.unit.shape, value)
+        with pytest.raises(ValueError, match=message):
+            system.engine.execute_split(
+                units, schedule._replace(**{column: value})
+            )
+        assert system.fabric.total_bytes == 0.0
+
+    def test_rejects_a_foreign_or_prefetching_prelude(self, config):
+        from repro.gpu.staging import StagingManager
 
         system = MultiGPUSystem(config)
         system.begin_frame()
         units = _split_units(np.random.default_rng(2), _split_resources(), 2)
-        with pytest.raises(ValueError, match=message):
-            system.engine.execute_split(units, *shape)
+        schedule = _even_split(units, 0.25, 1.0, 1.0, {0: 1.0})
+        for staging in (
+            StagingManager(MultiGPUSystem(config)),
+            StagingManager(system, prefetched=True),
+        ):
+            with pytest.raises(ValueError, match="staging prelude"):
+                system.engine.execute_split(units, schedule, staging)
 
     def test_profile_splits_bind_from_price(self, config):
         """``oovr run baseline ... --profile`` still separates the two."""
-        import numpy as np
-
         from repro.profiling import PhaseProfile, capture
 
         record = (
@@ -1672,7 +1993,22 @@ class TestSplitBind:
         system.begin_frame()
         units = _split_units(np.random.default_rng(3), _split_resources(), 8)
         with capture(PhaseProfile()) as profile:
-            system.engine.execute_split(units, 0.25, 1.0, 1.0, {0: 1.0})
+            system.engine.execute_split(
+                units, _even_split(units, 0.25, 1.0, 1.0, {0: 1.0})
+            )
         # Eq. 3 and the roofline are priced; everything else binds.
         assert profile.calls == {"bind": 1, "price": 2}
         assert profile.seconds["bind"] > 0 and profile.seconds["price"] > 0
+
+    def test_profile_covers_every_batched_framework(self):
+        """Tile-SFR, object-SFR and AFR cells still split bind from price."""
+        records = (
+            Sweep().frameworks("tile-v", "object", "afr").workloads("HL2-640")
+            .fast().run(profile=True).to_records()
+        )
+        assert [record["framework"] for record in records] == [
+            "tile-v", "object", "afr"
+        ]
+        for record in records:
+            assert record["profile_bind_s"] > 0, record["framework"]
+            assert record["profile_price_s"] > 0, record["framework"]

@@ -2,12 +2,19 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config import CostModel, baseline_system
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
-from repro.pipeline.raster import TILE_EDGE, normalize_pixel_shares, strip_shares, tile_count
+from repro.pipeline.raster import (
+    TILE_EDGE,
+    normalize_pixel_shares,
+    strip_share_columns,
+    strip_shares,
+    tile_count,
+)
 from repro.pipeline.rop import (
     crossing_fraction,
     distributed_composition,
@@ -16,7 +23,12 @@ from repro.pipeline.rop import (
 from repro.pipeline.smp import SMPEngine, SMPMode
 from repro.pipeline.timing import price_work_unit
 from repro.pipeline.workunit import merge_units
-from repro.scene.geometry import Viewport, full_screen, vertical_strips
+from repro.scene.geometry import (
+    Viewport,
+    full_screen,
+    horizontal_strips,
+    vertical_strips,
+)
 from repro.scene.objects import Eye
 from tests.conftest import MB, make_object
 
@@ -144,6 +156,64 @@ class TestRasterHelpers:
         shares = strip_shares([Viewport(1, 1, 20, 20)], strips)
         assert len(shares) == 1
         assert shares[0].strip_index == 0
+
+    def test_edge_touching_strip_gets_no_share(self):
+        """Meeting a strip only along its boundary is no overlap."""
+        strips = vertical_strips(full_screen(100, 100), 4)
+        # Strip 1 spans x in [25, 50): the first draw ends exactly where
+        # it begins, the second starts exactly where it ends.
+        shares = strip_shares([Viewport(5, 10, 25, 30)], strips)
+        assert [s.strip_index for s in shares] == [0]
+        assert shares[0].pixel_share == 1.0
+        shares = strip_shares([Viewport(50, 10, 60, 30)], strips)
+        assert [s.strip_index for s in shares] == [2]
+        draw, strip, share = strip_share_columns(
+            1, np.zeros(1, np.int64), np.array([5.0]), np.array([10.0]),
+            np.array([25.0]), np.array([30.0]), strips,
+        )
+        assert strip.tolist() == [0] and share.tolist() == [1.0]
+
+    def test_strip_share_columns_match_scalar_shares(self):
+        """The column kernel lists the scalar shares, float for float."""
+        rng = np.random.default_rng(2026)
+        screen = full_screen(2560, 1440)
+        for strips in (
+            vertical_strips(screen, 4),
+            horizontal_strips(screen, 3),
+            vertical_strips(screen, 7),
+        ):
+            draws = []
+            for _ in range(300):
+                rects = []
+                for _ in range(int(rng.integers(1, 3))):
+                    x0 = float(rng.choice([rng.uniform(0, 2560), 640.0, 1280.0]))
+                    y0 = float(rng.uniform(0, 1440))
+                    rects.append(
+                        Viewport(
+                            x0, y0,
+                            min(2560.0, x0 + float(rng.uniform(0.5, 900))),
+                            min(1440.0, y0 + float(rng.uniform(0.5, 600))),
+                        )
+                    )
+                draws.append(tuple(rects))
+            rows = np.array(
+                [
+                    (d, r.x0, r.y0, r.x1, r.y1)
+                    for d, rects in enumerate(draws)
+                    for r in rects
+                ]
+            ).T
+            draw, strip, share = strip_share_columns(
+                len(draws), rows[0].astype(np.int64), *rows[1:], strips
+            )
+            expected = [
+                (d, s.strip_index, s.pixel_share)
+                for d, rects in enumerate(draws)
+                for s in normalize_pixel_shares(strip_shares(rects, strips))
+            ]
+            assert list(zip(draw.tolist(), strip.tolist(), share.tolist())) == (
+                expected
+            )
 
 
 class TestCharacterizer:

@@ -684,3 +684,31 @@ class TestPlanCLI:
             assert fh.read() == want
         with open(warm_csv, "rb") as fh:
             assert fh.read() == want
+
+    def test_plan_warm_covers_tile_sfr(self, capsys, tmp_path):
+        """Tile-SFR renders from compiled frame plans, so a warmed store
+        answers a tile-h and tile-v sweep without a single miss."""
+        store_dir = str(tmp_path / "plans")
+        grid = ["--frameworks", "tile-h,tile-v", "--workloads", "HL2-640"]
+        assert cli.main(["plan", "warm", store_dir, "--fast"] + grid) == 0
+        out = capsys.readouterr().out
+        assert "0 compiled" not in out
+        plain_csv = str(tmp_path / "plain.csv")
+        warm_csv = str(tmp_path / "warm.csv")
+        fresh_memo()
+        assert cli.main(["sweep", "--fast", "--csv", plain_csv] + grid) == 0
+        capsys.readouterr()
+        fresh_memo()
+        assert (
+            cli.main(
+                ["sweep", "--fast", "--plan-store", store_dir,
+                 "--csv", warm_csv] + grid
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert ", 0 misses" in out and "plan store: 0 hits" not in out
+        with open(plain_csv, "rb") as fh:
+            want = fh.read()
+        with open(warm_csv, "rb") as fh:
+            assert fh.read() == want
