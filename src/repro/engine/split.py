@@ -80,8 +80,9 @@ _CODE = {traffic: code for code, traffic in enumerate(TRAFFIC_TYPES)}
 _KIND_CODE = {kind: _CODE[traffic] for kind, traffic in KIND_TO_TRAFFIC.items()}
 #: Units bound per pass of :func:`execute_split`.  A whole full-scale
 #: frame's (touch, owner) rows at once raised the full analytic grid's
-#: peak RSS by about a fifth; passes of 64 to 1024 units measured alike
-#: in time and memory, within a few percent of the per-slice bind.
+#: peak RSS by about a fifth.  On a 2-vCPU host, 128-unit passes
+#: lowered both benchmark grids' peak RSS by about 1 MB (1%) but made
+#: the baseline family's full-scale cells about 10% slower.
 _CHUNK_UNITS = 256
 _DEPTH_THEN_WRITE = np.array(
     [_CODE[TrafficType.ZTEST], _CODE[TrafficType.FRAMEBUFFER]], np.int64
@@ -179,6 +180,22 @@ def _merge(order_key: np.ndarray, *columns: np.ndarray):
     """Columns reordered by a stable sort on ``order_key``."""
     order = np.argsort(order_key, kind="stable")
     return tuple(column[order] for column in columns)
+
+
+def _copies_first(
+    copy_slice: np.ndarray,
+    copy_columns: Sequence[np.ndarray],
+    row_slice: np.ndarray,
+    columns: Sequence[np.ndarray],
+):
+    """Staging-copy rows merged into a slice-ordered row set, each
+    slice's copies before its own rows."""
+    if not copy_slice.size:
+        return tuple(columns)
+    return _merge(
+        np.concatenate((copy_slice * 2, row_slice * 2 + 1)),
+        *(np.concatenate(pair) for pair in zip(copy_columns, columns)),
+    )
 
 
 class _Visits(NamedTuple):
@@ -588,16 +605,8 @@ def _execute_chunk(
             )
             # max() is exact in any order; only sums need visit order.
             compute = np.max(stages[:-1], axis=0) + stages[-1]
-        visits = _visits(chunk, local, schedule)
-        copies = _NO_COPIES
-        if staging is not None:
-            copies = _stage(staging, system.num_gpms, visits, schedule.stage_scale)
-        touches = _touch_rows(system.placement, system.num_gpms, visits)
-        targets = _target_rows(
-            chunk, local, schedule, config.cost.bytes_per_ztest
-        )
-        local_bytes, link, linked, flows, demand = _bind_memory(
-            system, chunk, local, schedule, touches, targets, copies
+        local_bytes, link, linked, flows, demand, copies = _bind_memory(
+            system, chunk, local, schedule, staging
         )
         with profiled_phase("price"):
             cycles = _roofline(
@@ -671,21 +680,29 @@ def _bind_memory(
     units: Sequence[WorkUnit],
     local: np.ndarray,
     schedule: SliceSchedule,
-    touches: _TouchRows,
-    targets: _TargetRows,
-    copies: _Copies,
+    staging: Optional["StagingManager"],
 ):
     """Resolve every slice's memory image, with the machine's accounting.
 
     Returns per-slice local DRAM bytes, the per-(slice, peer) link-byte
-    roll-up and which peers it holds, the merged transfers and the
-    ``dram_demand`` contributions.  A staged slice's copies land on the
-    fabric and in DRAM before its render traffic.
+    roll-up and which peers it holds, the merged transfers, the
+    ``dram_demand`` contributions and the staging copies.  The staging
+    prelude resolves every visit's copy before the first owner map is
+    read, and a staged slice's copies land on the fabric and in DRAM
+    before its render traffic.
     """
     n = system.num_gpms
     slices = local.size
     gpm = schedule.gpm
     l2_bytes = float(system.config.gpm.l2_bytes)
+    visits = _visits(units, local, schedule)
+    copies = _NO_COPIES
+    if staging is not None:
+        copies = _stage(staging, n, visits, schedule.stage_scale)
+    touches = _touch_rows(system.placement, n, visits)
+    targets = _target_rows(
+        units, local, schedule, system.config.cost.bytes_per_ztest
+    )
 
     # Local rows go through the memory-side L2; remote rows only through
     # the toucher's remote cache, whose calls from touches and depth
@@ -768,14 +785,12 @@ def _bind_memory(
     )
 
     # The machine's accounting, each counter in visit order.
-    staged_first = np.concatenate((copies.slice * 2, flows.slice * 2 + 1))
     system.fabric.transfer_batch(
-        *_merge(
-            staged_first,
-            np.concatenate((copies.src, flows.src)),
-            np.concatenate((copies.dst, flows.dst)),
-            np.concatenate((copies.nbytes, flows.nbytes)),
-            np.concatenate((copies.traffic, flows.traffic)),
+        *_copies_first(
+            copies.slice,
+            (copies.src, copies.dst, copies.nbytes, copies.traffic),
+            flows.slice,
+            (flows.src, flows.dst, flows.nbytes, flows.traffic),
         )
     )
     drams = system.drams
@@ -792,10 +807,11 @@ def _bind_memory(
     _advance(
         drams,
         "local_write_bytes",
-        *_merge(
-            np.concatenate((copies.slice * 2, l_slice * 2 + 1)),
-            np.concatenate((copies.dst, targets.gpm[f_local][writes])),
-            np.concatenate((copies.nbytes, f_local_bytes[writes])),
+        *_copies_first(
+            copies.slice,
+            (copies.dst, copies.nbytes),
+            l_slice,
+            (targets.gpm[f_local][writes], f_local_bytes[writes]),
         ),
     )
     observer = system.remote_observer
@@ -848,7 +864,7 @@ def _bind_memory(
             np.concatenate((t_bytes[rows], fb_bytes)),
         )
     )
-    return local_bytes, link, linked, flows, demand
+    return local_bytes, link, linked, flows, demand, copies
 
 
 def _roofline(
@@ -897,7 +913,7 @@ def _schedule(
     is_stall[(np.cumsum(ops) - ops)[staged]] = True
     op_cycles = np.where(is_stall, stall[op_slice], cycles[op_slice])
     op_gpm = schedule.gpm[op_slice]
-    labels = [schedule.labels[slice_] for slice_ in op_slice.tolist()]
+    labels = list(map(schedule.labels.__getitem__, op_slice.tolist()))
     for op in np.flatnonzero(is_stall).tolist():
         labels[op] = "stage"
     starts = np.empty(op_slice.size)
@@ -919,7 +935,7 @@ def _schedule(
         gpm.rendered_triangles = _running(
             gpm.rendered_triangles, triangles[rendered]
         )[-1].item()
-        gpm.executed.extend([labels[op] for op in mine.tolist()])
+        gpm.executed.extend(map(labels.__getitem__, mine.tolist()))
     engine._intervals.extend(
         map(
             TraceInterval,
@@ -927,6 +943,6 @@ def _schedule(
             labels,
             starts.tolist(),
             ends.tolist(),
-            ["stall" if stalled else "render" for stalled in is_stall.tolist()],
+            map(("render", "stall").__getitem__, is_stall.tolist()),
         )
     )

@@ -21,7 +21,12 @@ accounting *and* pricing — is the execution engine's job: the manager
 emits the shortfalls as a staging flow
 (:meth:`~repro.engine.base.ExecutionEngine.stage_flow`), and the engine
 decides what the copy costs (the analytic overlap stall, or a
-contention-replayed wire flow under the event engine).
+contention-replayed wire flow under the event engine).  Statically
+scheduled frames (tile-level and object-level SFR) hand the manager to
+the slice pass instead
+(:meth:`~repro.engine.base.ExecutionEngine.execute_split`), which
+applies the same rules to every slice of the frame and lands each
+copy as ``stage_flow`` would.
 """
 
 from __future__ import annotations

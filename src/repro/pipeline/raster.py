@@ -90,14 +90,16 @@ def strip_share_columns(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every draw's normalised strip shares, as columns.
 
-    Row ``r`` is one screen rectangle of draw ``draw[r]``; a draw's
-    rectangles are consecutive rows in its viewport order.  Returns
+    Row ``r`` is one screen rectangle of draw ``draw[r]``; rows run
+    draw by draw, each draw's rectangles in its viewport order.  Returns
     ``(draw, strip, pixel_share)`` for every (draw, strip) overlap,
     draw by draw and strip by strip: the floats
     ``normalize_pixel_shares(strip_shares(viewports, strips))`` lists
     for each draw.  Every area, overlap and share is the scalar
-    expression elementwise, and the sums accumulate in the scalar
-    order (``np.add.at``).
+    expression elementwise; overlaps accumulate in the scalar order
+    (``np.add.at``), and the two totals the scalar path takes with the
+    builtin ``sum()`` are the builtin ``sum()`` over the same sequence
+    (CPython >= 3.12 compensates float ``sum()``).
     """
     sx0, sy0, sx1, sy1 = (
         np.array([getattr(strip, edge) for strip in strips], np.float64)
@@ -112,13 +114,20 @@ def strip_share_columns(
     np.add.at(overlap, draw, np.where(hit, (ix1 - ix0) * (iy1 - iy0), 0.0))
     overlaps = np.zeros((draws, len(strips)), bool)
     np.logical_or.at(overlaps, draw, hit)
-    total_area = np.zeros(draws)
-    np.add.at(total_area, draw, (x1 - x0) * (y1 - y0))
+    total_area = _group_sums(draws, draw, (x1 - x0) * (y1 - y0))
     shared, strip = np.nonzero(overlaps)
     share = overlap[shared, strip] / total_area[shared]
-    total = np.zeros(draws)
-    np.add.at(total, shared, share)
-    return shared, strip, share / total[shared]
+    return shared, strip, share / _group_sums(draws, shared, share)[shared]
+
+
+def _group_sums(groups: int, group: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The builtin ``sum()`` of each group's values (rows grouped in order)."""
+    bounds = np.searchsorted(group, np.arange(groups + 1)).tolist()
+    items = values.tolist()
+    return np.array(
+        [sum(items[bounds[g] : bounds[g + 1]]) for g in range(groups)],
+        np.float64,
+    )
 
 
 def normalize_pixel_shares(shares: List[StripShare]) -> List[StripShare]:

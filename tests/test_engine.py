@@ -1392,17 +1392,16 @@ def _per_slice(system, units, schedule, staging=None):
 
 def _even_split(
     units, share, unique_inflation, stream_inflation, fb_targets,
-    command_source=0, num_gpms=4,
+    command_source=0,
 ):
-    """The baseline family's shape: every unit on every GPM, one share."""
-    import numpy as np
-
+    """The baseline family's shape: every unit on each of four GPMs,
+    one share."""
     from repro.engine.split import slice_schedule
 
     return slice_schedule(
-        np.repeat(np.arange(len(units)), num_gpms),
-        np.tile(np.arange(num_gpms), len(units)),
-        [f"{unit.label}/gpm{gpm}" for unit in units for gpm in range(num_gpms)],
+        np.repeat(np.arange(len(units)), 4),
+        np.tile(np.arange(4), len(units)),
+        [f"{unit.label}/gpm{gpm}" for unit in units for gpm in range(4)],
         pixel_share=share,
         geometry_share=share,
         unique_inflation=unique_inflation,
