@@ -80,10 +80,11 @@ _CODE = {traffic: code for code, traffic in enumerate(TRAFFIC_TYPES)}
 _KIND_CODE = {kind: _CODE[traffic] for kind, traffic in KIND_TO_TRAFFIC.items()}
 #: Units bound per pass of :func:`execute_split`.  A whole full-scale
 #: frame's (touch, owner) rows at once raised the full analytic grid's
-#: peak RSS by about a fifth.  On a 2-vCPU host, 128-unit passes
-#: lowered both benchmark grids' peak RSS by about 1 MB (1%) but made
-#: the baseline family's full-scale cells about 10% slower.
-_CHUNK_UNITS = 256
+#: peak RSS by about a fifth.  On a 2-vCPU host, 192-unit passes
+#: measured alike in time with 256-unit ones and held both benchmark
+#: grids' peak RSS about 1 MB lower; 128-unit passes made the baseline
+#: family's full-scale cells about 10% slower.
+_CHUNK_UNITS = 192
 _DEPTH_THEN_WRITE = np.array(
     [_CODE[TrafficType.ZTEST], _CODE[TrafficType.FRAMEBUFFER]], np.int64
 )
