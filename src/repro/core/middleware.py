@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.tsl import byte_shares, tsl_from_shares
 from repro.scene.objects import RenderObject
 from repro.scene.texture import Texture
@@ -33,6 +35,9 @@ from repro.scene.texture import Texture
 DEFAULT_TRIANGLE_LIMIT = 4096
 #: The paper's grouping threshold on Eq. 1.
 DEFAULT_TSL_THRESHOLD = 0.5
+#: A columnar TSL this close to the threshold is re-decided by the
+#: scalar Eq. 1 (:func:`~repro.core.tsl.tsl_from_shares`).
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,126 @@ class OOMiddleware:
         self.tsl_threshold = tsl_threshold
 
     def build_batches(self, objects: Sequence[RenderObject]) -> List[Batch]:
-        """Run the Fig. 12 grouping loop over ``objects`` in order."""
+        """Run the Fig. 12 grouping loop over ``objects`` in order.
+
+        The columnar form of :meth:`build_batches_reference`, making
+        every one of its decisions.  The queue is draw order with an
+        alive mask over it; each object's Eq. 1 byte shares (exactly
+        :func:`byte_shares`) and binding flags sit in a texture-major
+        matrix.  For each root state one matrix-vector product over the
+        root's textures gives every candidate's Eq. 1 numerator and
+        denominator, and the first alive candidate after the scan
+        position that depends on a member or clears the threshold is
+        merged; the scan then resumes after it, and the root's shares
+        are recomputed only then.  A TSL within :data:`TIE_TOLERANCE`
+        of the threshold is re-decided by :func:`tsl_from_shares`, so
+        summation order cannot flip a decision.  Object ids must be
+        unique, as a :class:`~repro.scene.scene.Frame` enforces.
+        """
+        objects = list(objects)
+        count = len(objects)
+        shares_of: Dict[int, dict] = {
+            obj.object_id: byte_shares(obj.textures) for obj in objects
+        }
+        row_of: Dict[int, int] = {}
+        rows: List[int] = []
+        cols: List[int] = []
+        values: List[float] = []
+        for col, obj in enumerate(objects):
+            for tid, share in shares_of[obj.object_id].items():
+                rows.append(row_of.setdefault(tid, len(row_of)))
+                cols.append(col)
+                values.append(share)
+        # [0] holds the shares (numerators), [1] the binding flags
+        # (denominators); texture-major, so a root's rows gather whole.
+        columns = np.zeros((2, len(row_of), count))
+        columns[0, rows, cols] = values
+        columns[1, rows, cols] = 1.0
+        # Object ids -> member flags; a ``depends_on`` outside the frame
+        # points at the trailing slot, which is never set.
+        slot_of: Dict[int, int] = {}
+        for obj in objects:
+            slot_of.setdefault(obj.object_id, len(slot_of))
+        outside = len(slot_of)
+        parent_slot = np.array(
+            [slot_of.get(obj.depends_on, outside) for obj in objects],
+            dtype=np.intp,
+        )
+        member = np.zeros(outside + 1, dtype=bool)
+        alive = np.ones(count, dtype=bool)
+        threshold = self.tsl_threshold
+        floor = threshold - TIE_TOLERANCE
+        ceiling = threshold + TIE_TOLERANCE
+
+        def next_merge(root_shares: dict, start: int) -> Tuple[int, bool]:
+            """First candidate at or after ``start`` the loop merges."""
+            weights = np.array(list(root_shares.values()))
+            rows = [row_of[t] for t in root_shares]
+            numerator, denominator = weights @ columns[:, rows, start:]
+            dependent = member[parent_slot[start:]]
+            # From the tie window up; an unshared candidate's numerator
+            # and denominator are both zero, so it never passes.
+            hits = alive[start:] & (dependent | (numerator > floor * denominator))
+            while True:
+                offset = hits.argmax()
+                if not hits[offset]:
+                    return -1, False
+                index = start + offset
+                if dependent[offset]:
+                    return index, True
+                if numerator[offset] / denominator[offset] > ceiling:
+                    return index, False
+                exact = tsl_from_shares(
+                    root_shares, shares_of[objects[index].object_id]
+                )
+                if exact > threshold:
+                    return index, False
+                hits[offset] = False
+
+        batches: List[Batch] = []
+        for head in range(count):
+            if not alive[head]:
+                continue
+            root = objects[head]
+            alive[head] = False
+            members: List[RenderObject] = [root]
+            member[slot_of[root.object_id]] = True
+            root_textures: Dict[int, Texture] = {
+                t.texture_id: t for t in root.textures
+            }
+            root_shares = byte_shares(tuple(root_textures.values()))
+            triangles = root.mesh.num_triangles
+            limit = self.triangle_limit
+            start = head + 1
+            while start < count and triangles < limit:
+                index, depends = next_merge(root_shares, start)
+                if index < 0:
+                    break
+                candidate = objects[index]
+                alive[index] = False
+                if depends:
+                    # Direct merge; raise the cap so the dependent draw
+                    # never splits away from its parent.
+                    limit += candidate.mesh.num_triangles
+                members.append(candidate)
+                member[slot_of[candidate.object_id]] = True
+                for texture in candidate.textures:
+                    root_textures.setdefault(texture.texture_id, texture)
+                root_shares = byte_shares(tuple(root_textures.values()))
+                triangles += candidate.mesh.num_triangles
+                start = index + 1
+            for obj in members:
+                member[slot_of[obj.object_id]] = False
+            batches.append(Batch(batch_id=len(batches), objects=tuple(members)))
+        return batches
+
+    def build_batches_reference(
+        self, objects: Sequence[RenderObject]
+    ) -> List[Batch]:
+        """The Fig. 12 loop, one scalar Eq. 1 probe per candidate.
+
+        The oracle :meth:`build_batches` must equal with ``==``.
+        """
         queue: List[RenderObject] = list(objects)
         # A candidate's Eq. 1 share vector depends only on its own
         # texture bindings, so compute each one once up front instead

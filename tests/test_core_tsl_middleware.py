@@ -5,8 +5,16 @@ import pytest
 from repro.core.middleware import Batch, OOMiddleware
 from repro.core.programming_model import OOApplication
 from repro.core.tsl import should_group, texture_sharing_level
+from repro.experiments.extensions import (
+    BATCHING_TRIANGLE_CAPS,
+    BATCHING_TSL_THRESHOLDS,
+)
+from repro.frameworks.base import build_framework
+from repro.scene.benchmarks import WORKLOADS
 from repro.scene.geometry import Viewport
 from repro.scene.objects import Eye
+from repro.scene.texture import TexturePool
+from repro.session.spec import FAST, FULL, cached_scene
 from tests.conftest import MB, make_object
 
 
@@ -150,6 +158,112 @@ class TestMiddleware:
     def test_batch_cannot_be_empty(self):
         with pytest.raises(ValueError):
             Batch(batch_id=0, objects=())
+
+
+#: Both grouping paths: the columnar scan and its scalar oracle.
+GROUPINGS = ("build_batches", "build_batches_reference")
+
+
+def group(middleware, objects, path):
+    return getattr(middleware, path)(objects)
+
+
+@pytest.mark.parametrize("path", GROUPINGS)
+class TestGroupingEdges:
+    def test_tsl_exactly_at_threshold_is_not_merged(self, pool, path):
+        # Root (a, b) and candidate (a, c), equal sizes: Pr(a) = Pn(a)
+        # = 0.5, so TSL = 0.5 exactly and the strict > keeps them apart.
+        objects = [
+            make_object(0, pool, textures=(("a", MB), ("b", MB))),
+            make_object(1, pool, textures=(("a", MB), ("c", MB))),
+        ]
+        assert texture_sharing_level(
+            objects[0].textures, objects[1].textures
+        ) == 0.5
+        batches = group(OOMiddleware(), objects, path)
+        assert [b.object_ids for b in batches] == [(0,), (1,)]
+
+    @pytest.mark.parametrize(
+        "small", [MB - 1, 2**31 - 1], ids=["above", "within-tie-window"]
+    )
+    def test_tsl_just_above_threshold_is_merged(self, path, small):
+        # Pn(a) = big / (big + small) is a hair above 0.5; the second
+        # case lies within 1e-9 of it, where the scalar Eq. 1 decides.
+        big = small + 1
+        pool = TexturePool()
+        objects = [
+            make_object(0, pool, textures=(("a", big), ("b", big))),
+            make_object(1, pool, textures=(("a", big), ("c", small))),
+        ]
+        tsl = texture_sharing_level(objects[0].textures, objects[1].textures)
+        assert 0.5 < tsl < 0.5 + 1e-6
+        batches = group(OOMiddleware(), objects, path)
+        assert [b.object_ids for b in batches] == [(0, 1)]
+
+    def test_dependent_merges_at_zero_tsl_and_raises_the_cap(self, pool, path):
+        # The child shares nothing with its parent, yet merges; the cap
+        # then rises by its triangles, so a third stone object still
+        # fits (8000 < 4096 + 4000) instead of starting a new batch.
+        objects = [
+            make_object(0, pool, textures=(("stone", MB),), triangles=4000),
+            make_object(
+                1, pool, textures=(("glass", MB),), triangles=4000,
+                depends_on=0,
+            ),
+            make_object(2, pool, textures=(("stone", MB),), triangles=50),
+        ]
+        assert texture_sharing_level(
+            objects[0].textures, objects[1].textures
+        ) == 0.0
+        batches = group(OOMiddleware(triangle_limit=4096), objects, path)
+        assert [b.object_ids for b in batches] == [(0, 1, 2)]
+
+    def test_child_scanned_before_its_parent_joins_stays_out(self, pool, path):
+        # The child is probed (and rejected, TSL 0) before its parent
+        # merges; the scan never goes back, so it starts its own batch.
+        objects = [
+            make_object(0, pool, textures=(("stone", MB),)),
+            make_object(1, pool, textures=(("glass", MB),), depends_on=2),
+            make_object(2, pool, textures=(("stone", MB),)),
+        ]
+        batches = group(OOMiddleware(), objects, path)
+        assert [b.object_ids for b in batches] == [(0, 2), (1,)]
+
+
+class TestColumnarGroupingIsDecisionExact:
+    """``build_batches`` equals its scalar oracle on the real workloads."""
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_fast_workloads_every_knob(self, workload):
+        scene = cached_scene(workload, FAST.num_frames, 2019, FAST.draw_scale)
+        for frame in scene.frames:
+            for threshold in (0.0,) + BATCHING_TSL_THRESHOLDS:
+                for cap in BATCHING_TRIANGLE_CAPS:
+                    middleware = OOMiddleware(
+                        triangle_limit=cap, tsl_threshold=threshold
+                    )
+                    assert middleware.build_batches(
+                        frame.objects
+                    ) == middleware.build_batches_reference(frame.objects), (
+                        frame.frame_id, threshold, cap,
+                    )
+
+    @pytest.mark.parametrize("workload", ("HL2-1280", "DM3-1280", "WE"))
+    def test_full_scale_frames_paper_knobs(self, workload):
+        scene = cached_scene(workload, FULL.num_frames, 2019, FULL.draw_scale)
+        middleware = OOMiddleware()
+        for frame in scene.frames:
+            batches = middleware.build_batches(frame.objects)
+            assert batches == middleware.build_batches_reference(frame.objects)
+            assert len(batches) < len(frame.objects)  # grouping happened
+
+    def test_merged_units_equal_field_for_field(self):
+        frame = cached_scene("WE", FAST.num_frames, 2019, FAST.draw_scale).frames[0]
+        builder = build_framework("oo-app")._builder
+        columnar = builder._build(frame)
+        middleware = builder._middleware
+        middleware.build_batches = middleware.build_batches_reference
+        assert builder._build(frame) == columnar
 
 
 class TestProgrammingModel:

@@ -124,6 +124,62 @@ class TestMiddlewareProperties:
         assert [b.batch_id for b in batches] == list(range(len(batches)))
 
 
+#: Few sizes, so equal-size textures make Eq. 1 land exactly on the
+#: thresholds (root (a, b) vs candidate (a, c) is exactly 0.5).
+_SOUP_SIZES = (KB, KB, KB, 2 * KB, 3 * KB)
+
+
+_soup_objects = st.lists(
+    st.tuples(
+        st.sampled_from((0, 1, 3, 60, 600, 2000, 5000)),  # triangles
+        st.lists(st.integers(0, 5), max_size=4),  # bindings, may repeat
+        st.none() | st.integers(0, 39),  # depends_on
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@st.composite
+def grouping_soups(draw):
+    """Objects with duplicate bindings, dependency chains, zero-triangle
+    meshes and texture-less draws, plus a cap and a threshold."""
+    sizes = draw(st.lists(st.sampled_from(_SOUP_SIZES), min_size=6, max_size=6))
+    textures = [Texture(tid, f"t{tid}", size) for tid, size in enumerate(sizes)]
+    vp = Viewport(0, 0, 64, 64)
+    objects = [
+        RenderObject(
+            object_id=index,
+            name=f"o{index}",
+            mesh=Mesh(tris and max(3, tris // 2), tris),
+            textures=tuple(textures[t] for t in bound),
+            viewport_left=vp,
+            viewport_right=vp.shifted(4),
+            depends_on=None if parent == index else parent,
+        )
+        for index, (tris, bound, parent) in enumerate(draw(_soup_objects))
+    ]
+    cap = draw(st.sampled_from((1, 2, 60, 1000, 4096)) | st.integers(1, 9000))
+    threshold = draw(
+        st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7, 0.9)) | st.floats(0.0, 0.9)
+    )
+    return objects, cap, threshold
+
+
+class TestColumnarGroupingProperties:
+    @given(grouping_soups())
+    @settings(max_examples=300, deadline=None)
+    def test_columnar_equals_reference(self, soup):
+        objects, cap, threshold = soup
+        middleware = OOMiddleware(triangle_limit=cap, tsl_threshold=threshold)
+        columnar = middleware.build_batches(objects)
+        reference = middleware.build_batches_reference(objects)
+        assert columnar == reference
+        assert [b.object_ids for b in columnar] == [
+            b.object_ids for b in reference
+        ]
+
+
 # -- cache models ---------------------------------------------------------------
 
 
