@@ -120,11 +120,7 @@ def test_cell_throughput():
       per-triangle reference walk;
     - ``scene_build`` — the vectorized scene generator against the
       retained scalar reference (both sides emit frames *and* batches,
-      equality asserted field-for-field before timing, gate >= 3x),
-      plus a ``plan_store`` block timing the compiled-plan store on
-      the fast cell — absent/cold/warm walls plus the profiled
-      bind+price phase seconds, gated at a >= 2x phase speedup warm
-      vs. absent (results asserted identical before timing);
+      equality asserted field-for-field before timing, gate >= 3x);
     - ``shared_workload_sweep`` — a 4-cell serial sweep whose cells all
       share one workload, run with the reuse cache on and off.  The
       CSVs are asserted byte-identical before either side is timed,
@@ -284,13 +280,10 @@ def test_cell_throughput():
     # natively), and equality is asserted field-for-field before either
     # side is timed — the vectorized generator must be bit-identical,
     # not merely fast.
-    import shutil
-    import tempfile
     from dataclasses import replace as dataclass_replace
 
     from repro.scene.benchmarks import parse_workload
     from repro.scene.synthetic import SyntheticSceneGenerator
-    from repro.session.spec import cached_scene
 
     bench_spec, width, height = parse_workload("HL2-1280")
     scene_profile = dataclass_replace(
@@ -342,79 +335,6 @@ def test_cell_throughput():
     # The tentpole gate: the vectorized generator clears 3x over the
     # retained scalar reference on the same host.
     assert scene_build["speedup_vs_reference"] >= 3.0
-
-    # -- compiled-plan store: absent/cold/warm on the fast cell ---------
-    # The fast oo-vr cell, its scene rebuilt on every call.  Results are
-    # asserted identical across all three store states before anything
-    # is timed; the gate is on *phase seconds* (bind + price with the
-    # store warm must be at least 2x cheaper than with no store), which
-    # scene building never enters, so it is a same-host A/B the whole-
-    # cell walls merely contextualise.
-    from repro.plan.store import PlanStore, plan_store_scope
-    from repro.reuse import get_cache
-
-    plan_root = tempfile.mkdtemp(prefix="oovr-plan-bench-")
-    try:
-        plan_store = PlanStore(plan_root)
-        fast_spec = RunSpec(framework="oo-vr", workload="HL2-1280").with_preset(
-            FAST
-        )
-
-        def plan_cell(active_plan):
-            # Fresh frames each call: the per-process memo is anchored
-            # on frame identity, so clearing the scene memo forces the
-            # build path (and with it the store consult) to run.
-            cached_scene.cache_clear()
-            get_cache().clear()
-            if active_plan is None:
-                return fast_spec.execute()
-            with plan_store_scope(active_plan):
-                return fast_spec.execute()
-
-        absent_result = plan_cell(None)
-        start = time.perf_counter()
-        cold_result = plan_cell(plan_store)
-        plan_cold_s = time.perf_counter() - start
-        warm_result = plan_cell(plan_store)
-        assert cold_result.to_dict() == absent_result.to_dict()
-        assert warm_result.to_dict() == absent_result.to_dict()
-        plan_warm_s = _best_seconds(lambda: plan_cell(plan_store), repeats=2)
-        plan_absent_s = _best_seconds(lambda: plan_cell(None), repeats=2)
-
-        def bind_price_seconds(active_plan):
-            profile = profiling.PhaseProfile()
-            with profiling.capture(profile):
-                plan_cell(active_plan)
-            seconds = profile.seconds.get("bind", 0.0) + profile.seconds.get(
-                "price", 0.0
-            )
-            return seconds, profile
-
-        absent_phase_s, _ = bind_price_seconds(None)
-        warm_phase_s, warm_profile = bind_price_seconds(plan_store)
-        scene_build["plan_store"] = {
-            "cell": "oo-vr HL2-1280 FAST preset, scene rebuilt per call",
-            "cold_cell_seconds": round(plan_cold_s, 4),
-            "warm_cell_seconds": round(plan_warm_s, 4),
-            "no_store_cell_seconds": round(plan_absent_s, 4),
-            "warm_speedup_vs_no_store": round(plan_absent_s / plan_warm_s, 2),
-            "no_store_bind_price_seconds": round(absent_phase_s, 4),
-            "warm_bind_price_seconds": round(warm_phase_s, 4),
-            "warm_bind_price_speedup": round(absent_phase_s / warm_phase_s, 2),
-            "warm_bind_price_fraction": round(
-                warm_phase_s / warm_profile.total_seconds, 4
-            ),
-            "warm_plan_hits": int(
-                warm_profile.counters.get("plan_store_hit", 0)
-            ),
-            "byte_identical": True,
-        }
-        # The gate: a warm plan store halves (at least) the combined
-        # bind+price phase cost of the fast cell.
-        assert scene_build["plan_store"]["warm_bind_price_speedup"] >= 2.0
-        assert scene_build["plan_store"]["warm_plan_hits"] > 0
-    finally:
-        shutil.rmtree(plan_root, ignore_errors=True)
 
     # -- shared-workload sweep: reuse cache on vs off -------------------
     # Four cells over one workload — the ablation-grid shape the reuse

@@ -14,9 +14,6 @@ Every experiment command is a thin wrapper over the Session/Sweep API
     oovr run oo-vr HL2-1280 --engine event  # contention-aware timing
     oovr sweep --fast --engine event  # whole grid on the event engine
     oovr sweep --fast --cache .oovr-cache  # memoise cells on disk
-    oovr sweep --fast --plan-store .oovr-plans  # mmap compiled work plans
-    oovr plan warm .oovr-plans --fast     # pre-characterize the suite
-    oovr plan info .oovr-plans            # plan-store inventory
     oovr sweep --fast --progress      # one line per completed cell
     oovr sweep --fast --shard 0/2 --cache shard0  # this host's slice
     oovr cache merge merged shard0 shard1  # gather scattered shards
@@ -163,11 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.engine is not None:
         session.engine(args.engine)
-    result = session.run(
-        profile=args.profile,
-        reuse=not args.no_reuse,
-        plan_store=args.plan_store,
-    )
+    result = session.run(profile=args.profile, reuse=not args.no_reuse)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         if session.last_profile is not None:
@@ -216,8 +209,7 @@ def _csv_list(text: str) -> Sequence[str]:
 
 def _grid(args: argparse.Namespace) -> Sweep:
     """The grid named by ``--frameworks``/``--workloads``/``--fast``/
-    ``--frames``/``--seed``, shared by ``oovr sweep`` and ``oovr plan
-    warm`` so both reject the same bad input (exit 2)."""
+    ``--frames``/``--seed``; bad input is a usage error (exit 2)."""
     sweep = Sweep().preset(_experiment(args))
     if args.frameworks is None:
         sweep.frameworks(*framework_names())
@@ -243,13 +235,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.engine is not None:
         sweep.engine(args.engine)
     cache = ResultCache(args.cache) if args.cache else None
-    plan_store = None
-    if args.plan_store:
-        from repro.plan.store import PlanStore
-
-        # Built here (not inside Sweep.run) so the hit/miss stats of
-        # this invocation can be reported below.
-        plan_store = PlanStore(args.plan_store)
     if args.shard and not args.cache:
         print(
             "note: --shard without --cache computes this slice but "
@@ -285,7 +270,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         on_result=_on_result(args),
         profile=args.profile,
         reuse=not args.no_reuse,
-        plan_store=plan_store,
     )
 
     from repro.stats.reporting import format_table
@@ -323,12 +307,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
     if cache is not None:
         print(f"cache: {cache.stats.summary()} -> {args.cache}")
-    if plan_store is not None:
-        stats = plan_store.stats
-        print(
-            f"plan store: {stats.hits} hits, {stats.misses} misses "
-            f"-> {args.plan_store}"
-        )
     if args.csv:
         results.to_csv(args.csv)
         print(f"wrote {args.csv}")
@@ -468,106 +446,6 @@ def _cmd_cache_manifest(args: argparse.Namespace) -> int:
     return 0 if complete else 1
 
 
-def _plan_store_dir(given: Optional[str]) -> str:
-    """The store directory of ``oovr plan info|clear``.
-
-    The positional wins; without one the environment default the
-    run/sweep paths already honor (``$OOVR_PLAN_STORE``) applies, so
-    ``oovr plan info`` inspects the same store ``oovr sweep`` just
-    used.  Neither given is a usage error (exit 2 via
-    :class:`SessionError`).
-    """
-    if given:
-        return given
-    from_env = os.environ.get("OOVR_PLAN_STORE")
-    if from_env:
-        return from_env
-    raise SessionError(
-        "no plan store directory given and $OOVR_PLAN_STORE is not set"
-    )
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.plan.store import PlanStore, plan_store_scope
-
-    if args.plan_command == "warm":
-        from repro.session.spec import cached_scene
-
-        # Validated exactly like `oovr sweep` before anything is
-        # compiled: unknown names, --frames 0, a negative --seed and an
-        # empty --workloads/--frameworks list are usage errors (exit 2).
-        specs = _grid(args).specs()
-        workloads = dict.fromkeys(spec.workload for spec in specs)
-        frameworks = dict.fromkeys(spec.framework for spec in specs)
-        point = specs[0]
-        store = PlanStore(args.dir)
-        with plan_store_scope(store):
-            for workload in workloads:
-                before = store.stats.stores
-                # cached_scene stamps the frames with their scene
-                # content key; warm_plan then runs the exact
-                # characterisation each framework's render path would,
-                # so every store entry is written by its consumer's own
-                # code path.
-                scene = cached_scene(
-                    workload, point.num_frames, point.seed, point.draw_scale
-                )
-                for name in frameworks:
-                    framework = build_framework(name)
-                    for frame in scene.frames:
-                        framework.warm_plan(frame)
-                compiled = store.stats.stores - before
-                status = (
-                    f"compiled {compiled} plan(s)" if compiled else "present"
-                )
-                print(f"  {workload:<12} {status}")
-        print(
-            f"plan store {args.dir}: {store.stats.stores} compiled, "
-            f"{store.stats.hits} already present"
-        )
-        return 0
-    directory = _plan_store_dir(args.dir)
-    if not os.path.isdir(directory):
-        # Inspection/maintenance must not create the directory a typo
-        # names (PlanStore.__init__ would mkdir it).
-        print(f"error: no plan store at {directory}", file=sys.stderr)
-        return 2
-    store = PlanStore(directory)
-    if args.plan_command == "info":
-        info = store.info()
-        if getattr(args, "json", False):
-            print(json.dumps(info, indent=2))
-            return 0
-        print(f"plan store at {info['root']}:")
-        print(f"  entries     : {info['entries']}")
-        print(f"  corrupt     : {info['corrupt']}")
-        print(f"  total bytes : {info['total_bytes']}")
-        for plan in info["plans"]:
-            if plan.get("corrupt"):
-                print(f"  {plan['file']}: corrupt ({plan['bytes']} bytes)")
-                continue
-            if plan["kind"] == "frame":
-                detail = (
-                    f"mode={plan['mode']} expansion={plan['expansion']} "
-                    f"draws={plan['num_draws']}"
-                )
-            else:
-                detail = (
-                    f"cap={plan['triangle_limit']} "
-                    f"tsl={plan['tsl_threshold']:g} "
-                    f"batches={plan['num_batches']}"
-                )
-            print(
-                f"  {plan['key'][:12]} {plan['kind']:<6} "
-                f"scene={plan['scene'][:12]} cost={plan['cost'][:12]} "
-                f"{detail} ({plan['bytes']} bytes)"
-            )
-        return 0
-    removed = store.clear()
-    print(f"cleared {removed} compiled plan(s) from {directory}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import serve
 
@@ -606,7 +484,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             poll_interval=args.poll_interval,
             lease_limit=args.lease_limit,
             max_idle=args.max_idle,
-            plan_store=args.plan_store,
         )
     except ValueError as error:
         raise SessionError(str(error)) from None
@@ -817,14 +694,6 @@ def make_parser() -> argparse.ArgumentParser:
         "batches and frame characterisation); results are byte-"
         "identical either way",
     )
-    run.add_argument(
-        "--plan-store", metavar="DIR",
-        default=os.environ.get("OOVR_PLAN_STORE"),
-        help="persistent compiled work-plan store: mmap-load frame "
-        "characterisation and batch grouping when already compiled, "
-        "build-and-store otherwise (default: $OOVR_PLAN_STORE); "
-        "results are byte-identical either way",
-    )
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser(
@@ -893,14 +762,6 @@ def make_parser() -> argparse.ArgumentParser:
         "batches and frame characterisation shared by cells with the "
         "same workload); records are byte-identical either way",
     )
-    sweep.add_argument(
-        "--plan-store", metavar="DIR",
-        default=os.environ.get("OOVR_PLAN_STORE"),
-        help="persistent compiled work-plan store shared by every "
-        "process of the sweep: each (workload, cost config) point is "
-        "characterised once and mmap-loaded everywhere else (default: "
-        "$OOVR_PLAN_STORE); records are byte-identical either way",
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     cache = sub.add_parser(
@@ -943,53 +804,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     cache_manifest.add_argument("dir", help="cache directory")
     cache_manifest.set_defaults(func=_cmd_cache_manifest)
-
-    plan = sub.add_parser(
-        "plan", help="warm/inspect/clear compiled work-plan stores"
-    )
-    plan_sub = plan.add_subparsers(dest="plan_command", required=True)
-    plan_warm = plan_sub.add_parser(
-        "warm",
-        help="pre-characterise workload points into a store so later "
-        "runs and worker fleets mmap-load work plans instead of "
-        "re-running Eq. 3 and the batch grouping",
-    )
-    plan_warm.add_argument("dir", help="plan store directory (created)")
-    plan_warm.add_argument(
-        "--workloads",
-        help="comma-separated workload names (default: the full suite)",
-    )
-    plan_warm.add_argument(
-        "--frameworks",
-        help="comma-separated framework names whose plans to compile "
-        "(default: all registered)",
-    )
-    plan_warm.add_argument(
-        "--fast", action="store_true", help="scaled-down scenes"
-    )
-    plan_warm.add_argument("--frames", type=int, help="frames per scene")
-    plan_warm.add_argument("--seed", type=int, help="scene-generation seed")
-    plan_warm.set_defaults(func=_cmd_plan)
-    plan_info = plan_sub.add_parser(
-        "info", help="store inventory (entries, plan kinds, bytes)"
-    )
-    plan_info.add_argument(
-        "dir", nargs="?", default=None,
-        help="plan store directory (default: $OOVR_PLAN_STORE)",
-    )
-    plan_info.add_argument(
-        "--json", action="store_true",
-        help="machine-readable inventory (PlanStore.info document)",
-    )
-    plan_info.set_defaults(func=_cmd_plan)
-    plan_clear = plan_sub.add_parser(
-        "clear", help="drop every compiled plan"
-    )
-    plan_clear.add_argument(
-        "dir", nargs="?", default=None,
-        help="plan store directory (default: $OOVR_PLAN_STORE)",
-    )
-    plan_clear.set_defaults(func=_cmd_plan)
 
     trace = sub.add_parser("trace", help="capture/inspect/replay traces")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -1062,13 +876,6 @@ def make_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--max-idle", type=float, default=None, metavar="SECONDS",
         help="exit after this long without work (default: wait forever)",
-    )
-    worker.add_argument(
-        "--plan-store", metavar="DIR",
-        default=os.environ.get("OOVR_PLAN_STORE"),
-        help="persistent compiled work-plan store for leased cells — "
-        "a fleet sharing one directory characterises each (workload, "
-        "cost config) point once (default: $OOVR_PLAN_STORE)",
     )
     worker.set_defaults(func=_cmd_worker)
 

@@ -112,10 +112,6 @@ class AblatedOOVR(RenderingFramework):
         self.name = features.label()
         self._builder = _BatchBuilder(self)
 
-    def warm_plan(self, frame: Frame) -> None:
-        """Compile the TSL grouping (and its characterisation)."""
-        self._builder.build(frame)
-
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:

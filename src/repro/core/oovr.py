@@ -16,7 +16,6 @@ Two registered schemes, matching the paper's evaluation design points:
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -31,7 +30,7 @@ from repro.gpu.system import MultiGPUSystem
 from repro.memory.placement import PlacementPolicy
 from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import WorkUnit, merge_units
-from repro.profiling import add_counter, phase
+from repro.profiling import phase
 from repro.reuse import get_cache
 from repro.scene.scene import Frame
 from repro.stats.metrics import FrameResult
@@ -52,14 +51,8 @@ class _BatchBuilder:
         is memoised per process anchored on the frame object — cells
         sharing a workload skip Fig. 12 grouping and the batch merges.
         Batches and units are frozen; a fresh list is returned per call
-        so no consumer can alias another cell's container.
-
-        When a compiled-plan store is active (:mod:`repro.plan.store`)
-        the memo's build path consults it first: a ``"group"`` hit
-        rebuilds the pairs from the persisted grouping — skipping the
-        Fig. 12 scan, the Eq. 3 characterisation *and* the merges — a
-        miss builds in process and persists for every later process
-        sharing the store.
+        so no consumer can alias another cell's container.  The build
+        runs inside the ``bind`` profiling phase.
         """
         return list(
             get_cache().memoize(
@@ -70,87 +63,41 @@ class _BatchBuilder:
                     self._middleware.triangle_limit,
                     self._middleware.tsl_threshold,
                 ),
-                lambda: self._build_stored(frame),
+                lambda: self._build(frame),
             )
         )
 
-    def _build_stored(self, frame: Frame) -> Tuple[Tuple[Batch, WorkUnit], ...]:
-        """The memo build path: plan store consulted around the oracle.
-
-        Store loads stay outside the ``bind`` phase (charged to the
-        ``plan_load_s`` counter), so warm-store profiles show the
-        grouping work the store removed.
-        """
-        from repro.plan.store import (
-            active_plan_store,
-            cost_fingerprint,
-            plan_content_key,
-        )
-
-        store = active_plan_store()
-        content = plan_content_key(frame)
-        cost = self._framework.config.cost
-        middleware = self._middleware
-        if store is None or content is None:
-            with phase("bind"):
-                return tuple(self._build(frame))
-        fingerprint = cost_fingerprint(cost)
-        start = time.perf_counter()
-        pairs = store.get_group(
-            content,
-            fingerprint,
-            middleware.triangle_limit,
-            middleware.tsl_threshold,
-            frame,
-        )
-        if pairs is not None:
-            add_counter("plan_store_hit", 1)
-            add_counter("plan_load_s", time.perf_counter() - start)
-            return pairs
-        add_counter("plan_store_miss", 1)
-        start = time.perf_counter()
+    def _build(self, frame: Frame) -> Tuple[Tuple[Batch, WorkUnit], ...]:
         with phase("bind"):
-            pairs = tuple(self._build(frame))
-        store.put_group(
-            content,
-            fingerprint,
-            middleware.triangle_limit,
-            middleware.tsl_threshold,
-            frame,
-            pairs,
-        )
-        add_counter("plan_build_s", time.perf_counter() - start)
-        return pairs
-
-    def _build(self, frame: Frame) -> List[Tuple[Batch, WorkUnit]]:
-        characterizer = self._framework.characterizer
-        discount = self._framework.config.cost.batch_draw_discount
-        batches = self._middleware.build_batches(frame.objects)
-        # One vectorized pass prices every object's multi-view draw
-        # (frame.object_batch order == frame.objects order); each batch
-        # then just gathers its members' units in draw order, so the
-        # merge sees the exact units the per-draw loop built.
-        units_by_object = dict(
-            zip(
-                (obj.object_id for obj in frame.objects),
-                characterizer.characterize_frame(
-                    frame, mode=SMPMode.SIMULTANEOUS, expansion="multiview"
-                ),
-            )
-        )
-        out: List[Tuple[Batch, WorkUnit]] = []
-        for batch in batches:
-            units = tuple(
-                units_by_object[obj.object_id] for obj in batch.objects
-            )
-            merged = merge_units(f"batch{batch.batch_id}", units)
-            if len(batch.objects) > 1:
-                # Texture-sorted submission needs fewer state changes.
-                merged = replace(
-                    merged, draw_count=max(1.0, merged.draw_count * discount)
+            characterizer = self._framework.characterizer
+            discount = self._framework.config.cost.batch_draw_discount
+            batches = self._middleware.build_batches(frame.objects)
+            # One vectorized pass prices every object's multi-view draw
+            # (frame.object_batch order == frame.objects order); each
+            # batch then just gathers its members' units in draw order,
+            # so the merge sees the exact units the per-draw loop built.
+            units_by_object = dict(
+                zip(
+                    (obj.object_id for obj in frame.objects),
+                    characterizer.characterize_frame(
+                        frame, mode=SMPMode.SIMULTANEOUS, expansion="multiview"
+                    ),
                 )
-            out.append((batch, merged))
-        return out
+            )
+            out: List[Tuple[Batch, WorkUnit]] = []
+            for batch in batches:
+                units = tuple(
+                    units_by_object[obj.object_id] for obj in batch.objects
+                )
+                merged = merge_units(f"batch{batch.batch_id}", units)
+                if len(batch.objects) > 1:
+                    # Texture-sorted submission needs fewer state changes.
+                    merged = replace(
+                        merged,
+                        draw_count=max(1.0, merged.draw_count * discount),
+                    )
+                out.append((batch, merged))
+            return tuple(out)
 
 
 @register_framework("oo-app")
@@ -163,10 +110,6 @@ class OOAppFramework(RenderingFramework):
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
         super().__init__(config)
         self._builder = _BatchBuilder(self)
-
-    def warm_plan(self, frame: Frame) -> None:
-        """Compile the TSL grouping (and its characterisation)."""
-        self._builder.build(frame)
 
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
@@ -208,10 +151,6 @@ class OOVRFramework(RenderingFramework):
         self._builder = _BatchBuilder(self)
         #: The last frame's dispatch records, for diagnostics/tests.
         self.last_engine: Optional[DistributionEngine] = None
-
-    def warm_plan(self, frame: Frame) -> None:
-        """Compile the TSL grouping (and its characterisation)."""
-        self._builder.build(frame)
 
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str

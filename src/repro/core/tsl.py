@@ -44,10 +44,6 @@ def byte_shares(textures: Sequence[Texture]) -> dict[int, float]:
     return {tid: size / total for tid, size in unique.items()}
 
 
-#: Backwards-compatible alias (pre-memoisation name).
-_byte_shares = byte_shares
-
-
 def tsl_from_shares(
     root_shares: dict[int, float],
     target_shares: dict[int, float],

@@ -97,23 +97,6 @@ class RenderingFramework(abc.ABC):
         system.begin_frame()
         return self.render_frame_on(system, frame, workload)
 
-    def warm_plan(self, frame: Frame) -> None:
-        """Compile ``frame``'s work plan without rendering anything.
-
-        The ``oovr plan warm`` hook: runs exactly the characterisation
-        this framework's render path would, so an active compiled-plan
-        store (:mod:`repro.plan.store`) is populated by the same code
-        that consumes it.  The default covers the per-eye-sequential
-        schemes (baseline, AFR, object-level SFR, tile-level SFR (V));
-        frameworks with a different front end (tile-level SFR (H)'s
-        multi-view draws, the OO middleware's batches) override it.
-        """
-        from repro.pipeline.smp import SMPMode
-
-        self.characterizer.characterize_frame(
-            frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
-        )
-
 
 #: Registry of framework constructors, keyed by the names the paper uses.
 _REGISTRY: Dict[str, Callable[[Optional[SystemConfig]], RenderingFramework]] = {}

@@ -99,13 +99,6 @@ class TileSplitFrameRendering(RenderingFramework):
         # Horizontal strips contain both eyes: SMP multi-view draws.
         return SMPMode.SIMULTANEOUS, "multiview"
 
-    def warm_plan(self, frame: Frame) -> None:
-        """Compile the frame plan this orientation renders from."""
-        mode, expansion = self._frame_plan()
-        self.characterizer.characterize_frame(
-            frame, mode=mode, expansion=expansion
-        )
-
     def _strip_slices(self, frame: Frame, expansion: str):
         """``(draw, strip, pixel share)`` of every draw's strip slices.
 

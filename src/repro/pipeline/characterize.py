@@ -10,7 +10,6 @@ batches.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.config import CostModel, SystemConfig
@@ -19,7 +18,7 @@ from repro.pipeline.batch import frame_counters, work_units_from_counters
 from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
 from repro.pipeline.smp import GeometryWork, SMPEngine, SMPMode
 from repro.pipeline.workunit import WorkUnit
-from repro.profiling import add_counter, phase
+from repro.profiling import phase
 from repro.reuse import get_cache
 from repro.scene.objects import Eye, StereoDraw
 
@@ -116,74 +115,25 @@ class DrawCharacterizer:
         grid cells that share a workload share scene-memoised frames,
         and therefore skip re-running Eq. 3 pricing entirely.  The
         returned tuple of frozen work units is immutable, so sharing
-        it across cells is safe.
-
-        When a compiled-plan store is active (:mod:`repro.plan.store`)
-        and the frame carries a scene-content key, the memo's build
-        path consults the store first: a hit replays the persisted
-        counter columns through the same
-        :func:`~repro.pipeline.batch.work_units_from_counters` walk
-        (byte-identical units, same memo anchor), a miss prices the
-        frame and persists the counters for every later process sharing
-        the store.
+        it across cells is safe.  The build runs inside the ``price``
+        profiling phase.
         """
         return get_cache().memoize(
             "characterize_frame",
             frame,
             (self.cost, mode, expansion),
-            lambda: self._characterize_frame_stored(frame, mode, expansion),
+            lambda: self._characterize_frame(frame, mode, expansion),
         )
 
-    def _characterize_frame_stored(
+    def _characterize_frame(
         self, frame: "Frame", mode: SMPMode, expansion: str
     ) -> Tuple[WorkUnit, ...]:
-        """The memo build path: plan store consulted around the oracle.
-
-        The store load stays *outside* the ``price`` phase — warm-store
-        profiles charge it to the ``plan_load_s`` counter instead, so
-        the phase table shows the pricing work the store removed.
-        """
-        from repro.plan.store import (
-            active_plan_store,
-            cost_fingerprint,
-            plan_content_key,
-        )
-
-        store = active_plan_store()
-        content = plan_content_key(frame)
-        if store is None or content is None:
-            with phase("price"):
-                return self._characterize_frame(frame, mode, expansion)
-        fingerprint = cost_fingerprint(self.cost)
-        start = time.perf_counter()
-        counters = store.get_frame(content, fingerprint, mode, expansion)
-        if counters is not None:
-            units = work_units_from_counters(
-                frame.object_batch, counters, self.cost
-            )
-            add_counter("plan_store_hit", 1)
-            add_counter("plan_load_s", time.perf_counter() - start)
-            return units
-        add_counter("plan_store_miss", 1)
-        start = time.perf_counter()
         with phase("price"):
             batch = frame.object_batch
             counters = frame_counters(
                 batch, self.cost, mode=mode, expansion=expansion
             )
-            units = work_units_from_counters(batch, counters, self.cost)
-        store.put_frame(content, fingerprint, mode, expansion, counters)
-        add_counter("plan_build_s", time.perf_counter() - start)
-        return units
-
-    def _characterize_frame(
-        self, frame: "Frame", mode: SMPMode, expansion: str
-    ) -> Tuple[WorkUnit, ...]:
-        batch = frame.object_batch
-        counters = frame_counters(
-            batch, self.cost, mode=mode, expansion=expansion
-        )
-        return work_units_from_counters(batch, counters, self.cost)
+            return work_units_from_counters(batch, counters, self.cost)
 
     def characterize_stereo_pair(self, draw: StereoDraw) -> Tuple[WorkUnit, ...]:
         """Both per-eye units of an object (sequential stereo trace)."""

@@ -37,10 +37,7 @@ __all__ = [
 #: resolution; ``price`` covers Eq. 3 frame characterisation plus the
 #: engine's stage/memory pricing; ``execute`` everything else inside
 #: the render (dispatch, SMP, event simulation); ``cache``
-#: result-cache I/O.  Compiled-plan store loads
-#: (:mod:`repro.plan.store`) deliberately stay *outside* bind/price —
-#: they surface as the ``plan_load_s`` counter — so a warm store
-#: genuinely shrinks those phases' share.
+#: result-cache I/O.
 PHASES = ("scene", "bind", "price", "execute", "cache")
 
 

@@ -22,11 +22,7 @@ from repro.scene.geometry import Mesh, Viewport
 from repro.scene.batch import ObjectBatch, TriangleBatch
 from repro.scene.objects import Eye, RenderObject, StereoDraw
 from repro.scene.scene import Frame, Scene
-from repro.scene.synthetic import (
-    GENERATOR_VERSION,
-    SceneProfile,
-    SyntheticSceneGenerator,
-)
+from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
 from repro.scene.benchmarks import (
     BENCHMARKS,
     WORKLOADS,
@@ -48,7 +44,6 @@ __all__ = [
     "TriangleBatch",
     "Frame",
     "Scene",
-    "GENERATOR_VERSION",
     "SceneProfile",
     "SyntheticSceneGenerator",
     "BENCHMARKS",

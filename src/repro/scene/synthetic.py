@@ -46,14 +46,6 @@ pins that equivalence property-style over randomised profiles.  Mixing
 the two paths on one generator instance is not stream-compatible (the
 batched path shadows PCG64's internal 32-bit buffer used by
 ``integers``); use one path per generator, as ``make_scene`` does.
-
-:data:`GENERATOR_VERSION` names the output contract of this module: any
-change that alters generated scenes (new draw order, new distribution,
-changed derived arithmetic) must bump it.  Bumping it re-keys every
-plan entry: the compiled-plan store (:mod:`repro.plan.store`) folds it
-into the content key :func:`~repro.session.spec.cached_scene` stamps
-on each frame, so plans compiled from old scenes are never served for
-new ones.
 """
 
 from __future__ import annotations
@@ -72,12 +64,6 @@ from repro.scene.texture import Texture, TexturePool
 
 KB = 1024
 MB = 1024 * KB
-
-#: Version of the scene-generation algorithm's *output* (not its code).
-#: Bump on any change that moves generated scenes — bumping it re-keys
-#: every plan entry (:mod:`repro.plan.store`), so stale plans degrade
-#: to a rebuild instead of silently serving old numbers.
-GENERATOR_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,8 @@ from __future__ import annotations
 import os
 import socket
 import time
-from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
-from repro.plan.store import PlanStore, plan_store_scope
 from repro.service.client import ServiceClient, ServiceError
 from repro.session.cache import CacheMergeError, encode_entry, spec_key
 from repro.session.executor import ProcessExecutor, SerialExecutor
@@ -48,7 +46,6 @@ class SweepWorker:
         max_idle: Optional[float] = None,
         retries: int = DEFAULT_RETRIES,
         client: Optional[ServiceClient] = None,
-        plan_store: Optional[Union[PlanStore, str, Path]] = None,
     ) -> None:
         self.client = client or ServiceClient(server)
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
@@ -68,15 +65,6 @@ class SweepWorker:
         self.executor = (
             ProcessExecutor(self.jobs) if self.jobs > 1 else SerialExecutor()
         )
-        #: Optional compiled work-plan store (:mod:`repro.plan.store`):
-        #: every lease executes under it, so a fleet sharing one
-        #: directory characterises each (workload, cost config) point
-        #: once across hosts.
-        self.plan_store: Optional[PlanStore] = (
-            plan_store
-            if isinstance(plan_store, PlanStore) or plan_store is None
-            else PlanStore(plan_store)
-        )
         #: Cells executed and uploaded over this worker's lifetime.
         self.cells_done = 0
         self.leases_served = 0
@@ -89,8 +77,7 @@ class SweepWorker:
         specs = specs_from_wire(lease["specs"])
         # No cache here: the server's cache is the store of record and
         # already filtered hits out at submit time.
-        with plan_store_scope(self.plan_store):
-            results = self.executor.run(specs)
+        results = self.executor.run(specs)
         entries = [
             {"key": spec_key(spec), "payload": encode_entry(spec, result)}
             for spec, result in zip(specs, results)

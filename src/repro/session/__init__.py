@@ -22,11 +22,7 @@ is a cell (or grid of cells) of the paper's evaluation space
 :class:`ResultCache` memoises executed cells on disk, keyed by a
 stable content hash of the spec (:func:`spec_key`); pass it (or a
 directory path) as ``Sweep.run(cache=...)`` to skip already-executed
-grid cells while staying byte-identical to an uncached run.  The
-compiled-plan store (:mod:`repro.plan.store`) is the same idea one
-layer down: ``run(plan_store=...)`` mmap-loads already-characterised
-work plans instead of recomputing them in every process, again
-byte-identical either way.
+grid cells while staying byte-identical to an uncached run.
 
 *Where* a sweep executes is a pluggable backend
 (:mod:`repro.session.executor`): :class:`SerialExecutor`,

@@ -58,7 +58,6 @@ from typing import (
 
 from repro.profiling import PhaseProfile, capture, phase
 from repro.reuse import reuse_enabled, set_reuse
-from repro.plan.store import active_plan_store, set_plan_store
 from repro.session.cache import ResultCache, spec_key
 from repro.session.spec import RunSpec
 from repro.stats.metrics import SceneResult
@@ -110,15 +109,9 @@ def _execute_spec(spec: RunSpec) -> SceneResult:
     return spec.execute()
 
 
-def _init_worker(reuse_flag: bool, plan_root: Optional[str]) -> None:
-    """Pool-worker initializer: inherit the parent's reuse flag and
-    compiled-plan store.  The store travels as a directory path (a
-    :class:`~repro.plan.store.PlanStore` holds no picklable state worth
-    shipping), so each worker opens its own handle on the shared
-    directory and loads — rather than rebuilds — every work plan
-    another process already compiled."""
+def _init_worker(reuse_flag: bool) -> None:
+    """Pool-worker initializer: inherit the parent's reuse flag."""
     set_reuse(reuse_flag)
-    set_plan_store(plan_root)
 
 
 def _lookup(
@@ -246,17 +239,11 @@ class ProcessExecutor:
             # Workers start with an empty per-process reuse cache (the
             # isolation contract); only the caller's on/off *flag* is
             # forwarded, so `reuse=False` sweeps stay reuse-free in the
-            # pool too.  The active plan store (if any) is forwarded as
-            # a directory path so every worker shares the same on-disk
-            # work plans.
-            plan_store = active_plan_store()
+            # pool too.
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(
-                    reuse_enabled(),
-                    str(plan_store.root) if plan_store is not None else None,
-                ),
+                initargs=(reuse_enabled(),),
             ) as pool:
                 gather(pool.map(_execute_spec, to_run))
         return results

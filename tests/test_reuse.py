@@ -11,7 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro import reuse
+from repro.frameworks.base import build_framework
 from repro.session import Session, Sweep
+from repro.session.spec import cached_scene
 
 
 def shared_grid() -> Sweep:
@@ -160,6 +162,39 @@ class TestReuseTransparency:
         hits, misses = reuse.get_cache().stats.snapshot()
         assert misses > 0  # first framework's cells built the entries
         assert hits > 0  # the second framework reused them
+
+
+class TestFrameAnchoredMemo:
+    def test_batch_builder_returns_fresh_lists_of_the_same_pairs(self):
+        """A repeat build is a memo hit: a fresh list (no consumer can
+        alias another cell's container) holding the very same frozen
+        ``(batch, merged unit)`` pairs."""
+        cache = reuse.get_cache()
+        cache.clear()
+        frame = cached_scene("DM3-640", 2, 2019, 0.15).frames[0]
+        builder = build_framework("oo-vr")._builder
+        first = builder.build(frame)
+        hits, misses = cache.stats.snapshot()
+        second = builder.build(frame)
+        assert cache.stats.snapshot() == (hits + 1, misses)
+        assert first == second
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_memo_builds_run_inside_bind_and_price(self):
+        """The grouping and merges are charged to ``bind``, the Eq. 3
+        characterisation they read to ``price``; a memo hit enters no
+        phase and nothing else is counted."""
+        from repro.profiling import PhaseProfile, capture
+
+        reuse.get_cache().clear()
+        frame = cached_scene("HL2-640", 2, 2019, 0.15).frames[0]
+        builder = build_framework("oo-app")._builder
+        with capture(PhaseProfile()) as profile:
+            builder.build(frame)
+            builder.build(frame)
+        assert profile.calls == {"bind": 1, "price": 1}
+        assert profile.counters == {}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ is bit-identical to the scalar reference path it replaced — every
 object, texture and viewport field compares equal with ``==`` and the
 RNG stream position matches, so no golden anywhere in the repo moves.
 Generated scenes also share one texture object per material, and a
-memo eviction rebuilds an identical scene with the same plan keys.
+memo eviction rebuilds an identical scene.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.plan.store import plan_content_key
 from repro.scene.batch import ObjectBatch
 from repro.scene.benchmarks import make_benchmark_scene
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
@@ -152,7 +151,7 @@ class TestBatchedConstruction:
 class TestGeneratedScene:
     """The generator is the only way scenes are built, so every scene
     carries its contracts: one shared texture object per material, and
-    a rebuild of the same point is identical down to its plan keys."""
+    a rebuild of the same point is identical."""
 
     def test_generated_scene_interns_textures(self):
         scene = make_benchmark_scene(
@@ -168,7 +167,7 @@ class TestGeneratedScene:
                     )
         assert seen
 
-    def test_rebuilt_scene_is_identical_and_keeps_its_keys(self):
+    def test_rebuilt_scene_is_identical(self):
         cached_scene.cache_clear()
         first = cached_scene("WE", 2, 2019, 0.15)
         cached_scene.cache_clear()
@@ -179,5 +178,3 @@ class TestGeneratedScene:
         assert len(rebuilt.frames) == len(first.frames) == 2
         for old, new in zip(first.frames, rebuilt.frames):
             assert_frames_identical(old, new)
-            assert plan_content_key(new) == plan_content_key(old)
-            assert plan_content_key(new) is not None
