@@ -189,11 +189,14 @@ def test_cell_throughput():
 
     kernels = {}
 
-    # -- middleware grouping (Fig. 12 loop, memoised share vectors) -----
+    # -- middleware grouping (Fig. 12 columnar scan) --------------------
     from repro.core.middleware import OOMiddleware
 
     frame = scene_for("HL2-1280", BENCH).frames[0]
     middleware = OOMiddleware()
+    assert middleware.build_batches(
+        frame.objects
+    ) == middleware.build_batches_reference(frame.objects)
     seconds = _best_seconds(
         lambda: middleware.build_batches(frame.objects)
     )

@@ -93,16 +93,16 @@ class OOMiddleware:
         The columnar form of :meth:`build_batches_reference`, making
         every one of its decisions.  The queue is draw order with an
         alive mask over it; each object's Eq. 1 byte shares (exactly
-        :func:`byte_shares`) and binding flags sit in a texture-major
-        matrix.  For each root state one matrix-vector product over the
-        root's textures gives every candidate's Eq. 1 numerator and
-        denominator, and the first alive candidate after the scan
-        position that depends on a member or clears the threshold is
-        merged; the scan then resumes after it, and the root's shares
-        are recomputed only then.  A TSL within :data:`TIE_TOLERANCE`
-        of the threshold is re-decided by :func:`tsl_from_shares`, so
-        summation order cannot flip a decision.  Object ids must be
-        unique, as a :class:`~repro.scene.scene.Frame` enforces.
+        :func:`byte_shares`) sit in a texture-major matrix.  For each
+        root state, matrix-vector products over the root's textures
+        give every candidate's Eq. 1 numerator and denominator, and the
+        first alive candidate after the scan position that depends on a
+        member or clears the threshold is merged; the scan then resumes
+        after it, and the root's shares are recomputed only then.  A
+        TSL within :data:`TIE_TOLERANCE` of the threshold is re-decided
+        by :func:`tsl_from_shares`, so summation order cannot flip a
+        decision.  Object ids must be unique, as a
+        :class:`~repro.scene.scene.Frame` enforces.
         """
         objects = list(objects)
         count = len(objects)
@@ -118,11 +118,10 @@ class OOMiddleware:
                 rows.append(row_of.setdefault(tid, len(row_of)))
                 cols.append(col)
                 values.append(share)
-        # [0] holds the shares (numerators), [1] the binding flags
-        # (denominators); texture-major, so a root's rows gather whole.
-        columns = np.zeros((2, len(row_of), count))
-        columns[0, rows, cols] = values
-        columns[1, rows, cols] = 1.0
+        # Texture-major, so a root's rows gather whole.  Textures have
+        # positive sizes, so a share is nonzero exactly where it binds.
+        shares = np.zeros((len(row_of), count))
+        shares[rows, cols] = values
         # Object ids -> member flags; a ``depends_on`` outside the frame
         # points at the trailing slot, which is never set.
         slot_of: Dict[int, int] = {}
@@ -142,8 +141,9 @@ class OOMiddleware:
         def next_merge(root_shares: dict, start: int) -> Tuple[int, bool]:
             """First candidate at or after ``start`` the loop merges."""
             weights = np.array(list(root_shares.values()))
-            rows = [row_of[t] for t in root_shares]
-            numerator, denominator = weights @ columns[:, rows, start:]
+            block = shares[[row_of[t] for t in root_shares], start:]
+            numerator = weights @ block
+            denominator = weights @ (block > 0)
             dependent = member[parent_slot[start:]]
             # From the tie window up; an unshared candidate's numerator
             # and denominator are both zero, so it never passes.
