@@ -13,7 +13,6 @@ from repro.frameworks.base import build_framework
 from repro.scene.benchmarks import WORKLOADS
 from repro.scene.geometry import Viewport
 from repro.scene.objects import Eye
-from repro.scene.texture import TexturePool
 from repro.session.spec import FAST, FULL, cached_scene
 from tests.conftest import MB, make_object
 
@@ -186,11 +185,10 @@ class TestGroupingEdges:
     @pytest.mark.parametrize(
         "small", [MB - 1, 2**31 - 1], ids=["above", "within-tie-window"]
     )
-    def test_tsl_just_above_threshold_is_merged(self, path, small):
+    def test_tsl_just_above_threshold_is_merged(self, pool, path, small):
         # Pn(a) = big / (big + small) is a hair above 0.5; the second
         # case lies within 1e-9 of it, where the scalar Eq. 1 decides.
         big = small + 1
-        pool = TexturePool()
         objects = [
             make_object(0, pool, textures=(("a", big), ("b", big))),
             make_object(1, pool, textures=(("a", big), ("c", small))),
