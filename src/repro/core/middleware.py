@@ -18,6 +18,10 @@ directly regardless of TSL, and the triangle cap is raised for them, so
 the programmer-defined order is preserved ("for the objects that have
 dependency on any of the objects in a batch, we directly merge them to
 the batch and increase the triangle limitation").
+
+:meth:`OOMiddleware.build_batches` runs this loop as a columnar scan;
+:meth:`OOMiddleware.build_batches_reference` keeps the scalar loop as
+the oracle it must equal.
 """
 
 from __future__ import annotations
