@@ -141,6 +141,24 @@ class TestCLI:
         assert f"unrecognized arguments: {REMOVED_STORE_FLAG}" in err
         assert not (tmp_path / "plans").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "oo-vr", "DM3-640", "--fast"],
+            ["worker", "http://127.0.0.1:9"],
+        ],
+        ids=["run", "worker"],
+    )
+    def test_run_and_worker_reject_the_removed_store_flag(
+        self, capsys, tmp_path, argv
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + [REMOVED_STORE_FLAG, str(tmp_path / "plans")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {REMOVED_STORE_FLAG}" in err
+        assert not (tmp_path / "plans").exists()
+
     def test_removed_store_env_is_ignored(self, capsys, tmp_path, monkeypatch):
         store_dir = tmp_path / "env-plans"
         monkeypatch.setenv(REMOVED_STORE_ENV, str(store_dir))

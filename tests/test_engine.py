@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import reuse
 from repro.config import ConfigError, baseline_system
 from repro.engine import (
     ENGINE_DEFAULT,
@@ -2011,3 +2012,21 @@ class TestSplitBind:
         for record in records:
             assert record["profile_bind_s"] > 0, record["framework"]
             assert record["profile_price_s"] > 0, record["framework"]
+
+    def test_profile_covers_the_object_oriented_pair(self):
+        """OO-APP and OO-VR cells split bind (the Fig. 12 grouping and
+        the merges) from price, and export no compiled-plan counters."""
+        reuse.get_cache().clear()  # profile the grouping, not a memo hit
+        records = (
+            Sweep().frameworks("oo-app", "oo-vr").workloads("HL2-640")
+            .fast().run(profile=True).to_records()
+        )
+        assert [record["framework"] for record in records] == [
+            "oo-app", "oo-vr"
+        ]
+        for record in records:
+            assert record["profile_bind_s"] > 0, record["framework"]
+            assert record["profile_price_s"] > 0, record["framework"]
+            assert not [
+                key for key in record if key.startswith("profile_plan_")
+            ], record["framework"]

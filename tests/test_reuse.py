@@ -12,6 +12,8 @@ import pytest
 
 from repro import reuse
 from repro.frameworks.base import build_framework
+from repro.pipeline.batch import frame_counters, work_units_from_counters
+from repro.pipeline.smp import SMPMode
 from repro.session import Session, Sweep
 from repro.session.spec import cached_scene
 
@@ -195,6 +197,101 @@ class TestFrameAnchoredMemo:
             builder.build(frame)
         assert profile.calls == {"bind": 1, "price": 1}
         assert profile.counters == {}
+
+    @pytest.mark.parametrize(
+        "mode, expansion",
+        [
+            (SMPMode.SIMULTANEOUS, "multiview"),
+            (SMPMode.SEQUENTIAL, "stereo"),
+        ],
+    )
+    def test_characterize_frame_hit_is_the_built_tuple(self, mode, expansion):
+        """A repeat characterisation answers the very tuple the miss
+        built, field-for-field equal to materialising the frame's
+        counters afresh; the other plan of the frame is its own entry."""
+        cache = reuse.get_cache()
+        cache.clear()
+        frame = cached_scene("DM3-640", 2, 2019, 0.15).frames[0]
+        characterizer = build_framework("baseline").characterizer
+        built = characterizer.characterize_frame(
+            frame, mode=mode, expansion=expansion
+        )
+        hits, misses = cache.stats.snapshot()
+        again = characterizer.characterize_frame(
+            frame, mode=mode, expansion=expansion
+        )
+        assert again is built
+        assert cache.stats.snapshot() == (hits + 1, misses)
+        cost = characterizer.cost
+        counters = frame_counters(
+            frame.object_batch, cost, mode=mode, expansion=expansion
+        )
+        assert tuple(built) == tuple(
+            work_units_from_counters(frame.object_batch, counters, cost)
+        )
+        other = {
+            SMPMode.SIMULTANEOUS: (SMPMode.SEQUENTIAL, "stereo"),
+            SMPMode.SEQUENTIAL: (SMPMode.SIMULTANEOUS, "multiview"),
+        }[mode]
+        characterizer.characterize_frame(
+            frame, mode=other[0], expansion=other[1]
+        )
+        assert cache.stats.snapshot() == (hits + 1, misses + 1)
+
+    def test_batches_hold_the_live_frames_objects(self):
+        """Every object of the frame lands in exactly one batch as the
+        very instance the frame holds, so artefacts anchored on objects
+        downstream keep working; batches number from 0 in order and
+        each merged unit is named after its batch."""
+        reuse.get_cache().clear()
+        frame = cached_scene("WE", 2, 2019, 0.15).frames[0]
+        pairs = build_framework("oo-vr")._builder.build(frame)
+        members = [obj for batch, _ in pairs for obj in batch.objects]
+        assert len(members) == len(frame.objects)
+        assert {id(obj) for obj in members} == {
+            id(obj) for obj in frame.objects
+        }
+        assert len(pairs) < len(frame.objects)  # some batches merged
+        for index, (batch, unit) in enumerate(pairs):
+            assert batch.batch_id == index
+            assert unit.label == f"batch{index}"
+
+    def test_oo_app_reuses_the_pairs_oo_vr_built(self):
+        """OO-APP and OO-VR share one grouping per frame: once either
+        built it, the other neither groups nor prices the frame again."""
+        reuse.get_cache().clear()
+        frame = cached_scene("HL2-640", 2, 2019, 0.15).frames[0]
+        built = build_framework("oo-vr")._builder.build(frame)
+        oo_app = build_framework("oo-app")
+        oo_app.characterizer.characterize_frame = None  # would raise
+        oo_app._builder._middleware.build_batches = None  # would raise
+        reused = oo_app._builder.build(frame)
+        assert reused == built
+        assert all(a is b for a, b in zip(reused, built))
+
+    @pytest.mark.parametrize(
+        "tile, partner", [("tile-h", "oo-vr"), ("tile-v", "baseline")]
+    )
+    def test_tile_sfr_reads_the_units_its_partner_priced(
+        self, tile, partner
+    ):
+        """Tile-h prices the multi-view draws OO-VR groups, tile-v the
+        sequential stereo draws the baseline splits: after the partner's
+        cell, the tile cell's characterisation of every frame of the
+        same workload point is a memo hit."""
+        cache = reuse.get_cache()
+        cache.clear()
+        session = Session().framework(partner).workload("HL2-640").fast()
+        session.run()
+        framework = build_framework(tile)
+        mode, expansion = framework._frame_plan()
+        hits, misses = cache.stats.snapshot()
+        frames = session.scene().frames
+        for frame in frames:
+            framework.characterizer.characterize_frame(
+                frame, mode=mode, expansion=expansion
+            )
+        assert cache.stats.snapshot() == (hits + len(frames), misses)
 
 
 # ---------------------------------------------------------------------------

