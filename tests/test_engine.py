@@ -619,6 +619,79 @@ class TestEventEngine:
         assert trace.gpm_end[0] == pytest.approx(100.0)
         assert trace.gpm_end[1] == pytest.approx(1000.0)
 
+    def test_shed_tail_scales_recorded_jobs_newest_first(self, config):
+        """The stolen tail leaves the straggler's newest render jobs:
+        compute, DRAM bytes, flow bytes and provisional cycles scale by
+        ``(p - take) / p``, newest first, until the shed cycles are
+        spent; stalls, other GPMs and zero-price jobs keep theirs."""
+        from repro.engine.base import LinkFlow, ResolvedUnit
+        from repro.memory.link import TrafficType
+
+        system = MultiGPUSystem(config.with_engine("event"))
+        system.begin_frame()
+        engine = system.engine
+        fabric = system.fabric
+
+        def render(label, gpm, compute, dram, flows):
+            # No local DRAM bytes and no per-peer roll-up: the unit's
+            # scheduling price is its compute.
+            engine.execute(
+                ResolvedUnit(
+                    label=label, gpm=gpm, compute_cycles=compute,
+                    base_bottleneck="shader", local_dram_bytes=0.0,
+                    link_bytes={},
+                    flows=tuple(
+                        LinkFlow(src, gpm, nbytes, TrafficType.TEXTURE)
+                        for src, nbytes in flows
+                    ),
+                    dram_demand=dram, vertices=0.0, pixels_out=0.0,
+                    triangles_raster=0.0,
+                )
+            )
+
+        render("first", 0, 40.0, {0: 70.0}, [(1, 12.0)])
+        render("r0", 0, 100.0, {0: 400.0, 2: 40.0}, [(2, 48.0)])
+        render("q0", 1, 70.0, {1: 64.0}, [(0, 24.0)])
+        engine.stall(0, "wait", 30.0)
+        render("r1", 0, 60.0, {0: 96.0}, [(1, 64.0), (3, 16.0)])
+        render("q1", 1, 50.0, {1: 32.0}, [(2, 8.0)])
+        render("zero", 0, 0.0, {0: 8.0}, [(1, 8.0)])
+        engine.stall(0, "wait", 20.0)
+        before = _recorded_jobs(engine)
+        engine.shed_tail(0, 75.0)
+        after = _recorded_jobs(engine)
+
+        def route(src, dst):
+            return tuple(fabric.route(src, dst))
+
+        latency = float(config.link.latency_cycles)
+        # r1 (price 60) goes whole; r0 gives up the remaining 15.
+        r0 = (100.0 - 15.0) / 100.0
+        r1 = (60.0 - 60.0) / 60.0
+        expected = list(before)
+        expected[1] = (
+            "r0", 0, "render", 0.0, 100.0 * r0,
+            [(0, 400.0 * r0), (2, 40.0 * r0)],
+            [(route(2, 0), 48.0 * r0, latency, 1.0)],
+            100.0 - 15.0,
+        )
+        expected[4] = (
+            "r1", 0, "render", 0.0, 60.0 * r1, [(0, 96.0 * r1)],
+            [
+                (route(1, 0), 64.0 * r1, latency, 1.0),
+                (route(3, 0), 16.0 * r1, latency, 1.0),
+            ],
+            60.0 - 60.0,
+        )
+        assert after == expected  # == : bit-exact
+        assert after[0] == before[0] == (
+            "first", 0, "render", 0.0, 40.0, [(0, 70.0)],
+            [(route(1, 0), 12.0, latency, 1.0)], 40.0,
+        )
+        assert [job[7] for job in before] == [
+            40.0, 100.0, 70.0, 30.0, 60.0, 50.0, 0.0, 20.0,
+        ]
+
     def test_finish_frame_is_repeatable(self, config, characterizer, pool):
         system = MultiGPUSystem(config.with_engine("event"))
         system.begin_frame()
@@ -651,13 +724,14 @@ class TestEventEngine:
 # ---------------------------------------------------------------------------
 
 
-def _event_trace_summary(framework, workload="HL2-640"):
-    """The fixed-spec trace summary the committed goldens freeze."""
+def _event_trace_summary(framework, workload="HL2-640", frames=1):
+    """The fixed-spec trace summary the committed goldens freeze: the
+    last of ``frames`` frames."""
     session = (
         Session()
         .framework(framework)
         .workload(workload)
-        .frames(1)
+        .frames(frames)
         .scale(0.1)
         .engine("event")
     )
@@ -674,7 +748,15 @@ _EVENT_GOLDENS = (
     ("tile-h", "event_trace_tileh"),
     ("object", "event_trace_object"),
     ("afr", "event_trace_afr"),
+    ("baseline", "event_trace_baseline"),
+    ("1tbs-bw", "event_trace_1tbsbw"),
+    ("baseline-mig", "event_trace_baselinemig"),
 )
+
+#: Frames summarised per golden where one is not enough: migration
+#: only changes the next frame, so a one-frame ``baseline-mig``
+#: summary would equal ``baseline``'s.
+_EVENT_GOLDEN_FRAMES = {"baseline-mig": 2}
 
 
 def regenerate_event_golden():  # pragma: no cover - maintenance helper
@@ -692,9 +774,12 @@ def regenerate_event_golden():  # pragma: no cover - maintenance helper
     golden = pathlib.Path(__file__).parent.parent / "benchmarks" / "golden"
     for framework, stem in _EVENT_GOLDENS:
         path = golden / f"{stem}_hl2-640.json"
+        frames = _EVENT_GOLDEN_FRAMES.get(framework, 1)
         path.write_text(
             json.dumps(
-                _event_trace_summary(framework), indent=2, sort_keys=True
+                _event_trace_summary(framework, frames=frames),
+                indent=2,
+                sort_keys=True,
             )
             + "\n"
         )
@@ -907,9 +992,12 @@ class TestFullFrameCoverage:
             / f"{stem}_hl2-640.json"
         )
         expected = golden.read_text()
+        frames = _EVENT_GOLDEN_FRAMES.get(framework, 1)
         actual = (
             json.dumps(
-                _event_trace_summary(framework), indent=2, sort_keys=True
+                _event_trace_summary(framework, frames=frames),
+                indent=2,
+                sort_keys=True,
             )
             + "\n"
         )
@@ -1677,6 +1765,21 @@ def _slice_soup(rng, units, num_gpms, fb_targets):
     )
 
 
+def _recorded_jobs(engine):
+    """The event engine's recorded GPM jobs, one tuple per job: label,
+    GPM, kind, start floor, compute, DRAM rows, flow rows (route, bytes,
+    latency, rate scale) and provisional cycles."""
+    return [
+        (
+            job.label, job.gpm, job.kind, job.start_floor, job.compute,
+            list(job.dram.items()),
+            [(f.route, f.nbytes, f.latency, f.rate_scale) for f in job.flows],
+            job.provisional_cycles,
+        )
+        for job in engine._jobs
+    ]
+
+
 def _machine_state(system, observed, staging=()):
     """Everything binding, staging and executing leave behind."""
     engine = system.engine
@@ -1717,15 +1820,7 @@ def _machine_state(system, observed, staging=()):
         ],
     }
     if isinstance(engine, EventEngine):
-        state["jobs"] = [
-            (
-                job.label, job.gpm, job.kind, job.start_floor, job.compute,
-                list(job.dram.items()),
-                [(f.route, f.nbytes, f.latency, f.rate_scale) for f in job.flows],
-                job.provisional_cycles,
-            )
-            for job in engine._jobs
-        ]
+        state["jobs"] = _recorded_jobs(engine)
     state["trace"] = engine.finish_frame()
     state["result"] = system.frame_result("split", "soup").to_dict()
     return state
