@@ -165,12 +165,13 @@ def _register_migration_framework() -> None:
         ) -> FrameResult:
             system.remote_observer = self.engine.observe_remote
             try:
-                super().render_frame_on(system, frame, workload)
+                self.bind_frame(system, frame)
             finally:
                 system.remote_observer = None
+            # The migration copies only move pages and charge fabric
+            # bytes, so the frame is finished once, after them: its
+            # PREALLOC traffic belongs to this frame's bill.
             self.engine.end_frame(system)
-            # Re-read the frame totals: the migration copies just added
-            # PREALLOC traffic that belongs to this frame's bill.
             return system.frame_result(self.name, workload)
 
     del MigratingBaseline  # registered by decorator; name unused

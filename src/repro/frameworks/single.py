@@ -60,6 +60,12 @@ class SingleKernelBaseline(RenderingFramework):
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:
+        self.bind_frame(system, frame)
+        return system.frame_result(self.name, workload)
+
+    def bind_frame(self, system: MultiGPUSystem, frame: Frame) -> None:
+        """Bind and schedule ``frame`` on ``system``, leaving the frame
+        unfinished: no trace is taken and no result is rolled up."""
         from repro.engine.split import slice_schedule
 
         num_gpms = system.num_gpms
@@ -101,7 +107,6 @@ class SingleKernelBaseline(RenderingFramework):
         # directly during rendering, so no CompositionSchedule is
         # handed to the engine and the trace's composition lane is
         # empty.
-        return system.frame_result(self.name, workload)
 
 
 @register_framework("1tbs-bw")

@@ -1500,8 +1500,8 @@ def _even_split(
     )
 
 
-def _per_slice_render_frame_on(self, system, frame, workload):
-    """``SingleKernelBaseline.render_frame_on`` with one bind per slice."""
+def _per_slice_bind_frame(self, system, frame):
+    """``SingleKernelBaseline.bind_frame`` with one bind per slice."""
     share = 1.0 / system.num_gpms
     cost = self.config.cost
     fb_targets = {gpm: share for gpm in range(system.num_gpms)}
@@ -1525,7 +1525,6 @@ def _per_slice_render_frame_on(self, system, frame, workload):
                 system.execute_unit(
                     slice_unit, gpm, fb_targets=fb_targets, command_source=0
                 )
-    return system.frame_result(self.name, workload)
 
 
 def _per_slice_tile_render_frame_on(self, system, frame, workload):
@@ -1621,13 +1620,16 @@ def _per_slice_afr_render_frame_on(self, system, frame, workload):
     return system.frame_result(self.name, workload)
 
 
-#: Each batched framework: the class whose render_frame_on its
-#: per-slice oracle body replaces, and that body.
+#: Each batched framework: the method its per-slice oracle body
+#: replaces, and that body.  The baseline family's is the bind step,
+#: which ``baseline-mig`` calls between attaching its migration
+#: observer and migrating; its own render_frame_on stays in place.
 _BASELINE_ORACLE = (
-    "repro.frameworks.single.SingleKernelBaseline", _per_slice_render_frame_on
+    "repro.frameworks.single.SingleKernelBaseline.bind_frame",
+    _per_slice_bind_frame,
 )
 _TILE_ORACLE = (
-    "repro.frameworks.tile_sfr.TileSplitFrameRendering",
+    "repro.frameworks.tile_sfr.TileSplitFrameRendering.render_frame_on",
     _per_slice_tile_render_frame_on,
 )
 _PER_SLICE_ORACLES = {
@@ -1637,11 +1639,11 @@ _PER_SLICE_ORACLES = {
     "tile-v": _TILE_ORACLE,
     "tile-h": _TILE_ORACLE,
     "object": (
-        "repro.frameworks.object_sfr.ObjectLevelSFR",
+        "repro.frameworks.object_sfr.ObjectLevelSFR.render_frame_on",
         _per_slice_object_render_frame_on,
     ),
     "afr": (
-        "repro.frameworks.afr.AlternateFrameRendering",
+        "repro.frameworks.afr.AlternateFrameRendering.render_frame_on",
         _per_slice_afr_render_frame_on,
     ),
 }
@@ -2001,7 +2003,7 @@ class TestSplitBind:
         split_managers = list(managers)
         managers.clear()
         target, body = _PER_SLICE_ORACLES[framework.split(":")[0]]
-        monkeypatch.setattr(f"{target}.render_frame_on", body)
+        monkeypatch.setattr(target, body)
         oracle = build_framework(framework, config)
         oracle_result = oracle.render_scene(scene)
         assert split_result.to_dict() == oracle_result.to_dict()

@@ -264,6 +264,50 @@ class TestMigration:
         framework.render_scene(scene)
         assert framework.engine.migrated_bytes_total > 0
 
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    def test_each_frame_finishes_once(self, engine, monkeypatch):
+        """Migration only moves pages and charges fabric bytes, so one
+        ``finish_frame`` per frame also bills the frame's copies."""
+        from repro.engine import AnalyticEngine, EventEngine
+
+        calls = []
+        for cls in (AnalyticEngine, EventEngine):
+
+            def counted(self, finish=cls.finish_frame):
+                calls.append(self.name)
+                return finish(self)
+
+            monkeypatch.setattr(cls, "finish_frame", counted)
+        scene = make_benchmark_scene("HL2-640", num_frames=3, draw_scale=0.05)
+        framework = build_framework(
+            "baseline-mig", baseline_system().with_engine(engine)
+        )
+        framework.render_scene(scene)
+        assert calls == [engine] * 3
+        assert framework.engine.migrated_bytes_total > 0
+
+    def test_profile_counts_each_window_loop_once(self):
+        """At one frame migration changes nothing the engine replays,
+        so ``baseline-mig`` simulates exactly the windows ``baseline``
+        does."""
+        from repro.session import Sweep
+
+        base, mig = (
+            Sweep()
+            .frameworks("baseline", "baseline-mig")
+            .workloads("HL2-640")
+            .fast()
+            .frames(1)
+            .engine("event")
+            .run(profile=True)
+            .to_records()
+        )
+        assert (base["framework"], mig["framework"]) == (
+            "baseline", "baseline-mig"
+        )
+        for column in ("profile_event_windows", "profile_event_live_rows"):
+            assert mig[column] == base[column] > 0, column
+
     def test_migration_trades_latency_for_copy_traffic(self):
         scene = make_benchmark_scene("HL2-640", num_frames=4, draw_scale=0.1)
         mig = build_framework("baseline-mig").render_scene(scene)
