@@ -62,10 +62,11 @@ steals, the quantity the engine-contention study measures.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from operator import truediv
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -96,33 +97,140 @@ _MAX_ZERO_WINDOWS = 8
 Link = Tuple[int, int]
 
 
-@dataclass
-class _FlowSpec:
-    """One link transfer of a scheduled job (simulation input)."""
-
-    route: Tuple[Link, ...]
-    nbytes: float
-    latency: float
-    #: Effective-bandwidth multiplier (staging copies stream over
-    #: several incoming links at once; the analytic overlap model folds
-    #: that into one ``parallelism`` factor, mirrored here so the
-    #: uncontended drain time matches the analytic stall exactly).
-    rate_scale: float = 1.0
+#: Recorded job kinds; a job's ``kind`` column holds the index.
+_KINDS = ("render", "stall", "steal", "stage", "compose")
+_RENDER, _STALL, _STEAL, _STAGE, _COMPOSE = range(len(_KINDS))
+#: The numpy dtype of each column typecode.
+_DTYPES = {"b": np.int8, "q": np.int64, "d": np.float64}
 
 
-@dataclass
-class _Job:
-    """One scheduled span of one GPM (simulation input)."""
+def _put(column: array, values) -> None:
+    """Append ``values`` (a numpy column) to ``column``."""
+    column.frombytes(np.asarray(values, _DTYPES[column.typecode]).tobytes())
 
-    label: str
-    gpm: int
-    kind: str
-    start_floor: float
-    compute: float
-    dram: Dict[int, float]
-    flows: List[_FlowSpec]
-    #: Scheduling-clock price, used to scale stolen tails fairly.
-    provisional_cycles: float
+
+class _Recording:
+    """The jobs one simulation pass replays, as columns.
+
+    Job ``j`` is labelled ``labels[j]``, runs on GPM ``gpm[j]`` and has
+    kind ``_KINDS[kind[j]]``, start floor ``floor[j]``, compute cycles
+    ``compute[j]`` and scheduling-clock price ``provisional[j]`` (used to
+    scale stolen tails fairly).  A ``background[j]`` job (a prefetched
+    staging copy) occupies no GPM: it only loads the wires and DRAM.
+    The job's DRAM demands are rows ``dram_bounds[j]:dram_bounds[j + 1]``
+    of ``dram_gpm``/``dram_bytes``, and its link transfers are rows
+    ``flow_bounds[j]:flow_bounds[j + 1]`` of ``flow_route`` (an index
+    into :attr:`routes`), ``flow_bytes``, ``flow_latency`` and
+    ``flow_scale``.  A flow's ``flow_scale`` is its effective-bandwidth
+    multiplier: staging copies stream over several incoming links at
+    once, and the analytic overlap model folds that into one
+    ``parallelism`` factor, mirrored here so the uncontended drain time
+    matches the analytic stall exactly.
+
+    Columns are ``array.array`` buffers, appended a job at a time by
+    :meth:`add` or a slice pass at a time by :meth:`extend`: compact
+    like numpy arrays, and cheap to grow one row at a time.
+    """
+
+    def __init__(self) -> None:
+        self.labels: List[str] = []
+        self.gpm = array("q")
+        self.kind = array("b")
+        self.background = array("b")
+        self.floor = array("d")
+        self.compute = array("d")
+        self.provisional = array("d")
+        self.dram_bounds = array("q", [0])
+        self.dram_gpm = array("q")
+        self.dram_bytes = array("d")
+        self.flow_bounds = array("q", [0])
+        self.flow_route = array("q")
+        self.flow_bytes = array("d")
+        self.flow_latency = array("d")
+        self.flow_scale = array("d")
+        #: The route table, in :meth:`route_id` order.
+        self.routes: List[Tuple[Link, ...]] = []
+        self._route_ids: Dict[Tuple[Link, ...], int] = {}
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def route_id(self, route: Tuple[Link, ...]) -> int:
+        """``route``'s index into :attr:`routes`, added on first use."""
+        rid = self._route_ids.get(route)
+        if rid is None:
+            rid = self._route_ids[route] = len(self.routes)
+            self.routes.append(route)
+        return rid
+
+    def add(
+        self,
+        label: str,
+        gpm: int,
+        kind: int,
+        compute: float,
+        provisional: float,
+        *,
+        floor: float = 0.0,
+        dram: Iterable[Tuple[int, float]] = (),
+        flows: Iterable[Tuple[int, float, float, float]] = (),
+        background: bool = False,
+    ) -> None:
+        """Append one job: ``dram`` rows are ``(gpm, bytes)``, ``flows``
+        rows ``(route id, bytes, latency, rate scale)``."""
+        self.labels.append(label)
+        self.gpm.append(gpm)
+        self.kind.append(kind)
+        self.background.append(background)
+        self.floor.append(floor)
+        self.compute.append(compute)
+        self.provisional.append(provisional)
+        for owner, nbytes in dram:
+            self.dram_gpm.append(owner)
+            self.dram_bytes.append(nbytes)
+        self.dram_bounds.append(len(self.dram_bytes))
+        for rid, nbytes, latency, scale in flows:
+            self.flow_route.append(rid)
+            self.flow_bytes.append(nbytes)
+            self.flow_latency.append(latency)
+            self.flow_scale.append(scale)
+        self.flow_bounds.append(len(self.flow_bytes))
+
+    def extend(
+        self,
+        labels: List[str],
+        gpm: np.ndarray,
+        kind: np.ndarray,
+        compute: np.ndarray,
+        provisional: np.ndarray,
+        dram_counts: np.ndarray,
+        dram_gpm: np.ndarray,
+        dram_bytes: np.ndarray,
+        flow_counts: np.ndarray,
+        flow_route: np.ndarray,
+        flow_bytes: np.ndarray,
+        flow_latency: np.ndarray,
+        flow_scale: np.ndarray,
+    ) -> None:
+        """Append GPM jobs without start floors, as numpy columns: job
+        ``j`` owns the next ``dram_counts[j]`` DRAM rows and the next
+        ``flow_counts[j]`` flow rows."""
+        jobs = len(labels)
+        self.labels.extend(labels)
+        _put(self.gpm, gpm)
+        _put(self.kind, kind)
+        _put(self.background, np.zeros(jobs))
+        _put(self.floor, np.zeros(jobs))
+        _put(self.compute, compute)
+        _put(self.provisional, provisional)
+        _put(self.dram_bounds, len(self.dram_bytes) + np.cumsum(dram_counts))
+        _put(self.dram_gpm, dram_gpm)
+        _put(self.dram_bytes, dram_bytes)
+        _put(self.flow_bounds, len(self.flow_bytes) + np.cumsum(flow_counts))
+        _put(self.flow_route, flow_route)
+        _put(self.flow_bytes, flow_bytes)
+        _put(self.flow_latency, flow_latency)
+        _put(self.flow_scale, flow_scale)
 
 
 class _RunState:
@@ -133,10 +241,9 @@ class _RunState:
     job's trace interval when it retires.
     """
 
-    __slots__ = ("job", "idx", "start")
+    __slots__ = ("idx", "start")
 
-    def __init__(self, job: _Job, idx: int, start: float) -> None:
-        self.job = job
+    def __init__(self, idx: int, start: float) -> None:
         self.idx = idx
         self.start = start
 
@@ -144,79 +251,62 @@ class _RunState:
 class _JobArrays:
     """Struct-of-array demand state for one reference simulation pass.
 
-    One row per DRAM demand and per link flow across *all* jobs of the
-    pass, built once after every ``_note_shed`` scale-down has been
-    applied.  Each window's bandwidth shares, next-event horizon and
-    depletion are then elementwise float64 expressions over these rows
-    — the exact expressions the retired per-object loop evaluated, so
-    completion times (and the goldens pinned on them) are bit-equal.
-    Routes are stored CSR-style over a first-seen link table so
-    per-flow rates reduce with ``np.minimum.reduceat``.
+    Built from a :class:`_Recording`'s columns after every
+    ``_note_shed`` scale-down has been applied: the job compute column,
+    every DRAM row above the dust threshold and every flow row, copied,
+    so the loop drains them without touching the recording.  Each
+    window's bandwidth shares, next-event horizon and depletion are then
+    elementwise float64 expressions over these rows — the exact
+    expressions the retired per-object loop evaluated, so completion
+    times (and the goldens pinned on them) are bit-equal.  Routes are
+    stored CSR-style over a first-seen link table so per-flow rates
+    reduce with ``np.minimum.reduceat``.
     """
 
-    def __init__(self, jobs: Sequence[_Job]) -> None:
-        self.count = len(jobs)
-        self.compute = np.array(
-            [job.compute for job in jobs], dtype=np.float64
-        )
-        dram_job: List[int] = []
-        dram_gpm: List[int] = []
-        dram_rem: List[float] = []
-        flow_job: List[int] = []
-        flow_lat: List[float] = []
-        flow_bytes: List[float] = []
-        flow_scale: List[float] = []
-        route_counts: List[int] = []
-        route_links: List[int] = []
-        link_ids: Dict[Link, int] = {}
-        for idx, job in enumerate(jobs):
-            for gpm, nbytes in job.dram.items():
-                # Mirrors the old _ActiveJob filter: float-dust DRAM
-                # demands never participate.
-                if nbytes > _EPS:
-                    dram_job.append(idx)
-                    dram_gpm.append(gpm)
-                    dram_rem.append(nbytes)
-            for spec in job.flows:
-                flow_job.append(idx)
-                flow_lat.append(spec.latency)
-                flow_bytes.append(spec.nbytes)
-                flow_scale.append(spec.rate_scale)
-                route_counts.append(len(spec.route))
-                for link in spec.route:
-                    lid = link_ids.setdefault(link, len(link_ids))
-                    route_links.append(lid)
-        # Contiguous per-job row ranges (jobs were walked in order), so
+    def __init__(self, recording: _Recording) -> None:
+        self.count = count = len(recording)
+        self.compute = np.array(recording.compute, dtype=np.float64)
+        jobs = np.arange(count, dtype=np.int64)
+        dram_bounds = np.array(recording.dram_bounds, dtype=np.int64)
+        dram_bytes = np.array(recording.dram_bytes, dtype=np.float64)
+        # Mirrors the old _ActiveJob filter: float-dust DRAM demands
+        # never participate.
+        live = dram_bytes > _EPS
+        self.dram_job = np.repeat(jobs, np.diff(dram_bounds))[live]
+        self.dram_gpm = np.array(recording.dram_gpm, dtype=np.int64)[live]
+        self.dram_rem = dram_bytes[live]
+        self.job_f0 = np.array(recording.flow_bounds, dtype=np.int64)
+        self.flow_job = np.repeat(jobs, np.diff(self.job_f0))
+        self.flow_lat = np.array(recording.flow_latency, dtype=np.float64)
+        self.flow_bytes = np.array(recording.flow_bytes, dtype=np.float64)
+        self.flow_scale = np.array(recording.flow_scale, dtype=np.float64)
+        # Contiguous per-job row ranges (jobs are recorded in order), so
         # activation/retirement toggles the row masks with one slice.
-        self.job_d0 = np.zeros(self.count + 1, dtype=np.int64)
-        self.job_f0 = np.zeros(self.count + 1, dtype=np.int64)
+        self.job_d0 = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(
-            np.bincount(
-                np.asarray(dram_job, dtype=np.int64), minlength=self.count
-            ),
-            out=self.job_d0[1:],
+            np.bincount(self.dram_job, minlength=count), out=self.job_d0[1:]
         )
-        np.cumsum(
-            np.bincount(
-                np.asarray(flow_job, dtype=np.int64), minlength=self.count
-            ),
-            out=self.job_f0[1:],
-        )
-        self.dram_job = np.asarray(dram_job, dtype=np.int64)
-        self.dram_gpm = np.asarray(dram_gpm, dtype=np.int64)
-        self.dram_rem = np.asarray(dram_rem, dtype=np.float64)
-        self.flow_job = np.asarray(flow_job, dtype=np.int64)
-        self.flow_lat = np.asarray(flow_lat, dtype=np.float64)
-        self.flow_bytes = np.asarray(flow_bytes, dtype=np.float64)
-        self.flow_scale = np.asarray(flow_scale, dtype=np.float64)
-        counts = np.asarray(route_counts, dtype=np.int64)
+        # Link ids in first-seen order over the flows: only a route's
+        # first use can bring links not seen before.  Row ``rid`` of
+        # ``table`` holds route ``rid``'s link ids, padded.
+        rids = np.array(recording.flow_route, dtype=np.int64)
+        used, first = np.unique(rids, return_index=True)
+        width = max(map(len, recording.routes), default=0)
+        table = np.zeros((len(recording.routes), width), dtype=np.int64)
+        link_ids: Dict[Link, int] = {}
+        for rid in used[np.argsort(first)].tolist():
+            for hop, link in enumerate(recording.routes[rid]):
+                table[rid, hop] = link_ids.setdefault(link, len(link_ids))
+        counts = np.array(
+            [len(route) for route in recording.routes], dtype=np.int64
+        )[rids]
         self.route_offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
         )
-        self.route_links = np.asarray(route_links, dtype=np.int64)
+        self.route_links = table[rids][np.arange(width) < counts[:, None]]
         #: Flow row of each route element (for masking/bincount).
         self.route_rep = np.repeat(
-            np.arange(len(route_counts), dtype=np.int64), counts
+            np.arange(rids.size, dtype=np.int64), counts
         )
         self.route_len = counts.astype(np.float64)
         #: Link table in first-seen order; row i is link id i.
@@ -227,10 +317,10 @@ class _JobArrays:
         # retirement predicate is two scalar reads, and a job with no
         # live demand at all completes instantly on activation (the
         # same predicate the per-object loop evaluated).
-        pending = np.bincount(self.dram_job, minlength=self.count)
+        pending = np.bincount(self.dram_job, minlength=count)
         not_done = (self.flow_lat > _EPS) | (self.flow_bytes > _EPS)
         self.pending0 = pending + np.bincount(
-            self.flow_job[not_done], minlength=self.count
+            self.flow_job[not_done], minlength=count
         )
         self.zero_demand = (self.compute <= _EPS) & (self.pending0 == 0)
 
@@ -272,36 +362,34 @@ class EventEngine(ExecutionEngine):
 
     def __init__(self, system) -> None:
         super().__init__(system)
-        self._jobs: List[_Job] = []
-        #: Background staging/PA copies (no GPM occupancy, wire load only).
-        self._background: List[_Job] = []
+        #: The frame's recorded jobs: GPM jobs and background copies.
+        self._recording = _Recording()
         #: Composition barriers to simulate after the render phase.
         self._compositions: List[CompositionSchedule] = []
 
     def begin_frame(self) -> None:
         super().begin_frame()
-        self._jobs.clear()
-        self._background.clear()
+        self._recording = _Recording()
         self._compositions.clear()
 
     # -- schedule recording ---------------------------------------------------
 
-    def _flow_specs(self, resolved: ResolvedUnit) -> List[_FlowSpec]:
+    def _routed(
+        self,
+        recording: _Recording,
+        transfers: Iterable[Tuple[int, int, float]],
+    ) -> List[Tuple[int, float, float, float]]:
+        """The flow rows of ``(src, dst, bytes)`` transfers that cross a
+        link: route id, bytes, per-hop wire latency and rate scale 1."""
         fabric = self.system.fabric
         latency = float(self.system.config.link.latency_cycles)
-        specs: List[_FlowSpec] = []
-        for flow in resolved.flows:
-            route = tuple(fabric.route(flow.src, flow.dst))
-            if not route:
-                continue
-            specs.append(
-                _FlowSpec(
-                    route=route,
-                    nbytes=flow.nbytes,
-                    latency=latency * len(route),
-                )
-            )
-        return specs
+        rows = []
+        for src, dst, nbytes in transfers:
+            route = tuple(fabric.route(src, dst))
+            if route:
+                rid = recording.route_id(route)
+                rows.append((rid, nbytes, latency * len(route), 1.0))
+        return rows
 
     def _note_unit(
         self,
@@ -309,102 +397,114 @@ class EventEngine(ExecutionEngine):
         start_at: Optional[float],
         cycles: float,
     ) -> None:
-        self._jobs.append(
-            _Job(
-                label=resolved.label,
-                gpm=resolved.gpm,
-                kind="render",
-                start_floor=start_at or 0.0,
-                compute=resolved.compute_cycles,
-                dram=dict(resolved.dram_demand),
-                flows=self._flow_specs(resolved),
-                provisional_cycles=cycles,
-            )
+        recording = self._recording
+        recording.add(
+            resolved.label,
+            resolved.gpm,
+            _RENDER,
+            resolved.compute_cycles,
+            cycles,
+            floor=start_at or 0.0,
+            dram=resolved.dram_demand.items(),
+            flows=self._routed(
+                recording,
+                ((flow.src, flow.dst, flow.nbytes) for flow in resolved.flows),
+            ),
         )
 
     def _note_split(self, split) -> None:
-        """One render job per slice, exactly as :meth:`_note_unit` would
-        record the slice's resolved unit, each staged slice's copy first
-        (:meth:`_note_stage`)."""
+        """Append the pass: one render job per slice, exactly as
+        :meth:`_note_unit` would record the slice's resolved unit, each
+        staged slice's copy job first, exactly as :meth:`_note_stage`
+        would record it."""
+        recording = self._recording
         n = self.system.num_gpms
         fabric = self.system.fabric
         latency = float(self.system.config.link.latency_cycles)
-        routes = [[tuple(fabric.route(s, d)) for d in range(n)] for s in range(n)]
-        src = split.flow_src.tolist()
-        dst = split.flow_dst.tolist()
-        nbytes = split.flow_bytes.tolist()
-        bounds = split.flow_bounds.tolist()
-        for slice_, (label, gpm, compute, cycles, dram) in enumerate(
-            zip(
-                split.labels,
-                split.gpm.tolist(),
-                split.compute.tolist(),
-                split.cycles.tolist(),
-                split.dram_demands(),
-            )
-        ):
-            stage = split.stages.get(slice_)
-            if stage is not None:
-                self._note_stage(*stage)
-            flows: List[_FlowSpec] = []
-            for row in range(bounds[slice_], bounds[slice_ + 1]):
-                route = routes[src[row]][dst[row]]
+        # Route id and hop count of every (src, dst) pair; -1: no link.
+        pair_route = np.full(n * n, -1, np.int64)
+        pair_hops = np.zeros(n * n, np.int64)
+        for src in range(n):
+            for dst in range(n):
+                route = tuple(fabric.route(src, dst))
                 if route:
-                    flows.append(
-                        _FlowSpec(
-                            route=route,
-                            nbytes=nbytes[row],
-                            latency=latency * len(route),
-                        )
-                    )
-            self._jobs.append(
-                _Job(
-                    label=label,
-                    gpm=gpm,
-                    kind="render",
-                    start_floor=0.0,
-                    compute=compute,
-                    dram=dram,
-                    flows=flows,
-                    provisional_cycles=cycles,
-                )
+                    pair_route[src * n + dst] = recording.route_id(route)
+                    pair_hops[src * n + dst] = len(route)
+        slices = len(split.labels)
+        # The render jobs' flow rows: every transfer that crosses a link.
+        pair = split.flow_src * n + split.flow_dst
+        routed = pair_route[pair] >= 0
+        flow_slice = np.repeat(np.arange(slices), np.diff(split.flow_bounds))
+        pair = pair[routed]
+        # The copy jobs: one chunk each, streaming at ``parallelism``
+        # times the hop-blind copy rate (see _note_stage).
+        stage = split.stage_slice
+        copy_pair = split.stage_src * n + split.gpm[stage]
+        streams = pair_route[copy_pair] >= 0
+        copy_pair = copy_pair[streams]
+        # Job order: each staged slice's copy, then its render job.
+        per_slice = np.ones(slices, np.int64)
+        per_slice[stage] = 2
+        render_at = np.cumsum(per_slice) - 1
+        stage_at = render_at[stage] - 1
+        jobs = slices + stage.size
+        gpm = np.empty(jobs, np.int64)
+        gpm[render_at] = split.gpm
+        gpm[stage_at] = split.gpm[stage]
+        kind = np.full(jobs, _STALL, np.int8)
+        kind[render_at] = _RENDER
+        compute = np.empty(jobs)
+        compute[render_at] = split.compute
+        compute[stage_at] = np.where(streams, 0.0, split.stage_cycles)
+        provisional = np.empty(jobs)
+        provisional[render_at] = split.cycles
+        provisional[stage_at] = split.stage_cycles
+        source = np.full(jobs, slices)
+        source[render_at] = np.arange(slices)
+        labels = list(
+            map([*split.labels, "stage"].__getitem__, source.tolist())
+        )
+        dram_slice, dram_gpm, dram_bytes = split.dram_rows()
+        # Flow rows, render then copy, sorted stably into job order.
+        row_job = np.concatenate(
+            (render_at[flow_slice[routed]], stage_at[streams])
+        )
+        order = np.argsort(row_job, kind="stable")
+        flow_route = pair_route[np.concatenate((pair, copy_pair))][order]
+        flow_bytes = np.concatenate(
+            (split.flow_bytes[routed], split.stage_bytes[streams])
+        )[order]
+        flow_latency = np.concatenate(
+            (latency * pair_hops[pair], np.zeros(copy_pair.size))
+        )[order]
+        flow_scale = np.concatenate(
+            (
+                np.ones(pair.size),
+                split.stage_parallelism * pair_hops[copy_pair],
             )
+        )[order]
+        recording.extend(
+            labels, gpm, kind, compute, provisional,
+            np.bincount(render_at[dram_slice], minlength=jobs),
+            dram_gpm, dram_bytes,
+            np.bincount(row_job, minlength=jobs),
+            flow_route, flow_bytes, flow_latency, flow_scale,
+        )
 
     def _note_stall(self, gpm_id: int, label: str, cycles: float) -> None:
-        self._jobs.append(
-            _Job(
-                label=label,
-                gpm=gpm_id,
-                kind="stall",
-                start_floor=0.0,
-                compute=cycles,
-                dram={},
-                flows=[],
-                provisional_cycles=cycles,
-            )
-        )
+        self._recording.add(label, gpm_id, _STALL, cycles, cycles)
 
     def _note_steal(
         self, src: int, dst: int, label: str, cycles: float, nbytes: float
     ) -> None:
-        route = tuple(self.system.fabric.route(src, dst))
-        latency = float(self.system.config.link.latency_cycles)
-        flows = (
-            [_FlowSpec(route=route, nbytes=nbytes, latency=latency * len(route))]
-            if route
-            else []
-        )
-        self._jobs.append(
-            _Job(
-                label=label,
-                gpm=dst,
-                kind="steal",
-                start_floor=0.0,
-                compute=cycles,
-                dram={},
-                flows=flows,
-                provisional_cycles=cycles,
-            )
+        recording = self._recording
+        recording.add(
+            label,
+            dst,
+            _STEAL,
+            cycles,
+            cycles,
+            flows=self._routed(recording, [(src, dst, nbytes)]),
         )
 
     def _note_shed(self, gpm_id: int, cycles: float) -> None:
@@ -415,22 +515,32 @@ class EventEngine(ExecutionEngine):
         data), so the tail jobs scale down proportionally, newest
         first.
         """
+        recording = self._recording
+        gpm, kind = recording.gpm, recording.kind
+        provisional = recording.provisional
         remaining = cycles
-        for job in reversed(self._jobs):
+        for job in range(len(recording) - 1, -1, -1):
             if remaining <= _EPS:
                 return
-            if job.gpm != gpm_id or job.kind != "render":
+            if gpm[job] != gpm_id or kind[job] != _RENDER:
                 continue
-            p = job.provisional_cycles
+            p = provisional[job]
             if p <= _EPS:
                 continue
             take = min(remaining, p)
             factor = (p - take) / p
-            job.compute *= factor
-            job.dram = {gpm: b * factor for gpm, b in job.dram.items()}
-            for flow in job.flows:
-                flow.nbytes *= factor
-            job.provisional_cycles = p - take
+            recording.compute[job] *= factor
+            dram_bytes = recording.dram_bytes
+            for row in range(
+                recording.dram_bounds[job], recording.dram_bounds[job + 1]
+            ):
+                dram_bytes[row] *= factor
+            flow_bytes = recording.flow_bytes
+            for row in range(
+                recording.flow_bounds[job], recording.flow_bounds[job + 1]
+            ):
+                flow_bytes[row] *= factor
+            provisional[job] = p - take
             remaining -= take
 
     def _note_stage(
@@ -452,61 +562,49 @@ class EventEngine(ExecutionEngine):
             if copy.nbytes > 0 and copy.src != copy.dst:
                 key = (copy.src, copy.dst)
                 merged[key] = merged.get(key, 0.0) + copy.nbytes
+        recording = self._recording
         fabric = self.system.fabric
-        specs: List[_FlowSpec] = []
+        flows: List[Tuple[int, float, float, float]] = []
         for (src, dst), nbytes in merged.items():
             route = tuple(fabric.route(src, dst))
             if not route:
                 continue
-            specs.append(
-                _FlowSpec(
-                    # Copies stream: no per-request wire latency (the
-                    # analytic overlap stall has no latency term
-                    # either).  The rate compensates flow_rate()'s
-                    # hop-count serialisation — the analytic copy model
-                    # is hop-blind (a pipelined DMA stream, priced at
-                    # raw link bandwidth on any fabric), so uncontended
-                    # drain time must equal the analytic stall / PA
-                    # copy time everywhere; contention still divides
-                    # the rate through each route link's user count.
-                    route=route,
-                    nbytes=nbytes,
-                    latency=0.0,
-                    rate_scale=(1.0 if prefetched else parallelism)
-                    * len(route),
-                )
-            )
+            # Copies stream: no per-request wire latency (the analytic
+            # overlap stall has no latency term either).  The rate
+            # compensates flow_rate()'s hop-count serialisation — the
+            # analytic copy model is hop-blind (a pipelined DMA stream,
+            # priced at raw link bandwidth on any fabric), so uncontended
+            # drain time must equal the analytic stall / PA copy time
+            # everywhere; contention still divides the rate through each
+            # route link's user count.
+            scale = (1.0 if prefetched else parallelism) * len(route)
+            flows.append((recording.route_id(route), nbytes, 0.0, scale))
         if prefetched:
-            if not specs:
+            if not flows:
                 return
-            self._background.append(
-                _Job(
-                    label=label,
-                    gpm=gpm_id,
-                    kind="stage",
-                    start_floor=overlap_from or 0.0,
-                    compute=0.0,
-                    # The copy lands in the destination's DRAM while
-                    # renders read from it.
-                    dram={gpm_id: total_bytes},
-                    flows=specs,
-                    provisional_cycles=0.0,
-                )
+            recording.add(
+                label,
+                gpm_id,
+                _STAGE,
+                0.0,
+                0.0,
+                floor=overlap_from or 0.0,
+                # The copy lands in the destination's DRAM while renders
+                # read from it.
+                dram=[(gpm_id, total_bytes)],
+                flows=flows,
+                background=True,
             )
             return
-        self._jobs.append(
-            _Job(
-                label=label,
-                gpm=gpm_id,
-                kind="stall",
-                start_floor=0.0,
-                # A pure flow job when routable; otherwise fall back to
-                # the scheduling-clock stall so no time is lost.
-                compute=0.0 if specs else stall_cycles,
-                dram={},
-                flows=specs,
-                provisional_cycles=stall_cycles,
-            )
+        recording.add(
+            label,
+            gpm_id,
+            _STALL,
+            # A pure flow job when routable; otherwise fall back to the
+            # scheduling-clock stall so no time is lost.
+            0.0 if flows else stall_cycles,
+            stall_cycles,
+            flows=flows,
         )
 
     def _note_composition(
@@ -518,11 +616,13 @@ class EventEngine(ExecutionEngine):
 
     @staticmethod
     def _stall_error(
-        active: Dict[int, _RunState], bg_active: Sequence[_RunState]
+        labels: Sequence[str],
+        active: Dict[int, _RunState],
+        bg_active: Sequence[_RunState],
     ) -> RuntimeError:
         """The diagnostic for a window loop that cannot progress."""
         labels = sorted(
-            {state.job.label for state in (*active.values(), *bg_active)}
+            {labels[state.idx] for state in (*active.values(), *bg_active)}
         )
         return RuntimeError(
             "event window loop stalled: active job(s) made no progress "
@@ -531,9 +631,7 @@ class EventEngine(ExecutionEngine):
             f"zero); stalled jobs: {labels}"
         )
 
-    def _simulate(
-        self, jobs: Sequence[_Job], background: Sequence[_Job] = ()
-    ) -> _SimResult:
+    def _simulate(self, recording: _Recording) -> _SimResult:
         """The window loop (the production path).
 
         Bit-equal to :meth:`_simulate_reference` on every
@@ -589,10 +687,26 @@ class EventEngine(ExecutionEngine):
         link_bw = system.config.link.bytes_per_cycle
         inf = float("inf")
 
-        all_jobs: List[_Job] = [*jobs, *background]
+        # The recording's columns, read as Python lists: a window reads
+        # a few dozen rows, which cost less as floats than as numpy
+        # scalars.
+        labels = recording.labels
+        njobs = len(labels)
+        gpm_of = recording.gpm.tolist()
+        kind_of = recording.kind.tolist()
+        floor_of = recording.floor.tolist()
+        compute_of = recording.compute.tolist()
+        dram_bounds = recording.dram_bounds.tolist()
+        dram_gpm = recording.dram_gpm.tolist()
+        dram_bytes = recording.dram_bytes.tolist()
+        flow_bounds = recording.flow_bounds.tolist()
+        flow_route = recording.flow_route.tolist()
+        flow_bytes = recording.flow_bytes.tolist()
+        flow_latency = recording.flow_latency.tolist()
+        flow_scale = recording.flow_scale.tolist()
         #: Open components per started job (compute, DRAM rows, flows —
         #: a flow stays open until its latency *and* bytes drain).
-        pending = [0] * len(all_jobs)
+        pending = [0] * njobs
 
         # Resources: 0 is the rate-1 clock of timers, 1 + gpm a DRAM,
         # then links in first-seen order.  Per resource: current users,
@@ -602,10 +716,14 @@ class EventEngine(ExecutionEngine):
         busy_acc = [0.0] * (1 + n)
         link_res: Dict[Link, int] = {}
         busy_links: Set[int] = set()
-        #: Route -> (resource ids, hop count, the single resource or -1).
-        routes: Dict[Tuple[Link, ...], Tuple[List[int], float, int]] = {}
+        #: Per route id: (resource ids, hop count, the single resource or
+        #: -1), filled on the route's first use.
+        routes: List[Optional[Tuple[List[int], float, int]]] = [None] * len(
+            recording.routes
+        )
 
-        def route_entry(route: Tuple[Link, ...]):
+        def route_entry(rid: int):
+            route = recording.routes[rid]
             ids = []
             for link in route:
                 res = link_res.get(link)
@@ -616,7 +734,7 @@ class EventEngine(ExecutionEngine):
                     busy_acc.append(0.0)
                 ids.append(res)
             hops = float(len(route))
-            entry = routes[route] = (ids, hops, ids[0] if hops == 1.0 else -1)
+            entry = routes[rid] = (ids, hops, ids[0] if hops == 1.0 else -1)
             return entry
 
         # The live rows, as parallel lists.  ``src`` is the resource
@@ -649,14 +767,15 @@ class EventEngine(ExecutionEngine):
         def start(idx: int) -> int:
             """Register a starting job's live rows; return how many
             components it opened (zero: the job completes instantly)."""
-            job = all_jobs[idx]
             opened = 0
-            if job.compute > _EPS:
-                fresh.setdefault(job.compute, []).append(idx)
+            compute = compute_of[idx]
+            if compute > _EPS:
+                fresh.setdefault(compute, []).append(idx)
                 opened = 1
-            for gpm, nbytes in job.dram.items():
+            for row in range(dram_bounds[idx], dram_bounds[idx + 1]):
+                nbytes = dram_bytes[row]
                 if nbytes > _EPS:
-                    res = 1 + gpm
+                    res = 1 + dram_gpm[row]
                     rems.append(nbytes)
                     srcs.append(res)
                     rows.append(idx)
@@ -664,15 +783,15 @@ class EventEngine(ExecutionEngine):
                     users[res] = count
                     share[res] = dram_bw / count
                     opened += 1
-            for spec in job.flows:
-                latency = spec.latency
-                nbytes = spec.nbytes
+            for row in range(flow_bounds[idx], flow_bounds[idx + 1]):
+                latency = flow_latency[row]
+                nbytes = flow_bytes[row]
                 if not (latency > _EPS or nbytes > _EPS):
                     continue
                 opened += 1
-                route = spec.route
-                ids, hops, single = routes.get(route) or route_entry(route)
-                scale = spec.rate_scale
+                rid = flow_route[row]
+                ids, hops, single = routes[rid] or route_entry(rid)
+                scale = flow_scale[row]
                 flow = (
                     idx, nbytes, ids, scale, hops,
                     single if scale == 1.0 else -1,
@@ -685,14 +804,13 @@ class EventEngine(ExecutionEngine):
             return opened
 
         queues: List[deque] = [deque() for _ in range(n)]
-        for idx, job in enumerate(jobs):
-            queues[job.gpm].append(idx)
-        bg_pending = deque(
-            sorted(
-                range(len(jobs), len(all_jobs)),
-                key=lambda idx: all_jobs[idx].start_floor,
-            )
-        )
+        background: List[int] = []
+        for idx, lane in enumerate(recording.background):
+            if lane:
+                background.append(idx)
+            else:
+                queues[gpm_of[idx]].append(idx)
+        bg_pending = deque(sorted(background, key=floor_of.__getitem__))
         bg_active: List[_RunState] = []
 
         active: Dict[int, _RunState] = {}
@@ -701,12 +819,11 @@ class EventEngine(ExecutionEngine):
         end = [0.0] * n
         intervals: List[TraceInterval] = []
         #: Jobs in the order the reference accounts their link bytes.
-        accounted: List[_Job] = []
+        accounted: List[int] = []
 
-        total_components = sum(
-            1 + len(job.dram) + len(job.flows) for job in all_jobs
-        )
-        max_steps = 1000 + 16 * (total_components + len(all_jobs))
+        # Every DRAM row counts, dust included.
+        total_components = njobs + len(dram_bytes) + len(flow_bytes)
+        max_steps = 1000 + 16 * (total_components + njobs)
         steps = 0
         zero_windows = 0
         windows = 0
@@ -719,7 +836,7 @@ class EventEngine(ExecutionEngine):
             if steps > max_steps:
                 raise EngineError(
                     "event simulation failed to converge "
-                    f"({len(jobs)} jobs, {steps} steps)"
+                    f"({njobs - len(background)} jobs, {steps} steps)"
                 )
 
             if rescan:
@@ -730,8 +847,7 @@ class EventEngine(ExecutionEngine):
                 for gpm in range(n):
                     queue = queues[gpm]
                     while gpm not in active and queue:
-                        job = all_jobs[queue[0]]
-                        floor = job.start_floor
+                        floor = floor_of[queue[0]]
                         if floor > t * (1 + _REL) + _EPS:
                             next_start = min(next_start, floor)
                             break
@@ -741,22 +857,22 @@ class EventEngine(ExecutionEngine):
                         if opened:
                             live += opened
                             stale = True
-                            active[gpm] = _RunState(job, idx, begin)
+                            active[gpm] = _RunState(idx, begin)
                             continue
                         intervals.append(
                             TraceInterval(
-                                gpm=gpm, label=job.label,
-                                start=begin, end=begin, kind=job.kind,
+                                gpm=gpm, label=labels[idx],
+                                start=begin, end=begin,
+                                kind=_KINDS[kind_of[idx]],
                             )
                         )
                         end[gpm] = max(end[gpm], begin)
-                        accounted.append(job)
+                        accounted.append(idx)
                 # Background copies activate on their floor regardless of
                 # what their GPM is doing — the copy engines, not the
                 # SMs, move the bytes.
                 while bg_pending:
-                    job = all_jobs[bg_pending[0]]
-                    floor = job.start_floor
+                    floor = floor_of[bg_pending[0]]
                     if floor > t * (1 + _REL) + _EPS:
                         next_start = min(next_start, floor)
                         break
@@ -766,15 +882,16 @@ class EventEngine(ExecutionEngine):
                     if opened:
                         live += opened
                         stale = True
-                        bg_active.append(_RunState(job, idx, begin))
+                        bg_active.append(_RunState(idx, begin))
                         continue
                     intervals.append(
                         TraceInterval(
-                            gpm=job.gpm, label=job.label,
-                            start=begin, end=begin, kind=job.kind,
+                            gpm=gpm_of[idx], label=labels[idx],
+                            start=begin, end=begin,
+                            kind=_KINDS[kind_of[idx]],
                         )
                     )
-                    accounted.append(job)
+                    accounted.append(idx)
                 for value, members in fresh.items():
                     rems.append(value)
                     srcs.append(0)
@@ -812,7 +929,7 @@ class EventEngine(ExecutionEngine):
                 # spinning (or silently force-retiring) forever.
                 zero_windows += 1
                 if zero_windows >= _MAX_ZERO_WINDOWS:
-                    raise self._stall_error(active, bg_active)
+                    raise self._stall_error(labels, active, bg_active)
                 dt = 0.0
             else:
                 zero_windows = 0
@@ -888,33 +1005,36 @@ class EventEngine(ExecutionEngine):
                 gpm for gpm, state in active.items() if not pending[state.idx]
             ]:
                 state = active.pop(gpm)
+                idx = state.idx
                 intervals.append(
                     TraceInterval(
-                        gpm=gpm, label=state.job.label,
-                        start=state.start, end=t, kind=state.job.kind,
+                        gpm=gpm, label=labels[idx],
+                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
                     )
                 )
                 end[gpm] = max(end[gpm], t)
-                accounted.append(state.job)
+                accounted.append(idx)
                 rescan = True
             for state in [
                 state for state in bg_active if not pending[state.idx]
             ]:
+                idx = state.idx
                 intervals.append(
                     TraceInterval(
-                        gpm=state.job.gpm, label=state.job.label,
-                        start=state.start, end=t, kind=state.job.kind,
+                        gpm=gpm_of[idx], label=labels[idx],
+                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
                     )
                 )
-                accounted.append(state.job)
+                accounted.append(idx)
                 bg_active.remove(state)
                 rescan = True
 
         link_bytes: Dict[Link, float] = {}
-        for job in accounted:
-            for spec in job.flows:
-                for link in spec.route:
-                    link_bytes[link] = link_bytes.get(link, 0.0) + spec.nbytes
+        for idx in accounted:
+            for row in range(flow_bounds[idx], flow_bounds[idx + 1]):
+                nbytes = flow_bytes[row]
+                for link in recording.routes[flow_route[row]]:
+                    link_bytes[link] = link_bytes.get(link, 0.0) + nbytes
         link_busy: Dict[Link, float] = {
             link: busy_acc[res]
             for link, res in link_res.items()
@@ -930,9 +1050,7 @@ class EventEngine(ExecutionEngine):
             live_rows=live_rows,
         )
 
-    def _simulate_reference(
-        self, jobs: Sequence[_Job], background: Sequence[_Job] = ()
-    ) -> _SimResult:
+    def _simulate_reference(self, recording: _Recording) -> _SimResult:
         """The retained full-scan window loop (the oracle).
 
         Every window re-derives the live-row sets with ``nonzero``/
@@ -940,16 +1058,22 @@ class EventEngine(ExecutionEngine):
         as the bit-exactness oracle for :meth:`_simulate` (the property
         tests replay random flow soups through both) and as the
         baseline side of the throughput bench's same-host loop A/B via
-        :attr:`use_reference_loop`.
+        :attr:`use_reference_loop`.  It reads the same recording, through
+        :class:`_JobArrays`.
         """
         system = self.system
         n = system.num_gpms
         dram_bw = system.config.gpm.dram_bytes_per_cycle
         link_bw = system.config.link.bytes_per_cycle
 
-        all_jobs: List[_Job] = [*jobs, *background]
-        arrays = _JobArrays(all_jobs)
-        index_of = {id(job): idx for idx, job in enumerate(all_jobs)}
+        arrays = _JobArrays(recording)
+        labels = recording.labels
+        gpm_of = recording.gpm.tolist()
+        kind_of = recording.kind.tolist()
+        floor_of = recording.floor.tolist()
+        flow_bounds = recording.flow_bounds.tolist()
+        flow_route = recording.flow_route.tolist()
+        recorded_bytes = recording.flow_bytes.tolist()
         compute_rem = arrays.compute
         dram_job, dram_gpm = arrays.dram_job, arrays.dram_gpm
         dram_rem = arrays.dram_rem
@@ -969,11 +1093,13 @@ class EventEngine(ExecutionEngine):
         link_busy_acc = np.zeros(num_links, dtype=np.float64)
 
         queues: List[deque] = [deque() for _ in range(n)]
-        for job in jobs:
-            queues[job.gpm].append(job)
-        bg_pending: List[_Job] = sorted(
-            background, key=lambda job: job.start_floor
-        )
+        background: List[int] = []
+        for idx, lane in enumerate(recording.background):
+            if lane:
+                background.append(idx)
+            else:
+                queues[gpm_of[idx]].append(idx)
+        bg_pending: List[int] = sorted(background, key=floor_of.__getitem__)
         bg_active: List[_RunState] = []
 
         active: Dict[int, _RunState] = {}
@@ -983,18 +1109,17 @@ class EventEngine(ExecutionEngine):
         intervals: List[TraceInterval] = []
         link_bytes: Dict[Link, float] = {}
 
-        def account_bytes(job: _Job) -> None:
-            for spec in job.flows:
-                for link in spec.route:
-                    link_bytes[link] = link_bytes.get(link, 0.0) + spec.nbytes
+        def account_bytes(idx: int) -> None:
+            for row in range(flow_bounds[idx], flow_bounds[idx + 1]):
+                nbytes = recorded_bytes[row]
+                for link in recording.routes[flow_route[row]]:
+                    link_bytes[link] = link_bytes.get(link, 0.0) + nbytes
 
-        total_components = sum(
-            1 + len(job.dram) + len(job.flows)
-            for job in (*jobs, *background)
+        # Every DRAM row counts, dust included.
+        total_components = (
+            arrays.count + len(recording.dram_bytes) + len(recorded_bytes)
         )
-        max_steps = 1000 + 16 * (
-            total_components + len(jobs) + len(background)
-        )
+        max_steps = 1000 + 16 * (total_components + arrays.count)
         steps = 0
         zero_windows = 0
         windows = 0
@@ -1005,7 +1130,7 @@ class EventEngine(ExecutionEngine):
             if steps > max_steps:
                 raise EngineError(
                     "event simulation failed to converge "
-                    f"({len(jobs)} jobs, {steps} steps)"
+                    f"({arrays.count - len(background)} jobs, {steps} steps)"
                 )
 
             # Start any idle GPM's head job whose floor has passed;
@@ -1014,25 +1139,24 @@ class EventEngine(ExecutionEngine):
             next_start = float("inf")
             for gpm in range(n):
                 while gpm not in active and queues[gpm]:
-                    floor = queues[gpm][0].start_floor
+                    floor = floor_of[queues[gpm][0]]
                     if floor > t * (1 + _REL) + _EPS:
                         next_start = min(next_start, floor)
                         break
-                    job = queues[gpm].popleft()
-                    idx = index_of[id(job)]
+                    idx = queues[gpm].popleft()
                     start = max(t, floor)
                     if arrays.zero_demand[idx]:  # instantaneous
                         intervals.append(
                             TraceInterval(
-                                gpm=gpm, label=job.label,
+                                gpm=gpm, label=labels[idx],
                                 start=start, end=start,
-                                kind=job.kind,
+                                kind=_KINDS[kind_of[idx]],
                             )
                         )
                         end[gpm] = max(end[gpm], start)
-                        account_bytes(job)
+                        account_bytes(idx)
                         continue
-                    active[gpm] = _RunState(job, idx, start)
+                    active[gpm] = _RunState(idx, start)
                     run_mask[idx] = True
                     d_run[job_d0[idx] : job_d0[idx + 1]] = True
                     f_run[job_f0[idx] : job_f0[idx + 1]] = True
@@ -1040,24 +1164,23 @@ class EventEngine(ExecutionEngine):
             # what their GPM is doing — the copy engines, not the SMs,
             # move the bytes.
             while bg_pending:
-                floor = bg_pending[0].start_floor
+                floor = floor_of[bg_pending[0]]
                 if floor > t * (1 + _REL) + _EPS:
                     next_start = min(next_start, floor)
                     break
-                job = bg_pending.pop(0)
-                idx = index_of[id(job)]
+                idx = bg_pending.pop(0)
                 start = max(t, floor)
                 if arrays.zero_demand[idx]:
                     intervals.append(
                         TraceInterval(
-                            gpm=job.gpm, label=job.label,
+                            gpm=gpm_of[idx], label=labels[idx],
                             start=start, end=start,
-                            kind=job.kind,
+                            kind=_KINDS[kind_of[idx]],
                         )
                     )
-                    account_bytes(job)
+                    account_bytes(idx)
                     continue
-                bg_active.append(_RunState(job, idx, start))
+                bg_active.append(_RunState(idx, start))
                 run_mask[idx] = True
                 d_run[job_d0[idx] : job_d0[idx + 1]] = True
                 f_run[job_f0[idx] : job_f0[idx + 1]] = True
@@ -1127,7 +1250,7 @@ class EventEngine(ExecutionEngine):
                 # property tests compare like with like).
                 zero_windows += 1
                 if zero_windows >= _MAX_ZERO_WINDOWS:
-                    raise self._stall_error(active, bg_active)
+                    raise self._stall_error(labels, active, bg_active)
                 dt = 0.0
             else:
                 zero_windows = 0
@@ -1179,16 +1302,16 @@ class EventEngine(ExecutionEngine):
                     and pending[state.idx] == 0
                 ):
                     continue
+                idx = state.idx
                 intervals.append(
                     TraceInterval(
-                        gpm=gpm, label=state.job.label,
-                        start=state.start, end=t, kind=state.job.kind,
+                        gpm=gpm, label=labels[idx],
+                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
                     )
                 )
                 end[gpm] = max(end[gpm], t)
-                account_bytes(state.job)
+                account_bytes(idx)
                 del active[gpm]
-                idx = state.idx
                 run_mask[idx] = False
                 d_run[job_d0[idx] : job_d0[idx + 1]] = False
                 f_run[job_f0[idx] : job_f0[idx + 1]] = False
@@ -1198,15 +1321,15 @@ class EventEngine(ExecutionEngine):
                     and pending[state.idx] == 0
                 ):
                     continue
+                idx = state.idx
                 intervals.append(
                     TraceInterval(
-                        gpm=state.job.gpm, label=state.job.label,
-                        start=state.start, end=t, kind=state.job.kind,
+                        gpm=gpm_of[idx], label=labels[idx],
+                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
                     )
                 )
-                account_bytes(state.job)
+                account_bytes(idx)
                 bg_active.remove(state)
-                idx = state.idx
                 run_mask[idx] = False
                 d_run[job_d0[idx] : job_d0[idx + 1]] = False
                 f_run[job_f0[idx] : job_f0[idx + 1]] = False
@@ -1225,16 +1348,14 @@ class EventEngine(ExecutionEngine):
             live_rows=live_rows,
         )
 
-    def _composition_jobs(self, floor: float) -> List[_Job]:
-        """Expand the recorded barriers into simulation jobs.
+    def _composition_jobs(self, floor: float) -> _Recording:
+        """Record the barriers as the composition window's jobs.
 
         One job per participating GPM, floored at the simulated render
         end: its ROP share as compute, its outgoing pixel transfers
         (merged per directional pair) as flows.
         """
-        fabric = self.system.fabric
-        latency = float(self.system.config.link.latency_cycles)
-        jobs: List[_Job] = []
+        recording = _Recording()
         for schedule in self._compositions:
             outgoing: Dict[int, Dict[Link, float]] = {}
             for transfer in schedule.transfers:
@@ -1245,34 +1366,26 @@ class EventEngine(ExecutionEngine):
                 per_src[key] = per_src.get(key, 0.0) + transfer.nbytes
             participants = sorted(set(schedule.rop_cycles) | set(outgoing))
             for gpm in participants:
-                specs: List[_FlowSpec] = []
-                for (src, dst), nbytes in outgoing.get(gpm, {}).items():
-                    route = tuple(fabric.route(src, dst))
-                    if not route:
-                        continue
-                    specs.append(
-                        _FlowSpec(
-                            route=route,
-                            nbytes=nbytes,
-                            latency=latency * len(route),
-                        )
-                    )
-                compute = schedule.rop_cycles.get(gpm, 0.0)
-                if compute <= 0 and not specs:
-                    continue
-                jobs.append(
-                    _Job(
-                        label=schedule.label,
-                        gpm=gpm,
-                        kind="compose",
-                        start_floor=floor,
-                        compute=compute,
-                        dram={},
-                        flows=specs,
-                        provisional_cycles=0.0,
-                    )
+                flows = self._routed(
+                    recording,
+                    (
+                        (src, dst, nbytes)
+                        for (src, dst), nbytes in outgoing.get(gpm, {}).items()
+                    ),
                 )
-        return jobs
+                compute = schedule.rop_cycles.get(gpm, 0.0)
+                if compute <= 0 and not flows:
+                    continue
+                recording.add(
+                    schedule.label,
+                    gpm,
+                    _COMPOSE,
+                    compute,
+                    0.0,
+                    floor=floor,
+                    flows=flows,
+                )
+        return recording
 
     def finish_frame(self) -> FrameTrace:
         """Replay the submitted schedule through the event simulation.
@@ -1290,7 +1403,7 @@ class EventEngine(ExecutionEngine):
             else self._simulate
         )
         loop_start = time.perf_counter()
-        render = simulate(self._jobs, self._background)
+        render = simulate(self._recording)
         loop_seconds = time.perf_counter() - loop_start
         windows = render.windows
         live_rows = render.live_rows
@@ -1300,7 +1413,7 @@ class EventEngine(ExecutionEngine):
         link_bytes = dict(render.link_bytes)
         composition_cycles = 0.0
         compose_jobs = self._composition_jobs(render_end)
-        if compose_jobs:
+        if len(compose_jobs):
             loop_start = time.perf_counter()
             compose = simulate(compose_jobs)
             loop_seconds += time.perf_counter() - loop_start

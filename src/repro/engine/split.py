@@ -55,11 +55,19 @@ byte equal with ``==``, against each framework's per-slice
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.engine.base import KIND_TO_TRAFFIC, StageCopy
+from repro.engine.base import KIND_TO_TRAFFIC
 from repro.engine.trace import TraceInterval
 from repro.memory.cache import miss_bytes_columns
 from repro.memory.link import TRAFFIC_TYPES, TrafficType
@@ -452,12 +460,14 @@ class SplitSlices:
     renders on GPM ``gpm[s]``; ``compute`` and ``cycles`` are its Eq. 3
     compute cycles and scheduling-clock price; its link transfers, in
     ``ResolvedUnit.flows`` order, are rows
-    ``flow_bounds[s]:flow_bounds[s + 1]`` of the ``flow_*`` columns.  A
-    staged slice's copy entered the schedule first: ``stages[s]`` holds
-    the arguments :meth:`~repro.engine.base.ExecutionEngine.stage_flow`
-    would have handed ``_note_stage``, the slice's copies as one chunk
-    (they share a source and a destination, so the chunk is their sum
-    in visit order).
+    ``flow_bounds[s]:flow_bounds[s + 1]`` of the ``flow_*`` columns, and
+    :meth:`dram_rows` lists its ``ResolvedUnit.dram_demand``.  A staged
+    slice's copy entered the schedule first: slice ``stage_slice[k]``
+    copied ``stage_bytes[k]`` from GPM ``stage_src[k]``, stalling its GPM
+    ``stage_cycles[k]`` at ``stage_parallelism``.  That is the one chunk
+    :meth:`~repro.engine.base.ExecutionEngine.stage_flow` would have
+    handed ``_note_stage``: a slice's copies share a source and a
+    destination, so the chunk is their sum in visit order.
     """
 
     def __init__(
@@ -469,7 +479,7 @@ class SplitSlices:
         cycles: np.ndarray,
         flows: "_Flows",
         demand: "_Demand",
-        stages: Dict[int, tuple],
+        stages: "_Stages",
     ) -> None:
         self.num_gpms = num_gpms
         self.labels = labels
@@ -482,24 +492,28 @@ class SplitSlices:
         self.flow_src = flows.src
         self.flow_dst = flows.dst
         self.flow_bytes = flows.nbytes
-        self.stages = stages
+        self.stage_slice = stages.slice
+        self.stage_src = stages.src
+        self.stage_bytes = stages.nbytes
+        self.stage_cycles = stages.cycles
+        self.stage_parallelism = stages.parallelism
         self._demand = demand
 
-    def dram_demands(self) -> List[Dict[int, float]]:
-        """Each slice's ``ResolvedUnit.dram_demand``: the same sums, with
-        keys in the same insertion order."""
+    def dram_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every slice's ``ResolvedUnit.dram_demand`` as ``(slice, gpm,
+        bytes)`` rows, slice by slice: the same sums, each slice's keys in
+        the same insertion order."""
         n = self.num_gpms
         demand = self._demand
         key = demand.slice * n + demand.gpm
         totals = np.zeros(len(self.labels) * n)
         np.add.at(totals, key, demand.nbytes)
         keys, first = np.unique(key, return_index=True)
+        # The contributions arrive in slice order, so first-use order
+        # is slice by slice.
         ordered = keys[np.argsort(first, kind="stable")]
-        demands: List[Dict[int, float]] = [{} for _ in self.labels]
-        for key_, total in zip(ordered.tolist(), totals[ordered].tolist()):
-            slice_, gpm = divmod(key_, n)
-            demands[slice_][gpm] = total
-        return demands
+        slice_, gpm = np.divmod(ordered, n)
+        return slice_, gpm, totals[ordered]
 
 
 class _Flows(NamedTuple):
@@ -512,6 +526,21 @@ class _Flows(NamedTuple):
     traffic: np.ndarray
     #: The DRAM that serves each transfer (-1: the command stream).
     served_by: np.ndarray
+
+
+class _Stages(NamedTuple):
+    """A pass's staging copies, one chunk per staged slice."""
+
+    slice: np.ndarray
+    src: np.ndarray
+    nbytes: np.ndarray
+    cycles: np.ndarray
+    parallelism: float
+
+
+_NO_STAGES = _Stages(
+    np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0), 1.0
+)
 
 
 class _Demand(NamedTuple):
@@ -613,7 +642,7 @@ def _execute_chunk(
             cycles = _roofline(
                 system, schedule.gpm, compute, local_bytes, link, linked
             )
-        staged, stall, stage_args = _land_copies(
+        staged, stall, stages = _land_copies(
             engine, staging, schedule, copies
         )
         _schedule(
@@ -622,7 +651,7 @@ def _execute_chunk(
         )
         split = SplitSlices(
             system.num_gpms, schedule.labels, schedule.gpm, compute, cycles,
-            flows, demand, stage_args,
+            flows, demand, stages,
         )
         nbytes = flows.nbytes.tolist()
         bounds = split.flow_bounds.tolist()
@@ -647,33 +676,30 @@ def _land_copies(
 
     Advances the manager's ``staged_bytes`` and the ``staging`` phase
     bytes; returns which slices copied anything, their stall cycles
-    and, per such slice, the ``_note_stage`` arguments.
+    and the copies as ``_note_stage`` would see them.
     """
     slices = schedule.unit.size
     copied = np.zeros(slices)
     np.add.at(copied, copies.slice, copies.nbytes)
     staged = copied > 0
     if staging is None:
-        return staged, np.zeros(slices), {}
+        return staged, np.zeros(slices), _NO_STAGES
     parallelism = staging.parallelism
     stall = copied / (engine.system.config.link.bytes_per_cycle * parallelism)
     rows = np.flatnonzero(staged)
-    stage_args: Dict[int, tuple] = {}
-    for slice_, gpm, nbytes, cycles in zip(
-        rows.tolist(),
-        schedule.gpm[rows].tolist(),
-        copied[rows].tolist(),
-        stall[rows].tolist(),
-    ):
-        chunk = StageCopy(staging.source(gpm), gpm, nbytes, staging.traffic_type)
-        stage_args[slice_] = (
-            gpm, (chunk,), nbytes, cycles, parallelism, False, None, "stage",
-        )
+    source = map(staging.source, schedule.gpm[rows].tolist())
+    stages = _Stages(
+        rows,
+        np.fromiter(source, np.int64, rows.size),
+        copied[rows],
+        stall[rows],
+        parallelism,
+    )
     staging.staged_bytes = _running(staging.staged_bytes, copied)[-1].item()
     phase = engine._phase_bytes
     crossed = copies.nbytes[copies.src != copies.dst]
     phase["staging"] = _running(phase["staging"], crossed)[-1].item()
-    return staged, stall, stage_args
+    return staged, stall, stages
 
 
 def _bind_memory(

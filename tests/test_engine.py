@@ -8,6 +8,7 @@ conservation guarantees between engines, and the contention study.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -1104,6 +1105,52 @@ class TestEngineContentionStudy:
 # ---------------------------------------------------------------------------
 
 
+class _FlowSpec(NamedTuple):
+    """One link transfer of a soup job."""
+
+    route: tuple
+    nbytes: float
+    latency: float
+    rate_scale: float = 1.0
+
+
+class _Job(NamedTuple):
+    """One soup job, as the event engine records it."""
+
+    label: str
+    gpm: int
+    kind: str
+    start_floor: float
+    compute: float
+    dram: dict
+    flows: list
+    provisional_cycles: float
+
+
+def _recording(jobs, background=()):
+    """The event engine's recording of soup ``jobs`` on their GPMs,
+    then ``background`` copies."""
+    from repro.engine.event import _KINDS, _Recording
+
+    recording = _Recording()
+    for lane, group in ((False, jobs), (True, background)):
+        for job in group:
+            recording.add(
+                job.label, job.gpm, _KINDS.index(job.kind), job.compute,
+                job.provisional_cycles, floor=job.start_floor,
+                dram=job.dram.items(),
+                flows=[
+                    (
+                        recording.route_id(flow.route), flow.nbytes,
+                        flow.latency, flow.rate_scale,
+                    )
+                    for flow in job.flows
+                ],
+                background=lane,
+            )
+    return recording
+
+
 def _random_flow_soup(engine, rng):
     """A randomised schedule shaped like real recorded frames.
 
@@ -1113,8 +1160,6 @@ def _random_flow_soup(engine, rng):
     (below the progress threshold on both axes), zero-demand jobs and
     background staging copies with start floors.
     """
-    from repro.engine.event import _FlowSpec, _Job
-
     fabric = engine.system.fabric
     n = engine.system.num_gpms
 
@@ -1218,8 +1263,6 @@ def _lockstep_flow_soup(engine, rng):
     len(route)``, and background copies land in their destination's
     DRAM on the same floors.
     """
-    from repro.engine.event import _FlowSpec, _Job
-
     fabric = engine.system.fabric
     n = engine.system.num_gpms
     hop_latency = 8.0
@@ -1351,10 +1394,11 @@ class TestIncrementalWindowLoop:
     def _assert_loops_agree(engine, jobs, background):
         from dataclasses import fields
 
-        # _simulate never mutates its inputs, so both loops replay the
+        # Neither loop mutates the recording, so both replay the
         # identical schedule.
-        fast = engine._simulate(jobs, background)
-        slow = engine._simulate_reference(jobs, background)
+        recording = _recording(jobs, background)
+        fast = engine._simulate(recording)
+        slow = engine._simulate_reference(recording)
         for field in fields(fast):
             # == : bit-exact, not approx
             assert getattr(fast, field.name) == getattr(slow, field.name), (
@@ -1385,8 +1429,6 @@ class TestIncrementalWindowLoop:
 
     def test_latency_only_and_background_only_soup(self, config):
         """Degenerate pass: no streaming rows at all, floors only."""
-        from repro.engine.event import _FlowSpec, _Job
-
         engine = self._engine(config)
         route = tuple(engine.system.fabric.route(0, 1))
         jobs = [
@@ -1401,8 +1443,8 @@ class TestIncrementalWindowLoop:
                 provisional_cycles=1.0,
             )
         ]
-        fast = engine._simulate(jobs)
-        slow = engine._simulate_reference(jobs)
+        fast = engine._simulate(_recording(jobs))
+        slow = engine._simulate_reference(_recording(jobs))
         assert fast.end == slow.end == [12.0, 0.0, 0.0, 0.0]
         assert fast.intervals == slow.intervals
 
@@ -1425,8 +1467,6 @@ class TestIncrementalWindowLoop:
     @pytest.mark.parametrize("loop", ["_simulate", "_simulate_reference"])
     def test_unfinishable_flow_raises_stall_diagnostic(self, config, loop):
         """Satellite: dt == inf now raises with job labels, not 0.0."""
-        from repro.engine.event import _FlowSpec, _Job
-
         engine = self._engine(config)
         route = tuple(engine.system.fabric.route(0, 1))
         wedge = _Job(
@@ -1444,7 +1484,7 @@ class TestIncrementalWindowLoop:
             provisional_cycles=1.0,
         )
         with pytest.raises(RuntimeError) as excinfo:
-            getattr(engine, loop)([wedge])
+            getattr(engine, loop)(_recording([wedge]))
         message = str(excinfo.value)
         assert "stalled" in message
         assert "wedged-unit" in message
@@ -1771,14 +1811,28 @@ def _recorded_jobs(engine):
     """The event engine's recorded GPM jobs, one tuple per job: label,
     GPM, kind, start floor, compute, DRAM rows, flow rows (route, bytes,
     latency, rate scale) and provisional cycles."""
+    from repro.engine.event import _KINDS
+
+    rec = engine._recording
     return [
         (
-            job.label, job.gpm, job.kind, job.start_floor, job.compute,
-            list(job.dram.items()),
-            [(f.route, f.nbytes, f.latency, f.rate_scale) for f in job.flows],
-            job.provisional_cycles,
+            label, rec.gpm[j], _KINDS[rec.kind[j]], rec.floor[j],
+            rec.compute[j],
+            [
+                (rec.dram_gpm[r], rec.dram_bytes[r])
+                for r in range(rec.dram_bounds[j], rec.dram_bounds[j + 1])
+            ],
+            [
+                (
+                    rec.routes[rec.flow_route[r]], rec.flow_bytes[r],
+                    rec.flow_latency[r], rec.flow_scale[r],
+                )
+                for r in range(rec.flow_bounds[j], rec.flow_bounds[j + 1])
+            ],
+            rec.provisional[j],
         )
-        for job in engine._jobs
+        for j, label in enumerate(rec.labels)
+        if not rec.background[j]
     ]
 
 
