@@ -832,7 +832,6 @@ class ExecutionEngine(abc.ABC):
     def finish_frame(self) -> FrameTrace:
         """Finalise the frame and return its trace.
 
-        Must be safe to call more than once per frame (results roll up
-        repeatedly in some flows); every call reflects the schedule
-        submitted so far.
+        Must be safe to call more than once per frame; every call
+        reflects the schedule submitted so far.
         """

@@ -48,6 +48,18 @@ Every frame phase is replayed, not just render units:
   barrier's flows, so its ``stage`` span may outlast
   ``render_critical_path``.
 
+The schedule is recorded as columns (:class:`_Recording`): one entry
+per job — label, GPM, kind, start floor, compute and provisional
+cycles, and whether it is a background copy — plus its DRAM rows and
+flow rows in CSR order, each flow naming its route through a route
+table.  The recording hooks append a job at a time; a slice pass
+(:meth:`~repro.engine.base.ExecutionEngine.execute_split`) appends all
+its jobs at once from its columns, so no per-slice object is ever
+built, and a tail shed scales the rows in place.  Both window loops
+replay the same recording: the incremental loop,
+:meth:`EventEngine._simulate`, and the full-scan oracle,
+:meth:`EventEngine._simulate_reference`, through :class:`_JobArrays`.
+
 Uncontended, a single flow drains in exactly the analytic roofline
 time — on any fabric.  One deliberate divergence remains: the analytic
 model rolls a unit's traffic *per peer* into one serial term, even
@@ -438,8 +450,9 @@ class EventEngine(ExecutionEngine):
         pair = pair[routed]
         # The copy jobs: one chunk each, streaming at ``parallelism``
         # times the hop-blind copy rate (see _note_stage).
-        stage = split.stage_slice
-        copy_pair = split.stage_src * n + split.gpm[stage]
+        stages = split.stages
+        stage = stages.slice
+        copy_pair = stages.src * n + split.gpm[stage]
         streams = pair_route[copy_pair] >= 0
         copy_pair = copy_pair[streams]
         # Job order: each staged slice's copy, then its render job.
@@ -455,10 +468,10 @@ class EventEngine(ExecutionEngine):
         kind[render_at] = _RENDER
         compute = np.empty(jobs)
         compute[render_at] = split.compute
-        compute[stage_at] = np.where(streams, 0.0, split.stage_cycles)
+        compute[stage_at] = np.where(streams, 0.0, stages.cycles)
         provisional = np.empty(jobs)
         provisional[render_at] = split.cycles
-        provisional[stage_at] = split.stage_cycles
+        provisional[stage_at] = stages.cycles
         source = np.full(jobs, slices)
         source[render_at] = np.arange(slices)
         labels = list(
@@ -472,7 +485,7 @@ class EventEngine(ExecutionEngine):
         order = np.argsort(row_job, kind="stable")
         flow_route = pair_route[np.concatenate((pair, copy_pair))][order]
         flow_bytes = np.concatenate(
-            (split.flow_bytes[routed], split.stage_bytes[streams])
+            (split.flow_bytes[routed], stages.nbytes[streams])
         )[order]
         flow_latency = np.concatenate(
             (latency * pair_hops[pair], np.zeros(copy_pair.size))
@@ -480,7 +493,7 @@ class EventEngine(ExecutionEngine):
         flow_scale = np.concatenate(
             (
                 np.ones(pair.size),
-                split.stage_parallelism * pair_hops[copy_pair],
+                stages.parallelism * pair_hops[copy_pair],
             )
         )[order]
         recording.extend(
@@ -679,7 +692,10 @@ class EventEngine(ExecutionEngine):
 
         The window body is scalar Python over the live rows: a few dozen
         rows per window cost less as Python floats than as per-window
-        numpy calls.
+        numpy calls.  The pass reads the recording's columns as Python
+        lists, built once on entry and dropped on return: a starting job
+        registers its rows straight from its CSR ranges, and the queues,
+        the retirement scan and the ``link_bytes`` walk hold job indices.
         """
         system = self.system
         n = system.num_gpms

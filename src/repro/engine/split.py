@@ -48,8 +48,9 @@ The per-slice ``bind``, ``execute`` and ``stage_unit`` stay the
 production path of the clock-driven dispatchers (OO-VR, OO_APP) and
 are this pass's oracle: ``tests/test_engine.py::TestSplitBind``
 asserts every counter, trace, recorded event-engine job and staged
-byte equal with ``==``, against each framework's per-slice
-``render_frame_on`` too.
+byte equal with ``==``, against each framework's per-slice frame too
+(the baseline family's ``bind_frame``, the others'
+``render_frame_on``).
 """
 
 from __future__ import annotations
@@ -462,11 +463,11 @@ class SplitSlices:
     ``ResolvedUnit.flows`` order, are rows
     ``flow_bounds[s]:flow_bounds[s + 1]`` of the ``flow_*`` columns, and
     :meth:`dram_rows` lists its ``ResolvedUnit.dram_demand``.  A staged
-    slice's copy entered the schedule first: slice ``stage_slice[k]``
-    copied ``stage_bytes[k]`` from GPM ``stage_src[k]``, stalling its GPM
-    ``stage_cycles[k]`` at ``stage_parallelism``.  That is the one chunk
-    :meth:`~repro.engine.base.ExecutionEngine.stage_flow` would have
-    handed ``_note_stage``: a slice's copies share a source and a
+    slice's copy entered the schedule first: slice ``stages.slice[k]``
+    copied ``stages.nbytes[k]`` from GPM ``stages.src[k]``, stalling its
+    GPM ``stages.cycles[k]`` at ``stages.parallelism``.  That is the one
+    chunk :meth:`~repro.engine.base.ExecutionEngine.stage_flow` would
+    have handed ``_note_stage``: a slice's copies share a source and a
     destination, so the chunk is their sum in visit order.
     """
 
@@ -492,11 +493,7 @@ class SplitSlices:
         self.flow_src = flows.src
         self.flow_dst = flows.dst
         self.flow_bytes = flows.nbytes
-        self.stage_slice = stages.slice
-        self.stage_src = stages.src
-        self.stage_bytes = stages.nbytes
-        self.stage_cycles = stages.cycles
-        self.stage_parallelism = stages.parallelism
+        self.stages = stages
         self._demand = demand
 
     def dram_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
