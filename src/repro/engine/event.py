@@ -446,8 +446,10 @@ class EventEngine(ExecutionEngine):
         # The render jobs' flow rows: every transfer that crosses a link.
         pair = split.flow_src * n + split.flow_dst
         routed = pair_route[pair] >= 0
-        flow_slice = np.repeat(np.arange(slices), np.diff(split.flow_bounds))
         pair = pair[routed]
+        flow_slice = np.repeat(np.arange(slices), np.diff(split.flow_bounds))[
+            routed
+        ]
         # The copy jobs: one chunk each, streaming at ``parallelism``
         # times the hop-blind copy rate (see _note_stage).
         stages = split.stages
@@ -479,9 +481,7 @@ class EventEngine(ExecutionEngine):
         )
         dram_slice, dram_gpm, dram_bytes = split.dram_rows()
         # Flow rows, render then copy, sorted stably into job order.
-        row_job = np.concatenate(
-            (render_at[flow_slice[routed]], stage_at[streams])
-        )
+        row_job = np.concatenate((render_at[flow_slice], stage_at[streams]))
         order = np.argsort(row_job, kind="stable")
         flow_route = pair_route[np.concatenate((pair, copy_pair))][order]
         flow_bytes = np.concatenate(
@@ -531,6 +531,8 @@ class EventEngine(ExecutionEngine):
         recording = self._recording
         gpm, kind = recording.gpm, recording.kind
         provisional = recording.provisional
+        dram_bounds, dram_bytes = recording.dram_bounds, recording.dram_bytes
+        flow_bounds, flow_bytes = recording.flow_bounds, recording.flow_bytes
         remaining = cycles
         for job in range(len(recording) - 1, -1, -1):
             if remaining <= _EPS:
@@ -543,15 +545,9 @@ class EventEngine(ExecutionEngine):
             take = min(remaining, p)
             factor = (p - take) / p
             recording.compute[job] *= factor
-            dram_bytes = recording.dram_bytes
-            for row in range(
-                recording.dram_bounds[job], recording.dram_bounds[job + 1]
-            ):
+            for row in range(dram_bounds[job], dram_bounds[job + 1]):
                 dram_bytes[row] *= factor
-            flow_bytes = recording.flow_bytes
-            for row in range(
-                recording.flow_bounds[job], recording.flow_bounds[job + 1]
-            ):
+            for row in range(flow_bounds[job], flow_bounds[job + 1]):
                 flow_bytes[row] *= factor
             provisional[job] = p - take
             remaining -= take
@@ -1046,10 +1042,11 @@ class EventEngine(ExecutionEngine):
                 rescan = True
 
         link_bytes: Dict[Link, float] = {}
+        route_table = recording.routes
         for idx in accounted:
             for row in range(flow_bounds[idx], flow_bounds[idx + 1]):
                 nbytes = flow_bytes[row]
-                for link in recording.routes[flow_route[row]]:
+                for link in route_table[flow_route[row]]:
                     link_bytes[link] = link_bytes.get(link, 0.0) + nbytes
         link_busy: Dict[Link, float] = {
             link: busy_acc[res]
