@@ -10,12 +10,14 @@ import json
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 from benchmarks.conftest import BENCH, OUTPUT_DIR
 from repro.frameworks.base import build_framework
 from repro.experiments.runner import scene_for
 from repro.gpu.system import MultiGPUSystem
 from repro.pipeline.smp import SMPMode
+from repro.scene.scene import Frame
 from repro.service import RemoteExecutor, SweepWorker, serve
 from repro.session import FAST, ResultCache, RunSpec, Sweep
 
@@ -69,22 +71,28 @@ def _best_seconds(fn, repeats=3, warm=True):
     return best
 
 
+def _memo_free():
+    """Patch the frame memo out: every artefact is built afresh."""
+    return mock.patch.object(
+        Frame, "derived", lambda self, key, build: build()
+    )
+
+
 def _reference_loop_ab(spec, reference_repeats=2):
     """Same-host A/B of the window loop against the retained reference
-    loop on one event cell, under the same reuse state, so the ratio
+    loop on one event cell, with the same frame memo, so the ratio
     isolates the loop itself.  Both loops' results are asserted equal
     before either side is timed (the asserting runs warm the cell)."""
     from repro.engine.event import EventEngine
 
     expected = spec.execute().to_dict()
-    EventEngine.use_reference_loop = True
-    try:
+    with mock.patch.object(
+        EventEngine, "_simulate", EventEngine._simulate_reference
+    ):
         assert spec.execute().to_dict() == expected
         reference_s = _best_seconds(
             spec.execute, repeats=reference_repeats, warm=False
         )
-    finally:
-        EventEngine.use_reference_loop = False
     seconds = _best_seconds(spec.execute, repeats=2)
     return seconds, {
         "reference_loop_seconds": round(reference_s, 4),
@@ -112,8 +120,8 @@ def test_cell_throughput():
     - ``hot_path_kernels`` — the per-cell hot-path kernels measured
       batched *and* through the retained scalar reference on the same
       machine, so the speedup column is an honest same-host A/B rather
-      than a cross-machine ratio.  Kernels are measured with the reuse
-      cache *disabled* — a memo hit would time dictionary lookups, not
+      than a cross-machine ratio.  Kernels are measured with the frame
+      memo patched out — a memo hit would time dictionary lookups, not
       the kernels.  The raster front end (a fully-scissored
       5120-triangle draw, where batching rejects every face without
       entering Python) is the headline: it must clear 10x over the
@@ -122,17 +130,16 @@ def test_cell_throughput():
       retained scalar reference (both sides emit frames *and* batches,
       equality asserted field-for-field before timing, gate >= 3x);
     - ``shared_workload_sweep`` — a 4-cell serial sweep whose cells all
-      share one workload, run with the reuse cache on and off.  The
-      CSVs are asserted byte-identical before either side is timed,
-      then the reuse side must clear 1.5x — both sides same-host, so
-      the ratio is machine-independent.
+      share one workload, run with the frame memo and with it patched
+      out.  The CSVs are asserted byte-identical before either side is
+      timed, then the memo side must clear 1.5x — both sides
+      same-host, so the ratio is machine-independent.
 
     The batched paths are asserted equal to their references before
     being timed — a fast wrong kernel must fail here, not ship a
     flattering number.
     """
     from repro import profiling
-    from repro.reuse import reuse_scope
 
     baseline = json.loads(GOLDEN_BASELINE.read_text())["kernels"]
 
@@ -209,11 +216,11 @@ def test_cell_throughput():
     }
 
     # -- frame characterisation: SoA pass vs per-draw scalar loop -------
-    # Reuse is scoped off: a memo hit would time a dictionary lookup,
-    # not the Eq. 3 pricing pass under test.
+    # The frame memo is patched out: a memo hit would time a
+    # dictionary lookup, not the Eq. 3 pricing pass under test.
     fw = build_framework("baseline")
     draws = frame.multiview_draws()
-    with reuse_scope(False):
+    with _memo_free():
         batched_units = fw.characterizer.characterize_frame(frame)
         scalar_units = tuple(
             fw.characterizer.characterize(draw) for draw in draws
@@ -339,9 +346,9 @@ def test_cell_throughput():
     # retained scalar reference on the same host.
     assert scene_build["speedup_vs_reference"] >= 3.0
 
-    # -- shared-workload sweep: reuse cache on vs off -------------------
-    # Four cells over one workload — the ablation-grid shape the reuse
-    # layer exists for (cells differ only in framework/variant, so
+    # -- shared-workload sweep: frame memo on vs off --------------------
+    # Four cells over one workload — the ablation-grid shape the frame
+    # memo exists for (cells differ only in framework/variant, so
     # scene batches and frame characterisation are shared).  Equality
     # is asserted before either side is timed, and both sides run on
     # this host, so the 1.5x floor is a machine-independent A/B.
@@ -357,12 +364,14 @@ def test_cell_throughput():
         )
 
     csv_with_reuse = shared_grid().run().to_csv()
-    csv_without = shared_grid().run(reuse=False).to_csv()
+    with _memo_free():
+        csv_without = shared_grid().run().to_csv()
     assert csv_with_reuse == csv_without
     reuse_s = _best_seconds(lambda: shared_grid().run(), repeats=2)
-    no_reuse_s = _best_seconds(
-        lambda: shared_grid().run(reuse=False), repeats=2
-    )
+    with _memo_free():
+        no_reuse_s = _best_seconds(
+            lambda: shared_grid().run(), repeats=2
+        )
     shared_sweep = {
         "grid": "oo-app/oo-vr/oo-vr:no-dhc/afr x HL2-1280, FULL preset, serial",
         "cells": 4,

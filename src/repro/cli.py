@@ -160,7 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.engine is not None:
         session.engine(args.engine)
-    result = session.run(profile=args.profile, reuse=not args.no_reuse)
+    result = session.run(profile=args.profile)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         if session.last_profile is not None:
@@ -269,7 +269,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         shard=args.shard,
         on_result=_on_result(args),
         profile=args.profile,
-        reuse=not args.no_reuse,
     )
 
     from repro.stats.reporting import format_table
@@ -688,12 +687,6 @@ def make_parser() -> argparse.ArgumentParser:
         "execute) and print the wall-time breakdown (with the event "
         "engine: plus window-loop counters)",
     )
-    run.add_argument(
-        "--no-reuse", action="store_true",
-        help="disable the per-process reuse cache (memoised scene "
-        "batches and frame characterisation); results are byte-"
-        "identical either way",
-    )
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser(
@@ -755,12 +748,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="time every cell phase by phase (scene build, bind, price, "
         "execute, cache I/O), print per-cell breakdowns and export "
         "profile_*_s record columns (serial execution only)",
-    )
-    sweep.add_argument(
-        "--no-reuse", action="store_true",
-        help="disable the per-process reuse cache (memoised scene "
-        "batches and frame characterisation shared by cells with the "
-        "same workload); records are byte-identical either way",
     )
     sweep.set_defaults(func=_cmd_sweep)
 

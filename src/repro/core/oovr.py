@@ -31,7 +31,6 @@ from repro.memory.placement import PlacementPolicy
 from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import WorkUnit, merge_units
 from repro.profiling import phase
-from repro.reuse import get_cache
 from repro.scene.scene import Frame
 from repro.stats.metrics import FrameResult
 
@@ -47,18 +46,17 @@ class _BatchBuilder:
         """``frame`` -> ``[(batch, merged unit), ...]`` in draw order.
 
         The pairs depend only on the frame's objects, the middleware's
-        grouping knobs and the (frozen) cost model, so the built list
-        is memoised per process anchored on the frame object — cells
+        grouping knobs and the (frozen) cost model, so the built pairs
+        are memoised on the frame (:meth:`Frame.derived`) — cells
         sharing a workload skip Fig. 12 grouping and the batch merges.
         Batches and units are frozen; a fresh list is returned per call
         so no consumer can alias another cell's container.  The build
         runs inside the ``bind`` profiling phase.
         """
         return list(
-            get_cache().memoize(
-                "batch_builder",
-                frame,
+            frame.derived(
                 (
+                    "batch_builder",
                     self._framework.config.cost,
                     self._middleware.triangle_limit,
                     self._middleware.tsl_threshold,

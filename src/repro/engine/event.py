@@ -365,13 +365,6 @@ class EventEngine(ExecutionEngine):
 
     name = "event"
 
-    #: Route :meth:`finish_frame` through the retained full-scan window
-    #: loop (:meth:`_simulate_reference`) instead of the incremental
-    #: one.  The two loops are bit-equal by contract (property-tested
-    #: in ``tests/test_engine.py``); the throughput bench flips this
-    #: class attribute for an honest same-host A/B.
-    use_reference_loop = False
-
     def __init__(self, system) -> None:
         super().__init__(system)
         #: The frame's recorded jobs: GPM jobs and background copies.
@@ -1070,9 +1063,9 @@ class EventEngine(ExecutionEngine):
         ``bincount`` scans over *all* rows — O(total) per window.  Kept
         as the bit-exactness oracle for :meth:`_simulate` (the property
         tests replay random flow soups through both) and as the
-        baseline side of the throughput bench's same-host loop A/B via
-        :attr:`use_reference_loop`.  It reads the same recording, through
-        :class:`_JobArrays`.
+        baseline side of the throughput bench's same-host loop A/B,
+        which patches it over :meth:`_simulate`.  It reads the same
+        recording, through :class:`_JobArrays`.
         """
         system = self.system
         n = system.num_gpms
@@ -1410,13 +1403,8 @@ class EventEngine(ExecutionEngine):
         the barrier is reported as ``composition_cycles`` and its
         ``compose``-lane intervals.
         """
-        simulate = (
-            self._simulate_reference
-            if self.use_reference_loop
-            else self._simulate
-        )
         loop_start = time.perf_counter()
-        render = simulate(self._recording)
+        render = self._simulate(self._recording)
         loop_seconds = time.perf_counter() - loop_start
         windows = render.windows
         live_rows = render.live_rows
@@ -1428,7 +1416,7 @@ class EventEngine(ExecutionEngine):
         compose_jobs = self._composition_jobs(render_end)
         if len(compose_jobs):
             loop_start = time.perf_counter()
-            compose = simulate(compose_jobs)
+            compose = self._simulate(compose_jobs)
             loop_seconds += time.perf_counter() - loop_start
             windows += compose.windows
             live_rows += compose.live_rows

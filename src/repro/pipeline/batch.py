@@ -23,9 +23,9 @@ SMP mode, expansion factor), and the :class:`FrameCounters` /
 frozen.  That is what lets
 :meth:`DrawCharacterizer.characterize_frame
 <repro.pipeline.characterize.DrawCharacterizer.characterize_frame>`
-memoise its result per frame object in the per-process reuse cache
-(:mod:`repro.reuse`) — cells of a sweep that share a workload share
-the characterisation outright, byte-identically.
+memoise its result on the frame object (:meth:`Frame.derived
+<repro.scene.scene.Frame.derived>`) — cells of a sweep that share a
+workload share the characterisation outright, byte-identically.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_
 from repro.pipeline.smp import GeometryWork, SMPEngine, SMPMode
 from repro.pipeline.workunit import WorkUnit
 from repro.profiling import phase
-from repro.reuse import get_cache
 from repro.scene.objects import Eye, StereoDraw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,18 +109,16 @@ class DrawCharacterizer:
         numbers.
 
         The result depends only on the frame's object batch and the
-        (frozen, hashable) cost model, so it is memoised per process in
-        the :mod:`repro.reuse` cache anchored on the frame object:
+        (frozen, hashable) cost model, so it is memoised on the frame
+        (:meth:`Frame.derived <repro.scene.scene.Frame.derived>`):
         grid cells that share a workload share scene-memoised frames,
         and therefore skip re-running Eq. 3 pricing entirely.  The
         returned tuple of frozen work units is immutable, so sharing
         it across cells is safe.  The build runs inside the ``price``
         profiling phase.
         """
-        return get_cache().memoize(
-            "characterize_frame",
-            frame,
-            (self.cost, mode, expansion),
+        return frame.derived(
+            ("characterize_frame", self.cost, mode, expansion),
             lambda: self._characterize_frame(frame, mode, expansion),
         )
 

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+)
 
 from repro.scene.batch import ObjectBatch
 from repro.scene.geometry import Viewport, full_screen
@@ -26,13 +35,13 @@ class Frame:
     Frames are immutable after construction and, through the
     per-process scene memo (:func:`~repro.session.spec.cached_scene`),
     *shared by identity* across every cell of a sweep that renders the
-    same workload point.  That identity is load-bearing: the reuse
-    cache (:mod:`repro.reuse`) anchors frame-derived artefacts —
-    middleware batch groupings, characterised frame counters — on the
-    frame object itself (``is``, not ``==``), so mutating a frame in
-    place would silently poison artefacts other cells reuse.  Derive
-    changed frames with :func:`dataclasses.replace` instead; a new
-    object is a new anchor.
+    same workload point.  That identity is load-bearing: frame-derived
+    artefacts — middleware batch groupings, characterised work units —
+    are memoised on the frame object itself (:meth:`derived`), so
+    mutating a frame in place would silently poison artefacts other
+    cells reuse.  Derive changed frames with
+    :func:`dataclasses.replace` instead; a new object starts with an
+    empty memo, even when it compares equal.
 
     Parameters
     ----------
@@ -109,6 +118,25 @@ class Frame:
         per cell.  Index order matches ``objects``.
         """
         return ObjectBatch.from_objects(self.objects)
+
+    @cached_property
+    def _derived(self) -> Dict[Hashable, Any]:
+        return {}
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()`` memoised on this frame under ``key``.
+
+        For artefacts that depend only on the frame plus the hashable
+        config slice in ``key`` (lead it with a section name).  Cells
+        sharing the memoised frame share the very object the first
+        build returned, and it is freed with the frame.  The memo is a
+        plain dict: two threads racing on one key may both build, and
+        the builds are equal.
+        """
+        memo = self._derived
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     # -- aggregate statistics ---------------------------------------------
 

@@ -57,6 +57,31 @@ class CacheMergeError(ValueError):
     """Two caches hold different results for the same spec key."""
 
 
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a unique temp file + replace.
+
+    The temp file sits next to ``path`` (same directory, so the
+    :func:`os.replace` is atomic) under a name no concurrent writer
+    shares; readers see the old file or the whole new one, never a
+    torn write, and a failed write leaves no temp file behind.
+    """
+    handle = tempfile.NamedTemporaryFile(
+        "w",
+        encoding="utf-8",
+        dir=path.parent,
+        prefix=f".{path.stem[:16]}-",
+        suffix=".tmp",
+        delete=False,
+    )
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(handle.name, path)
+    except BaseException:
+        os.unlink(handle.name)
+        raise
+
+
 @dataclass
 class MergeStats:
     """What one :meth:`ResultCache.merge` pass did."""
@@ -273,27 +298,9 @@ class ResultCache:
         """
         text = encode_entry(spec, result)
         path = self.path_for(spec)
-        self._atomic_write(path, text)
+        atomic_write(path, text)
         self.stats.stores += 1
         return path
-
-    def _atomic_write(self, path: Path, text: str) -> None:
-        """Write ``text`` to ``path`` via a unique temp file + replace."""
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=self.root,
-            prefix=f".{path.stem[:16]}-",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                handle.write(text)
-            os.replace(handle.name, path)
-        except BaseException:
-            os.unlink(handle.name)
-            raise
 
     def merge_entry(
         self, key: str, payload: str, on_conflict: str = "error"
@@ -320,7 +327,7 @@ class ResultCache:
             raise ValueError(f"not a cache entry key: {key!r}")
         destination = self.root / f"{key}{_ENTRY_SUFFIX}"
         if not destination.is_file():
-            self._atomic_write(destination, payload)
+            atomic_write(destination, payload)
             return "copied"
         if destination.read_text(encoding="utf-8") == payload:
             return "identical"
@@ -332,7 +339,7 @@ class ResultCache:
                 "resolve"
             )
         if on_conflict == "replace":
-            self._atomic_write(destination, payload)
+            atomic_write(destination, payload)
             return "replaced"
         return "kept"
 
@@ -387,7 +394,7 @@ class ResultCache:
             setattr(stats, outcome, getattr(stats, outcome) + 1)
         for manifest in sorted(other.root.glob("*.manifest.json")):
             if manifest.is_file():
-                self._atomic_write(
+                atomic_write(
                     self.root / manifest.name,
                     manifest.read_text(encoding="utf-8"),
                 )

@@ -57,8 +57,7 @@ from typing import (
 )
 
 from repro.profiling import PhaseProfile, capture, phase
-from repro.reuse import reuse_enabled, set_reuse
-from repro.session.cache import ResultCache, spec_key
+from repro.session.cache import ResultCache, atomic_write, spec_key
 from repro.session.spec import RunSpec
 from repro.stats.metrics import SceneResult
 
@@ -107,11 +106,6 @@ class SweepExecutor(Protocol):
 def _execute_spec(spec: RunSpec) -> SceneResult:
     """Top-level worker so ``ProcessPoolExecutor`` can pickle it."""
     return spec.execute()
-
-
-def _init_worker(reuse_flag: bool) -> None:
-    """Pool-worker initializer: inherit the parent's reuse flag."""
-    set_reuse(reuse_flag)
 
 
 def _lookup(
@@ -167,10 +161,10 @@ class ProfilingSerialExecutor(SerialExecutor):
     profile; :attr:`profiles` is aligned with the grid (one entry per
     spec, cache hits included — those show only ``cache`` time).
     Results are byte-identical to :class:`SerialExecutor`'s: timing
-    never changes what executes.
+    never changes what executes.  ``Sweep.run(profile=True)`` builds
+    it; it is not selectable by name, since only that call returns
+    the profiles.
     """
-
-    name = "profile"
 
     def __init__(self) -> None:
         self.profiles: List[PhaseProfile] = []
@@ -236,15 +230,7 @@ class ProcessExecutor:
             gather(map(_execute_spec, to_run))
         else:
             workers = min(self.jobs, len(missing))
-            # Workers start with an empty per-process reuse cache (the
-            # isolation contract); only the caller's on/off *flag* is
-            # forwarded, so `reuse=False` sweeps stay reuse-free in the
-            # pool too.
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(reuse_enabled(),),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 gather(pool.map(_execute_spec, to_run))
         return results
 
@@ -385,21 +371,8 @@ class ShardManifest:
         """Write atomically (unique temp + replace), like cache entries:
         a shard process killed mid-write must not leave a torn manifest
         for the merge to propagate."""
-        import os
-        import tempfile
-
         path = Path(root) / self.filename
-        text = json.dumps(self.to_dict(), indent=1) + "\n"
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=str(root), prefix=".manifest-", suffix=".tmp"
-        )
-        try:
-            with open(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(temp_name, path)
-        except BaseException:
-            os.unlink(temp_name)
-            raise
+        atomic_write(path, json.dumps(self.to_dict(), indent=1) + "\n")
         return path
 
     @classmethod
@@ -549,18 +522,6 @@ def _build_process(
     return ProcessExecutor(jobs)
 
 
-def _build_profile(
-    jobs: int, shard: Optional[Tuple[int, int]]
-) -> SweepExecutor:
-    _reject_shard("profile", shard)
-    if jobs > 1:
-        raise ExecutorError(
-            "the profile executor is serial; wall-clock phase timings "
-            "from parallel workers would not be comparable"
-        )
-    return ProfilingSerialExecutor()
-
-
 def _build_shard(
     jobs: int, shard: Optional[Tuple[int, int]]
 ) -> SweepExecutor:
@@ -588,7 +549,6 @@ def _build_remote(
 
 register_executor("serial", _build_serial)
 register_executor("process", _build_process)
-register_executor("profile", _build_profile)
 register_executor("shard", _build_shard)
 register_executor("remote", _build_remote)
 

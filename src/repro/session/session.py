@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.profiling import PhaseProfile, capture, phase
-from repro.reuse import reuse_scope
 from repro.scene.scene import Scene
 from repro.session.cache import ResultCache
 from repro.session.executor import (
@@ -192,7 +191,7 @@ class Session(_ScaleMixin):
         ).validate()
         return probe.scene()
 
-    def run(self, profile: bool = False, reuse: bool = True) -> SceneResult:
+    def run(self, profile: bool = False) -> SceneResult:
         """Execute the run and return its :class:`SceneResult`.
 
         Unlike :meth:`RunSpec.execute <repro.session.spec.RunSpec.execute>`
@@ -201,23 +200,20 @@ class Session(_ScaleMixin):
         ``last_system.last_trace``.  With ``profile=True`` the run is
         additionally timed phase by phase (scene build, binding,
         pricing, execution) into :attr:`last_profile`; the numerical
-        result is unchanged.  ``reuse=False`` disables the per-process
-        :mod:`repro.reuse` cache for the run's duration (results are
-        byte-identical either way — only the wall clock changes).
+        result is unchanged.
         """
         spec = self.spec()
         framework = spec.build()
         self.last_framework = framework
         self.last_profile = None
-        with reuse_scope(reuse):
-            if not profile:
-                return framework.render_scene(spec.scene())
-            self.last_profile = PhaseProfile()
-            with capture(self.last_profile):
-                with phase("scene"):
-                    scene = spec.scene()
-                with phase("execute"):
-                    return framework.render_scene(scene)
+        if not profile:
+            return framework.render_scene(spec.scene())
+        self.last_profile = PhaseProfile()
+        with capture(self.last_profile):
+            with phase("scene"):
+                scene = spec.scene()
+            with phase("execute"):
+                return framework.render_scene(scene)
 
 
 class Sweep(_ScaleMixin):
@@ -299,7 +295,6 @@ class Sweep(_ScaleMixin):
         on_result: Optional[ResultCallback] = None,
         shard: Optional[Union[str, Tuple[int, int]]] = None,
         profile: bool = False,
-        reuse: bool = True,
     ) -> ResultSet:
         """Execute the grid into a :class:`ResultSet`.
 
@@ -342,14 +337,7 @@ class Sweep(_ScaleMixin):
         ``profile_*_s`` record columns).  Profiling forces the serial
         backend — wall-clock timings from parallel workers would not
         be comparable — so it cannot be combined with ``jobs``,
-        ``executor`` or ``shard``.
-
-        ``reuse=False`` disables the per-process :mod:`repro.reuse`
-        cache for the sweep's duration — in-process backends run under
-        a :func:`~repro.reuse.reuse_scope`, and the process backend
-        forwards the flag to its workers.  Records are byte-identical
-        either way; grid cells sharing a workload are simply slower
-        without the cache.
+        ``executor`` or ``shard`` (``executor="serial"`` is accepted).
         """
         if jobs < 1:
             raise SessionError("jobs must be at least 1")
@@ -358,7 +346,7 @@ class Sweep(_ScaleMixin):
             cache = ResultCache(cache)
         if profile:
             if jobs != 1 or shard is not None or (
-                executor is not None and executor not in ("serial", "profile")
+                executor is not None and executor != "serial"
             ):
                 raise SessionError(
                     "profile=True runs serially; drop jobs/executor/shard"
@@ -366,8 +354,7 @@ class Sweep(_ScaleMixin):
             backend: SweepExecutor = ProfilingSerialExecutor()
         else:
             backend = make_executor(executor, jobs=jobs, shard=shard)
-        with reuse_scope(reuse):
-            results = backend.run(specs, cache=cache, on_result=on_result)
+        results = backend.run(specs, cache=cache, on_result=on_result)
         if len(results) != len(specs):
             raise SessionError(
                 f"executor {getattr(backend, 'name', backend)!r} returned "

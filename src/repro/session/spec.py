@@ -84,15 +84,15 @@ def cached_scene(
     ``scene_objects_built`` and ``scene_frames_built`` counters to any
     active :func:`repro.profiling.capture`.
 
-    This memo is also the identity source the reuse cache
-    (:mod:`repro.reuse`) builds on: cells of a sweep that share a
-    workload point get the *same* :class:`Scene` — hence the same
-    :class:`~repro.scene.scene.Frame` objects — so frame-anchored
-    artefacts (batch groupings, characterised counters) are reused
-    across frameworks and engine variants within one process.  An
-    ``lru_cache`` eviction replaces the scene wholesale; the reuse
-    cache's identity anchors make the old frames' entries unreachable
-    rather than stale.
+    This memo is also what shares frame-derived artefacts: cells of a
+    sweep that share a workload point get the *same* :class:`Scene` —
+    hence the same :class:`~repro.scene.scene.Frame` objects — so the
+    batch groupings and characterised work units memoised on each
+    frame (:meth:`Frame.derived <repro.scene.scene.Frame.derived>`)
+    are reused across frameworks and engine variants within one
+    process.  An ``lru_cache`` eviction drops the scene wholesale, and
+    its frames' artefacts go with it, so the 128-scene bound is also
+    the artefacts' bound.
     """
     start = time.perf_counter()
     scene = make_benchmark_scene(

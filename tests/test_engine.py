@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro import reuse
 from repro.config import ConfigError, baseline_system
 from repro.engine import (
     ENGINE_DEFAULT,
@@ -33,7 +32,7 @@ from repro.pipeline.smp import SMPMode
 from repro.scene.scene import Scene
 from repro.session import Session, SessionError, Sweep
 from repro.session.cache import ResultCache, config_fingerprint, spec_key
-from repro.session.spec import FAST, RunSpec, SpecError
+from repro.session.spec import FAST, RunSpec, SpecError, cached_scene
 from tests.conftest import MB, make_object
 
 
@@ -50,8 +49,6 @@ def characterizer(config):
 
 
 def fast_scene(workload="HL2-640"):
-    from repro.session.spec import cached_scene
-
     return cached_scene(workload, 2, 2019, 0.15)
 
 
@@ -1454,13 +1451,15 @@ class TestIncrementalWindowLoop:
     def test_reference_loop_flag_is_bit_exact_end_to_end(
         self, framework, monkeypatch
     ):
-        """``use_reference_loop`` (the bench A/B switch) changes nothing,
-        on the baseline family's crowded windows as on oo-vr's sparse
-        ones."""
+        """Running ``finish_frame`` on the reference loop (the bench's
+        A/B patch) changes nothing, on the baseline family's crowded
+        windows as on oo-vr's sparse ones."""
         scene = fast_scene()
         cfg = baseline_system().with_engine("event")
         default = build_framework(framework, cfg).render_scene(scene)
-        monkeypatch.setattr(EventEngine, "use_reference_loop", True)
+        monkeypatch.setattr(
+            EventEngine, "_simulate", EventEngine._simulate_reference
+        )
         reference = build_framework(framework, cfg).render_scene(scene)
         assert default.to_dict() == reference.to_dict()
 
@@ -2167,7 +2166,7 @@ class TestSplitBind:
     def test_profile_covers_the_object_oriented_pair(self):
         """OO-APP and OO-VR cells split bind (the Fig. 12 grouping and
         the merges) from price, and export no compiled-plan counters."""
-        reuse.get_cache().clear()  # profile the grouping, not a memo hit
+        cached_scene.cache_clear()  # fresh frames: profile the grouping
         records = (
             Sweep().frameworks("oo-app", "oo-vr").workloads("HL2-640")
             .fast().run(profile=True).to_records()

@@ -6,6 +6,7 @@ together — the exported records must be byte-identical.
 """
 
 import json
+import os
 import threading
 
 import pytest
@@ -90,9 +91,7 @@ class TestShardPartition:
 
 class TestExecutorSelection:
     def test_builtin_names_registered(self):
-        assert EXECUTOR_NAMES == (
-            "serial", "process", "profile", "shard", "remote"
-        )
+        assert EXECUTOR_NAMES == ("serial", "process", "shard", "remote")
 
     def test_inferred_backends(self):
         assert isinstance(make_executor(jobs=1), SerialExecutor)
@@ -109,6 +108,12 @@ class TestExecutorSelection:
         assert (sharded.shard_index, sharded.shard_count) == (1, 2)
         assert isinstance(sharded.inner, ProcessExecutor)
 
+    def test_profiled_sweep_accepts_only_the_serial_name(self):
+        profiled = tiny_sweep().run(profile=True, executor="serial")
+        assert len(profiled.profiles) == len(tiny_sweep().specs())
+        with pytest.raises(SessionError, match="runs serially"):
+            tiny_sweep().run(profile=True, executor="profile")
+
     def test_instance_passes_through(self):
         backend = SerialExecutor()
         assert make_executor(backend) is backend
@@ -118,7 +123,7 @@ class TestExecutorSelection:
         the same grammar the ``--engine`` error uses."""
         expected = (
             "unknown executor 'gpu'; "
-            "have ['process', 'profile', 'remote', 'serial', 'shard']"
+            "have ['process', 'remote', 'serial', 'shard']"
         )
         with pytest.raises(ExecutorError) as excinfo:
             make_executor("gpu")
@@ -370,6 +375,21 @@ class TestShardScatterMerge:
         tiny_sweep().run(shard="0/2", cache=cache)
         assert len(load_shard_manifests(tmp_path)) == 2
 
+    def test_failed_manifest_write_leaves_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A manifest write that fails at the replace leaves neither a
+        manifest nor a temp file, as a failed entry write does."""
+        manifest = ShardExecutor(0, 2).manifest_for(tiny_sweep().specs())
+
+        def fail(source, destination):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            manifest.write(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_one_way_shard_equals_unsharded(self, tmp_path):
         reference = tiny_sweep().run().to_csv()
         sharded = tiny_sweep().run(
@@ -451,6 +471,18 @@ class TestCliExecutor:
         code, _, err = self.run_cli(capsys, *self.GRID, "--executor", "gpu")
         assert code == 2
         assert "unknown executor" in err
+
+    def test_profile_is_not_an_executor_name(self, capsys, tmp_path):
+        """``--profile`` profiles a sweep; a ``profile`` backend name
+        would time every cell and then drop the timings."""
+        out_csv = tmp_path / "out.csv"
+        code, _, err = self.run_cli(
+            capsys, *self.GRID, "--executor", "profile",
+            "--csv", str(out_csv),
+        )
+        assert code == 2
+        assert err.startswith("error: unknown executor 'profile'; have [")
+        assert not out_csv.exists()
 
     def test_sweep_bad_shard_exits_2(self, capsys):
         code, _, err = self.run_cli(capsys, *self.GRID, "--shard", "2/2")
