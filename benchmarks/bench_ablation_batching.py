@@ -4,24 +4,12 @@ Checks that the paper's fixed choices (TSL > 0.5, 4096-triangle cap)
 sit on the plateau of the parameter space rather than at a cliff.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.experiments.extensions import batching_sensitivity
 
 
 def test_ablation_batching(bench_once):
-    result = bench_once(
-        batching_sensitivity,
-        BENCH,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
-    )
+    result = bench_once(batching_sensitivity, BENCH)
     record_output("ablation_batching", result.to_text())
     series = result.series["speedup"]
     paper_point = series["tsl>0.5"]

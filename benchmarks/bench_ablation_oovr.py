@@ -6,24 +6,12 @@ DHC, stealing) and re-measures Fig. 15's speedup, quantifying each
 component's share of the gain.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.experiments.extensions import oovr_ablation
 
 
 def test_ablation_oovr(bench_once):
-    result = bench_once(
-        oovr_ablation,
-        BENCH,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
-    )
+    result = bench_once(oovr_ablation, BENCH)
     record_output("ablation_oovr", result.to_text())
     full = result.average("full")
     software = result.average("software-only")

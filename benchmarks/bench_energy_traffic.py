@@ -10,13 +10,7 @@ Two reports:
   cost is negligible next to the link energy it removes.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.energy import (
     EnergyConstants,
     EnergyModel,
@@ -30,19 +24,8 @@ SCHEMES = ("baseline", "object", "oo-vr")
 
 
 def run_energy():
-    link_figure = energy_report(
-        BENCH, cache=BENCH_CACHE, jobs=BENCH_JOBS, executor=BENCH_EXECUTOR
-    )
-    suites = {
-        name: run_framework_suite(
-            name,
-            BENCH,
-            cache=BENCH_CACHE,
-            jobs=BENCH_JOBS,
-            executor=BENCH_EXECUTOR,
-        )
-        for name in SCHEMES
-    }
+    link_figure = energy_report(BENCH)
+    suites = {name: run_framework_suite(name, BENCH) for name in SCHEMES}
     board = compare_frameworks(
         suites, EnergyModel(EnergyConstants.for_integration(IntegrationPoint.ON_BOARD))
     )

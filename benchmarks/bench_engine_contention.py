@@ -21,13 +21,7 @@ back in the render window, and how much the DHC all-pairs scatter
 queues at the barrier.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.experiments.engines import (
     CONTENTION_BANDWIDTHS_GB,
     CONTENTION_FRAMEWORKS,
@@ -45,13 +39,7 @@ WORKLOADS = ("DM3-1280", "HL2-1280", "WE")
 def run_engine_contention():
     # One grid execution feeds both views (and persists in the shared
     # bench cache for the other studies).
-    results = engine_contention_grid(
-        BENCH,
-        workloads=WORKLOADS,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
-    )
+    results = engine_contention_grid(BENCH, workloads=WORKLOADS)
     figure = engine_contention_study(
         BENCH,
         workloads=WORKLOADS,

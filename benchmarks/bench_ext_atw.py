@@ -14,13 +14,7 @@ The study is one declarative (scheme x workload) Sweep
 bench cache.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.extensions.atw import ATWConfig, atw_study
 from repro.stats.metrics import geomean
 
@@ -36,9 +30,6 @@ def run_atw():
         BENCH,
         atw=ATW,
         panel_pixels=VR_PANEL_PIXELS,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
     )
     rows = []
     fresh_rates = {}

@@ -12,13 +12,7 @@ The study is one declarative Sweep over three design points —
 the shared bench cache.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.extensions.foveated import FoveationConfig, foveation_study
 from repro.stats.metrics import geomean
 
@@ -26,13 +20,7 @@ WORKLOADS = ("DM3-1600", "HL2-1600", "NFS")
 
 
 def run_foveated():
-    table = foveation_study(
-        WORKLOADS,
-        BENCH,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
-    )
+    table = foveation_study(WORKLOADS, BENCH)
     # The "oo-vr:fov" variant renders with the default three-ring
     # profile; report exactly those parameters.
     profile = FoveationConfig()

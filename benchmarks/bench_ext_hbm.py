@@ -9,13 +9,7 @@ advantage over the baseline should grow with the asymmetry and
 saturate once compute binds.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.extensions.hbm import HBM_GENERATIONS, local_bandwidth_sweep
 
 SCHEMES = ("baseline", "object", "oo-vr")
@@ -28,9 +22,6 @@ def run_hbm():
         workloads=WORKLOADS,
         draw_scale=BENCH.draw_scale,
         num_frames=BENCH.num_frames,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
     )
     lines = [
         "Extension E4: speedup vs (baseline, 1 TB/s local DRAM) by "

@@ -13,26 +13,14 @@ The study is one declarative (scheme x workload) Sweep
 the shared bench cache.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.extensions.migration import migration_study
 
 SCHEMES = ("baseline", "baseline-mig", "oo-vr")
 
 
 def run_migration():
-    summary = migration_study(
-        SCHEMES,
-        BENCH,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
-    )
+    summary = migration_study(SCHEMES, BENCH)
     lines = [
         "Extension E6: reactive migration vs proactive pre-allocation",
         f"{'scheme':<14}{'speedup':>10}{'traffic vs baseline':>22}",

@@ -9,13 +9,7 @@ more contended wire), while OO-VR is nearly topology-insensitive —
 locality is worth more when the fabric is worse.
 """
 
-from benchmarks.conftest import (
-    BENCH,
-    BENCH_CACHE,
-    BENCH_EXECUTOR,
-    BENCH_JOBS,
-    record_output,
-)
+from benchmarks.conftest import BENCH, record_output
 from repro.extensions.topology import Topology, topology_sweep
 
 SCHEMES = ("baseline", "object", "oo-vr")
@@ -28,9 +22,6 @@ def run_topology():
         workloads=WORKLOADS,
         draw_scale=BENCH.draw_scale,
         num_frames=BENCH.num_frames,
-        cache=BENCH_CACHE,
-        jobs=BENCH_JOBS,
-        executor=BENCH_EXECUTOR,
     )
     lines = [
         "Extension E3: speedup vs (baseline, fully-connected) by topology",

@@ -13,14 +13,17 @@ values, not the wall-clock, but the timing documents simulation cost.
 
 The harness rides on the Session/Sweep API: ``BENCH`` is the standard
 :data:`repro.session.FULL` preset, the same grids ``oovr fig`` and
-``oovr sweep`` execute.  The extension/ablation studies additionally
-share :data:`BENCH_CACHE`, a :class:`repro.session.ResultCache` under
-``benchmarks/output/cache``: cells common to several studies (the
-baseline suite above all) execute once per bench session instead of
-once per study, and a re-run regenerates figures from disk.  Note the
-cache keys on the *spec*, not the simulator code — clear it
-(``oovr cache clear benchmarks/output/cache``) after changing the
-model to re-measure.
+``oovr sweep`` execute.  :func:`bench_once` runs every bench inside
+one :func:`repro.session.sweep_defaults` block naming
+:data:`BENCH_EXECUTOR` and :data:`BENCH_CACHE`, so the bench files pass
+no run knobs and every grid — paper figures and extension/ablation
+studies alike — shares :data:`BENCH_CACHE`, a
+:class:`repro.session.ResultCache` under ``benchmarks/output/cache``:
+cells common to several benches (the baseline suite above all) execute
+once per bench session instead of once per bench, and a re-run
+regenerates figures from disk.  Note the cache keys on the *spec*, not
+the simulator code — clear it (``oovr cache clear
+benchmarks/output/cache``) after changing the model to re-measure.
 
 Execution rides the pluggable executor layer
 (:mod:`repro.session.executor`), steered by environment variables so
@@ -47,14 +50,14 @@ import pathlib
 
 import pytest
 
-from repro.session import FULL, ResultCache, make_executor
+from repro.session import FULL, ResultCache, make_executor, sweep_defaults
 
 #: Full-scale experiment preset used by every bench.
 BENCH = FULL
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
-#: RunSpec-keyed result store shared by the extension/ablation benches
+#: RunSpec-keyed result store shared by every bench grid
 #: (``OOVR_BENCH_CACHE`` points scattered hosts at private directories).
 BENCH_CACHE = ResultCache(
     os.environ.get("OOVR_BENCH_CACHE", OUTPUT_DIR / "cache")
@@ -66,9 +69,8 @@ BENCH_JOBS = int(os.environ.get("OOVR_BENCH_JOBS", "1"))
 #: This host's shard slice (``OOVR_BENCH_SHARD=I/N``), or None.
 BENCH_SHARD = os.environ.get("OOVR_BENCH_SHARD")
 
-#: The executor backend every cache-sharing bench hands to Sweep.run —
-#: serial by default, process under OOVR_BENCH_JOBS, a shard slice
-#: under OOVR_BENCH_SHARD.
+#: The executor backend every bench grid runs on — serial by default,
+#: process under OOVR_BENCH_JOBS, a shard slice under OOVR_BENCH_SHARD.
 BENCH_EXECUTOR = make_executor(jobs=BENCH_JOBS, shard=BENCH_SHARD)
 
 
@@ -84,19 +86,26 @@ def record_output(name: str, text: str) -> None:
 def bench_once(benchmark):
     """Run a figure generator exactly once under the benchmark timer.
 
-    Under ``OOVR_BENCH_SHARD`` the generator runs for its cache side
-    effects only — each sweep executes (and stores) this host's slice
-    — and the test skips, so no figure text or assertion is ever
-    produced from a partial grid.  Caveat: a bench chaining several
-    grids stops at its first figure-math lookup of a cell another
-    shard owns, so later grids in the same bench stay cold; ``oovr
-    cache manifest`` on the merged directory shows exactly which grids
-    each shard recorded, and the unsharded replay executes any cells
-    still missing.
+    The generator runs inside ``sweep_defaults(executor=BENCH_EXECUTOR,
+    cache=BENCH_CACHE)``, so every sweep it makes executes on the bench
+    executor and stores into the object whose stats the shard mode
+    below counts.  Under ``OOVR_BENCH_SHARD`` the generator runs for
+    its cache side effects only — each sweep executes (and stores)
+    this host's slice — and the test skips, so no figure text or
+    assertion is ever produced from a partial grid.  Caveat: a bench
+    chaining several grids stops at its first figure-math lookup of a
+    cell another shard owns, so later grids in the same bench stay
+    cold; ``oovr cache manifest`` on the merged directory shows exactly
+    which grids each shard recorded, and the unsharded replay executes
+    any cells still missing.
     """
 
     def run(func, *args, **kwargs):
-        if BENCH_SHARD is not None:
+        with sweep_defaults(executor=BENCH_EXECUTOR, cache=BENCH_CACHE):
+            if BENCH_SHARD is None:
+                return benchmark.pedantic(
+                    func, args=args, kwargs=kwargs, rounds=1, iterations=1
+                )
             stores_before = BENCH_CACHE.stats.stores
             reached_end = True
             try:
@@ -106,19 +115,16 @@ def bench_once(benchmark):
                 # every sweep reached before that point has already
                 # executed and cached this host's slice.
                 reached_end = False
-            stored = BENCH_CACHE.stats.stores - stores_before
-            coverage = (
-                "all grids swept"
-                if reached_end
-                else "grids after the first cross-shard lookup stayed cold"
-            )
-            pytest.skip(
-                f"OOVR_BENCH_SHARD={BENCH_SHARD}: stored {stored} "
-                f"cell(s) of this host's slice at {BENCH_CACHE.root} "
-                f"({coverage}); merge and re-run unsharded for figures"
-            )
-        return benchmark.pedantic(
-            func, args=args, kwargs=kwargs, rounds=1, iterations=1
+        stored = BENCH_CACHE.stats.stores - stores_before
+        coverage = (
+            "all grids swept"
+            if reached_end
+            else "grids after the first cross-shard lookup stayed cold"
+        )
+        pytest.skip(
+            f"OOVR_BENCH_SHARD={BENCH_SHARD}: stored {stored} "
+            f"cell(s) of this host's slice at {BENCH_CACHE.root} "
+            f"({coverage}); merge and re-run unsharded for figures"
         )
 
     return run

@@ -55,6 +55,7 @@ from repro.session import (
     SpecError,
     Sweep,
     spec_key,
+    sweep_defaults,
 )
 from repro.service.client import ServiceError
 from repro.trace import load_scene, profile_scene, save_scene
@@ -86,9 +87,8 @@ def _cmd_fig(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    result = figures.FIGURES[key](
-        _experiment(args), jobs=args.jobs, on_result=_on_result(args)
-    )
+    with sweep_defaults(jobs=args.jobs, on_result=_on_result(args)):
+        result = figures.FIGURES[key](_experiment(args))
     print(result.to_text())
     if args.chart:
         print()
@@ -256,12 +256,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # A URL that cannot even be parsed is a usage error (exit
             # 2), not a runtime service failure (exit 1).
             raise ExecutorError(str(error)) from None
-    if args.profile and (
-        args.jobs != 1 or args.shard or args.server or executor is not None
-    ):
-        raise ExecutorError(
-            "--profile runs serially; drop --jobs/--executor/--shard/--server"
-        )
     results = sweep.run(
         jobs=args.jobs,
         cache=cache,

@@ -139,10 +139,6 @@ class RenderingTimePredictor:
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def observation_count(self) -> int:
-        return len(self._observations)
-
     def mean_absolute_error(self) -> float:
         """Model error over everything observed so far (for reports)."""
         if not self.is_calibrated or not self._observations:

@@ -19,10 +19,6 @@ class SceneEnergy:
     workload: str
     per_frame: FrameEnergy
 
-    @property
-    def millijoules_per_frame(self) -> float:
-        return self.per_frame.millijoules
-
 
 def scene_energy(
     result: SceneResult,

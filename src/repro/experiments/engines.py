@@ -28,7 +28,11 @@ the composition barrier included), :func:`engine_contention_phases`
 resolves the same factor per phase: how much the render window slows
 once PA/staging copies fight render flows for wires, and how much the
 composition barrier itself stretches — the two mechanisms (Section 5.2
-PA overlap, Section 5.3 DHC) the aggregate number conflates.
+PA overlap, Section 5.3 DHC) the aggregate number conflates.  Both
+views read one grid (:func:`engine_contention_grid`): pass it to each
+as ``results=``, or run both inside one
+:func:`~repro.session.sweep_defaults` block with a ``cache``, and every
+cell executes once.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from repro.config import baseline_system
 from repro.experiments.figures import FigureResult
 from repro.experiments.runner import FULL, ExperimentConfig
 from repro.session import Sweep
-from repro.session.cache import ResultCache
 from repro.stats.metrics import geomean
 
 __all__ = [
@@ -85,10 +88,6 @@ def engine_contention_grid(
     frameworks: Sequence[str] = CONTENTION_FRAMEWORKS,
     link_bandwidths: Sequence[float] = CONTENTION_BANDWIDTHS_GB,
     workloads: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
-    on_result=None,
 ):
     """Execute the (framework x engine x bandwidth x workload) grid.
 
@@ -114,9 +113,7 @@ def engine_contention_grid(
             baseline_system().with_link_bandwidth(bandwidth),
             label=_bandwidth_label(bandwidth),
         )
-    return sweep.run(
-        jobs=jobs, cache=cache, executor=executor, on_result=on_result
-    )
+    return sweep.run()
 
 
 def _run_grid(
@@ -124,11 +121,7 @@ def _run_grid(
     frameworks: Sequence[str],
     link_bandwidths: Sequence[float],
     workloads: Optional[Sequence[str]],
-    jobs: int,
-    cache: Optional[ResultCache],
     results,
-    executor=None,
-    on_result=None,
 ):
     """Resolve the grid a study view reads: reuse or execute."""
     chosen = tuple(workloads) if workloads is not None else tuple(
@@ -136,8 +129,7 @@ def _run_grid(
     )
     if results is None:
         results = engine_contention_grid(
-            experiment, frameworks, link_bandwidths, workloads, jobs, cache,
-            executor=executor, on_result=on_result,
+            experiment, frameworks, link_bandwidths, workloads
         )
     return results, chosen
 
@@ -147,27 +139,23 @@ def engine_contention_study(
     frameworks: Sequence[str] = CONTENTION_FRAMEWORKS,
     link_bandwidths: Sequence[float] = CONTENTION_BANDWIDTHS_GB,
     workloads: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     results=None,
-    executor=None,
-    on_result=None,
 ) -> FigureResult:
     """Analytic over-credit factor per (framework, link bandwidth).
 
     One declarative :class:`~repro.session.Sweep`: every framework runs
     twice per cell — as named (analytic) and as its
-    ``:engine=event`` variant — across the bandwidth axis, fanned over
-    ``jobs`` worker processes and memoised through ``cache`` like any
-    figure.  Returns a :class:`~repro.experiments.figures.FigureResult`
-    whose series map each framework to ``{bandwidth: event/analytic}``
-    (geomean over workloads, on single-frame cycles).  Pass ``results``
-    (from :func:`engine_contention_grid`) to read an already-executed
-    grid instead of running one.
+    ``:engine=event`` variant — across the bandwidth axis, executed
+    wherever the enclosing :func:`~repro.session.sweep_defaults` block
+    says, like any figure.  Returns a
+    :class:`~repro.experiments.figures.FigureResult` whose series map
+    each framework to ``{bandwidth: event/analytic}`` (geomean over
+    workloads, on single-frame cycles).  Pass ``results`` (from
+    :func:`engine_contention_grid`) to read an already-executed grid
+    instead of running one.
     """
     results, chosen = _run_grid(
-        experiment, frameworks, link_bandwidths, workloads, jobs, cache,
-        results, executor=executor, on_result=on_result,
+        experiment, frameworks, link_bandwidths, workloads, results
     )
 
     def cycles(framework: str, label: str) -> Dict[str, float]:
@@ -201,18 +189,16 @@ def engine_contention_phases(
     frameworks: Sequence[str] = CONTENTION_FRAMEWORKS,
     link_bandwidths: Sequence[float] = CONTENTION_BANDWIDTHS_GB,
     workloads: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     results=None,
-    executor=None,
-    on_result=None,
 ) -> FigureResult:
     """Phase-resolved over-credit: where congestion actually bites.
 
     Reads the same grid as :func:`engine_contention_study` — run it
     once with :func:`engine_contention_grid` and pass it as
-    ``results``, or share a ``cache`` so the second pass is pure hits —
-    and splits the over-credit factor by frame phase — one ``<framework> [render]`` and one
+    ``results``, or run both views inside one
+    :func:`~repro.session.sweep_defaults` block with a ``cache`` so the
+    second pass is pure hits — and splits the over-credit factor by
+    frame phase — one ``<framework> [render]`` and one
     ``<framework> [composition]`` column per design point:
 
     - the **render** factor isolates what PA/staging flows and remote
@@ -229,8 +215,7 @@ def engine_contention_phases(
     sort-first tiling) report 1.0 there.
     """
     results, chosen = _run_grid(
-        experiment, frameworks, link_bandwidths, workloads, jobs, cache,
-        results, executor=executor, on_result=on_result,
+        experiment, frameworks, link_bandwidths, workloads, results
     )
 
     def phase_cycles(framework: str, label: str, phase: str) -> Dict[str, float]:

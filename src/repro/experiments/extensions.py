@@ -11,16 +11,16 @@ Each experiment is one declarative :class:`~repro.session.Sweep` grid —
 the ablated and parameter-shifted design points are spelled as
 framework variants (:mod:`repro.frameworks.variants`), so every cell
 is an ordinary :class:`~repro.session.spec.RunSpec` that fans out over
-worker processes (``jobs``) and memoises through a
-:class:`~repro.session.ResultCache` (``cache``) like any paper figure;
-``executor``/``on_result`` forward to :meth:`Sweep.run
-<repro.session.session.Sweep.run>` so the studies run on any
-:mod:`repro.session.executor` backend (including a shard slice).
+worker processes, memoises through a
+:class:`~repro.session.ResultCache` and runs on any
+:mod:`repro.session.executor` backend (including a shard slice) like
+any paper figure: the caller says which in a
+:func:`~repro.session.sweep_defaults` block around the call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.core.ablation import ABLATION_VARIANTS
 from repro.experiments.figures import FigureResult
@@ -31,7 +31,6 @@ from repro.experiments.runner import (
     with_average,
 )
 from repro.session import Sweep
-from repro.session.cache import ResultCache
 
 #: The middleware operating points swept by :func:`batching_sensitivity`
 #: (the paper fixes TSL > 0.5 and a 4096-triangle cap).
@@ -41,10 +40,6 @@ BATCHING_TRIANGLE_CAPS = (1024, 2048, 4096, 8192, 16384)
 
 def oovr_ablation(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
-    on_result=None,
 ) -> FigureResult:
     """Speedup over baseline with each OO-VR mechanism disabled."""
     variants = list(ABLATION_VARIANTS)
@@ -52,7 +47,7 @@ def oovr_ablation(
         Sweep()
         .preset(experiment)
         .frameworks("baseline", *(f"oo-vr:{key}" for key in variants))
-        .run(jobs=jobs, cache=cache, executor=executor, on_result=on_result)
+        .run()
     )
     baseline = results.by_workload(framework="baseline")
     series: Dict[str, Mapping[str, float]] = {
@@ -74,10 +69,6 @@ def oovr_ablation(
 def batching_sensitivity(
     experiment: ExperimentConfig = FULL,
     workload: str = "HL2-1280",
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
-    on_result=None,
 ) -> FigureResult:
     """Middleware parameter sweep: TSL threshold and triangle cap.
 
@@ -98,7 +89,7 @@ def batching_sensitivity(
         .preset(experiment)
         .workloads(workload)
         .frameworks("baseline", *points.values())
-        .run(jobs=jobs, cache=cache, executor=executor, on_result=on_result)
+        .run()
     )
     base = results.get(framework="baseline")
     series = {
@@ -117,10 +108,6 @@ def batching_sensitivity(
 
 def energy_report(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
-    on_result=None,
 ) -> FigureResult:
     """Per-frame link energy under the paper's integration assumptions.
 
@@ -134,7 +121,7 @@ def energy_report(
         Sweep()
         .preset(experiment)
         .frameworks(*schemes)
-        .run(jobs=jobs, cache=cache, executor=executor, on_result=on_result)
+        .run()
     )
     bytes_per_frame = results.geomean_by(
         "mean_inter_gpm_bytes_per_frame", by="framework"

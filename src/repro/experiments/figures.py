@@ -3,12 +3,11 @@
 Every figure is a declarative :class:`~repro.session.Sweep` — the grid
 of (framework x workload x config) cells the paper plots — plus a small
 formatting step that pivots the resulting
-:class:`~repro.session.ResultSet` into paper-style series.  All
-functions accept ``jobs`` (worker processes), ``executor`` (a
-:mod:`repro.session.executor` backend name or instance) and
-``on_result`` (per-cell progress callback), forwarded verbatim to
-:meth:`Sweep.run <repro.session.session.Sweep.run>` — no figure
-constructs a pool of its own.
+:class:`~repro.session.ResultSet` into paper-style series.  No figure
+says where its grid runs: the caller wraps the call in
+:func:`~repro.session.sweep_defaults` (worker processes, result cache,
+executor backend, per-cell progress callback), as ``oovr fig`` and the
+bench harness do.
 
 Every function returns a :class:`FigureResult`: named series over the
 nine workload points (or a parameter sweep), plus the paper's reported
@@ -20,12 +19,12 @@ the Table 2 configuration (modulo the parameter being swept).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Sequence
 
 from repro.config import baseline_system
 from repro.experiments.runner import FULL, ExperimentConfig, with_average
 from repro.frameworks.base import build_framework
-from repro.session import ResultCallback, ResultSet, Sweep, SweepExecutor
+from repro.session import ResultSet, Sweep
 from repro.stats.metrics import geomean
 from repro.stats.reporting import series_table
 
@@ -106,9 +105,6 @@ def _bandwidth_label(bandwidth: float) -> str:
 
 def fig04_bandwidth_sensitivity(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """Normalised baseline performance as the links shrink (Fig. 4).
 
@@ -122,7 +118,7 @@ def fig04_bandwidth_sensitivity(
             baseline_system().with_link_bandwidth(bandwidth),
             label=_bandwidth_label(bandwidth),
         )
-    results = sweep.run(jobs=jobs, executor=executor, on_result=on_result)
+    results = sweep.run()
     speedups = results.normalize_to(
         _bandwidth_label(FIG4_BANDWIDTHS_GB[0]),
         "single_frame_cycles",
@@ -151,14 +147,9 @@ def fig04_bandwidth_sensitivity(
 
 def fig07_afr(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """AFR vs. baseline: overall performance and frame latency (Fig. 7)."""
-    results = _suite(experiment, "baseline", "afr").run(
-        jobs=jobs, executor=executor, on_result=on_result
-    )
+    results = _suite(experiment, "baseline", "afr").run()
     overall = with_average(
         _speedups(results, "frame_interval_cycles")["afr"]
     )
@@ -189,14 +180,9 @@ _SFR_LABELS = {
 
 def fig08_sfr_performance(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """SFR schemes' frame-rate speedup over the baseline (Fig. 8)."""
-    results = _suite(experiment, "baseline", *SFR_SCHEMES).run(
-        jobs=jobs, executor=executor, on_result=on_result
-    )
+    results = _suite(experiment, "baseline", *SFR_SCHEMES).run()
     speedups = _speedups(results, "frame_interval_cycles")
     series = {
         _SFR_LABELS[scheme]: with_average(speedups[scheme])
@@ -217,14 +203,9 @@ def fig08_sfr_performance(
 
 def fig09_sfr_traffic(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """SFR schemes' inter-GPM traffic vs. the baseline (Fig. 9)."""
-    results = _suite(experiment, "baseline", *SFR_SCHEMES).run(
-        jobs=jobs, executor=executor, on_result=on_result
-    )
+    results = _suite(experiment, "baseline", *SFR_SCHEMES).run()
     ratios = results.normalize_to(
         "baseline", "mean_inter_gpm_bytes_per_frame"
     )
@@ -252,14 +233,9 @@ def fig09_sfr_traffic(
 
 def fig10_load_balance(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """Best-to-worst GPM busy-time ratio under object-level SFR."""
-    results = _suite(experiment, "object").run(
-        jobs=jobs, executor=executor, on_result=on_result
-    )
+    results = _suite(experiment, "object").run()
     ratios = with_average(
         results.pivot("mean_load_balance_ratio")["object"]
     )
@@ -288,14 +264,9 @@ _FIG15_LABELS = {
 
 def fig15_oovr_speedup(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """Single-frame speedup of all design points vs. baseline (Fig. 15)."""
-    results = _suite(experiment, "baseline", *FIG15_SCHEMES).run(
-        jobs=jobs, executor=executor, on_result=on_result
-    )
+    results = _suite(experiment, "baseline", *FIG15_SCHEMES).run()
     speedups = _speedups(results)
     series = {
         _FIG15_LABELS[scheme]: with_average(speedups[scheme])
@@ -316,14 +287,9 @@ def fig15_oovr_speedup(
 
 def fig16_oovr_traffic(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """Inter-GPM traffic: baseline vs. object-level vs. OO-VR (Fig. 16)."""
-    results = _suite(experiment, "baseline", "object", "oo-vr").run(
-        jobs=jobs, executor=executor, on_result=on_result
-    )
+    results = _suite(experiment, "baseline", "object", "oo-vr").run()
     ratios = results.normalize_to(
         "baseline", "mean_inter_gpm_bytes_per_frame"
     )
@@ -358,9 +324,6 @@ _FIG17_LABELS = {
 
 def fig17_link_bandwidth(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """Speedup vs. link bandwidth, normalised to baseline@64GB/s.
 
@@ -374,7 +337,7 @@ def fig17_link_bandwidth(
             baseline_system().with_link_bandwidth(bandwidth),
             label=f"{bandwidth:.0f}GB/s",
         )
-    results = sweep.run(jobs=jobs, executor=executor, on_result=on_result)
+    results = sweep.run()
     means = results.geomean_by(
         "single_frame_cycles", by=("framework", "config_label")
     )
@@ -406,15 +369,12 @@ FIG18_SCHEMES = ("baseline", "object", "oo-vr")
 
 def fig18_scalability(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """Speedup over a single GPM as the module count grows (Fig. 18)."""
     sweep = _suite(experiment, *FIG18_SCHEMES)
     for count in FIG18_GPM_COUNTS:
         sweep.config(baseline_system(num_gpms=count), label=f"{count} GPM")
-    results = sweep.run(jobs=jobs, executor=executor, on_result=on_result)
+    results = sweep.run()
     means = results.geomean_by(
         "single_frame_cycles", by=("framework", "config_label")
     )
@@ -445,18 +405,15 @@ def fig18_scalability(
 
 def smp_validation(
     experiment: ExperimentConfig = FULL,
-    jobs: int = 1,
-    executor: Optional[Union[str, SweepExecutor]] = None,
-    on_result: Optional[ResultCallback] = None,
 ) -> FigureResult:
     """SMP multi-view vs. sequential stereo on one GPM (~27 % gain).
 
     Mirrors the paper's validation of the ATTILA SMP engine: the same
     frames rendered as two sequential per-eye passes and as SMP
     multi-view draws on a single-GPM system.  The comparison drives the
-    pipeline below the framework layer, so it runs serially (and
-    in-process) regardless of ``jobs``/``executor``/``on_result`` —
-    the parameters exist only for registry-call uniformity.
+    pipeline below the framework layer, so it runs serially and
+    in-process, outside any :func:`~repro.session.sweep_defaults`
+    block's executor.
     """
     from repro.gpu.system import MultiGPUSystem
     from repro.pipeline.smp import SMPMode

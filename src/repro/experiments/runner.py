@@ -42,25 +42,12 @@ def run_framework_suite(
     framework_name: str,
     experiment: ExperimentConfig = FULL,
     config: Optional[SystemConfig] = None,
-    jobs: int = 1,
-    cache=None,
-    executor=None,
-    on_result=None,
 ) -> Dict[str, SceneResult]:
-    """Run one framework over every workload of the experiment.
-
-    ``cache`` is an optional :class:`~repro.session.ResultCache` (or
-    directory path) memoising the suite's cells across calls;
-    ``executor``/``on_result`` select the
-    :mod:`repro.session.executor` backend and per-cell progress
-    callback, like any sweep.
-    """
+    """Run one framework over every workload of the experiment."""
     sweep = Sweep().preset(experiment).frameworks(framework_name)
     if config is not None:
         sweep.config(config)
-    return sweep.run(
-        jobs=jobs, cache=cache, executor=executor, on_result=on_result
-    ).by_workload()
+    return sweep.run().by_workload()
 
 
 def single_frame_speedups(

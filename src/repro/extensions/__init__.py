@@ -25,10 +25,10 @@ Each study's driver (:func:`atw_study`, :func:`foveation_study`,
 :func:`local_bandwidth_sweep`) is a declarative
 :class:`~repro.session.Sweep` grid — parameterised design points are
 framework variants (:mod:`repro.frameworks.variants`) — so every study
-takes ``jobs`` (process fan-out), ``cache`` (a
-:class:`~repro.session.ResultCache` memoising repeated cells) and
-``executor``/``on_result`` (the :mod:`repro.session.executor` backend
-and per-cell progress callback, like any sweep).
+runs wherever the enclosing :func:`~repro.session.sweep_defaults`
+block says: process fan-out, a :class:`~repro.session.ResultCache`
+memoising repeated cells, any :mod:`repro.session.executor` backend
+and a per-cell progress callback, like any sweep.
 """
 
 from repro.extensions.atw import ATWConfig, ATWReport, atw_study, simulate_atw

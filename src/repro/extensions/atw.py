@@ -199,17 +199,12 @@ def atw_study(
     atw: ATWConfig | None = None,
     system: SystemConfig | None = None,
     panel_pixels: Optional[float] = None,
-    jobs: int = 1,
-    cache=None,
-    executor=None,
-    on_result=None,
 ) -> Dict[str, List[ATWReport]]:
     """Pace every scheme's workload suite through the compositor.
 
     One declarative (scheme x workload) :class:`~repro.session.Sweep`
-    (``experiment`` preset, default :data:`~repro.session.FULL`) whose
-    cells fan out over ``jobs`` processes and memoise through
-    ``cache``; each result's steady-frame latencies then run through
+    (``experiment`` preset, default :data:`~repro.session.FULL`); each
+    result's steady-frame latencies then run through
     :func:`simulate_atw`.  With ``panel_pixels`` set (e.g. Table 1's
     116.64 Mpixel stereo panel), each latency is first scaled by the
     panel-to-workload pixel ratio — "this workload's engine, at VR
@@ -224,7 +219,7 @@ def atw_study(
         Sweep()
         .preset(experiment)
         .frameworks(*schemes)
-        .run(jobs=jobs, cache=cache, executor=executor, on_result=on_result)
+        .run()
     )
     out: Dict[str, List[ATWReport]] = {}
     for scheme in schemes:

@@ -137,10 +137,6 @@ def foveate_scene(scene: Scene, config: FoveationConfig | None = None) -> Scene:
 def foveation_study(
     workloads=("DM3-1600", "HL2-1600", "NFS"),
     experiment=None,
-    jobs: int = 1,
-    cache=None,
-    executor=None,
-    on_result=None,
 ):
     """Foveation stacked on OO-VR: speedup over baseline per workload.
 
@@ -160,7 +156,7 @@ def foveation_study(
         .preset(experiment)
         .workloads(*workloads)
         .frameworks("baseline", "oo-vr", "oo-vr:fov")
-        .run(jobs=jobs, cache=cache, executor=executor, on_result=on_result)
+        .run()
     )
     table = {}
     for workload in workloads:

@@ -49,10 +49,6 @@ def local_bandwidth_sweep(
     workloads: Sequence[str] = ("DM3-1280", "HL2-1280", "WE"),
     draw_scale: float = 1.0,
     num_frames: int = 2,
-    jobs: int = 1,
-    cache=None,
-    executor=None,
-    on_result=None,
 ) -> Dict[str, Dict[str, float]]:
     """Speedup over (baseline, 1 TB/s) per (generation, scheme) cell.
 
@@ -61,8 +57,7 @@ def local_bandwidth_sweep(
     sweep isolates the bandwidth *asymmetry*, not raw bandwidth.
 
     The generations are the :class:`~repro.session.Sweep`'s config
-    axis, so the whole study is one declarative grid (fanned out over
-    ``jobs`` processes, memoised through ``cache``).  The reference
+    axis, so the whole study is one declarative grid.  The reference
     cell is the generation running the paper's 1 TB/s local DRAM; when
     ``generations`` omits that point, an internal reference column is
     added.
@@ -90,9 +85,7 @@ def local_bandwidth_sweep(
         sweep.config(
             with_local_bandwidth(baseline_system(), float(gbps)), label=label
         )
-    results = sweep.run(
-        jobs=jobs, cache=cache, executor=executor, on_result=on_result
-    )
+    results = sweep.run()
 
     def cycles(scheme: str, label: str) -> Dict[str, float]:
         return {
@@ -114,10 +107,7 @@ def local_bandwidth_sweep(
             .scale(draw_scale)
             .frameworks("baseline")
             .config(baseline_system(), label="reference (1 TB/s)")
-            .run(
-                jobs=jobs, cache=cache,
-                executor=executor, on_result=on_result,
-            )
+            .run()
         )
         reference = {
             workload: ref_results.get(

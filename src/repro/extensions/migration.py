@@ -183,10 +183,6 @@ _register_migration_framework()
 def migration_study(
     schemes: Sequence[str] = ("baseline", "baseline-mig", "oo-vr"),
     experiment=None,
-    jobs: int = 1,
-    cache=None,
-    executor=None,
-    on_result=None,
 ) -> Dict[str, Tuple[float, float]]:
     """Reactive migration vs proactive pre-allocation, per scheme.
 
@@ -211,7 +207,7 @@ def migration_study(
         Sweep()
         .preset(experiment)
         .frameworks(*frameworks)
-        .run(jobs=jobs, cache=cache, executor=executor, on_result=on_result)
+        .run()
     )
     base = results.by_workload(framework="baseline")
     summary: Dict[str, Tuple[float, float]] = {}

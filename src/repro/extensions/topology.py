@@ -189,10 +189,6 @@ def topology_sweep(
     draw_scale: float = 1.0,
     num_frames: int = 2,
     config: SystemConfig | None = None,
-    jobs: int = 1,
-    cache=None,
-    executor=None,
-    on_result=None,
 ) -> Dict[str, Dict[str, float]]:
     """Single-frame speedup over (baseline, fully-connected) per cell.
 
@@ -200,9 +196,8 @@ def topology_sweep(
     workloads).  The study is one declarative
     :class:`~repro.session.Sweep`: each (scheme, topology) cell is the
     framework variant ``"<scheme>:topo=<topology>"`` (see
-    :mod:`repro.frameworks.variants`), so the grid fans out over
-    ``jobs`` worker processes and memoises through ``cache`` like any
-    figure sweep.
+    :mod:`repro.frameworks.variants`), so the grid runs on any executor
+    and result cache like any figure sweep.
     """
     from repro.session import Sweep
     from repro.stats.metrics import geomean
@@ -224,9 +219,7 @@ def topology_sweep(
     )
     if config is not None:
         sweep.config(config)
-    results = sweep.run(
-        jobs=jobs, cache=cache, executor=executor, on_result=on_result
-    )
+    results = sweep.run()
 
     def cycles(name: str) -> Dict[str, float]:
         return {

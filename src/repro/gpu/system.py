@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.engine import FrameTrace, build_engine
-from repro.engine.base import KIND_TO_TRAFFIC
 from repro.memory.address import Resource, ResourceKind, Touch
 from repro.memory.dram import DramTracker, make_trackers
 from repro.memory.link import LinkFabric, TrafficType
@@ -47,10 +46,6 @@ from repro.stats.metrics import FrameResult, TrafficBreakdown, UnitExecution
 
 #: Maps a work unit's framebuffer bytes to owner GPMs: {gpm: fraction}.
 FramebufferTargets = Mapping[int, float]
-
-#: Backwards-compatible alias; the mapping lives with the binder now.
-_KIND_TO_TRAFFIC = KIND_TO_TRAFFIC
-
 
 class MultiGPUSystem:
     """The simulated machine all rendering frameworks run on."""

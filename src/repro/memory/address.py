@@ -55,14 +55,6 @@ def vertex_resource(object_id: int, size_bytes: int) -> Resource:
     return Resource(("vb", object_id), ResourceKind.VERTEX, size_bytes)
 
 
-def framebuffer_resource(partition: int, size_bytes: int) -> Resource:
-    return Resource(("fb", partition), ResourceKind.FRAMEBUFFER, size_bytes)
-
-
-def depth_resource(partition: int, size_bytes: int) -> Resource:
-    return Resource(("zb", partition), ResourceKind.DEPTH, size_bytes)
-
-
 @dataclass(frozen=True)
 class Touch:
     """One work unit's use of a resource.

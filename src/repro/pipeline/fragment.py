@@ -23,7 +23,6 @@ remote addresses (Section 2.3 / MCM-GPU).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.config import CostModel
@@ -32,17 +31,6 @@ from repro.scene.texture import Texture
 
 #: Smallest footprint a texture bind ever touches (a few mip tiles).
 MIN_TOUCH_BYTES = 4096.0
-
-
-@dataclass(frozen=True)
-class FragmentDemand:
-    """Memory-side demand of one draw's fragment stage."""
-
-    texel_requests: float
-    texture_touches: Tuple[Touch, ...]
-    z_stream_bytes: float
-    z_unique_bytes: float
-    fb_write_bytes: float
 
 
 def texture_touches_for_draw(

@@ -89,15 +89,6 @@ def checker_shader(
     return shade
 
 
-def _solid_shader(color: Tuple[int, int, int]) -> FragmentShader:
-    rgb = np.asarray(color, dtype=np.uint8)
-
-    def shade(u: np.ndarray, v: np.ndarray, depth: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(rgb, (len(u), 3)).copy()
-
-    return shade
-
-
 class Rasterizer:
     """Draws triangle meshes into a :class:`FrameBuffer`.
 

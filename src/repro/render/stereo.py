@@ -80,11 +80,6 @@ class StereoFrameStats:
     def total(self) -> DrawStats:
         return self.left.merged_with(self.right)
 
-    @property
-    def geometry_passes(self) -> int:
-        """Vertex-shading passes over the scene (2 sequential, 1 SMP)."""
-        return self.total.vertices_transformed
-
     def summary(self) -> str:
         """A short human-readable digest for examples and benches."""
         total = self.total

@@ -79,12 +79,6 @@ class ObjectBatch:
         """Bindings per object (CSR row lengths)."""
         return np.diff(self.tex_offsets)
 
-    def covered_pixels_both(self) -> np.ndarray:
-        """Pixels covered across both eyes, matching the scalar
-        accumulation order ``left.area*coverage + right.area*coverage``
-        (absent viewports contribute an exact ``+0.0``)."""
-        return self.left_area * self.coverage + self.right_area * self.coverage
-
     @classmethod
     def from_objects(cls, objects: Sequence["RenderObject"]) -> "ObjectBatch":
         n = len(objects)

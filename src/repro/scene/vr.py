@@ -35,11 +35,6 @@ class DisplayRequirements:
     def pixels(self) -> int:
         return int(self.megapixels * 1e6)
 
-    @property
-    def deadline_cycles(self) -> int:
-        """Frame budget in cycles at the baseline 1 GHz clock (worst case)."""
-        return int(self.frame_latency_ms_min * 1e6)
-
     def meets_deadline(self, frame_cycles: float, clock_hz: float = 1e9) -> bool:
         """Whether ``frame_cycles`` at ``clock_hz`` fits the strict deadline."""
         latency_ms = frame_cycles / clock_hz * 1e3

@@ -6,11 +6,11 @@ owns a content-addressed :class:`~repro.session.cache.ResultCache` and
 a job queue; worker agents (:mod:`repro.service.worker`) lease
 spec-addressed cells and upload cache-entry payloads; clients
 (:mod:`repro.service.client`) submit grids and poll per-cell progress.
-:class:`RemoteExecutor` plugs the whole thing into the standard
-executor registry as ``remote``, so
-``Sweep.run(executor="remote")`` — and every figure/study built on
-``Sweep`` — can run against a farm without code changes, producing
-records byte-identical to the ``serial`` backend.
+:class:`RemoteExecutor` is the standard executor named ``remote``,
+so ``Sweep.run(executor="remote")`` — and every figure/study built on
+``Sweep``, run inside ``sweep_defaults(executor="remote")`` — can run
+against a farm without code changes, producing records byte-identical
+to the ``serial`` backend.
 
 Wire format and invariants live in :mod:`repro.service.protocol`.
 """

@@ -11,11 +11,10 @@ the exact cache-entry payloads the service stores, through the same
 :meth:`SceneResult.from_dict <repro.stats.metrics.SceneResult.from_dict>`
 path a local cache hit takes.
 
-The executor is registered under the name ``remote`` on the standard
-:func:`~repro.session.executor.register_executor` hook; selecting it
-by *name* resolves the daemon URL from the ``OOVR_SERVER`` environment
-variable (``--server URL`` on the CLI constructs the instance
-directly).
+:func:`~repro.session.executor.make_executor` builds it for the name
+``remote``, resolving the daemon URL from the ``OOVR_SERVER``
+environment variable (``--server URL`` on the CLI constructs the
+instance directly).
 """
 
 from __future__ import annotations

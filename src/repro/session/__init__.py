@@ -11,6 +11,9 @@ is a cell (or grid of cells) of the paper's evaluation space
 
 - :class:`Sweep` — cartesian grids with optional multi-process
   execution (``.run(jobs=4)``) and deterministic ordering;
+- :func:`sweep_defaults` — a block saying once where every
+  ``Sweep.run`` inside it executes (``jobs``, ``cache``, ``executor``,
+  ``on_result``), so functions that run grids take none of those;
 - :class:`ResultSet` — tidy records with ``to_records`` / ``to_json`` /
   ``to_csv`` export and the paper's figure math (``pivot``,
   ``geomean_by``, ``normalize_to``).
@@ -29,7 +32,8 @@ grid cells while staying byte-identical to an uncached run.
 :class:`ProcessExecutor` (``Sweep.run(jobs=N)`` is sugar for it) and
 :class:`ShardExecutor` — one deterministic, content-addressed slice of
 the grid, the scatter half of cross-machine sweeps whose caches
-:meth:`ResultCache.merge` gathers back together.
+:meth:`ResultCache.merge` gathers back together.  A custom backend is
+passed as an instance.
 """
 
 from repro.session.cache import (
@@ -50,18 +54,20 @@ from repro.session.executor import (
     ShardExecutor,
     ShardManifest,
     SweepExecutor,
-    executor_names,
     grid_key,
-    iter_shards,
     load_shard_manifests,
     make_executor,
     parse_shard,
-    register_executor,
     shard_manifest_paths,
     shard_of,
 )
 from repro.session.result import ResultSet
-from repro.session.session import Session, SessionError, Sweep
+from repro.session.session import (
+    Session,
+    SessionError,
+    Sweep,
+    sweep_defaults,
+)
 from repro.session.spec import (
     DEFAULT_FRAMES,
     DEFAULT_SEED,
@@ -99,15 +105,13 @@ __all__ = [
     "Sweep",
     "SweepExecutor",
     "encode_entry",
-    "executor_names",
     "grid_key",
     "is_entry_key",
-    "iter_shards",
     "load_shard_manifests",
     "make_executor",
     "parse_shard",
-    "register_executor",
     "shard_manifest_paths",
     "shard_of",
     "spec_key",
+    "sweep_defaults",
 ]

@@ -3,7 +3,9 @@
 ``Sweep.run`` expands a grid into :class:`~repro.session.spec.RunSpec`
 cells; a :class:`SweepExecutor` decides where those cells execute.
 Four backends ship, selectable by name end-to-end (``Sweep.run
-(executor=...)``, ``oovr sweep --executor``):
+(executor=...)``, a :func:`~repro.session.session.sweep_defaults`
+block around a figure or study, ``oovr sweep --executor``); any other
+object with ``name`` and ``run`` is passed as an instance:
 
 - ``serial`` — in-process, one cell at a time, in grid order;
 - ``process`` — fans cache misses out over a ``ProcessPoolExecutor``
@@ -48,26 +50,19 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
+    runtime_checkable,
 )
 
 from repro.profiling import PhaseProfile, capture, phase
 from repro.session.cache import ResultCache, atomic_write, spec_key
 from repro.session.spec import RunSpec
 from repro.stats.metrics import SceneResult
-
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 class ExecutorError(ValueError):
@@ -91,7 +86,7 @@ class SweepExecutor(Protocol):
     them with execution however it likes.
     """
 
-    #: Registry name (``serial``/``process``/``shard``/...).
+    #: Backend name (``serial``/``process``/``shard``/...).
     name: str
 
     def run(
@@ -469,91 +464,8 @@ class ShardExecutor:
         return manifest
 
 
-# ---------------------------------------------------------------------------
-# Registry: backends selectable by name
-# ---------------------------------------------------------------------------
-
-#: name -> factory(jobs, shard) building a configured executor.
-_EXECUTORS: Dict[
-    str, Callable[[int, Optional[Tuple[int, int]]], SweepExecutor]
-] = {}
-
-
-def register_executor(
-    name: str,
-    factory: Callable[[int, Optional[Tuple[int, int]]], SweepExecutor],
-) -> None:
-    """Register an executor factory under ``name``.
-
-    ``factory(jobs, shard)`` receives the sweep's worker count and the
-    parsed ``(index, count)`` shard slice (``None`` when unsharded).
-    Duplicate names are rejected so a plug-in cannot silently shadow a
-    built-in backend.
-    """
-    if name in _EXECUTORS:
-        raise ExecutorError(f"executor {name!r} already registered")
-    _EXECUTORS[name] = factory
-
-
-def executor_names() -> List[str]:
-    """Registered backend names, in registration order."""
-    return list(_EXECUTORS)
-
-
-def _reject_shard(name: str, shard: Optional[Tuple[int, int]]) -> None:
-    if shard is not None:
-        raise ExecutorError(
-            f"executor {name!r} does not shard; drop shard= or select "
-            "the 'shard' executor"
-        )
-
-
-def _build_serial(
-    jobs: int, shard: Optional[Tuple[int, int]]
-) -> SweepExecutor:
-    _reject_shard("serial", shard)
-    return SerialExecutor()
-
-
-def _build_process(
-    jobs: int, shard: Optional[Tuple[int, int]]
-) -> SweepExecutor:
-    _reject_shard("process", shard)
-    return ProcessExecutor(jobs)
-
-
-def _build_shard(
-    jobs: int, shard: Optional[Tuple[int, int]]
-) -> SweepExecutor:
-    if shard is None:
-        raise ExecutorError(
-            "the shard executor needs a slice: pass shard='I/N' "
-            "(e.g. Sweep.run(executor='shard', shard='0/2') or "
-            "oovr sweep --shard 0/2)"
-        )
-    inner = ProcessExecutor(jobs) if jobs > 1 else SerialExecutor()
-    return ShardExecutor(*shard, inner=inner)
-
-
-def _build_remote(
-    jobs: int, shard: Optional[Tuple[int, int]]
-) -> SweepExecutor:
-    # The service layer imports this module, so resolve it lazily; the
-    # daemon URL comes from $OOVR_SERVER (the CLI's --server constructs
-    # a RemoteExecutor instance directly instead).
-    _reject_shard("remote", shard)
-    from repro.service.client import RemoteExecutor
-
-    return RemoteExecutor.from_env()
-
-
-register_executor("serial", _build_serial)
-register_executor("process", _build_process)
-register_executor("shard", _build_shard)
-register_executor("remote", _build_remote)
-
 #: The built-in backends (for help strings and error messages).
-EXECUTOR_NAMES = tuple(executor_names())
+EXECUTOR_NAMES = ("serial", "process", "shard", "remote")
 
 
 def make_executor(
@@ -561,12 +473,13 @@ def make_executor(
     jobs: int = 1,
     shard: Optional[Union[str, Tuple[int, int]]] = None,
 ) -> SweepExecutor:
-    """Resolve a backend: instance, registered name, or inferred.
+    """Resolve a backend: instance, built-in name, or inferred.
 
     - an executor *instance* passes through unchanged (it already
       carries its own configuration, so ``jobs`` is ignored and
-      combining it with ``shard=`` is an error);
-    - a *name* looks up the registry (:func:`register_executor`);
+      combining it with ``shard=`` is an error) — this is how a custom
+      backend is used;
+    - a *name* builds one of :data:`EXECUTOR_NAMES`;
     - ``None`` infers the classic behaviour: ``shard`` given ->
       ``shard``, ``jobs > 1`` -> ``process``, else ``serial``.
     """
@@ -585,21 +498,32 @@ def make_executor(
             executor = "shard"
         else:
             executor = "process" if jobs > 1 else "serial"
-    try:
-        factory = _EXECUTORS[executor]
-    except KeyError:
+    if executor not in EXECUTOR_NAMES:
         raise ExecutorError(
             f"unknown executor {executor!r}; "
-            f"have {sorted(_EXECUTORS)}"
-        ) from None
-    return factory(jobs, parsed)
-
-
-def iter_shards(shard_count: int) -> Iterator[ShardExecutor]:
-    """All ``shard_count`` slices (an in-process scatter, for tests)."""
-    if shard_count < 1:
-        raise ExecutorError(
-            f"shard count must be at least 1, got {shard_count}"
+            f"have {sorted(EXECUTOR_NAMES)}"
         )
-    for index in range(shard_count):
-        yield ShardExecutor(index, shard_count)
+    if executor == "shard":
+        if parsed is None:
+            raise ExecutorError(
+                "the shard executor needs a slice: pass shard='I/N' "
+                "(e.g. Sweep.run(executor='shard', shard='0/2') or "
+                "oovr sweep --shard 0/2)"
+            )
+        inner = ProcessExecutor(jobs) if jobs > 1 else SerialExecutor()
+        return ShardExecutor(*parsed, inner=inner)
+    if parsed is not None:
+        raise ExecutorError(
+            f"executor {executor!r} does not shard; drop shard= or select "
+            "the 'shard' executor"
+        )
+    if executor == "serial":
+        return SerialExecutor()
+    if executor == "process":
+        return ProcessExecutor(jobs)
+    # The service layer imports this module, so resolve it lazily; the
+    # daemon URL comes from $OOVR_SERVER (the CLI's --server constructs
+    # a RemoteExecutor instance directly instead).
+    from repro.service.client import RemoteExecutor
+
+    return RemoteExecutor.from_env()

@@ -23,12 +23,22 @@ pluggable :class:`~repro.session.executor.SweepExecutor` backend —
 Execution is deterministic: specs run (or are gathered) in grid order,
 so a parallel sweep produces records identical to a serial one, and a
 sharded-then-merged sweep replays byte-identically to either.
+
+*Where* a grid runs is said once, around the call that runs it:
+:func:`sweep_defaults` sets ``jobs``/``cache``/``executor``/
+``on_result`` for every ``Sweep.run`` inside the block, so a figure or
+study function that runs several sweeps takes none of them::
+
+    with sweep_defaults(jobs=4, cache=".oovr-cache"):
+        fig15_oovr_speedup(FAST)
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.profiling import PhaseProfile, capture, phase
@@ -55,6 +65,52 @@ from repro.stats.metrics import SceneResult
 
 class SessionError(ValueError):
     """Raised when a builder is incomplete or inconsistent."""
+
+
+#: The enclosing :func:`sweep_defaults` blocks' settings, merged.  Each
+#: block sets a fresh dict, so the default is never mutated.
+_SWEEP_DEFAULTS: ContextVar[Dict[str, object]] = ContextVar(
+    "sweep_defaults", default={}
+)
+
+
+@contextmanager
+def sweep_defaults(
+    jobs: Optional[int] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
+    executor: Optional[Union[str, SweepExecutor]] = None,
+    on_result: Optional[ResultCallback] = None,
+) -> Iterator[None]:
+    """Say once where every :meth:`Sweep.run` inside the block runs.
+
+    Each value is the :meth:`Sweep.run` argument of the same name and
+    applies to every call that leaves it unset; a value passed to the
+    call wins.  A nested block overrides only the keys it names, and
+    leaving a block restores the enclosing settings (also when the
+    block raises).  The settings live in a
+    :class:`~contextvars.ContextVar`, so a thread started inside the
+    block does not see them.  ``jobs < 1`` raises
+    :class:`SessionError` on entry, and a ``cache`` given as a
+    directory path opens one :class:`~repro.session.cache.ResultCache`
+    for the whole block, so its stats count every sweep inside it.
+    """
+    if jobs is not None and jobs < 1:
+        raise SessionError("jobs must be at least 1")
+    if cache is not None and not isinstance(cache, ResultCache):
+        cache = ResultCache(cache)
+    named = {
+        "jobs": jobs,
+        "cache": cache,
+        "executor": executor,
+        "on_result": on_result,
+    }
+    settings = dict(_SWEEP_DEFAULTS.get())
+    settings.update({k: v for k, v in named.items() if v is not None})
+    token = _SWEEP_DEFAULTS.set(settings)
+    try:
+        yield
+    finally:
+        _SWEEP_DEFAULTS.reset(token)
 
 
 class _ScaleMixin:
@@ -289,7 +345,7 @@ class Sweep(_ScaleMixin):
 
     def run(
         self,
-        jobs: int = 1,
+        jobs: Optional[int] = None,
         cache: Optional[Union[ResultCache, str, Path]] = None,
         executor: Optional[Union[str, SweepExecutor]] = None,
         on_result: Optional[ResultCallback] = None,
@@ -298,11 +354,15 @@ class Sweep(_ScaleMixin):
     ) -> ResultSet:
         """Execute the grid into a :class:`ResultSet`.
 
+        ``jobs``, ``cache``, ``executor`` and ``on_result`` left unset
+        take the enclosing :func:`sweep_defaults` block's values;
+        ``jobs`` set by neither is 1.
+
         Execution is delegated to a pluggable
         :class:`~repro.session.executor.SweepExecutor`.  ``executor``
-        names a registered backend (``"serial"``, ``"process"``,
-        ``"shard"``) or passes an instance; left ``None`` it is
-        inferred — ``shard`` given selects ``shard``, ``jobs > 1``
+        names a built-in backend (``"serial"``, ``"process"``,
+        ``"shard"``, ``"remote"``) or passes an instance; left ``None``
+        it is inferred — ``shard`` given selects ``shard``, ``jobs > 1``
         selects ``process`` (so ``run(jobs=4)`` keeps its historical
         meaning), else ``serial``.  Whatever the backend, results are
         gathered in grid order, so records (and any CSV or JSON
@@ -339,6 +399,11 @@ class Sweep(_ScaleMixin):
         be comparable — so it cannot be combined with ``jobs``,
         ``executor`` or ``shard`` (``executor="serial"`` is accepted).
         """
+        block = _SWEEP_DEFAULTS.get()
+        jobs = block.get("jobs", 1) if jobs is None else jobs
+        cache = block.get("cache") if cache is None else cache
+        executor = block.get("executor") if executor is None else executor
+        on_result = block.get("on_result") if on_result is None else on_result
         if jobs < 1:
             raise SessionError("jobs must be at least 1")
         specs = self.specs()

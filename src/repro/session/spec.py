@@ -14,7 +14,7 @@ canonical home of what :mod:`repro.experiments.runner` used to define.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -171,15 +171,6 @@ class RunSpec:
         if self.config is not None:
             self.config.validate()
         return self
-
-    def with_preset(self, experiment: ExperimentConfig) -> "RunSpec":
-        """A copy with the preset's scale/frames/seed applied."""
-        return replace(
-            self,
-            draw_scale=experiment.draw_scale,
-            num_frames=experiment.num_frames,
-            seed=experiment.seed,
-        )
 
     def scene(self) -> Scene:
         """The (memoised) scene this spec renders.

@@ -97,10 +97,6 @@ class FrameResult:
         return self.traffic.total_bytes
 
     @property
-    def busiest_gpm_cycles(self) -> float:
-        return max(self.gpm_busy_cycles) if self.gpm_busy_cycles else 0.0
-
-    @property
     def load_balance_ratio(self) -> float:
         """Best-to-worst GPM ratio (Fig. 10): worst busy / best busy.
 

@@ -30,7 +30,7 @@ from repro.memory.placement import PlacementPolicy
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
 from repro.scene.scene import Scene
-from repro.session import Session, SessionError, Sweep
+from repro.session import Session, SessionError, Sweep, sweep_defaults
 from repro.session.cache import ResultCache, config_fingerprint, spec_key
 from repro.session.spec import FAST, RunSpec, SpecError, cached_scene
 from tests.conftest import MB, make_object
@@ -1035,14 +1035,13 @@ class TestEngineContentionStudy:
         from repro.experiments.engines import engine_contention_study
 
         cache = ResultCache(tmp_path)
-        figure = engine_contention_study(
-            FAST,
-            frameworks=("baseline", "baseline:topo=switch"),
-            link_bandwidths=(16.0,),
-            workloads=("HL2-640",),
-            jobs=2,
-            cache=cache,
-        )
+        with sweep_defaults(jobs=2, cache=cache):
+            figure = engine_contention_study(
+                FAST,
+                frameworks=("baseline", "baseline:topo=switch"),
+                link_bandwidths=(16.0,),
+                workloads=("HL2-640",),
+            )
         assert set(figure.series) == {"baseline", "baseline:topo=switch"}
         factors = figure.series
         # Dedicated links barely contend; the shared switch queues.
@@ -1055,13 +1054,13 @@ class TestEngineContentionStudy:
         # repeat pass is pure hits and identical output.
         stored = cache.stats.stores
         assert stored == 4  # 2 frameworks x 2 engines x 1 workload
-        again = engine_contention_study(
-            FAST,
-            frameworks=("baseline", "baseline:topo=switch"),
-            link_bandwidths=(16.0,),
-            workloads=("HL2-640",),
-            cache=cache,
-        )
+        with sweep_defaults(cache=cache):
+            again = engine_contention_study(
+                FAST,
+                frameworks=("baseline", "baseline:topo=switch"),
+                link_bandwidths=(16.0,),
+                workloads=("HL2-640",),
+            )
         assert cache.stats.stores == stored
         assert again.series == figure.series
 
@@ -1078,11 +1077,11 @@ class TestEngineContentionStudy:
             frameworks=frameworks,
             link_bandwidths=(16.0,),
             workloads=("HL2-640",),
-            cache=cache,
         )
-        engine_contention_study(FAST, **kwargs)
-        stored = cache.stats.stores
-        phases = engine_contention_phases(FAST, **kwargs)
+        with sweep_defaults(cache=cache):
+            engine_contention_study(FAST, **kwargs)
+            stored = cache.stats.stores
+            phases = engine_contention_phases(FAST, **kwargs)
         # Identical grid: the phase view is pure cache hits.
         assert cache.stats.stores == stored
         assert set(phases.series) == {

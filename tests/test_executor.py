@@ -24,13 +24,12 @@ from repro.session import (
     SessionError,
     ShardExecutor,
     Sweep,
-    iter_shards,
     load_shard_manifests,
     make_executor,
     parse_shard,
-    register_executor,
     shard_of,
     spec_key,
+    sweep_defaults,
 )
 
 #: Two tiny workloads keep these tests quick.
@@ -73,7 +72,7 @@ class TestShardPartition:
     def test_shards_cover_the_grid_disjointly(self):
         specs = tiny_sweep().specs()
         seen = []
-        for executor in iter_shards(2):
+        for executor in (ShardExecutor(index, 2) for index in range(2)):
             seen.extend(
                 spec_key(spec)
                 for spec in specs
@@ -86,7 +85,7 @@ class TestShardPartition:
         with pytest.raises(ExecutorError, match="at least 1"):
             shard_of(spec, 0)
         with pytest.raises(ExecutorError, match="at least 1"):
-            list(iter_shards(0))
+            ShardExecutor(0, 0)
 
 
 class TestExecutorSelection:
@@ -183,26 +182,36 @@ class TestExecutorSelection:
         with pytest.raises(ExecutorError, match="at least 1"):
             make_executor(jobs=0)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ExecutorError, match="already registered"):
-            register_executor("serial", lambda jobs, shard: SerialExecutor())
-
     def test_custom_backend_selectable_by_name(self):
-        calls = {}
+        """A custom backend is passed as an instance, to the call or
+        through a ``sweep_defaults`` block; no name is registered."""
+        calls = []
 
         class Recording(SerialExecutor):
             name = "recording"
 
             def run(self, specs, cache=None, on_result=None):
-                calls["specs"] = len(specs)
+                calls.append(len(specs))
                 return super().run(specs, cache=cache, on_result=on_result)
 
-        register_executor(
-            "test-recording", lambda jobs, shard: Recording()
-        )
-        results = tiny_sweep().run(executor="test-recording")
-        assert calls["specs"] == 4
+        results = tiny_sweep().run(executor=Recording())
+        assert calls == [4]
         assert len(results) == 4
+        with sweep_defaults(executor=Recording()):
+            results = tiny_sweep().run()
+        assert calls == [4, 4]
+        assert len(results) == 4
+        with pytest.raises(ExecutorError, match="'recording'"):
+            make_executor("recording")
+
+    def test_registry_is_not_exported(self):
+        import repro.session
+        import repro.session.executor
+
+        for name in ("register_executor", "executor_names"):
+            assert not hasattr(repro.session, name)
+            assert not hasattr(repro.session.executor, name)
+            assert name not in repro.session.__all__
 
 
 class TestExecutorEquivalence:
@@ -483,6 +492,21 @@ class TestCliExecutor:
         assert code == 2
         assert err.startswith("error: unknown executor 'profile'; have [")
         assert not out_csv.exists()
+
+    def test_sweep_profile_accepts_only_serial(self, capsys):
+        """``--profile`` follows ``Sweep.run``'s rule: the serial
+        backend, named or inferred, is profiled; a pool is refused."""
+        code, out, _ = self.run_cli(
+            capsys, *self.GRID, "--profile", "--executor", "serial"
+        )
+        assert code == 0
+        assert "baseline DM3-640 (base) (" in out
+        assert "ms total):" in out
+        code, _, err = self.run_cli(
+            capsys, *self.GRID, "--profile", "--jobs", "2"
+        )
+        assert code == 2
+        assert "runs serially" in err
 
     def test_sweep_bad_shard_exits_2(self, capsys):
         code, _, err = self.run_cli(capsys, *self.GRID, "--shard", "2/2")

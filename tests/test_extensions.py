@@ -446,15 +446,14 @@ class TestStudyDrivers:
         assert table["1 TB/s (paper)"]["baseline"] == pytest.approx(1.0)
 
     def test_studies_share_one_cache(self, tmp_path):
-        from repro.session import ResultCache
+        from repro.session import ResultCache, sweep_defaults
 
         cache = ResultCache(tmp_path)
-        atw_study(("baseline", "oo-vr"), self.TINY, cache=cache)
-        assert cache.stats.misses == 2
-        # The migration study reuses both cells and adds baseline-mig.
-        migration_study(
-            ("baseline", "baseline-mig", "oo-vr"), self.TINY, cache=cache
-        )
+        with sweep_defaults(cache=cache):
+            atw_study(("baseline", "oo-vr"), self.TINY)
+            assert cache.stats.misses == 2
+            # The migration study reuses both cells and adds baseline-mig.
+            migration_study(("baseline", "baseline-mig", "oo-vr"), self.TINY)
         assert cache.stats.hits == 2
         assert cache.stats.misses == 3
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import threading
 
 import pytest
 
@@ -12,12 +13,14 @@ from repro.memory.link import TrafficType
 from repro.session import (
     FAST,
     ExperimentConfig,
+    ResultCache,
     ResultSet,
     RunSpec,
     Session,
     SessionError,
     SpecError,
     Sweep,
+    sweep_defaults,
 )
 
 #: Two tiny workloads keep these tests quick.
@@ -208,6 +211,134 @@ class TestSweepExecution:
             results.by_workload()  # two frameworks clobber each key
         narrowed = results.by_workload(framework="oo-vr")
         assert list(narrowed) == list(TINY.workloads)
+
+
+def one_cell() -> Sweep:
+    return Sweep().preset(TINY).frameworks("baseline").workloads("WE")
+
+
+def tagged(events, tag):
+    """An ``on_result`` callback appending ``(tag, cached)`` per cell."""
+    return lambda spec, result, cached: events.append((tag, cached))
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """Every ``(executor, jobs)`` pair ``Sweep.run`` resolves."""
+    import repro.session.session as session_module
+
+    calls = []
+    real_make_executor = session_module.make_executor
+
+    def spy(executor=None, jobs=1, shard=None):
+        calls.append((executor, jobs))
+        return real_make_executor(executor, jobs=jobs, shard=shard)
+
+    monkeypatch.setattr(session_module, "make_executor", spy)
+    return calls
+
+
+class TestSweepDefaults:
+    """``sweep_defaults`` says once where every sweep in a block runs."""
+
+    def test_sweep_inside_block_runs_with_its_settings(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        seen = []
+        with sweep_defaults(
+            cache=cache,
+            on_result=lambda spec, result, cached: seen.append(spec),
+        ):
+            results = tiny_sweep().run()
+        assert seen == results.specs
+        assert cache.stats.stores == 4
+        assert sorted(cache.keys()) == sorted(
+            cache.key(spec) for spec in results.specs
+        )
+
+    def test_call_argument_wins_over_block(self, tmp_path, resolved):
+        block_cache = ResultCache(tmp_path / "block")
+        call_cache = ResultCache(tmp_path / "call")
+        events = []
+        with sweep_defaults(
+            jobs=2,
+            cache=block_cache,
+            executor="process",
+            on_result=tagged(events, "block"),
+        ):
+            one_cell().run(
+                jobs=1,
+                cache=call_cache,
+                executor="serial",
+                on_result=tagged(events, "call"),
+            )
+            one_cell().run()
+        assert resolved == [("serial", 1), ("process", 2)]
+        assert call_cache.stats.stores == 1
+        assert block_cache.stats.stores == 1
+        assert events == [("call", False), ("block", False)]
+
+    def test_jobs_unset_everywhere_is_one(self, resolved):
+        one_cell().run()
+        with sweep_defaults(on_result=lambda *cell: None):
+            one_cell().run()
+        assert resolved == [(None, 1), (None, 1)]
+
+    def test_nested_block_overrides_per_key_and_restores(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        events = []
+        with sweep_defaults(cache=cache, on_result=tagged(events, "outer")):
+            one_cell().run()
+            with sweep_defaults(on_result=tagged(events, "inner")):
+                # The outer block's cache still applies: a hit.
+                one_cell().run()
+            one_cell().run()
+            with pytest.raises(RuntimeError, match="inside the block"):
+                with sweep_defaults(on_result=tagged(events, "failed")):
+                    raise RuntimeError("inside the block")
+            one_cell().run()
+        one_cell().run()
+        assert events == [
+            ("outer", False),
+            ("inner", True),
+            ("outer", True),
+            ("outer", True),
+        ]
+        assert (cache.stats.stores, cache.stats.hits) == (1, 3)
+
+    def test_thread_started_inside_block_sees_no_settings(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        events = []
+        ran = []
+        with sweep_defaults(cache=cache, on_result=tagged(events, "block")):
+            thread = threading.Thread(
+                target=lambda: ran.append(one_cell().run())
+            )
+            thread.start()
+            thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert len(ran) == 1 and len(ran[0]) == 1
+        assert events == []
+        assert len(cache) == 0
+
+    def test_bad_jobs_rejected_at_entry(self):
+        with pytest.raises(SessionError, match="at least 1"):
+            with sweep_defaults(jobs=0):
+                pytest.fail("a block with jobs=0 must not be entered")
+
+    def test_path_opens_one_cache_for_the_block(self, tmp_path, monkeypatch):
+        opened = []
+        real_init = ResultCache.__init__
+
+        def recording_init(self, *args, **kwargs):
+            opened.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "__init__", recording_init)
+        with sweep_defaults(cache=tmp_path):
+            one_cell().run()
+            one_cell().run()
+        assert len(opened) == 1
+        assert (opened[0].stats.stores, opened[0].stats.hits) == (1, 1)
 
 
 class TestResultSetMath:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments import figures, tables
+from repro import extensions
+from repro.experiments import engines, figures, tables
+from repro.experiments import extensions as studies
 from repro.experiments.runner import (
     ExperimentConfig,
     run_framework_suite,
@@ -211,3 +213,34 @@ class TestTables:
     def test_overhead_text(self):
         text = tables.overhead_analysis()
         assert "bits" in text
+
+
+#: Every public function that runs a grid.  None says where: the caller
+#: wraps it in ``sweep_defaults``.
+GRID_FUNCTIONS = (
+    *figures.FIGURES.values(),
+    studies.oovr_ablation,
+    studies.batching_sensitivity,
+    studies.energy_report,
+    engines.engine_contention_grid,
+    engines.engine_contention_study,
+    engines.engine_contention_phases,
+    run_framework_suite,
+    extensions.atw_study,
+    extensions.foveation_study,
+    extensions.local_bandwidth_sweep,
+    extensions.migration_study,
+    extensions.topology_sweep,
+)
+
+
+class TestNoRunKnobs:
+    @pytest.mark.parametrize(
+        "function", GRID_FUNCTIONS, ids=lambda function: function.__name__
+    )
+    @pytest.mark.parametrize(
+        "knob", ("jobs", "cache", "executor", "on_result")
+    )
+    def test_run_knob_rejected(self, function, knob):
+        with pytest.raises(TypeError, match=knob):
+            function(**{knob: None})
