@@ -107,24 +107,19 @@ def bench_once(benchmark):
                     func, args=args, kwargs=kwargs, rounds=1, iterations=1
                 )
             stores_before = BENCH_CACHE.stats.stores
-            reached_end = True
+            stopped = ""
             try:
                 func(*args, **kwargs)
             except (KeyError, ValueError):
-                # Figure math tripped on cells another shard owns;
+                # Figure math tripped on a cell another shard owns;
                 # every sweep reached before that point has already
                 # executed and cached this host's slice.
-                reached_end = False
+                stopped = " (stopped at a cell another shard owns)"
         stored = BENCH_CACHE.stats.stores - stores_before
-        coverage = (
-            "all grids swept"
-            if reached_end
-            else "grids after the first cross-shard lookup stayed cold"
-        )
         pytest.skip(
             f"OOVR_BENCH_SHARD={BENCH_SHARD}: stored {stored} "
-            f"cell(s) of this host's slice at {BENCH_CACHE.root} "
-            f"({coverage}); merge and re-run unsharded for figures"
+            f"cell(s) of this host's slice at {BENCH_CACHE.root}"
+            f"{stopped}; merge and re-run unsharded for figures"
         )
 
     return run

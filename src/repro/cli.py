@@ -87,6 +87,11 @@ def _cmd_fig(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if key == "smp" and (args.jobs != 1 or args.progress):
+        raise SessionError(
+            "fig smp renders below the framework layer, outside any "
+            "sweep, so it takes neither --jobs nor --progress"
+        )
     with sweep_defaults(jobs=args.jobs, on_result=_on_result(args)):
         result = figures.FIGURES[key](_experiment(args))
     print(result.to_text())

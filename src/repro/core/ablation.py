@@ -20,12 +20,12 @@ Disabled components fall back to their OO_APP-level equivalents:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import SystemConfig
 from repro.core.distribution import DistributionEngine
-from repro.core.oovr import OOVRFramework, _BatchBuilder
+from repro.core.oovr import _BatchBuilder
 from repro.core.predictor import RenderingTimePredictor
 from repro.frameworks.base import RenderingFramework
 from repro.gpu.composition import compose_distributed, compose_master

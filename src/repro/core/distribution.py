@@ -12,8 +12,10 @@ distribution of classic object-level SFR:
 3. **Pre-allocation**: before the batch renders, its PA unit copies the
    batch's resources to the selected GPM's DRAM.  The copy overlaps
    with the GPM's previous batch, so its latency is hidden unless the
-   batch arrives at an idle GPM.  The engine keeps at most
-   ``BATCH_QUEUE_DEPTH`` batches queued per GPM.
+   batch arrives at an idle GPM.  The paper bounds the batch queue at
+   4 entries per GPM; only :mod:`repro.core.overhead`'s storage model
+   sizes that queue, and dispatch does not enforce the bound (doing so
+   would move Figs. 15-18).
 4. **Fine-grained straggler splitting**: when every batch is issued and
    some GPMs idle while a large batch still runs, its remaining
    triangles/fragments are split fairly across the idle GPMs, with the
@@ -44,8 +46,8 @@ concurrent rendering.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.middleware import Batch
 from repro.core.predictor import BatchObservation, RenderingTimePredictor
@@ -56,8 +58,6 @@ from repro.memory.link import TrafficType
 from repro.pipeline.workunit import WorkUnit
 from repro.stats.metrics import UnitExecution
 
-#: The paper limits the batch queue to 4 entries per GPM.
-BATCH_QUEUE_DEPTH = 4
 #: Minimum remaining fraction of a straggler worth splitting.
 STEAL_MIN_FRACTION = 0.15
 
@@ -71,8 +71,6 @@ class _GpmState:
     predicted_busy: float = 0.0
     #: Time the GPM's most recent batch started (for PA overlap).
     last_start: float = 0.0
-    #: Number of batches dispatched to this GPM.
-    dispatched: int = 0
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,9 @@ class DistributionEngine:
         self,
         system: MultiGPUSystem,
         predictor: Optional[RenderingTimePredictor] = None,
-        queue_depth: int = BATCH_QUEUE_DEPTH,
     ) -> None:
-        if queue_depth < 1:
-            raise ValueError("queue depth must be at least 1")
         self.system = system
         self.predictor = predictor or RenderingTimePredictor()
-        self.queue_depth = queue_depth
         self.records: List[DispatchRecord] = []
         self._states = [
             _GpmState(gpm_id=i) for i in range(system.num_gpms)
@@ -188,7 +182,6 @@ class DistributionEngine:
             if pending.predicted is not None
             else execution.cycles
         )
-        state.dispatched += 1
         self.predictor.observe(
             BatchObservation(
                 triangles=float(pending.batch.total_triangles),
@@ -210,11 +203,7 @@ class DistributionEngine:
 
     # -- dispatch -------------------------------------------------------------
 
-    def dispatch(
-        self,
-        batches: Sequence[Tuple[Batch, WorkUnit]],
-        fb_targets_for: Optional[Callable[[WorkUnit, int], Dict[int, float]]] = None,
-    ) -> List[float]:
+    def dispatch(self, batches: Sequence[Tuple[Batch, WorkUnit]]) -> List[float]:
         """Run every batch; returns per-GPM rendered pixel counts."""
         engine = self.system.engine
         rendered_pixels = [0.0] * self.system.num_gpms
@@ -229,7 +218,6 @@ class DistributionEngine:
             copied, copy_ready = self._preallocate(unit, gpm_id)
             start_at = max(engine.ready_at(gpm_id), copy_ready)
             state.last_start = start_at
-            targets = fb_targets_for(unit, gpm_id) if fb_targets_for else None
             self._pending.append(
                 _PendingDispatch(
                     batch=batch,
@@ -242,7 +230,6 @@ class DistributionEngine:
             self.system.execute_unit(
                 unit,
                 gpm_id,
-                fb_targets=targets,
                 command_source=gpm_id,  # engine broadcasts, no master hop
                 start_at=start_at,
             )

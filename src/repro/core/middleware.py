@@ -26,8 +26,8 @@ the oracle it must equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 

@@ -17,7 +17,7 @@ Two registered schemes, matching the paper's evaluation design points:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.distribution import DistributionEngine

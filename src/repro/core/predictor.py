@@ -22,8 +22,8 @@ to find the earliest-available module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 

@@ -24,8 +24,8 @@ way to author OO-VR content directly — see ``examples/custom_vr_scene.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.pipeline.smp import SMPEngine
 from repro.scene.geometry import Mesh, Viewport, full_screen

@@ -21,7 +21,7 @@ Properties (verified by the property tests):
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.scene.texture import Texture
 

@@ -59,7 +59,7 @@ state, so the same policy code runs under either timing model.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -71,7 +71,7 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.trace import PHASES, FrameTrace, LinkUsage, TraceInterval
+from repro.engine.trace import PHASES, FrameTrace, LinkUsage
 from repro.memory.address import ResourceKind, Touch
 from repro.memory.cache import miss_bytes
 from repro.memory.link import TrafficType
@@ -251,7 +251,6 @@ class ExecutionEngine(abc.ABC):
 
     def __init__(self, system: "MultiGPUSystem") -> None:
         self.system = system
-        self._intervals: List[TraceInterval] = []
         self._callbacks: List[
             Callable[[ResolvedUnit, UnitExecution], None]
         ] = []
@@ -259,19 +258,14 @@ class ExecutionEngine(abc.ABC):
         self._phase_bytes: Dict[str, float] = {phase: 0.0 for phase in PHASES}
         #: Accumulated composition critical path on the scheduling clock.
         self._composition_cycles: float = 0.0
-        #: Composition-barrier intervals (separate from the render lane
-        #: so :meth:`shed_tail` clipping never touches them).
-        self._compose_intervals: List[TraceInterval] = []
 
     # -- lifecycle -----------------------------------------------------------
 
     def begin_frame(self) -> None:
         """Reset per-frame engine state (subscriptions included)."""
-        self._intervals.clear()
         self._callbacks.clear()
         self._phase_bytes = {phase: 0.0 for phase in PHASES}
         self._composition_cycles = 0.0
-        self._compose_intervals.clear()
 
     def on_complete(
         self, callback: Callable[[ResolvedUnit, UnitExecution], None]
@@ -560,22 +554,11 @@ class ExecutionEngine(abc.ABC):
             dram_cycles, link_cycles, cycles, bottleneck = self.price(
                 resolved
             )
-        begin = (
-            gpm.ready_at if start_at is None else max(gpm.ready_at, start_at)
-        )
-        gpm.run(resolved.label, cycles, start_at=start_at)
+        begin = gpm.run(cycles, start_at=start_at)
         gpm.record_progress(
             resolved.vertices, resolved.pixels_out, resolved.triangles_raster
         )
-        self._intervals.append(
-            TraceInterval(
-                gpm=resolved.gpm,
-                label=resolved.label,
-                start=begin,
-                end=gpm.ready_at,
-                kind="render",
-            )
-        )
+        self._note_span(resolved.gpm, resolved.label, begin, "render")
         self._note_unit(resolved, start_at, cycles)
         execution = UnitExecution(
             gpm=resolved.gpm,
@@ -592,33 +575,19 @@ class ExecutionEngine(abc.ABC):
 
     def stall(self, gpm_id: int, label: str, cycles: float) -> None:
         """Charge non-render occupancy (a staging copy the GPM waits on)."""
-        gpm = self.system.gpms[gpm_id]
-        begin = gpm.ready_at
-        gpm.run(label, cycles)
-        self._intervals.append(
-            TraceInterval(
-                gpm=gpm_id, label=label, start=begin, end=gpm.ready_at,
-                kind="stall",
-            )
-        )
+        begin = self.system.gpms[gpm_id].run(cycles)
+        self._note_span(gpm_id, label, begin, "stall")
         self._note_stall(gpm_id, label, cycles)
 
     def steal_into(
         self, src: int, dst: int, label: str, cycles: float, nbytes: float
     ) -> None:
         """Absorb a straggler slice on ``dst`` (with STEAL duplication)."""
-        gpm = self.system.gpms[dst]
-        begin = gpm.ready_at
-        gpm.run(label, cycles)
+        begin = self.system.gpms[dst].run(cycles)
         self.system.fabric.transfer(src, dst, nbytes, TrafficType.STEAL)
         if src != dst and nbytes > 0:
             self._phase_bytes["render"] += nbytes
-        self._intervals.append(
-            TraceInterval(
-                gpm=dst, label=label, start=begin, end=gpm.ready_at,
-                kind="steal",
-            )
-        )
+        self._note_span(dst, label, begin, "steal")
         self._note_steal(src, dst, label, cycles, nbytes)
 
     def shed_tail(self, gpm_id: int, cycles: float) -> None:
@@ -626,17 +595,6 @@ class ExecutionEngine(abc.ABC):
         straggler = self.system.gpms[gpm_id]
         straggler.ready_at -= cycles
         straggler.busy_cycles = max(0.0, straggler.busy_cycles - cycles)
-        # Clip the interval log to the rewound clock so the trace stays
-        # consistent (the stolen tail now renders on the thieves).
-        horizon = straggler.ready_at
-        clipped = []
-        for span in self._intervals:
-            if span.gpm != gpm_id or span.end <= horizon:
-                clipped.append(span)
-            elif span.start < horizon:
-                clipped.append(replace(span, end=horizon))
-            # else: the whole span was stolen; drop it.
-        self._intervals[:] = clipped
         self._note_shed(gpm_id, cycles)
 
     def ready_at(self, gpm_id: int) -> float:
@@ -699,15 +657,8 @@ class ExecutionEngine(abc.ABC):
             stall = total / (
                 system.config.link.bytes_per_cycle * parallelism
             )
-            gpm = system.gpms[gpm_id]
-            begin = gpm.ready_at
-            gpm.run(label, stall)
-            self._intervals.append(
-                TraceInterval(
-                    gpm=gpm_id, label=label, start=begin, end=gpm.ready_at,
-                    kind="stall",
-                )
-            )
+            begin = system.gpms[gpm_id].run(stall)
+            self._note_span(gpm_id, label, begin, "stall")
         landed = total
         ready_at: Optional[float] = None
         if overlap_from is not None:
@@ -755,21 +706,22 @@ class ExecutionEngine(abc.ABC):
         critical_path = max(rop_cycles, worst_link_cycles)
         self._phase_bytes["composition"] += schedule.total_transfer_bytes
         self._composition_cycles += critical_path
-        barrier = max(gpm.ready_at for gpm in system.gpms)
-        for gpm_id in sorted(schedule.rop_cycles):
-            self._compose_intervals.append(
-                TraceInterval(
-                    gpm=gpm_id,
-                    label=schedule.label,
-                    start=barrier,
-                    end=barrier + critical_path,
-                    kind="compose",
-                )
-            )
         self._note_composition(schedule, critical_path)
         return critical_path
 
-    # -- event-recording hooks (no-ops on the analytic engine) ----------------
+    # -- schedule hooks (no-ops here) -----------------------------------------
+    #
+    # Each fires once the change it names has landed on the scheduling
+    # clock.  The analytic engine logs the clock's spans as its trace
+    # (_note_span, _note_split, _note_shed, _note_composition); the event
+    # engine records the jobs its simulation replays (every hook but
+    # _note_span).
+
+    def _note_span(
+        self, gpm_id: int, label: str, begin: float, kind: str
+    ) -> None:
+        """Hook: GPM ``gpm_id`` was charged a ``kind`` span from
+        ``begin`` to its current ``ready_at``."""
 
     def _note_unit(
         self, resolved: ResolvedUnit, start_at: Optional[float], cycles: float
@@ -778,7 +730,7 @@ class ExecutionEngine(abc.ABC):
 
     def _note_split(self, split: "SplitSlices") -> None:
         """Hook: a slice pass's slices (and their staging copies)
-        entered the schedule."""
+        entered the schedule, charged in ``split.ops`` order."""
 
     def _note_stall(self, gpm_id: int, label: str, cycles: float) -> None:
         """Hook: a stall entered the schedule."""
@@ -789,7 +741,8 @@ class ExecutionEngine(abc.ABC):
         """Hook: a steal slice entered the schedule."""
 
     def _note_shed(self, gpm_id: int, cycles: float) -> None:
-        """Hook: tail cycles left the straggler's schedule."""
+        """Hook: tail cycles left the straggler's schedule (its
+        ``ready_at`` is already rewound)."""
 
     def _note_stage(
         self,

@@ -245,6 +245,18 @@ class _Recording:
         _put(self.flow_scale, flow_scale)
 
 
+def _spans(
+    recording: _Recording, retired: Iterable[Tuple[int, float, float]]
+) -> List[TraceInterval]:
+    """The trace intervals of ``(job, start, end)`` rows: each job's
+    GPM, label and kind read off the recording."""
+    gpm, labels, kind = recording.gpm, recording.labels, recording.kind
+    return [
+        TraceInterval(gpm[job], labels[job], start, end, _KINDS[kind[job]])
+        for job, start, end in retired
+    ]
+
+
 class _RunState:
     """Runtime handle of one activated job.
 
@@ -418,10 +430,10 @@ class EventEngine(ExecutionEngine):
         )
 
     def _note_split(self, split) -> None:
-        """Append the pass: one render job per slice, exactly as
-        :meth:`_note_unit` would record the slice's resolved unit, each
-        staged slice's copy job first, exactly as :meth:`_note_stage`
-        would record it."""
+        """Append the pass's charges, in order: one render job per
+        slice, exactly as :meth:`_note_unit` would record the slice's
+        resolved unit, each staged slice's copy job first, exactly as
+        :meth:`_note_stage` would record it."""
         recording = self._recording
         n = self.system.num_gpms
         fabric = self.system.fabric
@@ -435,7 +447,7 @@ class EventEngine(ExecutionEngine):
                 if route:
                     pair_route[src * n + dst] = recording.route_id(route)
                     pair_hops[src * n + dst] = len(route)
-        slices = len(split.labels)
+        slices = split.gpm.size
         # The render jobs' flow rows: every transfer that crosses a link.
         pair = split.flow_src * n + split.flow_dst
         routed = pair_route[pair] >= 0
@@ -450,28 +462,17 @@ class EventEngine(ExecutionEngine):
         copy_pair = stages.src * n + split.gpm[stage]
         streams = pair_route[copy_pair] >= 0
         copy_pair = copy_pair[streams]
-        # Job order: each staged slice's copy, then its render job.
-        per_slice = np.ones(slices, np.int64)
-        per_slice[stage] = 2
-        render_at = np.cumsum(per_slice) - 1
-        stage_at = render_at[stage] - 1
-        jobs = slices + stage.size
-        gpm = np.empty(jobs, np.int64)
-        gpm[render_at] = split.gpm
-        gpm[stage_at] = split.gpm[stage]
-        kind = np.full(jobs, _STALL, np.int8)
-        kind[render_at] = _RENDER
+        # One job per charge: each staged slice's copy, then its render.
+        ops = split.ops
+        render_at = np.flatnonzero(~ops.stall)
+        stage_at = np.flatnonzero(ops.stall)
+        jobs = ops.stall.size
         compute = np.empty(jobs)
         compute[render_at] = split.compute
         compute[stage_at] = np.where(streams, 0.0, stages.cycles)
         provisional = np.empty(jobs)
         provisional[render_at] = split.cycles
         provisional[stage_at] = stages.cycles
-        source = np.full(jobs, slices)
-        source[render_at] = np.arange(slices)
-        labels = list(
-            map([*split.labels, "stage"].__getitem__, source.tolist())
-        )
         dram_slice, dram_gpm, dram_bytes = split.dram_rows()
         # Flow rows, render then copy, sorted stably into job order.
         row_job = np.concatenate((render_at[flow_slice], stage_at[streams]))
@@ -490,7 +491,8 @@ class EventEngine(ExecutionEngine):
             )
         )[order]
         recording.extend(
-            labels, gpm, kind, compute, provisional,
+            ops.labels, ops.gpm, np.where(ops.stall, _STALL, _RENDER),
+            compute, provisional,
             np.bincount(render_at[dram_slice], minlength=jobs),
             dram_gpm, dram_bytes,
             np.bincount(row_job, minlength=jobs),
@@ -675,9 +677,11 @@ class EventEngine(ExecutionEngine):
           ``active`` order, then ``bg_active`` order.  The start scan
           runs only after a retirement or while a start floor (render or
           background) is waiting; otherwise it could start nothing.
-        - **Accounting order.**  ``link_bytes`` is summed once after the
-          loop, job by job in the order the reference accounts them:
+        - **Accounting order.**  Each job is logged once as a ``(job,
+          start, end)`` row, in the order the reference accounts it:
           zero-demand jobs when they start, the rest when they retire.
+          ``link_bytes`` is summed once after the loop, row by row, and
+          the rows become the trace intervals in the same order.
 
         The window body is scalar Python over the live rows: a few dozen
         rows per window cost less as Python floats than as per-window
@@ -698,7 +702,6 @@ class EventEngine(ExecutionEngine):
         labels = recording.labels
         njobs = len(labels)
         gpm_of = recording.gpm.tolist()
-        kind_of = recording.kind.tolist()
         floor_of = recording.floor.tolist()
         compute_of = recording.compute.tolist()
         dram_bounds = recording.dram_bounds.tolist()
@@ -822,9 +825,9 @@ class EventEngine(ExecutionEngine):
         t = 0.0
         busy = [0.0] * n
         end = [0.0] * n
-        intervals: List[TraceInterval] = []
-        #: Jobs in the order the reference accounts their link bytes.
-        accounted: List[int] = []
+        #: Retired jobs as ``(job, start, end)``, in the order the
+        #: reference accounts their link bytes and emits their spans.
+        retired: List[Tuple[int, float, float]] = []
 
         # Every DRAM row counts, dust included.
         total_components = njobs + len(dram_bytes) + len(flow_bytes)
@@ -864,15 +867,8 @@ class EventEngine(ExecutionEngine):
                             stale = True
                             active[gpm] = _RunState(idx, begin)
                             continue
-                        intervals.append(
-                            TraceInterval(
-                                gpm=gpm, label=labels[idx],
-                                start=begin, end=begin,
-                                kind=_KINDS[kind_of[idx]],
-                            )
-                        )
+                        retired.append((idx, begin, begin))
                         end[gpm] = max(end[gpm], begin)
-                        accounted.append(idx)
                 # Background copies activate on their floor regardless of
                 # what their GPM is doing — the copy engines, not the
                 # SMs, move the bytes.
@@ -889,14 +885,7 @@ class EventEngine(ExecutionEngine):
                         stale = True
                         bg_active.append(_RunState(idx, begin))
                         continue
-                    intervals.append(
-                        TraceInterval(
-                            gpm=gpm_of[idx], label=labels[idx],
-                            start=begin, end=begin,
-                            kind=_KINDS[kind_of[idx]],
-                        )
-                    )
-                    accounted.append(idx)
+                    retired.append((idx, begin, begin))
                 for value, members in fresh.items():
                     rems.append(value)
                     srcs.append(0)
@@ -1010,33 +999,19 @@ class EventEngine(ExecutionEngine):
                 gpm for gpm, state in active.items() if not pending[state.idx]
             ]:
                 state = active.pop(gpm)
-                idx = state.idx
-                intervals.append(
-                    TraceInterval(
-                        gpm=gpm, label=labels[idx],
-                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
-                    )
-                )
+                retired.append((state.idx, state.start, t))
                 end[gpm] = max(end[gpm], t)
-                accounted.append(idx)
                 rescan = True
             for state in [
                 state for state in bg_active if not pending[state.idx]
             ]:
-                idx = state.idx
-                intervals.append(
-                    TraceInterval(
-                        gpm=gpm_of[idx], label=labels[idx],
-                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
-                    )
-                )
-                accounted.append(idx)
+                retired.append((state.idx, state.start, t))
                 bg_active.remove(state)
                 rescan = True
 
         link_bytes: Dict[Link, float] = {}
         route_table = recording.routes
-        for idx in accounted:
+        for idx, _, _ in retired:
             for row in range(flow_bounds[idx], flow_bounds[idx + 1]):
                 nbytes = flow_bytes[row]
                 for link in route_table[flow_route[row]]:
@@ -1049,7 +1024,7 @@ class EventEngine(ExecutionEngine):
         return _SimResult(
             busy=busy,
             end=end,
-            intervals=intervals,
+            intervals=_spans(recording, retired),
             link_busy=link_busy,
             link_bytes=link_bytes,
             windows=windows,

@@ -23,8 +23,8 @@ re-bound in scalar Python; the pass binds the schedule in one go:
   <repro.gpu.staging.StagingManager._stage_touch>` to every (touch,
   GPM) visit in order, and each slice's copy lands before its render,
   as :meth:`~repro.engine.base.ExecutionEngine.stage_flow` lands it:
-  fabric and DRAM bytes, ``staging`` phase bytes, the ``stage`` stall
-  on the GPM clock and trace and the event engine's stall job;
+  fabric and DRAM bytes, ``staging`` phase bytes and the ``stage``
+  stall on the GPM clock;
 - owner fractions are read once per visited (resource, GPM) pair, in
   first-visit order, from the placement map's per-resource cache;
 - the frame's (touch, owner), framebuffer-target and command rows are
@@ -33,7 +33,12 @@ re-bound in scalar Python; the pass binds the schedule in one go:
   remote-cache crossing run as numpy column kernels over them
   (:func:`~repro.memory.cache.miss_bytes_columns`,
   :func:`~repro.memory.remote_cache.filter_columns`: the scalar
-  formulas, elementwise).
+  formulas, elementwise);
+- the GPM clocks and progress counters advance per GPM in visit order;
+  the pass builds no trace interval, but hands its clock charges
+  (``SplitSlices.ops``) to the engine's ``_note_split`` hook, where the
+  analytic engine logs them as spans and the event engine records its
+  jobs in their order.
 
 Every side effect lands bit-identically to the per-slice path.  Floats
 accumulate in visit order only — ``np.add.at``, ``np.add.accumulate``
@@ -69,7 +74,6 @@ from typing import (
 import numpy as np
 
 from repro.engine.base import KIND_TO_TRAFFIC
-from repro.engine.trace import TraceInterval
 from repro.memory.cache import miss_bytes_columns
 from repro.memory.link import TRAFFIC_TYPES, TrafficType
 from repro.memory.placement import PagePlacement
@@ -456,8 +460,8 @@ class SplitSlices:
     """What a slice pass scheduled, in visit order.
 
     Handed to :meth:`ExecutionEngine._note_split
-    <repro.engine.base.ExecutionEngine._note_split>` so engines that
-    record the schedule can do so without per-slice binds.  Slice ``s``
+    <repro.engine.base.ExecutionEngine._note_split>`, so each engine
+    logs the pass its own way without per-slice binds.  Slice ``s``
     renders on GPM ``gpm[s]``; ``compute`` and ``cycles`` are its Eq. 3
     compute cycles and scheduling-clock price; its link transfers, in
     ``ResolvedUnit.flows`` order, are rows
@@ -468,32 +472,34 @@ class SplitSlices:
     GPM ``stages.cycles[k]`` at ``stages.parallelism``.  That is the one
     chunk :meth:`~repro.engine.base.ExecutionEngine.stage_flow` would
     have handed ``_note_stage``: a slice's copies share a source and a
-    destination, so the chunk is their sum in visit order.
+    destination, so the chunk is their sum in visit order.  ``ops``
+    are the pass's clock charges in the order they landed: the analytic
+    engine's spans, and the order the event engine records its jobs in.
     """
 
     def __init__(
         self,
         num_gpms: int,
-        labels: Sequence[str],
         gpm: np.ndarray,
         compute: np.ndarray,
         cycles: np.ndarray,
         flows: "_Flows",
         demand: "_Demand",
         stages: "_Stages",
+        ops: "_Ops",
     ) -> None:
         self.num_gpms = num_gpms
-        self.labels = labels
         self.gpm = gpm
         self.compute = compute
         self.cycles = cycles
         self.flow_bounds = np.searchsorted(
-            flows.slice, np.arange(len(labels) + 1)
+            flows.slice, np.arange(gpm.size + 1)
         )
         self.flow_src = flows.src
         self.flow_dst = flows.dst
         self.flow_bytes = flows.nbytes
         self.stages = stages
+        self.ops = ops
         self._demand = demand
 
     def dram_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -503,7 +509,7 @@ class SplitSlices:
         n = self.num_gpms
         demand = self._demand
         key = demand.slice * n + demand.gpm
-        totals = np.zeros(len(self.labels) * n)
+        totals = np.zeros(self.gpm.size * n)
         np.add.at(totals, key, demand.nbytes)
         keys, first = np.unique(key, return_index=True)
         # The contributions arrive in slice order, so first-use order
@@ -642,13 +648,13 @@ def _execute_chunk(
         staged, stall, stages = _land_copies(
             engine, staging, schedule, copies
         )
-        _schedule(
+        ops = _schedule(
             engine, schedule, cycles, staged, stall, vertices, pixels,
             triangles,
         )
         split = SplitSlices(
-            system.num_gpms, schedule.labels, schedule.gpm, compute, cycles,
-            flows, demand, stages,
+            system.num_gpms, schedule.gpm, compute, cycles, flows, demand,
+            stages, ops,
         )
         nbytes = flows.nbytes.tolist()
         bounds = split.flow_bounds.tolist()
@@ -918,6 +924,19 @@ def _roofline(
     return np.maximum(np.maximum(compute, dram_cycles), link_cycles)
 
 
+class _Ops(NamedTuple):
+    """A pass's clock charges, in the order they landed: every slice's
+    render, a staged slice's ``stage`` stall (``stall[k]``) just before
+    it.  Charge ``k`` ran on GPM ``gpm[k]`` under ``labels[k]`` from
+    ``start[k]`` to ``end[k]``."""
+
+    gpm: np.ndarray
+    labels: List[str]
+    start: np.ndarray
+    end: np.ndarray
+    stall: np.ndarray
+
+
 def _schedule(
     engine: "ExecutionEngine",
     schedule: SliceSchedule,
@@ -927,10 +946,10 @@ def _schedule(
     vertices: np.ndarray,
     pixels: np.ndarray,
     triangles: np.ndarray,
-) -> None:
+) -> _Ops:
     """Run every slice on its GPM, as :meth:`ExecutionEngine.execute`,
     a staged slice's ``stage`` stall (as ``stage_flow`` charges it)
-    first."""
+    first; returns the charges."""
     ops = 1 + staged
     op_slice = np.repeat(np.arange(cycles.size), ops)
     is_stall = np.zeros(op_slice.size, bool)
@@ -959,14 +978,4 @@ def _schedule(
         gpm.rendered_triangles = _running(
             gpm.rendered_triangles, triangles[rendered]
         )[-1].item()
-        gpm.executed.extend(map(labels.__getitem__, mine.tolist()))
-    engine._intervals.extend(
-        map(
-            TraceInterval,
-            op_gpm.tolist(),
-            labels,
-            starts.tolist(),
-            ends.tolist(),
-            map(("render", "stall").__getitem__, is_stall.tolist()),
-        )
-    )
+    return _Ops(op_gpm, labels, starts, ends, is_stall)

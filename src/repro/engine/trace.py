@@ -6,11 +6,13 @@ A :class:`FrameTrace` is the common output of every
 the composition barrier), per-link occupancy, per-phase roll-ups, and
 the numbers :meth:`MultiGPUSystem.frame_result
 <repro.gpu.system.MultiGPUSystem.frame_result>` needs (busy cycles per
-GPM, the render critical path and the composition-phase cycles).  The
-analytic engine assembles its trace from the per-unit intervals it
-priced eagerly; the event engine emits the intervals its discrete-event
-simulation actually produced — including the contention-stretched ones
-the analytic model cannot see.
+GPM, the render critical path and the composition-phase cycles).  Each
+engine builds its intervals in one place.  The analytic engine logs the
+scheduling clock's spans as it charges them (the base engine's schedule
+hooks, implemented in :mod:`repro.engine.analytic`); the event engine
+builds none of those, only the intervals its discrete-event simulation
+actually produced — including the contention-stretched ones the
+analytic model cannot see.
 
 Every byte the fabric counts is owned by exactly one *phase*:
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.config import SystemConfig, baseline_system
 from repro.core.overhead import OverheadModel

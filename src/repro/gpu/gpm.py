@@ -8,8 +8,7 @@ vertices and rendered pixels — Eq. 3's ``#tv`` and ``#pixel``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.config import GPMConfig
 
@@ -28,8 +27,6 @@ class GPM:
     transformed_vertices: float = 0.0
     rendered_pixels: float = 0.0
     rendered_triangles: float = 0.0
-    #: Labels of units executed, for debugging and tests.
-    executed: List[str] = field(default_factory=list)
 
     def begin_frame(self) -> None:
         """Reset per-frame state (counters persist across the frame)."""
@@ -38,10 +35,9 @@ class GPM:
         self.transformed_vertices = 0.0
         self.rendered_pixels = 0.0
         self.rendered_triangles = 0.0
-        self.executed.clear()
 
-    def run(self, label: str, cycles: float, start_at: float | None = None) -> float:
-        """Execute ``cycles`` of work; returns the completion time.
+    def run(self, cycles: float, start_at: float | None = None) -> float:
+        """Execute ``cycles`` of work; returns the time it starts.
 
         Work starts when the module is free (or at ``start_at`` if that
         is later — e.g. waiting for a dependency or a PA copy).
@@ -51,8 +47,7 @@ class GPM:
         start = self.ready_at if start_at is None else max(self.ready_at, start_at)
         self.ready_at = start + cycles
         self.busy_cycles += cycles
-        self.executed.append(label)
-        return self.ready_at
+        return start
 
     def record_progress(self, vertices: float, pixels: float, triangles: float) -> None:
         """Advance the runtime counters (the hardware does this per unit)."""

@@ -31,13 +31,13 @@ pluggable :class:`~repro.engine.base.ExecutionEngine`
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.engine import FrameTrace, build_engine
-from repro.memory.address import Resource, ResourceKind, Touch
+from repro.memory.address import Resource
 from repro.memory.dram import DramTracker, make_trackers
-from repro.memory.link import LinkFabric, TrafficType
+from repro.memory.link import LinkFabric
 from repro.memory.placement import PagePlacement, PlacementPolicy
 from repro.memory.remote_cache import RemoteCache
 from repro.pipeline.workunit import WorkUnit

@@ -11,7 +11,7 @@ discussion relies on the asymmetry being explicit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 

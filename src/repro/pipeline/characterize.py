@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.config import CostModel, SystemConfig
+from repro.config import SystemConfig
 from repro.memory.address import Touch, vertex_resource
 from repro.pipeline.batch import frame_counters, work_units_from_counters
 from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
-from repro.pipeline.smp import GeometryWork, SMPEngine, SMPMode
+from repro.pipeline.smp import SMPEngine, SMPMode
 from repro.pipeline.workunit import WorkUnit
 from repro.profiling import phase
 from repro.scene.objects import Eye, StereoDraw

@@ -15,7 +15,6 @@ Two consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.config import GPMConfig
 

@@ -27,7 +27,7 @@ from typing import Tuple
 
 from repro.config import CostModel
 from repro.scene.geometry import Viewport
-from repro.scene.objects import Eye, StereoDraw
+from repro.scene.objects import StereoDraw
 
 
 class SMPMode(enum.Enum):

@@ -17,8 +17,8 @@ where those bytes go depends on the framework's framebuffer layout
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.memory.address import Touch
 from repro.scene.geometry import Viewport

@@ -10,7 +10,7 @@ geometry process twice" (Section 2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np

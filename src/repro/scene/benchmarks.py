@@ -29,7 +29,7 @@ experiments report normalised results exactly as the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.scene.scene import Scene
 from repro.scene.synthetic import MB, SceneProfile, SyntheticSceneGenerator

@@ -15,7 +15,7 @@ parallel rendering frameworks consume objects in two forms:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.scene.geometry import Mesh, Viewport

@@ -9,7 +9,7 @@ trade-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Any,
@@ -18,7 +18,6 @@ from typing import (
     Hashable,
     Iterator,
     List,
-    Sequence,
     Tuple,
 )
 

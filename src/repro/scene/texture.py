@@ -10,7 +10,7 @@ object identity, exactly how the middleware's TSL computation sees it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Tuple
 
 KB = 1024

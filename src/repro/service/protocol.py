@@ -33,7 +33,7 @@ module as their single source of message truth.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.config import (
     CostModel,

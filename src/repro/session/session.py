@@ -58,7 +58,6 @@ from repro.session.spec import (
     FULL,
     ExperimentConfig,
     RunSpec,
-    SpecError,
 )
 from repro.stats.metrics import SceneResult
 

@@ -14,7 +14,7 @@ canonical home of what :mod:`repro.experiments.runner` used to define.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 

@@ -8,8 +8,8 @@ Fig. 10), and inter-GPM byte counts by traffic type (Figs. 9 and 16).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence
 
 from repro.memory.link import TrafficType
 

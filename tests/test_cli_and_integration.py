@@ -43,6 +43,17 @@ class TestCLI:
     def test_unknown_figure(self, capsys):
         assert cli.main(["fig", "99"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--progress"], ["--jobs", "2"]], ids=["progress", "jobs"]
+    )
+    def test_fig_smp_rejects_sweep_flags(self, capsys, flags):
+        # The SMP check renders outside any sweep: neither flag could
+        # reach it, so neither is accepted silently.
+        assert cli.main(["fig", "smp", "--fast", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: fig smp")
+
     def test_overhead(self, capsys):
         assert cli.main(["overhead"]) == 0
         assert "mm^2" in capsys.readouterr().out

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import baseline_system
-from repro.core.distribution import BATCH_QUEUE_DEPTH, DistributionEngine
+from repro.core.distribution import DistributionEngine
 from repro.core.middleware import OOMiddleware
 from repro.core.overhead import OverheadModel
 from repro.core.oovr import _BatchBuilder, OOVRFramework
@@ -177,12 +177,6 @@ class TestDistributionEngine:
         engine.dispatch(pairs)
         engine_ratio = system_engine.frame_result("eng", "w").load_balance_ratio
         assert engine_ratio <= rr * 1.05
-
-    def test_queue_depth_validated(self, pool):
-        system = MultiGPUSystem(baseline_system())
-        with pytest.raises(ValueError):
-            DistributionEngine(system, queue_depth=0)
-        assert BATCH_QUEUE_DEPTH == 4
 
     def test_single_gpm_no_stealing(self, pool):
         cfg = baseline_system(num_gpms=1)

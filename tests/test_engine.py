@@ -20,6 +20,7 @@ from repro.engine import (
     AnalyticEngine,
     EngineError,
     EventEngine,
+    TraceInterval,
     build_engine,
     classify_bottleneck,
     validate_engine_name,
@@ -715,6 +716,33 @@ class TestEventEngine:
         assert data["intervals"][0]["kind"] == "render"
         assert trace.link_bytes()[(1, 0)] > 0
         assert 0.0 <= trace.utilisation(0) <= 1.0
+
+    @pytest.mark.parametrize(
+        "framework", ["baseline", "tile-v", "oo-vr", "oo-app"]
+    )
+    def test_builds_only_the_intervals_its_trace_holds(
+        self, framework, monkeypatch
+    ):
+        """The scheduling clock's spans are the analytic engine's log:
+        every ``TraceInterval`` a frame builds here is one its trace
+        holds (the slice pass, the per-unit path and the composition
+        barrier alike)."""
+        built = []
+        check = TraceInterval.__post_init__
+
+        def spy(span):
+            built.append(span)
+            check(span)
+
+        monkeypatch.setattr(TraceInterval, "__post_init__", spy)
+        renderer = build_framework(
+            framework, baseline_system().with_engine("event")
+        )
+        scene = cached_scene("HL2-640", 1, 2019, FAST.draw_scale)
+        renderer.render_scene(scene)
+        trace = renderer.last_system.last_trace
+        assert trace.intervals
+        assert len(built) == len(trace.intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -1854,13 +1882,12 @@ def _machine_state(system, observed, staging=()):
         ],
         "gpms": [
             (
-                g.ready_at, g.busy_cycles, list(g.executed),
+                g.ready_at, g.busy_cycles,
                 g.transformed_vertices, g.rendered_pixels,
                 g.rendered_triangles,
             )
             for g in system.gpms
         ],
-        "intervals": list(engine._intervals),
         "phase_bytes": list(engine._phase_bytes.items()),
         "placement": [
             (key, list(entry.owners), sorted(entry.replicas))
