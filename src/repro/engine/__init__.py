@@ -34,7 +34,14 @@ from repro.engine.base import (
     classify_bottleneck,
 )
 from repro.engine.event import EventEngine
-from repro.engine.trace import PHASES, FrameTrace, LinkUsage, TraceInterval
+from repro.engine.trace import (
+    KINDS,
+    PHASES,
+    FrameTrace,
+    LinkUsage,
+    TraceInterval,
+    TraceSpans,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.system import MultiGPUSystem
@@ -42,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ENGINE_DEFAULT",
     "ENGINE_NAMES",
+    "KINDS",
     "PHASES",
     "AnalyticEngine",
     "CompositionSchedule",
@@ -56,6 +64,7 @@ __all__ = [
     "StageCopy",
     "StageOutcome",
     "TraceInterval",
+    "TraceSpans",
     "build_engine",
     "classify_bottleneck",
     "validate_engine_name",

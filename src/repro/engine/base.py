@@ -76,7 +76,7 @@ from repro.memory.address import ResourceKind, Touch
 from repro.memory.cache import miss_bytes
 from repro.memory.link import TrafficType
 from repro.pipeline.timing import price_work_unit
-from repro.pipeline.workunit import WorkUnit
+from repro.pipeline.workunit import UnitColumns, WorkUnit
 from repro.profiling import phase as profiled_phase
 from repro.stats.metrics import UnitExecution
 
@@ -474,19 +474,21 @@ class ExecutionEngine(abc.ABC):
 
     def execute_split(
         self,
-        units: Sequence[WorkUnit],
+        table: UnitColumns,
         schedule: "SliceSchedule",
         staging: Optional["StagingManager"] = None,
     ) -> None:
         """Bind and execute a statically scheduled frame in one pass.
 
-        ``schedule`` (a :class:`~repro.engine.split.SliceSchedule`)
-        lists the frame's slices in visit order, each one of ``units``
-        on one GPM with its own pixel and geometry shares, unique and
-        stream inflation, command source and framebuffer target (a
-        shared owner map, or the slice's own GPM).  Every counter,
-        trace interval and recorded job lands bit-identically to
-        shaping each slice with ``with_screen_share`` and running
+        ``table`` (a :class:`~repro.pipeline.workunit.UnitColumns`)
+        holds the frame's units as columns; ``schedule`` (a
+        :class:`~repro.engine.split.SliceSchedule`) lists the frame's
+        slices in visit order, each one unit of the table on one GPM
+        with its own pixel and geometry shares, unique and stream
+        inflation, command source and framebuffer target (a shared
+        owner map, or the slice's own GPM).  Every counter, trace span
+        and recorded job lands bit-identically to shaping each slice's
+        ``WorkUnit`` with ``with_screen_share`` and running
         :meth:`bind` plus :meth:`execute` on it, which stays the oracle
         (see :mod:`repro.engine.split`), at a fraction of the cost.
 
@@ -508,7 +510,7 @@ class ExecutionEngine(abc.ABC):
         # Imported here: the slice pass builds on this module.
         from repro.engine.split import execute_split
 
-        execute_split(self, units, schedule, staging)
+        execute_split(self, table, schedule, staging)
 
     # -- scheduling clock ----------------------------------------------------
 

@@ -59,6 +59,10 @@ built, and a tail shed scales the rows in place.  Both window loops
 replay the same recording: the incremental loop,
 :meth:`EventEngine._simulate`, and the full-scan oracle,
 :meth:`EventEngine._simulate_reference`, through :class:`_JobArrays`.
+Each logs a retired job as one ``(job, start, end)`` row, and the rows
+become the trace's span columns with the recording's label, GPM and
+kind columns (:class:`~repro.engine.trace.TraceSpans`), so the engine
+builds no trace interval object unless the trace's intervals are read.
 
 Uncontended, a single flow drains in exactly the analytic roofline
 time — on any fabric.  One deliberate divergence remains: the analytic
@@ -89,7 +93,7 @@ from repro.engine.base import (
     ResolvedUnit,
     StageCopy,
 )
-from repro.engine.trace import FrameTrace, LinkUsage, TraceInterval
+from repro.engine.trace import KINDS, FrameTrace, LinkUsage, TraceSpans
 from repro.profiling import add_counter
 
 __all__ = ["EventEngine"]
@@ -109,9 +113,9 @@ _MAX_ZERO_WINDOWS = 8
 Link = Tuple[int, int]
 
 
-#: Recorded job kinds; a job's ``kind`` column holds the index.
-_KINDS = ("render", "stall", "steal", "stage", "compose")
-_RENDER, _STALL, _STEAL, _STAGE, _COMPOSE = range(len(_KINDS))
+#: A recorded job's ``kind`` column holds its index into ``KINDS``,
+#: which is also its trace span's kind code.
+_RENDER, _STALL, _STEAL, _STAGE, _COMPOSE = range(len(KINDS))
 #: The numpy dtype of each column typecode.
 _DTYPES = {"b": np.int8, "q": np.int64, "d": np.float64}
 
@@ -125,7 +129,7 @@ class _Recording:
     """The jobs one simulation pass replays, as columns.
 
     Job ``j`` is labelled ``labels[j]``, runs on GPM ``gpm[j]`` and has
-    kind ``_KINDS[kind[j]]``, start floor ``floor[j]``, compute cycles
+    kind ``KINDS[kind[j]]``, start floor ``floor[j]``, compute cycles
     ``compute[j]`` and scheduling-clock price ``provisional[j]`` (used to
     scale stolen tails fairly).  A ``background[j]`` job (a prefetched
     staging copy) occupies no GPM: it only loads the wires and DRAM.
@@ -246,23 +250,26 @@ class _Recording:
 
 
 def _spans(
-    recording: _Recording, retired: Iterable[Tuple[int, float, float]]
-) -> List[TraceInterval]:
-    """The trace intervals of ``(job, start, end)`` rows: each job's
-    GPM, label and kind read off the recording."""
-    gpm, labels, kind = recording.gpm, recording.labels, recording.kind
-    return [
-        TraceInterval(gpm[job], labels[job], start, end, _KINDS[kind[job]])
-        for job, start, end in retired
-    ]
+    recording: _Recording, retired: Sequence[Tuple[int, float, float]]
+) -> TraceSpans:
+    """The trace spans of ``(job, start, end)`` rows, as columns: each
+    job's GPM, label and kind code read off the recording."""
+    jobs, start, end = zip(*retired) if retired else ((), (), ())
+    return TraceSpans(
+        array("q", map(recording.gpm.__getitem__, jobs)),
+        list(map(recording.labels.__getitem__, jobs)),
+        array("d", start),
+        array("d", end),
+        array("b", map(recording.kind.__getitem__, jobs)),
+    )
 
 
 class _RunState:
     """Runtime handle of one activated job.
 
     The demand state itself lives in the pass's rows (the job is
-    ``idx`` there); this is just the bookkeeping needed to emit the
-    job's trace interval when it retires.
+    ``idx`` there); this is just the bookkeeping needed to log the
+    job's trace span when it retires.
     """
 
     __slots__ = ("idx", "start")
@@ -355,7 +362,8 @@ class _SimResult:
 
     busy: List[float]
     end: List[float]
-    intervals: List[TraceInterval]
+    #: The retired jobs' spans, in accounting order.
+    spans: TraceSpans
     link_busy: Dict[Link, float]
     link_bytes: Dict[Link, float]
     #: Window-loop statistics: windows simulated and the total live
@@ -366,10 +374,7 @@ class _SimResult:
 
     @property
     def makespan(self) -> float:
-        horizon = max(self.end) if self.end else 0.0
-        for span in self.intervals:
-            horizon = max(horizon, span.end)
-        return horizon
+        return max([*self.end, *self.spans.end], default=0.0)
 
 
 class EventEngine(ExecutionEngine):
@@ -681,7 +686,7 @@ class EventEngine(ExecutionEngine):
           start, end)`` row, in the order the reference accounts it:
           zero-demand jobs when they start, the rest when they retire.
           ``link_bytes`` is summed once after the loop, row by row, and
-          the rows become the trace intervals in the same order.
+          the rows become the trace's span columns in the same order.
 
         The window body is scalar Python over the live rows: a few dozen
         rows per window cost less as Python floats than as per-window
@@ -1024,7 +1029,7 @@ class EventEngine(ExecutionEngine):
         return _SimResult(
             busy=busy,
             end=end,
-            intervals=_spans(recording, retired),
+            spans=_spans(recording, retired),
             link_busy=link_busy,
             link_bytes=link_bytes,
             windows=windows,
@@ -1050,7 +1055,6 @@ class EventEngine(ExecutionEngine):
         arrays = _JobArrays(recording)
         labels = recording.labels
         gpm_of = recording.gpm.tolist()
-        kind_of = recording.kind.tolist()
         floor_of = recording.floor.tolist()
         flow_bounds = recording.flow_bounds.tolist()
         flow_route = recording.flow_route.tolist()
@@ -1087,7 +1091,8 @@ class EventEngine(ExecutionEngine):
         t = 0.0
         busy = [0.0] * n
         end = [0.0] * n
-        intervals: List[TraceInterval] = []
+        #: Retired jobs as ``(job, start, end)``, as _simulate logs them.
+        retired: List[Tuple[int, float, float]] = []
         link_bytes: Dict[Link, float] = {}
 
         def account_bytes(idx: int) -> None:
@@ -1127,13 +1132,7 @@ class EventEngine(ExecutionEngine):
                     idx = queues[gpm].popleft()
                     start = max(t, floor)
                     if arrays.zero_demand[idx]:  # instantaneous
-                        intervals.append(
-                            TraceInterval(
-                                gpm=gpm, label=labels[idx],
-                                start=start, end=start,
-                                kind=_KINDS[kind_of[idx]],
-                            )
-                        )
+                        retired.append((idx, start, start))
                         end[gpm] = max(end[gpm], start)
                         account_bytes(idx)
                         continue
@@ -1152,13 +1151,7 @@ class EventEngine(ExecutionEngine):
                 idx = bg_pending.pop(0)
                 start = max(t, floor)
                 if arrays.zero_demand[idx]:
-                    intervals.append(
-                        TraceInterval(
-                            gpm=gpm_of[idx], label=labels[idx],
-                            start=start, end=start,
-                            kind=_KINDS[kind_of[idx]],
-                        )
-                    )
+                    retired.append((idx, start, start))
                     account_bytes(idx)
                     continue
                 bg_active.append(_RunState(idx, start))
@@ -1284,12 +1277,7 @@ class EventEngine(ExecutionEngine):
                 ):
                     continue
                 idx = state.idx
-                intervals.append(
-                    TraceInterval(
-                        gpm=gpm, label=labels[idx],
-                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
-                    )
-                )
+                retired.append((idx, state.start, t))
                 end[gpm] = max(end[gpm], t)
                 account_bytes(idx)
                 del active[gpm]
@@ -1303,12 +1291,7 @@ class EventEngine(ExecutionEngine):
                 ):
                     continue
                 idx = state.idx
-                intervals.append(
-                    TraceInterval(
-                        gpm=gpm_of[idx], label=labels[idx],
-                        start=state.start, end=t, kind=_KINDS[kind_of[idx]],
-                    )
-                )
+                retired.append((idx, state.start, t))
                 account_bytes(idx)
                 bg_active.remove(state)
                 run_mask[idx] = False
@@ -1322,7 +1305,7 @@ class EventEngine(ExecutionEngine):
         return _SimResult(
             busy=busy,
             end=end,
-            intervals=intervals,
+            spans=_spans(recording, retired),
             link_busy=link_busy,
             link_bytes=link_bytes,
             windows=windows,
@@ -1384,7 +1367,7 @@ class EventEngine(ExecutionEngine):
         windows = render.windows
         live_rows = render.live_rows
         render_end = max(render.end) if render.end else 0.0
-        intervals = list(render.intervals)
+        spans = render.spans
         link_busy = dict(render.link_busy)
         link_bytes = dict(render.link_bytes)
         composition_cycles = 0.0
@@ -1396,7 +1379,7 @@ class EventEngine(ExecutionEngine):
             windows += compose.windows
             live_rows += compose.live_rows
             composition_cycles = max(compose.makespan - render_end, 0.0)
-            intervals.extend(compose.intervals)
+            spans = spans.joined(compose.spans)
             for link, cycles in compose.link_busy.items():
                 link_busy[link] = link_busy.get(link, 0.0) + cycles
             for link, nbytes in compose.link_bytes.items():
@@ -1419,7 +1402,7 @@ class EventEngine(ExecutionEngine):
         return FrameTrace(
             engine=self.name,
             num_gpms=self.system.num_gpms,
-            intervals=tuple(intervals),
+            spans=spans,
             gpm_busy=tuple(render.busy),
             gpm_end=tuple(render.end),
             links=links,

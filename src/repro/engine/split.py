@@ -5,17 +5,25 @@ before it runs: the baseline family splits each draw evenly over all
 GPMs (Sec. 2.3), tile-level SFR renders each draw's share of every
 strip it overlaps on that strip's GPM (Sec. 4.2), object-level SFR
 deals whole draws out round robin (Sec. 4.3) and AFR renders a frame
-on one GPM (Sec. 4.1).  Each describes its frame as a
+on one GPM (Sec. 4.1).  Each hands :func:`execute_split` (behind
+:meth:`ExecutionEngine.execute_split
+<repro.engine.base.ExecutionEngine.execute_split>`) two sets of
+columns: the frame's units as a
+:class:`~repro.pipeline.workunit.UnitColumns` table — per-unit counts,
+touches in CSR order, one resource per distinct resource — which it
+reads, memoised on the frame, straight from the frame's counters
+(:meth:`DrawCharacterizer.unit_columns
+<repro.pipeline.characterize.DrawCharacterizer.unit_columns>`), and a
 :class:`SliceSchedule` — slices in visit order, each one unit on one
 GPM with its own shares, inflation, framebuffer target and command
-source — and hands it to :func:`execute_split` (behind
-:meth:`ExecutionEngine.execute_split
-<repro.engine.base.ExecutionEngine.execute_split>`).  Bound one slice
-at a time (``with_screen_share``, ``stage_unit``, ``bind``,
-``execute``), every slice is re-split, re-staged, re-priced and
-re-bound in scalar Python; the pass binds the schedule in one go:
+source.  No ``WorkUnit``, ``Touch`` or per-touch ``Resource`` is
+built.  Bound one slice at a time (``with_screen_share``,
+``stage_unit``, ``bind``, ``execute``), every slice is re-split,
+re-staged, re-priced and re-bound in scalar Python; the pass binds the
+schedule in one go:
 
-- every slice's shape and Eq. 3 price are derived as columns
+- every slice's shape and Eq. 3 price are derived as columns, gathered
+  from the table by unit index
   (:func:`~repro.pipeline.timing.stage_cycles`, shared with
   ``price_work_unit``);
 - the optional staging prelude applies
@@ -26,7 +34,9 @@ re-bound in scalar Python; the pass binds the schedule in one go:
   fabric and DRAM bytes, ``staging`` phase bytes and the ``stage``
   stall on the GPM clock;
 - owner fractions are read once per visited (resource, GPM) pair, in
-  first-visit order, from the placement map's per-resource cache;
+  first-visit order, from the placement map's per-resource cache; the
+  table's resource rows name the pairs, so no resource is interned
+  per pass;
 - the frame's (touch, owner), framebuffer-target and command rows are
   laid out in visit order — slice, texture then vertex touches, page
   owners, targets, command — and the L2 miss model and the
@@ -51,16 +61,16 @@ resource fully local to the visiting GPM (placed there, homed there or
 replicated there), and nothing later in the frame takes that away.
 The per-slice ``bind``, ``execute`` and ``stage_unit`` stay the
 production path of the clock-driven dispatchers (OO-VR, OO_APP) and
-are this pass's oracle: ``tests/test_engine.py::TestSplitBind``
-asserts every counter, trace, recorded event-engine job and staged
-byte equal with ``==``, against each framework's per-slice frame too
-(the baseline family's ``bind_frame``, the others'
-``render_frame_on``).
+are this pass's oracle: ``tests/test_engine.py::TestSplitBind`` hands
+the pass ``UnitColumns.from_units(units)`` and asserts every counter,
+trace, recorded event-engine job and staged byte equal with ``==`` to
+binding ``units`` slice by slice, against each framework's per-slice
+frame too (the baseline family's ``bind_frame``, the others'
+``render_frame_on``), which characterise ``WorkUnit`` objects.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -79,7 +89,7 @@ from repro.memory.link import TRAFFIC_TYPES, TrafficType
 from repro.memory.placement import PagePlacement
 from repro.memory.remote_cache import filter_columns
 from repro.pipeline.timing import stage_cycles
-from repro.pipeline.workunit import WorkUnit
+from repro.pipeline.workunit import UnitColumns
 from repro.profiling import phase as profiled_phase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -106,11 +116,13 @@ _DEPTH_THEN_WRITE = np.array(
 class SliceSchedule(NamedTuple):
     """A statically scheduled frame: its slices, in visit order.
 
-    Slice ``s`` renders ``units[unit[s]].with_screen_share(
-    pixel_share[s], geometry_share[s], unique_inflation[s], ...,
-    stream_inflation[s])`` on GPM ``gpm[s]`` under ``labels[s]``, its
-    commands shipped from GPM ``command_source[s]``.  Every column has
-    one entry per slice; :func:`slice_schedule` builds one.
+    Slice ``s`` renders unit ``unit[s]`` of the frame's
+    :class:`~repro.pipeline.workunit.UnitColumns`, shaped as that unit's
+    ``WorkUnit.with_screen_share(pixel_share[s], geometry_share[s],
+    unique_inflation[s], ..., stream_inflation[s])``, on GPM ``gpm[s]``
+    under ``labels[s]``, its commands shipped from GPM
+    ``command_source[s]``.  Every column has one entry per slice;
+    :func:`slice_schedule` builds one.
     """
 
     unit: np.ndarray
@@ -167,10 +179,6 @@ def slice_schedule(
     )
 
 
-def _column(items: Sequence, name: str) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), items), np.float64, len(items))
-
-
 def _ragged(lengths: np.ndarray):
     """``(row, offset)`` of every item when row ``i`` holds ``lengths[i]``."""
     row = np.repeat(np.arange(lengths.size), lengths)
@@ -217,49 +225,34 @@ class _Visits(NamedTuple):
     slice's footprint of the touch."""
 
     slice: np.ndarray
-    touch: np.ndarray
+    #: The visited touch's resource row of the unit table.
+    resource: np.ndarray
     gpm: np.ndarray
     stream: np.ndarray
     unique: np.ndarray
     write: np.ndarray
-    #: Each touch's own resource object (the remote observer's argument).
-    resources: List
 
 
-def _visits(
-    units: Sequence[WorkUnit], local: np.ndarray, schedule: SliceSchedule
-) -> _Visits:
+def _visits(table: UnitColumns, schedule: SliceSchedule) -> _Visits:
     """Each slice's visits to its unit's texture, then vertex touches.
 
-    ``units`` are the pass's distinct units and slice ``s`` renders
-    ``units[local[s]]``.  Footprints are built as ``with_screen_share``
-    and ``Touch.scaled`` build them (``Touch`` floors a stream at its
-    unique footprint).
+    Footprints are built as ``with_screen_share`` and ``Touch.scaled``
+    build them (``Touch`` floors a stream at its unique footprint).
     """
-    counts = np.array(
-        [(len(u.texture_touches), len(u.vertex_touches)) for u in units],
-        np.int64,
-    ).reshape(-1, 2)
-    touches = [
-        touch
-        for unit in units
-        for group in (unit.texture_touches, unit.vertex_touches)
-        for touch in group
-    ]
-    per_unit = counts[:, 0] + counts[:, 1]
-    texture = np.repeat(np.tile([True, False], len(units)), counts.ravel())
-    slice_, offset = _ragged(per_unit[local])
-    visited = (np.cumsum(per_unit) - per_unit)[local[slice_]] + offset
+    unit = schedule.unit
+    bounds = table.touch_bounds
+    slice_, offset = _ragged((bounds[1:] - bounds[:-1])[unit])
+    visited = bounds[unit[slice_]] + offset
     pixel = schedule.pixel_share[slice_]
     geometry = schedule.geometry_share[slice_]
-    on_texture = texture[visited]
-    unique = _column(touches, "unique_bytes")[visited] * np.where(
+    on_texture = table.touch_texture[visited]
+    unique = table.touch_unique[visited] * np.where(
         on_texture,
         np.minimum(1.0, pixel * schedule.unique_inflation[slice_]),
         geometry,
     )
     stream = np.maximum(
-        _column(touches, "stream_bytes")[visited]
+        table.touch_stream[visited]
         * np.where(
             on_texture,
             np.minimum(1.0, pixel * schedule.stream_inflation[slice_]),
@@ -267,17 +260,14 @@ def _visits(
         ),
         unique,
     )
-    write = _column(touches, "write_bytes")[visited] * np.where(
-        on_texture, pixel, geometry
-    )
+    write = table.touch_write[visited] * np.where(on_texture, pixel, geometry)
     return _Visits(
         slice=slice_,
-        touch=visited,
+        resource=table.touch_resource[visited],
         gpm=schedule.gpm[slice_],
         stream=stream,
         unique=unique,
         write=write,
-        resources=[touch.resource for touch in touches],
     )
 
 
@@ -297,18 +287,18 @@ _NO_COPIES = _Copies(*(np.empty(0, dtype) for dtype in (int, int, int, float, in
 def _stage(
     staging: "StagingManager",
     num_gpms: int,
+    resources: Sequence,
     visits: _Visits,
     stage_scale: np.ndarray,
 ) -> _Copies:
     """The staging prelude: every visit's copy shortfall, resolved —
     placing and replicating resources — in visit order."""
     stage_touch = staging._stage_touch
-    resources = visits.resources
     shortfall = np.array(
         [
-            stage_touch(resources[touch], nbytes, gpm, scale)
-            for touch, nbytes, gpm, scale in zip(
-                visits.touch.tolist(),
+            stage_touch(resources[resource], nbytes, gpm, scale)
+            for resource, nbytes, gpm, scale in zip(
+                visits.resource.tolist(),
                 visits.unique.tolist(),
                 visits.gpm.tolist(),
                 stage_scale[visits.slice].tolist(),
@@ -333,7 +323,6 @@ class _TouchRows(NamedTuple):
 
     #: The visit each row belongs to, numbered in order.
     visit: np.ndarray
-    touch: np.ndarray
     slice: np.ndarray
     gpm: np.ndarray
     owner: np.ndarray
@@ -341,11 +330,15 @@ class _TouchRows(NamedTuple):
     unique: np.ndarray
     write: np.ndarray
     traffic: np.ndarray
-    resources: List
+    #: The row's resource row of the unit table.
+    resource: np.ndarray
 
 
 def _touch_rows(
-    placement: "PagePlacement", num_gpms: int, visits: _Visits
+    placement: "PagePlacement",
+    num_gpms: int,
+    resources: Sequence,
+    visits: _Visits,
 ) -> _TouchRows:
     """Every visit split over the visited resource's page owners."""
     n = num_gpms
@@ -353,35 +346,23 @@ def _touch_rows(
     # order: a resource's first read places it when it is still
     # unplaced, so first-touch and interleaved placement land exactly
     # where the per-slice binds place them.
-    index: Dict = {}
-    first_resource: List = []
-    traffic_of: List[int] = []
-    resource_of: List[int] = []
-    for resource in visits.resources:
-        number = index.get(resource.resource_id)
-        if number is None:
-            number = index[resource.resource_id] = len(first_resource)
-            first_resource.append(resource)
-            traffic_of.append(_KIND_CODE[resource.kind])
-        resource_of.append(number)
-    resource_of_touch = np.array(resource_of, np.int64)
     pairs, first_visit, pair_of_visit = np.unique(
-        resource_of_touch[visits.touch] * n + visits.gpm,
+        visits.resource * n + visits.gpm,
         return_index=True,
         return_inverse=True,
     )
     pair_list = pairs.tolist()
     pattern_of_pair = np.empty(pairs.size, np.int64)
+    traffic_of_pair = np.empty(pairs.size, np.int64)
     patterns: Dict[tuple, int] = {}
     starts: List[int] = []
     lengths: List[int] = []
     owners: List[int] = []
     fractions: List[float] = []
     for pair in np.argsort(first_visit, kind="stable").tolist():
-        number, gpm = divmod(pair_list[pair], n)
-        items = tuple(
-            placement.owner_fractions(first_resource[number], gpm).items()
-        )
+        row, gpm = divmod(pair_list[pair], n)
+        resource = resources[row]
+        items = tuple(placement.owner_fractions(resource, gpm).items())
         pattern = patterns.get(items)
         if pattern is None:
             pattern = patterns[items] = len(starts)
@@ -390,22 +371,21 @@ def _touch_rows(
             owners.extend(owner for owner, _ in items)
             fractions.extend(fraction for _, fraction in items)
         pattern_of_pair[pair] = pattern
+        traffic_of_pair[pair] = _KIND_CODE[resource.kind]
     pattern = pattern_of_pair[pair_of_visit]
     visit, offset = _ragged(np.array(lengths, np.int64)[pattern])
     slot = np.array(starts, np.int64)[pattern[visit]] + offset
-    touch = visits.touch[visit]
     fraction = np.array(fractions, np.float64)[slot]
     return _TouchRows(
         visit=visit,
-        touch=touch,
         slice=visits.slice[visit],
         gpm=visits.gpm[visit],
         owner=np.array(owners, np.int64)[slot],
         stream=visits.stream[visit] * fraction,
         unique=visits.unique[visit] * fraction,
         write=visits.write[visit] * fraction,
-        traffic=np.array(traffic_of, np.int64)[resource_of_touch[touch]],
-        resources=visits.resources,
+        traffic=traffic_of_pair[pair_of_visit[visit]],
+        resource=visits.resource[visit],
     )
 
 
@@ -422,12 +402,10 @@ class _TargetRows(NamedTuple):
 
 
 def _target_rows(
-    units: Sequence[WorkUnit],
-    local: np.ndarray,
-    schedule: SliceSchedule,
-    bytes_per_ztest: float,
+    table: UnitColumns, schedule: SliceSchedule, bytes_per_ztest: float
 ) -> _TargetRows:
-    slices = local.size
+    unit = schedule.unit
+    slices = unit.size
     if schedule.fb_targets is None:
         slice_ = np.arange(slices)
         owner = schedule.gpm
@@ -441,17 +419,17 @@ def _target_rows(
         fraction = np.tile(shares, slices)
     share = schedule.pixel_share
 
-    def scaled(name: str) -> np.ndarray:
-        return (_column(units, name)[local] * share)[slice_] * fraction
+    def scaled(column: np.ndarray) -> np.ndarray:
+        return (column[unit] * share)[slice_] * fraction
 
-    pixels = _column(units, "pixels_out")[local] * share
+    pixels = table.pixels_out[unit] * share
     return _TargetRows(
         slice=slice_,
         gpm=schedule.gpm[slice_],
         owner=owner,
-        z_stream=scaled("z_stream_bytes"),
-        z_unique=scaled("z_unique_bytes"),
-        color=scaled("fb_write_bytes"),
+        z_stream=scaled(table.z_stream_bytes),
+        z_unique=scaled(table.z_unique_bytes),
+        color=scaled(table.fb_write_bytes),
         z_write=(pixels * bytes_per_ztest)[slice_] * fraction,
     )
 
@@ -556,7 +534,7 @@ class _Demand(NamedTuple):
 
 def _check(
     system: "MultiGPUSystem",
-    units: Sequence[WorkUnit],
+    table: UnitColumns,
     schedule: SliceSchedule,
     staging: Optional["StagingManager"],
 ) -> None:
@@ -566,7 +544,7 @@ def _check(
         raise ValueError("every slice needs one entry in every column")
     if not size:
         return
-    if schedule.unit.min() < 0 or schedule.unit.max() >= len(units):
+    if schedule.unit.min() < 0 or schedule.unit.max() >= len(table):
         raise ValueError("slice unit index out of range")
     for name in ("pixel_share", "geometry_share"):
         share = getattr(schedule, name)
@@ -590,13 +568,13 @@ def _check(
 
 def execute_split(
     engine: "ExecutionEngine",
-    units: Sequence[WorkUnit],
+    table: UnitColumns,
     schedule: SliceSchedule,
     staging: Optional["StagingManager"] = None,
 ) -> None:
     """See :meth:`ExecutionEngine.execute_split
     <repro.engine.base.ExecutionEngine.execute_split>`."""
-    _check(engine.system, units, schedule, staging)
+    _check(engine.system, table, schedule, staging)
     # Passes over the slices of at most _CHUNK_UNITS units keep the
     # columns small; every counter simply continues in the next pass,
     # so the visit order holds.
@@ -605,41 +583,37 @@ def execute_split(
     starts = np.concatenate(([0], runs))[::_CHUNK_UNITS].tolist()
     for start, stop in zip(starts, starts[1:] + [unit.size]):
         if stop > start:
-            _execute_chunk(engine, units, schedule.part(start, stop), staging)
+            _execute_chunk(engine, table, schedule.part(start, stop), staging)
 
 
 def _execute_chunk(
     engine: "ExecutionEngine",
-    units: Sequence[WorkUnit],
+    table: UnitColumns,
     schedule: SliceSchedule,
     staging: Optional["StagingManager"],
 ) -> None:
     system = engine.system
     config = system.config
     with profiled_phase("bind"):
-        ids, local = np.unique(schedule.unit, return_inverse=True)
-        chunk = [units[index] for index in ids.tolist()]
-
-        def per_slice(name: str, share=None) -> np.ndarray:
-            column = _column(chunk, name)[local]
-            return column if share is None else column * share
-
-        vertices = per_slice("vertices", schedule.geometry_share)
-        setup = per_slice("triangles_setup", schedule.geometry_share)
-        triangles = per_slice("triangles_raster", schedule.geometry_share)
-        fragments = per_slice("fragments", schedule.pixel_share)
-        texels = per_slice("texel_requests", schedule.pixel_share)
-        pixels = per_slice("pixels_out", schedule.pixel_share)
+        unit = schedule.unit
+        geometry = schedule.geometry_share
+        share = schedule.pixel_share
+        vertices = table.vertices[unit] * geometry
+        setup = table.triangles_setup[unit] * geometry
+        triangles = table.triangles_raster[unit] * geometry
+        fragments = table.fragments[unit] * share
+        texels = table.texel_requests[unit] * share
+        pixels = table.pixels_out[unit] * share
         with profiled_phase("price"):
             stages = stage_cycles(
-                vertices, setup, fragments, per_slice("shader_complexity"),
-                texels, pixels, per_slice("draw_count"), config.gpm,
+                vertices, setup, fragments, table.shader_complexity[unit],
+                texels, pixels, table.draw_count[unit], config.gpm,
                 config.cost,
             )
             # max() is exact in any order; only sums need visit order.
             compute = np.max(stages[:-1], axis=0) + stages[-1]
         local_bytes, link, linked, flows, demand, copies = _bind_memory(
-            system, chunk, local, schedule, staging
+            system, table, schedule, staging
         )
         with profiled_phase("price"):
             cycles = _roofline(
@@ -659,7 +633,7 @@ def _execute_chunk(
         nbytes = flows.nbytes.tolist()
         bounds = split.flow_bounds.tolist()
         render = engine._phase_bytes["render"]
-        for slice_ in range(local.size):
+        for slice_ in range(unit.size):
             # The builtin sum() over the slice's flows, as the scalar
             # bind sums them: CPython >= 3.12 compensates float sum(),
             # so a running += would not be equivalent.
@@ -707,8 +681,7 @@ def _land_copies(
 
 def _bind_memory(
     system: "MultiGPUSystem",
-    units: Sequence[WorkUnit],
-    local: np.ndarray,
+    table: UnitColumns,
     schedule: SliceSchedule,
     staging: Optional["StagingManager"],
 ):
@@ -722,16 +695,17 @@ def _bind_memory(
     before its render traffic.
     """
     n = system.num_gpms
-    slices = local.size
+    slices = schedule.unit.size
     gpm = schedule.gpm
     l2_bytes = float(system.config.gpm.l2_bytes)
-    visits = _visits(units, local, schedule)
+    resources = table.resources
+    visits = _visits(table, schedule)
     copies = _NO_COPIES
     if staging is not None:
-        copies = _stage(staging, n, visits, schedule.stage_scale)
-    touches = _touch_rows(system.placement, n, visits)
+        copies = _stage(staging, n, resources, visits, schedule.stage_scale)
+    touches = _touch_rows(system.placement, n, resources, visits)
     targets = _target_rows(
-        units, local, schedule, system.config.cost.bytes_per_ztest
+        table, schedule, system.config.cost.bytes_per_ztest
     )
 
     # Local rows go through the memory-side L2; remote rows only through
@@ -788,7 +762,7 @@ def _bind_memory(
     p_slice = np.repeat(r_slice, 2)[moved]
     p_owner = np.repeat(r_owner, 2)[moved]
     p_bytes = pair_bytes[moved]
-    command = _column(units, "command_bytes")[local]
+    command = table.command_bytes[schedule.unit]
     c_slice = np.flatnonzero((command > 0) & (schedule.command_source != gpm))
     c_bytes = command[c_slice]
     c_source = schedule.command_source[c_slice]
@@ -846,10 +820,12 @@ def _bind_memory(
     )
     observer = system.remote_observer
     if observer is not None:
-        for touch, gpm_, nbytes in zip(
-            touches.touch[crossed].tolist(), x_gpm.tolist(), x_bytes.tolist()
+        for resource, gpm_, nbytes in zip(
+            touches.resource[crossed].tolist(),
+            x_gpm.tolist(),
+            x_bytes.tolist(),
         ):
-            observer(touches.resources[touch], gpm_, nbytes)
+            observer(resources[resource], gpm_, nbytes)
 
     # Per-slice roll-ups: local bytes (touches, then the framebuffer)
     # and link bytes per peer (touches, framebuffer totals, command).

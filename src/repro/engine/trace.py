@@ -7,12 +7,19 @@ the composition barrier), per-link occupancy, per-phase roll-ups, and
 the numbers :meth:`MultiGPUSystem.frame_result
 <repro.gpu.system.MultiGPUSystem.frame_result>` needs (busy cycles per
 GPM, the render critical path and the composition-phase cycles).  Each
-engine builds its intervals in one place.  The analytic engine logs the
+engine builds its spans in one place.  The analytic engine logs the
 scheduling clock's spans as it charges them (the base engine's schedule
 hooks, implemented in :mod:`repro.engine.analytic`); the event engine
-builds none of those, only the intervals its discrete-event simulation
+logs none of those, only the spans its discrete-event simulation
 actually produced — including the contention-stretched ones the
 analytic model cannot see.
+
+Spans are logged as columns (:class:`TraceSpans`: GPM, label, start,
+end and a kind code), not as objects.  A frame result reads only the
+per-GPM busy and end times and the composition barrier, so the trace
+checks every span's ``end >= start`` over the columns when it is made
+and builds its :class:`TraceInterval` tuple only when something reads
+:attr:`FrameTrace.intervals` (the timeline, exports, tests), once.
 
 Every byte the fabric counts is owned by exactly one *phase*:
 
@@ -31,13 +38,27 @@ accounting are shared); only the timing differs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-__all__ = ["PHASES", "TraceInterval", "LinkUsage", "FrameTrace"]
+import numpy as np
+
+__all__ = [
+    "KINDS",
+    "PHASES",
+    "TraceInterval",
+    "TraceSpans",
+    "LinkUsage",
+    "FrameTrace",
+]
 
 #: The frame phases every engine prices, in pipeline order.
 PHASES = ("render", "staging", "composition")
+
+#: Interval kinds; a span's kind code indexes this tuple.
+KINDS = ("render", "stall", "steal", "stage", "compose")
 
 #: Interval kinds that occupy a GPM's render lane (and therefore count
 #: into ``gpm_busy``/``gpm_end``).
@@ -68,6 +89,34 @@ class TraceInterval:
         return self.end - self.start
 
 
+class TraceSpans(NamedTuple):
+    """Trace intervals as columns, in log order.
+
+    Span ``i`` occupied GPM ``gpm[i]`` under ``label[i]`` from
+    ``start[i]`` to ``end[i]``; its kind is ``KINDS[kind[i]]``.  The
+    engines log into ``array.array`` buffers (``q``, ``d`` and ``b``
+    typecodes), whose ``==`` compares values, so traces and simulation
+    results compare span by span.
+    """
+
+    gpm: Sequence[int]
+    label: List[str]
+    start: Sequence[float]
+    end: Sequence[float]
+    kind: Sequence[int]
+
+    @classmethod
+    def empty(cls) -> "TraceSpans":
+        """A log with no spans, ready for appending."""
+        return cls(array("q"), [], array("d"), array("d"), array("b"))
+
+    def joined(self, other: "TraceSpans") -> "TraceSpans":
+        """These spans, then ``other``'s, in new columns."""
+        return TraceSpans(
+            *(mine + theirs for mine, theirs in zip(self, other))
+        )
+
+
 @dataclass(frozen=True)
 class LinkUsage:
     """Occupancy of one directional physical link over the frame."""
@@ -81,14 +130,19 @@ class LinkUsage:
     busy_cycles: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameTrace:
-    """Per-GPM/per-link timing record of one rendered frame."""
+    """Per-GPM/per-link timing record of one rendered frame.
+
+    Two traces are equal when every field is, :attr:`intervals` in
+    place of the span columns.
+    """
 
     #: Name of the engine that produced the trace.
     engine: str
     num_gpms: int
-    intervals: Tuple[TraceInterval, ...]
+    #: Every span, render lanes first, then the composition barrier's.
+    spans: TraceSpans
     #: Cycles each GPM spent occupied on its render lane (render +
     #: stall + steal spans; background copies and composition are
     #: separate lanes).
@@ -113,6 +167,44 @@ class FrameTrace:
             raise ValueError("per-GPM series must cover every GPM")
         if self.composition_cycles < 0:
             raise ValueError("negative composition time")
+        spans = self.spans
+        start = np.asarray(spans.start, np.float64)
+        early = np.flatnonzero(np.asarray(spans.end, np.float64) < start)
+        if early.size:
+            bad = int(early[0])
+            raise ValueError(
+                "interval ends before it starts: "
+                f"GPM {spans.gpm[bad]} {spans.label[bad]!r} "
+                f"{spans.start[bad]} -> {spans.end[bad]}"
+            )
+
+    @cached_property
+    def intervals(self) -> Tuple[TraceInterval, ...]:
+        """Every span as a :class:`TraceInterval`, in log order (built
+        on first read)."""
+        spans = self.spans
+        return tuple(
+            map(
+                TraceInterval,
+                spans.gpm,
+                spans.label,
+                spans.start,
+                spans.end,
+                map(KINDS.__getitem__, spans.kind),
+            )
+        )
+
+    def _key(self) -> tuple:
+        return (
+            self.engine, self.num_gpms, self.intervals, self.gpm_busy,
+            self.gpm_end, self.links, self.composition_cycles,
+            self.phase_link_bytes,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameTrace):
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def render_critical_path(self) -> float:

@@ -43,28 +43,23 @@ class AlternateFrameRendering(RenderingFramework):
         from repro.engine.split import slice_schedule
 
         gpm = self._frame_gpm(frame)
-        units = self.characterizer.characterize_frame(
+        table = self.characterizer.unit_columns(
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
         )
         # Segmented memory: replicate this frame's resources into the
         # rendering GPM's segment so every access is local.  A replica
         # is made once, so replicating each resource at its first use
-        # up front leaves the placement exactly as replicating every
-        # unit's touches just before the unit renders.
-        resources = {
-            touch.resource.resource_id: touch.resource
-            for unit in units
-            for group in (unit.texture_touches, unit.vertex_touches)
-            for touch in group
-        }
-        for resource in resources.values():
+        # up front (the table lists them in first-touch order) leaves
+        # the placement exactly as replicating every unit's touches
+        # just before the unit renders.
+        for resource in table.resources:
             system.placement.replicate(resource, [gpm])
         system.engine.execute_split(
-            units,
+            table,
             slice_schedule(
-                range(len(units)),
+                range(len(table)),
                 gpm,
-                [unit.label for unit in units],
+                table.labels,
                 command_source=gpm,
                 fb_targets=None,
             ),

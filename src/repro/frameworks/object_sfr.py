@@ -56,7 +56,7 @@ class ObjectLevelSFR(RenderingFramework):
             parallelism=self.config.cost.stage_parallelism,
         )
         staging.begin_frame()
-        units = self.characterizer.characterize_frame(
+        table = self.characterizer.unit_columns(
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
         )
         # Profiling pass assigns draws round-robin in programmer order;
@@ -79,11 +79,11 @@ class ObjectLevelSFR(RenderingFramework):
                 assigned_gpm_of_object[obj.object_id] = gpm
                 gpms.append(gpm)
         system.engine.execute_split(
-            units,
+            table,
             slice_schedule(
-                range(len(units)),
+                range(len(table)),
                 gpms,
-                [unit.label for unit in units],
+                table.labels,
                 command_source=self.root,
                 # Each worker renders into its private local buffer.
                 fb_targets=None,
@@ -91,8 +91,8 @@ class ObjectLevelSFR(RenderingFramework):
             staging,
         )
         rendered_pixels = [0.0] * num_gpms
-        for unit, gpm in zip(units, gpms):
-            rendered_pixels[gpm] += unit.pixels_out
+        for pixels, gpm in zip(table.pixels_out.tolist(), gpms):
+            rendered_pixels[gpm] += pixels
         # The master-node assembly is handed to the execution engine as
         # a composition schedule; its barrier price lands on the
         # frame's composition phase, not on any GPM's render clock.

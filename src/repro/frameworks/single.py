@@ -28,6 +28,7 @@ from repro.frameworks.base import RenderingFramework, register_framework
 from repro.gpu.system import FramebufferTargets, MultiGPUSystem
 from repro.memory.placement import PlacementPolicy
 from repro.pipeline.smp import SMPMode
+from repro.pipeline.workunit import UnitColumns
 from repro.scene.scene import Frame
 from repro.stats.metrics import FrameResult
 
@@ -42,7 +43,9 @@ class SingleKernelBaseline(RenderingFramework):
 
     placement_policy = PlacementPolicy.INTERLEAVED
 
-    def _place_uploads(self, system: MultiGPUSystem, units) -> None:
+    def _place_uploads(
+        self, system: MultiGPUSystem, table: UnitColumns
+    ) -> None:
         """Application uploads land on one GPM (Fig. 3's story).
 
         Under the single-GPU illusion the app's texture and vertex
@@ -50,12 +53,14 @@ class SingleKernelBaseline(RenderingFramework):
         "if the basic texture data used to describe the rabbit is
         stored in the local memory of GPM_0, other GPMs need to issue
         remote memory accesses".  The framebuffer stays interleaved
-        (the placement policy) so ROP writes spread out.
+        (the placement policy) so ROP writes spread out.  The table
+        lists its resources in first-touch order, the order a walk
+        over every unit's touches first meets them.
         """
-        for unit in units:
-            for touch in unit.texture_touches + unit.vertex_touches:
-                if not system.placement.is_placed(touch.resource):
-                    system.placement.place_fixed(touch.resource, UPLOAD_GPM)
+        placement = system.placement
+        for resource in table.resources:
+            if not placement.is_placed(resource):
+                placement.place_fixed(resource, UPLOAD_GPM)
 
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
@@ -76,25 +81,25 @@ class SingleKernelBaseline(RenderingFramework):
         }
         # One vectorized pass over the frame's SoA batch prices the
         # whole sequential-stereo draw stream (stereo_draws order).
-        units = self.characterizer.characterize_frame(
+        table = self.characterizer.unit_columns(
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
         )
-        self._place_uploads(system, units)
+        self._place_uploads(system, table)
         # Every draw split evenly over every GPM (a lone GPM renders
         # each draw whole), all slices bound in one batched pass.
         if num_gpms == 1:
-            labels = [unit.label for unit in units]
+            labels = table.labels
         else:
             labels = [
-                f"{unit.label}/gpm{gpm}"
-                for unit in units
+                f"{label}/gpm{gpm}"
+                for label in table.labels
                 for gpm in range(num_gpms)
             ]
         system.engine.execute_split(
-            units,
+            table,
             slice_schedule(
-                np.repeat(np.arange(len(units)), num_gpms),
-                np.tile(np.arange(num_gpms), len(units)),
+                np.repeat(np.arange(len(table)), num_gpms),
+                np.tile(np.arange(num_gpms), len(table)),
                 labels,
                 pixel_share=even_share,
                 geometry_share=even_share,

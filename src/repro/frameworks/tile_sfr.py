@@ -151,18 +151,19 @@ class TileSplitFrameRendering(RenderingFramework):
         )
         staging.begin_frame()
         mode, expansion = self._frame_plan()
-        units = self.characterizer.characterize_frame(
+        table = self.characterizer.unit_columns(
             frame, mode=mode, expansion=expansion
         )
         draw, strip, share = self._strip_slices(frame, expansion)
-        views = np.array([unit.views for unit in units], np.int64)[draw]
+        views = table.views[draw]
+        labels = table.labels
         system.engine.execute_split(
-            units,
+            table,
             slice_schedule(
                 draw,
                 strip,
                 [
-                    f"{units[index].label}/strip{gpm}"
+                    f"{labels[index]}/strip{gpm}"
                     for index, gpm in zip(draw.tolist(), strip.tolist())
                 ],
                 pixel_share=np.minimum(1.0, share),

@@ -19,8 +19,10 @@ pluggable :class:`~repro.engine.base.ExecutionEngine`
 - **framebuffer routing**: colour/depth bytes go wherever the active
   framebuffer layout says (interleaved for the naive baseline, private
   for sort-last workers, strip-owned for tile-SFR and DHC);
-- **frame orchestration**: static per-GPM queues (the software schemes)
-  or a dynamic dispatcher callback (the OO-VR distribution engine),
+- **frame orchestration**: a static schedule bound in one slice pass
+  (:meth:`~repro.engine.base.ExecutionEngine.execute_split`, the
+  software schemes) or units dispatched one at a time
+  (:meth:`execute_unit`, the OO-VR distribution engine),
   rolled up into a :class:`~repro.stats.metrics.FrameResult` via the
   engine's :class:`~repro.engine.trace.FrameTrace`.  Staging copies and
   the composition barrier are engine-priced phases too
@@ -31,7 +33,7 @@ pluggable :class:`~repro.engine.base.ExecutionEngine`
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional
 
 from repro.config import SystemConfig
 from repro.engine import FrameTrace, build_engine
@@ -125,31 +127,6 @@ class MultiGPUSystem:
         return self.engine.execute(resolved, start_at=start_at)
 
     # -- frame orchestration ---------------------------------------------------
-
-    def run_queues(
-        self,
-        queues: Sequence[Sequence[WorkUnit]],
-        fb_targets_for: Optional[
-            Callable[[WorkUnit, int], Optional[FramebufferTargets]]
-        ] = None,
-        command_source: int = 0,
-    ) -> List[UnitExecution]:
-        """Execute one pre-built queue per GPM (static schedules)."""
-        if len(queues) != self.num_gpms:
-            raise ValueError(
-                f"need {self.num_gpms} queues, got {len(queues)}"
-            )
-        executions: List[UnitExecution] = []
-        for gpm_id, queue in enumerate(queues):
-            for unit in queue:
-                targets = fb_targets_for(unit, gpm_id) if fb_targets_for else None
-                executions.append(
-                    self.execute_unit(
-                        unit, gpm_id, fb_targets=targets,
-                        command_source=command_source,
-                    )
-                )
-        return executions
 
     def frame_result(self, framework: str, workload: str) -> FrameResult:
         """Roll the current frame's state into a result record.

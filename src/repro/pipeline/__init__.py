@@ -18,23 +18,26 @@ in cycles:
 :mod:`repro.pipeline.timing` prices a unit in cycles on one GPM.
 """
 
-from repro.pipeline.workunit import WorkUnit
+from repro.pipeline.workunit import UnitColumns, WorkUnit
 from repro.pipeline.smp import SMPEngine, SMPMode
 from repro.pipeline.batch import (
     FrameCounters,
     frame_counters,
+    unit_columns,
     work_units_from_counters,
 )
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.timing import StageBreakdown, price_work_unit, price_work_units
 
 __all__ = [
+    "UnitColumns",
     "WorkUnit",
     "SMPEngine",
     "SMPMode",
     "DrawCharacterizer",
     "FrameCounters",
     "frame_counters",
+    "unit_columns",
     "work_units_from_counters",
     "StageBreakdown",
     "price_work_unit",

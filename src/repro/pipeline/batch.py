@@ -4,10 +4,20 @@ This is the batched twin of :meth:`DrawCharacterizer.characterize`: one
 numpy pass computes every per-draw counter of a frame — SMP geometry
 work, fragment/texel demand, depth and colour traffic, and the
 per-texture stream/unique touch bytes (in CSR layout mirroring the
-batch's binding table).  :func:`work_units_from_counters` then
-materialises the same :class:`~repro.pipeline.workunit.WorkUnit`
-objects the scalar path builds, so everything downstream (binding,
-pricing, merging, splitting) is untouched.
+batch's binding table).  Two readers turn the counters into units:
+
+- :func:`work_units_from_counters` materialises the same
+  :class:`~repro.pipeline.workunit.WorkUnit` objects the scalar path
+  builds, for the dispatchers that schedule units one at a time
+  (OO-VR, OO_APP) and for the oracles;
+- :func:`unit_columns` reads the same content into a
+  :class:`~repro.pipeline.workunit.UnitColumns` table, the input of the
+  slice pass the statically scheduled frameworks render through: its
+  columns are gathers of the counters and the batch, one
+  :class:`~repro.memory.address.Resource` per distinct resource, and no
+  ``WorkUnit`` or ``Touch`` is built.  It equals
+  ``UnitColumns.from_units(work_units_from_counters(...))`` column for
+  column.
 
 Exactness contract: every expression here is the scalar expression
 evaluated elementwise, with the same association order — products stay
@@ -18,14 +28,13 @@ field-for-field equality (touches included) against the scalar path.
 
 Purity contract: :func:`frame_counters` is a pure function of the
 frame's :class:`ObjectBatch` plus hashable config slices (cost model,
-SMP mode, expansion factor), and the :class:`FrameCounters` /
-:class:`~repro.pipeline.workunit.WorkUnit` values it yields are
-frozen.  That is what lets
-:meth:`DrawCharacterizer.characterize_frame
-<repro.pipeline.characterize.DrawCharacterizer.characterize_frame>`
-memoise its result on the frame object (:meth:`Frame.derived
+SMP mode, expansion factor), and the :class:`FrameCounters`,
+:class:`~repro.pipeline.workunit.WorkUnit` and ``UnitColumns`` values
+built from it are not mutated by any reader.  That is what lets
+:class:`~repro.pipeline.characterize.DrawCharacterizer` memoise all
+three on the frame object (:meth:`Frame.derived
 <repro.scene.scene.Frame.derived>`) — cells of a sweep that share a
-workload share the characterisation outright, byte-identically.
+workload share them outright, byte-identically.
 """
 
 from __future__ import annotations
@@ -39,13 +48,14 @@ from repro.config import CostModel
 from repro.memory.address import Touch, texture_resource, vertex_resource
 from repro.pipeline.fragment import MIN_TOUCH_BYTES
 from repro.pipeline.smp import SMPMode
-from repro.pipeline.workunit import WorkUnit
+from repro.pipeline.workunit import UnitColumns, WorkUnit
 from repro.scene.batch import ObjectBatch
 from repro.scene.objects import Eye
 
 __all__ = [
     "FrameCounters",
     "frame_counters",
+    "unit_columns",
     "work_units_from_counters",
 ]
 
@@ -311,3 +321,89 @@ def work_units_from_counters(
             )
         )
     return tuple(units)
+
+
+def unit_columns(
+    batch: ObjectBatch, counters: FrameCounters, cost: CostModel
+) -> UnitColumns:
+    """The frame's unit table, read straight from its counters.
+
+    Column for column the table of :func:`work_units_from_counters`'s
+    units: each draw's texture touches (none for an ``empty_touches``
+    draw), then its vertex touch, with resources interned by value in
+    first-touch order.
+    """
+    draws = len(counters)
+    obj_index = counters.obj_index
+    bind_counts = np.diff(counters.touch_offsets)
+    textures = np.where(counters.empty_touches, 0, bind_counts)
+    bounds = np.zeros(draws + 1, dtype=np.int64)
+    np.cumsum(textures + 1, out=bounds[1:])
+    vertex = bounds[1:] - 1
+    texture = np.ones(int(bounds[-1]), dtype=bool)
+    texture[vertex] = False
+    kept = np.repeat(~counters.empty_touches, bind_counts)
+    buffer_bytes = batch.vertex_buffer_bytes[obj_index]
+
+    def touch_column(on_texture, on_vertex, dtype=np.float64) -> np.ndarray:
+        column = np.empty(texture.size, dtype=dtype)
+        column[texture] = on_texture[kept]
+        column[vertex] = on_vertex
+        return column
+
+    # Each touch's resource as (kind, id, size): 0 a texture, 1 a
+    # vertex buffer, sized as texture_resource/vertex_resource size it.
+    keys = np.column_stack(
+        (
+            (~texture).astype(np.int64),
+            touch_column(
+                counters.touch_tex_ids, batch.object_ids[obj_index], np.int64
+            ),
+            touch_column(
+                counters.touch_tex_sizes, np.maximum(1, buffer_bytes), np.int64
+            ),
+        )
+    )
+    distinct, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    make = (texture_resource, vertex_resource)
+    objects = batch.objects
+    return UnitColumns(
+        labels=tuple(
+            f"{objects[index].name}:{_EYE_FROM_CODE[code].value}"
+            for index, code in zip(
+                obj_index.tolist(), counters.eye_codes.tolist()
+            )
+        ),
+        views=counters.views,
+        vertices=counters.vertices,
+        triangles_setup=counters.triangles_setup,
+        triangles_raster=counters.triangles_raster,
+        fragments=counters.fragments,
+        pixels_out=counters.pixels_out,
+        texel_requests=counters.texel_requests,
+        shader_complexity=batch.shader_complexity[obj_index],
+        z_stream_bytes=counters.z_stream_bytes,
+        z_unique_bytes=counters.z_unique_bytes,
+        fb_write_bytes=counters.fb_write_bytes,
+        command_bytes=np.full(draws, float(cost.command_bytes_per_draw)),
+        draw_count=np.ones(draws),
+        touch_bounds=bounds,
+        touch_resource=rank[inverse.reshape(-1)],
+        touch_unique=touch_column(
+            counters.touch_unique_bytes, buffer_bytes.astype(np.float64)
+        ),
+        touch_stream=touch_column(
+            counters.touch_stream_bytes, counters.vertex_stream_bytes
+        ),
+        touch_write=np.zeros(texture.size),
+        touch_texture=texture,
+        resources=tuple(
+            make[kind](ident, size)
+            for kind, ident, size in distinct[order].tolist()
+        ),
+    )

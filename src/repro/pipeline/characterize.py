@@ -6,6 +6,18 @@ to produce a :class:`~repro.pipeline.workunit.WorkUnit` the GPM layer
 can execute.  It is deliberately free of any NUMA knowledge — the same
 unit can be bound to any GPM, split across strips, or merged into
 batches.
+
+A whole frame is characterised in one vectorized pass
+(:mod:`repro.pipeline.batch`), and everything a frame yields is
+memoised on the frame (:meth:`Frame.derived
+<repro.scene.scene.Frame.derived>`), keyed by the cost model, SMP mode
+and draw expansion: its counters (:meth:`~DrawCharacterizer.frame_counters`),
+the units the clock-driven dispatchers schedule
+(:meth:`~DrawCharacterizer.characterize_frame`) and the unit table the
+statically scheduled frameworks hand the slice pass
+(:meth:`~DrawCharacterizer.unit_columns`).  Units and table read the
+same counters, so a frame whose units OO-VR priced gives tile-level
+SFR (H) its table without recomputing a counter.
 """
 
 from __future__ import annotations
@@ -14,10 +26,15 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.memory.address import Touch, vertex_resource
-from repro.pipeline.batch import frame_counters, work_units_from_counters
+from repro.pipeline.batch import (
+    FrameCounters,
+    frame_counters,
+    unit_columns,
+    work_units_from_counters,
+)
 from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
 from repro.pipeline.smp import SMPEngine, SMPMode
-from repro.pipeline.workunit import WorkUnit
+from repro.pipeline.workunit import UnitColumns, WorkUnit
 from repro.profiling import phase
 from repro.scene.objects import Eye, StereoDraw
 
@@ -126,11 +143,56 @@ class DrawCharacterizer:
         self, frame: "Frame", mode: SMPMode, expansion: str
     ) -> Tuple[WorkUnit, ...]:
         with phase("price"):
-            batch = frame.object_batch
-            counters = frame_counters(
-                batch, self.cost, mode=mode, expansion=expansion
+            return work_units_from_counters(
+                frame.object_batch,
+                self.frame_counters(frame, mode, expansion),
+                self.cost,
             )
-            return work_units_from_counters(batch, counters, self.cost)
+
+    def unit_columns(
+        self,
+        frame: "Frame",
+        mode: SMPMode = SMPMode.SIMULTANEOUS,
+        expansion: str = "multiview",
+    ) -> UnitColumns:
+        """The unit table of ``frame``: :meth:`characterize_frame`'s
+        units as columns (:func:`~repro.pipeline.batch.unit_columns`),
+        built from the counters without a single ``WorkUnit``.
+
+        Memoised on the frame like :meth:`characterize_frame`, and
+        built inside the ``price`` profiling phase.
+        """
+        return frame.derived(
+            ("unit_columns", self.cost, mode, expansion),
+            lambda: self._unit_columns(frame, mode, expansion),
+        )
+
+    def _unit_columns(
+        self, frame: "Frame", mode: SMPMode, expansion: str
+    ) -> UnitColumns:
+        with phase("price"):
+            return unit_columns(
+                frame.object_batch,
+                self.frame_counters(frame, mode, expansion),
+                self.cost,
+            )
+
+    def frame_counters(
+        self,
+        frame: "Frame",
+        mode: SMPMode = SMPMode.SIMULTANEOUS,
+        expansion: str = "multiview",
+    ) -> FrameCounters:
+        """Every per-draw counter of ``frame``
+        (:func:`~repro.pipeline.batch.frame_counters`), memoised on the
+        frame: :meth:`characterize_frame` and :meth:`unit_columns` of
+        one plan read the same build."""
+        return frame.derived(
+            ("frame_counters", self.cost, mode, expansion),
+            lambda: frame_counters(
+                frame.object_batch, self.cost, mode=mode, expansion=expansion
+            ),
+        )
 
     def characterize_stereo_pair(self, draw: StereoDraw) -> Tuple[WorkUnit, ...]:
         """Both per-eye units of an object (sequential stereo trace)."""

@@ -13,14 +13,24 @@ slice), or a merged batch.  It carries
 Framebuffer and depth traffic are kept as counts, not touches, because
 where those bytes go depends on the framework's framebuffer layout
 (interleaved, master-node, per-GPM private, or DHC-striped).
+
+:class:`UnitColumns` is the same content for a whole frame as columns:
+the input of the slice pass (:mod:`repro.engine.split`), which the
+statically scheduled frameworks build straight from a frame's counters
+(:func:`repro.pipeline.batch.unit_columns`) without a single
+:class:`WorkUnit`.  :meth:`UnitColumns.from_units` is the bridge from
+units (the per-slice oracles and the tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from operator import attrgetter
+from typing import Dict, List, Sequence, Tuple
 
-from repro.memory.address import Touch
+import numpy as np
+
+from repro.memory.address import Resource, Touch
 from repro.scene.geometry import Viewport
 
 
@@ -254,3 +264,133 @@ def merge_units(label: str, units: Tuple[WorkUnit, ...]) -> WorkUnit:
         fraction=1.0,
         draw_count=sum(u.draw_count for u in units),
     )
+
+
+#: The :class:`WorkUnit` counts :class:`UnitColumns` holds as float
+#: columns, the ones ``WorkUnit`` keeps non-negative first.
+_COUNTS = (
+    "vertices",
+    "triangles_setup",
+    "triangles_raster",
+    "fragments",
+    "pixels_out",
+    "texel_requests",
+    "z_stream_bytes",
+    "z_unique_bytes",
+    "fb_write_bytes",
+    "command_bytes",
+)
+_FLOATS = _COUNTS + ("shader_complexity", "draw_count")
+
+
+@dataclass(frozen=True, eq=False)
+class UnitColumns:
+    """A frame's work units as columns, in unit order.
+
+    Unit ``u`` is labelled ``labels[u]`` and renders ``views[u]``
+    views; every other per-unit column holds its :class:`WorkUnit`
+    field of the same name as a float.  Its touches are rows
+    ``touch_bounds[u]:touch_bounds[u + 1]`` of the ``touch_*`` columns —
+    its texture touches, then its vertex touches (``touch_texture``
+    tells them apart) — and each names its resource as a row of
+    :attr:`resources`, which holds one :class:`Resource` per distinct
+    resource in first-touch order.
+
+    Construction runs :class:`WorkUnit`'s and :class:`Touch`'s checks
+    over whole columns, and floors every touch's stream at its unique
+    footprint, as ``Touch`` does.
+    """
+
+    labels: Tuple[str, ...]
+    views: np.ndarray
+    vertices: np.ndarray
+    triangles_setup: np.ndarray
+    triangles_raster: np.ndarray
+    fragments: np.ndarray
+    pixels_out: np.ndarray
+    texel_requests: np.ndarray
+    shader_complexity: np.ndarray
+    z_stream_bytes: np.ndarray
+    z_unique_bytes: np.ndarray
+    fb_write_bytes: np.ndarray
+    command_bytes: np.ndarray
+    draw_count: np.ndarray
+    touch_bounds: np.ndarray
+    touch_resource: np.ndarray
+    touch_unique: np.ndarray
+    touch_stream: np.ndarray
+    touch_write: np.ndarray
+    touch_texture: np.ndarray
+    resources: Tuple[Resource, ...]
+
+    def __post_init__(self) -> None:
+        if not np.all((self.views == 1) | (self.views == 2)):
+            raise ValueError("views must be 1 or 2")
+        negative = np.zeros(len(self.labels), bool)
+        for name in _COUNTS:
+            negative |= getattr(self, name) < 0
+        if negative.any():
+            label = self.labels[int(np.argmax(negative))]
+            raise ValueError(f"negative work count in {label!r}")
+        if not np.all(self.shader_complexity > 0):
+            raise ValueError("shader_complexity must be positive")
+        if (
+            (self.touch_unique < 0).any()
+            or (self.touch_stream < 0).any()
+            or (self.touch_write < 0).any()
+        ):
+            raise ValueError("touch byte counts cannot be negative")
+        # The request stream never falls below the unique footprint.
+        object.__setattr__(
+            self,
+            "touch_stream",
+            np.where(
+                self.touch_stream < self.touch_unique,
+                self.touch_unique,
+                self.touch_stream,
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def from_units(cls, units: Sequence[WorkUnit]) -> "UnitColumns":
+        """The table of ``units``, field for field."""
+        count = len(units)
+        index: Dict[Resource, int] = {}
+        bounds = [0]
+        resource: List[int] = []
+        unique: List[float] = []
+        stream: List[float] = []
+        write: List[float] = []
+        texture: List[bool] = []
+        for unit in units:
+            for on_texture, group in (
+                (True, unit.texture_touches), (False, unit.vertex_touches)
+            ):
+                for touch in group:
+                    row = index.setdefault(touch.resource, len(index))
+                    resource.append(row)
+                    unique.append(touch.unique_bytes)
+                    stream.append(touch.stream_bytes)
+                    write.append(touch.write_bytes)
+                    texture.append(on_texture)
+            bounds.append(len(resource))
+        return cls(
+            labels=tuple(unit.label for unit in units),
+            views=np.fromiter((unit.views for unit in units), np.int64, count),
+            **{
+                name: np.fromiter(
+                    map(attrgetter(name), units), np.float64, count
+                )
+                for name in _FLOATS
+            },
+            touch_bounds=np.array(bounds, np.int64),
+            touch_resource=np.array(resource, np.int64),
+            touch_unique=np.array(unique, np.float64),
+            touch_stream=np.array(stream, np.float64),
+            touch_write=np.array(write, np.float64),
+            touch_texture=np.array(texture, bool),
+            resources=tuple(index),
+        )

@@ -175,10 +175,11 @@ class SweepService:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         clock=time.monotonic,
     ) -> None:
-        if not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
+        # Check before opening the cache: opening makes its directory.
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
+        if not isinstance(cache, ResultCache):
+            cache = ResultCache(cache)
         self.cache = cache
         self.lease_timeout = float(lease_timeout)
         self.clock = clock

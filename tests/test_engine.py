@@ -30,6 +30,7 @@ from repro.gpu.system import MultiGPUSystem
 from repro.memory.placement import PlacementPolicy
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
+from repro.pipeline.workunit import UnitColumns
 from repro.scene.scene import Scene
 from repro.session import Session, SessionError, Sweep, sweep_defaults
 from repro.session.cache import ResultCache, config_fingerprint, spec_key
@@ -364,7 +365,8 @@ class TestAnalyticTrace:
         system = MultiGPUSystem(config)
         system.begin_frame()
         units = [unit_for(characterizer, pool, i) for i in range(4)]
-        system.run_queues([[units[0]], [units[1]], [units[2]], [units[3]]])
+        for gpm, unit in enumerate(units):
+            system.execute_unit(unit, gpm)
         result = system.frame_result("t", "w")
         trace = system.last_trace
         assert trace is not None and trace.engine == "analytic"
@@ -717,32 +719,64 @@ class TestEventEngine:
         assert trace.link_bytes()[(1, 0)] > 0
         assert 0.0 <= trace.utilisation(0) <= 1.0
 
+
+#: The frameworks whose frames render through the slice pass.
+_STATIC_FRAMEWORKS = (
+    "baseline", "1tbs-bw", "baseline-mig", "tile-v", "tile-h", "object",
+    "afr",
+)
+
+
+class TestUnreadObjectsAreNotBuilt:
+    """A static frame builds no ``WorkUnit``, ``Touch`` or
+    ``TraceInterval`` on either engine, and no frame builds an interval
+    until its trace's intervals are read."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from collections import Counter
+
+        from repro.memory.address import Touch
+        from repro.pipeline.workunit import WorkUnit
+
+        built = Counter()
+        for cls in (WorkUnit, Touch, TraceInterval):
+            check = cls.__post_init__
+
+            def spy(self, check=check, name=cls.__name__):
+                built[name] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        return built
+
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
     @pytest.mark.parametrize(
-        "framework", ["baseline", "tile-v", "oo-vr", "oo-app"]
+        "framework", _STATIC_FRAMEWORKS + ("oo-vr", "oo-app")
     )
-    def test_builds_only_the_intervals_its_trace_holds(
-        self, framework, monkeypatch
+    def test_objects_are_built_only_when_read(
+        self, framework, engine, monkeypatch
     ):
-        """The scheduling clock's spans are the analytic engine's log:
-        every ``TraceInterval`` a frame builds here is one its trace
-        holds (the slice pass, the per-unit path and the composition
-        barrier alike)."""
-        built = []
-        check = TraceInterval.__post_init__
-
-        def spy(span):
-            built.append(span)
-            check(span)
-
-        monkeypatch.setattr(TraceInterval, "__post_init__", spy)
         renderer = build_framework(
-            framework, baseline_system().with_engine("event")
+            framework, baseline_system().with_engine(engine)
         )
+        # A twin of the memoised frame: nothing it derives is cached.
         scene = cached_scene("HL2-640", 1, 2019, FAST.draw_scale)
-        renderer.render_scene(scene)
-        trace = renderer.last_system.last_trace
-        assert trace.intervals
-        assert len(built) == len(trace.intervals)
+        frame = replace(scene.frames[0])
+        built = self._spy(monkeypatch)
+        renderer.render_frame(frame, "HL2-640")
+        if framework in _STATIC_FRAMEWORKS:
+            assert built == {}
+        else:
+            assert built["WorkUnit"] and built["Touch"]
+            assert built["TraceInterval"] == 0
+        built.clear()
+        intervals = renderer.last_system.last_trace.intervals
+        assert intervals
+        assert built == {"TraceInterval": len(intervals)}
+        # Built once: a second read returns the same tuple.
+        assert renderer.last_system.last_trace.intervals is intervals
+        assert built == {"TraceInterval": len(intervals)}
 
 
 # ---------------------------------------------------------------------------
@@ -1154,13 +1188,14 @@ class _Job(NamedTuple):
 def _recording(jobs, background=()):
     """The event engine's recording of soup ``jobs`` on their GPMs,
     then ``background`` copies."""
-    from repro.engine.event import _KINDS, _Recording
+    from repro.engine.event import _Recording
+    from repro.engine.trace import KINDS
 
     recording = _Recording()
     for lane, group in ((False, jobs), (True, background)):
         for job in group:
             recording.add(
-                job.label, job.gpm, _KINDS.index(job.kind), job.compute,
+                job.label, job.gpm, KINDS.index(job.kind), job.compute,
                 job.provisional_cycles, floor=job.start_floor,
                 dram=job.dram.items(),
                 flows=[
@@ -1470,7 +1505,7 @@ class TestIncrementalWindowLoop:
         fast = engine._simulate(_recording(jobs))
         slow = engine._simulate_reference(_recording(jobs))
         assert fast.end == slow.end == [12.0, 0.0, 0.0, 0.0]
-        assert fast.intervals == slow.intervals
+        assert fast.spans == slow.spans
 
     @pytest.mark.parametrize(
         "framework", ["baseline", "baseline-mig", "tile-v", "oo-vr"]
@@ -1568,13 +1603,19 @@ def _even_split(
 
 def _per_slice_bind_frame(self, system, frame):
     """``SingleKernelBaseline.bind_frame`` with one bind per slice."""
+    from repro.frameworks.single import UPLOAD_GPM
+
     share = 1.0 / system.num_gpms
     cost = self.config.cost
     fb_targets = {gpm: share for gpm in range(system.num_gpms)}
     units = self.characterizer.characterize_frame(
         frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
     )
-    self._place_uploads(system, units)
+    # Uploads land on one GPM, in the order the units first touch them.
+    for unit in units:
+        for touch in unit.texture_touches + unit.vertex_touches:
+            if not system.placement.is_placed(touch.resource):
+                system.placement.place_fixed(touch.resource, UPLOAD_GPM)
     if system.num_gpms == 1:
         for unit in units:
             system.execute_unit(unit, 0, fb_targets=fb_targets)
@@ -1837,12 +1878,12 @@ def _recorded_jobs(engine):
     """The event engine's recorded GPM jobs, one tuple per job: label,
     GPM, kind, start floor, compute, DRAM rows, flow rows (route, bytes,
     latency, rate scale) and provisional cycles."""
-    from repro.engine.event import _KINDS
+    from repro.engine.trace import KINDS
 
     rec = engine._recording
     return [
         (
-            label, rec.gpm[j], _KINDS[rec.kind[j]], rec.floor[j],
+            label, rec.gpm[j], KINDS[rec.kind[j]], rec.floor[j],
             rec.compute[j],
             [
                 (rec.dram_gpm[r], rec.dram_bytes[r])
@@ -1984,7 +2025,9 @@ class TestSplitBind:
         )
         _per_slice(oracle_system, units, schedule)
         split_system, split_seen = self._system(knobs, policy, engine, resources)
-        split_system.engine.execute_split(units, schedule)
+        split_system.engine.execute_split(
+            UnitColumns.from_units(units), schedule
+        )
         oracle = _machine_state(oracle_system, oracle_seen)
         split = _machine_state(split_system, split_seen)
         for key, expected in oracle.items():
@@ -2022,7 +2065,9 @@ class TestSplitBind:
                 staging = StagingManager(system, factor=factor, parallelism=4.5)
                 staging.begin_frame()
             if run is None:
-                system.engine.execute_split(units, schedule, staging)
+                system.engine.execute_split(
+                    UnitColumns.from_units(units), schedule, staging
+                )
             else:
                 run(system, units, schedule, staging)
             managers = () if staging is None else (staging,)
@@ -2097,13 +2142,14 @@ class TestSplitBind:
 
         units = _split_units(np.random.default_rng(1), _split_resources(), 4)
         schedule = _even_split(units, 0.25, 1.0, 1.0, {0: 1.0})
+        table = UnitColumns.from_units(units)
         for staged in (False, True):
             system = MultiGPUSystem(config)
             system.begin_frame()
             system.engine.on_complete(lambda resolved, execution: None)
             staging = StagingManager(system) if staged else None
             with pytest.raises(EngineError, match="on_complete"):
-                system.engine.execute_split(units, schedule, staging)
+                system.engine.execute_split(table, schedule, staging)
             # Rejected before anything was staged or bound.
             assert system.fabric.total_bytes == 0.0
             assert not system.placement._entries
@@ -2137,7 +2183,8 @@ class TestSplitBind:
             value = np.full(schedule.unit.shape, value)
         with pytest.raises(ValueError, match=message):
             system.engine.execute_split(
-                units, schedule._replace(**{column: value})
+                UnitColumns.from_units(units),
+                schedule._replace(**{column: value}),
             )
         assert system.fabric.total_bytes == 0.0
 
@@ -2153,7 +2200,9 @@ class TestSplitBind:
             StagingManager(system, prefetched=True),
         ):
             with pytest.raises(ValueError, match="staging prelude"):
-                system.engine.execute_split(units, schedule, staging)
+                system.engine.execute_split(
+                    UnitColumns.from_units(units), schedule, staging
+                )
 
     def test_profile_splits_bind_from_price(self, config):
         """``oovr run baseline ... --profile`` still separates the two."""
@@ -2168,9 +2217,10 @@ class TestSplitBind:
         system = MultiGPUSystem(config)
         system.begin_frame()
         units = _split_units(np.random.default_rng(3), _split_resources(), 8)
+        table = UnitColumns.from_units(units)
         with capture(PhaseProfile()) as profile:
             system.engine.execute_split(
-                units, _even_split(units, 0.25, 1.0, 1.0, {0: 1.0})
+                table, _even_split(units, 0.25, 1.0, 1.0, {0: 1.0})
             )
         # Eq. 3 and the roofline are priced; everything else binds.
         assert profile.calls == {"bind": 1, "price": 2}

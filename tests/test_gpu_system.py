@@ -104,13 +104,10 @@ class TestExecuteUnit:
 
 
 class TestRunQueuesAndResult:
-    def test_queue_count_checked(self, system, characterizer, pool):
-        with pytest.raises(ValueError):
-            system.run_queues([[]])
-
     def test_frame_result_rolls_up(self, system, characterizer, pool):
         units = [unit_for(characterizer, pool, i) for i in range(4)]
-        system.run_queues([[units[0]], [units[1]], [units[2]], [units[3]]])
+        for gpm, unit in enumerate(units):
+            system.execute_unit(unit, gpm)
         result = system.frame_result("test", "wl")
         assert result.cycles > 0
         assert len(result.gpm_busy_cycles) == 4

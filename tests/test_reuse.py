@@ -286,26 +286,49 @@ class TestFrameAnchoredMemo:
         assert all(a is b for a, b in zip(reused, built))
 
     @pytest.mark.parametrize(
-        "tile, partner", [("tile-h", "oo-vr"), ("tile-v", "baseline")]
+        "tile, partner, table_hits",
+        [("tile-v", "baseline", True), ("tile-h", "oo-vr", False)],
+        ids=["tile-v-after-baseline", "tile-h-after-oo-vr"],
     )
-    def test_tile_sfr_reads_the_units_its_partner_priced(
-        self, tile, partner, monkeypatch
+    def test_tile_sfr_reads_what_its_partner_built(
+        self, tile, partner, table_hits, monkeypatch
     ):
-        """Tile-h prices the multi-view draws OO-VR groups, tile-v the
-        sequential stereo draws the baseline splits: after the partner's
-        cell, the tile cell's characterisation of every frame of the
-        same workload point is a memo hit."""
+        """Tile-v renders the sequential stereo draws the baseline
+        splits, so after the baseline's cell its table of every frame
+        of the same workload point is a memo hit.  Tile-h renders the
+        multi-view draws OO-VR groups: OO-VR reads units, not a table,
+        so tile-h builds its table, but from the counters OO-VR's units
+        were read from."""
+        from repro.pipeline import characterize
+
         cached_scene.cache_clear()
         session = Session().framework(partner).workload("HL2-640").fast()
         session.run()
-        spy = BuildSpy(monkeypatch)
+        frames = session.scene().frames
+        built = {"tables": 0, "counters": 0}
+        build_table = DrawCharacterizer._unit_columns
+        build_counters = characterize.frame_counters
+
+        def counted_table(characterizer, frame, mode, expansion):
+            built["tables"] += 1
+            return build_table(characterizer, frame, mode, expansion)
+
+        def counted_counters(*args, **kwargs):
+            built["counters"] += 1
+            return build_counters(*args, **kwargs)
+
+        monkeypatch.setattr(DrawCharacterizer, "_unit_columns", counted_table)
+        monkeypatch.setattr(characterize, "frame_counters", counted_counters)
         framework = build_framework(tile)
         mode, expansion = framework._frame_plan()
-        for frame in session.scene().frames:
-            framework.characterizer.characterize_frame(
+        for frame in frames:
+            framework.characterizer.unit_columns(
                 frame, mode=mode, expansion=expansion
             )
-        assert spy.characterisations == 0
+        assert built == {
+            "tables": 0 if table_hits else len(frames),
+            "counters": 0,
+        }
 
 
 # ---------------------------------------------------------------------------

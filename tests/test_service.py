@@ -600,11 +600,16 @@ class TestCliService:
         assert code == 2
         assert "http://" in err
 
-    def test_bad_serve_and_worker_flags_exit_2(self, capsys):
+    def test_bad_serve_and_worker_flags_exit_2(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
         code, _, err = self.run_cli(
             capsys, "serve", "--cache", "x", "--lease-timeout", "0"
         )
         assert (code, "lease_timeout must be positive" in err) == (2, True)
+        # Rejected before the cache directory is made.
+        assert not (tmp_path / "x").exists()
         code, _, err = self.run_cli(
             capsys, "worker", "http://127.0.0.1:1", "--lease-limit", "0"
         )

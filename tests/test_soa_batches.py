@@ -11,13 +11,16 @@ counter for counter, framebuffers byte for byte), not merely closely.
 """
 
 import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.config import baseline_system
+from repro.pipeline.batch import unit_columns
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
+from repro.pipeline.workunit import UnitColumns
 from repro.render.framebuffer import FrameBuffer
 from repro.render.math3d import look_at, perspective
 from repro.render.mesh3d import (
@@ -27,7 +30,9 @@ from repro.render.mesh3d import (
     make_icosphere,
 )
 from repro.render.raster import Rasterizer
+from repro.scene.benchmarks import WORKLOADS
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
+from repro.session.spec import FAST, FULL, cached_scene
 
 #: Small but structurally diverse synthetic workloads: stereo and mono
 #: draws, shared materials, heavy triangle tails.
@@ -114,6 +119,103 @@ class TestCharacterizeFrameMatchesScalar:
     def test_batch_is_cached_per_frame(self):
         frame = synthetic_frame(PROFILES[1], 3)
         assert frame.object_batch is frame.object_batch
+
+
+def assert_tables_equal(table, expected):
+    """Every column equal with exact ``==``, dtypes included."""
+    for field in fields(UnitColumns):
+        column = getattr(table, field.name)
+        want = getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            assert column.dtype == want.dtype, field.name
+            assert column.tolist() == want.tolist(), field.name
+        else:
+            assert column == want, field.name
+
+
+#: The two draw plans the static frameworks render.
+PLANS = [
+    pytest.param(SMPMode.SEQUENTIAL, "stereo", id="sequential-stereo"),
+    pytest.param(
+        SMPMode.SIMULTANEOUS, "multiview", id="simultaneous-multiview"
+    ),
+]
+
+
+class TestUnitColumnsMatchUnits:
+    """``unit_columns`` == ``UnitColumns.from_units(characterize_frame)``,
+    column for column."""
+
+    @pytest.mark.parametrize("mode, expansion", PLANS)
+    @pytest.mark.parametrize(
+        "workload, preset",
+        [pytest.param(w, FAST, id=f"{w}-fast") for w in WORKLOADS]
+        + [
+            pytest.param(w, FULL, id=f"{w}-full")
+            for w in ("HL2-1280", "DM3-1280", "WE")
+        ],
+    )
+    def test_counters_table_equals_the_units_table(
+        self, workload, preset, mode, expansion
+    ):
+        characterizer = DrawCharacterizer(baseline_system())
+        scene = cached_scene(
+            workload, preset.num_frames, 2019, preset.draw_scale
+        )
+        for memoised in scene.frames:
+            # A twin, so nothing built here stays on the cached frame.
+            frame = replace(memoised)
+            units = characterizer.characterize_frame(
+                frame, mode=mode, expansion=expansion
+            )
+            table = unit_columns(
+                frame.object_batch,
+                characterizer.frame_counters(frame, mode, expansion),
+                characterizer.cost,
+            )
+            assert_tables_equal(table, UnitColumns.from_units(units))
+
+    def test_memoised_table_is_the_counters_table(self):
+        frame = synthetic_frame(PROFILES[1], 3)
+        characterizer = DrawCharacterizer(baseline_system())
+        table = characterizer.unit_columns(
+            frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
+        )
+        assert characterizer.unit_columns(
+            frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
+        ) is table
+        assert_tables_equal(
+            table,
+            UnitColumns.from_units(
+                characterizer.characterize_frame(
+                    frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
+                )
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("vertices", -1.0, "negative work count"),
+            ("command_bytes", -1.0, "negative work count"),
+            ("shader_complexity", 0.0, "shader_complexity"),
+            ("views", 3, "views"),
+            ("touch_write", -1.0, "touch byte counts"),
+        ],
+    )
+    def test_checks_run_over_whole_columns(self, column, value, message):
+        frame = synthetic_frame(PROFILES[0], 2019)
+        table = DrawCharacterizer(baseline_system()).unit_columns(frame)
+        broken = getattr(table, column).copy()
+        broken[len(broken) // 2] = value
+        with pytest.raises(ValueError, match=message):
+            replace(table, **{column: broken})
+
+    def test_stream_is_floored_at_unique(self):
+        frame = synthetic_frame(PROFILES[0], 2019)
+        table = DrawCharacterizer(baseline_system()).unit_columns(frame)
+        shrunk = replace(table, touch_stream=table.touch_unique / 2)
+        assert shrunk.touch_stream.tolist() == table.touch_unique.tolist()
 
 
 def random_mesh(rng, num_vertices=40, num_faces=60, spread=2.0):

@@ -5,7 +5,7 @@ import pytest
 from repro.config import baseline_system
 from repro.core.distribution import DispatchRecord
 from repro.core.oovr import OOVRFramework
-from repro.engine.trace import FrameTrace, TraceInterval
+from repro.engine.trace import KINDS, FrameTrace, TraceInterval, TraceSpans
 from repro.scene.benchmarks import make_benchmark_scene
 from repro.stats.timeline import dispatch_timeline, trace_timeline
 
@@ -108,10 +108,34 @@ def make_trace(intervals, num_gpms=2, engine="event"):
     return FrameTrace(
         engine=engine,
         num_gpms=num_gpms,
-        intervals=tuple(intervals),
+        spans=TraceSpans(
+            [span.gpm for span in intervals],
+            [span.label for span in intervals],
+            [span.start for span in intervals],
+            [span.end for span in intervals],
+            [KINDS.index(span.kind) for span in intervals],
+        ),
         gpm_busy=tuple(busy),
         gpm_end=tuple(end),
     )
+
+
+class TestTraceSpans:
+    def test_intervals_are_the_spans_in_log_order(self):
+        spans = [interval(1, 5.0, 9.0, "stall", "b"), interval(0, 0.0, 5.0)]
+        trace = make_trace(spans)
+        assert trace.intervals == tuple(spans)
+        assert trace.intervals_for(0) == [spans[1]]
+
+    def test_a_span_ending_before_it_starts_is_rejected(self):
+        spans = TraceSpans(
+            [0, 1], ["a", "late"], [0.0, 9.0], [5.0, 5.0], [0, 0]
+        )
+        with pytest.raises(ValueError, match="ends before it starts"):
+            FrameTrace(
+                engine="event", num_gpms=2, spans=spans,
+                gpm_busy=(5.0, 0.0), gpm_end=(5.0, 0.0),
+            )
 
 
 class TestTraceTimeline:
