@@ -60,10 +60,6 @@ PHASES = ("render", "staging", "composition")
 #: Interval kinds; a span's kind code indexes this tuple.
 KINDS = ("render", "stall", "steal", "stage", "compose")
 
-#: Interval kinds that occupy a GPM's render lane (and therefore count
-#: into ``gpm_busy``/``gpm_end``).
-_RENDER_LANE_KINDS = frozenset({"render", "stall", "steal"})
-
 
 @dataclass(frozen=True)
 class TraceInterval:

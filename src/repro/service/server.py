@@ -5,9 +5,14 @@ recipe (:mod:`repro.session.executor`) into a service:
 
 - **one content-addressed cache** (:class:`~repro.session.cache.ResultCache`)
   is the shared result store.  A submitted grid first resolves against
-  it — a repeated grid is answered 100 % from disk without touching
-  the simulator, which is the serving story: most traffic is a pure
-  cache read;
+  it — a repeated grid is answered 100 % from the cache without
+  touching the simulator, which is the serving story: most traffic is
+  a pure cache read.  Each entry is read, checked and decoded once;
+  after that, submits and result fetches answer it from the text the
+  cache validated (:meth:`ResultCache.recall
+  <repro.session.cache.ResultCache.recall>`, one ``stat``) for as
+  long as its file is unchanged, and any change to the file sends the
+  next lookup back to disk to be validated again;
 - **a persistent job queue**: ``POST /sweeps`` accepts a serialized
   spec list (the :class:`~repro.session.spec.RunSpec` vocabulary over
   the wire, :mod:`repro.service.protocol`), returns a job id, and
@@ -226,13 +231,16 @@ class SweepService:
 
         Every cell already present in the cache completes immediately
         (in grid order, so a fully-cached grid is done before the
-        response is written and no worker is ever consulted).
+        response is written and no worker is ever consulted).  An entry
+        validated by an earlier lookup is not read again while its file
+        is unchanged (:meth:`ResultCache.holds
+        <repro.session.cache.ResultCache.holds>`).
         """
         specs = specs_from_wire(documents)
         job = _Job(uuid.uuid4().hex[:12], specs)
         with self._lock:
             for cell in job.cells:
-                if self.cache.get(cell.spec) is not None:
+                if self.cache.holds(cell.spec, cell.key):
                     job.complete(cell, cached=True, worker=None)
             self._jobs[job.job_id] = job
             return job.summary()
@@ -256,7 +264,9 @@ class SweepService:
     def fetch_results(
         self, job_id: str, keys: object
     ) -> Dict[str, object]:
-        """Entry payloads for completed cells of one job, by key."""
+        """Entry payloads for completed cells of one job, by key: the
+        validated text of an unchanged entry, else the file as it is
+        (a cell a worker completed is read byte for byte)."""
         if not isinstance(keys, list) or not all(
             isinstance(key, str) for key in keys
         ):
@@ -274,8 +284,11 @@ class SweepService:
                     raise ProtocolError(
                         f"cell {key[:12]}… is not complete yet"
                     )
-                path = self.cache.root / f"{key}.json"
-                payloads[key] = path.read_text(encoding="utf-8")
+                text = self.cache.recall(key)
+                if text is None:
+                    path = self.cache.root / f"{key}.json"
+                    text = path.read_text(encoding="utf-8")
+                payloads[key] = text
             return {"job": job_id, "results": payloads}
 
     # -- worker surface -----------------------------------------------------
@@ -600,8 +613,14 @@ class SweepServer(ThreadingHTTPServer):
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         verbose: bool = False,
     ) -> None:
+        # Bind first, so a port in use leaves no cache directory
+        # behind; a rejected service must then close the socket.
         super().__init__(address, _Handler)
-        self.service = SweepService(cache, lease_timeout=lease_timeout)
+        try:
+            self.service = SweepService(cache, lease_timeout=lease_timeout)
+        except BaseException:
+            self.server_close()
+            raise
         self.verbose = verbose
 
     @property

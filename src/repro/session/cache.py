@@ -19,6 +19,21 @@ Corruption is tolerated, not trusted: an unreadable entry, a schema
 mismatch, or a stored spec that disagrees with the requested one all
 count as misses, and the re-executed result overwrites the bad entry.
 
+An entry is validated once per file: :meth:`ResultCache.get` remembers
+the text of every entry it accepted together with the identity of the
+file it read (inode, size and modification time in ns, from the same
+handle).  While the file keeps that identity, :meth:`ResultCache.recall`
+answers with the text after one :func:`os.stat` — no open, no JSON
+parse, no check, no decode — which is how the sweep service answers a
+resubmitted grid (:mod:`repro.service.server`).  Every write in this
+package replaces the file (:func:`atomic_write`, a new inode), so a
+re-store, a replacing merge, a clear or a deletion sends the next
+lookup back to :meth:`~ResultCache.get`; writes through the cache also
+drop the remembered text outright.  Writes never fill the memo, so an
+uploaded entry is still validated on its first read.  One change goes
+unseen: a rewrite in place (same inode) to the same size inside one
+filesystem timestamp tick.  Nothing here writes entries in place.
+
 Because keys are stable *content* addresses, caches compose across
 machines: shards of one grid scattered over hosts (``oovr sweep
 --shard I/N --cache DIR``, :mod:`repro.session.executor`) each fill a
@@ -214,6 +229,11 @@ class CacheStats:
         return text
 
 
+def _identity(status: os.stat_result) -> Tuple[int, int, int]:
+    """What a validated entry's file must still match to be recalled."""
+    return (status.st_ino, status.st_size, status.st_mtime_ns)
+
+
 class ResultCache:
     """On-disk (spec -> SceneResult) store under one directory."""
 
@@ -221,6 +241,9 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
+        #: Entry key -> (text, file identity) of every entry :meth:`get`
+        #: validated; text only, kept for the cache's lifetime.
+        self._validated: Dict[str, Tuple[str, Tuple[int, int, int]]] = {}
 
     # -- addressing ---------------------------------------------------------
 
@@ -228,7 +251,10 @@ class ResultCache:
         return spec_key(spec)
 
     def path_for(self, spec: RunSpec) -> Path:
-        return self.root / f"{self.key(spec)}{_ENTRY_SUFFIX}"
+        return self._path(self.key(spec))
+
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}{_ENTRY_SUFFIX}"
 
     def _entries(self) -> Iterator[Path]:
         # Entry files are exactly "<sha256-hex>.json"; the filter keeps
@@ -247,7 +273,7 @@ class ResultCache:
         return [path.stem for path in self._entries()]
 
     def __contains__(self, key: str) -> bool:
-        return (self.root / f"{key}{_ENTRY_SUFFIX}").is_file()
+        return self._path(key).is_file()
 
     # -- lookup and store ---------------------------------------------------
 
@@ -257,12 +283,16 @@ class ResultCache:
         Anything wrong with the entry — unparsable JSON, a schema from
         another cache version, a stored spec that does not match the
         requested one (hash collision or hand-edited file) — degrades
-        to a miss rather than an error.
+        to a miss rather than an error.  An accepted entry's text is
+        remembered for :meth:`recall`; every call still reads, checks
+        and decodes, and returns a fresh object.
         """
-        path = self.path_for(spec)
+        key = self.key(spec)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            with open(self._path(key), "r", encoding="utf-8") as handle:
+                text = handle.read()
+                identity = _identity(os.fstat(handle.fileno()))
+            entry = json.loads(text)
             if entry["version"] != CACHE_VERSION:
                 raise ValueError("cache entry from another schema version")
             # Compare the same identity spec_key hashes: config_label is
@@ -284,8 +314,45 @@ class ResultCache:
             self.stats.misses += 1
             self.stats.corrupt += 1
             return None
+        self._validated[key] = (text, identity)
         self.stats.hits += 1
         return result
+
+    def recall(self, key: str) -> Optional[str]:
+        """The text :meth:`get` validated for entry ``key``, if its file
+        is unchanged since; ``None`` otherwise.
+
+        One :func:`os.stat` and no accounting: ``None`` means this
+        cache never accepted the entry, or its file was replaced,
+        deleted or resized since, and the caller must go to the file
+        (through :meth:`get` to re-validate it).
+        """
+        remembered = self._validated.get(key)
+        if remembered is None:
+            return None
+        try:
+            identity = _identity(
+                os.stat(os.path.join(self.root, key + _ENTRY_SUFFIX))
+            )
+        except OSError:
+            identity = None
+        if identity != remembered[1]:
+            del self._validated[key]
+            return None
+        return remembered[0]
+
+    def holds(self, spec: RunSpec, key: Optional[str] = None) -> bool:
+        """Whether ``spec`` has a valid entry, counted as :meth:`get`
+        counts it.
+
+        An entry :meth:`recall` answers is a hit after one stat and no
+        decode; any other lookup is :meth:`get`.  ``key`` saves
+        re-hashing a spec whose :func:`spec_key` the caller holds.
+        """
+        if self.recall(self.key(spec) if key is None else key) is not None:
+            self.stats.hits += 1
+            return True
+        return self.get(spec) is not None
 
     def put(self, spec: RunSpec, result: SceneResult) -> Path:
         """Store ``result`` under ``spec``'s key (atomic replace).
@@ -296,9 +363,10 @@ class ResultCache:
         and lands with one :func:`os.replace`, so readers only ever
         see complete entries and the last writer wins whole-file.
         """
-        text = encode_entry(spec, result)
-        path = self.path_for(spec)
-        atomic_write(path, text)
+        key = self.key(spec)
+        path = self._path(key)
+        atomic_write(path, encode_entry(spec, result))
+        self._validated.pop(key, None)
         self.stats.stores += 1
         return path
 
@@ -325,9 +393,10 @@ class ResultCache:
             )
         if not is_entry_key(key):
             raise ValueError(f"not a cache entry key: {key!r}")
-        destination = self.root / f"{key}{_ENTRY_SUFFIX}"
+        destination = self._path(key)
         if not destination.is_file():
             atomic_write(destination, payload)
+            self._validated.pop(key, None)
             return "copied"
         if destination.read_text(encoding="utf-8") == payload:
             return "identical"
@@ -340,6 +409,7 @@ class ResultCache:
             )
         if on_conflict == "replace":
             atomic_write(destination, payload)
+            self._validated.pop(key, None)
             return "replaced"
         return "kept"
 
@@ -477,6 +547,7 @@ class ResultCache:
         for path in list(self._entries()):
             path.unlink()
             removed += 1
+        self._validated.clear()
         return removed
 
 

@@ -24,6 +24,11 @@ from repro.stats.metrics import SceneResult, geomean
 
 GroupKey = Union[str, Tuple[str, ...]]
 
+#: ``(column, traffic name)`` per :class:`TrafficType`, in enum order.
+_TRAFFIC_COLUMNS: Tuple[Tuple[str, str], ...] = tuple(
+    (f"traffic_{traffic.value}", traffic.value) for traffic in TrafficType
+)
+
 
 class ResultSet:
     """Ordered (spec, result) pairs from one sweep.
@@ -195,10 +200,8 @@ class ResultSet:
             for key, value in summary.items():
                 if key not in record:  # spec identity wins on overlap
                     record[key] = value
-            for traffic_type in TrafficType:
-                record[f"traffic_{traffic_type.value}"] = traffic.get(
-                    traffic_type.value, 0.0
-                )
+            for column, name in _TRAFFIC_COLUMNS:
+                record[column] = traffic.get(name, 0.0)
             if self.profiles is not None:
                 for name, seconds in self.profiles[index].to_dict().items():
                     record[f"profile_{name}_s"] = seconds

@@ -13,6 +13,11 @@ from typing import Dict, Mapping, Sequence
 
 from repro.memory.link import TrafficType
 
+#: Every traffic type by its serialised name, and back: a result
+#: decodes and encodes its traffic keys with one dict lookup each.
+_TRAFFIC_BY_NAME: Dict[str, TrafficType] = {t.value: t for t in TrafficType}
+_TRAFFIC_NAMES: Dict[TrafficType, str] = {t: t.value for t in TrafficType}
+
 
 @dataclass(frozen=True)
 class UnitExecution:
@@ -66,8 +71,16 @@ class TrafficBreakdown:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "TrafficBreakdown":
-        """Inverse of the ``{type.value: bytes}`` serialisation."""
-        return cls({TrafficType(key): value for key, value in data.items()})
+        """Inverse of the ``{type.value: bytes}`` serialisation; an
+        unknown name raises :class:`ValueError`."""
+        try:
+            return cls(
+                {_TRAFFIC_BY_NAME[key]: value for key, value in data.items()}
+            )
+        except KeyError as error:
+            raise ValueError(
+                f"{error.args[0]!r} is not a valid TrafficType"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,9 @@ class FrameResult:
             "cycles": self.cycles,
             "gpm_busy_cycles": list(self.gpm_busy_cycles),
             "composition_cycles": self.composition_cycles,
-            "traffic": {t.value: b for t, b in self.traffic.by_type.items()},
+            "traffic": {
+                _TRAFFIC_NAMES[t]: b for t, b in self.traffic.by_type.items()
+            },
             "dram_bytes": list(self.dram_bytes),
             "resident_bytes": self.resident_bytes,
             "inter_gpm_bytes": self.inter_gpm_bytes,
@@ -213,10 +228,18 @@ class SceneResult:
 
     @property
     def traffic(self) -> TrafficBreakdown:
-        out = TrafficBreakdown({})
+        """Every frame's traffic summed by type.
+
+        One fold in frame order: the same additions, in the same order
+        and with the same key order, as chaining
+        :meth:`TrafficBreakdown.merged_with` from an empty breakdown,
+        without a dict copy per frame.
+        """
+        merged: Dict[TrafficType, float] = {}
         for frame in self.frames:
-            out = out.merged_with(frame.traffic)
-        return out
+            for key, value in frame.traffic.by_type.items():
+                merged[key] = merged.get(key, 0.0) + value
+        return TrafficBreakdown(merged)
 
     @property
     def mean_inter_gpm_bytes_per_frame(self) -> float:
@@ -245,7 +268,9 @@ class SceneResult:
             "throughput_fps": self.throughput_fps,
             "mean_inter_gpm_bytes_per_frame": self.mean_inter_gpm_bytes_per_frame,
             "mean_load_balance_ratio": self.mean_load_balance_ratio,
-            "traffic": {t.value: b for t, b in self.traffic.by_type.items()},
+            "traffic": {
+                _TRAFFIC_NAMES[t]: b for t, b in self.traffic.by_type.items()
+            },
         }
         if include_frames:
             out["frames"] = [frame.to_dict() for frame in self.frames]

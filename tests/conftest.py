@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
+import collections
+import io
+import json
+
 import pytest
 
 from repro.config import SystemConfig, baseline_system
@@ -10,9 +15,44 @@ from repro.scene.objects import RenderObject
 from repro.scene.scene import Frame, Scene
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
 from repro.scene.texture import Texture, TexturePool
+from repro.stats.metrics import SceneResult
 
 KB = 1024
 MB = 1024 * KB
+
+
+@pytest.fixture
+def entry_reads(monkeypatch) -> collections.Counter:
+    """Counts ``.json`` file opens, JSON parses and result decodes.
+
+    Keys ``open`` (``builtins.open`` and ``io.open``, which
+    ``Path.read_text`` calls), ``loads`` (``json.loads``, which
+    ``json.load`` calls too) and ``decode`` (``SceneResult.from_dict``).
+    Counting starts at set-up: ``clear()`` the counter right before the
+    operation under test.
+    """
+    counts: collections.Counter = collections.Counter()
+
+    def counted(name, function, only=None):
+        def wrapper(*args, **kwargs):
+            if only is None or only(*args):
+                counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    def is_json(file, *_):
+        return str(file).endswith(".json")
+
+    monkeypatch.setattr(builtins, "open", counted("open", builtins.open, is_json))
+    monkeypatch.setattr(io, "open", counted("open", io.open, is_json))
+    monkeypatch.setattr(json, "loads", counted("loads", json.loads))
+    monkeypatch.setattr(
+        SceneResult,
+        "from_dict",
+        staticmethod(counted("decode", SceneResult.from_dict)),
+    )
+    return counts
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """The RunSpec-keyed result cache: keys, round trips, sweep memoisation."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from repro.session import (
     ResultCache,
     RunSpec,
     Sweep,
+    encode_entry,
     spec_key,
 )
 from repro.stats.metrics import SceneResult
@@ -168,6 +170,113 @@ class TestResultCacheStore:
         assert info["total_bytes"] > 0
         assert cache.clear() == 2
         assert len(cache) == 0
+
+
+def _doubled_interval(text: str) -> str:
+    """A valid entry text for the same spec holding another result."""
+    entry = json.loads(text)
+    entry["result"]["frame_interval_cycles"] *= 2
+    return json.dumps(entry, indent=1) + "\n"
+
+
+#: Changes to a validated entry's file, each made after one get().
+_CHANGES = {
+    "put": lambda cache, spec, path: cache.put(spec, cache.get(spec)),
+    "merge-replace": lambda cache, spec, path: cache.merge_entry(
+        path.stem,
+        _doubled_interval(path.read_text(encoding="utf-8")),
+        on_conflict="replace",
+    ),
+    "put-by-another-cache": lambda cache, spec, path: ResultCache(
+        cache.root
+    ).put(spec, cache.get(spec)),
+    "clear": lambda cache, spec, path: cache.clear(),
+    "delete": lambda cache, spec, path: path.unlink(),
+    "truncate": lambda cache, spec, path: path.write_text(
+        path.read_text(encoding="utf-8")[:100], encoding="utf-8"
+    ),
+    "corrupt": lambda cache, spec, path: path.write_text(
+        "{ not json", encoding="utf-8"
+    ),
+}
+
+
+class TestValidatedMemo:
+    """An entry get() accepted is answered from memory while its file
+    keeps the identity it had when it was read."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = tiny_spec().validate()
+        cache.put(spec, spec.execute())
+        return cache, spec
+
+    def test_recall_after_get_reads_nothing(self, stored, entry_reads):
+        cache, spec = stored
+        key = spec_key(spec)
+        assert cache.get(spec) is not None
+        entry_reads.clear()
+        text = cache.recall(key)
+        assert cache.holds(spec, key)
+        assert cache.holds(spec)
+        assert dict(entry_reads) == {}
+        assert text == cache.path_for(spec).read_bytes().decode("utf-8")
+        # A memo hit is counted as the hit get() would have counted.
+        assert (cache.stats.hits, cache.stats.misses) == (3, 0)
+
+    def test_written_entries_are_not_remembered(self, stored, entry_reads):
+        cache, spec = stored
+        key = spec_key(spec)
+        assert cache.recall(key) is None
+        other = tiny_spec(workload="DM3-640").validate()
+        cache.merge_entry(
+            spec_key(other), encode_entry(other, other.execute())
+        )
+        assert cache.recall(spec_key(other)) is None
+        entry_reads.clear()
+        assert cache.holds(spec, key)
+        assert (entry_reads["open"], entry_reads["decode"]) == (1, 1)
+
+    @pytest.mark.parametrize("change", sorted(_CHANGES))
+    def test_changed_file_goes_back_to_disk(
+        self, stored, entry_reads, change
+    ):
+        cache, spec = stored
+        path = cache.path_for(spec)
+        assert cache.get(spec) is not None
+        _CHANGES[change](cache, spec, path)
+        # What a cache that never saw the entry makes of the file now.
+        fresh = ResultCache(cache.root)
+        expected = fresh.get(spec)
+        entry_reads.clear()
+        before = dataclasses.replace(cache.stats)
+        held = cache.holds(spec)
+        assert entry_reads["open"] == 1
+        assert held is (expected is not None)
+        assert (
+            cache.stats.hits - before.hits,
+            cache.stats.misses - before.misses,
+            cache.stats.corrupt - before.corrupt,
+        ) == (
+            fresh.stats.hits,
+            fresh.stats.misses,
+            fresh.stats.corrupt,
+        )
+        if held:
+            # Re-validated, so remembered again: the new bytes.
+            assert cache.recall(spec_key(spec)) == path.read_text(
+                encoding="utf-8"
+            )
+        else:
+            assert cache.recall(spec_key(spec)) is None
+
+    def test_get_returns_a_fresh_object_each_call(self, stored):
+        cache, spec = stored
+        first, second = cache.get(spec), cache.get(spec)
+        assert first == second
+        assert first is not second
+        assert first.frames is not second.frames
 
 
 class TestSweepCaching:

@@ -11,10 +11,12 @@ tests run a real :class:`SweepServer` on a loopback port with worker
 threads.
 """
 
+import gc
 import json
 import threading
 import urllib.error
 import urllib.request
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -322,6 +324,31 @@ class TestSweepService:
         with pytest.raises(UnknownResource, match="unknown worker"):
             service.lease("nope")
 
+    def test_resubmitted_grid_is_answered_from_memory(
+        self, service, entry_reads
+    ):
+        specs = tiny_specs()
+        entries = executed_entries(specs)
+        self.submit(service, specs)  # a cold grid: four misses
+        for entry in entries:
+            service.cache.merge_entry(entry["key"], entry["payload"])
+        self.submit(service, specs)  # reads and validates each entry
+        entry_reads.clear()
+        job = self.submit(service, specs)
+        assert (job["state"], job["hits"]) == ("done", len(specs))
+        keys = [entry["key"] for entry in entries]
+        fetched = service.fetch_results(job["job"], keys)["results"]
+        assert dict(entry_reads) == {}
+        assert fetched == {
+            key: (service.cache.root / f"{key}.json").read_bytes().decode()
+            for key in keys
+        }
+        assert fetched == {
+            entry["key"]: entry["payload"] for entry in entries
+        }
+        # Memo hits are counted as the file reads they replace.
+        assert service.stats()["cache"] == "8 hits, 4 misses"
+
     def test_fetched_payload_is_the_entry_file(self, service):
         specs = tiny_specs()[:1]
         entries = executed_entries(specs)
@@ -408,6 +435,23 @@ class TestLoopback:
             # GET /cache is the cache.status() document verbatim.
             assert client.cache_status() == server.service.cache.status()
 
+    def test_deleted_entry_is_not_answered_from_memory(self, tmp_path):
+        reference = tiny_sweep().run(executor="serial")
+        cache = ResultCache(tmp_path / "server-cache")
+        with loopback(cache) as server:
+            tiny_sweep().run(executor=remote(server))  # workers execute
+            tiny_sweep().run(executor=remote(server))  # validated once
+            victim = spec_key(tiny_specs()[1])
+            (cache.root / f"{victim}.json").unlink()
+            again = tiny_sweep().run(executor=remote(server))
+            assert again.to_csv() == reference.to_csv()
+            jobs = ServiceClient(server.url).stats()["jobs"]
+            assert [(job["hits"], job["executed"]) for job in jobs] == [
+                (0, 4),
+                (4, 0),
+                (3, 1),
+            ]
+
     def test_remote_warms_the_local_cache(self, tmp_path):
         with loopback(ResultCache(tmp_path / "server-cache")) as server:
             local = ResultCache(tmp_path / "local")
@@ -456,6 +500,23 @@ class TestLoopback:
             assert client.health()["ok"] is True
             job = client.submit(tiny_specs()[:1])
             assert job["state"] == "running"
+
+    def test_rejected_service_closes_the_listening_socket(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                serve(cache=tmp_path / "cache", port=0, lease_timeout=0)
+            except ValueError as error:
+                message = str(error)
+            gc.collect()
+        assert message == "lease_timeout must be positive"
+        assert not (tmp_path / "cache").exists()
+        leaked = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert leaked == []
 
     def test_unknown_routes_are_404(self, tmp_path):
         with loopback(

@@ -1,5 +1,7 @@
 """Stats, reporting, the experiment runner, figures and tables."""
 
+import random
+
 import pytest
 
 from repro import extensions
@@ -62,6 +64,50 @@ class TestMetrics:
         merged = a.merged_with(b)
         assert merged.bytes_of(TrafficType.TEXTURE) == 15.0
         assert merged.total_bytes == 17.0
+
+    def test_traffic_from_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="bogus"):
+            TrafficBreakdown.from_dict({"bogus": 1.0})
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scene_traffic_is_the_merged_with_chain(self, seed):
+        """The one-pass fold equals the frame-by-frame ``merged_with``
+        chain bit for bit and key order for key order, over frames
+        that each carry a random subset of types in random order."""
+        rng = random.Random(seed)
+        frames = []
+        for _ in range(rng.randint(1, 6)):
+            present = rng.sample(
+                list(TrafficType), rng.randint(0, len(TrafficType))
+            )
+            traffic = TrafficBreakdown(
+                {
+                    kind: rng.choice((0.0, 0.1, 1e16, rng.uniform(0, 1e9)))
+                    for kind in present
+                }
+            )
+            frames.append(
+                FrameResult(
+                    framework="f",
+                    workload="w",
+                    cycles=1000.0,
+                    gpm_busy_cycles=[250.0] * 4,
+                    composition_cycles=0.0,
+                    traffic=traffic,
+                    dram_bytes=[0.0] * 4,
+                )
+            )
+        scene = SceneResult(
+            framework="f", workload="w", frames=frames,
+            frame_interval_cycles=1000.0,
+        )
+        chain = TrafficBreakdown({})
+        for each in frames:
+            chain = chain.merged_with(each.traffic)
+        assert scene.traffic == chain
+        assert list(scene.traffic.by_type.items()) == list(
+            chain.by_type.items()
+        )
 
     def test_scene_steady_frames(self):
         scene = SceneResult(
