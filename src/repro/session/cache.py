@@ -28,11 +28,13 @@ parse, no check, no decode — which is how the sweep service answers a
 resubmitted grid (:mod:`repro.service.server`).  Every write in this
 package replaces the file (:func:`atomic_write`, a new inode), so a
 re-store, a replacing merge, a clear or a deletion sends the next
-lookup back to :meth:`~ResultCache.get`; writes through the cache also
-drop the remembered text outright.  Writes never fill the memo, so an
-uploaded entry is still validated on its first read.  One change goes
-unseen: a rewrite in place (same inode) to the same size inside one
-filesystem timestamp tick.  Nothing here writes entries in place.
+lookup back to :meth:`~ResultCache.get`.  Writes never fill the memo,
+so an uploaded entry is still validated on its first read.  One change
+goes unseen: a file left with the same inode, size and mtime, which
+takes a rewrite in place to the same size, or two replaces that hand
+the first inode number back (ext4 does), inside one filesystem
+timestamp tick.  Nothing here writes entries in place, and writes
+through the cache drop the remembered text themselves.
 
 Because keys are stable *content* addresses, caches compose across
 machines: shards of one grid scattered over hosts (``oovr sweep
@@ -331,6 +333,7 @@ class ResultCache:
         if remembered is None:
             return None
         try:
+            # A string join: building a Path costs more than the stat.
             identity = _identity(
                 os.stat(os.path.join(self.root, key + _ENTRY_SUFFIX))
             )

@@ -44,8 +44,10 @@ def entry_reads(monkeypatch) -> collections.Counter:
     def is_json(file, *_):
         return str(file).endswith(".json")
 
-    monkeypatch.setattr(builtins, "open", counted("open", builtins.open, is_json))
-    monkeypatch.setattr(io, "open", counted("open", io.open, is_json))
+    for module in (builtins, io):
+        monkeypatch.setattr(
+            module, "open", counted("open", module.open, is_json)
+        )
     monkeypatch.setattr(json, "loads", counted("loads", json.loads))
     monkeypatch.setattr(
         SceneResult,

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.config import baseline_system
+from repro.session import cache as cache_module
 from repro.session import (
     CacheMergeError,
     ExperimentConfig,
@@ -270,6 +271,21 @@ class TestValidatedMemo:
             )
         else:
             assert cache.recall(spec_key(spec)) is None
+
+    @pytest.mark.parametrize("change", ["put", "merge-replace"])
+    def test_writes_through_the_cache_forget_the_text(
+        self, stored, monkeypatch, change
+    ):
+        """Even when the replaced file repeats the old identity (an
+        inode number handed back within one timestamp tick)."""
+        cache, spec = stored
+        monkeypatch.setattr(
+            cache_module, "_identity", lambda status: (1, 2, 3)
+        )
+        assert cache.get(spec) is not None
+        assert cache.recall(spec_key(spec)) is not None
+        _CHANGES[change](cache, spec, cache.path_for(spec))
+        assert cache.recall(spec_key(spec)) is None
 
     def test_get_returns_a_fresh_object_each_call(self, stored):
         cache, spec = stored
