@@ -344,15 +344,14 @@ class ResultCache:
             return None
         return remembered[0]
 
-    def holds(self, spec: RunSpec, key: Optional[str] = None) -> bool:
-        """Whether ``spec`` has a valid entry, counted as :meth:`get`
-        counts it.
+    def holds(self, spec: RunSpec, key: str) -> bool:
+        """Whether ``spec`` (whose :func:`spec_key` is ``key``) has a
+        valid entry, counted as :meth:`get` counts it.
 
         An entry :meth:`recall` answers is a hit after one stat and no
-        decode; any other lookup is :meth:`get`.  ``key`` saves
-        re-hashing a spec whose :func:`spec_key` the caller holds.
+        decode; any other lookup is :meth:`get`.
         """
-        if self.recall(self.key(spec) if key is None else key) is not None:
+        if self.recall(key) is not None:
             self.stats.hits += 1
             return True
         return self.get(spec) is not None
