@@ -14,20 +14,16 @@ in cycles:
 4. **Colour output and composition** (:mod:`repro.pipeline.rop`) —
    per-draw ROP writes plus master vs. distributed composition pricing.
 
-:mod:`repro.pipeline.characterize` assembles stages 1-4 into work units;
-:mod:`repro.pipeline.timing` prices a unit in cycles on one GPM.
+:mod:`repro.pipeline.characterize` assembles stages 1-4 into a frame's
+unit table and its work units; :mod:`repro.pipeline.timing` prices a
+unit in cycles on one GPM.
 """
 
 from repro.pipeline.workunit import UnitColumns, WorkUnit
 from repro.pipeline.smp import SMPEngine, SMPMode
-from repro.pipeline.batch import (
-    FrameCounters,
-    frame_counters,
-    unit_columns,
-    work_units_from_counters,
-)
+from repro.pipeline.batch import FrameCounters, frame_counters, unit_columns
 from repro.pipeline.characterize import DrawCharacterizer
-from repro.pipeline.timing import StageBreakdown, price_work_unit, price_work_units
+from repro.pipeline.timing import StageBreakdown, price_work_unit
 
 __all__ = [
     "UnitColumns",
@@ -38,8 +34,6 @@ __all__ = [
     "FrameCounters",
     "frame_counters",
     "unit_columns",
-    "work_units_from_counters",
     "StageBreakdown",
     "price_work_unit",
-    "price_work_units",
 ]

@@ -4,51 +4,46 @@ This is the batched twin of :meth:`DrawCharacterizer.characterize`: one
 numpy pass computes every per-draw counter of a frame — SMP geometry
 work, fragment/texel demand, depth and colour traffic, and the
 per-texture stream/unique touch bytes (in CSR layout mirroring the
-batch's binding table).  Two readers turn the counters into units:
-
-- :func:`work_units_from_counters` materialises the same
-  :class:`~repro.pipeline.workunit.WorkUnit` objects the scalar path
-  builds, for the dispatchers that schedule units one at a time
-  (OO-VR, OO_APP) and for the oracles;
-- :func:`unit_columns` reads the same content into a
-  :class:`~repro.pipeline.workunit.UnitColumns` table, the input of the
-  slice pass the statically scheduled frameworks render through: its
-  columns are gathers of the counters and the batch, one
-  :class:`~repro.memory.address.Resource` per distinct resource, and no
-  ``WorkUnit`` or ``Touch`` is built.  It equals
-  ``UnitColumns.from_units(work_units_from_counters(...))`` column for
-  column.
+batch's binding table).  One reader turns the counters into units:
+:func:`unit_columns` reads them into a
+:class:`~repro.pipeline.workunit.UnitColumns` table whose columns are
+gathers of the counters and the batch, with one
+:class:`~repro.memory.address.Resource` per distinct resource and no
+``WorkUnit`` or ``Touch`` built.  The statically scheduled frameworks
+hand the table to the slice pass; the dispatchers that schedule units
+one at a time (OO-VR, OO_APP) read its
+:meth:`~repro.pipeline.workunit.UnitColumns.units`.
 
 Exactness contract: every expression here is the scalar expression
 evaluated elementwise, with the same association order — products stay
 left-associated, ``min``/``max`` become ``np.minimum``/``np.maximum``,
 and no float reduction is reordered.  int64 → float64 conversions are
 exact for every count in range.  ``tests/test_soa_batches.py`` asserts
-field-for-field equality (touches included) against the scalar path.
+field-for-field equality (touches included) of the table's units
+against the scalar path.
 
 Purity contract: :func:`frame_counters` is a pure function of the
 frame's :class:`ObjectBatch` plus hashable config slices (cost model,
-SMP mode, expansion factor), and the :class:`FrameCounters`,
-:class:`~repro.pipeline.workunit.WorkUnit` and ``UnitColumns`` values
-built from it are not mutated by any reader.  That is what lets
-:class:`~repro.pipeline.characterize.DrawCharacterizer` memoise all
-three on the frame object (:meth:`Frame.derived
+SMP mode, expansion factor), and no reader mutates the
+``UnitColumns`` built from it.  That is what lets
+:class:`~repro.pipeline.characterize.DrawCharacterizer` memoise the
+table on the frame object (:meth:`Frame.derived
 <repro.scene.scene.Frame.derived>`) — cells of a sweep that share a
-workload share them outright, byte-identically.
+workload share it outright, byte-identically.  The counters are
+transient: the table build reads them and lets them go.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.config import CostModel
-from repro.memory.address import Touch, texture_resource, vertex_resource
+from repro.memory.address import texture_resource, vertex_resource
 from repro.pipeline.fragment import MIN_TOUCH_BYTES
 from repro.pipeline.smp import SMPMode
-from repro.pipeline.workunit import UnitColumns, WorkUnit
+from repro.pipeline.workunit import UnitColumns
 from repro.scene.batch import ObjectBatch
 from repro.scene.objects import Eye
 
@@ -56,7 +51,6 @@ __all__ = [
     "FrameCounters",
     "frame_counters",
     "unit_columns",
-    "work_units_from_counters",
 ]
 
 #: Eye codes used in :attr:`FrameCounters.eye_codes`.
@@ -76,8 +70,6 @@ class FrameCounters:
     owns rows ``touch_offsets[d]:touch_offsets[d+1]``.
     """
 
-    expansion: str
-    mode: SMPMode
     obj_index: np.ndarray  #: (D,) int64 — row into the ObjectBatch
     eye_codes: np.ndarray  #: (D,) int64 — EYE_LEFT/RIGHT/BOTH
     views: np.ndarray  #: (D,) int64
@@ -223,8 +215,6 @@ def frame_counters(
     empty_touches = (bind_counts == 0) | (raw_bytes == 0.0)
 
     return FrameCounters(
-        expansion=expansion,
-        mode=mode,
         obj_index=obj_index,
         eye_codes=eye_codes,
         views=views,
@@ -247,91 +237,18 @@ def frame_counters(
     )
 
 
-def work_units_from_counters(
-    batch: ObjectBatch, counters: FrameCounters, cost: CostModel
-) -> Tuple[WorkUnit, ...]:
-    """Materialise the scalar-identical :class:`WorkUnit` per draw."""
-    objects = batch.objects
-    obj_index = counters.obj_index.tolist()
-    eye_codes = counters.eye_codes.tolist()
-    views = counters.views.tolist()
-    vertices = counters.vertices.tolist()
-    triangles_setup = counters.triangles_setup.tolist()
-    triangles_raster = counters.triangles_raster.tolist()
-    fragments = counters.fragments.tolist()
-    pixels_out = counters.pixels_out.tolist()
-    texel_requests = counters.texel_requests.tolist()
-    z_stream = counters.z_stream_bytes.tolist()
-    z_unique = counters.z_unique_bytes.tolist()
-    fb_write = counters.fb_write_bytes.tolist()
-    vertex_stream = counters.vertex_stream_bytes.tolist()
-    offsets = counters.touch_offsets.tolist()
-    bind_ids = counters.touch_tex_ids.tolist()
-    bind_sizes = counters.touch_tex_sizes.tolist()
-    bind_unique = counters.touch_unique_bytes.tolist()
-    bind_stream = counters.touch_stream_bytes.tolist()
-    empty = counters.empty_touches.tolist()
-    command_bytes = cost.command_bytes_per_draw
-
-    units = []
-    for d in range(len(obj_index)):
-        obj = objects[obj_index[d]]
-        code = eye_codes[d]
-        if code == EYE_BOTH:
-            viewports = (obj.viewport_left, obj.viewport_right)
-        elif code == EYE_LEFT:
-            viewports = (obj.viewport_left,)
-        else:
-            viewports = (obj.viewport_right,)
-        if empty[d]:
-            texture_touches: Tuple[Touch, ...] = ()
-        else:
-            texture_touches = tuple(
-                Touch(
-                    resource=texture_resource(bind_ids[k], bind_sizes[k]),
-                    unique_bytes=bind_unique[k],
-                    stream_bytes=bind_stream[k],
-                )
-                for k in range(offsets[d], offsets[d + 1])
-            )
-        buffer_bytes = obj.mesh.vertex_buffer_bytes
-        vertex_touch = Touch(
-            resource=vertex_resource(obj.object_id, max(1, buffer_bytes)),
-            unique_bytes=float(buffer_bytes),
-            stream_bytes=vertex_stream[d],
-        )
-        units.append(
-            WorkUnit(
-                label=f"{obj.name}:{_EYE_FROM_CODE[code].value}",
-                views=views[d],
-                vertices=vertices[d],
-                triangles_setup=triangles_setup[d],
-                triangles_raster=triangles_raster[d],
-                fragments=fragments[d],
-                pixels_out=pixels_out[d],
-                texel_requests=texel_requests[d],
-                shader_complexity=obj.shader_complexity,
-                texture_touches=texture_touches,
-                vertex_touches=(vertex_touch,),
-                z_stream_bytes=z_stream[d],
-                z_unique_bytes=z_unique[d],
-                fb_write_bytes=fb_write[d],
-                command_bytes=command_bytes,
-                viewports=viewports,
-            )
-        )
-    return tuple(units)
-
-
 def unit_columns(
     batch: ObjectBatch, counters: FrameCounters, cost: CostModel
 ) -> UnitColumns:
     """The frame's unit table, read straight from its counters.
 
-    Column for column the table of :func:`work_units_from_counters`'s
-    units: each draw's texture touches (none for an ``empty_touches``
-    draw), then its vertex touch, with resources interned by value in
-    first-touch order.
+    One unit per draw, field for field the unit
+    :meth:`DrawCharacterizer.characterize
+    <repro.pipeline.characterize.DrawCharacterizer.characterize>`
+    builds for it: each draw's texture touches in binding order,
+    duplicates included (none for an ``empty_touches`` draw), then its
+    vertex touch, with resources interned by value in first-touch
+    order.
     """
     draws = len(counters)
     obj_index = counters.obj_index

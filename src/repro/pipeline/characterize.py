@@ -8,16 +8,15 @@ unit can be bound to any GPM, split across strips, or merged into
 batches.
 
 A whole frame is characterised in one vectorized pass
-(:mod:`repro.pipeline.batch`), and everything a frame yields is
-memoised on the frame (:meth:`Frame.derived
-<repro.scene.scene.Frame.derived>`), keyed by the cost model, SMP mode
-and draw expansion: its counters (:meth:`~DrawCharacterizer.frame_counters`),
-the units the clock-driven dispatchers schedule
-(:meth:`~DrawCharacterizer.characterize_frame`) and the unit table the
-statically scheduled frameworks hand the slice pass
-(:meth:`~DrawCharacterizer.unit_columns`).  Units and table read the
-same counters, so a frame whose units OO-VR priced gives tile-level
-SFR (H) its table without recomputing a counter.
+(:mod:`repro.pipeline.batch`) into the frame's unit table
+(:meth:`~DrawCharacterizer.unit_columns`), memoised on the frame
+(:meth:`Frame.derived <repro.scene.scene.Frame.derived>`) and keyed by
+the cost model, SMP mode and draw expansion.  The table is the one
+reader of the frame's counters: the statically scheduled frameworks
+hand it to the slice pass, and the clock-driven dispatchers read its
+units (:meth:`~DrawCharacterizer.characterize_frame`).  So tile-level
+SFR (H) renders the very multi-view table OO-VR's units came from.
+The per-draw :meth:`~DrawCharacterizer.characterize` is its oracle.
 """
 
 from __future__ import annotations
@@ -26,12 +25,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.memory.address import Touch, vertex_resource
-from repro.pipeline.batch import (
-    FrameCounters,
-    frame_counters,
-    unit_columns,
-    work_units_from_counters,
-)
+from repro.pipeline.batch import frame_counters, unit_columns
 from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
 from repro.pipeline.smp import SMPEngine, SMPMode
 from repro.pipeline.workunit import UnitColumns, WorkUnit
@@ -107,7 +101,6 @@ class DrawCharacterizer:
             z_unique_bytes=z_unique,
             fb_write_bytes=fb_write,
             command_bytes=cost.command_bytes_per_draw,
-            viewports=draw.viewports(),
         )
 
     def characterize_frame(
@@ -116,38 +109,21 @@ class DrawCharacterizer:
         mode: SMPMode = SMPMode.SIMULTANEOUS,
         expansion: str = "multiview",
     ) -> Tuple[WorkUnit, ...]:
-        """Price every draw of ``frame`` in one vectorized pass.
+        """Every draw of ``frame`` as a work unit, in draw order.
 
-        Returns units in draw order: ``expansion="multiview"`` aligns
-        with :meth:`Frame.multiview_draws`, ``"stereo"`` with
+        ``expansion="multiview"`` aligns with
+        :meth:`Frame.multiview_draws`, ``"stereo"`` with
         :meth:`Frame.stereo_draws`.  Each unit is field-for-field
         identical (touches included) to :meth:`characterize` on the
         corresponding draw — the SoA layout changes the walk, never the
         numbers.
 
-        The result depends only on the frame's object batch and the
-        (frozen, hashable) cost model, so it is memoised on the frame
-        (:meth:`Frame.derived <repro.scene.scene.Frame.derived>`):
-        grid cells that share a workload share scene-memoised frames,
-        and therefore skip re-running Eq. 3 pricing entirely.  The
-        returned tuple of frozen work units is immutable, so sharing
-        it across cells is safe.  The build runs inside the ``price``
-        profiling phase.
+        The units are read out of the memoised :meth:`unit_columns`
+        (:meth:`UnitColumns.units
+        <repro.pipeline.workunit.UnitColumns.units>`) afresh per call,
+        in the caller's profiling phase; only the table is memoised.
         """
-        return frame.derived(
-            ("characterize_frame", self.cost, mode, expansion),
-            lambda: self._characterize_frame(frame, mode, expansion),
-        )
-
-    def _characterize_frame(
-        self, frame: "Frame", mode: SMPMode, expansion: str
-    ) -> Tuple[WorkUnit, ...]:
-        with phase("price"):
-            return work_units_from_counters(
-                frame.object_batch,
-                self.frame_counters(frame, mode, expansion),
-                self.cost,
-            )
+        return self.unit_columns(frame, mode, expansion).units()
 
     def unit_columns(
         self,
@@ -155,12 +131,18 @@ class DrawCharacterizer:
         mode: SMPMode = SMPMode.SIMULTANEOUS,
         expansion: str = "multiview",
     ) -> UnitColumns:
-        """The unit table of ``frame``: :meth:`characterize_frame`'s
-        units as columns (:func:`~repro.pipeline.batch.unit_columns`),
-        built from the counters without a single ``WorkUnit``.
+        """The unit table of ``frame``
+        (:func:`~repro.pipeline.batch.unit_columns`), read from the
+        frame's counters without a single ``WorkUnit``.
 
-        Memoised on the frame like :meth:`characterize_frame`, and
-        built inside the ``price`` profiling phase.
+        The table depends only on the frame's object batch and the
+        (frozen, hashable) cost model, so it is memoised on the frame
+        (:meth:`Frame.derived <repro.scene.scene.Frame.derived>`):
+        grid cells that share a workload share scene-memoised frames,
+        and therefore skip re-running Eq. 3 pricing entirely.  No
+        reader mutates the table, so sharing it across cells is safe.
+        The build runs inside the ``price`` profiling phase; the
+        counters it reads are not kept.
         """
         return frame.derived(
             ("unit_columns", self.cost, mode, expansion),
@@ -171,28 +153,12 @@ class DrawCharacterizer:
         self, frame: "Frame", mode: SMPMode, expansion: str
     ) -> UnitColumns:
         with phase("price"):
+            batch = frame.object_batch
             return unit_columns(
-                frame.object_batch,
-                self.frame_counters(frame, mode, expansion),
+                batch,
+                frame_counters(batch, self.cost, mode=mode, expansion=expansion),
                 self.cost,
             )
-
-    def frame_counters(
-        self,
-        frame: "Frame",
-        mode: SMPMode = SMPMode.SIMULTANEOUS,
-        expansion: str = "multiview",
-    ) -> FrameCounters:
-        """Every per-draw counter of ``frame``
-        (:func:`~repro.pipeline.batch.frame_counters`), memoised on the
-        frame: :meth:`characterize_frame` and :meth:`unit_columns` of
-        one plan read the same build."""
-        return frame.derived(
-            ("frame_counters", self.cost, mode, expansion),
-            lambda: frame_counters(
-                frame.object_batch, self.cost, mode=mode, expansion=expansion
-            ),
-        )
 
     def characterize_stereo_pair(self, draw: StereoDraw) -> Tuple[WorkUnit, ...]:
         """Both per-eye units of an object (sequential stereo trace)."""

@@ -23,9 +23,7 @@ ROP             ``num_rops`` x ``rop_pixels_per_cycle``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from repro.config import CostModel, GPMConfig
 from repro.pipeline.workunit import WorkUnit
@@ -136,35 +134,4 @@ def price_work_unit(
             gpm,
             cost,
         )
-    )
-
-
-def price_work_units(
-    units: Sequence[WorkUnit], gpm: GPMConfig, cost: CostModel
-) -> Tuple[StageBreakdown, ...]:
-    """Price many units at once with the Eq. 3 stage maths vectorized.
-
-    Same numbers as mapping :func:`price_work_unit` over ``units`` —
-    every stage expression is evaluated elementwise over the unit
-    columns (exact float64 products/quotients, nothing reduced), so the
-    breakdowns are interchangeable with the scalar ones.  Used where a
-    whole batch is priced with no interleaved memory-system side
-    effects (calibration, benches, straggler what-ifs).
-    """
-    if not units:
-        return ()
-    columns = stage_cycles(
-        np.array([unit.vertices for unit in units]),
-        np.array([unit.triangles_setup for unit in units]),
-        np.array([unit.fragments for unit in units]),
-        np.array([unit.shader_complexity for unit in units]),
-        np.array([unit.texel_requests for unit in units]),
-        np.array([unit.pixels_out for unit in units]),
-        np.array([unit.draw_count for unit in units]),
-        gpm,
-        cost,
-    )
-    return tuple(
-        StageBreakdown(*(column[i] for column in columns))
-        for i in range(len(units))
     )

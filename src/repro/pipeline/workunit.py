@@ -14,12 +14,15 @@ Framebuffer and depth traffic are kept as counts, not touches, because
 where those bytes go depends on the framework's framebuffer layout
 (interleaved, master-node, per-GPM private, or DHC-striped).
 
-:class:`UnitColumns` is the same content for a whole frame as columns:
-the input of the slice pass (:mod:`repro.engine.split`), which the
-statically scheduled frameworks build straight from a frame's counters
+:class:`UnitColumns` is the same content for a whole frame as columns,
+read straight from the frame's counters
 (:func:`repro.pipeline.batch.unit_columns`) without a single
-:class:`WorkUnit`.  :meth:`UnitColumns.from_units` is the bridge from
-units (the per-slice oracles and the tests).
+:class:`WorkUnit`.  The statically scheduled frameworks hand it to the
+slice pass (:mod:`repro.engine.split`) as it is;
+:meth:`UnitColumns.units` reads the units back out of it for the
+clock-driven dispatchers (OO-VR, OO_APP), and
+:meth:`UnitColumns.from_units` is the bridge from units (the per-slice
+oracles and the tests).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.memory.address import Resource, Touch
-from repro.scene.geometry import Viewport
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,6 @@ class WorkUnit:
     fb_write_bytes: float
     #: Command/state bytes the command processor ships to the GPM.
     command_bytes: float
-    #: Screen rectangles this unit renders into (per view).
-    viewports: Tuple[Viewport, ...]
     #: Fraction of the source draw this unit represents.
     fraction: float = 1.0
     #: Fixed per-unit scheduling overhead multiplier (draw overhead is
@@ -238,9 +238,6 @@ def merge_units(label: str, units: Tuple[WorkUnit, ...]) -> WorkUnit:
     vertex_touches: list = []
     for unit in units:
         vertex_touches.extend(unit.vertex_touches)
-    viewports: list = []
-    for unit in units:
-        viewports.extend(unit.viewports)
     return WorkUnit(
         label=label,
         views=views,
@@ -260,7 +257,6 @@ def merge_units(label: str, units: Tuple[WorkUnit, ...]) -> WorkUnit:
         z_unique_bytes=sum(u.z_unique_bytes for u in units),
         fb_write_bytes=sum(u.fb_write_bytes for u in units),
         command_bytes=sum(u.command_bytes for u in units),
-        viewports=tuple(viewports),
         fraction=1.0,
         draw_count=sum(u.draw_count for u in units),
     )
@@ -393,4 +389,46 @@ class UnitColumns:
             touch_write=np.array(write, np.float64),
             touch_texture=np.array(texture, bool),
             resources=tuple(index),
+        )
+
+    def units(self) -> Tuple[WorkUnit, ...]:
+        """The table's units, field for field: the inverse of
+        :meth:`from_units`.
+
+        The table holds no ``fraction``, so every unit is whole.  Each
+        unit's touches are its rows in order, texture touches first,
+        and every touch names the table's own :class:`Resource`
+        object.  Built afresh per call.
+        """
+        resources = self.resources
+        touches = [
+            Touch(resources[row], unique, stream, write)
+            for row, unique, stream, write in zip(
+                self.touch_resource.tolist(),
+                self.touch_unique.tolist(),
+                self.touch_stream.tolist(),
+                self.touch_write.tolist(),
+            )
+        ]
+        bounds = self.touch_bounds
+        textures = np.zeros(len(self.touch_texture) + 1, np.int64)
+        np.cumsum(self.touch_texture, out=textures[1:])
+        # Where each unit's texture rows end and its vertex rows begin.
+        split = bounds[:-1] + np.diff(textures[bounds])
+        return tuple(
+            WorkUnit(
+                label=label,
+                views=views,
+                texture_touches=tuple(touches[begin:middle]),
+                vertex_touches=tuple(touches[middle:end]),
+                **dict(zip(_FLOATS, counts)),
+            )
+            for label, views, begin, middle, end, *counts in zip(
+                self.labels,
+                self.views.tolist(),
+                bounds[:-1].tolist(),
+                split.tolist(),
+                bounds[1:].tolist(),
+                *(getattr(self, name).tolist() for name in _FLOATS),
+            )
         )

@@ -34,10 +34,12 @@ __all__ = [
 #: construction (memoised per process, so repeat cells show ~0);
 #: ``bind`` covers middleware batch grouping and merging (the
 #: ``_BatchBuilder`` front end) plus the engine's memory-image
-#: resolution; ``price`` covers Eq. 3 frame characterisation plus the
-#: engine's stage/memory pricing; ``execute`` everything else inside
-#: the render (dispatch, SMP, event simulation); ``cache``
-#: result-cache I/O.
+#: resolution; ``price`` covers Eq. 3 frame characterisation (the unit
+#: table's build) plus the engine's stage/memory pricing; ``execute``
+#: everything else inside the render (dispatch, SMP, event
+#: simulation); ``cache`` result-cache I/O.  Reading work units out of
+#: a unit table is charged to its caller's phase (``bind`` inside the
+#: ``_BatchBuilder``).
 PHASES = ("scene", "bind", "price", "execute", "cache")
 
 

@@ -16,8 +16,9 @@ are stored.  Because the serialisation round trip is exact, a cached
 sweep exports records, JSON and CSV byte-identical to an uncached one.
 
 Corruption is tolerated, not trusted: an unreadable entry, a schema
-mismatch, or a stored spec that disagrees with the requested one all
-count as misses, and the re-executed result overwrites the bad entry.
+mismatch, or a recorded identity (spec, config and engine) that does
+not hash to the address the entry was looked up under all count as
+misses, and the re-executed result overwrites the bad entry.
 
 An entry is validated once per file: :meth:`ResultCache.get` remembers
 the text of every entry it accepted together with the identity of the
@@ -154,6 +155,27 @@ def is_entry_key(key: str) -> bool:
     return len(key) == 64 and set(key) <= _KEY_DIGITS
 
 
+def _address(
+    fields: Dict[str, object], config: Optional[Dict[str, object]], engine: str
+) -> str:
+    """The entry address of a cell's identity: SHA-256 over canonical
+    JSON of the cache version, the spec's record ``fields`` minus the
+    cosmetic ``config_label``, the ``config`` fingerprint, and the
+    ``engine`` when it is not the default ``analytic``.
+
+    :func:`spec_key` hashes a live spec through it, and
+    :meth:`ResultCache.get` the identity an entry records, so an entry
+    is valid exactly when it hashes to the address it is stored under.
+    """
+    identity = dict(fields)
+    identity.pop("config_label", None)
+    payload = {"version": CACHE_VERSION, "spec": identity, "config": config}
+    if engine != "analytic":
+        payload["engine"] = engine
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def spec_key(spec: RunSpec) -> str:
     """Stable content hash of one evaluation cell.
 
@@ -165,21 +187,13 @@ def spec_key(spec: RunSpec) -> str:
     collide, while caches written before the engine layer existed still
     hit for analytic runs.
     """
-    identity = spec.record_fields()
-    identity.pop("config_label", None)
-    payload = {
-        "version": CACHE_VERSION,
-        "spec": identity,
-        "config": config_fingerprint(spec),
-    }
     # Key on the engine that actually prices the cell (field >
     # variant modifier > config — :meth:`RunSpec.effective_engine`),
     # so an explicit analytic override of an ``:engine=event`` variant
     # never collides with the event cell it overrides.
-    if spec.effective_engine != "analytic":
-        payload["engine"] = spec.effective_engine
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _address(
+        spec.record_fields(), config_fingerprint(spec), spec.effective_engine
+    )
 
 
 def encode_entry(spec: RunSpec, result: SceneResult) -> str:
@@ -265,9 +279,7 @@ class ResultCache:
         return (
             path
             for path in sorted(self.root.glob(f"*{_ENTRY_SUFFIX}"))
-            if path.is_file()
-            and len(path.stem) == 64
-            and set(path.stem) <= _KEY_DIGITS
+            if path.is_file() and is_entry_key(path.stem)
         )
 
     def keys(self) -> List[str]:
@@ -283,11 +295,12 @@ class ResultCache:
         """The cached result for ``spec``, or ``None`` on a miss.
 
         Anything wrong with the entry — unparsable JSON, a schema from
-        another cache version, a stored spec that does not match the
-        requested one (hash collision or hand-edited file) — degrades
-        to a miss rather than an error.  An accepted entry's text is
-        remembered for :meth:`recall`; every call still reads, checks
-        and decodes, and returns a fresh object.
+        another cache version, a recorded spec, config or engine that
+        does not hash to the requested key (hash collision or
+        hand-edited file) — degrades to a miss rather than an error.
+        An accepted entry's text is remembered for :meth:`recall`;
+        every call still reads, checks and decodes, and returns a fresh
+        object.
         """
         key = self.key(spec)
         try:
@@ -297,17 +310,16 @@ class ResultCache:
             entry = json.loads(text)
             if entry["version"] != CACHE_VERSION:
                 raise ValueError("cache entry from another schema version")
-            # Compare the same identity spec_key hashes: config_label is
-            # cosmetic (two labels may name one config), so a relabelled
-            # lookup must still hit.
-            stored = dict(entry["spec"])
-            stored.pop("config_label", None)
-            expected = _jsonify(spec.record_fields())
-            expected.pop("config_label", None)
-            if stored != expected:
-                raise ValueError("cache entry spec mismatch")
-            if entry.get("config") != _jsonify(config_fingerprint(spec)):
-                raise ValueError("cache entry config mismatch")
+            # The identity the entry records must hash to the address
+            # it was looked up under: spec (config_label aside, so a
+            # relabelled lookup still hits), config and engine.
+            recorded = _address(
+                entry["spec"],
+                entry.get("config"),
+                entry.get("engine", "analytic"),
+            )
+            if recorded != key:
+                raise ValueError("cache entry identity mismatch")
             result = SceneResult.from_dict(entry["result"])
         except FileNotFoundError:
             self.stats.misses += 1
@@ -552,7 +564,3 @@ class ResultCache:
         self._validated.clear()
         return removed
 
-
-def _jsonify(value: object) -> object:
-    """``value`` as it would look after a JSON round trip."""
-    return json.loads(json.dumps(value))

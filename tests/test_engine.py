@@ -1828,7 +1828,6 @@ def _split_units(rng, resources, count):
                     float(rng.uniform(0.0, 1 * MB)) if rng.random() < 0.8 else 0.0
                 ),
                 command_bytes=float(rng.choice([0.0, 256.0, 4096.0])),
-                viewports=(),
                 fraction=float(rng.uniform(0.1, 1.0)),
                 draw_count=float(rng.uniform(0.5, 3.0)),
             )

@@ -161,6 +161,30 @@ class TestResultCacheStore:
         path.write_text(json.dumps(entry), encoding="utf-8")
         assert cache.get(spec) is None
 
+    def test_edited_engine_is_corrupt_and_re_executes(self, tmp_path):
+        """The recorded engine is part of the identity an entry must
+        hash to: an analytic entry edited to say ``event`` is
+        discarded, and a sweep through the cache re-executes the cell
+        and heals the entry."""
+        cache = ResultCache(tmp_path)
+        spec = tiny_spec().validate()
+        result = spec.execute()
+        cache.put(spec, result)
+        path = cache.path_for(spec)
+        entry = json.loads(path.read_text())
+        entry["engine"] = "event"
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert cache.get(spec) is None
+        assert cache.stats.corrupt == 1
+        Sweep().preset(TINY).workloads("WE").frameworks("oo-vr").run(
+            cache=cache
+        )
+        assert cache.stats.stores == 2
+        assert "engine" not in json.loads(path.read_text())
+        healed = cache.get(spec)
+        assert healed is not None
+        assert healed.to_dict() == result.to_dict()
+
     def test_info_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         for workload in TINY.workloads:
@@ -224,6 +248,14 @@ class TestValidatedMemo:
         assert text == cache.path_for(spec).read_bytes().decode("utf-8")
         # A memo hit is counted as the hit get() would have counted.
         assert (cache.stats.hits, cache.stats.misses) == (2, 0)
+
+    def test_validated_get_parses_once(self, stored, entry_reads):
+        """Checking an entry hashes the identity it records: the entry
+        text is the only JSON one validated get() parses."""
+        cache, spec = stored
+        entry_reads.clear()
+        assert cache.get(spec) is not None
+        assert dict(entry_reads) == {"open": 1, "loads": 1, "decode": 1}
 
     def test_written_entries_are_not_remembered(self, stored, entry_reads):
         cache, spec = stored

@@ -20,7 +20,7 @@ import pytest
 from repro import cli
 from repro.core.oovr import _BatchBuilder
 from repro.frameworks.base import build_framework
-from repro.pipeline.batch import frame_counters, work_units_from_counters
+from repro.pipeline.batch import frame_counters, unit_columns
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
 from repro.scene.scene import Frame
@@ -46,30 +46,29 @@ def memo_free(monkeypatch) -> None:
 
 
 class BuildSpy:
-    """Counts the real builds behind both memoised sections."""
+    """Counts the real builds behind both memoised sections: groupings
+    and unit tables."""
 
     def __init__(self, monkeypatch) -> None:
         self.batches = 0
-        self.characterisations = 0
+        self.tables = 0
         build = _BatchBuilder._build
-        characterize = DrawCharacterizer._characterize_frame
+        build_table = DrawCharacterizer._unit_columns
 
         def counted_build(builder, frame):
             self.batches += 1
             return build(builder, frame)
 
-        def counted_characterize(characterizer, frame, mode, expansion):
-            self.characterisations += 1
-            return characterize(characterizer, frame, mode, expansion)
+        def counted_table(characterizer, frame, mode, expansion):
+            self.tables += 1
+            return build_table(characterizer, frame, mode, expansion)
 
         monkeypatch.setattr(_BatchBuilder, "_build", counted_build)
-        monkeypatch.setattr(
-            DrawCharacterizer, "_characterize_frame", counted_characterize
-        )
+        monkeypatch.setattr(DrawCharacterizer, "_unit_columns", counted_table)
 
     @property
     def counts(self):
-        return (self.batches, self.characterisations)
+        return (self.batches, self.tables)
 
 
 @pytest.fixture
@@ -168,12 +167,14 @@ class TestReuseTransparency:
         assert session.run().to_dict() == default
 
     def test_fast_grid_csv_equal_with_and_without_memo(self, monkeypatch):
-        """Every registered scheme on every workload: the grid whose
-        cells share the most artefacts reads exactly what it would
-        have built."""
+        """Every registered scheme on every workload, plus two batching
+        variants that group one memoised unit table a second way: the
+        grid whose cells share the most artefacts reads exactly what
+        it would have built."""
         grid = Sweep().fast().frameworks(
             "1tbs-bw", "afr", "baseline", "baseline-mig", "object",
-            "oo-app", "oo-vr", "tile-h", "tile-v",
+            "oo-app", "oo-vr", "oo-vr:tsl=0.3", "oo-vr:cap=8192",
+            "tile-h", "tile-v",
         )
         with_memo = grid.run().to_csv()
         memo_free(monkeypatch)
@@ -184,8 +185,8 @@ class TestReuseTransparency:
         cached_scene.cache_clear()
         shared_grid().run()
         frames = len(shared_grid().specs()[0].scene().frames)
-        # One grouping and one multi-view characterisation per frame,
-        # though two frameworks rendered every frame.
+        # One grouping and one multi-view unit table per frame, though
+        # two frameworks rendered every frame.
         assert spy.counts == (frames, frames)
 
 
@@ -204,9 +205,10 @@ class TestFrameAnchoredMemo:
         assert all(a is b for a, b in zip(first, second))
 
     def test_memo_builds_run_inside_bind_and_price(self):
-        """The grouping and merges are charged to ``bind``, the Eq. 3
-        characterisation they read to ``price``; a memo hit enters no
-        phase and nothing else is counted."""
+        """The grouping, the merges and reading the units out of the
+        unit table are charged to ``bind``, the table's Eq. 3 build to
+        ``price``; a memo hit enters no phase and nothing else is
+        counted."""
         from repro.profiling import PhaseProfile, capture
 
         frame = fresh_frame("HL2-640")
@@ -227,9 +229,11 @@ class TestFrameAnchoredMemo:
     def test_characterize_frame_hit_is_the_built_tuple(
         self, mode, expansion, spy
     ):
-        """A repeat characterisation answers the very tuple the miss
-        built, field-for-field equal to materialising the frame's
-        counters afresh; the other plan of the frame is its own entry."""
+        """A repeat characterisation builds no second unit table: it
+        reads the memoised one again, into a tuple equal to the first
+        and field-for-field equal to reading a table built afresh from
+        the frame's counters; the other plan of the frame is its own
+        table."""
         frame = fresh_frame()
         characterizer = build_framework("baseline").characterizer
         built = characterizer.characterize_frame(
@@ -238,15 +242,13 @@ class TestFrameAnchoredMemo:
         again = characterizer.characterize_frame(
             frame, mode=mode, expansion=expansion
         )
-        assert again is built
-        assert spy.characterisations == 1
+        assert again == built
+        assert spy.tables == 1
         cost = characterizer.cost
         counters = frame_counters(
             frame.object_batch, cost, mode=mode, expansion=expansion
         )
-        assert tuple(built) == tuple(
-            work_units_from_counters(frame.object_batch, counters, cost)
-        )
+        assert built == unit_columns(frame.object_batch, counters, cost).units()
         other = {
             SMPMode.SIMULTANEOUS: (SMPMode.SEQUENTIAL, "stereo"),
             SMPMode.SEQUENTIAL: (SMPMode.SIMULTANEOUS, "multiview"),
@@ -254,7 +256,7 @@ class TestFrameAnchoredMemo:
         characterizer.characterize_frame(
             frame, mode=other[0], expansion=other[1]
         )
-        assert spy.characterisations == 2
+        assert spy.tables == 2
 
     def test_batches_hold_the_live_frames_objects(self):
         """Every object of the frame lands in exactly one batch as the
@@ -286,19 +288,19 @@ class TestFrameAnchoredMemo:
         assert all(a is b for a, b in zip(reused, built))
 
     @pytest.mark.parametrize(
-        "tile, partner, table_hits",
-        [("tile-v", "baseline", True), ("tile-h", "oo-vr", False)],
+        "tile, partner",
+        [("tile-v", "baseline"), ("tile-h", "oo-vr")],
         ids=["tile-v-after-baseline", "tile-h-after-oo-vr"],
     )
     def test_tile_sfr_reads_what_its_partner_built(
-        self, tile, partner, table_hits, monkeypatch
+        self, tile, partner, monkeypatch
     ):
         """Tile-v renders the sequential stereo draws the baseline
-        splits, so after the baseline's cell its table of every frame
-        of the same workload point is a memo hit.  Tile-h renders the
-        multi-view draws OO-VR groups: OO-VR reads units, not a table,
-        so tile-h builds its table, but from the counters OO-VR's units
-        were read from."""
+        splits, and tile-h the multi-view draws OO-VR groups, whose
+        units OO-VR read out of the frame's multi-view unit table.  So
+        after the partner's cell, each tile scheme's table of every
+        frame of the same workload point is a memo hit: it builds
+        neither a table nor counters."""
         from repro.pipeline import characterize
 
         cached_scene.cache_clear()
@@ -325,10 +327,25 @@ class TestFrameAnchoredMemo:
             framework.characterizer.unit_columns(
                 frame, mode=mode, expansion=expansion
             )
-        assert built == {
-            "tables": 0 if table_hits else len(frames),
-            "counters": 0,
-        }
+        assert built == {"tables": 0, "counters": 0}
+
+    def test_frame_memo_holds_groupings_and_unit_tables(self, monkeypatch):
+        """An ``oo-vr`` cell, then a ``tile-h`` cell, ask the frame memo
+        for two sections only: the Fig. 12 grouping and the unit table
+        (OO-VR's units are read out of the table, not memoised).
+        The scenes start cold, so every section is built, not hit."""
+        cached_scene.cache_clear()
+        sections = set()
+        derived = Frame.derived
+
+        def spied(frame, key, build):
+            sections.add(key[0])
+            return derived(frame, key, build)
+
+        monkeypatch.setattr(Frame, "derived", spied)
+        for framework in ("oo-vr", "tile-h"):
+            Session().framework(framework).workload("HL2-640").fast().run()
+        assert sections == {"batch_builder", "unit_columns"}
 
 
 # ---------------------------------------------------------------------------

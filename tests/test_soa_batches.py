@@ -1,7 +1,8 @@
 """SoA == AoS property tests for the batched hot paths.
 
 The struct-of-array refactor rewired three layers — frame
-characterisation (:meth:`DrawCharacterizer.characterize_frame`), the
+characterisation (the unit table of
+:meth:`DrawCharacterizer.unit_columns` and the units it reads out), the
 validation rasterizer's batched front end (:meth:`Rasterizer.draw_mesh`)
 and the counter kernels underneath them — while keeping the scalar
 per-object/per-triangle code as the reference.  These tests pin the
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.config import baseline_system
-from repro.pipeline.batch import unit_columns
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import UnitColumns
@@ -63,7 +63,7 @@ def synthetic_frame(profile, seed):
 
 
 class TestCharacterizeFrameMatchesScalar:
-    """``characterize_frame`` == per-draw ``characterize``, exactly."""
+    """The unit table's units == per-draw ``characterize``, exactly."""
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     @pytest.mark.parametrize("seed", [2019, 7])
@@ -71,34 +71,40 @@ class TestCharacterizeFrameMatchesScalar:
     def test_multiview_expansion(self, profile, seed, mode):
         frame = synthetic_frame(profile, seed)
         characterizer = DrawCharacterizer(baseline_system())
-        batched = characterizer.characterize_frame(
+        batched = characterizer.unit_columns(
             frame, mode=mode, expansion="multiview"
-        )
+        ).units()
         draws = frame.multiview_draws()
         assert len(batched) == len(draws)
         for draw, unit in zip(draws, batched):
             assert unit == characterizer.characterize(draw, mode=mode)
+        assert characterizer.characterize_frame(
+            frame, mode=mode, expansion="multiview"
+        ) == batched
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     @pytest.mark.parametrize("seed", [2019, 7])
     def test_stereo_expansion(self, profile, seed):
         frame = synthetic_frame(profile, seed)
         characterizer = DrawCharacterizer(baseline_system())
-        batched = characterizer.characterize_frame(
+        batched = characterizer.unit_columns(
             frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
-        )
+        ).units()
         draws = frame.stereo_draws()
         assert len(batched) == len(draws)
         for draw, unit in zip(draws, batched):
             assert unit == characterizer.characterize(
                 draw, mode=SMPMode.SEQUENTIAL
             )
+        assert characterizer.characterize_frame(
+            frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
+        ) == batched
 
     def test_work_unit_totals_match(self):
         """Whole-frame roll-ups agree (the quantity Eq. 3 prices)."""
         frame = synthetic_frame(PROFILES[0], 2019)
         characterizer = DrawCharacterizer(baseline_system())
-        batched = characterizer.characterize_frame(frame)
+        batched = characterizer.unit_columns(frame).units()
         scalar = [
             characterizer.characterize(draw)
             for draw in frame.multiview_draws()
@@ -142,38 +148,52 @@ PLANS = [
 ]
 
 
+#: All nine fast workloads, and the full-scale points of the paper grid.
+TABLE_WORKLOADS = [
+    pytest.param(w, FAST, id=f"{w}-fast") for w in WORKLOADS
+] + [
+    pytest.param(w, FULL, id=f"{w}-full")
+    for w in ("HL2-1280", "DM3-1280", "WE")
+]
+
+
+def twin_frames(workload, preset):
+    """The scene's frames as twins, so nothing built on them stays on
+    the cached frames."""
+    scene = cached_scene(workload, preset.num_frames, 2019, preset.draw_scale)
+    return [replace(memoised) for memoised in scene.frames]
+
+
 class TestUnitColumnsMatchUnits:
-    """``unit_columns`` == ``UnitColumns.from_units(characterize_frame)``,
-    column for column."""
+    """The counters' table round-trips through its units:
+    ``UnitColumns.from_units(table.units())`` is the table, column for
+    column, and every touch of those units names the table's own
+    interned ``Resource`` object."""
 
     @pytest.mark.parametrize("mode, expansion", PLANS)
-    @pytest.mark.parametrize(
-        "workload, preset",
-        [pytest.param(w, FAST, id=f"{w}-fast") for w in WORKLOADS]
-        + [
-            pytest.param(w, FULL, id=f"{w}-full")
-            for w in ("HL2-1280", "DM3-1280", "WE")
-        ],
-    )
+    @pytest.mark.parametrize("workload, preset", TABLE_WORKLOADS)
     def test_counters_table_equals_the_units_table(
         self, workload, preset, mode, expansion
     ):
         characterizer = DrawCharacterizer(baseline_system())
-        scene = cached_scene(
-            workload, preset.num_frames, 2019, preset.draw_scale
-        )
-        for memoised in scene.frames:
-            # A twin, so nothing built here stays on the cached frame.
-            frame = replace(memoised)
+        for frame in twin_frames(workload, preset):
+            # The units the dispatchers read, from the memoised table.
             units = characterizer.characterize_frame(
                 frame, mode=mode, expansion=expansion
             )
-            table = unit_columns(
-                frame.object_batch,
-                characterizer.frame_counters(frame, mode, expansion),
-                characterizer.cost,
+            table = characterizer.unit_columns(
+                frame, mode=mode, expansion=expansion
             )
-            assert_tables_equal(table, UnitColumns.from_units(units))
+            assert_tables_equal(UnitColumns.from_units(units), table)
+            touches = [
+                touch
+                for unit in units
+                for touch in unit.texture_touches + unit.vertex_touches
+            ]
+            rows = table.touch_resource.tolist()
+            assert len(touches) == len(rows)
+            for touch, row in zip(touches, rows):
+                assert touch.resource is table.resources[row]
 
     def test_memoised_table_is_the_counters_table(self):
         frame = synthetic_frame(PROFILES[1], 3)
