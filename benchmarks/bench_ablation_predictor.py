@@ -20,28 +20,31 @@ time** (knowing the destination early enough for the PA copy to
 overlap), not better balance; the paper does not separate the two.
 """
 
-from repro.core.ablation import AblatedOOVR, OOVRFeatures, _AblatedEngine
+from repro.core.ablation import OOVRFeatures
+from repro.core.distribution import DistributionEngine
 from repro.core.oovr import OOVRFramework
+from repro.core.predictor import RenderingTimePredictor
 from repro.experiments.runner import scene_for
+from repro.gpu.composition import compose_distributed
 from repro.stats.metrics import geomean
 
 from benchmarks.conftest import BENCH, record_output
 
 
-class _RoundRobinEngine(_AblatedEngine):
+class _RoundRobinEngine(DistributionEngine):
     """Dispatch ablated to blind round-robin (no prediction, no oracle)."""
 
     def _select_gpm(self, batch_index: int):
         return batch_index % self.system.num_gpms, False
 
 
-class _RoundRobinOOVR(AblatedOOVR):
+class _RoundRobinOOVR(OOVRFramework):
     """OO-VR with round-robin dispatch (everything else enabled)."""
 
     def render_frame_on(self, system, frame, workload):
-        from repro.gpu.composition import compose_distributed
-
-        engine = _RoundRobinEngine(system, self.features)
+        engine = _RoundRobinEngine(
+            system, RenderingTimePredictor(), self.features
+        )
         rendered_pixels = engine.dispatch(self._builder.build(frame))
         compose_distributed(system, rendered_pixels)
         return system.frame_result(self.name, workload)
@@ -78,7 +81,7 @@ def run_predictor_study():
         errors.append(mape)
         balance["eq3"].append(result.mean_load_balance_ratio)
 
-        oracle = AblatedOOVR(features=OOVRFeatures(prediction=False))
+        oracle = OOVRFramework(features=OOVRFeatures(prediction=False))
         balance["oracle"].append(
             oracle.render_scene(scene).mean_load_balance_ratio
         )

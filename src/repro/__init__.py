@@ -45,7 +45,6 @@ from repro.config import (
     SMConfig,
     SystemConfig,
     baseline_system,
-    single_gpu_system,
 )
 from repro.frameworks import build_framework, framework_names
 from repro.scene import (
@@ -85,7 +84,6 @@ __all__ = [
     "SMConfig",
     "SystemConfig",
     "baseline_system",
-    "single_gpu_system",
     "build_framework",
     "framework_names",
     "BENCHMARKS",

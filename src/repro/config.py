@@ -359,8 +359,3 @@ def baseline_system(num_gpms: int = 4) -> SystemConfig:
     cfg = SystemConfig().with_num_gpms(num_gpms)
     cfg.validate()
     return cfg
-
-
-def single_gpu_system() -> SystemConfig:
-    """A single-GPM system used as the Fig. 18 normalisation base."""
-    return baseline_system(num_gpms=1)

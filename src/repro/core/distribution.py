@@ -49,6 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
+from repro.core.ablation import OOVRFeatures
 from repro.core.middleware import Batch
 from repro.core.predictor import BatchObservation, RenderingTimePredictor
 from repro.engine.base import ResolvedUnit
@@ -97,15 +98,24 @@ class DispatchRecord:
 
 
 class DistributionEngine:
-    """Runtime batch distribution with prediction and pre-allocation."""
+    """Runtime batch distribution with prediction and pre-allocation.
+
+    ``features`` switches mechanisms off for the ablation points
+    (:mod:`repro.core.ablation`): without prediction each batch goes to
+    the GPM that is idle first on the scheduling clock, without
+    pre-allocation the staging copy stalls the GPM, and without
+    stealing stragglers run to completion.
+    """
 
     def __init__(
         self,
         system: MultiGPUSystem,
         predictor: Optional[RenderingTimePredictor] = None,
+        features: OOVRFeatures = OOVRFeatures(),
     ) -> None:
         self.system = system
         self.predictor = predictor or RenderingTimePredictor()
+        self.features = features
         self.records: List[DispatchRecord] = []
         self._states = [
             _GpmState(gpm_id=i) for i in range(system.num_gpms)
@@ -117,12 +127,14 @@ class DistributionEngine:
         # PA units: same staged bytes as the software schemes, but the
         # copy streams while the GPM renders its previous batch, so the
         # latency hides ("pre-allocate the required data of each batch
-        # to the local memory to hide long data copy latency").
+        # to the local memory to hide long data copy latency").  With
+        # pre-allocation off the data must still arrive, but the copy
+        # stalls the renderer like the software schemes.
         self._staging = StagingManager(
             system,
             factor=system.config.cost.batch_stage_factor,
             parallelism=system.config.cost.stage_parallelism,
-            prefetched=True,
+            prefetched=features.preallocation,
             traffic_type=TrafficType.PREALLOC,
         )
         self._staging.begin_frame()
@@ -131,19 +143,22 @@ class DistributionEngine:
 
     def _select_gpm(self, batch_index: int) -> Tuple[int, bool]:
         """(gpm, is_calibration) for the next batch."""
-        n = self.system.num_gpms
+        if not self.features.prediction:
+            # Greedy software dispatch on actual ready times (OO_APP level).
+            return self.system.engine.next_idle(), False
         if not self.predictor.is_calibrated:
-            return batch_index % n, True
+            return batch_index % self.system.num_gpms, True
         # Earliest available by predicted remaining work: predicted
         # busy minus predicted elapsed from the GPM's runtime counters.
-        def remaining(state: _GpmState) -> float:
-            gpm = self.system.gpms[state.gpm_id]
-            elapsed = self.predictor.predict_elapsed(
-                gpm.transformed_vertices, gpm.rendered_pixels
-            )
-            return max(0.0, state.predicted_busy - elapsed)
-
-        chosen = min(self._states, key=remaining)
+        gpms = self.system.gpms
+        chosen = min(
+            self._states,
+            key=lambda state: self.predictor.remaining(
+                state.predicted_busy,
+                gpms[state.gpm_id].transformed_vertices,
+                gpms[state.gpm_id].rendered_pixels,
+            ),
+        )
         return chosen.gpm_id, False
 
     # -- pre-allocation ----------------------------------------------------------
@@ -234,7 +249,8 @@ class DistributionEngine:
                 start_at=start_at,
             )
             rendered_pixels[gpm_id] += unit.pixels_out
-        self._split_stragglers(rendered_pixels)
+        if self.features.stealing:
+            self._split_stragglers(rendered_pixels)
         return rendered_pixels
 
     # -- straggler splitting -----------------------------------------------------

@@ -263,28 +263,3 @@ class OOMiddleware:
                 triangles += candidate.mesh.num_triangles
             batches.append(Batch(batch_id=len(batches), objects=tuple(members)))
         return batches
-
-    # -- diagnostics -----------------------------------------------------------
-
-    @staticmethod
-    def sharing_captured(batches: Sequence[Batch]) -> float:
-        """Fraction of per-object texture bytes kept inside batches.
-
-        1.0 means every texture byte an object binds is private to its
-        batch (perfect locality); lower values mean textures still
-        shared *across* batches, which is the residual remote traffic
-        OO-VR pays.
-        """
-        total = 0.0
-        captured = 0.0
-        owner_of_texture: Dict[int, int] = {}
-        for batch in batches:
-            for texture in batch.textures:
-                owner_of_texture.setdefault(texture.texture_id, batch.batch_id)
-        for batch in batches:
-            for obj in batch.objects:
-                for texture in obj.textures:
-                    total += texture.size_bytes
-                    if owner_of_texture[texture.texture_id] == batch.batch_id:
-                        captured += texture.size_bytes
-        return captured / total if total else 1.0

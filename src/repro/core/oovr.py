@@ -12,6 +12,12 @@ Two registered schemes, matching the paper's evaluation design points:
 - ``oo-vr`` — the full co-design: OO_APP plus the object-aware runtime
   distribution engine (Eq. 3 prediction, PA pre-allocation, straggler
   splitting) and the distributed hardware composition unit (DHC).
+
+Every ablation and middleware design point (``oo-vr:no-dhc``,
+``oo-vr:tsl=0.3``, ... — :mod:`repro.frameworks.variants`) is the same
+:class:`OOVRFramework`, built with its
+:class:`~repro.core.ablation.OOVRFeatures` switches and its
+:class:`~repro.core.middleware.OOMiddleware`.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.config import SystemConfig
+from repro.core.ablation import OOVRFeatures
 from repro.core.distribution import DistributionEngine
 from repro.core.middleware import Batch, OOMiddleware
 from repro.core.predictor import RenderingTimePredictor
@@ -38,9 +45,15 @@ from repro.stats.metrics import FrameResult
 class _BatchBuilder:
     """Shared OO_APP front end: frame -> (batch, merged work unit)."""
 
-    def __init__(self, framework: RenderingFramework) -> None:
+    def __init__(
+        self,
+        framework: RenderingFramework,
+        middleware: Optional[OOMiddleware] = None,
+    ) -> None:
         self._framework = framework
-        self._middleware = OOMiddleware()
+        if middleware is None:
+            middleware = OOMiddleware()
+        self._middleware = middleware
 
     def build(self, frame: Frame) -> List[Tuple[Batch, WorkUnit]]:
         """``frame`` -> ``[(batch, merged unit), ...]`` in draw order.
@@ -140,21 +153,38 @@ class OOAppFramework(RenderingFramework):
 
 @register_framework("oo-vr")
 class OOVRFramework(RenderingFramework):
-    """The full OO-VR software/hardware co-design."""
+    """The OO-VR software/hardware co-design.
+
+    ``features`` selects which hardware mechanisms run (all of them by
+    default; without DHC the frame composes on GPM 0's ROPs), and
+    ``middleware`` groups the batches (the paper's TSL > 0.5 and
+    4096-triangle cap by default).
+    """
 
     placement_policy = PlacementPolicy.FIRST_TOUCH
 
-    def __init__(self, config: Optional[SystemConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[SystemConfig] = None,
+        features: OOVRFeatures = OOVRFeatures(),
+        middleware: Optional[OOMiddleware] = None,
+    ) -> None:
         super().__init__(config)
-        self._builder = _BatchBuilder(self)
+        self.features = features
+        self._builder = _BatchBuilder(self, middleware)
         #: The last frame's dispatch records, for diagnostics/tests.
         self.last_engine: Optional[DistributionEngine] = None
 
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:
-        engine = DistributionEngine(system, RenderingTimePredictor())
+        engine = DistributionEngine(
+            system, RenderingTimePredictor(), self.features
+        )
         self.last_engine = engine
         rendered_pixels = engine.dispatch(self._builder.build(frame))
-        compose_distributed(system, rendered_pixels)
+        if self.features.distributed_composition:
+            compose_distributed(system, rendered_pixels)
+        else:
+            compose_master(system, rendered_pixels, root=0)
         return system.frame_result(self.name, workload)

@@ -23,7 +23,7 @@ to find the earliest-available module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,10 +54,8 @@ class RenderingTimePredictor:
         if calibration_batches < 1:
             raise ValueError("need at least one calibration batch")
         self.calibration_batches = calibration_batches
-        self._observations: List[BatchObservation] = []
         # Column buffers (triangles, tv, pixels, cycles) grown by
-        # doubling: refits slice these views instead of rebuilding
-        # arrays from the observation list on every observe() call.
+        # doubling: each refit slices these views.
         self._columns = np.zeros((4, 16), dtype=np.float64)
         self._count = 0
         self.c0: Optional[float] = None
@@ -72,7 +70,6 @@ class RenderingTimePredictor:
 
     def observe(self, observation: BatchObservation) -> None:
         """Record a completed batch; fits the model once enough arrive."""
-        self._observations.append(observation)
         if self._count == self._columns.shape[1]:
             grown = np.zeros(
                 (4, self._columns.shape[1] * 2), dtype=np.float64
@@ -136,16 +133,3 @@ class RenderingTimePredictor:
         """Distance between the total and elapsed counters (Section 5.2)."""
         elapsed = self.predict_elapsed(transformed_vertices, rendered_pixels)
         return max(0.0, predicted_total - elapsed)
-
-    # -- introspection -------------------------------------------------------
-
-    def mean_absolute_error(self) -> float:
-        """Model error over everything observed so far (for reports)."""
-        if not self.is_calibrated or not self._observations:
-            return float("nan")
-        errors = [
-            abs(self.predict_total(o.triangles) - o.cycles) / o.cycles
-            for o in self._observations
-            if o.cycles > 0
-        ]
-        return sum(errors) / len(errors)

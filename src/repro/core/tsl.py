@@ -70,12 +70,3 @@ def texture_sharing_level(
 ) -> float:
     """Eq. 1: the TSL between a root texture set and a target object."""
     return tsl_from_shares(byte_shares(root_textures), byte_shares(target_textures))
-
-
-def should_group(
-    root_textures: Sequence[Texture],
-    target_textures: Sequence[Texture],
-    threshold: float = 0.5,
-) -> bool:
-    """The middleware's grouping predicate (``TSL > threshold``)."""
-    return texture_sharing_level(root_textures, target_textures) > threshold

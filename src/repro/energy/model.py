@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.stats.metrics import FrameResult
 
@@ -95,12 +94,6 @@ class FrameEnergy:
     def millijoules(self) -> float:
         return self.total_joules * 1e3
 
-    def fraction_of(self, component: str) -> float:
-        """Share of the total taken by one component ('link', ...)."""
-        value = getattr(self, f"{component}_joules")
-        total = self.total_joules
-        return value / total if total > 0 else 0.0
-
 
 class EnergyModel:
     """Folds a :class:`~repro.stats.metrics.FrameResult` into joules.
@@ -146,13 +139,3 @@ class EnergyModel:
             compute_joules=compute,
             engine_joules=engine,
         )
-
-    def link_energy_by_type(
-        self, frame: FrameResult
-    ) -> Mapping[str, float]:
-        """Joules of link energy per traffic type (texture, z-test, ...)."""
-        per_bit = self.constants.link_pj_per_bit * 1e-12
-        return {
-            traffic.value: nbytes * 8.0 * per_bit
-            for traffic, nbytes in frame.traffic.by_type.items()
-        }

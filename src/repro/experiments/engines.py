@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.config import baseline_system
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import FigureResult, _bandwidth_label
 from repro.experiments.runner import FULL, ExperimentConfig
 from repro.session import Sweep
 from repro.stats.metrics import geomean
@@ -77,10 +77,6 @@ CONTENTION_PHASES = ("render", "composition")
 
 def _event_name(framework: str) -> str:
     return f"{framework}:engine=event"
-
-
-def _bandwidth_label(bandwidth: float) -> str:
-    return "1TB/s" if bandwidth >= 1000 else f"{bandwidth:.0f}GB/s"
 
 
 def engine_contention_grid(

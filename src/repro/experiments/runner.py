@@ -25,7 +25,6 @@ __all__ = [
     "scene_for",
     "run_framework_suite",
     "single_frame_speedups",
-    "throughput_speedups",
     "traffic_ratios",
     "with_average",
 ]
@@ -58,18 +57,6 @@ def single_frame_speedups(
     return {
         workload: baseline[workload].single_frame_cycles
         / results[workload].single_frame_cycles
-        for workload in results
-    }
-
-
-def throughput_speedups(
-    results: Mapping[str, SceneResult],
-    baseline: Mapping[str, SceneResult],
-) -> Dict[str, float]:
-    """Per-workload frame-rate speedup vs. the baseline results."""
-    return {
-        workload: baseline[workload].frame_interval_cycles
-        / results[workload].frame_interval_cycles
         for workload in results
     }
 

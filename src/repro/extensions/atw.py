@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig, baseline_system
-from repro.stats.metrics import SceneResult
 
 __all__ = ["ATWConfig", "ATWReport", "atw_study", "simulate_atw"]
 
@@ -174,22 +173,6 @@ def simulate_atw(
         worst_lag_vsyncs=worst_streak,
         atw_overhead_ms=atw_seconds * 1e3,
         mean_latency_ms=mean_latency * 1e3,
-    )
-
-
-def atw_for_scene(
-    result: SceneResult,
-    atw: ATWConfig | None = None,
-    system: SystemConfig | None = None,
-) -> ATWReport:
-    """Convenience: pace a :class:`SceneResult`'s steady frames."""
-    latencies = [frame.cycles for frame in result.steady_frames]
-    return simulate_atw(
-        latencies,
-        framework=result.framework,
-        workload=result.workload,
-        atw=atw,
-        system=system,
     )
 
 

@@ -43,14 +43,6 @@ class Topology(enum.Enum):
     RING = "ring"
     SWITCH = "switch"
 
-    def ports_required(self, num_gpms: int) -> int:
-        """Ports per GPM this topology needs at ``num_gpms`` modules."""
-        if self is Topology.FULLY_CONNECTED:
-            return max(1, num_gpms - 1)
-        if self is Topology.RING:
-            return 2 if num_gpms > 2 else 1
-        return 1  # SWITCH: one bidirectional port pair to the crossbar
-
 
 class RoutedLinkFabric(LinkFabric):
     """A link fabric that routes transfers over physical hops.
@@ -156,13 +148,6 @@ class RoutedLinkFabric(LinkFabric):
     def wire_bytes(self) -> float:
         """Physical bytes over all hops (>= logical total)."""
         return sum(s.bytes_total for s in self._links.values())
-
-    @property
-    def hop_inflation(self) -> float:
-        """Wire bytes per logical byte (1.0 for fully connected)."""
-        if self._logical_total == 0:
-            return 1.0
-        return self.wire_bytes / self._logical_total
 
     def reset(self) -> None:
         super().reset()

@@ -164,7 +164,7 @@ def validate_framework_name(name: str) -> None:
     """Raise :class:`KeyError` unless ``name`` would build.
 
     Accepts registered names and parameterised variants without
-    constructing anything — the cheap check
+    constructing a framework — the cheap check
     :meth:`RunSpec.validate <repro.session.spec.RunSpec.validate>`
     runs per grid cell.
     """

@@ -86,8 +86,11 @@ def _topology(value: str):
 def _parse(name: str) -> Dict[str, object]:
     """Validate the grammar and return the parsed modifier plan.
 
-    Raises :class:`KeyError` with an actionable message on any problem;
-    does not construct frameworks (cheap enough for spec validation).
+    Raises :class:`KeyError` with an actionable message on any problem,
+    an out-of-range ``tsl=`` or ``cap=`` value included: the plan holds
+    the :class:`~repro.core.middleware.OOMiddleware` the framework will
+    receive, so its range checks run here.  Constructs no framework
+    (cheap enough for spec validation).
     """
     from repro.core.ablation import ABLATION_VARIANTS
     from repro.frameworks.base import framework_names
@@ -95,10 +98,11 @@ def _parse(name: str) -> Dict[str, object]:
     base, modifiers = _split(name)
     if not modifiers or not all(modifiers):
         raise KeyError(f"malformed framework variant {name!r}")
+    middleware: Dict[str, object] = {}
     plan: Dict[str, object] = {
         "base": base,
         "features": None,
-        "middleware": {},
+        "middleware": None,
         "topology": None,
         "foveate": False,
         "engine": None,
@@ -110,7 +114,7 @@ def _parse(name: str) -> Dict[str, object]:
                     f"ablation variant {modifier!r} applies to 'oo-vr', "
                     f"not {base!r}"
                 )
-            if plan["features"] is not None or plan["middleware"]:
+            if plan["features"] is not None or middleware:
                 raise KeyError(
                     f"variant {name!r} combines incompatible constructor "
                     "modifiers"
@@ -130,9 +134,9 @@ def _parse(name: str) -> Dict[str, object]:
             key, _, raw = modifier.partition("=")
             try:
                 if key == "tsl":
-                    plan["middleware"]["tsl_threshold"] = float(raw)
+                    middleware["tsl_threshold"] = float(raw)
                 else:
-                    plan["middleware"]["triangle_limit"] = int(raw)
+                    middleware["triangle_limit"] = int(raw)
             except ValueError:
                 raise KeyError(
                     f"malformed {key} value {raw!r} in variant {name!r}"
@@ -158,6 +162,13 @@ def _parse(name: str) -> Dict[str, object]:
     known = framework_names()
     if base not in known:
         raise KeyError(f"unknown framework {base!r}; have {known}")
+    if middleware:
+        from repro.core.middleware import OOMiddleware
+
+        try:
+            plan["middleware"] = OOMiddleware(**middleware)
+        except ValueError as error:
+            raise KeyError(f"variant {name!r}: {error}") from None
     return plan
 
 
@@ -176,16 +187,15 @@ def build_variant(name: str, config: Optional[SystemConfig] = None):
     from repro.frameworks.base import build_framework
 
     plan = _parse(name)
-    if plan["features"] is not None:
-        from repro.core.ablation import AblatedOOVR
-
-        framework = AblatedOOVR(config, plan["features"])
-    elif plan["middleware"]:
-        from repro.core.middleware import OOMiddleware
+    if plan["features"] is not None or plan["middleware"] is not None:
+        from repro.core.ablation import OOVRFeatures
         from repro.core.oovr import OOVRFramework
 
-        framework = OOVRFramework(config)
-        framework._builder._middleware = OOMiddleware(**plan["middleware"])
+        framework = OOVRFramework(
+            config,
+            features=plan["features"] or OOVRFeatures(),
+            middleware=plan["middleware"],
+        )
     else:
         framework = build_framework(plan["base"], config)
 

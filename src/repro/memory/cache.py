@@ -8,14 +8,13 @@ Two fidelity levels:
 - :func:`working_set_hit_rate` — the analytic model the fast timing path
   uses: given a draw's unique footprint and a cache capacity, estimate
   the hit rate of the (re-)request stream.  The tests in
-  ``tests/test_cache.py`` cross-validate the analytic curve against the
-  exact simulator on synthetic streams.
+  ``tests/test_memory.py`` cross-validate the analytic curve against
+  the exact simulator on synthetic streams.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -112,7 +111,7 @@ def working_set_hit_rate(
       thrashes: the hit rate decays with the capacity ratio.
 
     The curve is the standard smooth working-set approximation; the
-    exact-vs-analytic comparison lives in ``tests/test_cache.py``.
+    exact-vs-analytic comparison lives in ``tests/test_memory.py``.
     """
     if unique_bytes <= 0:
         return 1.0
@@ -179,22 +178,3 @@ def miss_bytes_columns(
         ),
     )
     return out
-
-
-@dataclass
-class CacheStats:
-    """Aggregated hit/miss bookkeeping for reports."""
-
-    hits: float = 0.0
-    misses: float = 0.0
-
-    def record(self, requests: float, hit_rate: float) -> None:
-        if requests < 0 or not 0.0 <= hit_rate <= 1.0:
-            raise ValueError("invalid cache record")
-        self.hits += requests * hit_rate
-        self.misses += requests * (1.0 - hit_rate)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

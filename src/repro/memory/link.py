@@ -160,16 +160,6 @@ class LinkFabric:
         stats = self._links.get((src, dst))
         return stats.bytes_total if stats else 0.0
 
-    def incoming_bytes(self, gpm: int) -> float:
-        return sum(
-            s.bytes_total for (src, dst), s in self._links.items() if dst == gpm
-        )
-
-    def outgoing_bytes(self, gpm: int) -> float:
-        return sum(
-            s.bytes_total for (src, dst), s in self._links.items() if src == gpm
-        )
-
     def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
         """The physical hop list a ``src -> dst`` transfer crosses.
 
@@ -196,16 +186,6 @@ class LinkFabric:
                 for s in range(self.num_gpms)
             )
         return self._hop_matrix[src][dst]
-
-    def busiest_pair_cycles(self) -> float:
-        """Cycles the most-loaded directional link spent transferring."""
-        if not self._links:
-            return 0.0
-        return max(s.bytes_total for s in self._links.values()) / self.bytes_per_cycle
-
-    def energy_picojoules(self, picojoules_per_bit: float) -> float:
-        """Link transfer energy (the paper quotes 10 pJ/bit on-board)."""
-        return self.total_bytes * 8.0 * picojoules_per_bit
 
     def reset(self) -> None:
         self._links.clear()

@@ -159,11 +159,13 @@ class PagePlacement:
         self._entries[resource.resource_id] = _Entry(resource, owners)
 
     def place_striped(self, resource: Resource, stripes: Sequence[int]) -> None:
-        """Partition pages contiguously across ``stripes`` (DHC layout).
+        """Partition pages contiguously across ``stripes``.
 
-        Page ``i`` goes to ``stripes[i * len(stripes) // pages]`` — i.e.
-        equal contiguous spans, matching the vertical framebuffer split
-        of the distributed hardware composition unit (Fig. 14).
+        Page ``i`` goes to ``stripes[i * len(stripes) // pages]``: equal
+        contiguous spans, one per owner, so one resource has several
+        homes.  No framework places a resource this way (the DHC
+        composition, Fig. 14, models its framebuffer stripes without
+        page placement); it builds multi-owner layouts for tests.
         """
         self._require_unplaced(resource)
         if not stripes:
@@ -193,42 +195,12 @@ class PagePlacement:
                 entry.replicas.add(gpm)
                 self.resident_bytes[gpm] += resource.size_bytes
 
-    def preallocate(self, resource: Resource, gpm: int) -> float:
-        """PA-unit copy: make ``resource`` local to ``gpm``.
-
-        Returns the bytes that must be copied over the links.  Never-
-        touched resources are simply placed on ``gpm`` (first touch by
-        the PA unit itself — free).  Already-placed resources gain a
-        *replica*: render assets are read-only, so the PA duplicates
-        pages instead of migrating them, and a resource shared by
-        batches on several GPMs ends up resident on each — subsequent
-        frames pay nothing.  The caller accounts the copy on the
-        fabric; the distribution engine overlaps it with rendering of
-        the previous batch.
-        """
-        entry = self._entries.get(resource.resource_id)
-        if entry is None:
-            # Never touched: first touch will land it locally for free.
-            self._place_new(resource, gpm)
-            return 0.0
-        if gpm in entry.replicas:
-            return 0.0
-        local_pages = sum(1 for owner in entry.owners if owner == gpm)
-        if local_pages == len(entry.owners):
-            return 0.0
-        missing_bytes = float(
-            (len(entry.owners) - local_pages) * self.page_bytes
-        )
-        entry.replicas.add(gpm)
-        self.resident_bytes[gpm] += missing_bytes
-        return missing_bytes
-
     def migrate(self, resource: Resource, gpm: int) -> float:
         """Re-home every page of ``resource`` onto ``gpm``.
 
-        Unlike :meth:`preallocate` (which replicates read-only assets),
-        migration *moves* ownership — the policy studied by the NUMA-GPU
-        line of work the paper builds on.  Returns the bytes that cross
+        Unlike :meth:`replicate` (which copies read-only assets, as the
+        staging copies do), migration *moves* ownership — the policy
+        studied by the NUMA-GPU line of work the paper builds on.  Returns the bytes that cross
         the links for the move; unplaced resources place directly on
         ``gpm`` for free.  Existing replicas are dropped (they would be
         stale under a writable-page model).

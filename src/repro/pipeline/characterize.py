@@ -159,10 +159,3 @@ class DrawCharacterizer:
                 frame_counters(batch, self.cost, mode=mode, expansion=expansion),
                 self.cost,
             )
-
-    def characterize_stereo_pair(self, draw: StereoDraw) -> Tuple[WorkUnit, ...]:
-        """Both per-eye units of an object (sequential stereo trace)."""
-        return tuple(
-            self.characterize(eye_draw, mode=SMPMode.SEQUENTIAL)
-            for eye_draw in draw.obj.stereo_draws()
-        )

@@ -18,18 +18,6 @@ import numpy as np
 
 from repro.scene.geometry import Viewport
 
-#: Raster tile edge in pixels (16x16 tiled rasterisation, Table 2).
-TILE_EDGE = 16
-
-
-def tile_count(viewport: Viewport) -> int:
-    """Number of 16x16 tiles a rectangle touches (ceiling per axis)."""
-    if viewport.area == 0:
-        return 0
-    tiles_x = int(-(-viewport.width // TILE_EDGE))
-    tiles_y = int(-(-viewport.height // TILE_EDGE))
-    return max(1, tiles_x) * max(1, tiles_y)
-
 
 @dataclass(frozen=True)
 class StripShare:

@@ -78,16 +78,3 @@ def distributed_composition(
         color_bytes=base.color_bytes,
         depth_bytes=base.depth_bytes,
     )
-
-
-def crossing_fraction(num_gpms: int) -> float:
-    """Fraction of composed pixels whose stripe lives on another GPM.
-
-    With pixels rendered on a uniformly random GPM relative to their
-    stripe owner, ``(n-1)/n`` of composition bytes cross a link — the
-    "small number of memory access compared to the main rendering
-    phase" the paper accepts in exchange for 4x ROP throughput.
-    """
-    if num_gpms <= 0:
-        raise ValueError("need at least one GPM")
-    return (num_gpms - 1) / num_gpms

@@ -104,36 +104,6 @@ class WorkUnit:
 
     # -- splitting ---------------------------------------------------------
 
-    def split(self, factor: float, label_suffix: str = "part") -> "WorkUnit":
-        """A unit representing ``factor`` of this one.
-
-        Geometry work does *not* scale below the unit level for screen
-        splits — that is handled by the caller via
-        :meth:`with_geometry_share` — but fine-grained stealing slices
-        (the OO-VR straggler mechanism) scale everything uniformly,
-        which is what this method does.
-        """
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("split factor must be in (0, 1]")
-        return replace(
-            self,
-            label=f"{self.label}/{label_suffix}",
-            vertices=self.vertices * factor,
-            triangles_setup=self.triangles_setup * factor,
-            triangles_raster=self.triangles_raster * factor,
-            fragments=self.fragments * factor,
-            pixels_out=self.pixels_out * factor,
-            texel_requests=self.texel_requests * factor,
-            texture_touches=tuple(t.scaled(factor) for t in self.texture_touches),
-            vertex_touches=tuple(t.scaled(factor) for t in self.vertex_touches),
-            z_stream_bytes=self.z_stream_bytes * factor,
-            z_unique_bytes=self.z_unique_bytes * factor,
-            fb_write_bytes=self.fb_write_bytes * factor,
-            command_bytes=self.command_bytes * factor,
-            fraction=self.fraction * factor,
-            draw_count=self.draw_count * factor,
-        )
-
     def with_screen_share(
         self,
         pixel_share: float,

@@ -26,7 +26,6 @@ __all__ = [
     "PhaseProfile",
     "add_counter",
     "capture",
-    "current_profile",
     "phase",
 ]
 
@@ -123,11 +122,6 @@ class PhaseProfile:
 
 #: The profile instrumentation currently feeds, if any.
 _active: Optional[PhaseProfile] = None
-
-
-def current_profile() -> Optional[PhaseProfile]:
-    """The :class:`PhaseProfile` being captured, or ``None``."""
-    return _active
 
 
 def add_counter(name: str, value: float) -> None:

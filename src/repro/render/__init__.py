@@ -29,7 +29,6 @@ from repro.render.math3d import (
     normalize,
     perspective,
     rotate_y,
-    scale_matrix,
     translate,
 )
 from repro.render.mesh3d import (
@@ -71,7 +70,6 @@ __all__ = [
     "normalize",
     "perspective",
     "rotate_y",
-    "scale_matrix",
     "side_by_side",
     "translate",
     "validate_scene",

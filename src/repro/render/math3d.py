@@ -23,10 +23,7 @@ __all__ = [
     "look_at",
     "normalize",
     "perspective",
-    "rotate_x",
     "rotate_y",
-    "rotate_z",
-    "scale_matrix",
     "transform_points",
     "translate",
 ]
@@ -53,19 +50,6 @@ def translate(dx: float, dy: float, dz: float) -> np.ndarray:
     return m
 
 
-def scale_matrix(sx: float, sy: float | None = None, sz: float | None = None) -> np.ndarray:
-    """Axis-aligned scale; one argument means uniform scaling."""
-    if sy is None:
-        sy = sx
-    if sz is None:
-        sz = sx
-    if sx == 0 or sy == 0 or sz == 0:
-        raise ValueError("scale factors must be non-zero")
-    m = identity()
-    m[0, 0], m[1, 1], m[2, 2] = sx, sy, sz
-    return m
-
-
 def _rotation(axis_a: int, axis_b: int, radians: float) -> np.ndarray:
     m = identity()
     c, s = math.cos(radians), math.sin(radians)
@@ -76,19 +60,9 @@ def _rotation(axis_a: int, axis_b: int, radians: float) -> np.ndarray:
     return m
 
 
-def rotate_x(radians: float) -> np.ndarray:
-    """Rotation about the +x axis."""
-    return _rotation(1, 2, radians)
-
-
 def rotate_y(radians: float) -> np.ndarray:
     """Rotation about the +y axis."""
     return _rotation(2, 0, radians)
-
-
-def rotate_z(radians: float) -> np.ndarray:
-    """Rotation about the +z axis."""
-    return _rotation(0, 1, radians)
 
 
 def look_at(

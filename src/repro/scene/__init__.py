@@ -27,7 +27,6 @@ from repro.scene.benchmarks import (
     BENCHMARKS,
     WORKLOADS,
     BenchmarkSpec,
-    benchmark_names,
     make_benchmark_scene,
     workload_scene,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "BENCHMARKS",
     "WORKLOADS",
     "BenchmarkSpec",
-    "benchmark_names",
     "make_benchmark_scene",
     "workload_scene",
 ]

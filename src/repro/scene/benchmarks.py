@@ -198,11 +198,6 @@ _RESOLUTION_SUFFIXES: Dict[str, Tuple[int, int]] = {
 }
 
 
-def benchmark_names() -> Tuple[str, ...]:
-    """Abbreviations of the five Table 3 games."""
-    return tuple(BENCHMARKS)
-
-
 def parse_workload(name: str) -> Tuple[BenchmarkSpec, int, int]:
     """Split a workload name like ``"DM3-1280"`` into (spec, w, h)."""
     abbr, _, suffix = name.partition("-")

@@ -101,15 +101,6 @@ class Viewport:
             return None
         return Viewport(x0, y0, x1, y1)
 
-    def overlap_fraction(self, other: "Viewport") -> float:
-        """Fraction of *this* viewport's area inside ``other``."""
-        if self.area == 0:
-            return 0.0
-        inter = self.intersection(other)
-        if inter is None:
-            return 0.0
-        return inter.area / self.area
-
     def clamped(self, bounds: "Viewport") -> "Viewport | None":
         """This viewport clipped against ``bounds`` (triangle clipping)."""
         return self.intersection(bounds)

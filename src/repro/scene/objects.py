@@ -154,11 +154,6 @@ class StereoDraw:
             raise ValueError("BOTH draw requires stereo visibility")
 
     @property
-    def draw_key(self) -> Tuple[int, str]:
-        """Stable identity for scheduling maps."""
-        return (self.obj.object_id, self.eye.value)
-
-    @property
     def view_count(self) -> int:
         return self.eye.view_count
 

@@ -11,7 +11,7 @@ object identity, exactly how the middleware's TSL computation sees it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator
 
 KB = 1024
 MB = 1024 * KB
@@ -96,17 +96,3 @@ def unique_texture_bytes(textures: Iterable[Texture]) -> int:
     for texture in textures:
         seen[texture.texture_id] = texture.size_bytes
     return sum(seen.values())
-
-
-def shared_textures(
-    a: Iterable[Texture], b: Iterable[Texture]
-) -> Tuple[Texture, ...]:
-    """The textures present in both ``a`` and ``b`` (by identity)."""
-    ids_b = {t.texture_id for t in b}
-    out = []
-    seen = set()
-    for texture in a:
-        if texture.texture_id in ids_b and texture.texture_id not in seen:
-            seen.add(texture.texture_id)
-            out.append(texture)
-    return tuple(out)

@@ -35,11 +35,6 @@ class DisplayRequirements:
     def pixels(self) -> int:
         return int(self.megapixels * 1e6)
 
-    def meets_deadline(self, frame_cycles: float, clock_hz: float = 1e9) -> bool:
-        """Whether ``frame_cycles`` at ``clock_hz`` fits the strict deadline."""
-        latency_ms = frame_cycles / clock_hz * 1e3
-        return latency_ms <= self.frame_latency_ms_min
-
 
 #: A typical gaming PC per Table 1.
 PC_GAMING = DisplayRequirements(

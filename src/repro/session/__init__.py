@@ -55,7 +55,6 @@ from repro.session.executor import (
     ShardManifest,
     SweepExecutor,
     grid_key,
-    load_shard_manifests,
     make_executor,
     parse_shard,
     shard_manifest_paths,
@@ -107,7 +106,6 @@ __all__ = [
     "encode_entry",
     "grid_key",
     "is_entry_key",
-    "load_shard_manifests",
     "make_executor",
     "parse_shard",
     "shard_manifest_paths",

@@ -385,18 +385,6 @@ def shard_manifest_paths(root: Union[str, Path]) -> List[Path]:
     )
 
 
-def load_shard_manifests(root: Union[str, Path]) -> List[ShardManifest]:
-    """Every shard manifest under a cache directory, grid then shard
-    order.  Unreadable files raise — callers auditing untrusted
-    directories should load :func:`shard_manifest_paths` one by one.
-    """
-    manifests = [
-        ShardManifest.load(path) for path in shard_manifest_paths(root)
-    ]
-    manifests.sort(key=lambda m: (m.grid_key, m.shard_count, m.shard_index))
-    return manifests
-
-
 class ShardExecutor:
     """One deterministic slice of the grid; the scatter half of a sweep.
 

@@ -1,14 +1,17 @@
-"""Ablation frameworks and extension experiments."""
+"""The OO-VR ablation points and the extension experiments."""
 
 import pytest
 
-from repro.core.ablation import AblatedOOVR, OOVRFeatures, ablation_suite
+from repro.config import baseline_system
+from repro.core.ablation import ABLATION_VARIANTS
+from repro.core.oovr import OOVRFramework
 from repro.experiments.extensions import (
     batching_sensitivity,
     energy_report,
     oovr_ablation,
 )
 from repro.experiments.runner import ExperimentConfig
+from repro.frameworks.base import build_framework
 from repro.scene.benchmarks import make_benchmark_scene
 
 TINY = ExperimentConfig(draw_scale=0.08, num_frames=2, workloads=("HL2-640",))
@@ -19,59 +22,64 @@ def scene():
     return make_benchmark_scene("HL2-1280", num_frames=2, draw_scale=0.12)
 
 
+def _ablated(key):
+    return build_framework(f"oo-vr:{key}")
+
+
+def _without_framework(result):
+    """``result.to_dict()`` minus the framework names it carries."""
+    data = result.to_dict()
+    del data["framework"]
+    for frame in data["frames"]:
+        del frame["framework"]
+    return data
+
+
 class TestFeatures:
-    def test_full_label(self):
-        assert OOVRFeatures().label() == "oo-vr"
-
-    def test_disabled_labels(self):
-        label = OOVRFeatures(prediction=False, stealing=False).label()
-        assert "pred" in label and "steal" in label
-
     def test_suite_has_six_variants(self):
-        suite = ablation_suite()
-        assert set(suite) == {
+        assert set(ABLATION_VARIANTS) == {
             "full", "no-prediction", "no-preallocation",
             "no-dhc", "no-stealing", "software-only",
         }
 
+    @pytest.mark.parametrize("key", sorted(ABLATION_VARIANTS))
+    def test_every_key_builds_oovr_with_its_features(self, key):
+        framework = _ablated(key)
+        assert type(framework) is OOVRFramework
+        assert framework.features == ABLATION_VARIANTS[key]
+        assert framework.name == f"oo-vr:{key}"
+
 
 class TestAblatedRendering:
     def test_all_variants_run(self, scene):
-        for key, framework in ablation_suite().items():
-            result = framework.render_scene(scene)
+        for key in ABLATION_VARIANTS:
+            result = _ablated(key).render_scene(scene)
             assert result.single_frame_cycles > 0, key
 
-    def test_full_matches_oovr_semantics(self, scene):
-        from repro.frameworks.base import build_framework
-
-        full = AblatedOOVR(features=OOVRFeatures()).render_scene(scene)
-        oovr = build_framework("oo-vr").render_scene(scene)
-        assert full.single_frame_cycles == pytest.approx(
-            oovr.single_frame_cycles, rel=0.01
-        )
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    def test_full_matches_oovr_semantics(self, scene, engine):
+        config = baseline_system().with_engine(engine)
+        full = build_framework("oo-vr:full", config).render_scene(scene)
+        oovr = build_framework("oo-vr", config).render_scene(scene)
+        assert _without_framework(full) == _without_framework(oovr)
 
     def test_no_dhc_slower_composition(self, scene):
-        full = AblatedOOVR(features=OOVRFeatures()).render_scene(scene)
-        no_dhc = AblatedOOVR(
-            features=OOVRFeatures(distributed_composition=False)
-        ).render_scene(scene)
+        full = _ablated("full").render_scene(scene)
+        no_dhc = _ablated("no-dhc").render_scene(scene)
         assert (
             no_dhc.frames[0].composition_cycles
             > full.frames[0].composition_cycles
         )
 
     def test_no_preallocation_not_faster(self, scene):
-        full = AblatedOOVR(features=OOVRFeatures()).render_scene(scene)
-        no_pa = AblatedOOVR(
-            features=OOVRFeatures(preallocation=False)
-        ).render_scene(scene)
+        full = _ablated("full").render_scene(scene)
+        no_pa = _ablated("no-preallocation").render_scene(scene)
         assert no_pa.single_frame_cycles >= full.single_frame_cycles * 0.98
 
     def test_software_only_slowest(self, scene):
-        suite = ablation_suite()
         cycles = {
-            key: fw.render_scene(scene).single_frame_cycles
-            for key, fw in suite.items()
+            key: _ablated(key).render_scene(scene).single_frame_cycles
+            for key in ABLATION_VARIANTS
         }
         assert cycles["software-only"] >= max(
             cycles["full"], cycles["no-prediction"], cycles["no-stealing"]

@@ -12,7 +12,6 @@ from repro.config import (
     SMConfig,
     SystemConfig,
     baseline_system,
-    single_gpu_system,
 )
 
 KB = 1024
@@ -68,7 +67,8 @@ class TestDerived:
         assert baseline_system().gpm.texture_units == 32
 
     def test_single_gpu_system(self):
-        assert single_gpu_system().num_gpms == 1
+        # Fig. 18's normalisation base.
+        assert baseline_system(num_gpms=1).num_gpms == 1
 
 
 class TestConstructors:

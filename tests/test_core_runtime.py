@@ -94,11 +94,13 @@ class TestPredictor:
         assert predictor.c1 >= 0.0
         assert predictor.c2 >= 0.0
 
-    def test_mae_reported(self):
+    def test_calibrated_totals_track_observations(self):
         predictor = RenderingTimePredictor()
         for i in range(1, 9):
             predictor.observe(observation(1000.0 * i, 3000.0 * i))
-        assert predictor.mean_absolute_error() < 0.05
+        for i in range(1, 9):
+            predicted = predictor.predict_total(1000.0 * i)
+            assert abs(predicted - 3000.0 * i) / (3000.0 * i) < 0.05
 
     def test_invalid_observation_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.middleware import Batch, OOMiddleware
 from repro.core.programming_model import OOApplication
-from repro.core.tsl import should_group, texture_sharing_level
+from repro.core.tsl import texture_sharing_level
 from repro.experiments.extensions import (
     BATCHING_TRIANGLE_CAPS,
     BATCHING_TSL_THRESHOLDS,
@@ -63,11 +63,6 @@ class TestTSL:
         assert texture_sharing_level((a, a, b), (a, b)) == pytest.approx(
             texture_sharing_level((a, b), (a, b))
         )
-
-    def test_should_group_threshold(self, pool):
-        a = pool.get_or_create("a", MB)
-        assert should_group((a,), (a,))
-        assert not should_group((a,), (a,), threshold=1.0)
 
     def test_empty_sets(self):
         assert texture_sharing_level((), ()) == 0.0
@@ -139,14 +134,6 @@ class TestMiddleware:
 
     def test_empty_input_empty_output(self):
         assert OOMiddleware().build_batches([]) == []
-
-    def test_sharing_captured_metric(self, pool):
-        objects = [
-            make_object(0, pool, textures=(("stone", MB),)),
-            make_object(1, pool, textures=(("stone", MB),)),
-        ]
-        batches = OOMiddleware().build_batches(objects)
-        assert OOMiddleware.sharing_captured(batches) == pytest.approx(1.0)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

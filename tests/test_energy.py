@@ -63,13 +63,6 @@ class TestEnergyModel:
             + energy.engine_joules
         )
 
-    def test_fraction_of_components(self):
-        energy = EnergyModel().frame_energy(make_frame())
-        total = sum(
-            energy.fraction_of(c) for c in ("link", "dram", "compute", "engine")
-        )
-        assert total == pytest.approx(1.0)
-
     def test_integration_point_constants(self):
         assert IntegrationPoint.ON_BOARD.picojoules_per_bit == 10.0
         assert IntegrationPoint.CROSS_NODE.picojoules_per_bit == 250.0
@@ -85,24 +78,6 @@ class TestEnergyModel:
             EnergyConstants.for_integration(IntegrationPoint.CROSS_NODE)
         ).frame_energy(frame)
         assert nodes.link_joules == pytest.approx(25.0 * board.link_joules)
-
-    def test_link_energy_by_type_partitions_total(self):
-        model = EnergyModel()
-        frame = FrameResult(
-            framework="t",
-            workload="w",
-            cycles=1e5,
-            gpm_busy_cycles=[1e4],
-            composition_cycles=0.0,
-            traffic=TrafficBreakdown(
-                {TrafficType.TEXTURE: 1e6, TrafficType.ZTEST: 5e5}
-            ),
-            dram_bytes=[0.0],
-        )
-        by_type = model.link_energy_by_type(frame)
-        assert sum(by_type.values()) == pytest.approx(
-            model.frame_energy(frame).link_joules
-        )
 
     def test_constants_validated(self):
         with pytest.raises(ValueError):

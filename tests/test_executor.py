@@ -23,10 +23,11 @@ from repro.session import (
     SerialExecutor,
     SessionError,
     ShardExecutor,
+    ShardManifest,
     Sweep,
-    load_shard_manifests,
     make_executor,
     parse_shard,
+    shard_manifest_paths,
     shard_of,
     spec_key,
     sweep_defaults,
@@ -40,6 +41,11 @@ TINY = ExperimentConfig(
 
 def tiny_sweep() -> Sweep:
     return Sweep().preset(TINY).frameworks("baseline", "oo-vr")
+
+
+def _manifests(root):
+    """The shard manifests under ``root``, read as the cache audit does."""
+    return [ShardManifest.load(path) for path in shard_manifest_paths(root)]
 
 
 class TestShardPartition:
@@ -351,7 +357,7 @@ class TestShardScatterMerge:
     def test_shard_manifest_records_owned_and_skipped(self, tmp_path):
         cache = ResultCache(tmp_path)
         tiny_sweep().run(shard="1/2", cache=cache)
-        manifests = load_shard_manifests(tmp_path)
+        manifests = _manifests(tmp_path)
         assert len(manifests) == 1
         manifest = manifests[0]
         assert (manifest.shard_index, manifest.shard_count) == (1, 2)
@@ -377,12 +383,12 @@ class TestShardScatterMerge:
         Sweep().preset(TINY).frameworks("baseline").workloads("WE").run(
             shard="0/2", cache=cache
         )
-        manifests = load_shard_manifests(tmp_path)
+        manifests = _manifests(tmp_path)
         assert len(manifests) == 2
         assert len({manifest.grid_key for manifest in manifests}) == 2
         # Re-running the same grid overwrites its own manifest only.
         tiny_sweep().run(shard="0/2", cache=cache)
-        assert len(load_shard_manifests(tmp_path)) == 2
+        assert len(_manifests(tmp_path)) == 2
 
     def test_failed_manifest_write_leaves_nothing(
         self, tmp_path, monkeypatch

@@ -25,7 +25,6 @@ from repro.extensions import (
     simulate_atw,
     topology_sweep,
 )
-from repro.extensions.atw import atw_for_scene
 from repro.extensions.hbm import with_local_bandwidth
 from repro.frameworks.base import build_framework
 from repro.memory.address import texture_resource
@@ -63,12 +62,6 @@ class TestATW:
         small = ATWConfig(eye_width=640, eye_height=480)
         large = ATWConfig(eye_width=1600, eye_height=1200)
         assert large.reprojection_cycles() > small.reprojection_cycles()
-
-    def test_scene_report_carries_names(self):
-        result = build_framework("oo-vr").render_scene(TINY_SCENE)
-        report = atw_for_scene(result)
-        assert report.framework == "oo-vr"
-        assert report.workload == "DM3-640"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -121,12 +114,11 @@ class TestTopology:
         fabric.transfer(0, 2, 1000.0, TrafficType.TEXTURE)
         assert fabric.total_bytes == 1000.0  # logical
         assert fabric.wire_bytes == 2000.0  # two hops
-        assert fabric.hop_inflation == 2.0
 
     def test_fully_connected_no_inflation(self):
         fabric = RoutedLinkFabric(4, 64.0, 0, Topology.FULLY_CONNECTED)
         fabric.transfer(0, 2, 1000.0, TrafficType.TEXTURE)
-        assert fabric.hop_inflation == 1.0
+        assert fabric.wire_bytes == fabric.total_bytes == 1000.0
 
     def test_multi_hop_latency_stacks(self):
         one_hop = RoutedLinkFabric(4, 64.0, 100, Topology.FULLY_CONNECTED)
@@ -146,11 +138,6 @@ class TestTopology:
         fabric.reset()
         assert fabric.total_bytes == 0.0
         assert fabric.wire_bytes == 0.0
-
-    def test_ports_required(self):
-        assert Topology.FULLY_CONNECTED.ports_required(8) == 7
-        assert Topology.RING.ports_required(8) == 2
-        assert Topology.SWITCH.ports_required(8) == 1
 
     def test_install_topology_swaps_fabric(self):
         framework = build_framework("baseline")

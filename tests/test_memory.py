@@ -10,7 +10,6 @@ from repro.memory.address import (
     vertex_resource,
 )
 from repro.memory.cache import (
-    CacheStats,
     SetAssociativeCache,
     miss_bytes,
     working_set_hit_rate,
@@ -114,27 +113,6 @@ class TestPlacement:
         assert placement.is_home(r, 1)
         assert not placement.is_home(r, 2)
         assert not placement.is_home(r, 0)
-
-    def test_preallocate_unplaced_is_free(self):
-        placement = PagePlacement(4, PAGE)
-        r = texture_resource(0, 4 * PAGE)
-        assert placement.preallocate(r, 2) == 0.0
-        assert placement.local_fraction(r, 2) == 1.0
-
-    def test_preallocate_copies_missing_pages(self):
-        placement = PagePlacement(4, PAGE)
-        r = texture_resource(0, 4 * PAGE)
-        placement.place_fixed(r, 0)
-        copied = placement.preallocate(r, 1)
-        assert copied == 4 * PAGE
-        assert placement.local_fraction(r, 1) == 1.0
-
-    def test_preallocate_idempotent(self):
-        placement = PagePlacement(4, PAGE)
-        r = texture_resource(0, 4 * PAGE)
-        placement.place_fixed(r, 0)
-        placement.preallocate(r, 1)
-        assert placement.preallocate(r, 1) == 0.0
 
     def test_reset_forgets(self):
         placement = PagePlacement(4, PAGE)
@@ -376,12 +354,6 @@ class TestAnalyticCacheModel:
         analytic_large = working_set_hit_rate(16 * KB, 64 * KB, 4)
         assert analytic_large > analytic_small
 
-    def test_cache_stats_accumulate(self):
-        stats = CacheStats()
-        stats.record(100, 0.8)
-        stats.record(100, 0.6)
-        assert stats.hit_rate == pytest.approx(0.7)
-
 
 class TestDram:
     def test_read_time(self):
@@ -430,24 +402,6 @@ class TestLinkFabric:
         fabric.transfer(0, 1, 100.0, TrafficType.TEXTURE)
         assert fabric.bytes_between(0, 1) == 100.0
         assert fabric.bytes_between(1, 0) == 0.0
-
-    def test_incoming_outgoing(self):
-        fabric = LinkFabric(4, 64.0)
-        fabric.transfer(0, 1, 100.0, TrafficType.TEXTURE)
-        fabric.transfer(2, 1, 50.0, TrafficType.TEXTURE)
-        assert fabric.incoming_bytes(1) == 150.0
-        assert fabric.outgoing_bytes(0) == 100.0
-
-    def test_busiest_pair(self):
-        fabric = LinkFabric(4, 64.0)
-        fabric.transfer(0, 1, 640.0, TrafficType.TEXTURE)
-        fabric.transfer(0, 2, 64.0, TrafficType.TEXTURE)
-        assert fabric.busiest_pair_cycles() == pytest.approx(10.0)
-
-    def test_energy(self):
-        fabric = LinkFabric(4, 64.0)
-        fabric.transfer(0, 1, 1000.0, TrafficType.TEXTURE)
-        assert fabric.energy_picojoules(10.0) == pytest.approx(80_000.0)
 
     def test_out_of_range_gpm_rejected(self):
         fabric = LinkFabric(2, 64.0)

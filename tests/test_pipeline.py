@@ -9,17 +9,11 @@ from repro.config import CostModel, baseline_system
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
 from repro.pipeline.raster import (
-    TILE_EDGE,
     normalize_pixel_shares,
     strip_share_columns,
     strip_shares,
-    tile_count,
 )
-from repro.pipeline.rop import (
-    crossing_fraction,
-    distributed_composition,
-    master_composition,
-)
+from repro.pipeline.rop import distributed_composition, master_composition
 from repro.pipeline.smp import SMPEngine, SMPMode
 from repro.pipeline.timing import price_work_unit
 from repro.pipeline.workunit import merge_units
@@ -132,12 +126,6 @@ class TestFragmentDemand:
 
 
 class TestRasterHelpers:
-    def test_tile_count(self):
-        assert tile_count(Viewport(0, 0, TILE_EDGE * 2, TILE_EDGE * 3)) == 6
-
-    def test_tile_count_rounds_up(self):
-        assert tile_count(Viewport(0, 0, 17, 17)) == 4
-
     def test_strip_shares_sum_to_one(self):
         strips = vertical_strips(full_screen(100, 100), 4)
         shares = normalize_pixel_shares(
@@ -226,7 +214,10 @@ class TestCharacterizer:
 
     def test_stereo_pair_covers_both_eyes(self, characterizer, pool):
         obj = make_object(0, pool)
-        pair = characterizer.characterize_stereo_pair(obj.stereo_draws()[0])
+        pair = tuple(
+            characterizer.characterize(draw, mode=SMPMode.SEQUENTIAL)
+            for draw in obj.stereo_draws()
+        )
         assert len(pair) == 2
         total = sum(u.fragments for u in pair)
         assert total == pytest.approx(obj.fragments(Eye.BOTH))
@@ -245,23 +236,6 @@ class TestCharacterizer:
 
 
 class TestWorkUnit:
-    def test_split_scales_everything(self, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
-        half = unit.split(0.5)
-        assert half.fragments == pytest.approx(unit.fragments / 2)
-        assert half.vertices == pytest.approx(unit.vertices / 2)
-        assert half.texture_stream_bytes == pytest.approx(
-            unit.texture_stream_bytes / 2
-        )
-        assert half.fraction == pytest.approx(0.5)
-
-    def test_split_bounds(self, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
-        with pytest.raises(ValueError):
-            unit.split(0.0)
-        with pytest.raises(ValueError):
-            unit.split(1.5)
-
     def test_screen_share_keeps_geometry(self, characterizer, pool):
         unit = characterizer.characterize(make_object(0, pool).multiview_draw())
         slice_unit = unit.with_screen_share(
@@ -365,7 +339,3 @@ class TestCompositionPricing:
         m = master_composition(32_000.0, config.gpm)
         d = distributed_composition(32_000.0, config.gpm, 4)
         assert d.rop_cycles == pytest.approx(m.rop_cycles / 4)
-
-    def test_crossing_fraction(self):
-        assert crossing_fraction(4) == pytest.approx(0.75)
-        assert crossing_fraction(1) == 0.0

@@ -14,7 +14,6 @@ from repro.scene.scene import Frame, Scene
 from repro.scene.texture import (
     Texture,
     TexturePool,
-    shared_textures,
     unique_texture_bytes,
 )
 from tests.conftest import MB, make_object
@@ -56,12 +55,6 @@ class TestTexturePool:
         a = pool.get_or_create("a", MB)
         b = pool.get_or_create("b", MB)
         assert unique_texture_bytes([a, b, a]) == 2 * MB
-
-    def test_shared_textures_identity(self, pool):
-        a = pool.get_or_create("a", MB)
-        b = pool.get_or_create("b", MB)
-        c = pool.get_or_create("c", MB)
-        assert shared_textures([a, b], [b, c]) == (b,)
 
 
 class TestMesh:
@@ -109,11 +102,6 @@ class TestViewport:
 
     def test_disjoint_intersection_none(self):
         assert Viewport(0, 0, 1, 1).intersection(Viewport(5, 5, 6, 6)) is None
-
-    def test_overlap_fraction(self):
-        a = Viewport(0, 0, 10, 10)
-        b = Viewport(5, 0, 15, 10)
-        assert a.overlap_fraction(b) == pytest.approx(0.5)
 
     def test_full_screen(self):
         v = full_screen(1280, 1024)
@@ -204,10 +192,6 @@ class TestStereoDraw:
         obj = make_object(0, pool, mono=True)  # right eye missing
         with pytest.raises(ValueError):
             StereoDraw(obj, Eye.RIGHT)
-
-    def test_draw_key_stable(self, pool):
-        obj = make_object(7, pool)
-        assert StereoDraw(obj, Eye.LEFT).draw_key == (7, "left")
 
 
 class TestFrame:

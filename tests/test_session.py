@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import threading
 
 import pytest
@@ -545,13 +546,21 @@ class TestFrameworkVariants:
         assert not framework.features.distributed_composition
 
     def test_middleware_variants_build(self):
+        from repro.core.ablation import OOVRFeatures
+        from repro.core.oovr import OOVRFramework
+
         tsl = build_framework("oo-vr:tsl=0.3")
         assert tsl._builder._middleware.tsl_threshold == 0.3
+        assert tsl._builder._middleware.triangle_limit == 4096
         cap = build_framework("oo-vr:cap=8192")
+        assert cap._builder._middleware.tsl_threshold == 0.5
         assert cap._builder._middleware.triangle_limit == 8192
         both = build_framework("oo-vr:tsl=0.3:cap=8192")
         assert both._builder._middleware.tsl_threshold == 0.3
         assert both._builder._middleware.triangle_limit == 8192
+        for framework in (tsl, cap, both):
+            assert type(framework) is OOVRFramework
+            assert framework.features == OOVRFeatures()
 
     def test_topology_variant_installs_fabric(self):
         from repro.extensions.topology import RoutedLinkFabric, Topology
@@ -606,6 +615,15 @@ class TestFrameworkVariants:
             ).validate()
         with pytest.raises(KeyError):
             build_framework("nope:topo=ring")
+        # Out-of-range middleware values fail here, not once a cell runs.
+        for name, message in (
+            ("oo-vr:tsl=-1", "TSL threshold must be in [0, 1)"),
+            ("oo-vr:tsl=1", "TSL threshold must be in [0, 1)"),
+            ("oo-vr:tsl=nan", "TSL threshold must be in [0, 1)"),
+            ("oo-vr:cap=0", "triangle limit must be positive"),
+        ):
+            with pytest.raises(SpecError, match=re.escape(message)):
+                RunSpec(framework=name, workload="WE").validate()
 
 
 class TestRunSpec:

@@ -134,15 +134,20 @@ class TestFabricInvariants:
         # different orders, so compare with relative slack).
         assert routed.wire_bytes >= routed.total_bytes * (1.0 - 1e-12)
 
-    def test_incoming_outgoing_partition_wire_bytes(self):
+    def test_directional_bytes_partition_total(self):
         fabric = LinkFabric(4, 64.0)
         fabric.transfer(0, 1, 100.0, TrafficType.TEXTURE)
         fabric.transfer(2, 1, 50.0, TrafficType.VERTEX)
         fabric.transfer(1, 3, 25.0, TrafficType.COMMAND)
-        assert fabric.incoming_bytes(1) == 150.0
-        assert fabric.outgoing_bytes(1) == 25.0
-        total_in = sum(fabric.incoming_bytes(g) for g in range(4))
-        assert total_in == pytest.approx(fabric.total_bytes)
+        into_1 = sum(fabric.bytes_between(src, 1) for src in range(4))
+        assert into_1 == 150.0
+        assert sum(fabric.bytes_between(1, dst) for dst in range(4)) == 25.0
+        pairs = sum(
+            fabric.bytes_between(src, dst)
+            for src in range(4)
+            for dst in range(4)
+        )
+        assert pairs == pytest.approx(fabric.total_bytes)
 
 
 class TestSystemInvariants:

@@ -176,11 +176,6 @@ class TestTable1:
     def test_vr_deadline_stricter_than_pc(self):
         assert STEREO_VR.frame_latency_ms_min < PC_GAMING.frame_latency_ms_min
 
-    def test_deadline_check(self):
-        # 4 ms at 1 GHz meets the 5 ms VR deadline; 8 ms does not.
-        assert STEREO_VR.meets_deadline(4e6)
-        assert not STEREO_VR.meets_deadline(8e6)
-
     def test_requirements_table_rows(self):
         rows = requirements_table()
         assert len(rows) == 4
