@@ -3,8 +3,8 @@
 import pytest
 
 from repro.config import baseline_system
+from repro.core.ablation import OOVRFeatures
 from repro.core.distribution import DistributionEngine
-from repro.core.middleware import OOMiddleware
 from repro.core.overhead import OverheadModel
 from repro.core.oovr import _BatchBuilder, OOVRFramework
 from repro.core.predictor import (
@@ -13,6 +13,7 @@ from repro.core.predictor import (
     RenderingTimePredictor,
 )
 from repro.gpu.system import MultiGPUSystem
+from repro.memory.link import TrafficType
 from tests.conftest import MB, make_object
 
 
@@ -197,6 +198,129 @@ class TestDistributionEngine:
         engine = DistributionEngine(system)
         pixels = engine.dispatch(pairs)
         assert sum(pixels) == pytest.approx(expected, rel=1e-6)
+
+
+def spy_on(monkeypatch, obj, name):
+    """Record ``(args, kwargs, result)`` of every call to ``obj.name``."""
+    calls = []
+    original = getattr(obj, name)
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(obj, name, spy)
+    return calls
+
+
+class TestFeatureSwitches:
+    """Each ablation switch turns one mechanism off in the one engine."""
+
+    def _dispatch(self, pool, monkeypatch, features, method):
+        """Dispatch a 60-object frame, spying on ``method`` of the engine."""
+        cfg = baseline_system()
+        system = MultiGPUSystem(cfg)
+        system.begin_frame()
+        pairs = _BatchBuilder(OOVRFramework(cfg)).build(
+            build_batches(pool, count=60, materials=20)
+        )
+        engine = DistributionEngine(system, features=features)
+        calls = spy_on(monkeypatch, system.engine, method)
+        engine.dispatch(pairs)
+        return system, engine, calls
+
+    def test_without_prediction_batches_go_to_the_idle_first_gpm(
+        self, pool, monkeypatch
+    ):
+        _system, engine, calls = self._dispatch(
+            pool, monkeypatch, OOVRFeatures(prediction=False), "next_idle"
+        )
+        assert [r.gpm for r in engine.records] == [
+            result for _args, _kwargs, result in calls
+        ]
+        assert not any(r.calibration for r in engine.records)
+
+    def test_prediction_dispatch_never_asks_for_the_idle_gpm(
+        self, pool, monkeypatch
+    ):
+        _system, engine, calls = self._dispatch(
+            pool, monkeypatch, OOVRFeatures(), "next_idle"
+        )
+        assert engine.records and calls == []
+
+    def test_prediction_ranks_gpms_by_predicted_remaining_work(self):
+        system = MultiGPUSystem(baseline_system())
+        system.begin_frame()
+        engine = DistributionEngine(system)
+        for i in range(1, CALIBRATION_BATCHES + 1):
+            engine.predictor.observe(observation(1000.0 * i, 3000.0 * i))
+        busy = (9000.0, 4000.0, 6000.0, 8000.0)
+        for state, predicted_busy in zip(engine._states, busy):
+            state.predicted_busy = predicted_busy
+        assert engine._select_gpm(CALIBRATION_BATCHES) == (1, False)
+        # GPM 3's counters say 2000 triangles' worth (~6000 cycles) of
+        # its queued work is done, so it now has the least remaining.
+        system.gpms[3].transformed_vertices = 0.6 * 2000.0
+        system.gpms[3].rendered_pixels = 20.0 * 2000.0
+        assert engine.predictor.remaining(
+            busy[3], 0.6 * 2000.0, 20.0 * 2000.0
+        ) < busy[1]
+        assert engine._select_gpm(CALIBRATION_BATCHES) == (3, False)
+
+    @pytest.mark.parametrize("stealing", [True, False])
+    def test_stealing_switch_gates_straggler_splitting(
+        self, pool, monkeypatch, stealing
+    ):
+        system, _engine, calls = self._dispatch(
+            pool, monkeypatch, OOVRFeatures(stealing=stealing), "steal_into"
+        )
+        stolen = system.frame_result("t", "w").traffic.bytes_of(
+            TrafficType.STEAL
+        )
+        assert bool(calls) is stealing
+        assert (stolen > 0) is stealing
+
+    @pytest.mark.parametrize("preallocation", [True, False])
+    def test_preallocation_switch_gates_the_prefetch(
+        self, pool, monkeypatch, preallocation
+    ):
+        _system, engine, calls = self._dispatch(
+            pool,
+            monkeypatch,
+            OOVRFeatures(preallocation=preallocation),
+            "stage_flow",
+        )
+        # One PA copy per batch, prefetched only with the PA units on;
+        # either way the bytes travel as PREALLOC traffic.
+        assert len(calls) == len(engine.records)
+        assert all(
+            kwargs["prefetched"] is preallocation
+            for _args, kwargs, _result in calls
+        )
+        copies = [copy for args, _kwargs, _result in calls for copy in args[1]]
+        assert copies
+        assert all(copy.traffic is TrafficType.PREALLOC for copy in copies)
+
+    @pytest.mark.parametrize("dhc", [True, False])
+    def test_dhc_switch_picks_the_composition(self, pool, monkeypatch, dhc):
+        framework = OOVRFramework(
+            baseline_system(),
+            features=OOVRFeatures(distributed_composition=dhc),
+        )
+        system = framework.make_system()
+        system.begin_frame()
+        calls = spy_on(monkeypatch, system.engine, "composition_phase")
+        framework.render_frame_on(system, build_batches(pool, count=24), "w")
+        [((schedule,), _kwargs, _result)] = calls
+        if dhc:
+            assert schedule.label == "compose-dhc"
+            assert set(schedule.rop_cycles) == {0, 1, 2, 3}
+        else:
+            assert schedule.label == "compose-master"
+            assert set(schedule.rop_cycles) == {0}
+            assert schedule.transfers
+            assert all(t.dst == 0 for t in schedule.transfers)
 
 
 class TestOverheadModel:

@@ -13,6 +13,7 @@ threads.
 
 import gc
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -133,6 +134,27 @@ class TestWireProtocol:
         wire = spec_to_wire(RunSpec(framework="oo-vr", workload="WE"))
         wire["seed"] = -1
         with pytest.raises(SpecError, match="seed must be non-negative"):
+            spec_from_wire(wire)
+
+    @pytest.mark.parametrize(
+        "framework, message",
+        [
+            ("oo-vr:tsl=-1", "TSL threshold must be in [0, 1)"),
+            ("oo-vr:tsl=1", "TSL threshold must be in [0, 1)"),
+            ("oo-vr:tsl=nan", "TSL threshold must be in [0, 1)"),
+            ("oo-vr:cap=0", "triangle limit must be positive"),
+        ],
+        ids=["tsl=-1", "tsl=1", "tsl=nan", "cap=0"],
+    )
+    def test_out_of_range_middleware_surfaces_spec_error(
+        self, framework, message
+    ):
+        # The daemon refuses such a spec at submit, not once it runs.
+        from repro.session import SpecError
+
+        wire = spec_to_wire(RunSpec(framework="oo-vr", workload="WE"))
+        wire["framework"] = framework
+        with pytest.raises(SpecError, match=re.escape(message)):
             spec_from_wire(wire)
 
     def test_version_mismatch_rejected(self):
