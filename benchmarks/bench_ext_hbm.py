@@ -10,7 +10,7 @@ saturate once compute binds.
 """
 
 from benchmarks.conftest import BENCH, record_output
-from repro.extensions.hbm import HBM_GENERATIONS, local_bandwidth_sweep
+from repro.extensions.hbm import local_bandwidth_sweep
 
 SCHEMES = ("baseline", "object", "oo-vr")
 WORKLOADS = ("DM3-1280", "HL2-1280", "WE")

@@ -23,7 +23,6 @@ from repro.render import (
     StereoRenderMode,
     validate_scene,
 )
-from repro.scene.scene import Frame
 
 from benchmarks.conftest import record_output
 from benchmarks.bench_scenes import build_temple_scene

@@ -10,16 +10,22 @@ import json
 import threading
 import time
 from pathlib import Path
-from unittest import mock
 
 from benchmarks.conftest import BENCH, OUTPUT_DIR
 from repro.frameworks.base import build_framework
 from repro.experiments.runner import scene_for
 from repro.gpu.system import MultiGPUSystem
 from repro.pipeline.smp import SMPMode
-from repro.scene.scene import Frame
 from repro.service import RemoteExecutor, SweepWorker, serve
 from repro.session import FAST, ResultCache, RunSpec, Sweep
+from tests.oracles import (
+    MEMO_FREE,
+    WINDOW_LOOP,
+    build_batches_reference,
+    characterize_frame_reference,
+    draw_mesh_reference,
+    make_scene_reference,
+)
 
 GOLDEN_BASELINE = (
     Path(__file__).parent / "golden" / "cell_throughput_baseline.json"
@@ -71,24 +77,13 @@ def _best_seconds(fn, repeats=3, warm=True):
     return best
 
 
-def _memo_free():
-    """Patch the frame memo out: every artefact is built afresh."""
-    return mock.patch.object(
-        Frame, "derived", lambda self, key, build: build()
-    )
-
-
 def _reference_loop_ab(spec, reference_repeats=2):
     """Same-host A/B of the window loop against the retained reference
     loop on one event cell, with the same frame memo, so the ratio
     isolates the loop itself.  Both loops' results are asserted equal
     before either side is timed (the asserting runs warm the cell)."""
-    from repro.engine.event import EventEngine
-
     expected = spec.execute().to_dict()
-    with mock.patch.object(
-        EventEngine, "_simulate", EventEngine._simulate_reference
-    ):
+    with WINDOW_LOOP.patch():
         assert spec.execute().to_dict() == expected
         reference_s = _best_seconds(
             spec.execute, repeats=reference_repeats, warm=False
@@ -203,7 +198,7 @@ def test_cell_throughput():
     middleware = OOMiddleware()
     assert middleware.build_batches(
         frame.objects
-    ) == middleware.build_batches_reference(frame.objects)
+    ) == build_batches_reference(middleware, frame.objects)
     seconds = _best_seconds(
         lambda: middleware.build_batches(frame.objects)
     )
@@ -220,17 +215,15 @@ def test_cell_throughput():
     # dictionary lookup, not the Eq. 3 pricing pass under test.
     fw = build_framework("baseline")
     draws = frame.multiview_draws()
-    with _memo_free():
+    with MEMO_FREE.patch():
         batched_units = fw.characterizer.characterize_frame(frame)
-        scalar_units = tuple(
-            fw.characterizer.characterize(draw) for draw in draws
-        )
+        scalar_units = characterize_frame_reference(fw.characterizer, frame)
         assert batched_units == scalar_units
         batched_s = _best_seconds(
             lambda: fw.characterizer.characterize_frame(frame)
         )
         scalar_s = _best_seconds(
-            lambda: [fw.characterizer.characterize(d) for d in draws]
+            lambda: characterize_frame_reference(fw.characterizer, frame)
         )
     kernels["characterize"] = {
         "batched_draws_per_sec": round(len(draws) / batched_s, 1),
@@ -262,13 +255,11 @@ def test_cell_throughput():
     # purest.
     fb = FrameBuffer(640, 640)
     raster = Rasterizer(fb, scissor=(0, 0, 2, 2))
-    assert raster.draw_mesh(mesh, mvp) == raster.draw_mesh_reference(
-        mesh, mvp
+    assert raster.draw_mesh(mesh, mvp) == draw_mesh_reference(
+        raster, mesh, mvp
     )
     batched_s = _best_seconds(lambda: raster.draw_mesh(mesh, mvp))
-    scalar_s = _best_seconds(
-        lambda: raster.draw_mesh_reference(mesh, mvp)
-    )
+    scalar_s = _best_seconds(lambda: draw_mesh_reference(raster, mesh, mvp))
     kernels["raster_front_end"] = {
         "batched_tris_per_sec": round(mesh.num_triangles / batched_s, 1),
         "reference_tris_per_sec": round(mesh.num_triangles / scalar_s, 1),
@@ -306,7 +297,7 @@ def test_cell_throughput():
 
     def build_reference():
         generator = SyntheticSceneGenerator(scene_profile, seed=2019)
-        scene = generator.make_scene_reference(num_frames=3)
+        scene = make_scene_reference(generator, num_frames=3)
         for scene_frame in scene.frames:
             scene_frame.object_batch  # flattening is part of the cost
         return scene
@@ -364,11 +355,11 @@ def test_cell_throughput():
         )
 
     csv_with_reuse = shared_grid().run().to_csv()
-    with _memo_free():
+    with MEMO_FREE.patch():
         csv_without = shared_grid().run().to_csv()
     assert csv_with_reuse == csv_without
     reuse_s = _best_seconds(lambda: shared_grid().run(), repeats=2)
-    with _memo_free():
+    with MEMO_FREE.patch():
         no_reuse_s = _best_seconds(
             lambda: shared_grid().run(), repeats=2
         )

@@ -19,8 +19,6 @@ Run:  python examples/render_stereo_frame.py
 
 import pathlib
 
-import numpy as np
-
 from repro.render import (
     Camera,
     SceneObject3D,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.experiments.runner import FAST, FULL, ExperimentConfig
+from repro.experiments.runner import FAST, ExperimentConfig
 from repro.experiments import figures
 
 

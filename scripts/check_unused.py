@@ -38,11 +38,11 @@ ROOT = _SELF.parents[1]
 USE_ROOTS = ("benchmarks", "perfbench", "examples", "scripts")
 WORKFLOWS = ".github/workflows"
 
-#: Why a definition only the tests read stays.
+#: Why a definition only the tests read stays.  A scalar reference no
+#: production path calls is not one of them: it lives in the tests'
+#: oracle table (``tests/oracles.py``), so ``src/`` keeps one
+#: implementation of each production function.
 REASONS = (
-    # A scalar or reference path an exact-equality test holds a fast
-    # path to.
-    "oracle",
     # The text a pinned golden file is written in.
     "golden format",
     # Builds the inputs an oracle test feeds both paths.
@@ -63,13 +63,6 @@ KEEP: Dict[str, str] = {
     ),
     # The text of the nine event goldens.
     "repro.engine.trace.FrameTrace.phase_summary": "golden format",
-    # The exact LRU cache the analytic working-set curve is checked
-    # against, and the curve's scalar form.
-    "repro.memory.cache.SetAssociativeCache": "oracle",
-    "repro.memory.cache.working_set_hit_rate": "oracle",
-    # The scalar strip split the slice pass's columns must equal.
-    "repro.pipeline.raster.strip_shares": "oracle",
-    "repro.pipeline.raster.normalize_pixel_shares": "oracle",
     # Inputs the tile and slice oracles feed both paths.
     "repro.frameworks.tile_sfr.TileSplitFrameRendering"
     ".stereo_space_viewports": "oracle fixture",

@@ -19,15 +19,15 @@ the programmer-defined order is preserved ("for the objects that have
 dependency on any of the objects in a batch, we directly merge them to
 the batch and increase the triangle limitation").
 
-:meth:`OOMiddleware.build_batches` runs this loop as a columnar scan;
-:meth:`OOMiddleware.build_batches_reference` keeps the scalar loop as
-the oracle it must equal.
+:meth:`OOMiddleware.build_batches` runs this loop as a columnar scan.
+The scalar loop, one Eq. 1 probe per candidate, is the oracle it must
+equal; it lives in the test suite's oracle table (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -94,17 +94,18 @@ class OOMiddleware:
     def build_batches(self, objects: Sequence[RenderObject]) -> List[Batch]:
         """Run the Fig. 12 grouping loop over ``objects`` in order.
 
-        The columnar form of :meth:`build_batches_reference`, making
-        every one of its decisions.  The queue is draw order with an
-        alive mask over it; each object's Eq. 1 byte shares (exactly
-        :func:`byte_shares`) sit in a texture-major matrix.  For each
-        root state, matrix-vector products over the root's textures
-        give every candidate's Eq. 1 numerator and denominator, and the
-        first alive candidate after the scan position that depends on a
-        member or clears the threshold is merged; the scan then resumes
-        after it, and the root's shares are recomputed only then.  A
-        TSL within :data:`TIE_TOLERANCE` of the threshold is re-decided
-        by :func:`tsl_from_shares`, so summation order cannot flip a
+        The columnar form of the scalar loop (its reference in
+        ``tests/oracles.py``), making every one of its decisions.  The
+        queue is draw order with an alive mask over it; each object's
+        Eq. 1 byte shares (exactly :func:`byte_shares`) sit in a
+        texture-major matrix.  For each root state, matrix-vector
+        products over the root's textures give every candidate's Eq. 1
+        numerator and denominator, and the first alive candidate after
+        the scan position that depends on a member or clears the
+        threshold is merged; the scan then resumes after it, and the
+        root's shares are recomputed only then.  A TSL within
+        :data:`TIE_TOLERANCE` of the threshold is re-decided by
+        :func:`tsl_from_shares`, so summation order cannot flip a
         decision.  Object ids must be unique, as a
         :class:`~repro.scene.scene.Frame` enforces.
         """
@@ -202,64 +203,5 @@ class OOMiddleware:
                 start = index + 1
             for obj in members:
                 member[slot_of[obj.object_id]] = False
-            batches.append(Batch(batch_id=len(batches), objects=tuple(members)))
-        return batches
-
-    def build_batches_reference(
-        self, objects: Sequence[RenderObject]
-    ) -> List[Batch]:
-        """The Fig. 12 loop, one scalar Eq. 1 probe per candidate.
-
-        The oracle :meth:`build_batches` must equal with ``==``.
-        """
-        queue: List[RenderObject] = list(objects)
-        # A candidate's Eq. 1 share vector depends only on its own
-        # texture bindings, so compute each one once up front instead
-        # of once per (root, candidate) probe — the shares were the
-        # dominant cost of the O(n^2) scan.  The root's vector only
-        # changes when a merge grows its texture set, so it is
-        # recomputed on accept, not per probe.  Both vectors keep the
-        # scalar path's key order, making every TSL bit-identical.
-        shares_of: Dict[int, dict] = {
-            obj.object_id: byte_shares(obj.textures) for obj in objects
-        }
-        batches: List[Batch] = []
-        while queue:
-            root = queue.pop(0)
-            members: List[RenderObject] = [root]
-            member_ids: Set[int] = {root.object_id}
-            root_textures: Dict[int, Texture] = {
-                t.texture_id: t for t in root.textures
-            }
-            root_shares = byte_shares(tuple(root_textures.values()))
-            triangles = root.mesh.num_triangles
-            limit = self.triangle_limit
-            index = 0
-            while index < len(queue) and triangles < limit:
-                candidate = queue[index]
-                depends_on_batch = (
-                    candidate.depends_on is not None
-                    and candidate.depends_on in member_ids
-                )
-                if depends_on_batch:
-                    # Direct merge; raise the cap so the dependent draw
-                    # never splits away from its parent.
-                    limit += candidate.mesh.num_triangles
-                    accept = True
-                else:
-                    tsl = tsl_from_shares(
-                        root_shares, shares_of[candidate.object_id]
-                    )
-                    accept = tsl > self.tsl_threshold
-                if not accept:
-                    index += 1
-                    continue
-                queue.pop(index)
-                members.append(candidate)
-                member_ids.add(candidate.object_id)
-                for texture in candidate.textures:
-                    root_textures.setdefault(texture.texture_id, texture)
-                root_shares = byte_shares(tuple(root_textures.values()))
-                triangles += candidate.mesh.num_triangles
             batches.append(Batch(batch_id=len(batches), objects=tuple(members)))
         return batches

@@ -55,14 +55,15 @@ flow rows in CSR order, each flow naming its route through a route
 table.  The recording hooks append a job at a time; a slice pass
 (:meth:`~repro.engine.base.ExecutionEngine.execute_split`) appends all
 its jobs at once from its columns, so no per-slice object is ever
-built, and a tail shed scales the rows in place.  Both window loops
-replay the same recording: the incremental loop,
-:meth:`EventEngine._simulate`, and the full-scan oracle,
-:meth:`EventEngine._simulate_reference`, through :class:`_JobArrays`.
-Each logs a retired job as one ``(job, start, end)`` row, and the rows
-become the trace's span columns with the recording's label, GPM and
-kind columns (:class:`~repro.engine.trace.TraceSpans`), so the engine
-builds no trace interval object unless the trace's intervals are read.
+built, and a tail shed scales the rows in place.  The window loop,
+:meth:`EventEngine._simulate`, replays the recording and logs a
+retired job as one ``(job, start, end)`` row, and the rows become the
+trace's span columns with the recording's label, GPM and kind columns
+(:class:`~repro.engine.trace.TraceSpans`), so the engine builds no
+trace interval object unless the trace's intervals are read.  Its
+oracle, the full-scan loop over ``flows x windows`` arrays, reads the
+same recording; it lives in the test suite's oracle table
+(``tests/oracles.py``).
 
 Uncontended, a single flow drains in exactly the analytic roofline
 time — on any fabric.  One deliberate divergence remains: the analytic
@@ -277,83 +278,6 @@ class _RunState:
     def __init__(self, idx: int, start: float) -> None:
         self.idx = idx
         self.start = start
-
-
-class _JobArrays:
-    """Struct-of-array demand state for one reference simulation pass.
-
-    Built from a :class:`_Recording`'s columns after every
-    ``_note_shed`` scale-down has been applied: the job compute column,
-    every DRAM row above the dust threshold and every flow row, copied,
-    so the loop drains them without touching the recording.  Each
-    window's bandwidth shares, next-event horizon and depletion are then
-    elementwise float64 expressions over these rows — the exact
-    expressions the retired per-object loop evaluated, so completion
-    times (and the goldens pinned on them) are bit-equal.  Routes are
-    stored CSR-style over a first-seen link table so per-flow rates
-    reduce with ``np.minimum.reduceat``.
-    """
-
-    def __init__(self, recording: _Recording) -> None:
-        self.count = count = len(recording)
-        self.compute = np.array(recording.compute, dtype=np.float64)
-        jobs = np.arange(count, dtype=np.int64)
-        dram_bounds = np.array(recording.dram_bounds, dtype=np.int64)
-        dram_bytes = np.array(recording.dram_bytes, dtype=np.float64)
-        # Mirrors the old _ActiveJob filter: float-dust DRAM demands
-        # never participate.
-        live = dram_bytes > _EPS
-        self.dram_job = np.repeat(jobs, np.diff(dram_bounds))[live]
-        self.dram_gpm = np.array(recording.dram_gpm, dtype=np.int64)[live]
-        self.dram_rem = dram_bytes[live]
-        self.job_f0 = np.array(recording.flow_bounds, dtype=np.int64)
-        self.flow_job = np.repeat(jobs, np.diff(self.job_f0))
-        self.flow_lat = np.array(recording.flow_latency, dtype=np.float64)
-        self.flow_bytes = np.array(recording.flow_bytes, dtype=np.float64)
-        self.flow_scale = np.array(recording.flow_scale, dtype=np.float64)
-        # Contiguous per-job row ranges (jobs are recorded in order), so
-        # activation/retirement toggles the row masks with one slice.
-        self.job_d0 = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.dram_job, minlength=count), out=self.job_d0[1:]
-        )
-        # Link ids in first-seen order over the flows: only a route's
-        # first use can bring links not seen before.  Row ``rid`` of
-        # ``table`` holds route ``rid``'s link ids, padded.
-        rids = np.array(recording.flow_route, dtype=np.int64)
-        used, first = np.unique(rids, return_index=True)
-        width = max(map(len, recording.routes), default=0)
-        table = np.zeros((len(recording.routes), width), dtype=np.int64)
-        link_ids: Dict[Link, int] = {}
-        for rid in used[np.argsort(first)].tolist():
-            for hop, link in enumerate(recording.routes[rid]):
-                table[rid, hop] = link_ids.setdefault(link, len(link_ids))
-        counts = np.array(
-            [len(route) for route in recording.routes], dtype=np.int64
-        )[rids]
-        self.route_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
-        self.route_links = table[rids][np.arange(width) < counts[:, None]]
-        #: Flow row of each route element (for masking/bincount).
-        self.route_rep = np.repeat(
-            np.arange(rids.size, dtype=np.int64), counts
-        )
-        self.route_len = counts.astype(np.float64)
-        #: Link table in first-seen order; row i is link id i.
-        self.links: List[Link] = list(link_ids)
-        # Open memory/flow components per job (a flow is one component:
-        # done only once latency *and* bytes drain).  The simulation
-        # copy is decremented as rows cross the dust threshold, so the
-        # retirement predicate is two scalar reads, and a job with no
-        # live demand at all completes instantly on activation (the
-        # same predicate the per-object loop evaluated).
-        pending = np.bincount(self.dram_job, minlength=count)
-        not_done = (self.flow_lat > _EPS) | (self.flow_bytes > _EPS)
-        self.pending0 = pending + np.bincount(
-            self.flow_job[not_done], minlength=count
-        )
-        self.zero_demand = (self.compute <= _EPS) & (self.pending0 == 0)
 
 
 @dataclass
@@ -641,9 +565,10 @@ class EventEngine(ExecutionEngine):
         )
 
     def _simulate(self, recording: _Recording) -> _SimResult:
-        """The window loop (the production path).
+        """The window loop.
 
-        Bit-equal to :meth:`_simulate_reference` on every
+        Bit-equal to the full-scan reference loop of the oracle table
+        (``tests/oracles.py``) on every
         :class:`_SimResult` field, ``windows`` and ``live_rows``
         included: each window evaluates the identical IEEE-754 double
         operations on the identical values (Python float arithmetic *is*
@@ -1025,282 +950,6 @@ class EventEngine(ExecutionEngine):
             link: busy_acc[res]
             for link, res in link_res.items()
             if busy_acc[res] > 0.0
-        }
-        return _SimResult(
-            busy=busy,
-            end=end,
-            spans=_spans(recording, retired),
-            link_busy=link_busy,
-            link_bytes=link_bytes,
-            windows=windows,
-            live_rows=live_rows,
-        )
-
-    def _simulate_reference(self, recording: _Recording) -> _SimResult:
-        """The retained full-scan window loop (the oracle).
-
-        Every window re-derives the live-row sets with ``nonzero``/
-        ``bincount`` scans over *all* rows — O(total) per window.  Kept
-        as the bit-exactness oracle for :meth:`_simulate` (the property
-        tests replay random flow soups through both) and as the
-        baseline side of the throughput bench's same-host loop A/B,
-        which patches it over :meth:`_simulate`.  It reads the same
-        recording, through :class:`_JobArrays`.
-        """
-        system = self.system
-        n = system.num_gpms
-        dram_bw = system.config.gpm.dram_bytes_per_cycle
-        link_bw = system.config.link.bytes_per_cycle
-
-        arrays = _JobArrays(recording)
-        labels = recording.labels
-        gpm_of = recording.gpm.tolist()
-        floor_of = recording.floor.tolist()
-        flow_bounds = recording.flow_bounds.tolist()
-        flow_route = recording.flow_route.tolist()
-        recorded_bytes = recording.flow_bytes.tolist()
-        compute_rem = arrays.compute
-        dram_job, dram_gpm = arrays.dram_job, arrays.dram_gpm
-        dram_rem = arrays.dram_rem
-        flow_job, flow_lat = arrays.flow_job, arrays.flow_lat
-        flow_bytes, flow_scale = arrays.flow_bytes, arrays.flow_scale
-        route_offsets, route_links = arrays.route_offsets, arrays.route_links
-        route_rep, route_len = arrays.route_rep, arrays.route_len
-        job_d0, job_f0 = arrays.job_d0, arrays.job_f0
-        num_links = len(arrays.links)
-        have_dram = dram_job.size > 0
-        have_flows = flow_job.size > 0
-        run_mask = np.zeros(arrays.count, dtype=bool)
-        #: Row-level running masks, toggled by slice on (de)activation.
-        d_run = np.zeros(dram_job.size, dtype=bool)
-        f_run = np.zeros(flow_job.size, dtype=bool)
-        pending = arrays.pending0.copy()
-        link_busy_acc = np.zeros(num_links, dtype=np.float64)
-
-        queues: List[deque] = [deque() for _ in range(n)]
-        background: List[int] = []
-        for idx, lane in enumerate(recording.background):
-            if lane:
-                background.append(idx)
-            else:
-                queues[gpm_of[idx]].append(idx)
-        bg_pending: List[int] = sorted(background, key=floor_of.__getitem__)
-        bg_active: List[_RunState] = []
-
-        active: Dict[int, _RunState] = {}
-        t = 0.0
-        busy = [0.0] * n
-        end = [0.0] * n
-        #: Retired jobs as ``(job, start, end)``, as _simulate logs them.
-        retired: List[Tuple[int, float, float]] = []
-        link_bytes: Dict[Link, float] = {}
-
-        def account_bytes(idx: int) -> None:
-            for row in range(flow_bounds[idx], flow_bounds[idx + 1]):
-                nbytes = recorded_bytes[row]
-                for link in recording.routes[flow_route[row]]:
-                    link_bytes[link] = link_bytes.get(link, 0.0) + nbytes
-
-        # Every DRAM row counts, dust included.
-        total_components = (
-            arrays.count + len(recording.dram_bytes) + len(recorded_bytes)
-        )
-        max_steps = 1000 + 16 * (total_components + arrays.count)
-        steps = 0
-        zero_windows = 0
-        windows = 0
-        live_rows = 0
-
-        while active or any(queues) or bg_active or bg_pending:
-            steps += 1
-            if steps > max_steps:
-                raise EngineError(
-                    "event simulation failed to converge "
-                    f"({arrays.count - len(background)} jobs, {steps} steps)"
-                )
-
-            # Start any idle GPM's head job whose floor has passed;
-            # zero-demand units complete instantly and hand the GPM to
-            # the next queued job within the same window.
-            next_start = float("inf")
-            for gpm in range(n):
-                while gpm not in active and queues[gpm]:
-                    floor = floor_of[queues[gpm][0]]
-                    if floor > t * (1 + _REL) + _EPS:
-                        next_start = min(next_start, floor)
-                        break
-                    idx = queues[gpm].popleft()
-                    start = max(t, floor)
-                    if arrays.zero_demand[idx]:  # instantaneous
-                        retired.append((idx, start, start))
-                        end[gpm] = max(end[gpm], start)
-                        account_bytes(idx)
-                        continue
-                    active[gpm] = _RunState(idx, start)
-                    run_mask[idx] = True
-                    d_run[job_d0[idx] : job_d0[idx + 1]] = True
-                    f_run[job_f0[idx] : job_f0[idx + 1]] = True
-            # Background copies activate on their floor regardless of
-            # what their GPM is doing — the copy engines, not the SMs,
-            # move the bytes.
-            while bg_pending:
-                floor = floor_of[bg_pending[0]]
-                if floor > t * (1 + _REL) + _EPS:
-                    next_start = min(next_start, floor)
-                    break
-                idx = bg_pending.pop(0)
-                start = max(t, floor)
-                if arrays.zero_demand[idx]:
-                    retired.append((idx, start, start))
-                    account_bytes(idx)
-                    continue
-                bg_active.append(_RunState(idx, start))
-                run_mask[idx] = True
-                d_run[job_d0[idx] : job_d0[idx + 1]] = True
-                f_run[job_f0[idx] : job_f0[idx + 1]] = True
-
-            if not active and not bg_active:
-                if next_start == float("inf"):
-                    break
-                t = next_start
-                continue
-
-            # Concurrent users per shared resource in this window, as
-            # bincounts over the live demand rows.
-            if have_dram:
-                d_idx = np.nonzero(d_run & (dram_rem > _EPS))[0]
-                if d_idx.size:
-                    d_gpm = dram_gpm[d_idx]
-                    dram_users = np.bincount(d_gpm, minlength=n)
-                    #: Per-row bandwidth share, same expression the
-                    #: per-object loop divided with.
-                    dram_share = dram_bw / dram_users[d_gpm]
-            if have_flows:
-                lat_open = flow_lat > _EPS
-                lat_idx = np.nonzero(f_run & lat_open)[0]
-                b_mask = f_run & ~lat_open & (flow_bytes > _EPS)
-                b_idx = np.nonzero(b_mask)[0]
-                link_users = np.bincount(
-                    route_links[b_mask[route_rep]], minlength=num_links
-                )
-                if b_idx.size:
-                    # Bandwidth share on the most contended link of
-                    # each route, serialised over the hop count —
-                    # uncontended this reproduces the analytic bytes x
-                    # hops wire-load charge exactly, so engine gaps
-                    # isolate contention.  (Links with no active flow
-                    # are floored to one user; their garbage rates are
-                    # masked out by b_idx.)
-                    per_hop = link_bw / np.maximum(link_users, 1)[route_links]
-                    b_rate = (
-                        np.minimum.reduceat(per_hop, route_offsets[:-1])
-                        * flow_scale
-                    )[b_idx] / route_len[b_idx]
-                    b_bytes = flow_bytes[b_idx]
-
-            # Time to the next completion or rate change.
-            dt = next_start - t if next_start != float("inf") else float("inf")
-            c_idx = np.nonzero(run_mask & (compute_rem > _EPS))[0]
-            if c_idx.size:
-                dt = min(dt, float(compute_rem[c_idx].min()))
-            if have_dram and d_idx.size:
-                dt = min(dt, float((dram_rem[d_idx] / dram_share).min()))
-            if have_flows:
-                if lat_idx.size:
-                    dt = min(dt, float(flow_lat[lat_idx].min()))
-                if b_idx.size:
-                    dt = min(dt, float((b_bytes / b_rate).min()))
-
-            windows += 1
-            live_rows += c_idx.size
-            if have_dram:
-                live_rows += d_idx.size
-            if have_flows:
-                live_rows += lat_idx.size + b_idx.size
-
-            if dt == float("inf"):
-                # Same bounded-streak diagnostic as the incremental
-                # loop (both loops share retire semantics, so the
-                # property tests compare like with like).
-                zero_windows += 1
-                if zero_windows >= _MAX_ZERO_WINDOWS:
-                    raise self._stall_error(labels, active, bg_active)
-                dt = 0.0
-            else:
-                zero_windows = 0
-            dt = max(dt, 0.0)
-
-            # Advance the window: deplete demands, accumulate occupancy
-            # and retire the per-job open-component counts as rows
-            # cross the dust threshold.
-            if dt > 0.0:
-                t += dt
-                for gpm in active:
-                    busy[gpm] += dt
-                if have_flows:
-                    link_busy_acc[link_users > 0] += dt
-                if c_idx.size:
-                    compute_rem[c_idx] -= dt
-                if have_dram and d_idx.size:
-                    new_d = dram_rem[d_idx] - dt * dram_share
-                    dram_rem[d_idx] = new_d
-                    closed = d_idx[new_d <= _EPS]
-                    if closed.size:
-                        np.subtract.at(pending, dram_job[closed], 1)
-                if have_flows:
-                    if lat_idx.size:
-                        new_l = flow_lat[lat_idx] - dt
-                        flow_lat[lat_idx] = new_l
-                        expired = lat_idx[new_l <= _EPS]
-                        if expired.size:
-                            # A flow with nothing left to stream is
-                            # done the moment its wire latency drains.
-                            settled = expired[flow_bytes[expired] <= _EPS]
-                            if settled.size:
-                                np.subtract.at(
-                                    pending, flow_job[settled], 1
-                                )
-                    if b_idx.size:
-                        new_b = b_bytes - dt * b_rate
-                        flow_bytes[b_idx] = new_b
-                        drained = b_idx[new_b <= _EPS]
-                        if drained.size:
-                            np.subtract.at(pending, flow_job[drained], 1)
-
-            # Retire completed jobs: compute drained and no DRAM or
-            # flow component still above the dust threshold.
-            for gpm in list(active):
-                state = active[gpm]
-                if not (
-                    compute_rem[state.idx] <= _EPS
-                    and pending[state.idx] == 0
-                ):
-                    continue
-                idx = state.idx
-                retired.append((idx, state.start, t))
-                end[gpm] = max(end[gpm], t)
-                account_bytes(idx)
-                del active[gpm]
-                run_mask[idx] = False
-                d_run[job_d0[idx] : job_d0[idx + 1]] = False
-                f_run[job_f0[idx] : job_f0[idx + 1]] = False
-            for state in list(bg_active):
-                if not (
-                    compute_rem[state.idx] <= _EPS
-                    and pending[state.idx] == 0
-                ):
-                    continue
-                idx = state.idx
-                retired.append((idx, state.start, t))
-                account_bytes(idx)
-                bg_active.remove(state)
-                run_mask[idx] = False
-                d_run[job_d0[idx] : job_d0[idx + 1]] = False
-                f_run[job_f0[idx] : job_f0[idx + 1]] = False
-
-        link_busy: Dict[Link, float] = {
-            arrays.links[i]: float(link_busy_acc[i])
-            for i in np.nonzero(link_busy_acc > 0.0)[0]
         }
         return _SimResult(
             busy=busy,

@@ -43,7 +43,8 @@ schedule in one go:
   remote-cache crossing run as numpy column kernels over them
   (:func:`~repro.memory.cache.miss_bytes_columns`,
   :func:`~repro.memory.remote_cache.filter_columns`: the scalar
-  formulas, elementwise);
+  formulas, elementwise, whose row-by-row forms are references in
+  ``tests/oracles.py``);
 - the GPM clocks and progress counters advance per GPM in visit order;
   the pass builds no trace interval, but hands its clock charges
   (``SplitSlices.ops``) to the engine's ``_note_split`` hook, where the
@@ -61,12 +62,14 @@ resource fully local to the visiting GPM (placed there, homed there or
 replicated there), and nothing later in the frame takes that away.
 The per-slice ``bind``, ``execute`` and ``stage_unit`` stay the
 production path of the clock-driven dispatchers (OO-VR, OO_APP) and
-are this pass's oracle: ``tests/test_engine.py::TestSplitBind`` hands
+are this pass's oracle.  The test suite's oracle table
+(``tests/oracles.py``) binds a schedule through them slice by slice,
+and its per-slice frame bodies stand in for the baseline family's
+``bind_frame`` and the others' ``render_frame_on``, characterising
+``WorkUnit`` objects.  ``tests/test_engine.py::TestSplitBind`` hands
 the pass ``UnitColumns.from_units(units)`` and asserts every counter,
 trace, recorded event-engine job and staged byte equal with ``==`` to
-binding ``units`` slice by slice, against each framework's per-slice
-frame too (the baseline family's ``bind_frame``, the others'
-``render_frame_on``), which characterise ``WorkUnit`` objects.
+both.
 """
 
 from __future__ import annotations

@@ -104,8 +104,10 @@ class TileSplitFrameRendering(RenderingFramework):
 
         The draws' rectangles, in stereo-frame coordinates and draw
         order (:meth:`stereo_space_viewports` of every draw of the
-        ``expansion`` stream), feed the column form of
-        :func:`~repro.pipeline.raster.strip_shares`.
+        ``expansion`` stream), feed
+        :func:`~repro.pipeline.raster.strip_share_columns`, the column
+        form of the per-draw strip split whose scalar reference lives
+        in ``tests/oracles.py``.
         """
         shift = float(frame.width)
         per_eye = expansion == "stereo"

@@ -9,8 +9,8 @@ local and which cross a link — the asymmetry the whole paper is about.
 - :mod:`repro.memory.address` — resources, pages, touch descriptors;
 - :mod:`repro.memory.placement` — first-touch / fixed / interleaved /
   replicated page placement, PA-unit copies (pre-allocation);
-- :mod:`repro.memory.cache` — a real set-associative cache model plus
-  the analytic working-set hit-rate used by the fast timing path;
+- :mod:`repro.memory.cache` — the analytic working-set cache model
+  used by the fast timing path;
 - :mod:`repro.memory.dram` — per-GPM DRAM bandwidth accounting;
 - :mod:`repro.memory.link` — the pairwise link fabric with per-type
   traffic taxonomy;
@@ -20,7 +20,6 @@ local and which cross a link — the asymmetry the whole paper is about.
 
 from repro.memory.address import Resource, ResourceKind, Touch
 from repro.memory.placement import PagePlacement, PlacementPolicy
-from repro.memory.cache import SetAssociativeCache, working_set_hit_rate
 from repro.memory.dram import DramTracker
 from repro.memory.link import LinkFabric, TrafficType
 from repro.memory.remote_cache import RemoteCache
@@ -31,8 +30,6 @@ __all__ = [
     "Touch",
     "PagePlacement",
     "PlacementPolicy",
-    "SetAssociativeCache",
-    "working_set_hit_rate",
     "DramTracker",
     "LinkFabric",
     "TrafficType",

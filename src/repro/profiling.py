@@ -81,18 +81,6 @@ class PhaseProfile:
                 out[name] = seconds
         return out
 
-    def merged_with(self, other: "PhaseProfile") -> "PhaseProfile":
-        """A new profile with both sides' times and counts summed."""
-        merged = PhaseProfile()
-        for source in (self, other):
-            for name, seconds in source.seconds.items():
-                merged.seconds[name] = merged.seconds.get(name, 0.0) + seconds
-            for name, calls in source.calls.items():
-                merged.calls[name] = merged.calls.get(name, 0) + calls
-            for name, value in source.counters.items():
-                merged.counters[name] = merged.counters.get(name, 0.0) + value
-        return merged
-
     def table(self, title: str = "phase breakdown") -> str:
         """The profile as a small aligned text table."""
         total = self.total_seconds

@@ -163,7 +163,8 @@ class Rasterizer:
         # back-face culling run over every face at once; only the
         # survivors reach the per-triangle coverage loop, in original
         # face order so the depth-test outcome (and hence every written
-        # pixel) matches the per-triangle reference path exactly.
+        # pixel) matches the per-triangle walk exactly (the scalar
+        # reference in ``tests/oracles.py``).
         batch = mesh.batch
         tri, tri_w, near_reject, area = batch.front_end(screen, w)
         stats.triangles_clipped = int(near_reject.sum())
@@ -202,73 +203,7 @@ class Rasterizer:
         self.target.pixels_written += stats.pixels_written
         return stats
 
-    def draw_mesh_reference(
-        self,
-        mesh: TriangleMesh,
-        mvp: np.ndarray,
-        shader: Optional[FragmentShader] = None,
-        cull_backfaces: bool = True,
-    ) -> DrawStats:
-        """The retained per-triangle reference path.
-
-        Walks faces one at a time exactly as the pre-SoA pipeline did.
-        Kept as the oracle for the SoA == AoS property tests — it must
-        produce the same :class:`DrawStats` and framebuffer contents as
-        :meth:`draw_mesh` on any input.
-        """
-        if shader is None:
-            shader = checker_shader()
-        stats = DrawStats(triangles_in=mesh.num_triangles)
-        if mesh.num_triangles == 0:
-            return stats
-        clip = transform_points(mvp, mesh.positions)
-        stats.vertices_transformed = mesh.num_vertices
-        screen, w = self._to_screen(clip)
-
-        for face in mesh.faces:
-            tri_w = w[face]
-            if np.any(tri_w <= 1e-9):
-                stats.triangles_clipped += 1
-                continue
-            tri = screen[face]
-            uv = mesh.uvs[face]
-            stats_drawn = self._raster_triangle(
-                tri, uv, tri_w, shader, cull_backfaces
-            )
-            if stats_drawn is None:
-                stats.triangles_culled += 1
-                continue
-            shaded, written = stats_drawn
-            stats.triangles_rasterised += 1
-            stats.fragments_shaded += shaded
-            stats.pixels_written += written
-        self.target.pixels_written += stats.pixels_written
-        return stats
-
     # -- per-triangle raster loop ---------------------------------------------
-
-    def _raster_triangle(
-        self,
-        tri: np.ndarray,
-        uv: np.ndarray,
-        tri_w: np.ndarray,
-        shader: FragmentShader,
-        cull_backfaces: bool,
-    ) -> Optional[Tuple[int, int]]:
-        """Rasterise one screen-space triangle.
-
-        Returns ``(fragments_shaded, pixels_written)`` or ``None`` when
-        the triangle is back-facing / degenerate / fully outside.
-        """
-        (x0, y0), (x1, y1), (x2, y2) = tri[:, 0:2]
-        # Signed twice-area; raster y grows down so CCW-in-NDC becomes
-        # negative here — front faces have area < 0.
-        area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        if area == 0.0:
-            return None
-        if cull_backfaces and area > 0.0:
-            return None
-        return self._raster_coverage(tri, uv, tri_w, area, shader)
 
     def _raster_coverage(
         self,

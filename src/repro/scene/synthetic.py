@@ -24,10 +24,11 @@ Construction paths
 
 There are two construction paths with one contract:
 
-- the **reference path** (:meth:`SyntheticSceneGenerator.make_frame_reference`
-  / ``_make_object_reference``) is the original per-object scalar loop.
-  It is the oracle: simple, obviously faithful to the distributions
-  documented above, and kept unoptimised on purpose;
+- the **reference path** is the original per-object scalar loop.  It
+  is the oracle: simple, obviously faithful to the distributions
+  documented above, and kept unoptimised on purpose.  Production never
+  runs it, so it lives in the test suite's oracle table
+  (``tests/oracles.py``);
 - the **batched path** (:meth:`SyntheticSceneGenerator.make_frame`) walks
   the *same* RNG stream in the same order but coalesces adjacent uniform
   draws into one ``Generator.random(k)`` call, replicates
@@ -190,114 +191,6 @@ class SyntheticSceneGenerator:
     def texture_pool(self) -> TexturePool:
         return self._pool
 
-    def _pick_textures(self) -> Tuple[Texture, ...]:
-        p = self.profile
-        lo, hi = p.textures_per_object
-        count = int(self._rng.integers(lo, hi + 1))
-        count = min(count, len(self._materials))
-        indices = self._rng.choice(
-            len(self._materials),
-            size=count,
-            replace=False,
-            p=self._material_popularity,
-        )
-        return tuple(self._materials[i] for i in sorted(indices))
-
-    # -- placement --------------------------------------------------------
-
-    def _object_viewports(
-        self,
-    ) -> Tuple[Optional[Viewport], Optional[Viewport], float]:
-        """Left/right eye rectangles plus the object's footprint area."""
-        p = self.profile
-        eye_area = p.width * p.height
-        area = eye_area * float(
-            self._rng.lognormal(math.log(p.footprint_median), p.footprint_sigma)
-        )
-        area = min(area, 0.85 * eye_area)
-        area = max(area, 64.0)
-        aspect = float(self._rng.uniform(0.5, 2.0))
-        w = min(math.sqrt(area * aspect), 0.95 * p.width)
-        h = min(area / w, 0.95 * p.height)
-
-        cx = float(self._rng.uniform(w / 2, p.width - w / 2))
-        # Vertical skew: blend a uniform sample towards the lower half.
-        u = float(self._rng.uniform(0.0, 1.0))
-        skewed = u ** (1.0 / (1.0 + 2.5 * p.vertical_skew))
-        cy = h / 2 + skewed * (p.height - h)
-        cy = min(max(cy, h / 2), p.height - h / 2)
-
-        left = Viewport(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        disparity = float(self._rng.uniform(-1.0, 1.0)) * p.max_disparity * p.width
-        right = left.shifted(disparity)
-        bounds = Viewport(0.0, 0.0, float(p.width), float(p.height))
-        right_clamped = right.clamped(bounds)
-
-        if self._rng.uniform() < p.mono_fraction:
-            if self._rng.uniform() < 0.5:
-                return left, None, area
-            return None, right_clamped or left, area
-        return left, right_clamped or left, area
-
-    # -- objects: reference (oracle) path ---------------------------------
-
-    def _make_object_reference(
-        self, object_id: int, prev_id: Optional[int]
-    ) -> RenderObject:
-        """The original scalar object builder — the batched path's oracle."""
-        p = self.profile
-        triangles = int(
-            max(
-                8,
-                self._rng.lognormal(math.log(p.triangles_median), p.triangles_sigma),
-            )
-        )
-        # Indexed meshes: ~0.6 vertices per triangle for typical reuse.
-        vertices = max(3, int(triangles * float(self._rng.uniform(0.5, 0.75))))
-        left, right, _area = self._object_viewports()
-        depth = 1.0 + float(
-            self._rng.gamma(shape=2.0, scale=(p.depth_complexity_mean - 1.0) / 2.0)
-        )
-        shader = float(
-            max(0.25, self._rng.normal(p.shader_complexity_mean, 0.25))
-        )
-        coverage = float(self._rng.uniform(0.30, 0.75))
-        depends: Optional[int] = None
-        if prev_id is not None and self._rng.uniform() < p.dependency_fraction:
-            depends = prev_id
-        return RenderObject(
-            object_id=object_id,
-            name=f"{p.name}/obj{object_id:05d}",
-            mesh=Mesh(vertices, triangles),
-            textures=self._pick_textures(),
-            viewport_left=left,
-            viewport_right=right,
-            depth_complexity=depth,
-            shader_complexity=shader,
-            coverage=coverage,
-            depends_on=depends,
-        )
-
-    def make_frame_reference(self, frame_id: int = 0) -> Frame:
-        """Generate one frame through the scalar reference path."""
-        objects: List[RenderObject] = []
-        prev_id: Optional[int] = None
-        for index in range(self.profile.num_objects):
-            obj = self._make_object_reference(index, prev_id)
-            objects.append(obj)
-            prev_id = obj.object_id
-        return Frame(
-            objects=tuple(objects),
-            width=self.profile.width,
-            height=self.profile.height,
-            frame_id=frame_id,
-        )
-
-    def make_scene_reference(self, num_frames: int = 4) -> Scene:
-        """Reference-path counterpart of :meth:`make_scene`."""
-        frames = tuple(self.make_frame_reference(i) for i in range(num_frames))
-        return Scene(name=self.profile.name, frames=frames)
-
     # -- objects: batched path ---------------------------------------------
 
     def _choice_tail(self, found: List[int], size: int) -> List[int]:
@@ -328,7 +221,7 @@ class SyntheticSceneGenerator:
 
         This is the stream-order-preserving core of the batched path:
         per object it performs the *same generator calls in the same
-        order* as ``_make_object_reference``, except that
+        order* as the reference path's per-object builder, except that
 
         - adjacent scalar ``uniform(a, b)`` draws become one
           ``random(k)`` call (identical consumption; ``uniform`` is
@@ -454,7 +347,7 @@ class SyntheticSceneGenerator:
     def make_frame(self, frame_id: int = 0) -> Frame:
         """Generate one frame with ``profile.num_objects`` draws.
 
-        Batched equivalent of :meth:`make_frame_reference`: identical
+        Batched equivalent of the reference path: identical
         output bit-for-bit (and identical generator advancement), with
         the per-object arithmetic evaluated as numpy arrays and the
         frame's :class:`~repro.scene.batch.ObjectBatch` built directly

@@ -63,12 +63,6 @@ class TrafficBreakdown:
     def bytes_of(self, traffic: TrafficType) -> float:
         return self.by_type.get(traffic, 0.0)
 
-    def merged_with(self, other: "TrafficBreakdown") -> "TrafficBreakdown":
-        merged: Dict[TrafficType, float] = dict(self.by_type)
-        for key, value in other.by_type.items():
-            merged[key] = merged.get(key, 0.0) + value
-        return TrafficBreakdown(merged)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "TrafficBreakdown":
         """Inverse of the ``{type.value: bytes}`` serialisation; an
@@ -231,9 +225,9 @@ class SceneResult:
         """Every frame's traffic summed by type.
 
         One fold in frame order: the same additions, in the same order
-        and with the same key order, as chaining
-        :meth:`TrafficBreakdown.merged_with` from an empty breakdown,
-        without a dict copy per frame.
+        and with the same key order, as merging the breakdowns frame by
+        frame from an empty one (the scalar reference in
+        ``tests/oracles.py``), without a dict copy per frame.
         """
         merged: Dict[TrafficType, float] = {}
         for frame in self.frames:

@@ -14,7 +14,7 @@ from repro.scene.geometry import Mesh, Viewport
 from repro.scene.objects import RenderObject
 from repro.scene.scene import Frame, Scene
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
-from repro.scene.texture import Texture, TexturePool
+from repro.scene.texture import TexturePool
 from repro.stats.metrics import SceneResult
 
 KB = 1024

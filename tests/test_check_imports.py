@@ -34,6 +34,12 @@ def test_src_has_no_unused_imports(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_the_rest_of_the_repo_has_no_unused_imports(capsys):
+    roots = ("scripts", "benchmarks", "examples", "tests")
+    assert check_imports.main([str(ROOT / root) for root in roots]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_planted_imports_are_reported(tmp_path, capsys):
     module = tmp_path / "planted.py"
     module.write_text(PLANTED)

@@ -74,7 +74,9 @@ def test_src_has_no_unused_definitions(capsys):
 
 
 def test_keep_entry_that_no_longer_resolves_fails(capsys, monkeypatch):
-    monkeypatch.setitem(check_unused.KEEP, "repro.nowhere.gone", "oracle")
+    monkeypatch.setitem(
+        check_unused.KEEP, "repro.nowhere.gone", "state accessor"
+    )
     monkeypatch.setitem(
         check_unused.KEEP, "repro.config.baseline_system", "convenience"
     )

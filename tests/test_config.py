@@ -10,7 +10,6 @@ from repro.config import (
     GPMConfig,
     LinkConfig,
     SMConfig,
-    SystemConfig,
     baseline_system,
 )
 

@@ -36,6 +36,12 @@ from repro.session import Session, SessionError, Sweep, sweep_defaults
 from repro.session.cache import ResultCache, config_fingerprint, spec_key
 from repro.session.spec import FAST, RunSpec, SpecError, cached_scene
 from tests.conftest import MB, make_object
+from tests.oracles import (
+    PER_SLICE_FRAMES,
+    WINDOW_LOOP,
+    per_slice,
+    simulate_reference,
+)
 
 
 def unit_for(characterizer, pool, object_id=0, **kwargs):
@@ -516,8 +522,6 @@ class TestEventEngine:
         self, characterizer, pool
     ):
         """Two GPMs streaming from one owner DRAM time-share it."""
-        from repro.config import GPMConfig
-
         cfg = baseline_system()
         starved = replace(
             cfg, gpm=replace(cfg.gpm, dram_bytes_per_cycle=2.0)
@@ -1438,7 +1442,8 @@ _SOUPS = {"random": _random_flow_soup, "lockstep": _lockstep_flow_soup}
 
 
 class TestIncrementalWindowLoop:
-    """The incremental loop is bit-equal to the full-scan oracle."""
+    """The incremental loop is bit-equal to the full-scan oracle
+    (``WINDOW_LOOP`` in the oracle table)."""
 
     @staticmethod
     def _engine(config, topology=None):
@@ -1457,7 +1462,7 @@ class TestIncrementalWindowLoop:
         # identical schedule.
         recording = _recording(jobs, background)
         fast = engine._simulate(recording)
-        slow = engine._simulate_reference(recording)
+        slow = simulate_reference(engine, recording)
         for field in fields(fast):
             # == : bit-exact, not approx
             assert getattr(fast, field.name) == getattr(slow, field.name), (
@@ -1503,29 +1508,29 @@ class TestIncrementalWindowLoop:
             )
         ]
         fast = engine._simulate(_recording(jobs))
-        slow = engine._simulate_reference(_recording(jobs))
+        slow = simulate_reference(engine, _recording(jobs))
         assert fast.end == slow.end == [12.0, 0.0, 0.0, 0.0]
         assert fast.spans == slow.spans
 
     @pytest.mark.parametrize(
         "framework", ["baseline", "baseline-mig", "tile-v", "oo-vr"]
     )
-    def test_reference_loop_flag_is_bit_exact_end_to_end(
-        self, framework, monkeypatch
-    ):
+    def test_reference_loop_flag_is_bit_exact_end_to_end(self, framework):
         """Running ``finish_frame`` on the reference loop (the bench's
         A/B patch) changes nothing, on the baseline family's crowded
         windows as on oo-vr's sparse ones."""
         scene = fast_scene()
         cfg = baseline_system().with_engine("event")
         default = build_framework(framework, cfg).render_scene(scene)
-        monkeypatch.setattr(
-            EventEngine, "_simulate", EventEngine._simulate_reference
-        )
-        reference = build_framework(framework, cfg).render_scene(scene)
+        with WINDOW_LOOP.patch():
+            reference = build_framework(framework, cfg).render_scene(scene)
         assert default.to_dict() == reference.to_dict()
 
-    @pytest.mark.parametrize("loop", ["_simulate", "_simulate_reference"])
+    @pytest.mark.parametrize(
+        "loop",
+        [EventEngine._simulate, simulate_reference],
+        ids=["incremental", "reference"],
+    )
     def test_unfinishable_flow_raises_stall_diagnostic(self, config, loop):
         """Satellite: dt == inf now raises with job labels, not 0.0."""
         engine = self._engine(config)
@@ -1545,7 +1550,7 @@ class TestIncrementalWindowLoop:
             provisional_cycles=1.0,
         )
         with pytest.raises(RuntimeError) as excinfo:
-            getattr(engine, loop)(_recording([wedge]))
+            loop(engine, _recording([wedge]))
         message = str(excinfo.value)
         assert "stalled" in message
         assert "wedged-unit" in message
@@ -1554,30 +1559,6 @@ class TestIncrementalWindowLoop:
 # ---------------------------------------------------------------------------
 # The slice pass vs. the per-slice oracle
 # ---------------------------------------------------------------------------
-
-
-def _per_slice(system, units, schedule, staging=None):
-    """The oracle: every slice shaped, staged, bound and executed alone."""
-    for s, index in enumerate(schedule.unit.tolist()):
-        gpm = int(schedule.gpm[s])
-        slice_unit = replace(
-            units[index].with_screen_share(
-                pixel_share=float(schedule.pixel_share[s]),
-                geometry_share=float(schedule.geometry_share[s]),
-                unique_inflation=float(schedule.unique_inflation[s]),
-                label_suffix="",
-                stream_inflation=float(schedule.stream_inflation[s]),
-            ),
-            label=schedule.labels[s],
-        )
-        if staging is not None:
-            staging.stage_unit(
-                slice_unit, gpm, factor_scale=float(schedule.stage_scale[s])
-            )
-        system.execute_unit(
-            slice_unit, gpm, fb_targets=schedule.fb_targets,
-            command_source=int(schedule.command_source[s]),
-        )
 
 
 def _even_split(
@@ -1599,161 +1580,6 @@ def _even_split(
         command_source=command_source,
         fb_targets=fb_targets,
     )
-
-
-def _per_slice_bind_frame(self, system, frame):
-    """``SingleKernelBaseline.bind_frame`` with one bind per slice."""
-    from repro.frameworks.single import UPLOAD_GPM
-
-    share = 1.0 / system.num_gpms
-    cost = self.config.cost
-    fb_targets = {gpm: share for gpm in range(system.num_gpms)}
-    units = self.characterizer.characterize_frame(
-        frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
-    )
-    # Uploads land on one GPM, in the order the units first touch them.
-    for unit in units:
-        for touch in unit.texture_touches + unit.vertex_touches:
-            if not system.placement.is_placed(touch.resource):
-                system.placement.place_fixed(touch.resource, UPLOAD_GPM)
-    if system.num_gpms == 1:
-        for unit in units:
-            system.execute_unit(unit, 0, fb_targets=fb_targets)
-    else:
-        for unit in units:
-            for gpm in range(system.num_gpms):
-                slice_unit = unit.with_screen_share(
-                    pixel_share=share,
-                    geometry_share=share,
-                    unique_inflation=cost.interleave_unique_inflation,
-                    label_suffix=f"gpm{gpm}",
-                    stream_inflation=cost.interleave_stream_inflation,
-                )
-                system.execute_unit(
-                    slice_unit, gpm, fb_targets=fb_targets, command_source=0
-                )
-
-
-def _per_slice_tile_render_frame_on(self, system, frame, workload):
-    """``TileSplitFrameRendering.render_frame_on``, one draw and one
-    strip slice at a time."""
-    from repro.frameworks.tile_sfr import TileOrientation
-    from repro.gpu.staging import StagingManager
-    from repro.pipeline.raster import normalize_pixel_shares, strip_shares
-
-    strips = self.strips(frame)
-    cost = self.config.cost
-    staging = StagingManager(
-        system,
-        factor=cost.tile_stage_factor,
-        parallelism=cost.tile_stage_parallelism,
-    )
-    staging.begin_frame()
-    if self.orientation is TileOrientation.VERTICAL:
-        stream = [(d, SMPMode.SEQUENTIAL) for d in frame.stereo_draws()]
-    else:
-        stream = [(d, SMPMode.SIMULTANEOUS) for d in frame.multiview_draws()]
-    for draw, mode in stream:
-        unit = self.characterizer.characterize(draw, mode=mode)
-        shares = normalize_pixel_shares(
-            strip_shares(self.stereo_space_viewports(draw, frame.width), strips)
-        )
-        for share in shares:
-            slice_unit = unit.with_screen_share(
-                pixel_share=min(1.0, share.pixel_share),
-                geometry_share=share.geometry_share,
-                unique_inflation=cost.tile_unique_inflation,
-                label_suffix=f"strip{share.strip_index}",
-            )
-            gpm = share.strip_index
-            staging.stage_unit(
-                slice_unit, gpm,
-                factor_scale=1.0 + 0.6 * (slice_unit.views - 1),
-            )
-            system.execute_unit(
-                slice_unit, gpm, fb_targets={gpm: 1.0}, command_source=0
-            )
-    return system.frame_result(self.name, workload)
-
-
-def _per_slice_object_render_frame_on(self, system, frame, workload):
-    """``ObjectLevelSFR.render_frame_on`` with one bind per draw."""
-    from repro.gpu.composition import compose_master
-    from repro.gpu.staging import StagingManager
-
-    num_gpms = system.num_gpms
-    rendered_pixels = [0.0] * num_gpms
-    staging = StagingManager(
-        system,
-        factor=self.config.cost.object_stage_factor,
-        parallelism=self.config.cost.stage_parallelism,
-    )
-    staging.begin_frame()
-    next_gpm = 0
-    assigned_gpm_of_object = {}
-    units = self.characterizer.characterize_frame(
-        frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
-    )
-    for draw, unit in zip(frame.stereo_draws(), units):
-        parent = draw.obj.depends_on
-        if parent is not None and parent in assigned_gpm_of_object:
-            gpm = assigned_gpm_of_object[parent]
-        else:
-            gpm = next_gpm
-            next_gpm = (next_gpm + 1) % num_gpms
-        assigned_gpm_of_object[draw.obj.object_id] = gpm
-        staging.stage_unit(unit, gpm)
-        system.execute_unit(
-            unit, gpm, fb_targets={gpm: 1.0}, command_source=self.root
-        )
-        rendered_pixels[gpm] += unit.pixels_out
-    compose_master(system, rendered_pixels, root=self.root)
-    return system.frame_result(self.name, workload)
-
-
-def _per_slice_afr_render_frame_on(self, system, frame, workload):
-    """``AlternateFrameRendering.render_frame_on`` with one bind per
-    draw, each draw's resources replicated just before it renders."""
-    gpm = self._frame_gpm(frame)
-    units = self.characterizer.characterize_frame(
-        frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
-    )
-    for unit in units:
-        for touch in unit.texture_touches + unit.vertex_touches:
-            system.placement.replicate(touch.resource, [gpm])
-        system.execute_unit(
-            unit, gpm, fb_targets={gpm: 1.0}, command_source=gpm
-        )
-    return system.frame_result(self.name, workload)
-
-
-#: Each batched framework: the method its per-slice oracle body
-#: replaces, and that body.  The baseline family's is the bind step,
-#: which ``baseline-mig`` calls between attaching its migration
-#: observer and migrating; its own render_frame_on stays in place.
-_BASELINE_ORACLE = (
-    "repro.frameworks.single.SingleKernelBaseline.bind_frame",
-    _per_slice_bind_frame,
-)
-_TILE_ORACLE = (
-    "repro.frameworks.tile_sfr.TileSplitFrameRendering.render_frame_on",
-    _per_slice_tile_render_frame_on,
-)
-_PER_SLICE_ORACLES = {
-    "baseline": _BASELINE_ORACLE,
-    "1tbs-bw": _BASELINE_ORACLE,
-    "baseline-mig": _BASELINE_ORACLE,
-    "tile-v": _TILE_ORACLE,
-    "tile-h": _TILE_ORACLE,
-    "object": (
-        "repro.frameworks.object_sfr.ObjectLevelSFR.render_frame_on",
-        _per_slice_object_render_frame_on,
-    ),
-    "afr": (
-        "repro.frameworks.afr.AlternateFrameRendering.render_frame_on",
-        _per_slice_afr_render_frame_on,
-    ),
-}
 
 
 def _split_resources():
@@ -2022,7 +1848,7 @@ class TestSplitBind:
         oracle_system, oracle_seen = self._system(
             knobs, policy, engine, resources
         )
-        _per_slice(oracle_system, units, schedule)
+        per_slice(oracle_system, units, schedule)
         split_system, split_seen = self._system(knobs, policy, engine, resources)
         split_system.engine.execute_split(
             UnitColumns.from_units(units), schedule
@@ -2057,7 +1883,7 @@ class TestSplitBind:
         schedule = _slice_soup(rng, units, 4, knobs.get("fb_targets"))
         factor = float(rng.uniform(0.5, 3.0))
         states = []
-        for run in (_per_slice, None):
+        for run in (per_slice, None):
             system, seen = self._system(knobs, policy, engine, resources)
             staging = None
             if staged:
@@ -2125,10 +1951,14 @@ class TestSplitBind:
         split_result = split.render_scene(scene)
         split_managers = list(managers)
         managers.clear()
-        target, body = _PER_SLICE_ORACLES[framework.split(":")[0]]
-        monkeypatch.setattr(target, body)
-        oracle = build_framework(framework, config)
-        oracle_result = oracle.render_scene(scene)
+        # The per-slice frame body of the framework's scheme.
+        [body] = [
+            entry for entry in PER_SLICE_FRAMES
+            if isinstance(split, entry.resolve()[0])
+        ]
+        with body.patch():
+            oracle = build_framework(framework, config)
+            oracle_result = oracle.render_scene(scene)
         assert split_result.to_dict() == oracle_result.to_dict()
         assert _machine_state(split.last_system, [], split_managers) == (
             _machine_state(oracle.last_system, [], managers)

@@ -5,21 +5,17 @@ serial, process pool, or a scatter of shard slices merged back
 together — the exported records must be byte-identical.
 """
 
-import json
 import os
-import threading
 
 import pytest
 
 from repro import cli
 from repro.session import (
     EXECUTOR_NAMES,
-    CacheMergeError,
     ExecutorError,
     ExperimentConfig,
     ProcessExecutor,
     ResultCache,
-    ResultSet,
     SerialExecutor,
     SessionError,
     ShardExecutor,

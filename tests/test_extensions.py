@@ -1,8 +1,6 @@
 """Tests for the architecture extensions (ATW, topology, migration,
 foveation, HBM scaling)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.config import baseline_system
 from repro.gpu.composition import compose_distributed, compose_master
 from repro.gpu.staging import StagingManager
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.link import TrafficType
-from repro.memory.placement import PlacementPolicy
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
-from tests.conftest import MB, make_object
+from tests.conftest import make_object
 
 
 @pytest.fixture

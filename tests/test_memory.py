@@ -7,17 +7,18 @@ from repro.memory.address import (
     ResourceKind,
     Touch,
     texture_resource,
-    vertex_resource,
 )
-from repro.memory.cache import (
-    SetAssociativeCache,
-    miss_bytes,
-    working_set_hit_rate,
-)
+from repro.memory.cache import miss_bytes
 from repro.memory.dram import DramTracker, make_trackers
 from repro.memory.link import LinkFabric, TrafficType
 from repro.memory.placement import PagePlacement, PlacementPolicy
 from repro.memory.remote_cache import RemoteCache
+from tests.oracles import (
+    SetAssociativeCache,
+    filter_columns_reference,
+    miss_bytes_columns_reference,
+    working_set_hit_rate,
+)
 
 KB = 1024
 MB = 1024 * KB
@@ -188,10 +189,11 @@ class TestColumnKernels:
 
         stream, unique = self._streams(1, 400)
         for cache_bytes in (64 * KB, 1.0 * MB, 0.0):
-            assert miss_bytes_columns(stream, unique, cache_bytes).tolist() == [
-                miss_bytes(s, u, cache_bytes)
-                for s, u in zip(stream.tolist(), unique.tolist())
-            ]
+            assert miss_bytes_columns(stream, unique, cache_bytes).tolist() == (
+                miss_bytes_columns_reference(
+                    stream, unique, cache_bytes
+                ).tolist()
+            )
 
     def test_filter_columns(self):
         import numpy as np
@@ -208,10 +210,7 @@ class TestColumnKernels:
         stream, unique = self._streams(2, 400)
         gpm = np.random.default_rng(3).integers(0, 3, stream.size)
         scalar = caches()
-        expected = [
-            scalar[g].filter(s, u)
-            for g, s, u in zip(gpm.tolist(), stream.tolist(), unique.tolist())
-        ]
+        expected = filter_columns_reference(scalar, gpm, stream, unique).tolist()
         batched = caches()
         assert filter_columns(batched, gpm, stream, unique).tolist() == expected
         assert [(c.hits_bytes, c.miss_bytes) for c in batched] == [

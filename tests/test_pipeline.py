@@ -1,18 +1,12 @@
 """Pipeline: SMP geometry, fragment demand, work units, stage pricing."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.config import CostModel, baseline_system
+from repro.config import CostModel
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
-from repro.pipeline.raster import (
-    normalize_pixel_shares,
-    strip_share_columns,
-    strip_shares,
-)
+from repro.pipeline.raster import strip_share_columns
 from repro.pipeline.rop import distributed_composition, master_composition
 from repro.pipeline.smp import SMPEngine, SMPMode
 from repro.pipeline.timing import price_work_unit
@@ -25,6 +19,11 @@ from repro.scene.geometry import (
 )
 from repro.scene.objects import Eye
 from tests.conftest import MB, make_object
+from tests.oracles import (
+    normalize_pixel_shares,
+    strip_share_columns_reference,
+    strip_shares,
+)
 
 
 @pytest.fixture
@@ -162,7 +161,8 @@ class TestRasterHelpers:
         assert strip.tolist() == [0] and share.tolist() == [1.0]
 
     def test_strip_share_columns_match_scalar_shares(self):
-        """The column kernel lists the scalar shares, float for float."""
+        """The column kernel lists the scalar shares
+        (``strip_share_columns_reference``), float for float."""
         rng = np.random.default_rng(2026)
         screen = full_screen(2560, 1440)
         for strips in (
@@ -191,17 +191,13 @@ class TestRasterHelpers:
                     for r in rects
                 ]
             ).T
-            draw, strip, share = strip_share_columns(
-                len(draws), rows[0].astype(np.int64), *rows[1:], strips
-            )
-            expected = [
-                (d, s.strip_index, s.pixel_share)
-                for d, rects in enumerate(draws)
-                for s in normalize_pixel_shares(strip_shares(rects, strips))
-            ]
-            assert list(zip(draw.tolist(), strip.tolist(), share.tolist())) == (
-                expected
-            )
+            columns = (len(draws), rows[0].astype(np.int64), *rows[1:], strips)
+            for got, want in zip(
+                strip_share_columns(*columns),
+                strip_share_columns_reference(*columns),
+            ):
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
 
 
 class TestCharacterizer:

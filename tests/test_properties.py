@@ -7,15 +7,21 @@ from hypothesis import strategies as st
 
 from repro.core.middleware import OOMiddleware
 from repro.core.tsl import texture_sharing_level
-from repro.memory.cache import SetAssociativeCache, miss_bytes, working_set_hit_rate
+from repro.memory.cache import miss_bytes
 from repro.memory.link import LinkFabric, TrafficType
 from repro.memory.placement import PagePlacement, PlacementPolicy
 from repro.memory.address import texture_resource
 from repro.scene.geometry import Mesh, Viewport, full_screen, vertical_strips
 from repro.scene.objects import RenderObject
 from repro.scene.texture import Texture
-from repro.pipeline.raster import normalize_pixel_shares, strip_shares
 from repro.stats.metrics import geomean
+from tests.oracles import (
+    SetAssociativeCache,
+    build_batches_reference,
+    normalize_pixel_shares,
+    strip_shares,
+    working_set_hit_rate,
+)
 
 KB = 1024
 
@@ -173,7 +179,7 @@ class TestColumnarGroupingProperties:
         objects, cap, threshold = soup
         middleware = OOMiddleware(triangle_limit=cap, tsl_threshold=threshold)
         columnar = middleware.build_batches(objects)
-        reference = middleware.build_batches_reference(objects)
+        reference = build_batches_reference(middleware, objects)
         assert columnar == reference
         assert [b.object_ids for b in columnar] == [
             b.object_ids for b in reference

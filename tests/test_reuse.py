@@ -4,8 +4,9 @@ Covers the memo's contract (one build per key, a distinct frame builds
 again), byte-transparency against a memo-free reference on the serial
 and process executors and through ``Session.run``, which frameworks
 read which artefacts, that artefacts die with their frame, and that
-the removed on/off knob stays removed.  The memo-free reference
-patches ``Frame.derived`` to call ``build()`` every time.
+the removed on/off knob stays removed.  The memo-free reference is
+the oracle table's ``MEMO_FREE`` entry, which patches ``Frame.derived``
+to call ``build()`` every time.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.pipeline.smp import SMPMode
 from repro.scene.scene import Frame
 from repro.session import Session, Sweep
 from repro.session.spec import cached_scene
+from tests.oracles import MEMO_FREE
 
 
 def shared_grid() -> Sweep:
@@ -38,11 +40,6 @@ def shared_grid() -> Sweep:
 def fresh_frame(workload: str = "DM3-640") -> Frame:
     """A fast frame equal to the memoised one, with an empty memo."""
     return replace(cached_scene(workload, 2, 2019, 0.15).frames[0])
-
-
-def memo_free(monkeypatch) -> None:
-    """Build every artefact afresh, as if nothing were memoised."""
-    monkeypatch.setattr(Frame, "derived", lambda self, key, build: build())
 
 
 class BuildSpy:
@@ -149,24 +146,23 @@ class TestFrameMemo:
 
 
 class TestReuseTransparency:
-    def test_serial_sweep_byte_identical_reuse_on_vs_off(self, monkeypatch):
+    def test_serial_sweep_byte_identical_reuse_on_vs_off(self):
         with_reuse = shared_grid().run().to_csv()
-        memo_free(monkeypatch)
-        assert shared_grid().run().to_csv() == with_reuse
+        with MEMO_FREE.patch():
+            assert shared_grid().run().to_csv() == with_reuse
 
-    def test_process_sweep_byte_identical_reuse_on_vs_off(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            memo_free(patch)
+    def test_process_sweep_byte_identical_reuse_on_vs_off(self):
+        with MEMO_FREE.patch():
             serial = shared_grid().run().to_csv()
         assert shared_grid().run(jobs=2).to_csv() == serial
 
-    def test_session_run_reuse_off_matches_default(self, monkeypatch):
+    def test_session_run_reuse_off_matches_default(self):
         session = Session().framework("oo-vr").workload("HL2-640").fast()
         default = session.run().to_dict()
-        memo_free(monkeypatch)
-        assert session.run().to_dict() == default
+        with MEMO_FREE.patch():
+            assert session.run().to_dict() == default
 
-    def test_fast_grid_csv_equal_with_and_without_memo(self, monkeypatch):
+    def test_fast_grid_csv_equal_with_and_without_memo(self):
         """Every registered scheme on every workload, plus two batching
         variants that group one memoised unit table a second way: the
         grid whose cells share the most artefacts reads exactly what
@@ -177,8 +173,8 @@ class TestReuseTransparency:
             "tile-h", "tile-v",
         )
         with_memo = grid.run().to_csv()
-        memo_free(monkeypatch)
-        assert grid.run().to_csv() == with_memo
+        with MEMO_FREE.patch():
+            assert grid.run().to_csv() == with_memo
 
     def test_shared_workload_grid_actually_hits(self, spy):
         """Cells sharing a workload build each frame's artefacts once."""

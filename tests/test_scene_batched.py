@@ -17,6 +17,7 @@ from repro.scene.batch import ObjectBatch
 from repro.scene.benchmarks import make_benchmark_scene
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
 from repro.session.spec import cached_scene
+from tests.oracles import make_frame_reference, make_scene_reference
 
 BATCH_COLUMNS = (
     "object_ids",
@@ -98,7 +99,7 @@ class TestBatchedConstruction:
         )
         ref_gen = SyntheticSceneGenerator(profile, seed=2019)
         fast_gen = SyntheticSceneGenerator(profile, seed=2019)
-        ref = ref_gen.make_scene_reference(num_frames=2)
+        ref = make_scene_reference(ref_gen, num_frames=2)
         fast = fast_gen.make_scene(num_frames=2)
         assert ref.name == fast.name
         for ref_frame, fast_frame in zip(ref.frames, fast.frames):
@@ -142,7 +143,7 @@ class TestBatchedConstruction:
             ref_gen = SyntheticSceneGenerator(profile, seed=seed)
             fast_gen = SyntheticSceneGenerator(profile, seed=seed)
             for frame_id in range(2):
-                ref_frame = ref_gen.make_frame_reference(frame_id)
+                ref_frame = make_frame_reference(ref_gen, frame_id)
                 fast_frame = fast_gen.make_frame(frame_id)
                 assert_frames_identical(ref_frame, fast_frame)
             assert rng_position(ref_gen) == rng_position(fast_gen)

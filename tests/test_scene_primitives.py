@@ -13,7 +13,6 @@ from repro.scene.objects import Eye, RenderObject, StereoDraw
 from repro.scene.scene import Frame, Scene
 from repro.scene.texture import (
     Texture,
-    TexturePool,
     unique_texture_bytes,
 )
 from tests.conftest import MB, make_object

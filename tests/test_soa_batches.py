@@ -5,10 +5,12 @@ characterisation (the unit table of
 :meth:`DrawCharacterizer.unit_columns` and the units it reads out), the
 validation rasterizer's batched front end (:meth:`Rasterizer.draw_mesh`)
 and the counter kernels underneath them — while keeping the scalar
-per-object/per-triangle code as the reference.  These tests pin the
+per-object/per-triangle code as the reference (the oracle table's
+``UNIT_TABLE`` and ``RASTERIZER`` entries).  These tests pin the
 contract: on seeded synthetic inputs the batched paths must reproduce
-the scalar paths *exactly* (work units field for field, DrawStats
-counter for counter, framebuffers byte for byte), not merely closely.
+the scalar paths *exactly* (unit tables column for column, work units
+field for field, DrawStats counter for counter, framebuffers byte for
+byte), not merely closely.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from repro.render.raster import Rasterizer
 from repro.scene.benchmarks import WORKLOADS
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
 from repro.session.spec import FAST, FULL, cached_scene
+from tests.oracles import characterize_frame_reference, draw_mesh_reference
 
 #: Small but structurally diverse synthetic workloads: stereo and mono
 #: draws, shared materials, heavy triangle tails.
@@ -63,52 +66,43 @@ def synthetic_frame(profile, seed):
 
 
 class TestCharacterizeFrameMatchesScalar:
-    """The unit table's units == per-draw ``characterize``, exactly."""
+    """The unit table's units == per-draw ``characterize``, exactly,
+    and the table == the table of those units, column for column."""
+
+    @staticmethod
+    def assert_matches_reference(frame, mode, expansion):
+        characterizer = DrawCharacterizer(baseline_system())
+        table = characterizer.unit_columns(
+            frame, mode=mode, expansion=expansion
+        )
+        units = characterize_frame_reference(
+            characterizer, frame, mode=mode, expansion=expansion
+        )
+        assert table.units() == units
+        assert characterizer.characterize_frame(
+            frame, mode=mode, expansion=expansion
+        ) == units
+        assert_tables_equal(table, UnitColumns.from_units(units))
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     @pytest.mark.parametrize("seed", [2019, 7])
     @pytest.mark.parametrize("mode", [SMPMode.SIMULTANEOUS, SMPMode.SEQUENTIAL])
     def test_multiview_expansion(self, profile, seed, mode):
         frame = synthetic_frame(profile, seed)
-        characterizer = DrawCharacterizer(baseline_system())
-        batched = characterizer.unit_columns(
-            frame, mode=mode, expansion="multiview"
-        ).units()
-        draws = frame.multiview_draws()
-        assert len(batched) == len(draws)
-        for draw, unit in zip(draws, batched):
-            assert unit == characterizer.characterize(draw, mode=mode)
-        assert characterizer.characterize_frame(
-            frame, mode=mode, expansion="multiview"
-        ) == batched
+        self.assert_matches_reference(frame, mode, "multiview")
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     @pytest.mark.parametrize("seed", [2019, 7])
     def test_stereo_expansion(self, profile, seed):
         frame = synthetic_frame(profile, seed)
-        characterizer = DrawCharacterizer(baseline_system())
-        batched = characterizer.unit_columns(
-            frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
-        ).units()
-        draws = frame.stereo_draws()
-        assert len(batched) == len(draws)
-        for draw, unit in zip(draws, batched):
-            assert unit == characterizer.characterize(
-                draw, mode=SMPMode.SEQUENTIAL
-            )
-        assert characterizer.characterize_frame(
-            frame, mode=SMPMode.SEQUENTIAL, expansion="stereo"
-        ) == batched
+        self.assert_matches_reference(frame, SMPMode.SEQUENTIAL, "stereo")
 
     def test_work_unit_totals_match(self):
         """Whole-frame roll-ups agree (the quantity Eq. 3 prices)."""
         frame = synthetic_frame(PROFILES[0], 2019)
         characterizer = DrawCharacterizer(baseline_system())
         batched = characterizer.unit_columns(frame).units()
-        scalar = [
-            characterizer.characterize(draw)
-            for draw in frame.multiview_draws()
-        ]
+        scalar = characterize_frame_reference(characterizer, frame)
         for field in (
             "vertices",
             "triangles_setup",
@@ -264,7 +258,8 @@ def scene_mvp(eye=(3.0, 2.5, 4.0)):
 
 
 class TestBatchedRasterMatchesReference:
-    """``draw_mesh`` == ``draw_mesh_reference``: stats and pixels."""
+    """``draw_mesh`` == the per-triangle walk
+    (``draw_mesh_reference``): stats and pixels."""
 
     def assert_paths_match(
         self, mesh, mvp, scissor=None, cull_backfaces=True, size=(160, 120)
@@ -275,9 +270,12 @@ class TestBatchedRasterMatchesReference:
         stats_batched = Rasterizer(fb_batched, scissor=scissor).draw_mesh(
             mesh, mvp, cull_backfaces=cull_backfaces
         )
-        stats_reference = Rasterizer(
-            fb_reference, scissor=scissor
-        ).draw_mesh_reference(mesh, mvp, cull_backfaces=cull_backfaces)
+        stats_reference = draw_mesh_reference(
+            Rasterizer(fb_reference, scissor=scissor),
+            mesh,
+            mvp,
+            cull_backfaces=cull_backfaces,
+        )
         assert stats_batched == stats_reference
         assert fb_batched.pixels_written == fb_reference.pixels_written
         assert fb_digest(fb_batched) == fb_digest(fb_reference)
@@ -327,7 +325,7 @@ class TestBatchedRasterMatchesReference:
         raster_reference = Rasterizer(fb_reference, scissor=(0, 0, 1, 1))
         mvp = scene_mvp()
         stats_batched = raster_batched.draw_mesh(mesh, mvp)
-        stats_reference = raster_reference.draw_mesh_reference(mesh, mvp)
+        stats_reference = draw_mesh_reference(raster_reference, mesh, mvp)
         assert stats_batched == stats_reference
         assert stats_batched.pixels_written == 0
         assert stats_batched.triangles_rasterised == 0

@@ -24,6 +24,7 @@ from repro.stats.metrics import (
     normalize,
 )
 from repro.stats.reporting import format_table, series_table
+from tests.oracles import merged_with, scene_traffic_reference
 
 #: Two tiny workloads keep the experiment tests quick.
 TINY = ExperimentConfig(
@@ -60,7 +61,7 @@ class TestMetrics:
         b = TrafficBreakdown(
             {TrafficType.TEXTURE: 5.0, TrafficType.COMMAND: 2.0}
         )
-        merged = a.merged_with(b)
+        merged = merged_with(a, b)
         assert merged.bytes_of(TrafficType.TEXTURE) == 15.0
         assert merged.total_bytes == 17.0
 
@@ -71,8 +72,9 @@ class TestMetrics:
     @pytest.mark.parametrize("seed", range(12))
     def test_scene_traffic_is_the_merged_with_chain(self, seed):
         """The one-pass fold equals the frame-by-frame ``merged_with``
-        chain bit for bit and key order for key order, over frames
-        that each carry a random subset of types in random order."""
+        chain (the oracle table's ``TRAFFIC_FOLD`` reference) bit for
+        bit and key order for key order, over frames that each carry a
+        random subset of types in random order."""
         rng = random.Random(seed)
         frames = []
         for _ in range(rng.randint(1, 6)):
@@ -100,9 +102,7 @@ class TestMetrics:
             framework="f", workload="w", frames=frames,
             frame_interval_cycles=1000.0,
         )
-        chain = TrafficBreakdown({})
-        for each in frames:
-            chain = chain.merged_with(each.traffic)
+        chain = scene_traffic_reference(scene)
         assert scene.traffic == chain
         assert list(scene.traffic.by_type.items()) == list(
             chain.by_type.items()

@@ -8,7 +8,6 @@ from repro.scene.benchmarks import (
     make_benchmark_scene,
     parse_workload,
 )
-from repro.scene.objects import Eye
 from repro.scene.synthetic import SceneProfile, SyntheticSceneGenerator
 from repro.scene.vr import PC_GAMING, STEREO_VR, requirements_table
 
