@@ -86,6 +86,7 @@ KEEP: Dict[str, str] = {
     "repro.memory.remote_cache.RemoteCache.hit_rate": "state accessor",
     "repro.memory.link.LinkFabric.bytes_between": "state accessor",
     "repro.memory.placement.PagePlacement.local_fraction": "state accessor",
+    "repro.memory.placement.PagePlacement.layout": "state accessor",
     "repro.pipeline.timing.StageBreakdown.serial_cycles": "state accessor",
     "repro.pipeline.workunit.WorkUnit.texture_stream_bytes": (
         "state accessor"

@@ -175,6 +175,13 @@ class OOVRFramework(RenderingFramework):
         #: The last frame's dispatch records, for diagnostics/tests.
         self.last_engine: Optional[DistributionEngine] = None
 
+    def release(self) -> None:
+        """Let the last machine go, and the distribution engine that
+        holds it (the framework and its batch builder point at each
+        other, so the framework itself waits for the collector)."""
+        self.last_engine = None
+        super().release()
+
     def render_frame_on(
         self, system: MultiGPUSystem, frame: Frame, workload: str
     ) -> FrameResult:

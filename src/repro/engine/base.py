@@ -267,6 +267,13 @@ class ExecutionEngine(abc.ABC):
         self._phase_bytes = {phase: 0.0 for phase in PHASES}
         self._composition_cycles = 0.0
 
+    def release(self) -> None:
+        """Let go of the machine and the completion subscribers once the
+        cell is over (:meth:`MultiGPUSystem.release
+        <repro.gpu.system.MultiGPUSystem.release>`)."""
+        self._callbacks.clear()
+        del self.system
+
     def on_complete(
         self, callback: Callable[[ResolvedUnit, UnitExecution], None]
     ) -> None:
@@ -403,7 +410,9 @@ class ExecutionEngine(abc.ABC):
                 dram_demand[owner] = dram_demand.get(owner, 0.0) + crossing
                 remote[owner] = remote.get(owner, 0.0) + crossing
                 if system.remote_observer is not None:
-                    system.remote_observer(touch.resource, gpm_id, crossing)
+                    system.remote_observer(
+                        (touch.resource,), (0,), (gpm_id,), (crossing,)
+                    )
         if local_bytes > 0:
             system.drams[gpm_id].read(local_bytes)
             dram_demand[gpm_id] = dram_demand.get(gpm_id, 0.0) + local_bytes

@@ -76,7 +76,6 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Dict,
     List,
     NamedTuple,
     Optional,
@@ -86,7 +85,9 @@ from typing import (
 
 import numpy as np
 
+from repro import columns
 from repro.engine.base import KIND_TO_TRAFFIC
+from repro.memory.address import Resource
 from repro.memory.cache import miss_bytes_columns
 from repro.memory.link import TRAFFIC_TYPES, TrafficType
 from repro.memory.placement import PagePlacement
@@ -228,7 +229,7 @@ class _Visits(NamedTuple):
     slice's footprint of the touch."""
 
     slice: np.ndarray
-    #: The visited touch's resource row of the unit table.
+    #: The visited resource, as an index into the pass's resources.
     resource: np.ndarray
     gpm: np.ndarray
     stream: np.ndarray
@@ -236,8 +237,11 @@ class _Visits(NamedTuple):
     write: np.ndarray
 
 
-def _visits(table: UnitColumns, schedule: SliceSchedule) -> _Visits:
-    """Each slice's visits to its unit's texture, then vertex touches.
+def _visits(
+    table: UnitColumns, schedule: SliceSchedule
+) -> Tuple[List[Resource], _Visits]:
+    """Each slice's visits to its unit's texture, then vertex touches,
+    and the resources they visit, in first-visit order.
 
     Footprints are built as ``with_screen_share`` and ``Touch.scaled``
     build them (``Touch`` floors a stream at its unique footprint).
@@ -264,9 +268,13 @@ def _visits(table: UnitColumns, schedule: SliceSchedule) -> _Visits:
         unique,
     )
     write = table.touch_write[visited] * np.where(on_texture, pixel, geometry)
-    return _Visits(
+    rows, _, resource = columns.first_use(
+        table.touch_resource[visited], len(table.resources)
+    )
+    resources = list(map(table.resources.__getitem__, rows.tolist()))
+    return resources, _Visits(
         slice=slice_,
-        resource=table.touch_resource[visited],
+        resource=resource,
         gpm=schedule.gpm[slice_],
         stream=stream,
         unique=unique,
@@ -290,24 +298,18 @@ _NO_COPIES = _Copies(*(np.empty(0, dtype) for dtype in (int, int, int, float, in
 def _stage(
     staging: "StagingManager",
     num_gpms: int,
-    resources: Sequence,
+    resources: Sequence[Resource],
     visits: _Visits,
     stage_scale: np.ndarray,
 ) -> _Copies:
     """The staging prelude: every visit's copy shortfall, resolved —
     placing and replicating resources — in visit order."""
-    stage_touch = staging._stage_touch
-    shortfall = np.array(
-        [
-            stage_touch(resources[resource], nbytes, gpm, scale)
-            for resource, nbytes, gpm, scale in zip(
-                visits.resource.tolist(),
-                visits.unique.tolist(),
-                visits.gpm.tolist(),
-                stage_scale[visits.slice].tolist(),
-            )
-        ],
-        np.float64,
+    shortfall = staging.stage_visits(
+        resources,
+        visits.resource,
+        visits.gpm,
+        visits.unique,
+        stage_scale[visits.slice],
     )
     copied = shortfall > 0
     dst = visits.gpm[copied]
@@ -333,61 +335,46 @@ class _TouchRows(NamedTuple):
     unique: np.ndarray
     write: np.ndarray
     traffic: np.ndarray
-    #: The row's resource row of the unit table.
+    #: The row's resource, as an index into the pass's resources.
     resource: np.ndarray
 
 
 def _touch_rows(
     placement: "PagePlacement",
-    num_gpms: int,
-    resources: Sequence,
+    resources: Sequence[Resource],
     visits: _Visits,
+    staged: bool,
 ) -> _TouchRows:
     """Every visit split over the visited resource's page owners."""
-    n = num_gpms
-    # Owner maps per visited (resource, GPM) pair, read in first-visit
-    # order: a resource's first read places it when it is still
-    # unplaced, so first-touch and interleaved placement land exactly
-    # where the per-slice binds place them.
-    pairs, first_visit, pair_of_visit = np.unique(
-        visits.resource * n + visits.gpm,
-        return_index=True,
-        return_inverse=True,
-    )
-    pair_list = pairs.tolist()
-    pattern_of_pair = np.empty(pairs.size, np.int64)
-    traffic_of_pair = np.empty(pairs.size, np.int64)
-    patterns: Dict[tuple, int] = {}
-    starts: List[int] = []
-    lengths: List[int] = []
-    owners: List[int] = []
-    fractions: List[float] = []
-    for pair in np.argsort(first_visit, kind="stable").tolist():
-        row, gpm = divmod(pair_list[pair], n)
-        resource = resources[row]
-        items = tuple(placement.owner_fractions(resource, gpm).items())
-        pattern = patterns.get(items)
-        if pattern is None:
-            pattern = patterns[items] = len(starts)
-            starts.append(len(owners))
-            lengths.append(len(items))
-            owners.extend(owner for owner, _ in items)
-            fractions.extend(fraction for _, fraction in items)
-        pattern_of_pair[pair] = pattern
-        traffic_of_pair[pair] = _KIND_CODE[resource.kind]
-    pattern = pattern_of_pair[pair_of_visit]
-    visit, offset = _ragged(np.array(lengths, np.int64)[pattern])
-    slot = np.array(starts, np.int64)[pattern[visit]] + offset
-    fraction = np.array(fractions, np.float64)[slot]
+    traffic = np.array(
+        [_KIND_CODE[resource.kind] for resource in resources], np.int64
+    )[visits.resource]
+    if staged:
+        # Behind a staging prelude every visited pair is local: the
+        # prelude placed the resource there, found its home there or
+        # replicated it there.  Each visit is one row, owned by its GPM.
+        return _TouchRows(
+            np.arange(visits.gpm.size), visits.slice, visits.gpm,
+            visits.gpm, visits.stream, visits.unique, visits.write,
+            traffic, visits.resource,
+        )
+    # Owner maps are read once per resource, which places an unplaced
+    # resource at its first visit, so first-touch and interleaved
+    # placement land exactly where the per-slice binds place them.
+    maps = placement.owner_maps(resources, visits.resource, visits.gpm)
+    bounds, owners, fractions = placement.owner_table()
+    visit, offset = _ragged((bounds[1:] - bounds[:-1])[maps])
+    slot = bounds[maps[visit]] + offset
+    fraction = fractions[slot]
     return _TouchRows(
         visit=visit,
         slice=visits.slice[visit],
         gpm=visits.gpm[visit],
-        owner=np.array(owners, np.int64)[slot],
+        owner=owners[slot],
         stream=visits.stream[visit] * fraction,
         unique=visits.unique[visit] * fraction,
         write=visits.write[visit] * fraction,
-        traffic=traffic_of_pair[pair_of_visit[visit]],
+        traffic=traffic[visit],
         resource=visits.resource[visit],
     )
 
@@ -492,10 +479,9 @@ class SplitSlices:
         key = demand.slice * n + demand.gpm
         totals = np.zeros(self.gpm.size * n)
         np.add.at(totals, key, demand.nbytes)
-        keys, first = np.unique(key, return_index=True)
         # The contributions arrive in slice order, so first-use order
         # is slice by slice.
-        ordered = keys[np.argsort(first, kind="stable")]
+        ordered, _, _ = columns.first_use(key, totals.size)
         slice_, gpm = np.divmod(ordered, n)
         return slice_, gpm, totals[ordered]
 
@@ -701,12 +687,13 @@ def _bind_memory(
     slices = schedule.unit.size
     gpm = schedule.gpm
     l2_bytes = float(system.config.gpm.l2_bytes)
-    resources = table.resources
-    visits = _visits(table, schedule)
+    resources, visits = _visits(table, schedule)
     copies = _NO_COPIES
     if staging is not None:
         copies = _stage(staging, n, resources, visits, schedule.stage_scale)
-    touches = _touch_rows(system.placement, n, resources, visits)
+    touches = _touch_rows(
+        system.placement, resources, visits, staging is not None
+    )
     targets = _target_rows(
         table, schedule, system.config.cost.bytes_per_ztest
     )
@@ -821,14 +808,10 @@ def _bind_memory(
             (targets.gpm[f_local][writes], f_local_bytes[writes]),
         ),
     )
-    observer = system.remote_observer
-    if observer is not None:
-        for resource, gpm_, nbytes in zip(
-            touches.resource[crossed].tolist(),
-            x_gpm.tolist(),
-            x_bytes.tolist(),
-        ):
-            observer(resources[resource], gpm_, nbytes)
+    if system.remote_observer is not None:
+        system.remote_observer(
+            resources, touches.resource[crossed], x_gpm, x_bytes
+        )
 
     # Per-slice roll-ups: local bytes (touches, then the framebuffer)
     # and link bytes per peer (touches, framebuffer totals, command).

@@ -27,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro import columns
 from repro.memory.address import Resource
 from repro.memory.link import TrafficType
 
@@ -69,17 +72,44 @@ class MigrationEngine:
         #: Migration decisions of the last :meth:`end_frame` call.
         self.last_migrations: List[Tuple[str, int, float]] = []
 
-    def observe_remote(
-        self, resource: Resource, toucher: int, nbytes: float
+    def observe_rows(
+        self,
+        resources: Sequence[Resource],
+        resource: Sequence[int],
+        toucher: Sequence[int],
+        nbytes: Sequence[float],
     ) -> None:
-        """Record that ``toucher`` pulled ``nbytes`` of ``resource``
-        across the links this frame."""
-        if nbytes <= 0:
+        """Record remote pulls: row ``i`` pulled ``nbytes[i]`` of
+        ``resources[resource[i]]`` across the links into GPM
+        ``toucher[i]`` this frame.
+
+        A slice pass hands over all its crossing rows at once, a
+        per-unit bind one row per crossing.  Each (resource, GPM) total
+        grows from its running value row by row (``np.add.at``), and
+        new keys enter in first-row order, so :meth:`end_frame` breaks a
+        heat tie towards the GPM observed first.  Rows of no bytes are
+        ignored.
+        """
+        nbytes = np.asarray(nbytes, np.float64)
+        pulled = nbytes > 0
+        if not pulled.any():
             return
-        key = resource.resource_id
-        self._resources[key] = resource
-        per_gpm = self._touches.setdefault(key, {})
-        per_gpm[toucher] = per_gpm.get(toucher, 0.0) + nbytes
+        resource = np.asarray(resource, np.int64)[pulled]
+        toucher = np.asarray(toucher, np.int64)[pulled]
+        width = int(toucher.max()) + 1
+        keys, _, row_key = columns.first_use(
+            resource * width + toucher, len(resources) * width
+        )
+        totals = []
+        for row, gpm in zip((keys // width).tolist(), (keys % width).tolist()):
+            item = resources[row]
+            self._resources[item.resource_id] = item
+            per_gpm = self._touches.setdefault(item.resource_id, {})
+            totals.append((per_gpm, gpm, per_gpm.setdefault(gpm, 0.0)))
+        heat = np.array([total for _, _, total in totals], np.float64)
+        np.add.at(heat, row_key, nbytes[pulled])
+        for (per_gpm, gpm, _), total in zip(totals, heat.tolist()):
+            per_gpm[gpm] = total
 
     def end_frame(self, system) -> float:
         """Migrate the hottest resources; returns bytes moved.
@@ -163,7 +193,7 @@ def _register_migration_framework() -> None:
         def render_frame_on(
             self, system: MultiGPUSystem, frame: Frame, workload: str
         ) -> FrameResult:
-            system.remote_observer = self.engine.observe_remote
+            system.remote_observer = self.engine.observe_rows
             try:
                 self.bind_frame(system, frame)
             finally:

@@ -90,6 +90,15 @@ class RenderingFramework(abc.ABC):
             frame_interval_cycles=self.frame_interval_cycles(results),
         )
 
+    def release(self) -> None:
+        """Let the last machine go (:meth:`MultiGPUSystem.release
+        <repro.gpu.system.MultiGPUSystem.release>`), so it is freed when
+        the framework is, not at the cyclic collector's next pass."""
+        system = self.last_system
+        if system is not None:
+            self.last_system = None
+            system.release()
+
     def render_frame(self, frame: Frame, workload: str = "adhoc") -> FrameResult:
         """Convenience: render a single frame on a fresh machine."""
         system = self.make_system()

@@ -25,15 +25,26 @@ contention-replayed wire flow under the event engine).  Statically
 scheduled frames (tile-level and object-level SFR) hand the manager to
 the slice pass instead
 (:meth:`~repro.engine.base.ExecutionEngine.execute_split`), which
-applies the same rules to every slice of the frame and lands each
-copy as ``stage_flow`` would.
+asks :meth:`StagingManager.stage_visits` for a whole pass's shortfalls
+at once and lands each copy as ``stage_flow`` would.  That entry point
+applies the one-touch rules (:meth:`StagingManager._stage_touch`) to
+every visit in visit order, with no call per visit: each (resource, GPM)
+pair's first visit decides from per-resource state whether it places
+the resource, finds its home or replicates it there
+(:meth:`~repro.memory.placement.PagePlacement.localize`), and each
+pair's copies then grow visit by visit, clamped at the footprint, as
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro import columns
 from repro.engine.base import StageCopy, StageOutcome
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.address import Resource
@@ -105,6 +116,75 @@ class StagingManager:
         self._staged[key] = wanted
         return shortfall
 
+    def stage_visits(
+        self,
+        resources: Sequence[Resource],
+        resource: np.ndarray,
+        gpm: np.ndarray,
+        unique_bytes: np.ndarray,
+        scale: np.ndarray,
+    ) -> np.ndarray:
+        """Every visit's copy shortfall, as :meth:`_stage_touch` resolves
+        the visits one by one, in order.
+
+        Visit ``i`` touches ``unique_bytes[i]`` of
+        ``resources[resource[i]]`` from GPM ``gpm[i]`` at stage scale
+        ``scale[i]``; ``resources`` are distinct, in first-visit order.
+        The placement makes every visit local first
+        (:meth:`~repro.memory.placement.PagePlacement.localize`); a
+        visit that placed its resource stages its footprint, and a
+        visit to the resource's home copies nothing.  Every other
+        (resource, GPM) pair stages ``min(cap, staged + unique x
+        factor)`` visit by visit, the cap scaling with the visit's
+        stage scale, and :attr:`_staged` changes land in first-change
+        order.
+        """
+        placed, home = self.system.placement.localize(resources, resource, gpm)
+        sizes = np.array([item.size_bytes for item in resources], np.float64)
+        ids = [item.resource_id for item in resources]
+        shortfall = np.zeros(resource.size)
+        # (visit, key, staged bytes) of every pair the pass changes.
+        placing = np.flatnonzero(placed)
+        change_visit = [placing]
+        change_key = [
+            list(zip(map(ids.__getitem__, resource[placing].tolist()),
+                     gpm[placing].tolist()))
+        ]
+        change_value = [sizes[resource[placing]]]
+        rows = np.flatnonzero(~home)
+        if rows.size:
+            n = self.system.num_gpms
+            pairs, _, pair = columns.first_use(
+                resource[rows] * n + gpm[rows], len(resources) * n
+            )
+            keys = list(
+                zip(map(ids.__getitem__, (pairs // n).tolist()),
+                    (pairs % n).tolist())
+            )
+            before = np.fromiter(
+                map(self._staged.get, keys, repeat(0.0)), np.float64, len(keys)
+            )
+            factor = self.factor * scale[rows]
+            staged, short = _grow(
+                before,
+                pair,
+                sizes[resource[rows]] * np.maximum(factor, 1.0),
+                unique_bytes[rows] * factor,
+            )
+            copied = short > 0
+            shortfall[rows[copied]] = short[copied]
+            # Each changed pair's first copy, in visit order.
+            changed, first, _ = columns.first_use(pair[copied], len(keys))
+            change_visit.append(rows[copied][first])
+            change_key.append(list(map(keys.__getitem__, changed.tolist())))
+            change_value.append(staged[changed])
+        visit = np.concatenate(change_visit)
+        order = np.argsort(visit, kind="stable").tolist()
+        key = [k for part in change_key for k in part]
+        value = np.concatenate(change_value).tolist()
+        self._staged.update((key[i], value[i]) for i in order)
+        return shortfall
+
     def stage_unit(
         self,
         unit: WorkUnit,
@@ -157,3 +237,51 @@ class StagingManager:
         )
         self.staged_bytes += outcome.copied_bytes
         return outcome
+
+
+def _grow(
+    before: np.ndarray, pair: np.ndarray, cap: np.ndarray, add: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Staged bytes per pair after its visits, and each visit's step.
+
+    Pair ``p`` starts at ``before[p]``; visit ``i`` (in order) asks for
+    ``min(cap[i], staged + add[i])`` of pair ``pair[i]`` and its step is
+    that minus the pair's staged bytes, which take the new value only
+    when the step is positive.  With one cap over a pair's visits, its
+    staged bytes are its running sum clamped at the cap, and a
+    sequential ``np.add.accumulate`` per pair row makes the scalar
+    additions in their order; a pair whose cap changes between visits
+    is clamped visit by visit.
+    """
+    pairs = before.size
+    counts = np.bincount(pair, minlength=pairs)
+    order = np.argsort(pair, kind="stable")
+    rank = np.empty(pair.size, np.int64)
+    rank[order] = np.arange(pair.size) - (np.cumsum(counts) - counts)[pair[order]]
+    width = int(counts.max())
+    steps = np.zeros((pairs, width + 1))
+    steps[:, 0] = before
+    steps[pair, rank + 1] = add
+    low = np.full(pairs, np.inf)
+    np.minimum.at(low, pair, cap)
+    high = np.zeros(pairs)
+    np.maximum.at(high, pair, cap)
+    clamped = np.minimum(low[:, None], np.add.accumulate(steps, axis=1))
+    staged = clamped[:, -1]
+    step = np.diff(clamped, axis=1)
+    varying = np.flatnonzero(low != high)
+    if varying.size:
+        row = np.full(pairs, -1)
+        row[varying] = np.arange(varying.size)
+        caps = np.full((varying.size, width), np.inf)
+        mine = row[pair] >= 0
+        caps[row[pair[mine]], rank[mine]] = cap[mine]
+        adds = steps[varying, 1:]
+        held = before[varying]
+        for k in range(width):
+            wanted = np.minimum(caps[:, k], held + adds[:, k])
+            delta = wanted - held
+            step[varying, k] = delta
+            held = np.where(delta > 0, wanted, held)
+        staged[varying] = held
+    return staged, step[pair, rank]

@@ -33,7 +33,7 @@ pluggable :class:`~repro.engine.base.ExecutionEngine`
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.engine import FrameTrace, build_engine
@@ -77,9 +77,15 @@ class MultiGPUSystem:
             RemoteCache(float(config.remote_cache_bytes if config.numa_optimizations else 0))
             for _ in range(config.num_gpms)
         ]
-        #: Optional hook called as ``(resource, toucher_gpm, bytes)`` for
-        #: every remote slice a touch resolves to (page-migration studies).
-        self.remote_observer: Optional[Callable[[Resource, int, float], None]] = None
+        #: Optional hook told of every remote slice a touch resolves to
+        #: (page-migration studies), as rows: called with ``(resources,
+        #: resource, toucher, nbytes)``, row ``i`` pulling ``nbytes[i]``
+        #: of ``resources[resource[i]]`` into GPM ``toucher[i]``.  A
+        #: per-unit bind hands it one row per crossing, a slice pass all
+        #: of its crossing rows at once, in visit order.
+        self.remote_observer: Optional[
+            Callable[[Sequence[Resource], Any, Any, Any], None]
+        ] = None
         #: The timing/orchestration strategy (see :mod:`repro.engine`).
         self.engine = build_engine(config.engine, self)
         #: Trace of the most recently rolled-up frame (diagnostics/CLI).
@@ -109,6 +115,21 @@ class MultiGPUSystem:
         if not keep_placement:
             self.placement.reset()
         self.engine.begin_frame()
+
+    def release(self) -> None:
+        """End the machine's life with its cell.
+
+        The machine and its engine point at each other, and a
+        dispatcher's completion subscription points back at the
+        machine, so a finished cell would otherwise wait for the cyclic
+        collector — and peak RSS with it.  Dropping the engine (which
+        drops the machine and its subscribers) leaves no cycle; the
+        counters, placement and last trace stay readable, the engine
+        does not.
+        """
+        engine = self.engine
+        del self.engine
+        engine.release()
 
     # -- unit execution ------------------------------------------------------
 

@@ -15,6 +15,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro import columns
+
 
 class TrafficType(enum.Enum):
     """Why bytes crossed a link."""
@@ -103,8 +105,8 @@ class LinkFabric:
         ignored here too.  Each link's total and per-type bytes
         accumulate row by row (``np.add.at`` in row order, never a
         pairwise sum) and new links and types are inserted in first-use
-        order, so every float and every dict order matches the scalar
-        calls.
+        order (:func:`~repro.columns.first_use`, which sorts no row), so
+        every float and every dict order matches the scalar calls.
         """
         if src.size:
             for gpm in (src.min(), src.max(), dst.min(), dst.max()):
@@ -113,26 +115,23 @@ class LinkFabric:
         src, dst, nbytes, traffic = src[keep], dst[keep], nbytes[keep], traffic[keep]
         if not nbytes.size:
             return
-        width = int(max(src.max(), dst.max())) + 1
-        keys, first, row_link = np.unique(
-            src * width + dst, return_index=True, return_inverse=True
-        )
-        pairs = [divmod(key, width) for key in keys.tolist()]
-        for index in np.argsort(first, kind="stable").tolist():
-            if pairs[index] not in self._links:
-                self._links[pairs[index]] = LinkStats(*pairs[index])
+        n = self.num_gpms
+        keys, _, row_link = columns.first_use(src * n + dst, n * n)
+        pairs = list(zip((keys // n).tolist(), (keys % n).tolist()))
+        for pair in pairs:
+            if pair not in self._links:
+                self._links[pair] = LinkStats(*pair)
         links = [self._links[pair] for pair in pairs]
         totals = np.array([stats.bytes_total for stats in links])
         np.add.at(totals, row_link, nbytes)
         for stats, total in zip(links, totals.tolist()):
             stats.bytes_total = total
         kinds = len(TRAFFIC_TYPES)
-        keys, first, row_slot = np.unique(
-            row_link * kinds + traffic, return_index=True, return_inverse=True
+        keys, _, row_slot = columns.first_use(
+            row_link * kinds + traffic, len(links) * kinds
         )
         slots = [divmod(key, kinds) for key in keys.tolist()]
-        for index in np.argsort(first, kind="stable").tolist():
-            link, code = slots[index]
+        for link, code in slots:
             links[link].by_type.setdefault(TRAFFIC_TYPES[code], 0.0)
         by_type = np.array(
             [links[link].by_type[TRAFFIC_TYPES[code]] for link, code in slots]

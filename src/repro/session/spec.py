@@ -229,12 +229,20 @@ class RunSpec:
         return framework
 
     def execute(self) -> SceneResult:
-        """Render this cell: fresh framework, memoised scene."""
+        """Render this cell: fresh framework, memoised scene.
+
+        The machine the cell built is released once its result exists
+        (:meth:`RenderingFramework.release
+        <repro.frameworks.base.RenderingFramework.release>`), so it is
+        freed at once rather than by the cyclic collector.
+        """
         framework = self.build()
         with phase("scene"):
             scene = self.scene()
         with phase("execute"):
-            return framework.render_scene(scene)
+            result = framework.render_scene(scene)
+        framework.release()
+        return result
 
     def record_fields(self) -> dict:
         """The spec's identity columns of a tidy result record."""

@@ -1021,6 +1021,112 @@ def working_set_hit_rate(
 
 
 # ---------------------------------------------------------------------------
+# The slice pass's column entry points, one visit, pair or row at a time
+# ---------------------------------------------------------------------------
+
+
+def touch_rows_reference(placement, resources, visits, staged):
+    """The slice pass's owner rows through one
+    :meth:`~repro.memory.placement.PagePlacement.owner_fractions` read
+    per visited (resource, GPM) pair in first-visit order — also behind
+    a staging prelude, where the pass takes every visit as local
+    without reading."""
+    from repro.engine.split import _KIND_CODE, _TouchRows, _ragged
+
+    n = placement.num_gpms
+    pairs, first_visit, pair_of_visit = np.unique(
+        visits.resource * n + visits.gpm,
+        return_index=True,
+        return_inverse=True,
+    )
+    pair_of_visit = pair_of_visit.reshape(-1)
+    pair_list = pairs.tolist()
+    pattern_of_pair = np.empty(pairs.size, np.int64)
+    traffic_of_pair = np.empty(pairs.size, np.int64)
+    patterns: Dict[tuple, int] = {}
+    starts: List[int] = []
+    lengths: List[int] = []
+    owners: List[int] = []
+    fractions: List[float] = []
+    for pair in np.argsort(first_visit, kind="stable").tolist():
+        row, gpm = divmod(pair_list[pair], n)
+        resource = resources[row]
+        items = tuple(placement.owner_fractions(resource, gpm).items())
+        pattern = patterns.get(items)
+        if pattern is None:
+            pattern = patterns[items] = len(starts)
+            starts.append(len(owners))
+            lengths.append(len(items))
+            owners.extend(owner for owner, _ in items)
+            fractions.extend(fraction for _, fraction in items)
+        pattern_of_pair[pair] = pattern
+        traffic_of_pair[pair] = _KIND_CODE[resource.kind]
+    pattern = pattern_of_pair[pair_of_visit]
+    visit, offset = _ragged(np.array(lengths, np.int64)[pattern])
+    slot = np.array(starts, np.int64)[pattern[visit]] + offset
+    fraction = np.array(fractions, np.float64)[slot]
+    return _TouchRows(
+        visit=visit,
+        slice=visits.slice[visit],
+        gpm=visits.gpm[visit],
+        owner=np.array(owners, np.int64)[slot],
+        stream=visits.stream[visit] * fraction,
+        unique=visits.unique[visit] * fraction,
+        write=visits.write[visit] * fraction,
+        traffic=traffic_of_pair[pair_of_visit[visit]],
+        resource=visits.resource[visit],
+    )
+
+
+def stage_visits_reference(
+    self, resources, resource, gpm, unique_bytes, scale
+) -> np.ndarray:
+    """:meth:`StagingManager.stage_visits
+    <repro.gpu.staging.StagingManager.stage_visits>` as one
+    ``_stage_touch`` call per visit, in visit order."""
+    return np.array(
+        [
+            self._stage_touch(resources[row], nbytes, g, factor)
+            for row, nbytes, g, factor in zip(
+                resource.tolist(), unique_bytes.tolist(), gpm.tolist(),
+                scale.tolist(),
+            )
+        ],
+        np.float64,
+    )
+
+
+def observe_rows_reference(self, resources, resource, toucher, nbytes):
+    """:meth:`MigrationEngine.observe_rows
+    <repro.extensions.migration.MigrationEngine.observe_rows>` one row
+    at a time, each row's bytes added onto its (resource, GPM) total."""
+    for row, gpm, pulled in zip(
+        np.asarray(resource).tolist(),
+        np.asarray(toucher).tolist(),
+        np.asarray(nbytes, np.float64).tolist(),
+    ):
+        if pulled <= 0:
+            continue
+        item = resources[row]
+        key = item.resource_id
+        self._resources[key] = item
+        per_gpm = self._touches.setdefault(key, {})
+        per_gpm[gpm] = per_gpm.get(gpm, 0.0) + pulled
+
+
+def first_use_reference(keys: np.ndarray, size: int):
+    """:func:`repro.columns.first_use` through a sort: ``np.unique``'s
+    keys, first rows and inverse, reordered by first use."""
+    distinct, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(order.size, np.int64)
+    rank[order] = np.arange(order.size)
+    return distinct[order], first[order], rank[inverse.reshape(-1)]
+
+
+# ---------------------------------------------------------------------------
 # The slice pass, one slice at a time
 # ---------------------------------------------------------------------------
 
@@ -1288,6 +1394,34 @@ STRIP_SHARES = Oracle(
     "viewports, normalised",
     static_frames_only=True,
 )
+OWNER_ROWS = Oracle(
+    "repro.engine.split._touch_rows",
+    touch_rows_reference,
+    "the slice pass's owner rows, read once per resource (and taken as "
+    "local behind a staging prelude): one owner_fractions read per "
+    "visited (resource, GPM) pair",
+    static_frames_only=True,
+)
+STAGING_PRELUDE = Oracle(
+    "repro.gpu.staging.StagingManager.stage_visits",
+    stage_visits_reference,
+    "the column staging prelude (placement, replicas, per-pair copies "
+    "clamped at each visit's cap): one _stage_touch per visit",
+    static_frames_only=True,
+)
+OBSERVER_ROWS = Oracle(
+    "repro.extensions.migration.MigrationEngine.observe_rows",
+    observe_rows_reference,
+    "the migration observer's np.add.at over (resource, GPM) keys: one "
+    "row at a time",
+)
+INTERNING = Oracle(
+    "repro.columns.first_use",
+    first_use_reference,
+    "sort-free first-use interning of links, pairs, resources and demand "
+    "slots: np.unique, reordered by first use",
+    static_frames_only=True,
+)
 BASELINE_FRAME = Oracle(
     "repro.frameworks.single.SingleKernelBaseline.bind_frame",
     per_slice_bind_frame,
@@ -1328,6 +1462,10 @@ ORACLES: Tuple[Oracle, ...] = (
     L2_MISSES,
     REMOTE_FILTER,
     STRIP_SHARES,
+    OWNER_ROWS,
+    STAGING_PRELUDE,
+    OBSERVER_ROWS,
+    INTERNING,
     BASELINE_FRAME,
     TILE_FRAME,
     OBJECT_FRAME,

@@ -27,7 +27,7 @@ from repro.engine import (
 )
 from repro.frameworks.base import build_framework
 from repro.gpu.system import MultiGPUSystem
-from repro.memory.placement import PlacementPolicy
+from repro.memory.placement import PagePlacement, PlacementPolicy
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import UnitColumns
@@ -1728,8 +1728,39 @@ def _recorded_jobs(engine):
     ]
 
 
-def _machine_state(system, observed, staging=()):
-    """Everything binding, staging and executing leave behind."""
+class _Observer:
+    """A migration observer that also logs every row it is handed."""
+
+    def __init__(self):
+        from repro.extensions.migration import MigrationEngine
+
+        self.migration = MigrationEngine()
+        self.rows = []
+        self.calls = 0
+
+    def __call__(self, resources, resource, toucher, nbytes):
+        self.calls += 1
+        self.rows.extend(
+            (resources[row], gpm, pulled)
+            for row, gpm, pulled in zip(
+                np.asarray(resource).tolist(),
+                np.asarray(toucher).tolist(),
+                np.asarray(nbytes).tolist(),
+            )
+        )
+        self.migration.observe_rows(resources, resource, toucher, nbytes)
+
+    def heat(self):
+        """The engine's (resource, GPM) totals, keys in insertion order."""
+        return [
+            (key, list(per_gpm.items()))
+            for key, per_gpm in self.migration._touches.items()
+        ]
+
+
+def _machine_state(system, observer=None, staging=()):
+    """Everything binding, staging, executing and (with an observer)
+    migrating leave behind."""
     engine = system.engine
     fabric = system.fabric
     state = {
@@ -1755,21 +1786,33 @@ def _machine_state(system, observed, staging=()):
             for g in system.gpms
         ],
         "phase_bytes": list(engine._phase_bytes.items()),
-        "placement": [
-            (key, list(entry.owners), sorted(entry.replicas))
-            for key, entry in system.placement._entries.items()
-        ],
+        "placement": system.placement.layout(),
         "resident": list(system.placement.resident_bytes),
-        "observed": list(observed),
         "staging": [
             (manager.staged_bytes, list(manager._staged.items()))
             for manager in staging
         ],
     }
+    if observer is not None:
+        state["observed"] = list(observer.rows)
+        state["heat"] = observer.heat()
     if isinstance(engine, EventEngine):
         state["jobs"] = _recorded_jobs(engine)
     state["trace"] = engine.finish_frame()
     state["result"] = system.frame_result("split", "soup").to_dict()
+    if observer is not None:
+        # The frame's migrations: heat ties go to the GPM seen first.
+        migration = observer.migration
+        state["migrated"] = (
+            migration.end_frame(system),
+            list(migration.last_migrations),
+            system.placement.layout(),
+            list(system.placement.resident_bytes),
+            [
+                (key, stats.bytes_total, list(stats.by_type.items()))
+                for key, stats in fabric._links.items()
+            ],
+        )
     return state
 
 
@@ -1803,7 +1846,6 @@ class TestSplitBind:
 
     @staticmethod
     def _system(knobs, policy, engine, resources):
-        from repro.extensions.migration import MigrationEngine
         from repro.extensions.topology import Topology, install_topology
 
         config = baseline_system().with_engine(engine)
@@ -1814,16 +1856,10 @@ class TestSplitBind:
             install_topology(system, Topology(knobs["topology"]))
         _prepare_placement(system.placement, resources)
         system.begin_frame()
-        observed = []
+        observer = None
         if knobs.get("observer"):
-            migration = MigrationEngine()
-
-            def observe(resource, gpm, nbytes):
-                observed.append((resource, gpm, nbytes))
-                migration.observe_remote(resource, gpm, nbytes)
-
-            system.remote_observer = observe
-        return system, observed
+            observer = system.remote_observer = _Observer()
+        return system, observer
 
     @pytest.mark.parametrize("engine", ["analytic", "event"])
     @pytest.mark.parametrize(
@@ -1855,9 +1891,19 @@ class TestSplitBind:
         )
         oracle = _machine_state(oracle_system, oracle_seen)
         split = _machine_state(split_system, split_seen)
+        assert split.keys() == oracle.keys()
         for key, expected in oracle.items():
             assert split[key] == expected, key  # == : bit-exact
-        assert bool(split_seen) == bool(knobs.get("observer"))
+        if knobs.get("observer"):
+            # One call per pass (four here), every crossing row in it.
+            assert split_seen.calls == 4
+            assert oracle_seen.calls == len(oracle["observed"]) > 4
+            # Even shares: several GPMs pull a resource equally hard.
+            assert any(
+                sorted(heat.values())[-2:] == [max(heat.values())] * 2
+                for heat in map(dict, (per for _, per in oracle["heat"]))
+            )
+            assert oracle["migrated"][1]
 
     @pytest.mark.parametrize("engine", ["analytic", "event"])
     @pytest.mark.parametrize("staged", [False, True], ids=["bare", "staged"])
@@ -1868,10 +1914,12 @@ class TestSplitBind:
     def test_random_slice_soups_match_per_slice_oracle(
         self, case, policy, staged, engine, monkeypatch
     ):
-        """Uneven slices of a unit soup, optionally staged: resources
-        start unplaced, homed on the slice's GPM, fixed elsewhere,
-        interleaved, striped or replicated, and the staged bytes reach
-        the footprint cap."""
+        """Uneven slices of a unit soup over two frames, optionally
+        staged: resources start unplaced, homed on the slice's GPM,
+        fixed elsewhere, interleaved, striped or replicated, and the
+        staged bytes reach the footprint cap.  The second frame starts
+        from the replicas, migrations and (its manager not begun again)
+        the staged bytes the first left behind."""
         from repro.gpu.staging import StagingManager
 
         monkeypatch.setattr("repro.engine.split._CHUNK_UNITS", 5)
@@ -1880,7 +1928,10 @@ class TestSplitBind:
         seed = 20261017 + sorted(_SOUP_CASES).index(case)
         rng = np.random.default_rng(seed)
         units = _split_units(rng, resources, 20)
-        schedule = _slice_soup(rng, units, 4, knobs.get("fb_targets"))
+        schedules = [
+            _slice_soup(rng, units, 4, knobs.get("fb_targets"))
+            for _ in range(2)
+        ]
         factor = float(rng.uniform(0.5, 3.0))
         states = []
         for run in (per_slice, None):
@@ -1889,19 +1940,25 @@ class TestSplitBind:
             if staged:
                 staging = StagingManager(system, factor=factor, parallelism=4.5)
                 staging.begin_frame()
-            if run is None:
-                system.engine.execute_split(
-                    UnitColumns.from_units(units), schedule, staging
-                )
-            else:
-                run(system, units, schedule, staging)
             managers = () if staging is None else (staging,)
-            states.append(_machine_state(system, seen, managers))
-        oracle, split = states
-        for key, expected in oracle.items():
-            assert split[key] == expected, key  # == : bit-exact
+            frames = []
+            for schedule in schedules:
+                if frames:
+                    system.begin_frame()
+                if run is None:
+                    system.engine.execute_split(
+                        UnitColumns.from_units(units), schedule, staging
+                    )
+                else:
+                    run(system, units, schedule, staging)
+                frames.append(_machine_state(system, seen, managers))
+            states.append(frames)
+        for oracle, split in zip(*states):
+            assert split.keys() == oracle.keys()
+            for key, expected in oracle.items():
+                assert split[key] == expected, key  # == : bit-exact
         if staged:
-            [(staged_bytes, entries)] = oracle["staging"]
+            [(staged_bytes, entries)] = states[0][0]["staging"]
             assert staged_bytes > 0
             # Some shortfalls ran into the footprint cap.
             sizes = {
@@ -1960,8 +2017,8 @@ class TestSplitBind:
             oracle = build_framework(framework, config)
             oracle_result = oracle.render_scene(scene)
         assert split_result.to_dict() == oracle_result.to_dict()
-        assert _machine_state(split.last_system, [], split_managers) == (
-            _machine_state(oracle.last_system, [], managers)
+        assert _machine_state(split.last_system, None, split_managers) == (
+            _machine_state(oracle.last_system, None, managers)
         )
         assert len(managers) == len(split_managers)
         assert bool(managers) == framework.startswith(("tile", "object"))
@@ -1981,7 +2038,7 @@ class TestSplitBind:
                 system.engine.execute_split(table, schedule, staging)
             # Rejected before anything was staged or bound.
             assert system.fabric.total_bytes == 0.0
-            assert not system.placement._entries
+            assert not system.placement.layout()
             assert all(gpm.ready_at == 0.0 for gpm in system.gpms)
 
     @pytest.mark.parametrize(
@@ -2085,3 +2142,219 @@ class TestSplitBind:
             assert not [
                 key for key in record if key.startswith("profile_plan_")
             ], record["framework"]
+
+
+# ---------------------------------------------------------------------------
+# The slice pass's column entry points vs. their one-at-a-time calls
+# ---------------------------------------------------------------------------
+
+
+def _visit_soup(rng, pool, count, num_gpms):
+    """``count`` visits over ``pool``: the pass's distinct resources in
+    first-visit order, each visit's index into them, GPM, unique bytes
+    (a quarter of them zero) and stage scale."""
+    from repro.columns import first_use
+
+    rows, _, index = first_use(
+        rng.integers(0, len(pool), size=count), len(pool)
+    )
+    unique = rng.uniform(0.0, 3.0 * MB, size=count)
+    unique[rng.random(count) < 0.25] = 0.0
+    return (
+        [pool[row] for row in rows.tolist()],
+        index,
+        rng.integers(0, num_gpms, size=count),
+        unique,
+        rng.choice([0.5, 1.0, 1.6], size=count),
+    )
+
+
+class TestColumnPrelude:
+    """``StagingManager.stage_visits`` == ``_stage_touch`` per visit, in
+    visit order: shortfalls, staged bytes (keys in order), placement and
+    resident bytes."""
+
+    @staticmethod
+    def _staged_both_ways(policy, factor, visits, earlier=None):
+        from repro.gpu.staging import StagingManager
+
+        resources, index, gpm, unique, scale = visits
+        states = []
+        for columnar in (False, True):
+            system = MultiGPUSystem(baseline_system(), policy)
+            _prepare_placement(system.placement, _split_resources())
+            staging = StagingManager(system, factor=factor)
+            if earlier is not None:
+                # An earlier frame's replicas and staged bytes.
+                for args in earlier:
+                    staging._stage_touch(*args)
+            if columnar:
+                shortfall = staging.stage_visits(
+                    resources, index, gpm, unique, scale
+                ).tolist()
+            else:
+                shortfall = [
+                    staging._stage_touch(resources[row], nbytes, g, s)
+                    for row, nbytes, g, s in zip(
+                        index.tolist(), unique.tolist(), gpm.tolist(),
+                        scale.tolist(),
+                    )
+                ]
+            states.append(
+                (
+                    shortfall,
+                    list(staging._staged.items()),
+                    system.placement.layout(),
+                    list(system.placement.resident_bytes),
+                )
+            )
+        assert states[1] == states[0]  # == : bit-exact, key order too
+        return states[0]
+
+    def test_each_visit_is_clamped_at_its_own_cap(self):
+        """Two stage scales on one pair: the cap is reached mid-sequence,
+        grows with the larger scale and stops nothing once it shrinks."""
+        textures, _ = _split_resources()
+        fixed = textures[1]  # homed on GPM 2
+        size = float(fixed.size_bytes)
+        scale = np.array([1.0, 1.0, 1.0, 1.6, 1.6, 1.6, 0.5, 1.0, 1.6])
+        unique = size * np.array([0.45, 0.45, 0.45, 0.2, 0.0, 0.3, 0.45, 0.45, 0.45])
+        visits = ([fixed], np.zeros(scale.size, np.int64),
+                  np.full(scale.size, 3), unique, scale)
+        shortfall, staged, _, _ = self._staged_both_ways(
+            PlacementPolicy.FIRST_TOUCH, 1.0, visits
+        )
+        assert [step > 0 for step in shortfall] == [
+            True, True, True, True, False, True, False, False, False
+        ]
+        # The third and sixth visits copied only up to their caps ...
+        assert shortfall[2] < 0.45 * size
+        assert shortfall[5] < 0.3 * 1.6 * size
+        # ... and the pair ends at the larger scale's cap.
+        assert staged == [((fixed.resource_id, 3), size * 1.6)]
+
+    @pytest.mark.parametrize(
+        "policy", list(PlacementPolicy), ids=lambda policy: policy.value
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_visits_match_stage_touch(self, policy, seed):
+        """Unplaced, homed, fixed, interleaved, striped and replicated
+        resources; zero-byte visits; three scales; and, for odd seeds,
+        replicas and staged bytes an earlier frame left."""
+        rng = np.random.default_rng(20261019 + seed)
+        textures, vertices = _split_resources()
+        pool = textures + vertices
+        factor = float(rng.choice([0.6, 1.0, 2.5]))
+        earlier = None
+        if seed % 2:
+            before = _visit_soup(rng, pool, 40, 4)
+            earlier = [
+                (before[0][row], nbytes, g, s)
+                for row, nbytes, g, s in zip(
+                    before[1].tolist(), before[3].tolist(),
+                    before[2].tolist(), before[4].tolist(),
+                )
+            ]
+        shortfall, staged, _, _ = self._staged_both_ways(
+            policy, factor, _visit_soup(rng, pool, 300, 4), earlier
+        )
+        assert any(step > 0 for step in shortfall)
+        assert any(step == 0 for step in shortfall)
+        assert staged
+
+    @pytest.mark.parametrize(
+        "policy", list(PlacementPolicy), ids=lambda policy: policy.value
+    )
+    def test_owner_maps_match_owner_fractions(self, policy):
+        """One read per resource gives every visit the map a per-touch
+        read gives, placing unplaced resources in first-visit order."""
+        rng = np.random.default_rng(7)
+        textures, vertices = _split_resources()
+        resources, index, gpm, _, _ = _visit_soup(
+            rng, textures + vertices, 200, 4
+        )
+        placements = [PagePlacement(4, 64 * 1024, policy) for _ in range(2)]
+        for placement in placements:
+            _prepare_placement(placement, (textures, vertices))
+        walked = [
+            dict(placements[0].owner_fractions(resources[row], g))
+            for row, g in zip(index.tolist(), gpm.tolist())
+        ]
+        maps = placements[1].owner_maps(resources, index, gpm)
+        bounds, owners, fractions = placements[1].owner_table()
+        read = [
+            dict(zip(owners[bounds[m]:bounds[m + 1]].tolist(),
+                     fractions[bounds[m]:bounds[m + 1]].tolist()))
+            for m in maps.tolist()
+        ]
+        assert [list(m.items()) for m in read] == [
+            list(m.items()) for m in walked
+        ]
+        assert placements[1].layout() == placements[0].layout()
+        assert placements[1].resident_bytes == placements[0].resident_bytes
+
+    def test_observer_rows_match_one_row_at_a_time(self):
+        """Totals grow from their running values row by row; keys enter
+        in first-row order, across calls; rows of no bytes are skipped."""
+        from repro.extensions.migration import MigrationEngine
+
+        rng = np.random.default_rng(11)
+        textures, vertices = _split_resources()
+        pool = textures + vertices
+        engines = [MigrationEngine(), MigrationEngine()]
+        for _ in range(3):
+            resources, index, gpm, nbytes, _ = _visit_soup(rng, pool, 120, 4)
+            engines[0].observe_rows(resources, index, gpm, nbytes)
+            for row, g, pulled in zip(index.tolist(), gpm.tolist(),
+                                      nbytes.tolist()):
+                engines[1].observe_rows([resources[row]], [0], [g], [pulled])
+        heat = [
+            [(key, list(per.items())) for key, per in engine._touches.items()]
+            for engine in engines
+        ]
+        assert heat[0] == heat[1]
+        assert engines[0].pending_resources == len(pool)
+
+
+class TestThePassCallsNothingPerPair:
+    """A slice pass reads no owner map, stages no touch and calls the
+    migration observer once, on staged and unstaged passes alike."""
+
+    @pytest.mark.parametrize(
+        "framework", ["baseline-mig", "tile-h", "object", "afr"]
+    )
+    def test_frameworks(self, framework, monkeypatch):
+        from collections import Counter
+
+        from repro.engine import split
+        from repro.extensions.migration import MigrationEngine
+        from repro.gpu.staging import StagingManager
+        from repro.memory.placement import PagePlacement
+
+        calls = Counter()
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(PagePlacement, "owner_fractions")
+        spy(StagingManager, "_stage_touch")
+        spy(MigrationEngine, "observe_rows")
+        spy(split, "_execute_chunk")
+        spy(split, "_stage")
+        result = build_framework(framework, baseline_system()).render_scene(
+            fast_scene()
+        )
+        assert result.frames
+        assert calls["_execute_chunk"] > 0
+        assert calls["owner_fractions"] == 0
+        assert calls["_stage_touch"] == 0
+        assert bool(calls["_stage"]) == (framework in ("tile-h", "object"))
+        assert calls["observe_rows"] == (
+            calls["_execute_chunk"] if framework == "baseline-mig" else 0
+        )

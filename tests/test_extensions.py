@@ -177,7 +177,7 @@ class TestMigration:
         engine = MigrationEngine(MigrationConfig(touch_threshold_bytes=1024))
         resource = texture_resource(0, 1 << 20)
         system.placement.place_fixed(resource, 0)
-        engine.observe_remote(resource, 2, 2048.0)
+        engine.observe_rows([resource], [0], [2], [2048.0])
         moved = engine.end_frame(system)
         assert moved == pytest.approx(1 << 20)
         assert system.placement.local_fraction(resource, 2) == 1.0
@@ -189,7 +189,7 @@ class TestMigration:
         engine = MigrationEngine(MigrationConfig(touch_threshold_bytes=1 << 20))
         resource = texture_resource(1, 1 << 20)
         system.placement.place_fixed(resource, 0)
-        engine.observe_remote(resource, 2, 100.0)
+        engine.observe_rows([resource], [0], [2], [100.0])
         assert engine.end_frame(system) == 0.0
 
     def test_engine_respects_budget(self):
@@ -204,7 +204,7 @@ class TestMigration:
         for i in range(8):
             resource = texture_resource(i, 1 << 20)
             system.placement.place_fixed(resource, 0)
-            engine.observe_remote(resource, 1, 1e6)
+            engine.observe_rows([resource], [0], [1], [1e6])
         moved = engine.end_frame(system)
         # Budget stops migration after the first 1 MiB resource.
         assert moved <= 2 * (1 << 20)
@@ -216,7 +216,7 @@ class TestMigration:
         engine = MigrationEngine(MigrationConfig(touch_threshold_bytes=1.0))
         resource = texture_resource(3, 1 << 20)
         system.placement.place_fixed(resource, 0)
-        engine.observe_remote(resource, 1, 1e6)
+        engine.observe_rows([resource], [0], [1], [1e6])
         engine.end_frame(system)
         traffic = system.fabric.bytes_by_type()
         assert traffic.get(TrafficType.PREALLOC, 0.0) > 0
@@ -224,7 +224,7 @@ class TestMigration:
     def test_touches_cleared_between_frames(self):
         engine = MigrationEngine()
         resource = texture_resource(4, 1 << 16)
-        engine.observe_remote(resource, 1, 1e6)
+        engine.observe_rows([resource], [0], [1], [1e6])
         assert engine.pending_resources == 1
         framework = build_framework("baseline")
         system = framework.make_system()
@@ -234,7 +234,7 @@ class TestMigration:
 
     def test_zero_byte_observations_ignored(self):
         engine = MigrationEngine()
-        engine.observe_remote(texture_resource(5, 1024), 1, 0.0)
+        engine.observe_rows([texture_resource(5, 1024)], [0], [1], [0.0])
         assert engine.pending_resources == 0
 
     def test_config_validation(self):

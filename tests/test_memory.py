@@ -106,6 +106,43 @@ class TestPlacement:
         placement.replicate(r, [1, 2])
         assert placement.total_resident_bytes == before + 2 * r.size_bytes
 
+    def test_replicating_an_unplaced_resource_counts_it_once(self):
+        """The first GPM becomes its home, holding every page: no replica
+        there, so its bytes are resident once, and repeats add nothing."""
+        placement = PagePlacement(4, PAGE)
+        r = texture_resource(0, 3 * PAGE + 17)
+        placement.replicate(r, [2])
+        assert placement.resident_bytes == [0.0, 0.0, r.size_bytes, 0.0]
+        assert placement.layout() == [(r.resource_id, [2, 2, 2, 2], [])]
+        placement.replicate(r, [2])
+        placement.replicate(r, [2, 2])
+        assert placement.total_resident_bytes == r.size_bytes
+        assert placement.is_home(r, 2)
+        placement.replicate(r, [1, 2])
+        assert placement.resident_bytes == [
+            0.0, r.size_bytes, r.size_bytes, 0.0
+        ]
+        assert placement.layout() == [(r.resource_id, [2, 2, 2, 2], [1])]
+
+    def test_afr_counts_each_resource_once(self):
+        """AFR replicates every resource of its first frame onto that
+        frame's GPM: each is resident once."""
+        from repro.pipeline.smp import SMPMode
+        from repro.session.spec import FAST, RunSpec
+
+        spec = RunSpec(
+            framework="afr", workload="HL2-640",
+            num_frames=1, draw_scale=FAST.draw_scale,
+        )
+        framework = spec.build()
+        result = framework.render_scene(spec.scene())
+        resources = framework.characterizer.unit_columns(
+            spec.scene().frames[0], mode=SMPMode.SEQUENTIAL, expansion="stereo"
+        ).resources
+        assert result.frames[0].resident_bytes == float(
+            sum(resource.size_bytes for resource in resources)
+        )
+
     def test_is_home_true_only_for_owner(self):
         placement = PagePlacement(4, PAGE)
         r = texture_resource(0, 2 * PAGE)

@@ -643,3 +643,55 @@ class TestRunSpec:
             RunSpec(framework="oo-vr", workload="WE", draw_scale=-1).validate()
         with pytest.raises(SpecError, match="seed must be non-negative"):
             RunSpec(framework="oo-vr", workload="WE", seed=-1).validate()
+
+
+class TestFinishedCellsLetTheirMachineGo:
+    """A sweep cell's machine is freed by reference counting once the
+    cell's result exists; ``Session.run`` keeps its machine."""
+
+    @staticmethod
+    def _machines(monkeypatch):
+        import weakref
+
+        from repro.gpu.system import MultiGPUSystem
+
+        machines = []
+        init = MultiGPUSystem.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            machines.append(weakref.ref(self))
+
+        monkeypatch.setattr(MultiGPUSystem, "__init__", tracked)
+        return machines
+
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    def test_a_sweep_leaves_no_machine_alive(self, engine, monkeypatch):
+        import gc
+
+        from tests.oracles import perfbench
+
+        frameworks = perfbench().layers.FRAMEWORKS
+        machines = self._machines(monkeypatch)
+        sweep = Sweep().frameworks(*frameworks).workloads("HL2-640").fast()
+        if engine != "analytic":
+            sweep.engine(engine)
+        gc.collect()
+        gc.disable()
+        try:
+            records = sweep.run().to_records()
+            alive = [ref for ref in machines if ref() is not None]
+        finally:
+            gc.enable()
+        assert [record["framework"] for record in records] == list(frameworks)
+        assert len(machines) == len(frameworks) == 9
+        assert alive == []
+
+    def test_session_run_keeps_its_machine(self, monkeypatch):
+        machines = self._machines(monkeypatch)
+        session = Session().framework("oo-vr").workload("HL2-640").fast()
+        session.run()
+        system = session.last_framework.last_system
+        assert system is machines[0]()
+        assert system.engine.system is system
+        assert system.last_trace is not None
