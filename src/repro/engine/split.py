@@ -26,17 +26,24 @@ schedule in one go:
   from the table by unit index
   (:func:`~repro.pipeline.timing.stage_cycles`, shared with
   ``price_work_unit``);
-- the optional staging prelude applies
-  :meth:`StagingManager._stage_touch
-  <repro.gpu.staging.StagingManager._stage_touch>` to every (touch,
-  GPM) visit in order, and each slice's copy lands before its render,
+- the pass interns the resources it visits in first-visit order
+  (:func:`~repro.columns.first_use`, which sorts no row), and every
+  decision below is made once per resource or per (resource, GPM)
+  pair, in the module that owns it, over whole columns;
+- the optional staging prelude resolves every (touch, GPM) visit's
+  copy shortfall in visit order as columns
+  (:meth:`StagingManager.stage_visits
+  <repro.gpu.staging.StagingManager.stage_visits>`, the rules of
+  ``_stage_touch``), and each slice's copy lands before its render,
   as :meth:`~repro.engine.base.ExecutionEngine.stage_flow` lands it:
   fabric and DRAM bytes, ``staging`` phase bytes and the ``stage``
   stall on the GPM clock;
-- owner fractions are read once per visited (resource, GPM) pair, in
-  first-visit order, from the placement map's per-resource cache; the
-  table's resource rows name the pairs, so no resource is interned
-  per pass;
+- owner maps are read once per visited resource
+  (:meth:`PagePlacement.owner_maps
+  <repro.memory.placement.PagePlacement.owner_maps>`, placing an
+  unplaced resource at its first visit); behind a staging prelude
+  every visited pair is already local, so the rows are the visits
+  themselves;
 - the frame's (touch, owner), framebuffer-target and command rows are
   laid out in visit order — slice, texture then vertex touches, page
   owners, targets, command — and the L2 miss model and the
@@ -45,6 +52,8 @@ schedule in one go:
   :func:`~repro.memory.remote_cache.filter_columns`: the scalar
   formulas, elementwise, whose row-by-row forms are references in
   ``tests/oracles.py``);
+- the migration observer, when one is attached, is handed all of a
+  pass's crossing rows in one call;
 - the GPM clocks and progress counters advance per GPM in visit order;
   the pass builds no trace interval, but hands its clock charges
   (``SplitSlices.ops``) to the engine's ``_note_split`` hook, where the
@@ -60,13 +69,15 @@ sequence the scalar bind sums.  The prelude may place every visited
 resource before the first bind reads it: a staged visit leaves its
 resource fully local to the visiting GPM (placed there, homed there or
 replicated there), and nothing later in the frame takes that away.
-The per-slice ``bind``, ``execute`` and ``stage_unit`` stay the
-production path of the clock-driven dispatchers (OO-VR, OO_APP) and
-are this pass's oracle.  The test suite's oracle table
-(``tests/oracles.py``) binds a schedule through them slice by slice,
-and its per-slice frame bodies stand in for the baseline family's
-``bind_frame`` and the others' ``render_frame_on``, characterising
-``WorkUnit`` objects.  ``tests/test_engine.py::TestSplitBind`` hands
+The per-slice ``bind``, ``execute``, ``stage_unit`` and
+``owner_fractions`` stay the production path of the clock-driven
+dispatchers (OO-VR, OO_APP) and are this pass's oracle.  The test
+suite's oracle table (``tests/oracles.py``) binds a schedule through
+them slice by slice, its per-slice frame bodies stand in for the
+baseline family's ``bind_frame`` and the others' ``render_frame_on``,
+characterising ``WorkUnit`` objects, and each column entry point (the
+owner rows, the prelude, the observer's rows and the interning) has a
+one-at-a-time reference there.  ``tests/test_engine.py::TestSplitBind`` hands
 the pass ``UnitColumns.from_units(units)`` and asserts every counter,
 trace, recorded event-engine job and staged byte equal with ``==`` to
 both.

@@ -142,47 +142,42 @@ class StagingManager:
         placed, home = self.system.placement.localize(resources, resource, gpm)
         sizes = np.array([item.size_bytes for item in resources], np.float64)
         ids = [item.resource_id for item in resources]
+        n = self.system.num_gpms
+        # The (resource, GPM) pairs away from the resource's home, in
+        # first-visit order, and each pair's staged bytes so far.
+        away = np.flatnonzero(~home)
+        pairs, _, pair = columns.first_use(
+            resource[away] * n + gpm[away], len(resources) * n
+        )
+        keys = list(
+            zip(map(ids.__getitem__, (pairs // n).tolist()), (pairs % n).tolist())
+        )
+        before = np.fromiter(
+            map(self._staged.get, keys, repeat(0.0)), np.float64, len(keys)
+        )
+        factor = self.factor * scale[away]
+        staged, step = _grow(
+            before,
+            pair,
+            sizes[resource[away]] * np.maximum(factor, 1.0),
+            unique_bytes[away] * factor,
+        )
+        copied = step > 0
         shortfall = np.zeros(resource.size)
-        # (visit, key, staged bytes) of every pair the pass changes.
+        shortfall[away[copied]] = step[copied]
+        # A first toucher's pair is set to the footprint where it places
+        # the resource; any other pair changes at its first copy.
         placing = np.flatnonzero(placed)
-        change_visit = [placing]
-        change_key = [
-            list(zip(map(ids.__getitem__, resource[placing].tolist()),
-                     gpm[placing].tolist()))
-        ]
-        change_value = [sizes[resource[placing]]]
-        rows = np.flatnonzero(~home)
-        if rows.size:
-            n = self.system.num_gpms
-            pairs, _, pair = columns.first_use(
-                resource[rows] * n + gpm[rows], len(resources) * n
-            )
-            keys = list(
-                zip(map(ids.__getitem__, (pairs // n).tolist()),
-                    (pairs % n).tolist())
-            )
-            before = np.fromiter(
-                map(self._staged.get, keys, repeat(0.0)), np.float64, len(keys)
-            )
-            factor = self.factor * scale[rows]
-            staged, short = _grow(
-                before,
-                pair,
-                sizes[resource[rows]] * np.maximum(factor, 1.0),
-                unique_bytes[rows] * factor,
-            )
-            copied = short > 0
-            shortfall[rows[copied]] = short[copied]
-            # Each changed pair's first copy, in visit order.
-            changed, first, _ = columns.first_use(pair[copied], len(keys))
-            change_visit.append(rows[copied][first])
-            change_key.append(list(map(keys.__getitem__, changed.tolist())))
-            change_value.append(staged[changed])
-        visit = np.concatenate(change_visit)
-        order = np.argsort(visit, kind="stable").tolist()
-        key = [k for part in change_key for k in part]
-        value = np.concatenate(change_value).tolist()
-        self._staged.update((key[i], value[i]) for i in order)
+        changed, first, _ = columns.first_use(pair[copied], len(keys))
+        visit = np.concatenate((placing, away[copied][first]))
+        key = list(
+            zip(map(ids.__getitem__, resource[placing].tolist()),
+                gpm[placing].tolist())
+        ) + list(map(keys.__getitem__, changed.tolist()))
+        value = np.concatenate((sizes[resource[placing]], staged[changed])).tolist()
+        self._staged.update(
+            (key[i], value[i]) for i in np.argsort(visit, kind="stable").tolist()
+        )
         return shortfall
 
     def stage_unit(
@@ -254,6 +249,8 @@ def _grow(
     is clamped visit by visit.
     """
     pairs = before.size
+    if not pair.size:
+        return before, np.zeros(0)
     counts = np.bincount(pair, minlength=pairs)
     order = np.argsort(pair, kind="stable")
     rank = np.empty(pair.size, np.int64)
@@ -267,15 +264,14 @@ def _grow(
     high = np.zeros(pairs)
     np.maximum.at(high, pair, cap)
     clamped = np.minimum(low[:, None], np.add.accumulate(steps, axis=1))
-    staged = clamped[:, -1]
+    # A pair that starts above its cap never changes.
+    staged = np.maximum(before, clamped[:, -1])
     step = np.diff(clamped, axis=1)
     varying = np.flatnonzero(low != high)
     if varying.size:
-        row = np.full(pairs, -1)
-        row[varying] = np.arange(varying.size)
-        caps = np.full((varying.size, width), np.inf)
-        mine = row[pair] >= 0
-        caps[row[pair[mine]], rank[mine]] = cap[mine]
+        caps = np.full((pairs, width), np.inf)
+        caps[pair, rank] = cap
+        caps = caps[varying]
         adds = steps[varying, 1:]
         held = before[varying]
         for k in range(width):
