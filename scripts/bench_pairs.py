@@ -71,7 +71,8 @@ def verdict(
 
     - ``unresolved``: either side's q1-q3 spread, relative to its
       median, is wider than the bound, so a worsening within the bound
-      could not be told from noise;
+      could not be told from noise — unless every change run reads
+      better than every parent run;
     - ``worse``: the change's median is worse than the parent's by more
       than the bound;
     - ``gain``: the change won at least nine pairs in ten, and the
@@ -91,7 +92,9 @@ def verdict(
         for q1, median, q3 in ((p_q1, p_median, p_q3), (c_q1, c_median, c_q3))
     )
     worsening = sign * (c_median - p_median) / abs(p_median) if p_median else 0.0
-    if spread > bound:
+    # Every change run better than every parent run.
+    dominates = max(sign * c for c in change) < min(sign * p for p in parent)
+    if spread > bound and not dominates:
         label = "unresolved"
     elif worsening > bound:
         label = "worse"

@@ -77,10 +77,10 @@ them slice by slice, its per-slice frame bodies stand in for the
 baseline family's ``bind_frame`` and the others' ``render_frame_on``,
 characterising ``WorkUnit`` objects, and each column entry point (the
 owner rows, the prelude, the observer's rows and the interning) has a
-one-at-a-time reference there.  ``tests/test_engine.py::TestSplitBind`` hands
-the pass ``UnitColumns.from_units(units)`` and asserts every counter,
-trace, recorded event-engine job and staged byte equal with ``==`` to
-both.
+one-at-a-time reference there.  ``tests/test_engine.py::TestSplitBind``
+hands the pass ``UnitColumns.from_units(units)`` and asserts every
+counter, trace, recorded event-engine job and staged byte equal with
+``==`` to both.
 """
 
 from __future__ import annotations

@@ -153,6 +153,7 @@ class PagePlacement:
         The map is read-only and shared by every resource with the same
         layout, so a touch costs a lookup, not a walk over every page.
         """
+        self._check(toucher)
         slot = self._slots.get(resource.resource_id)
         if slot is None:
             slot = self._place_new(resource, toucher)
@@ -282,6 +283,8 @@ class PagePlacement:
         resident once.
         """
         gpm_list = list(gpms)
+        for gpm in gpm_list:
+            self._check(gpm)
         slot = self._slots.get(resource.resource_id)
         if slot is None:
             if not gpm_list:
@@ -348,8 +351,7 @@ class PagePlacement:
         ``gpm`` for free.  Existing replicas are dropped (they would be
         stale under a writable-page model).
         """
-        if not 0 <= gpm < self.num_gpms:
-            raise ValueError(f"GPM {gpm} out of range")
+        self._check(gpm)
         slot = self._slots.get(resource.resource_id)
         if slot is None:
             self._place_new(resource, gpm)
@@ -370,6 +372,10 @@ class PagePlacement:
         return float(moved_pages * self.page_bytes)
 
     # -- maintenance -----------------------------------------------------
+
+    def _check(self, gpm: int) -> None:
+        if not 0 <= gpm < self.num_gpms:
+            raise ValueError(f"GPM {gpm} out of range")
 
     def _require_unplaced(self, resource: Resource) -> None:
         if resource.resource_id in self._slots:

@@ -71,6 +71,18 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     )
 
 
+def test_a_wide_spread_is_resolved_when_every_change_run_is_better():
+    wide = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0]
+    better = [value / 10 for value in wide]
+    summary = bench_pairs.verdict(wide, better, "lower", 0.25)
+    assert summary.verdict == "gain"
+    # One change run no better than the best parent run: unresolved.
+    better[0] = 1.0
+    assert bench_pairs.verdict(wide, better, "lower", 0.25).verdict == (
+        "unresolved"
+    )
+
+
 def test_higher_is_better_metrics_count_the_other_way():
     up = [value + 0.2 for value in PARENT]
     assert bench_pairs.verdict(PARENT, up, "higher", 0.25).verdict == "gain"

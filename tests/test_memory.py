@@ -124,6 +124,21 @@ class TestPlacement:
         ]
         assert placement.layout() == [(r.resource_id, [2, 2, 2, 2], [1])]
 
+    @pytest.mark.parametrize("gpm", [-1, 4])
+    def test_gpms_out_of_range_are_rejected(self, gpm):
+        placement = PagePlacement(4, PAGE)
+        r = texture_resource(0, PAGE)
+        placement.replicate(r, [3])
+        for call in (
+            lambda: placement.owner_fractions(r, gpm),
+            lambda: placement.replicate(r, [gpm]),
+            lambda: placement.migrate(r, gpm),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                call()
+        assert not placement.is_home(r, gpm)
+        assert placement.layout() == [(r.resource_id, [3], [])]
+
     def test_afr_counts_each_resource_once(self):
         """AFR replicates every resource of its first frame onto that
         frame's GPM: each is resident once."""
