@@ -116,16 +116,20 @@ class PagePlacement:
             self.resident_bytes[owner] += self.page_bytes
         return self._add(resource, owners, self._map_of(owners))
 
-    def _place_new(self, resource: Resource, toucher: int) -> int:
-        if self.policy is PlacementPolicy.FIRST_TOUCH:
-            self.resident_bytes[toucher] += resource.size_bytes
-            return self._add_fixed(resource, toucher)
+    def _add_interleaved(self, resource: Resource) -> int:
+        """``resource``'s pages round-robin from the interleave cursor."""
         pages = resource.num_pages(self.page_bytes)
         start = self._interleave_cursor
         self._interleave_cursor += pages
         return self._add_owned(
             resource, [(start + i) % self.num_gpms for i in range(pages)]
         )
+
+    def _place_new(self, resource: Resource, toucher: int) -> int:
+        if self.policy is PlacementPolicy.FIRST_TOUCH:
+            self.resident_bytes[toucher] += resource.size_bytes
+            return self._add_fixed(resource, toucher)
+        return self._add_interleaved(resource)
 
     def _slots_of(self, resources: Sequence[Resource]) -> List[int]:
         """Each resource's slot, ``-1`` while unplaced."""
@@ -193,20 +197,11 @@ class PagePlacement:
         ``k`` in ``bounds[m]:bounds[m + 1]``, in the map's key order."""
         if self._table is None:
             lengths = [len(owner_map) for owner_map in self._maps]
+            items = [item for owner_map in self._maps for item in owner_map.items()]
             self._table = (
                 np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
-                np.array(
-                    [gpm for owner_map in self._maps for gpm in owner_map],
-                    np.int64,
-                ),
-                np.array(
-                    [
-                        fraction
-                        for owner_map in self._maps
-                        for fraction in owner_map.values()
-                    ],
-                    np.float64,
-                ),
+                np.array([gpm for gpm, _ in items], np.int64),
+                np.array([fraction for _, fraction in items], np.float64),
             )
         return self._table
 
@@ -253,10 +248,7 @@ class PagePlacement:
     def place_interleaved(self, resource: Resource) -> None:
         """Round-robin ``resource``'s pages across all GPMs."""
         self._require_unplaced(resource)
-        pages = resource.num_pages(self.page_bytes)
-        owners = [(self._interleave_cursor + i) % self.num_gpms for i in range(pages)]
-        self._interleave_cursor += pages
-        self._add_owned(resource, owners)
+        self._add_interleaved(resource)
 
     def place_striped(self, resource: Resource, stripes: Sequence[int]) -> None:
         """Partition pages contiguously across ``stripes``.

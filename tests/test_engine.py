@@ -1969,6 +1969,23 @@ class TestSplitBind:
                 wanted == sizes[key] * max(factor, 1.0)
                 for (key, _), wanted in entries
             )
+            # Some pairs saw two stage scales and still reached a cap.
+            scales = {}
+            first = schedules[0]
+            for s, index in enumerate(first.unit.tolist()):
+                unit = units[index]
+                for touch in unit.texture_touches + unit.vertex_touches:
+                    scales.setdefault(
+                        (touch.resource.resource_id, int(first.gpm[s])), set()
+                    ).add(float(first.stage_scale[s]))
+            assert any(
+                len(scales[pair]) > 1
+                and any(
+                    wanted == sizes[pair[0]] * max(factor * scale, 1.0)
+                    for scale in scales[pair]
+                )
+                for pair, wanted in entries
+            )
 
     @pytest.mark.parametrize("engine", ["analytic", "event"])
     @pytest.mark.parametrize(
