@@ -8,8 +8,10 @@ before rendering touches it.  This module implements the reactive
 migration engine so the two philosophies can be compared on the same
 workloads:
 
-- a :class:`MigrationEngine` watches each frame's remote-touch counts
-  per resource and per GPM;
+- a :class:`MigrationEngine` watches each frame's remote-touch bytes
+  per resource and per GPM, handed to it as rows
+  (:meth:`MigrationEngine.observe_rows`: one row per crossing from a
+  per-unit bind, all of a slice pass's crossings in one call);
 - at frame end it migrates the hottest resources to their dominant
   consumer (bounded by a per-frame byte budget, as real drivers bound
   migration rate to protect bandwidth);

@@ -2230,12 +2230,15 @@ class TestColumnPrelude:
 
     def test_each_visit_is_clamped_at_its_own_cap(self):
         """Two stage scales on one pair: the cap is reached mid-sequence,
-        grows with the larger scale and stops nothing once it shrinks."""
+        grows with the larger scale, and nothing is copied once it
+        shrinks."""
         textures, _ = _split_resources()
         fixed = textures[1]  # homed on GPM 2
         size = float(fixed.size_bytes)
         scale = np.array([1.0, 1.0, 1.0, 1.6, 1.6, 1.6, 0.5, 1.0, 1.6])
-        unique = size * np.array([0.45, 0.45, 0.45, 0.2, 0.0, 0.3, 0.45, 0.45, 0.45])
+        unique = size * np.array(
+            [0.45, 0.45, 0.45, 0.2, 0.0, 0.3, 0.45, 0.45, 0.45]
+        )
         visits = ([fixed], np.zeros(scale.size, np.int64),
                   np.full(scale.size, 3), unique, scale)
         shortfall, staged, _, _ = self._staged_both_ways(

@@ -16,6 +16,7 @@ from repro.memory.remote_cache import RemoteCache
 from tests.oracles import (
     SetAssociativeCache,
     filter_columns_reference,
+    first_use_reference,
     miss_bytes_columns_reference,
     working_set_hit_rate,
 )
@@ -235,6 +236,25 @@ class TestColumnKernels:
         unique[rng.random(rows) < 0.1] = 0.0
         stream[rng.random(rows) < 0.1] = 0.0
         return stream, unique
+
+    @pytest.mark.parametrize(
+        "rows, size", [(0, 4), (1, 1), (50, 7), (500, 2000)]
+    )
+    def test_first_use_interning(self, rows, size):
+        """Keys in first-use order, first rows and every row's index,
+        as ``np.unique`` gives them reordered, with no sort."""
+        import numpy as np
+
+        from repro.columns import first_use
+
+        keys = np.random.default_rng(rows).integers(0, size, rows)
+        got = [column.tolist() for column in first_use(keys, size)]
+        assert got == [
+            column.tolist() for column in first_use_reference(keys, size)
+        ]
+        distinct, first, index = got
+        assert [distinct[i] for i in index] == keys.tolist()
+        assert [keys.tolist().index(key) for key in distinct] == first
 
     def test_miss_bytes_columns(self):
         from repro.memory.cache import miss_bytes_columns
