@@ -50,7 +50,11 @@ class _BatchBuilder:
         framework: RenderingFramework,
         middleware: Optional[OOMiddleware] = None,
     ) -> None:
-        self._framework = framework
+        # What the build reads, not the framework: a builder pointing
+        # back at the framework that owns it would leave both to the
+        # cyclic collector.
+        self._cost = framework.config.cost
+        self._characterizer = framework.characterizer
         if middleware is None:
             middleware = OOMiddleware()
         self._middleware = middleware
@@ -70,7 +74,7 @@ class _BatchBuilder:
             frame.derived(
                 (
                     "batch_builder",
-                    self._framework.config.cost,
+                    self._cost,
                     self._middleware.triangle_limit,
                     self._middleware.tsl_threshold,
                 ),
@@ -80,8 +84,8 @@ class _BatchBuilder:
 
     def _build(self, frame: Frame) -> Tuple[Tuple[Batch, WorkUnit], ...]:
         with phase("bind"):
-            characterizer = self._framework.characterizer
-            discount = self._framework.config.cost.batch_draw_discount
+            characterizer = self._characterizer
+            discount = self._cost.batch_draw_discount
             batches = self._middleware.build_batches(frame.objects)
             # One vectorized pass prices every object's multi-view draw
             # (frame.object_batch order == frame.objects order); each
@@ -176,9 +180,10 @@ class OOVRFramework(RenderingFramework):
         self.last_engine: Optional[DistributionEngine] = None
 
     def release(self) -> None:
-        """Let the last machine go, and the distribution engine that
-        holds it (the framework and its batch builder point at each
-        other, so the framework itself waits for the collector)."""
+        """Let the last machine go.  OO-VR holds it twice: through
+        ``last_system``, which the base class drops, and through
+        ``last_engine``, the distribution engine that dispatched on
+        it, dropped here."""
         self.last_engine = None
         super().release()
 

@@ -1,13 +1,18 @@
 """Client side of the sweep service: HTTP wrapper + ``remote`` executor.
 
 :class:`ServiceClient` is a thin JSON-over-HTTP wrapper (stdlib
-``urllib``) around the daemon's endpoints.  :class:`RemoteExecutor`
+:mod:`http.client`) around the daemon's endpoints; it keeps its
+connections open between requests, so a client pays for one TCP
+connection per thread, not one per request.  :class:`RemoteExecutor`
 builds on it to implement the :class:`~repro.session.executor.SweepExecutor`
 protocol: ``Sweep.run(executor="remote")`` /
 ``oovr sweep --executor remote --server URL`` submits the grid to a
-daemon, polls per-cell completion events, and returns results
-**byte-identical** to the ``serial`` backend — the records decode from
-the exact cache-entry payloads the service stores, through the same
+daemon and reads per-cell completion events, each with its cell's
+cache-entry payload, off the submit reply and then off each poll — a
+grid the daemon's cache holds whole takes one request.  It returns
+results **byte-identical** to the ``serial`` backend: the records
+decode from the exact cache-entry payloads the service stores, through
+the same
 :meth:`SceneResult.from_dict <repro.stats.metrics.SceneResult.from_dict>`
 path a local cache hit takes.
 
@@ -19,12 +24,14 @@ instance directly).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Dict, List, Optional, Sequence
+import weakref
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from repro.service.protocol import PROTOCOL_VERSION, specs_to_wire
 from repro.session.cache import CacheMergeError, ResultCache, spec_key
@@ -40,8 +47,24 @@ class ServiceError(RuntimeError):
     """The daemon rejected a request or is unreachable."""
 
 
+def _close_all(connections: Iterable[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
 class ServiceClient:
-    """JSON-over-HTTP client for one ``oovr serve`` daemon."""
+    """JSON-over-HTTP client for one ``oovr serve`` daemon.
+
+    Requests travel over HTTP/1.1 connections that stay open between
+    requests, and across :meth:`RemoteExecutor.run` calls.  Threads
+    sharing a client never share a connection: each request takes an
+    idle one (or opens one) under a lock and puts it back when its
+    reply has been read.  A kept connection the daemon has since
+    closed (its idle timeout, a restart) fails before any byte of the
+    reply arrives; such a request is sent once more on a fresh
+    connection.  :meth:`close` closes the idle connections, as does
+    collecting the client.
+    """
 
     def __init__(self, server: str, timeout: float = 30.0) -> None:
         if not server.startswith(("http://", "https://")):
@@ -51,6 +74,60 @@ class ServiceClient:
             )
         self.server = server.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.server)
+        if not parts.netloc:
+            raise ServiceError(f"server URL names no host: {server!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._address = parts.netloc
+        self._prefix = parts.path
+        self._lock = threading.Lock()
+        self._idle: List[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        with self._lock:
+            idle = list(self._idle)
+            self._idle.clear()
+        _close_all(idle)
+
+    def _exchange(
+        self, method: str, path: str, data: Optional[bytes], headers
+    ) -> Tuple[int, bytes]:
+        """One request on a kept connection: (status, body)."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = self._connection_class(
+                self._address, timeout=self.timeout
+            )
+        # Only a connection that has carried a request can have been
+        # closed by the daemon since.
+        reused = connection.sock is not None
+        target = self._prefix + path
+        try:
+            try:
+                connection.request(method, target, data, headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # Nothing of the reply arrived, so the daemon never
+                # took the request: resend it on a fresh connection.
+                connection.close()
+                connection.request(method, target, data, headers)
+                response = connection.getresponse()
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        with self._lock:
+            self._idle.append(connection)
+        return response.status, body
 
     def _request(
         self,
@@ -65,29 +142,27 @@ class ServiceClient:
             payload.setdefault("version", PROTOCOL_VERSION)
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.server}{path}", data=data, headers=headers, method=method
-        )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            try:
-                document = json.loads(error.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                document = {}
-            message = document.get("error", str(error))
-            if error.code == 409 or document.get("conflict"):
-                raise CacheMergeError(message) from None
-            raise ServiceError(
-                f"{method} {path} -> {error.code}: {message}"
-            ) from None
-        except (urllib.error.URLError, OSError, ValueError) as error:
+            status, raw = self._exchange(method, path, data, headers)
+        except (OSError, http.client.HTTPException) as error:
             raise ServiceError(
                 f"cannot reach sweep server at {self.server}: {error}"
             ) from None
+        try:
+            document = json.loads(raw.decode("utf-8"))
+        except ValueError as error:
+            if status < 400:
+                raise ServiceError(
+                    f"{method} {path}: unreadable reply from "
+                    f"{self.server}: {error}"
+                ) from None
+            document = {}
+        if status >= 400:
+            message = document.get("error", f"HTTP {status}")
+            if status == 409 or document.get("conflict"):
+                raise CacheMergeError(message)
+            raise ServiceError(f"{method} {path} -> {status}: {message}")
+        return document
 
     # -- endpoints ----------------------------------------------------------
 
@@ -112,14 +187,6 @@ class ServiceClient:
         return self._request(
             "GET", f"/sweeps/{job_id}/events?since={int(since)}"
         )
-
-    def fetch(
-        self, job_id: str, keys: Sequence[str]
-    ) -> Dict[str, str]:
-        document = self._request(
-            "POST", f"/sweeps/{job_id}/results", {"keys": list(keys)}
-        )
-        return dict(document["results"])  # type: ignore[arg-type]
 
     def register_worker(self, name: str) -> Dict[str, object]:
         return self._request("POST", "/workers", {"name": name})
@@ -151,14 +218,18 @@ class ServiceClient:
 class RemoteExecutor:
     """Run a sweep's cells on an ``oovr serve`` daemon.
 
-    The submit/poll/fetch counterpart of the in-process backends:
+    The submit/poll counterpart of the in-process backends:
     local-cache hits resolve first (exactly like ``serial``), the
-    misses are submitted as one job, completion events stream back,
-    and ``on_result`` fires in grid order over the *whole* grid —
-    progressively, as the completed prefix grows — so callers cannot
-    tell the backends apart except by where the work ran.  Fetched
-    entry payloads are folded into the local cache (when one is in
-    play), so a remote sweep doubles as a cache warm.
+    misses are submitted as one job, completion events stream back
+    with their entry payloads (the submit reply holds those of the
+    cells the daemon's cache answered, so an all-cached grid is one
+    request), and ``on_result`` fires in grid order over the *whole*
+    grid — progressively, as the completed prefix grows — so callers
+    cannot tell the backends apart except by where the work ran.
+    Received payloads are folded into the local cache (when one is in
+    play), so a remote sweep doubles as a cache warm.  The executor's
+    client keeps its connections open from one :meth:`run` to the
+    next.
     """
 
     name = "remote"
@@ -222,37 +293,32 @@ class RemoteExecutor:
             submitted = [
                 specs[indices[0]] for indices in indices_by_key.values()
             ]
-            job = self.client.submit(submitted)
-            job_id = str(job["job"])
+            # The submit reply already carries the cells the cache
+            # held; each poll then carries the cells completed since.
+            status = self.client.submit(submitted)
+            job_id = str(status["job"])
             deadline = (
                 None if self.timeout is None
                 else time.monotonic() + self.timeout
             )
-            seq = 0
             while True:
-                status = self.client.events(job_id, since=seq)
-                seq = int(status["next"])  # type: ignore[arg-type]
                 events = status["events"]  # type: ignore[assignment]
-                if events:
-                    payloads = self.client.fetch(
-                        job_id, [str(event["key"]) for event in events]
-                    )
-                    for event in events:
-                        key = str(event["key"])
-                        payload = payloads[key]
-                        entry = json.loads(payload)
-                        result = SceneResult.from_dict(entry["result"])
-                        if cache is not None:
-                            # The authoritative bytes for this address
-                            # just arrived; overwrite even a stale or
-                            # corrupt local entry.
-                            cache.merge_entry(
-                                key, payload, on_conflict="replace"
-                            )
-                        for index in indices_by_key[key]:
-                            results[index] = result
-                            hits[index] = bool(event["cached"])
-                    fire_ready()
+                for event in events:
+                    key = str(event["key"])
+                    payload = str(event["payload"])
+                    entry = json.loads(payload)
+                    result = SceneResult.from_dict(entry["result"])
+                    if cache is not None:
+                        # The authoritative bytes for this address
+                        # just arrived; overwrite even a stale or
+                        # corrupt local entry.
+                        cache.merge_entry(
+                            key, payload, on_conflict="replace"
+                        )
+                    for index in indices_by_key[key]:
+                        results[index] = result
+                        hits[index] = bool(event["cached"])
+                fire_ready()
                 state = status["state"]
                 if state == "error":
                     message = str(status.get("error"))
@@ -273,5 +339,8 @@ class RemoteExecutor:
                         "workers connected to the server?)"
                     )
                 time.sleep(self.poll_interval)
+                status = self.client.events(
+                    job_id, since=int(status["next"])  # type: ignore[arg-type]
+                )
         fire_ready()
         return results

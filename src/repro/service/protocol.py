@@ -25,6 +25,13 @@ The service moves exactly two payload shapes between processes:
   takes — which is why a ``remote`` sweep exports records
   byte-identical to a ``serial`` one.
 
+Since version 2 every completion event a client reads carries its
+cell's payload (``{"seq", "key", "index", "cached", "worker",
+"payload"}``): the ``POST /sweeps`` reply lists the cells the cache
+answered at submit, and each ``GET /sweeps/<id>/events`` reply the
+cells completed since the client's last poll.  An all-cached grid is
+therefore one request; there is no separate result fetch.
+
 Nothing here opens a socket; :mod:`repro.service.server`,
 :mod:`repro.service.worker` and :mod:`repro.service.client` share this
 module as their single source of message truth.
@@ -46,7 +53,9 @@ from repro.session.spec import RunSpec, SpecError
 
 #: Bumped whenever a message shape changes; the server rejects clients
 #: and workers speaking another version instead of mis-parsing them.
-PROTOCOL_VERSION = 1
+#: Version 2: completion events carry their entry payloads, and the
+#: ``/results`` fetch is gone.
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(ValueError):

@@ -8,17 +8,22 @@ recipe (:mod:`repro.session.executor`) into a service:
   it — a repeated grid is answered 100 % from the cache without
   touching the simulator, which is the serving story: most traffic is
   a pure cache read.  Each entry is read, checked and decoded once;
-  after that, submits and result fetches answer it from the text the
-  cache validated (:meth:`ResultCache.recall
+  after that, submits and polls answer it from the text the cache
+  validated (:meth:`ResultCache.recall
   <repro.session.cache.ResultCache.recall>`, one ``stat``) for as
   long as its file is unchanged, and any change to the file sends the
   next lookup back to disk to be validated again;
 - **a persistent job queue**: ``POST /sweeps`` accepts a serialized
   spec list (the :class:`~repro.session.spec.RunSpec` vocabulary over
-  the wire, :mod:`repro.service.protocol`), returns a job id, and
-  ``GET /sweeps/<id>`` / ``GET /sweeps/<id>/events`` stream per-cell
-  completion events — the service-side spelling of the
-  ``on_result(spec, result, cached)`` callback;
+  the wire, :mod:`repro.service.protocol`) and replies with a job id
+  and the completion events of the cells the cache answered, each
+  carrying its entry payload — a grid the cache holds whole is
+  answered in that one reply.  ``GET /sweeps/<id>`` reports a job, and
+  ``GET /sweeps/<id>/events?since=N`` returns the events completed
+  since a client's last poll, payloads included — the service-side
+  spelling of the ``on_result(spec, result, cached)`` callback.  A
+  payload is read for the reply that carries it and never kept with
+  the job;
 - **worker leases**: registered workers (:mod:`repro.service.worker`)
   lease pending cells, execute them, and upload cache-entry payloads
   that the server folds in with :meth:`ResultCache.merge_entry
@@ -34,22 +39,26 @@ recipe (:mod:`repro.session.executor`) into a service:
   gets deterministic, disjoint slices) and falls back to stealing any
   pending cell once its own slice drains.
 
-The HTTP layer is a stdlib ``ThreadingHTTPServer`` speaking JSON — no
-dependencies beyond the standard library.  All coordination state
-lives in :class:`SweepService`, which is usable (and tested) without a
+The HTTP layer is a stdlib ``ThreadingHTTPServer`` speaking JSON over
+HTTP/1.1 — no dependencies beyond the standard library.  Connections
+stay open across requests, with Nagle's algorithm off so that a reply
+is not held back for the client's delayed ACK, and close after
+:attr:`_Handler.timeout` idle seconds.  All coordination state lives
+in :class:`SweepService`, which is usable (and tested) without a
 socket.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import uuid
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.protocol import (
@@ -109,7 +118,12 @@ class _Worker:
 
 
 class _Job:
-    """One submitted grid and its completion bookkeeping."""
+    """One submitted grid and its completion bookkeeping.
+
+    ``done`` and ``hits`` count cells as :meth:`complete` finishes
+    them, so a summary, and ``lease()``'s look at every job's
+    ``state``, cost the same however many cells a job has.
+    """
 
     def __init__(self, job_id: str, specs: List[RunSpec]) -> None:
         self.job_id = job_id
@@ -125,19 +139,15 @@ class _Job:
             self.cells.append(cell)
             self.by_key[cell.key] = cell
         #: Per-cell completion events, appended in completion order;
-        #: each carries a monotonically increasing ``seq``.
+        #: each carries a monotonically increasing ``seq``.  Payloads
+        #: are read per reply, never kept here.
         self.events: List[Dict[str, object]] = []
         self.error: Optional[str] = None
+        #: Cells completed, and those of them the submit-time cache held.
+        self.done = 0
+        self.hits = 0
         #: Cells that executed on a worker (vs. submit-time hits).
         self.executed = 0
-
-    @property
-    def hits(self) -> int:
-        return sum(1 for cell in self.cells if cell.cached)
-
-    @property
-    def done(self) -> int:
-        return sum(1 for cell in self.cells if cell.state == "done")
 
     @property
     def state(self) -> str:
@@ -145,19 +155,25 @@ class _Job:
             return "error"
         return "done" if self.done == len(self.cells) else "running"
 
-    def complete(self, cell: _Cell, cached: bool, worker: Optional[str]) -> None:
+    def complete(
+        self, cell: _Cell, cached: bool, worker: Optional[str]
+    ) -> Dict[str, object]:
+        """Finish a cell that is not done yet; returns its event."""
         cell.state = "done"
         cell.cached = cached
         cell.lease = None
-        self.events.append(
-            {
-                "seq": len(self.events),
-                "key": cell.key,
-                "index": cell.index,
-                "cached": cached,
-                "worker": worker,
-            }
-        )
+        self.done += 1
+        if cached:
+            self.hits += 1
+        event: Dict[str, object] = {
+            "seq": len(self.events),
+            "key": cell.key,
+            "index": cell.index,
+            "cached": cached,
+            "worker": worker,
+        }
+        self.events.append(event)
+        return event
 
     def summary(self) -> Dict[str, object]:
         return {
@@ -226,24 +242,42 @@ class SweepService:
 
     # -- client surface -----------------------------------------------------
 
-    def submit(self, documents: object) -> Dict[str, object]:
-        """``POST /sweeps``: a serialized grid -> job id + cache hits.
+    def _payload(self, key: str) -> str:
+        """A completed cell's entry text: what the cache validated while
+        the file is unchanged, else the file as it is (a cell a worker
+        completed is read byte for byte)."""
+        text = self.cache.recall(key)
+        if text is None:
+            path = self.cache.root / f"{key}.json"
+            text = path.read_text(encoding="utf-8")
+        return text
 
-        Every cell already present in the cache completes immediately
-        (in grid order, so a fully-cached grid is done before the
-        response is written and no worker is ever consulted).  An entry
-        validated by an earlier lookup is not read again while its file
-        is unchanged (:meth:`ResultCache.holds
-        <repro.session.cache.ResultCache.holds>`).
+    def submit(self, documents: object) -> Dict[str, object]:
+        """``POST /sweeps``: a serialized grid -> job summary plus the
+        completion event, payload included, of every cell the cache
+        already holds.
+
+        Those cells complete at once, in grid order, so a fully-cached
+        grid is done, and answered, in this one reply; no worker is
+        ever consulted.  Each payload is the text the hit's own lookup
+        validated (:meth:`ResultCache.entry_text
+        <repro.session.cache.ResultCache.entry_text>`: one ``stat`` for
+        an entry already validated whose file is unchanged).
         """
         specs = specs_from_wire(documents)
         job = _Job(uuid.uuid4().hex[:12], specs)
+        events = []
         with self._lock:
             for cell in job.cells:
-                if self.cache.holds(cell.spec, cell.key):
-                    job.complete(cell, cached=True, worker=None)
+                text = self.cache.entry_text(cell.spec, cell.key)
+                if text is not None:
+                    event = job.complete(cell, cached=True, worker=None)
+                    events.append(dict(event, payload=text))
             self._jobs[job.job_id] = job
-            return job.summary()
+            status = job.summary()
+        status["events"] = events
+        status["next"] = len(events)
+        return status
 
     def job_status(self, job_id: str) -> Dict[str, object]:
         with self._lock:
@@ -251,45 +285,22 @@ class SweepService:
             return self._job(job_id).summary()
 
     def job_events(self, job_id: str, since: int = 0) -> Dict[str, object]:
-        """Completion events ``seq >= since`` plus the job summary."""
+        """Completion events ``seq >= since``, each with its entry
+        payload, plus the job summary; ``next`` is the ``since`` of the
+        following poll."""
+        if since < 0:
+            raise ProtocolError("'since' must be non-negative")
         with self._lock:
             self._expire_leases()
             job = self._job(job_id)
-            events = job.events[since:]
+            events = [
+                dict(event, payload=self._payload(str(event["key"])))
+                for event in job.events[since:]
+            ]
             status = job.summary()
-            status["events"] = list(events)
-            status["next"] = since + len(events)
-            return status
-
-    def fetch_results(
-        self, job_id: str, keys: object
-    ) -> Dict[str, object]:
-        """Entry payloads for completed cells of one job, by key: the
-        validated text of an unchanged entry, else the file as it is
-        (a cell a worker completed is read byte for byte)."""
-        if not isinstance(keys, list) or not all(
-            isinstance(key, str) for key in keys
-        ):
-            raise ProtocolError("'keys' must be a list of entry keys")
-        with self._lock:
-            job = self._job(job_id)
-            payloads: Dict[str, str] = {}
-            for key in keys:
-                cell = job.by_key.get(key)
-                if cell is None:
-                    raise UnknownResource(
-                        f"job {job_id} has no cell {key[:12]}…"
-                    )
-                if cell.state != "done":
-                    raise ProtocolError(
-                        f"cell {key[:12]}… is not complete yet"
-                    )
-                text = self.cache.recall(key)
-                if text is None:
-                    path = self.cache.root / f"{key}.json"
-                    text = path.read_text(encoding="utf-8")
-                payloads[key] = text
-            return {"job": job_id, "results": payloads}
+        status["events"] = events
+        status["next"] = since + len(events)
+        return status
 
     # -- worker surface -----------------------------------------------------
 
@@ -472,8 +483,20 @@ class SweepService:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """One HTTP/1.1 connection, kept open across requests.
+
+    Replies go out as soon as they are written (no Nagle delay: the
+    headers and the body are two writes), a connection idle for
+    :attr:`timeout` seconds is closed, and every request's declared
+    body is read before it is routed, so no reply leaves body bytes
+    behind on a connection that stays open.
+    """
+
     protocol_version = "HTTP/1.1"
     server_version = "oovr-serve/1"
+    disable_nagle_algorithm = True
+    #: Seconds a kept-open connection may sit idle before it is closed.
+    timeout = 30.0
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):  # pragma: no cover
@@ -490,12 +513,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+    def _read_body(self) -> bytes:
+        """The request's declared body; a body whose length is not
+        declared cannot be skipped, so its connection closes after
+        the reply."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            return b""
+        return self.rfile.read(length) if length else b""
+
+    @staticmethod
+    def _body(raw: bytes) -> Dict[str, object]:
         try:
             document = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -508,11 +545,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         """Route one request; malformed input must never kill the
         server — every error maps to a JSON response."""
+        raw = self._read_body()
         parts = urlsplit(self.path)
         segments = [piece for piece in parts.path.split("/") if piece]
         query = parse_qs(parts.query)
         try:
-            self._route(method, segments, query)
+            self._route(method, segments, query, raw)
         except (ProtocolError, SpecError, ValueError) as error:
             if isinstance(error, CacheMergeError):
                 self._reply(409, {"error": str(error), "conflict": True})
@@ -521,7 +559,7 @@ class _Handler(BaseHTTPRequestHandler):
         except UnknownResource as error:
             self._reply(404, {"error": str(error.args[0])})
         except BrokenPipeError:  # pragma: no cover - client went away
-            pass
+            self.close_connection = True
         except Exception as error:  # pragma: no cover - belt and braces
             self._reply(500, {"error": f"{type(error).__name__}: {error}"})
 
@@ -530,6 +568,7 @@ class _Handler(BaseHTTPRequestHandler):
         method: str,
         segments: List[str],
         query: Dict[str, List[str]],
+        raw: bytes,
     ) -> None:
         service = self.service
         route = (method, *segments)
@@ -540,7 +579,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif route == ("GET", "stats"):
             self._reply(200, service.stats())
         elif route == ("POST", "sweeps"):
-            body = self._body()
+            body = self._body(raw)
             self._reply(200, service.submit(body.get("specs")))
         elif method == "GET" and len(segments) == 2 and segments[0] == "sweeps":
             self._reply(200, service.job_status(segments[1]))
@@ -552,21 +591,11 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             since = int(query.get("since", ["0"])[0])
             self._reply(200, service.job_events(segments[1], since=since))
-        elif (
-            method == "POST"
-            and len(segments) == 3
-            and segments[0] == "sweeps"
-            and segments[2] == "results"
-        ):
-            body = self._body()
-            self._reply(
-                200, service.fetch_results(segments[1], body.get("keys"))
-            )
         elif route == ("POST", "workers"):
-            body = self._body()
+            body = self._body(raw)
             self._reply(200, service.register_worker(body.get("name")))
         elif route == ("POST", "lease"):
-            body = self._body()
+            body = self._body(raw)
             self._reply(
                 200,
                 service.lease(
@@ -575,7 +604,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
         elif route == ("POST", "upload"):
-            body = self._body()
+            body = self._body(raw)
             self._reply(
                 200,
                 service.upload(
@@ -602,6 +631,9 @@ class SweepServer(ThreadingHTTPServer):
 
     ``daemon_threads`` keeps request threads from blocking shutdown;
     state consistency is the service's lock, not thread lifetimes.
+    Each kept-open connection holds a request thread until it closes;
+    :meth:`server_close` ends them all, so a closed server answers
+    nothing more, not even on connections its clients keep.
     """
 
     daemon_threads = True
@@ -613,6 +645,8 @@ class SweepServer(ThreadingHTTPServer):
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         verbose: bool = False,
     ) -> None:
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         # Bind first, so a port in use leaves no cache directory
         # behind; a rejected service must then close the socket.
         super().__init__(address, _Handler)
@@ -622,6 +656,27 @@ class SweepServer(ThreadingHTTPServer):
             self.server_close()
             raise
         self.verbose = verbose
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            # Wakes the request thread waiting on it, which closes it.
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - already gone
+                pass
 
     @property
     def url(self) -> str:

@@ -356,17 +356,23 @@ class ResultCache:
             return None
         return remembered[0]
 
-    def holds(self, spec: RunSpec, key: str) -> bool:
-        """Whether ``spec`` (whose :func:`spec_key` is ``key``) has a
-        valid entry, counted as :meth:`get` counts it.
+    def entry_text(self, spec: RunSpec, key: str) -> Optional[str]:
+        """The validated text of ``spec``'s entry (whose
+        :func:`spec_key` is ``key``), or ``None`` on a miss, counted as
+        :meth:`get` counts it.
 
         An entry :meth:`recall` answers is a hit after one stat and no
-        decode; any other lookup is :meth:`get`.
+        decode; any other lookup is :meth:`get`, whose accepted text is
+        returned without another stat.  Either way the text is exactly
+        what the lookup validated.
         """
-        if self.recall(key) is not None:
+        text = self.recall(key)
+        if text is not None:
             self.stats.hits += 1
-            return True
-        return self.get(spec) is not None
+            return text
+        if self.get(spec) is None:
+            return None
+        return self._validated[key][0]
 
     def put(self, spec: RunSpec, result: SceneResult) -> Path:
         """Store ``result`` under ``spec``'s key (atomic replace).

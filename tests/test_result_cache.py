@@ -243,7 +243,7 @@ class TestValidatedMemo:
         assert cache.get(spec) is not None
         entry_reads.clear()
         text = cache.recall(key)
-        assert cache.holds(spec, key)
+        assert cache.entry_text(spec, key) == text
         assert dict(entry_reads) == {}
         assert text == cache.path_for(spec).read_bytes().decode("utf-8")
         # A memo hit is counted as the hit get() would have counted.
@@ -267,8 +267,10 @@ class TestValidatedMemo:
         )
         assert cache.recall(spec_key(other)) is None
         entry_reads.clear()
-        assert cache.holds(spec, key)
+        text = cache.entry_text(spec, key)
         assert (entry_reads["open"], entry_reads["decode"]) == (1, 1)
+        # The text the lookup validated, without a second stat.
+        assert text == cache.path_for(spec).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("change", sorted(_CHANGES))
     def test_changed_file_goes_back_to_disk(
@@ -283,7 +285,8 @@ class TestValidatedMemo:
         expected = fresh.get(spec)
         entry_reads.clear()
         before = dataclasses.replace(cache.stats)
-        held = cache.holds(spec, spec_key(spec))
+        text = cache.entry_text(spec, spec_key(spec))
+        held = text is not None
         assert entry_reads["open"] == 1
         assert held is (expected is not None)
         assert (
@@ -297,9 +300,8 @@ class TestValidatedMemo:
         )
         if held:
             # Re-validated, so remembered again: the new bytes.
-            assert cache.recall(spec_key(spec)) == path.read_text(
-                encoding="utf-8"
-            )
+            assert text == path.read_text(encoding="utf-8")
+            assert cache.recall(spec_key(spec)) == text
         else:
             assert cache.recall(spec_key(spec)) is None
 

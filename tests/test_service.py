@@ -12,9 +12,12 @@ threads.
 """
 
 import gc
+import http.client
 import json
 import re
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 import warnings
@@ -38,7 +41,7 @@ from repro.service import (
     specs_to_wire,
 )
 from repro.service.protocol import check_version
-from repro.service.server import UnknownResource
+from repro.service.server import UnknownResource, _Handler
 from repro.session import (
     CacheMergeError,
     ExperimentConfig,
@@ -161,6 +164,15 @@ class TestWireProtocol:
         with pytest.raises(ProtocolError, match="version"):
             check_version({"version": 99}, "request")
 
+    def test_version_one_peer_refused_by_name(self):
+        """Version 1 clients fetched payloads from a route version 2
+        deleted; they are refused, not half-served."""
+        with pytest.raises(
+            ProtocolError, match="speaks protocol version 1; this side "
+            "speaks 2"
+        ):
+            check_version({"version": 1}, "request")
+
 
 # ---------------------------------------------------------------------------
 # Coordination state (no socket)
@@ -192,9 +204,23 @@ def service(tmp_path, clock):
     )
 
 
+def assert_counts(service):
+    """Every job's counters equal a fresh walk over its cells."""
+    for job in service._jobs.values():
+        done = sum(cell.state == "done" for cell in job.cells)
+        hits = sum(cell.cached for cell in job.cells)
+        if job.error is not None:
+            state = "error"
+        else:
+            state = "done" if done == len(job.cells) else "running"
+        assert (job.done, job.hits, job.state) == (done, hits, state)
+
+
 class TestSweepService:
     def submit(self, service, specs):
-        return service.submit(specs_to_wire(specs))
+        status = service.submit(specs_to_wire(specs))
+        assert_counts(service)
+        return status
 
     def test_lease_execute_upload_completes_job(self, service):
         specs = tiny_specs()
@@ -202,6 +228,7 @@ class TestSweepService:
         assert (job["state"], job["hits"]) == ("running", 0)
         worker = service.register_worker("w0")["worker"]
         lease = service.lease(worker, limit=len(specs))
+        assert_counts(service)
         leased = specs_from_wire(lease["specs"])
         assert sorted(spec_key(s) for s in leased) == sorted(
             spec_key(s) for s in specs
@@ -212,6 +239,7 @@ class TestSweepService:
             executed_entries(leased),
             lease_id=lease["lease"],
         )
+        assert_counts(service)
         assert status["state"] == "done"
         assert status["executed"] == len(specs)
         assert status["copied"] == len(specs)
@@ -225,12 +253,18 @@ class TestSweepService:
         assert job["state"] == "done"
         assert job["hits"] == len(specs)
         assert job["executed"] == 0
-        # The completion events are already there, in grid order.
-        events = service.job_events(job["job"])["events"]
+        # The completion events ride on the submit reply, in grid
+        # order, and a poll from the start repeats them.
+        events = job["events"]
         assert [event["index"] for event in events] == list(
             range(len(specs))
         )
         assert all(event["cached"] for event in events)
+        assert job["next"] == len(specs)
+        assert service.job_events(job["job"])["events"] == events
+        assert service.job_events(job["job"], since=job["next"])[
+            "events"
+        ] == []
         # No worker is ever consulted: a lease finds nothing pending.
         worker = service.register_worker("w0")["worker"]
         assert service.lease(worker, limit=8)["lease"] is None
@@ -244,13 +278,17 @@ class TestSweepService:
         job = self.submit(service, specs)
         dead = service.register_worker("dies-mid-lease")["worker"]
         lease = service.lease(dead, limit=len(specs))
+        assert_counts(service)
         assert len(lease["specs"]) == len(specs)
         # Before the deadline nothing is pending for anyone else.
         survivor = service.register_worker("survivor")["worker"]
         assert service.lease(survivor, limit=8)["lease"] is None
         # The worker dies; its lease times out.
         clock.advance(10.5)
+        service.job_status(job["job"])  # expires the lease
+        assert_counts(service)
         release = service.lease(survivor, limit=len(specs))
+        assert_counts(service)
         assert sorted(
             spec_key(s) for s in specs_from_wire(release["specs"])
         ) == sorted(spec_key(s) for s in specs)
@@ -260,6 +298,7 @@ class TestSweepService:
             executed_entries(specs),
             lease_id=release["lease"],
         )
+        assert_counts(service)
         assert status["state"] == "done"
         assert service.stats()["expired_leases"] == 1
 
@@ -277,9 +316,11 @@ class TestSweepService:
         release = service.lease(fast, limit=len(specs))
         entries = executed_entries(specs)
         service.upload(fast, job["job"], entries, lease_id=release["lease"])
+        assert_counts(service)
         late = service.upload(
             slow, job["job"], entries, lease_id=stale["lease"]
         )
+        assert_counts(service)
         assert late["state"] == "done"
         assert late["identical"] == len(specs)
         assert late["copied"] == 0
@@ -301,8 +342,10 @@ class TestSweepService:
         assert tampered["payload"] != entries[0]["payload"]
         lease = service.lease(rogue, limit=1)
         service.upload(rogue, job["job"], [tampered], lease_id=lease["lease"])
+        assert_counts(service)
         with pytest.raises(CacheMergeError, match="merge conflict"):
             service.upload(honest, job["job"], [entries[0]])
+        assert_counts(service)
         status = service.job_status(job["job"])
         assert status["state"] == "error"
         assert "merge conflict" in status["error"]
@@ -334,40 +377,60 @@ class TestSweepService:
             )
             assert keys == owned[slot]
 
-    def test_fetch_results_guards(self, service):
+    def test_events_guards(self, service):
         specs = tiny_specs()
         job = self.submit(service, specs)
-        with pytest.raises(ProtocolError, match="not complete"):
-            service.fetch_results(job["job"], [spec_key(specs[0])])
-        with pytest.raises(UnknownResource, match="no cell"):
-            service.fetch_results(job["job"], ["f" * 64])
+        # Nothing is complete yet: a poll returns no event.
+        status = service.job_events(job["job"])
+        assert (status["events"], status["next"]) == ([], 0)
+        with pytest.raises(UnknownResource, match="unknown job"):
+            service.job_events("nope")
+        with pytest.raises(ProtocolError, match="non-negative"):
+            service.job_events(job["job"], since=-1)
         with pytest.raises(UnknownResource, match="unknown job"):
             service.job_status("nope")
         with pytest.raises(UnknownResource, match="unknown worker"):
             service.lease("nope")
+
+    def test_events_are_kept_without_payloads(self, service):
+        """The daemon keeps a job's events for its whole life; each
+        reply reads payloads afresh instead of storing them."""
+        specs = tiny_specs()
+        for entry in executed_entries(specs):
+            service.cache.merge_entry(entry["key"], entry["payload"])
+        job = self.submit(service, specs)
+        service.job_events(job["job"])
+        kept = service._jobs[job["job"]].events
+        assert len(kept) == len(specs)
+        assert all("payload" not in event for event in kept)
 
     def test_resubmitted_grid_is_answered_from_memory(
         self, service, entry_reads
     ):
         specs = tiny_specs()
         entries = executed_entries(specs)
-        self.submit(service, specs)  # a cold grid: four misses
+        cold = self.submit(service, specs)  # a cold grid: four misses
+        assert (cold["events"], cold["next"]) == ([], 0)
         for entry in entries:
             service.cache.merge_entry(entry["key"], entry["payload"])
         self.submit(service, specs)  # reads and validates each entry
         entry_reads.clear()
         job = self.submit(service, specs)
         assert (job["state"], job["hits"]) == ("done", len(specs))
-        keys = [entry["key"] for entry in entries]
-        fetched = service.fetch_results(job["job"], keys)["results"]
+        polled = service.job_events(job["job"])["events"]
         assert dict(entry_reads) == {}
-        assert fetched == {
-            key: (service.cache.root / f"{key}.json").read_bytes().decode()
-            for key in keys
+        files = {
+            entry["key"]: (service.cache.root / f"{entry['key']}.json")
+            .read_bytes()
+            .decode()
+            for entry in entries
         }
-        assert fetched == {
-            entry["key"]: entry["payload"] for entry in entries
-        }
+        for events in (job["events"], polled):
+            payloads = {event["key"]: event["payload"] for event in events}
+            assert payloads == files
+            assert payloads == {
+                entry["key"]: entry["payload"] for entry in entries
+            }
         # Memo hits are counted as the file reads they replace.
         assert service.stats()["cache"] == "8 hits, 4 misses"
 
@@ -378,8 +441,11 @@ class TestSweepService:
         worker = service.register_worker("w0")["worker"]
         lease = service.lease(worker, limit=1)
         service.upload(worker, job["job"], entries, lease_id=lease["lease"])
-        fetched = service.fetch_results(job["job"], [entries[0]["key"]])
-        assert fetched["results"][entries[0]["key"]] == entries[0]["payload"]
+        (event,) = service.job_events(job["job"])["events"]
+        path = service.cache.root / f"{entries[0]['key']}.json"
+        assert event["payload"] == entries[0]["payload"]
+        assert event["payload"] == path.read_bytes().decode()
+        assert (event["cached"], event["worker"]) == (False, "w0")
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +485,48 @@ def remote(server, **kwargs):
     kwargs.setdefault("poll_interval", 0.02)
     kwargs.setdefault("timeout", 60.0)
     return RemoteExecutor(server.url, **kwargs)
+
+
+class CountingHandler(_Handler):
+    """Records the TCP connections a daemon accepts (each with its
+    TCP_NODELAY setting) and the requests it routes, on the server it
+    belongs to."""
+
+    def setup(self):
+        super().setup()
+        self.server.connections.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+
+    def _dispatch(self, method):
+        self.server.requests.append((method, self.path.split("?")[0]))
+        super()._dispatch(method)
+
+
+def counted(server):
+    server.RequestHandlerClass = CountingHandler
+    server.connections = []
+    server.requests = []
+    return server
+
+
+def warm(cache, specs):
+    """``cache`` holding ``specs``' entries, as workers would leave it."""
+    for entry in executed_entries(specs):
+        cache.merge_entry(entry["key"], entry["payload"])
+    return cache
+
+
+@contextmanager
+def daemon(cache, port=0):
+    """A bare counted daemon (no workers) on a loopback port."""
+    server = counted(serve(cache=cache, port=port))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 class TestLoopback:
@@ -522,6 +630,165 @@ class TestLoopback:
             assert client.health()["ok"] is True
             job = client.submit(tiny_specs()[:1])
             assert job["state"] == "running"
+
+    def test_cached_resubmit_is_one_request_on_one_connection(
+        self, tmp_path
+    ):
+        """An all-cached grid is answered by its submit alone, and an
+        executor's client keeps one connection across its runs."""
+        reference = tiny_sweep().run(executor="serial")
+        cache = warm(ResultCache(tmp_path / "server-cache"), tiny_specs())
+        with daemon(cache) as server:
+            executor = remote(server)
+            for _ in range(3):
+                again = tiny_sweep().run(executor=executor)
+                assert again.to_csv() == reference.to_csv()
+            assert server.requests == [("POST", "/sweeps")] * 3
+            # One connection, which sends each reply without waiting
+            # for the client's delayed ACK (Nagle's algorithm off).
+            assert len(server.connections) == 1
+            assert all(server.connections)
+
+    def test_partly_cached_grid_reads_the_rest_off_polls(self, tmp_path):
+        """Cells the cache held arrive with the submit reply, the rest
+        with the polls; no request fetches results."""
+        reference = tiny_sweep().run(executor="serial")
+        cache = warm(ResultCache(tmp_path / "server-cache"), tiny_specs()[:2])
+        with loopback(cache) as server:
+            counted(server)
+            events = []
+            first = tiny_sweep().run(
+                executor=remote(server),
+                on_result=lambda spec, result, cached: events.append(cached),
+            )
+            assert first.to_csv() == reference.to_csv()
+            assert events == [True, True, False, False]
+            routes = {route for _, route in server.requests}
+            assert any(route.endswith("/events") for route in routes)
+            assert not any("results" in route for route in routes)
+            (job,) = ServiceClient(server.url).stats()["jobs"]
+            assert (job["hits"], job["executed"]) == (2, 2)
+
+    def test_kept_connection_reads_each_body(self, tmp_path):
+        """A body the daemon does not route is still read off the
+        connection, so the next request gets its own reply."""
+        with daemon(ResultCache(tmp_path / "server-cache")) as server:
+            host, port = server.server_address[:2]
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                connection.request(
+                    "POST", "/teapot", body=b'{"spilled": "body"}',
+                    headers={"Content-Type": "application/json"},
+                )
+                reply = connection.getresponse()
+                assert reply.status == 404
+                assert b"no such endpoint" in reply.read()
+                kept = connection.sock
+                connection.request("GET", "/health")
+                reply = connection.getresponse()
+                assert reply.status == 200
+                assert json.loads(reply.read())["ok"] is True
+                assert connection.sock is kept
+            finally:
+                connection.close()
+            assert len(server.connections) == 1
+
+    def test_undeclared_body_closes_the_connection(self, tmp_path):
+        with daemon(ResultCache(tmp_path / "server-cache")) as server:
+            host, port = server.server_address[:2]
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                connection.request(
+                    "POST", "/sweeps", body=iter([b'{"specs": []}']),
+                    headers={"Content-Type": "application/json"},
+                    encode_chunked=True,
+                )
+                reply = connection.getresponse()
+                assert reply.status == 400
+                assert reply.getheader("Connection") == "close"
+                reply.read()
+            finally:
+                connection.close()
+
+    def test_client_resends_once_after_an_idle_close(
+        self, tmp_path, monkeypatch
+    ):
+        """The daemon closes an idle connection; the client's next
+        request goes once more on a fresh one, and no submit is
+        applied twice."""
+        monkeypatch.setattr(_Handler, "timeout", 0.05)
+        cache = warm(ResultCache(tmp_path / "server-cache"), tiny_specs())
+        with daemon(cache) as server:
+            client = ServiceClient(server.url)
+            client.submit(tiny_specs())
+            time.sleep(0.3)  # well past the idle timeout
+            status = client.submit(tiny_specs())
+            assert status["state"] == "done"
+            assert len(server.connections) == 2
+            assert server.requests == [("POST", "/sweeps")] * 2
+            assert len(server.service.stats()["jobs"]) == 2
+
+    def test_client_resends_once_after_a_restart(self, tmp_path):
+        """A daemon restarted on the same port serves the kept client;
+        a daemon that stays down fails it with ServiceError."""
+        cache = warm(ResultCache(tmp_path / "server-cache"), tiny_specs())
+        client = None
+        with daemon(cache) as first:
+            port = first.server_address[1]
+            client = ServiceClient(first.url)
+            client.submit(tiny_specs())
+        with daemon(ResultCache(cache.root), port=port) as second:
+            status = client.submit(tiny_specs())
+            assert status["state"] == "done"
+            assert second.requests == [("POST", "/sweeps")]
+        assert len(first.service.stats()["jobs"]) == 1
+        assert len(second.service.stats()["jobs"]) == 1
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.health()
+
+    def test_client_leaves_no_resource_warning(self, tmp_path):
+        cache = warm(ResultCache(tmp_path / "server-cache"), tiny_specs())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with daemon(cache) as server:
+                client = ServiceClient(server.url)
+                client.health()
+                client.close()
+                client.health()  # a closed client opens a new connection
+                executor = remote(server)
+                tiny_sweep().run(executor=executor)
+                del client, executor
+                gc.collect()
+            gc.collect()
+        assert len(server.connections) == 3
+        leaked = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert leaked == []
+
+    def test_https_urls_speak_tls(self, monkeypatch):
+        opened = []
+
+        def refused(connection):
+            opened.append((connection.host, connection.port))
+            raise ConnectionRefusedError("no daemon here")
+
+        # Stop at the TLS connection's connect: no socket is opened.
+        monkeypatch.setattr(http.client.HTTPSConnection, "connect", refused)
+        client = ServiceClient("https://farm.invalid:8443")
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.health()
+        assert opened == [("farm.invalid", 8443)]
+
+    def test_version_one_submit_is_refused(self, tmp_path):
+        with daemon(ResultCache(tmp_path / "server-cache")) as server:
+            client = ServiceClient(server.url)
+            body = {"version": 1, "specs": specs_to_wire(tiny_specs())}
+            with pytest.raises(ServiceError, match="400: .*version 1"):
+                client._request("POST", "/sweeps", body)
+            assert server.service.stats()["jobs"] == []
 
     def test_rejected_service_closes_the_listening_socket(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:

@@ -687,6 +687,36 @@ class TestFinishedCellsLetTheirMachineGo:
         assert len(machines) == len(frameworks) == 9
         assert alive == []
 
+    def test_finished_oo_frameworks_need_no_collector(self, monkeypatch):
+        """OO-VR's and OO_APP's batch builders keep what they read, not
+        their framework, so a finished cell's framework is freed by
+        reference counting."""
+        import gc
+        import weakref
+
+        from repro.core.oovr import OOAppFramework, OOVRFramework
+
+        frameworks = []
+        for cls in (OOAppFramework, OOVRFramework):
+
+            def tracked(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                frameworks.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", tracked)
+        sweep = Sweep().frameworks("oo-vr", "oo-app").workloads("HL2-640")
+        gc.collect()
+        gc.disable()
+        try:
+            sweep.fast().run()
+            alive = [
+                type(ref()).__name__ for ref in frameworks if ref() is not None
+            ]
+        finally:
+            gc.enable()
+        assert len(frameworks) == 2
+        assert alive == []
+
     def test_session_run_keeps_its_machine(self, monkeypatch):
         machines = self._machines(monkeypatch)
         session = Session().framework("oo-vr").workload("HL2-640").fast()
