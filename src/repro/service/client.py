@@ -91,9 +91,8 @@ class ServiceClient:
     def close(self) -> None:
         """Close every idle connection; a later request opens a new one."""
         with self._lock:
-            idle = list(self._idle)
+            _close_all(self._idle)
             self._idle.clear()
-        _close_all(idle)
 
     def _exchange(
         self, method: str, path: str, data: Optional[bytes], headers

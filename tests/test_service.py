@@ -721,7 +721,10 @@ class TestLoopback:
         with daemon(cache) as server:
             client = ServiceClient(server.url)
             client.submit(tiny_specs())
-            time.sleep(0.3)  # well past the idle timeout
+            deadline = time.monotonic() + 10
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the daemon closed it idle
+            assert not server._connections
             status = client.submit(tiny_specs())
             assert status["state"] == "done"
             assert len(server.connections) == 2
