@@ -952,6 +952,10 @@ class TestCliService:
         )
         assert code == 2
         assert "http://" in err
+        # A URL naming no host is refused before any connection.
+        code, _, err = self.run_cli(capsys, *self.GRID, "--server", "http://")
+        assert code == 2
+        assert "names no host" in err
 
     def test_bad_serve_and_worker_flags_exit_2(
         self, capsys, monkeypatch, tmp_path
