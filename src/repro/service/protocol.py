@@ -53,8 +53,7 @@ from repro.session.spec import RunSpec, SpecError
 
 #: Bumped whenever a message shape changes; the server rejects clients
 #: and workers speaking another version instead of mis-parsing them.
-#: Version 2: completion events carry their entry payloads, and the
-#: ``/results`` fetch is gone.
+#: Version 2: completion events carry their entry payloads.
 PROTOCOL_VERSION = 2
 
 

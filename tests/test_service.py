@@ -16,6 +16,7 @@ import http.client
 import json
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -748,6 +749,42 @@ class TestLoopback:
         assert len(second.service.stats()["jobs"]) == 1
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
+
+    def test_threads_sharing_a_client_never_share_a_connection(
+        self, tmp_path
+    ):
+        """More threads than cores poll through one client with a short
+        switch interval; each reply answers its own thread's request."""
+        specs = tiny_specs()
+        cache = warm(ResultCache(tmp_path / "server-cache"), specs)
+        with daemon(cache) as server:
+            client = ServiceClient(server.url)
+            jobs = [str(client.submit([spec])["job"]) for spec in specs]
+            errors = []
+
+            def poll(job_id):
+                try:
+                    for _ in range(50):
+                        assert client.job(job_id)["job"] == job_id
+                except Exception as error:  # reported below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=poll, args=(job,)) for job in jobs
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(server.requests) == len(jobs) * 51
+            assert len(server.connections) <= len(jobs)
 
     def test_client_leaves_no_resource_warning(self, tmp_path):
         cache = warm(ResultCache(tmp_path / "server-cache"), tiny_specs())
