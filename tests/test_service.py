@@ -397,8 +397,7 @@ class TestSweepService:
         """The daemon keeps a job's events for its whole life; each
         reply reads payloads afresh instead of storing them."""
         specs = tiny_specs()
-        for entry in executed_entries(specs):
-            service.cache.merge_entry(entry["key"], entry["payload"])
+        warm(service.cache, specs)
         job = self.submit(service, specs)
         service.job_events(job["job"])
         kept = service._jobs[job["job"]].events
