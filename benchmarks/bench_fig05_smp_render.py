@@ -23,6 +23,7 @@ from repro.render import (
     StereoRenderMode,
     validate_scene,
 )
+from repro.scene.scene import Frame
 
 from benchmarks.conftest import record_output
 from benchmarks.bench_scenes import build_temple_scene
@@ -31,19 +32,23 @@ EYE_W, EYE_H = 256, 256
 
 
 def _smp_speedup_from_models(render_objects) -> float:
-    """Price the measured frame both ways through the cost model."""
+    """Price the measured frame both ways through the cost model: the
+    stereo draw stream under sequential stereo against one multi-view
+    draw per object under SMP."""
     config = baseline_system()
     characterizer = DrawCharacterizer(config)
-    sequential = 0.0
-    smp = 0.0
-    for obj in render_objects:
-        for draw in obj.stereo_draws():
-            unit = characterizer.characterize(draw, mode=SMPMode.SEQUENTIAL)
-            sequential += price_work_unit(unit, config.gpm, config.cost).compute_cycles
-        unit = characterizer.characterize(
-            obj.multiview_draw(), mode=SMPMode.SIMULTANEOUS
-        )
-        smp += price_work_unit(unit, config.gpm, config.cost).compute_cycles
+    frame = Frame(objects=tuple(render_objects), width=EYE_W, height=EYE_H)
+
+    def compute_cycles(mode: SMPMode, expansion: str) -> float:
+        # A plain loop in draw order: builtin sum() compensates float
+        # rounding on Python 3.12+, which would move the total.
+        total = 0.0
+        for unit in characterizer.characterize_frame(frame, mode, expansion):
+            total += price_work_unit(unit, config.gpm, config.cost).compute_cycles
+        return total
+
+    sequential = compute_cycles(SMPMode.SEQUENTIAL, "stereo")
+    smp = compute_cycles(SMPMode.SIMULTANEOUS, "multiview")
     return sequential / smp if smp else 1.0
 
 

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the simulator itself (not a paper figure).
 
-Tracks the cost of the hot paths — draw characterisation, NUMA-resolved
+Tracks the cost of the hot paths — frame characterisation, NUMA-resolved
 unit execution, and a full OO-VR frame — so performance regressions in
 the simulator are visible in CI, plus the dispatch overhead of each
 sweep-executor backend (``BENCH_service_throughput.json``).
@@ -32,19 +32,23 @@ GOLDEN_BASELINE = (
 )
 
 
-def test_characterize_draw(benchmark):
+def test_characterize_frame(benchmark):
+    """One frame's Eq. 3 pass, with the frame memo patched out so each
+    round builds the unit table afresh instead of timing a memo hit."""
     scene = scene_for("HL2-1280", BENCH)
     fw = build_framework("baseline")
-    draw = scene.frames[0].objects[0].multiview_draw()
-    benchmark(fw.characterizer.characterize, draw, SMPMode.SIMULTANEOUS)
+    with MEMO_FREE.patch():
+        benchmark(
+            fw.characterizer.characterize_frame,
+            scene.frames[0],
+            SMPMode.SIMULTANEOUS,
+        )
 
 
 def test_execute_unit(benchmark):
     scene = scene_for("HL2-1280", BENCH)
     fw = build_framework("baseline")
-    unit = fw.characterizer.characterize(
-        scene.frames[0].objects[0].multiview_draw()
-    )
+    unit = fw.characterizer.characterize_frame(scene.frames[0])[0]
     system = MultiGPUSystem(fw.config)
     system.begin_frame()
 

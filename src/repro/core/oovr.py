@@ -90,7 +90,7 @@ class _BatchBuilder:
             # One vectorized pass prices every object's multi-view draw
             # (frame.object_batch order == frame.objects order); each
             # batch then just gathers its members' units in draw order,
-            # so the merge sees the exact units the per-draw loop built.
+            # so the merge sees the exact units a per-draw walk builds.
             units_by_object = dict(
                 zip(
                     (obj.object_id for obj in frame.objects),

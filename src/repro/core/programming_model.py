@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.pipeline.smp import SMPEngine
+from repro.pipeline.smp import project_viewports
 from repro.scene.geometry import Mesh, Viewport, full_screen
 from repro.scene.objects import RenderObject, StereoDraw
 from repro.scene.scene import Frame
@@ -70,7 +70,7 @@ class OOObjectBuilder:
 
     def auto_viewports(self, original: Viewport) -> "OOObjectBuilder":
         """Auto mode: derive both eye views by shifting ``original``."""
-        left, right = SMPEngine.project_viewports(
+        left, right = project_viewports(
             original,
             half_offset=self._app.half_offset,
             eye_bounds_left=self._app.eye_bounds,
@@ -205,7 +205,7 @@ class OOApplication:
         for obj in frame.objects:
             original = obj.viewport_left or obj.viewport_right
             assert original is not None  # Frame invariant
-            left, right = SMPEngine.project_viewports(
+            left, right = project_viewports(
                 original,
                 half_offset=app.half_offset,
                 eye_bounds_left=app.eye_bounds,

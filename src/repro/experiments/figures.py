@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.config import baseline_system
 from repro.experiments.runner import FULL, ExperimentConfig, with_average
-from repro.frameworks.base import build_framework
 from repro.session import ResultSet, Sweep
 from repro.stats.metrics import geomean
 from repro.stats.reporting import series_table
@@ -410,33 +409,44 @@ def smp_validation(
 
     Mirrors the paper's validation of the ATTILA SMP engine: the same
     frames rendered as two sequential per-eye passes and as SMP
-    multi-view draws on a single-GPM system.  The comparison drives the
+    multi-view draws on a single-GPM system.  Each mode's unit table
+    (the stereo draw stream, or one multi-view draw per object) is
+    bound whole on GPM 0 through the slice pass, the static schedule
+    the baseline family and AFR use.  The comparison drives the
     pipeline below the framework layer, so it runs serially and
     in-process, outside any :func:`~repro.session.sweep_defaults`
     block's executor.
     """
+    import numpy as np
+
+    from repro.engine.split import slice_schedule
     from repro.gpu.system import MultiGPUSystem
+    from repro.pipeline.characterize import DrawCharacterizer
     from repro.pipeline.smp import SMPMode
     from repro.session import Session
 
     config = baseline_system(num_gpms=1)
+    characterizer = DrawCharacterizer(config)
+    expansions = {
+        SMPMode.SEQUENTIAL: "stereo",
+        SMPMode.SIMULTANEOUS: "multiview",
+    }
     speedups: Dict[str, float] = {}
     for workload in experiment.workloads:
         scene = Session().preset(experiment).workload(workload).scene()
         frame = scene.representative_frame
-        framework = build_framework("baseline", config)
 
         def frame_cycles(mode: SMPMode) -> float:
+            table = characterizer.unit_columns(frame, mode, expansions[mode])
             system = MultiGPUSystem(config)
             system.begin_frame()
-            draws = (
-                frame.stereo_draws()
-                if mode is SMPMode.SEQUENTIAL
-                else frame.multiview_draws()
+            system.engine.execute_split(
+                table,
+                slice_schedule(
+                    np.arange(len(table)), 0, table.labels,
+                    fb_targets={0: 1.0},
+                ),
             )
-            for draw in draws:
-                unit = framework.characterizer.characterize(draw, mode=mode)
-                system.execute_unit(unit, 0, fb_targets={0: 1.0})
             return system.frame_result("smp-check", workload).cycles
 
         sequential = frame_cycles(SMPMode.SEQUENTIAL)

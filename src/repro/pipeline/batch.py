@@ -1,10 +1,25 @@
 """Vectorized draw characterisation over :class:`ObjectBatch` columns.
 
-This is the batched twin of :meth:`DrawCharacterizer.characterize`: one
-numpy pass computes every per-draw counter of a frame — SMP geometry
-work, fragment/texel demand, depth and colour traffic, and the
+The pipeline's one Eq. 3 characterisation: one numpy pass computes
+every per-draw counter of a frame — SMP geometry work (stage 1),
+fragment/texel demand (stage 3), depth and colour traffic, and the
 per-texture stream/unique touch bytes (in CSR layout mirroring the
-batch's binding table).  One reader turns the counters into units:
+batch's binding table).
+
+The fragment process is where nearly all of a frame's memory traffic
+originates: every fragment samples its material textures (16x
+anisotropic filtering multiplies taps), tests depth, and writes colour.
+A draw's texture demand splits into *stream* bytes (post-L1: a
+calibrated leak fraction of the raw texel demand, floored at the
+unique footprint) and *unique* bytes (the distinct texels at the active
+mip level, bounded by the texture's size and the fragment count).
+That split is what makes NUMA placement matter: local touches cost
+``unique`` bytes of DRAM (the memory-side L2 absorbs re-reads), while
+remote touches cost ``stream x (1 - remote cache hit)`` bytes of link
+bandwidth, because the local L2 cannot cache remote addresses
+(Section 2.3 / MCM-GPU).
+
+One reader turns the counters into units:
 :func:`unit_columns` reads them into a
 :class:`~repro.pipeline.workunit.UnitColumns` table whose columns are
 gathers of the counters and the batch, with one
@@ -20,7 +35,8 @@ left-associated, ``min``/``max`` become ``np.minimum``/``np.maximum``,
 and no float reduction is reordered.  int64 → float64 conversions are
 exact for every count in range.  ``tests/test_soa_batches.py`` asserts
 field-for-field equality (touches included) of the table's units
-against the scalar path.
+against the per-draw scalar walk, which lives in the oracle table
+(``tests/oracles.py::characterize_reference``).
 
 Purity contract: :func:`frame_counters` is a pure function of the
 frame's :class:`ObjectBatch` plus hashable config slices (cost model,
@@ -41,7 +57,6 @@ import numpy as np
 
 from repro.config import CostModel
 from repro.memory.address import texture_resource, vertex_resource
-from repro.pipeline.fragment import MIN_TOUCH_BYTES
 from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import UnitColumns
 from repro.scene.batch import ObjectBatch
@@ -52,6 +67,9 @@ __all__ = [
     "frame_counters",
     "unit_columns",
 ]
+
+#: Smallest footprint a texture bind ever touches (a few mip tiles).
+MIN_TOUCH_BYTES = 4096.0
 
 #: Eye codes used in :attr:`FrameCounters.eye_codes`.
 EYE_LEFT, EYE_RIGHT, EYE_BOTH = 0, 1, 2
@@ -144,7 +162,7 @@ def frame_counters(
     )
     fragments = covered * batch.depth_complexity[obj_index]
 
-    # Geometry / SMP stage (repro.pipeline.smp.geometry_work).
+    # Geometry / SMP stage (Section 3's SMP engine).
     num_vertices = batch.num_vertices[obj_index].astype(np.float64)
     num_triangles = batch.num_triangles[obj_index].astype(np.float64)
     survival = cost.cull_survival
@@ -164,7 +182,7 @@ def frame_counters(
     multi_view = both & (mode is SMPMode.SIMULTANEOUS)
     view_reuse = np.where(multi_view, 2.0, 1.0)
 
-    # Fragment-stage demand (repro.pipeline.fragment).
+    # Fragment-stage demand.
     texel_requests = (
         fragments * cost.samples_per_fragment
     ) * cost.anisotropic_texels_per_sample
@@ -242,13 +260,10 @@ def unit_columns(
 ) -> UnitColumns:
     """The frame's unit table, read straight from its counters.
 
-    One unit per draw, field for field the unit
-    :meth:`DrawCharacterizer.characterize
-    <repro.pipeline.characterize.DrawCharacterizer.characterize>`
-    builds for it: each draw's texture touches in binding order,
-    duplicates included (none for an ``empty_touches`` draw), then its
-    vertex touch, with resources interned by value in first-touch
-    order.
+    One unit per draw, labelled ``"<object name>:<eye>"``: each
+    draw's texture touches in binding order, duplicates included (none
+    for an ``empty_touches`` draw), then its vertex touch, with
+    resources interned by value in first-touch order.
     """
     draws = len(counters)
     obj_index = counters.obj_index

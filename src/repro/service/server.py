@@ -248,8 +248,7 @@ class SweepService:
         completed is read byte for byte)."""
         text = self.cache.recall(key)
         if text is None:
-            path = self.cache.root / f"{key}.json"
-            text = path.read_text(encoding="utf-8")
+            text = self.cache.entry_path(key).read_text(encoding="utf-8")
         return text
 
     def submit(self, documents: object) -> Dict[str, object]:

@@ -267,9 +267,10 @@ class ResultCache:
         return spec_key(spec)
 
     def path_for(self, spec: RunSpec) -> Path:
-        return self._path(self.key(spec))
+        return self.entry_path(self.key(spec))
 
-    def _path(self, key: str) -> Path:
+    def entry_path(self, key: str) -> Path:
+        """Where the entry stored under ``key`` lives."""
         return self.root / f"{key}{_ENTRY_SUFFIX}"
 
     def _entries(self) -> Iterator[Path]:
@@ -287,7 +288,7 @@ class ResultCache:
         return [path.stem for path in self._entries()]
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
+        return self.entry_path(key).is_file()
 
     # -- lookup and store ---------------------------------------------------
 
@@ -304,7 +305,7 @@ class ResultCache:
         """
         key = self.key(spec)
         try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
+            with open(self.entry_path(key), "r", encoding="utf-8") as handle:
                 text = handle.read()
                 identity = _identity(os.fstat(handle.fileno()))
             entry = json.loads(text)
@@ -384,7 +385,7 @@ class ResultCache:
         see complete entries and the last writer wins whole-file.
         """
         key = self.key(spec)
-        path = self._path(key)
+        path = self.entry_path(key)
         atomic_write(path, encode_entry(spec, result))
         self._validated.pop(key, None)
         self.stats.stores += 1
@@ -413,7 +414,7 @@ class ResultCache:
             )
         if not is_entry_key(key):
             raise ValueError(f"not a cache entry key: {key!r}")
-        destination = self._path(key)
+        destination = self.entry_path(key)
         if not destination.is_file():
             atomic_write(destination, payload)
             self._validated.pop(key, None)
@@ -458,6 +459,8 @@ class ResultCache:
         shard owned which keys — ``oovr cache manifest DIR`` audits
         coverage from them.
         """
+        from repro.session.executor import shard_manifest_paths
+
         if on_conflict not in ("error", "keep", "replace"):
             raise ValueError(
                 f"on_conflict must be 'error', 'keep' or 'replace', "
@@ -482,13 +485,11 @@ class ResultCache:
                 ) from None
             # Outcome names match the MergeStats counter fields.
             setattr(stats, outcome, getattr(stats, outcome) + 1)
-        for manifest in sorted(other.root.glob("*.manifest.json")):
-            if manifest.is_file():
-                atomic_write(
-                    self.root / manifest.name,
-                    manifest.read_text(encoding="utf-8"),
-                )
-                stats.manifests += 1
+        for manifest in shard_manifest_paths(other.root):
+            atomic_write(
+                self.root / manifest.name, manifest.read_text(encoding="utf-8")
+            )
+            stats.manifests += 1
         return stats
 
     # -- maintenance --------------------------------------------------------

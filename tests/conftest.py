@@ -10,6 +10,9 @@ import json
 import pytest
 
 from repro.config import SystemConfig, baseline_system
+from repro.pipeline.characterize import DrawCharacterizer
+from repro.pipeline.smp import SMPMode
+from repro.pipeline.workunit import WorkUnit
 from repro.scene.geometry import Mesh, Viewport
 from repro.scene.objects import RenderObject
 from repro.scene.scene import Frame, Scene
@@ -68,6 +71,11 @@ def pool() -> TexturePool:
     return TexturePool()
 
 
+@pytest.fixture
+def characterizer(config: SystemConfig) -> DrawCharacterizer:
+    return DrawCharacterizer(config)
+
+
 def make_object(
     object_id: int,
     pool: TexturePool,
@@ -93,6 +101,29 @@ def make_object(
         viewport_right=None if mono else right,
         depends_on=depends_on,
     )
+
+
+def object_units(
+    characterizer: DrawCharacterizer,
+    obj: RenderObject,
+    mode: SMPMode = SMPMode.SIMULTANEOUS,
+    expansion: str = "multiview",
+) -> tuple[WorkUnit, ...]:
+    """``obj``'s work units as production builds them: the unit table
+    of a frame holding ``obj`` alone, read out as units."""
+    frame = Frame(objects=(obj,), width=1280, height=1024)
+    return characterizer.characterize_frame(frame, mode, expansion)
+
+
+def unit_for(
+    characterizer: DrawCharacterizer,
+    pool: TexturePool,
+    object_id: int = 0,
+    **kwargs,
+) -> WorkUnit:
+    """The SMP multi-view unit of one :func:`make_object` object."""
+    (unit,) = object_units(characterizer, make_object(object_id, pool, **kwargs))
+    return unit
 
 
 @pytest.fixture

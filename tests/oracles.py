@@ -72,8 +72,11 @@ from repro.engine.event import (
     _SimResult,
     _spans,
 )
+from repro.config import CostModel
+from repro.memory.address import Touch, texture_resource, vertex_resource
 from repro.memory.cache import _hit_rate, miss_bytes
 from repro.memory.remote_cache import RemoteCache
+from repro.pipeline.batch import MIN_TOUCH_BYTES
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import UnitColumns, WorkUnit
@@ -86,7 +89,7 @@ from repro.render.raster import (
     checker_shader,
 )
 from repro.scene.geometry import Mesh, Viewport
-from repro.scene.objects import RenderObject
+from repro.scene.objects import Eye, RenderObject, StereoDraw
 from repro.scene.scene import Frame, Scene
 from repro.scene.synthetic import SyntheticSceneGenerator
 from repro.scene.texture import Texture
@@ -850,17 +853,194 @@ def derived_memo_free(
     return build()
 
 
+@dataclass(frozen=True)
+class GeometryWork:
+    """Geometry-stage work for one scheduled draw."""
+
+    vertices: float
+    triangles_setup: float
+    triangles_raster: float
+    views: int
+
+
+def geometry_work_reference(
+    cost: CostModel, draw: StereoDraw, mode: SMPMode
+) -> GeometryWork:
+    """Vertex/triangle counts for ``draw`` under ``mode``.
+
+    ``SEQUENTIAL`` mode on an ``Eye.BOTH`` draw prices *both* full
+    passes (the caller chose not to split the draw); per-eye draws
+    are unaffected by the mode.
+    """
+    mesh = draw.mesh
+    views = draw.view_count
+    survival = cost.cull_survival
+    if views == 1:
+        return GeometryWork(
+            vertices=float(mesh.num_vertices),
+            triangles_setup=float(mesh.num_triangles),
+            triangles_raster=mesh.num_triangles * survival,
+            views=1,
+        )
+    if mode is SMPMode.SEQUENTIAL:
+        return GeometryWork(
+            vertices=2.0 * mesh.num_vertices,
+            triangles_setup=2.0 * mesh.num_triangles,
+            triangles_raster=2.0 * mesh.num_triangles * survival,
+            views=2,
+        )
+    # Simultaneous: shade once, duplicate projections.  The first
+    # view pays full input assembly + setup; the duplicated view's
+    # triangles arrive already transformed, so re-projection costs
+    # half a setup pass plus the SMP engine overhead.  Both views
+    # rasterise in full.
+    setup = mesh.num_triangles * (1.5 + cost.smp_projection_overhead)
+    return GeometryWork(
+        vertices=float(mesh.num_vertices),
+        triangles_setup=setup,
+        triangles_raster=2.0 * mesh.num_triangles * survival,
+        views=2,
+    )
+
+
+def texture_touches_reference(
+    textures: Sequence[Texture],
+    fragments: float,
+    cost: CostModel,
+    view_reuse: float = 1.0,
+) -> Tuple[float, Tuple[Touch, ...]]:
+    """Texel demand and per-texture touches for ``fragments``.
+
+    ``view_reuse`` models SMP multi-view texture sharing: when the two
+    eye views render back-to-back on the same GPM, the second view's
+    samples hit the same texels (small disparity), so its *unique*
+    contribution collapses.  ``view_reuse=1`` means no sharing (mono or
+    sequential stereo); ``2`` means two views share one footprint.
+    """
+    if fragments < 0:
+        raise ValueError("fragments cannot be negative")
+    if view_reuse < 1.0:
+        raise ValueError("view_reuse is at least 1")
+    texel_requests = (
+        fragments * cost.samples_per_fragment * cost.anisotropic_texels_per_sample
+    )
+    raw_bytes = texel_requests * cost.bytes_per_texel
+    if not textures or raw_bytes == 0:
+        return texel_requests, ()
+
+    total_size = float(sum(t.size_bytes for t in textures))
+    touches = []
+    for texture in textures:
+        weight = texture.size_bytes / total_size
+        raw_share = raw_bytes * weight
+        # Unique texels: one view's fragments touch ~1 texel each at the
+        # matched mip level; capped by the texture itself.
+        unique = min(
+            float(texture.size_bytes),
+            max(
+                MIN_TOUCH_BYTES,
+                fragments * weight * cost.bytes_per_texel / view_reuse,
+            ),
+        )
+        stream = max(unique, raw_share * cost.l1_texture_leak / view_reuse)
+        touches.append(
+            Touch(
+                resource=texture_resource(texture.texture_id, texture.size_bytes),
+                unique_bytes=unique,
+                stream_bytes=stream,
+            )
+        )
+    return texel_requests, tuple(touches)
+
+
+def depth_and_color_reference(
+    fragments: float,
+    pixels_out: float,
+    cost: CostModel,
+) -> Tuple[float, float, float]:
+    """(z stream, z unique, colour write) bytes for the raster output.
+
+    Every fragment is depth-tested (stream); the touched depth region
+    is the covered pixels (unique); survivors write colour.
+    """
+    if fragments < 0 or pixels_out < 0:
+        raise ValueError("counts cannot be negative")
+    z_stream = fragments * cost.bytes_per_ztest
+    z_unique = pixels_out * cost.bytes_per_ztest
+    fb_write = pixels_out * cost.bytes_per_pixel_out
+    return z_stream, z_unique, fb_write
+
+
+def characterize_reference(
+    cost: CostModel,
+    draw: StereoDraw,
+    mode: SMPMode = SMPMode.SIMULTANEOUS,
+    label: Optional[str] = None,
+) -> WorkUnit:
+    """One draw priced into a work unit, the scalar Eq. 3 walk.
+
+    ``mode`` selects SMP behaviour for ``Eye.BOTH`` draws; per-eye
+    draws ignore it.  SMP multi-view draws share texture footprints
+    across the two views (``view_reuse=2``), which is the texture
+    half of the paper's "data locality between the left and right
+    views of the same object".
+    """
+    geometry = geometry_work_reference(cost, draw, mode)
+    fragments = draw.fragments
+    pixels = draw.covered_pixels
+
+    multi_view = draw.eye is Eye.BOTH and mode is SMPMode.SIMULTANEOUS
+    view_reuse = 2.0 if multi_view else 1.0
+    texel_requests, texture_touches = texture_touches_reference(
+        draw.textures, fragments, cost, view_reuse=view_reuse
+    )
+    z_stream, z_unique, fb_write = depth_and_color_reference(
+        fragments, pixels, cost
+    )
+
+    mesh = draw.mesh
+    vertex_bytes = geometry.vertices * cost.bytes_per_vertex
+    vertex_touch = Touch(
+        resource=vertex_resource(
+            draw.obj.object_id, max(1, mesh.vertex_buffer_bytes)
+        ),
+        unique_bytes=float(mesh.vertex_buffer_bytes),
+        stream_bytes=max(float(mesh.vertex_buffer_bytes), vertex_bytes),
+    )
+
+    # Sequential stereo on a BOTH draw issues two passes: the second
+    # pass re-reads the textures with no sharing (temporally distant),
+    # so streams and uniques both double relative to one view.
+    return WorkUnit(
+        label=label or f"{draw.obj.name}:{draw.eye.value}",
+        views=geometry.views,
+        vertices=geometry.vertices,
+        triangles_setup=geometry.triangles_setup,
+        triangles_raster=geometry.triangles_raster,
+        fragments=fragments,
+        pixels_out=pixels,
+        texel_requests=texel_requests,
+        shader_complexity=draw.obj.shader_complexity,
+        texture_touches=texture_touches,
+        vertex_touches=(vertex_touch,),
+        z_stream_bytes=z_stream,
+        z_unique_bytes=z_unique,
+        fb_write_bytes=fb_write,
+        command_bytes=cost.command_bytes_per_draw,
+    )
+
+
 def characterize_frame_reference(
     characterizer: DrawCharacterizer,
     frame: Frame,
     mode: SMPMode = SMPMode.SIMULTANEOUS,
     expansion: str = "multiview",
 ) -> Tuple[WorkUnit, ...]:
-    """The frame's work units, one per-draw
-    :meth:`~DrawCharacterizer.characterize` call each, with no memo."""
+    """The frame's work units, one :func:`characterize_reference` call
+    per draw, with no memo."""
     draws = {"multiview": frame.multiview_draws, "stereo": frame.stereo_draws}
     return tuple(
-        characterizer.characterize(draw, mode=mode)
+        characterize_reference(characterizer.cost, draw, mode)
         for draw in draws[expansion]()
     )
 
@@ -1208,7 +1388,7 @@ def per_slice_tile_render_frame_on(self, system, frame, workload):
     else:
         stream = [(d, SMPMode.SIMULTANEOUS) for d in frame.multiview_draws()]
     for draw, mode in stream:
-        unit = self.characterizer.characterize(draw, mode=mode)
+        unit = characterize_reference(cost, draw, mode)
         viewports = self.stereo_space_viewports(draw, frame.width)
         shares = normalize_pixel_shares(strip_shares(viewports, strips))
         for share in shares:
@@ -1372,7 +1552,7 @@ UNIT_TABLE = Oracle(
     "repro.pipeline.characterize.DrawCharacterizer.unit_columns",
     unit_columns_reference,
     "Eq. 3 characterisation as columns from the frame's counters: "
-    "per-draw characterize, read into a table",
+    "per-draw characterize_reference, read into a table",
 )
 L2_MISSES = Oracle(
     "repro.engine.split.miss_bytes_columns",

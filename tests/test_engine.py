@@ -29,31 +29,18 @@ from repro.frameworks.base import build_framework
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.placement import PagePlacement, PlacementPolicy
 from repro.pipeline.characterize import DrawCharacterizer
-from repro.pipeline.smp import SMPMode
 from repro.pipeline.workunit import UnitColumns
 from repro.scene.scene import Scene
 from repro.session import Session, SessionError, Sweep, sweep_defaults
 from repro.session.cache import ResultCache, config_fingerprint, spec_key
 from repro.session.spec import FAST, RunSpec, SpecError, cached_scene
-from tests.conftest import MB, make_object
+from tests.conftest import MB, unit_for
 from tests.oracles import (
     PER_SLICE_FRAMES,
     WINDOW_LOOP,
     per_slice,
     simulate_reference,
 )
-
-
-def unit_for(characterizer, pool, object_id=0, **kwargs):
-    return characterizer.characterize(
-        make_object(object_id, pool, **kwargs).multiview_draw(),
-        mode=SMPMode.SIMULTANEOUS,
-    )
-
-
-@pytest.fixture
-def characterizer(config):
-    return DrawCharacterizer(config)
 
 
 def fast_scene(workload="HL2-640"):

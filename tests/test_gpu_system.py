@@ -6,9 +6,7 @@ from repro.gpu.composition import compose_distributed, compose_master
 from repro.gpu.staging import StagingManager
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.link import TrafficType
-from repro.pipeline.characterize import DrawCharacterizer
-from repro.pipeline.smp import SMPMode
-from tests.conftest import make_object
+from tests.conftest import unit_for
 
 
 @pytest.fixture
@@ -16,18 +14,6 @@ def system(config):
     sys_ = MultiGPUSystem(config)
     sys_.begin_frame()
     return sys_
-
-
-@pytest.fixture
-def characterizer(config):
-    return DrawCharacterizer(config)
-
-
-def unit_for(characterizer, pool, object_id=0, **kwargs):
-    return characterizer.characterize(
-        make_object(object_id, pool, **kwargs).multiview_draw(),
-        mode=SMPMode.SIMULTANEOUS,
-    )
 
 
 class TestExecuteUnit:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import CostModel
-from repro.pipeline.characterize import DrawCharacterizer
-from repro.pipeline.fragment import depth_and_color_demand, texture_touches_for_draw
 from repro.pipeline.raster import strip_share_columns
 from repro.pipeline.rop import distributed_composition, master_composition
-from repro.pipeline.smp import SMPEngine, SMPMode
+from repro.pipeline.smp import SMPMode, project_viewports
 from repro.pipeline.timing import price_work_unit
 from repro.pipeline.workunit import merge_units
 from repro.scene.geometry import (
@@ -18,98 +16,102 @@ from repro.scene.geometry import (
     vertical_strips,
 )
 from repro.scene.objects import Eye
-from tests.conftest import MB, make_object
+from tests.conftest import MB, make_object, object_units, unit_for
 from tests.oracles import (
+    depth_and_color_reference,
     normalize_pixel_shares,
     strip_share_columns_reference,
     strip_shares,
+    texture_touches_reference,
 )
 
 
-@pytest.fixture
-def characterizer(config):
-    return DrawCharacterizer(config)
-
-
 class TestSMPEngine:
-    def test_sequential_stereo_doubles_geometry(self, config, pool):
-        engine = SMPEngine(config.cost)
-        draw = make_object(0, pool).multiview_draw()
-        seq = engine.geometry_work(draw, SMPMode.SEQUENTIAL)
-        smp = engine.geometry_work(draw, SMPMode.SIMULTANEOUS)
+    """Section 3's SMP engine, as the unit table prices it."""
+
+    def test_sequential_stereo_doubles_geometry(self, characterizer, pool):
+        obj = make_object(0, pool)
+        (seq,) = object_units(characterizer, obj, SMPMode.SEQUENTIAL)
+        (smp,) = object_units(characterizer, obj, SMPMode.SIMULTANEOUS)
         assert seq.vertices == pytest.approx(2 * smp.vertices)
 
-    def test_smp_setup_cheaper_than_two_passes(self, config, pool):
-        engine = SMPEngine(config.cost)
-        draw = make_object(0, pool).multiview_draw()
-        seq = engine.geometry_work(draw, SMPMode.SEQUENTIAL)
-        smp = engine.geometry_work(draw, SMPMode.SIMULTANEOUS)
+    def test_smp_setup_cheaper_than_two_passes(self, characterizer, pool):
+        obj = make_object(0, pool)
+        (seq,) = object_units(characterizer, obj, SMPMode.SEQUENTIAL)
+        (smp,) = object_units(characterizer, obj, SMPMode.SIMULTANEOUS)
         assert smp.triangles_setup < seq.triangles_setup
         # But both views still rasterise.
         assert smp.triangles_raster == pytest.approx(seq.triangles_raster)
 
-    def test_single_eye_unaffected_by_mode(self, config, pool):
-        engine = SMPEngine(config.cost)
-        draw = make_object(0, pool).stereo_draws()[0]
-        seq = engine.geometry_work(draw, SMPMode.SEQUENTIAL)
-        smp = engine.geometry_work(draw, SMPMode.SIMULTANEOUS)
-        assert seq == smp
+    def test_single_eye_unaffected_by_mode(self, characterizer, pool):
+        # A stereo object's per-eye draws, and a mono object's one draw.
+        for obj, expansion in (
+            (make_object(0, pool), "stereo"),
+            (make_object(1, pool, mono=True), "multiview"),
+        ):
+            seq = object_units(characterizer, obj, SMPMode.SEQUENTIAL, expansion)
+            smp = object_units(characterizer, obj, SMPMode.SIMULTANEOUS, expansion)
+            assert all(unit.views == 1 for unit in seq)
+            assert seq == smp
 
-    def test_cull_survival_applied(self, config, pool):
-        engine = SMPEngine(config.cost)
-        draw = make_object(0, pool).stereo_draws()[0]
-        work = engine.geometry_work(draw, SMPMode.SIMULTANEOUS)
-        expected = draw.mesh.num_triangles * config.cost.cull_survival
-        assert work.triangles_raster == pytest.approx(expected)
+    def test_cull_survival_applied(self, config, characterizer, pool):
+        obj = make_object(0, pool)
+        left, _right = object_units(
+            characterizer, obj, SMPMode.SIMULTANEOUS, "stereo"
+        )
+        expected = obj.mesh.num_triangles * config.cost.cull_survival
+        assert left.triangles_raster == pytest.approx(expected)
 
     def test_project_viewports_shift_and_clip(self):
         bounds = full_screen(100, 100)
         original = Viewport(40, 10, 60, 30)
-        left, right = SMPEngine.project_viewports(original, 10.0, bounds, bounds)
+        left, right = project_viewports(original, 10.0, bounds, bounds)
         assert left.x0 == pytest.approx(30.0)
         assert right.x0 == pytest.approx(50.0)
 
     def test_project_viewports_clip_at_edge(self):
         bounds = full_screen(100, 100)
         original = Viewport(0, 10, 20, 30)
-        left, _right = SMPEngine.project_viewports(original, 30.0, bounds, bounds)
+        left, _right = project_viewports(original, 30.0, bounds, bounds)
         # Fully shifted out: collapses to a zero-width sliver, stays valid.
         assert left.area == 0.0
         assert bounds.x0 <= left.x0 <= bounds.x1
 
 
 class TestFragmentDemand:
+    """The per-draw fragment helpers of the oracle table's Eq. 3 walk."""
+
     def test_texel_requests_formula(self):
         cost = CostModel()
-        requests, _touches = texture_touches_for_draw((), 1000.0, cost)
+        requests, _touches = texture_touches_reference((), 1000.0, cost)
         expected = 1000.0 * cost.samples_per_fragment * cost.anisotropic_texels_per_sample
         assert requests == pytest.approx(expected)
 
     def test_unique_bounded_by_texture_size(self, pool):
         cost = CostModel()
         texture = pool.get_or_create("tiny", 8192)
-        _req, touches = texture_touches_for_draw((texture,), 1e7, cost)
+        _req, touches = texture_touches_reference((texture,), 1e7, cost)
         assert touches[0].unique_bytes <= texture.size_bytes
 
     def test_view_reuse_halves_unique(self, pool):
         cost = CostModel()
         texture = pool.get_or_create("big", 64 * MB)
-        _r1, mono = texture_touches_for_draw((texture,), 1e5, cost, view_reuse=1.0)
-        _r2, multi = texture_touches_for_draw((texture,), 1e5, cost, view_reuse=2.0)
+        _r1, mono = texture_touches_reference((texture,), 1e5, cost, view_reuse=1.0)
+        _r2, multi = texture_touches_reference((texture,), 1e5, cost, view_reuse=2.0)
         assert multi[0].unique_bytes == pytest.approx(mono[0].unique_bytes / 2)
 
     def test_view_reuse_reduces_stream(self, pool):
         cost = CostModel()
         texture = pool.get_or_create("big2", 64 * MB)
-        _r1, mono = texture_touches_for_draw((texture,), 1e6, cost, view_reuse=1.0)
-        _r2, multi = texture_touches_for_draw((texture,), 1e6, cost, view_reuse=2.0)
+        _r1, mono = texture_touches_reference((texture,), 1e6, cost, view_reuse=1.0)
+        _r2, multi = texture_touches_reference((texture,), 1e6, cost, view_reuse=2.0)
         assert multi[0].stream_bytes < mono[0].stream_bytes
 
     def test_touch_split_proportional_to_size(self, pool):
         cost = CostModel()
         big = pool.get_or_create("bigger", 4 * MB)
         small = pool.get_or_create("smaller", 1 * MB)
-        _r, touches = texture_touches_for_draw((big, small), 1e5, cost)
+        _r, touches = texture_touches_reference((big, small), 1e5, cost)
         by_id = {t.resource.resource_id: t for t in touches}
         assert (
             by_id[("tex", big.texture_id)].stream_bytes
@@ -118,10 +120,19 @@ class TestFragmentDemand:
 
     def test_depth_and_color(self):
         cost = CostModel()
-        z_stream, z_unique, fb = depth_and_color_demand(1000.0, 600.0, cost)
+        z_stream, z_unique, fb = depth_and_color_reference(1000.0, 600.0, cost)
         assert z_stream == pytest.approx(1000.0 * cost.bytes_per_ztest)
         assert z_unique == pytest.approx(600.0 * cost.bytes_per_ztest)
         assert fb == pytest.approx(600.0 * cost.bytes_per_pixel_out)
+
+    def test_input_checks(self):
+        cost = CostModel()
+        with pytest.raises(ValueError):
+            texture_touches_reference((), -1.0, cost)
+        with pytest.raises(ValueError):
+            texture_touches_reference((), 1.0, cost, view_reuse=0.5)
+        with pytest.raises(ValueError):
+            depth_and_color_reference(-1.0, 0.0, cost)
 
 
 class TestRasterHelpers:
@@ -201,30 +212,29 @@ class TestRasterHelpers:
 
 
 class TestCharacterizer:
+    """The unit table of a one-object frame."""
+
     def test_multiview_shares_vertices(self, characterizer, pool):
         obj = make_object(0, pool)
-        multi = characterizer.characterize(obj.multiview_draw(), SMPMode.SIMULTANEOUS)
-        seq = characterizer.characterize(obj.multiview_draw(), SMPMode.SEQUENTIAL)
+        (multi,) = object_units(characterizer, obj, SMPMode.SIMULTANEOUS)
+        (seq,) = object_units(characterizer, obj, SMPMode.SEQUENTIAL)
         assert multi.vertices == pytest.approx(seq.vertices / 2)
         assert multi.fragments == pytest.approx(seq.fragments)
 
     def test_stereo_pair_covers_both_eyes(self, characterizer, pool):
         obj = make_object(0, pool)
-        pair = tuple(
-            characterizer.characterize(draw, mode=SMPMode.SEQUENTIAL)
-            for draw in obj.stereo_draws()
-        )
+        pair = object_units(characterizer, obj, SMPMode.SEQUENTIAL, "stereo")
         assert len(pair) == 2
         total = sum(u.fragments for u in pair)
         assert total == pytest.approx(obj.fragments(Eye.BOTH))
 
     def test_command_bytes_attached(self, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
+        unit = unit_for(characterizer, pool)
         assert unit.command_bytes > 0
 
     def test_vertex_touch_resource_per_object(self, characterizer, pool):
-        a = characterizer.characterize(make_object(0, pool).multiview_draw())
-        b = characterizer.characterize(make_object(1, pool).multiview_draw())
+        a = unit_for(characterizer, pool, 0)
+        b = unit_for(characterizer, pool, 1)
         assert (
             a.vertex_touches[0].resource.resource_id
             != b.vertex_touches[0].resource.resource_id
@@ -233,7 +243,7 @@ class TestCharacterizer:
 
 class TestWorkUnit:
     def test_screen_share_keeps_geometry(self, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
+        unit = unit_for(characterizer, pool)
         slice_unit = unit.with_screen_share(
             pixel_share=0.25, geometry_share=1.0, unique_inflation=2.0,
             label_suffix="s0",
@@ -242,7 +252,7 @@ class TestWorkUnit:
         assert slice_unit.fragments == pytest.approx(unit.fragments / 4)
 
     def test_screen_share_inflates_unique(self, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
+        unit = unit_for(characterizer, pool)
         plain = unit.with_screen_share(0.25, 1.0, 1.0, "a")
         inflated = unit.with_screen_share(0.25, 1.0, 2.0, "b")
         assert inflated.texture_unique_bytes == pytest.approx(
@@ -250,15 +260,12 @@ class TestWorkUnit:
         )
 
     def test_screen_share_unique_capped(self, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
+        unit = unit_for(characterizer, pool)
         capped = unit.with_screen_share(0.5, 1.0, 10.0, "c")
         assert capped.texture_unique_bytes <= unit.texture_unique_bytes * 1.0001
 
     def test_merge_sums_work(self, characterizer, pool):
-        units = [
-            characterizer.characterize(make_object(i, pool).multiview_draw())
-            for i in range(3)
-        ]
+        units = [unit_for(characterizer, pool, i) for i in range(3)]
         merged = merge_units("batch", tuple(units))
         assert merged.fragments == pytest.approx(sum(u.fragments for u in units))
         assert merged.draw_count == pytest.approx(3.0)
@@ -266,9 +273,7 @@ class TestWorkUnit:
     def test_merge_dedups_shared_texture_unique(self, characterizer, pool):
         # Both objects bind the same "stone" texture.
         units = [
-            characterizer.characterize(
-                make_object(i, pool, textures=(("stone", MB),)).multiview_draw()
-            )
+            unit_for(characterizer, pool, i, textures=(("stone", MB),))
             for i in range(2)
         ]
         merged = merge_units("batch", tuple(units))
@@ -286,14 +291,14 @@ class TestWorkUnit:
 
 class TestTiming:
     def test_all_stages_positive(self, config, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
+        unit = unit_for(characterizer, pool)
         breakdown = price_work_unit(unit, config.gpm, config.cost)
         assert breakdown.vertex_cycles > 0
         assert breakdown.fragment_cycles > 0
         assert breakdown.rop_cycles > 0
 
     def test_compute_is_max_plus_overhead(self, config, characterizer, pool):
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
+        unit = unit_for(characterizer, pool)
         b = price_work_unit(unit, config.gpm, config.cost)
         stages = [
             b.vertex_cycles, b.setup_cycles, b.raster_cycles,
@@ -303,23 +308,19 @@ class TestTiming:
         assert b.serial_cycles >= b.compute_cycles
 
     def test_bottleneck_label(self, config, characterizer, pool):
-        unit = characterizer.characterize(
-            make_object(0, pool, triangles=50_000, w=30, h=30).multiview_draw()
-        )
+        unit = unit_for(characterizer, pool, triangles=50_000, w=30, h=30)
         b = price_work_unit(unit, config.gpm, config.cost)
         assert b.bottleneck == "setup"
 
     def test_fragment_heavy_draw(self, config, characterizer, pool):
-        unit = characterizer.characterize(
-            make_object(0, pool, triangles=32, w=900, h=700).multiview_draw()
-        )
+        unit = unit_for(characterizer, pool, triangles=32, w=900, h=700)
         b = price_work_unit(unit, config.gpm, config.cost)
         assert b.bottleneck in ("fragment", "raster", "texture")
 
     def test_bigger_gpm_is_faster(self, config, characterizer, pool):
         import dataclasses as dc
 
-        unit = characterizer.characterize(make_object(0, pool).multiview_draw())
+        unit = unit_for(characterizer, pool)
         small = price_work_unit(unit, config.gpm, config.cost)
         big_gpm = dc.replace(config.gpm, num_sms=16)
         big = price_work_unit(unit, big_gpm, config.cost)

@@ -66,8 +66,9 @@ def synthetic_frame(profile, seed):
 
 
 class TestCharacterizeFrameMatchesScalar:
-    """The unit table's units == per-draw ``characterize``, exactly,
-    and the table == the table of those units, column for column."""
+    """The unit table's units == per-draw ``characterize_reference``,
+    exactly, and the table == the table of those units, column for
+    column."""
 
     @staticmethod
     def assert_matches_reference(frame, mode, expansion):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import extensions
+from repro.config import baseline_system
 from repro.experiments import engines, figures, tables
 from repro.experiments import extensions as studies
 from repro.experiments.runner import (
@@ -15,7 +16,10 @@ from repro.experiments.runner import (
     traffic_ratios,
     with_average,
 )
+from repro.gpu.system import MultiGPUSystem
 from repro.memory.link import TrafficType
+from repro.pipeline.smp import SMPMode
+from repro.session import FAST
 from repro.stats.metrics import (
     FrameResult,
     SceneResult,
@@ -24,7 +28,11 @@ from repro.stats.metrics import (
     normalize,
 )
 from repro.stats.reporting import format_table, series_table
-from tests.oracles import merged_with, scene_traffic_reference
+from tests.oracles import (
+    characterize_reference,
+    merged_with,
+    scene_traffic_reference,
+)
 
 #: Two tiny workloads keep the experiment tests quick.
 TINY = ExperimentConfig(
@@ -224,6 +232,33 @@ class TestFigures:
     def test_smp_validation_gain(self):
         result = figures.smp_validation(TINY)
         assert result.average("SMP speedup") > 1.1
+
+    def test_smp_validation_matches_per_draw_walk(self):
+        """Every fast speedup equals the per-draw walk's, with ``==``:
+        each draw priced by ``characterize_reference`` and bound alone
+        on a one-GPM machine, the stereo draws under sequential stereo
+        against the multi-view draws under SMP."""
+        config = baseline_system(num_gpms=1)
+
+        def frame_cycles(workload, mode, draws):
+            system = MultiGPUSystem(config)
+            system.begin_frame()
+            for draw in draws:
+                unit = characterize_reference(config.cost, draw, mode)
+                system.execute_unit(unit, 0, fb_targets={0: 1.0})
+            return system.frame_result("smp-check", workload).cycles
+
+        speedups = {}
+        for workload in FAST.workloads:
+            frame = scene_for(workload, FAST).representative_frame
+            speedups[workload] = frame_cycles(
+                workload, SMPMode.SEQUENTIAL, frame.stereo_draws()
+            ) / frame_cycles(
+                workload, SMPMode.SIMULTANEOUS, frame.multiview_draws()
+            )
+        assert figures.smp_validation(FAST).series == {
+            "SMP speedup": with_average(speedups)
+        }
 
     def test_to_text_includes_reference(self):
         result = figures.fig16_oovr_traffic(TINY)
