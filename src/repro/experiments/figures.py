@@ -427,17 +427,13 @@ def smp_validation(
 
     config = baseline_system(num_gpms=1)
     characterizer = DrawCharacterizer(config)
-    expansions = {
-        SMPMode.SEQUENTIAL: "stereo",
-        SMPMode.SIMULTANEOUS: "multiview",
-    }
     speedups: Dict[str, float] = {}
     for workload in experiment.workloads:
         scene = Session().preset(experiment).workload(workload).scene()
         frame = scene.representative_frame
 
-        def frame_cycles(mode: SMPMode) -> float:
-            table = characterizer.unit_columns(frame, mode, expansions[mode])
+        def frame_cycles(mode: SMPMode, expansion: str) -> float:
+            table = characterizer.unit_columns(frame, mode, expansion)
             system = MultiGPUSystem(config)
             system.begin_frame()
             system.engine.execute_split(
@@ -449,8 +445,8 @@ def smp_validation(
             )
             return system.frame_result("smp-check", workload).cycles
 
-        sequential = frame_cycles(SMPMode.SEQUENTIAL)
-        simultaneous = frame_cycles(SMPMode.SIMULTANEOUS)
+        sequential = frame_cycles(SMPMode.SEQUENTIAL, "stereo")
+        simultaneous = frame_cycles(SMPMode.SIMULTANEOUS, "multiview")
         speedups[workload] = sequential / simultaneous
     return FigureResult(
         figure="Section 3",
