@@ -259,6 +259,32 @@ class TestEngineCacheKey:
         )
         assert spec_key(base) != spec_key(event)
 
+    #: Keys of ``GOLDEN_SPEC`` under the event engine, on a 16 GB/s
+    #: config, and both, computed before the engine became the run's
+    #: alone: cells that can still be written keep their addresses.
+    PINNED_KEYS = {
+        "event": (
+            "bf3b28f99a73db0c301763238a3bb7c93cd2c46126ef1365e5850be42babc6ec"
+        ),
+        "bw16": (
+            "e7a0da09551a67381938c43d60df89b89d4dfe058060ca82e8f42f17e82ffffd"
+        ),
+        "bw16-event": (
+            "b3203f386f87f0e6889278f882876f3c0b7eb90a168f144ffcbf18d3fd2d3cb9"
+        ),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PINNED_KEYS))
+    def test_keys_pinned(self, cell):
+        spec = self.GOLDEN_SPEC
+        if cell.startswith("bw16"):
+            spec = replace(
+                spec, config=baseline_system().with_link_bandwidth(16.0)
+            )
+        if cell.endswith("event"):
+            spec = replace(spec, engine="event")
+        assert spec_key(spec) == self.PINNED_KEYS[cell]
+
     def test_cache_round_trips_event_results(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = RunSpec(
