@@ -3,8 +3,8 @@
 The analytic engine — the model every reproduced figure uses — prices
 work units in isolation, so concurrent flows never contend for a shared
 link or a peer's DRAM in time.  This bench replays the same schedules
-through the discrete-event engine (``<scheme>:engine=event``), which
-time-shares each wire's and each DRAM stack's bandwidth across the
+through the discrete-event engine (the same grid run again with
+``Sweep.engine("event")``), which time-shares each wire's and each DRAM stack's bandwidth across the
 flows active in a window — staging/PA copies and the composition
 barrier included — and reports the **over-credit factor**
 (event / analytic single-frame cycles), plus a phase-resolved view

@@ -95,7 +95,6 @@ KEEP: Dict[str, str] = {
         "state accessor"
     ),
     "repro.session.cache.CacheStats.hit_rate": "state accessor",
-    "repro.session.cache.ResultCache.path_for": "state accessor",
     "repro.stats.metrics.TrafficBreakdown.bytes_of": "state accessor",
 }
 

@@ -162,9 +162,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         .framework(framework)
         .workload(workload)
         .preset(_experiment(args))
+        .engine(args.engine)
     )
-    if args.engine is not None:
-        session.engine(args.engine)
     result = session.run(profile=args.profile)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
@@ -236,9 +235,7 @@ def _grid(args: argparse.Namespace) -> Sweep:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    sweep = _grid(args)
-    if args.engine is not None:
-        sweep.engine(args.engine)
+    sweep = _grid(args).engine(args.engine)
     cache = ResultCache(args.cache) if args.cache else None
     if args.shard and not args.cache:
         print(
@@ -674,11 +671,10 @@ def make_parser() -> argparse.ArgumentParser:
         help="print the scene result as a JSON document",
     )
     run.add_argument(
-        "--engine", metavar="NAME", default=None,
+        "--engine", metavar="NAME", default="analytic",
         help="execution engine "
         f"({'/'.join(ENGINE_NAMES)}): the paper's analytic roofline or "
-        "discrete-event contention-aware timing (default: whatever "
-        "the framework variant/config selects, i.e. analytic)",
+        "discrete-event contention-aware timing (default: analytic)",
     )
     run.add_argument(
         "--profile", action="store_true",
@@ -713,10 +709,10 @@ def make_parser() -> argparse.ArgumentParser:
         "skip already-executed cells",
     )
     sweep.add_argument(
-        "--engine", metavar="NAME", default=None,
+        "--engine", metavar="NAME", default="analytic",
         help=f"execution engine ({'/'.join(ENGINE_NAMES)}) for every "
-        "cell, overriding variant/config selections (part of the "
-        "cache key when not 'analytic')",
+        "cell (default: analytic; part of the cache key when not "
+        "'analytic')",
     )
     sweep.add_argument(
         "--executor", metavar="NAME", default=None,

@@ -284,21 +284,10 @@ class SystemConfig:
     remote_cache_bytes: int = 512 * KB
     #: Whether the MCM-GPU first-touch + remote-cache baseline is on.
     numa_optimizations: bool = True
-    #: Execution engine pricing the frame: ``"analytic"`` (the paper's
-    #: per-unit roofline, the default every figure is calibrated under)
-    #: or ``"event"`` (discrete-event, contention-aware timing — see
-    #: :mod:`repro.engine`).
-    engine: str = "analytic"
 
     def validate(self) -> None:
         if self.num_gpms <= 0:
             raise ConfigError("system needs at least one GPM")
-        from repro.engine import EngineError, validate_engine_name
-
-        try:
-            validate_engine_name(self.engine)
-        except EngineError as error:
-            raise ConfigError(str(error)) from error
         self.gpm.validate()
         self.link.validate()
         self.cost.validate()
@@ -320,10 +309,6 @@ class SystemConfig:
     def with_link_bandwidth(self, gb_per_s: float) -> "SystemConfig":
         """A copy of this config with a different inter-GPM bandwidth."""
         return replace(self, link=replace(self.link, bytes_per_cycle=float(gb_per_s)))
-
-    def with_engine(self, engine: str) -> "SystemConfig":
-        """A copy of this config priced by the named execution engine."""
-        return replace(self, engine=engine)
 
     def with_num_gpms(self, num_gpms: int) -> "SystemConfig":
         """A copy of this config scaled to ``num_gpms`` modules.

@@ -12,9 +12,12 @@ things happen on it*:
   across concurrently active flows and emits a real
   :class:`~repro.engine.trace.FrameTrace`.
 
-Engines are selected end-to-end by name: ``SystemConfig(engine=...)``,
-``RunSpec(engine=...)``, ``Session/Sweep.engine(...)``, the framework
-variant grammar (``oo-vr:engine=event``) and ``oovr sweep --engine``.
+A run names its engine in one place, ``RunSpec(engine=...)`` (spelled
+``Session/Sweep.engine(...)`` and ``oovr run/sweep --engine``);
+:meth:`RunSpec.build <repro.session.spec.RunSpec.build>` hands the name
+to :func:`~repro.frameworks.base.build_framework`, and the framework
+builds each machine with it (``MultiGPUSystem(config, policy,
+engine)``).  The :class:`~repro.config.SystemConfig` names no engine.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ sharing a wire (or a DRAM stack) in the same window each get the full
 bandwidth — concurrent congestion is *under-priced*, and reported
 speedups are over-credited wherever schedules overlap on a shared
 resource.  :func:`engine_contention_study` quantifies the gap: it runs
-the same (framework x link-bandwidth x workload) grid under both the
-``analytic`` and ``event`` engines (the latter spelled through the
-framework-variant grammar, ``<scheme>:engine=event``) and reports the
-**over-credit factor** — event-engine cycles over analytic cycles,
+the same (framework x link-bandwidth x workload) grid once under each
+of the ``analytic`` and ``event`` engines (the run's engine,
+:meth:`Sweep.engine <repro.session.session.Sweep.engine>`) and reports
+the **over-credit factor** — event-engine cycles over analytic cycles,
 geomean across workloads.  A factor of 1.0 means the analytic model was
 exact; 1.5 means congestion makes frames 50 % slower than it claims.
 Factors a fraction of a percent *below* 1.0 are the one modelling
@@ -75,10 +75,6 @@ CONTENTION_FRAMEWORKS = (
 CONTENTION_PHASES = ("render", "composition")
 
 
-def _event_name(framework: str) -> str:
-    return f"{framework}:engine=event"
-
-
 def engine_contention_grid(
     experiment: ExperimentConfig = FULL,
     frameworks: Sequence[str] = CONTENTION_FRAMEWORKS,
@@ -87,9 +83,10 @@ def engine_contention_grid(
 ):
     """Execute the (framework x engine x bandwidth x workload) grid.
 
-    The single sweep both study views read.  Run it once and pass the
-    returned :class:`~repro.session.ResultSet` to
-    :func:`engine_contention_study` *and*
+    The grid both study views read: one (framework x bandwidth x
+    workload) sweep run once per engine, the two record sets merged.
+    Run it once and pass the returned :class:`~repro.session.ResultSet`
+    to :func:`engine_contention_study` *and*
     :func:`engine_contention_phases` as ``results=`` so every cell
     executes (or hits the cache) exactly once.
     """
@@ -97,19 +94,14 @@ def engine_contention_grid(
         experiment.workloads
     )
     sweep = (
-        Sweep()
-        .preset(experiment)
-        .workloads(*chosen)
-        .frameworks(
-            *frameworks, *(_event_name(name) for name in frameworks)
-        )
+        Sweep().preset(experiment).workloads(*chosen).frameworks(*frameworks)
     )
     for bandwidth in link_bandwidths:
         sweep.config(
             baseline_system().with_link_bandwidth(bandwidth),
             label=_bandwidth_label(bandwidth),
         )
-    return sweep.run()
+    return sweep.engine("analytic").run().merge(sweep.engine("event").run())
 
 
 def _run_grid(
@@ -139,11 +131,11 @@ def engine_contention_study(
 ) -> FigureResult:
     """Analytic over-credit factor per (framework, link bandwidth).
 
-    One declarative :class:`~repro.session.Sweep`: every framework runs
-    twice per cell — as named (analytic) and as its
-    ``:engine=event`` variant — across the bandwidth axis, executed
-    wherever the enclosing :func:`~repro.session.sweep_defaults` block
-    says, like any figure.  Returns a
+    One declarative :class:`~repro.session.Sweep`, run once per engine:
+    every framework runs twice per cell — under the ``analytic`` and
+    the ``event`` engine — across the bandwidth axis, executed wherever
+    the enclosing :func:`~repro.session.sweep_defaults` block says,
+    like any figure.  Returns a
     :class:`~repro.experiments.figures.FigureResult` whose series map
     each framework to ``{bandwidth: event/analytic}`` (geomean over
     workloads, on single-frame cycles).  Pass ``results`` (from
@@ -154,8 +146,10 @@ def engine_contention_study(
         experiment, frameworks, link_bandwidths, workloads, results
     )
 
-    def cycles(framework: str, label: str) -> Dict[str, float]:
-        subset = results.select(framework=framework, config_label=label)
+    def cycles(framework: str, label: str, engine: str) -> Dict[str, float]:
+        subset = results.select(
+            framework=framework, config_label=label, engine=engine
+        )
         return {
             workload: subset.get(workload=workload).single_frame_cycles
             for workload in chosen
@@ -166,8 +160,8 @@ def engine_contention_study(
     for framework in frameworks:
         row: Dict[str, float] = {}
         for label in row_order:
-            analytic = cycles(framework, label)
-            event = cycles(_event_name(framework), label)
+            analytic = cycles(framework, label, "analytic")
+            event = cycles(framework, label, "event")
             row[label] = geomean(
                 [event[w] / analytic[w] for w in chosen]
             )
@@ -214,8 +208,12 @@ def engine_contention_phases(
         experiment, frameworks, link_bandwidths, workloads, results
     )
 
-    def phase_cycles(framework: str, label: str, phase: str) -> Dict[str, float]:
-        subset = results.select(framework=framework, config_label=label)
+    def phase_cycles(
+        framework: str, label: str, engine: str, phase: str
+    ) -> Dict[str, float]:
+        subset = results.select(
+            framework=framework, config_label=label, engine=engine
+        )
         out: Dict[str, float] = {}
         for workload in chosen:
             scene = subset.get(workload=workload)
@@ -239,8 +237,8 @@ def engine_contention_phases(
         for phase in CONTENTION_PHASES:
             row: Dict[str, float] = {}
             for label in row_order:
-                analytic = phase_cycles(framework, label, phase)
-                event = phase_cycles(_event_name(framework), label, phase)
+                analytic = phase_cycles(framework, label, "analytic", phase)
+                event = phase_cycles(framework, label, "event", phase)
                 row[label] = geomean(
                     [factor(analytic[w], event[w]) for w in chosen]
                 )

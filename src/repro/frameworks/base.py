@@ -28,6 +28,9 @@ class RenderingFramework(abc.ABC):
     name: str = "abstract"
     #: Page placement policy the framework's memory image starts from.
     placement_policy: PlacementPolicy = PlacementPolicy.FIRST_TOUCH
+    #: Execution engine of every machine the framework builds (see
+    #: :mod:`repro.engine`); :func:`build_framework` sets the run's.
+    engine_name: str = "analytic"
 
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config or baseline_system()
@@ -39,8 +42,11 @@ class RenderingFramework(abc.ABC):
     # -- system construction ------------------------------------------------
 
     def make_system(self) -> MultiGPUSystem:
-        """A fresh machine with this framework's placement policy."""
-        return MultiGPUSystem(self.config, self.placement_policy)
+        """A fresh machine with this framework's placement policy and
+        engine."""
+        return MultiGPUSystem(
+            self.config, self.placement_policy, self.engine_name
+        )
 
     # -- per-frame behaviour (framework-specific) -----------------------------
 
@@ -81,7 +87,7 @@ class RenderingFramework(abc.ABC):
         self.last_system = system
         results: List[FrameResult] = []
         for frame in scene:
-            system.begin_frame(keep_placement=True)
+            system.begin_frame()
             results.append(self.render_frame_on(system, frame, scene.name))
         return SceneResult(
             framework=self.name,
@@ -149,9 +155,10 @@ def _ensure_registered() -> None:
 
 
 def build_framework(
-    name: str, config: Optional[SystemConfig] = None
+    name: str, config: Optional[SystemConfig] = None, engine: str = "analytic"
 ) -> RenderingFramework:
-    """Instantiate a registered framework by name.
+    """Instantiate a registered framework by name, its machines priced
+    by the execution engine ``engine`` (see :mod:`repro.engine`).
 
     Known names: ``baseline``, ``1tbs-bw``, ``afr``, ``tile-v``,
     ``tile-h``, ``object``, ``oo-app``, ``oo-vr``.  Names containing
@@ -161,12 +168,17 @@ def build_framework(
     """
     _ensure_registered()
     if name in _REGISTRY:
-        return _REGISTRY[name](config)
-    from repro.frameworks import variants
+        framework = _REGISTRY[name](config)
+    else:
+        from repro.frameworks import variants
 
-    if variants.is_variant_name(name):
-        return variants.build_variant(name, config)
-    raise KeyError(f"unknown framework {name!r}; have {sorted(_REGISTRY)}")
+        if not variants.is_variant_name(name):
+            raise KeyError(
+                f"unknown framework {name!r}; have {sorted(_REGISTRY)}"
+            )
+        framework = variants.build_variant(name, config)
+    framework.engine_name = engine
+    return framework
 
 
 def validate_framework_name(name: str) -> None:

@@ -23,11 +23,10 @@ pixels.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.config import SystemConfig
 from repro.frameworks.base import RenderingFramework, register_framework
 from repro.gpu.system import MultiGPUSystem
 from repro.gpu.staging import StagingManager
@@ -56,15 +55,6 @@ class TileSplitFrameRendering(RenderingFramework):
 
     placement_policy = PlacementPolicy.FIRST_TOUCH
     orientation: TileOrientation = TileOrientation.VERTICAL
-
-    def __init__(
-        self,
-        config: Optional[SystemConfig] = None,
-        orientation: Optional[TileOrientation] = None,
-    ) -> None:
-        super().__init__(config)
-        if orientation is not None:
-            self.orientation = orientation
 
     # -- geometry of the decomposition ------------------------------------
 

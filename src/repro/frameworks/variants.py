@@ -21,15 +21,15 @@ Grammar — a base name followed by ``:``-separated modifiers:
                        ``ring`` / ``switch``), any registered base
 ``<base>:fov``         render foveated scenes (default three-ring profile),
                        any registered base
-``<base>:engine=...``  price frames with a different execution engine
-                       (``analytic`` / ``event``, see :mod:`repro.engine`),
-                       any registered base
 =====================  ====================================================
 
 Constructor modifiers (ablation / ``tsl`` / ``cap``) build the OO-VR
 instance and may not be combined with an ablation key; wrapper
 modifiers (``topo`` / ``fov``) stack on any base, including one already
-shaped by a constructor modifier.
+shaped by a constructor modifier.  The execution engine is not a
+modifier: it is the run's (:attr:`RunSpec.engine
+<repro.session.spec.RunSpec.engine>`), handed to
+:func:`~repro.frameworks.base.build_framework`.
 """
 
 from __future__ import annotations
@@ -42,28 +42,12 @@ from repro.config import SystemConfig
 _TSL_PREFIX = "tsl="
 _CAP_PREFIX = "cap="
 _TOPO_PREFIX = "topo="
-_ENGINE_PREFIX = "engine="
 _FOV = "fov"
 
 
 def is_variant_name(name: str) -> bool:
     """Whether ``name`` uses the variant grammar at all."""
     return ":" in name
-
-
-def engine_modifier(name: str) -> Optional[str]:
-    """The engine an ``engine=`` modifier in ``name`` selects, if any.
-
-    Mirrors :func:`build_variant`'s application order (the last
-    ``engine=`` modifier wins) without validating the rest of the
-    grammar — the cheap check :attr:`RunSpec.effective_engine
-    <repro.session.spec.RunSpec.effective_engine>` runs per record.
-    """
-    chosen: Optional[str] = None
-    for modifier in name.split(":")[1:]:
-        if modifier.startswith(_ENGINE_PREFIX):
-            chosen = modifier[len(_ENGINE_PREFIX):]
-    return chosen
 
 
 def _split(name: str) -> Tuple[str, List[str]]:
@@ -105,7 +89,6 @@ def _parse(name: str) -> Dict[str, object]:
         "middleware": None,
         "topology": None,
         "foveate": False,
-        "engine": None,
     }
     for modifier in modifiers:
         if modifier in ABLATION_VARIANTS:
@@ -143,15 +126,6 @@ def _parse(name: str) -> Dict[str, object]:
                 ) from None
         elif modifier.startswith(_TOPO_PREFIX):
             plan["topology"] = _topology(modifier[len(_TOPO_PREFIX):])
-        elif modifier.startswith(_ENGINE_PREFIX):
-            from repro.engine import EngineError, validate_engine_name
-
-            engine = modifier[len(_ENGINE_PREFIX):]
-            try:
-                validate_engine_name(engine)
-            except EngineError as error:
-                raise KeyError(str(error)) from None
-            plan["engine"] = engine
         elif modifier == _FOV:
             plan["foveate"] = True
         else:
@@ -218,9 +192,5 @@ def build_variant(name: str, config: Optional[SystemConfig] = None):
         framework.render_scene = (  # type: ignore[method-assign]
             lambda scene: original_render(foveate_scene(scene))
         )
-    if plan["engine"] is not None:
-        # ``make_system`` reads ``framework.config`` at call time, so a
-        # re-engined copy reaches every system the framework builds.
-        framework.config = framework.config.with_engine(plan["engine"])
     framework.name = name
     return framework

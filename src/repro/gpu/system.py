@@ -5,7 +5,12 @@ placement map, the per-GPM DRAM trackers and remote caches, and the
 link fabric.  *Timing* — how a bound unit's demands turn into cycles,
 and how concurrent flows share links and DRAM — is delegated to a
 pluggable :class:`~repro.engine.base.ExecutionEngine`
-(:mod:`repro.engine`), selected by ``SystemConfig.engine``:
+(:mod:`repro.engine`), named when the machine is built:
+``MultiGPUSystem(config, policy, engine)``, which a framework calls
+with the run's engine (:attr:`RunSpec.engine
+<repro.session.spec.RunSpec.engine>`), while the
+:class:`~repro.config.SystemConfig` describes the hardware only.  The
+machine's work splits into:
 
 - **binding** (engine-independent): a work unit's memory touches
   resolve through the placement map into local DRAM bytes (filtered by
@@ -56,6 +61,7 @@ class MultiGPUSystem:
         self,
         config: SystemConfig,
         placement_policy: PlacementPolicy = PlacementPolicy.FIRST_TOUCH,
+        engine: str = "analytic",
     ) -> None:
         config.validate()
         self.config = config
@@ -87,7 +93,7 @@ class MultiGPUSystem:
             Callable[[Sequence[Resource], Any, Any, Any], None]
         ] = None
         #: The timing/orchestration strategy (see :mod:`repro.engine`).
-        self.engine = build_engine(config.engine, self)
+        self.engine = build_engine(engine, self)
         #: Trace of the most recently rolled-up frame (diagnostics/CLI).
         self.last_trace: Optional[FrameTrace] = None
 
@@ -97,13 +103,13 @@ class MultiGPUSystem:
     def num_gpms(self) -> int:
         return self.config.num_gpms
 
-    def begin_frame(self, keep_placement: bool = True) -> None:
+    def begin_frame(self) -> None:
         """Reset per-frame state.
 
-        ``keep_placement=True`` keeps page ownership across frames
-        (resources stay where earlier frames placed them, as on real
-        hardware); experiments reset placement between *configurations*
-        by building a fresh system.
+        Page ownership persists across frames (resources stay where
+        earlier frames placed them, as on real hardware); experiments
+        reset placement between *configurations* by building a fresh
+        system.
         """
         for gpm in self.gpms:
             gpm.begin_frame()
@@ -112,8 +118,6 @@ class MultiGPUSystem:
         for cache in self.remote_caches:
             cache.reset()
         self.fabric.reset()
-        if not keep_placement:
-            self.placement.reset()
         self.engine.begin_frame()
 
     def release(self) -> None:

@@ -53,8 +53,9 @@ from repro.session.spec import RunSpec, SpecError
 
 #: Bumped whenever a message shape changes; the server rejects clients
 #: and workers speaking another version instead of mis-parsing them.
-#: Version 2: completion events carry their entry payloads.
-PROTOCOL_VERSION = 2
+#: Version 2: completion events carry their entry payloads.  Version 3:
+#: config documents carry no ``engine`` (the engine is the spec's).
+PROTOCOL_VERSION = 3
 
 
 class ProtocolError(ValueError):
@@ -111,7 +112,7 @@ def spec_to_wire(spec: RunSpec) -> Dict[str, object]:
         "draw_scale": spec.draw_scale,
         "config_label": spec.config_label,
     }
-    if spec.engine is not None:
+    if spec.engine != "analytic":
         data["engine"] = spec.engine
     if spec.config is not None:
         data["config"] = config_to_wire(spec.config)
@@ -138,9 +139,7 @@ def spec_from_wire(data: Mapping[str, object]) -> RunSpec:
             seed=int(data["seed"]),
             draw_scale=float(data["draw_scale"]),
             config_label=str(data.get("config_label", "base")),
-            engine=(
-                None if data.get("engine") is None else str(data["engine"])
-            ),
+            engine=str(data.get("engine", "analytic")),
         )
     except (KeyError, TypeError, ValueError) as error:
         if isinstance(error, (SpecError, ProtocolError)):

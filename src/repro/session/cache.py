@@ -137,17 +137,10 @@ def config_fingerprint(spec: RunSpec) -> Optional[Dict[str, object]]:
     ``config_label`` is cosmetic (two labels may name the same config,
     one label may name two), so the cache keys on the configuration's
     actual values instead; ``None`` means the Table 2 default.
-
-    The default ``analytic`` engine is elided from the fingerprint so
-    every pre-engine cache entry keeps its address: only a non-default
-    ``engine`` changes the key.
     """
     if spec.config is None:
         return None
-    data = dataclasses.asdict(spec.config)
-    if data.get("engine") == "analytic":
-        del data["engine"]
-    return data
+    return dataclasses.asdict(spec.config)
 
 
 def is_entry_key(key: str) -> bool:
@@ -187,12 +180,8 @@ def spec_key(spec: RunSpec) -> str:
     collide, while caches written before the engine layer existed still
     hit for analytic runs.
     """
-    # Key on the engine that actually prices the cell (field >
-    # variant modifier > config — :meth:`RunSpec.effective_engine`),
-    # so an explicit analytic override of an ``:engine=event`` variant
-    # never collides with the event cell it overrides.
     return _address(
-        spec.record_fields(), config_fingerprint(spec), spec.effective_engine
+        spec.record_fields(), config_fingerprint(spec), spec.engine
     )
 
 
@@ -214,9 +203,9 @@ def encode_entry(spec: RunSpec, result: SceneResult) -> str:
         "config": config_fingerprint(spec),
         "result": result.to_dict(include_frames=True),
     }
-    if spec.effective_engine != "analytic":
+    if spec.engine != "analytic":
         # Auditability only — the engine is already part of the key.
-        entry["engine"] = spec.effective_engine
+        entry["engine"] = spec.engine
     return json.dumps(entry, indent=1) + "\n"
 
 
@@ -265,9 +254,6 @@ class ResultCache:
 
     def key(self, spec: RunSpec) -> str:
         return spec_key(spec)
-
-    def path_for(self, spec: RunSpec) -> Path:
-        return self.entry_path(self.key(spec))
 
     def entry_path(self, key: str) -> Path:
         """Where the entry stored under ``key`` lives."""

@@ -117,15 +117,7 @@ class ResultSet:
         kept = [
             (spec, result)
             for spec, result in self._runs
-            if all(
-                (
-                    spec.effective_engine
-                    if key == "engine"
-                    else spec.record_fields()[key]
-                )
-                == value
-                for key, value in where.items()
-            )
+            if all(getattr(spec, key) == value for key, value in where.items())
         ]
         return ResultSet(kept)
 
@@ -176,7 +168,7 @@ class ResultSet:
         on profiled sets, so unprofiled exports never change shape.
         """
         include_engine = any(
-            spec.effective_engine != "analytic" for spec, _ in self._runs
+            spec.engine != "analytic" for spec, _ in self._runs
         )
         # Counter columns must be uniform across the set (CSV export
         # takes its header from the first record), so emit the union of
@@ -196,7 +188,7 @@ class ResultSet:
             traffic = summary.pop("traffic")
             record = spec.record_fields()
             if include_engine:
-                record["engine"] = spec.effective_engine
+                record["engine"] = spec.engine
             for key, value in summary.items():
                 if key not in record:  # spec identity wins on overlap
                     record[key] = value

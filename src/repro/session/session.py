@@ -119,14 +119,14 @@ class _ScaleMixin:
         self._num_frames: int = DEFAULT_FRAMES
         self._seed: int = DEFAULT_SEED
         self._draw_scale: float = 1.0
-        self._engine: Optional[str] = None
+        self._engine: str = "analytic"
 
     def engine(self, name: str):
-        """Select the execution engine (``analytic``/``event``) for
-        every cell this builder produces (see :mod:`repro.engine`).
-        An explicit selection — including ``analytic`` — overrides a
-        variant- or config-chosen engine; part of the spec's cache
-        fingerprint when it names a non-analytic engine.
+        """Select the execution engine (``analytic``, the default, or
+        ``event``) for every cell this builder produces: the spec's
+        :attr:`~repro.session.spec.RunSpec.engine`, the one place a
+        run's engine is chosen (see :mod:`repro.engine`).  Part of the
+        spec's cache fingerprint when it names a non-analytic engine.
         """
         from repro.engine import EngineError, validate_engine_name
 

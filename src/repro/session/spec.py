@@ -132,13 +132,10 @@ class RunSpec:
     draw_scale: float = 1.0
     #: Label identifying the config axis in records (e.g. "64GB/s").
     config_label: str = "base"
-    #: Execution engine pricing the cell (see :mod:`repro.engine`).
-    #: ``None`` (the default) defers to the framework's own selection
-    #: (variant modifier or config engine, else ``"analytic"``); an
-    #: explicit name — including ``"analytic"`` — overrides it.  Part
-    #: of the spec's cache fingerprint when it names a non-analytic
-    #: engine.
-    engine: Optional[str] = None
+    #: Execution engine pricing the cell (see :mod:`repro.engine`):
+    #: the one place a run's engine is chosen.  Part of the spec's
+    #: cache fingerprint when it names a non-analytic engine.
+    engine: str = "analytic"
 
     def validate(self) -> "RunSpec":
         """Check the spec against the registries; return it for chaining."""
@@ -157,11 +154,10 @@ class RunSpec:
             parse_workload(self.workload)
         except KeyError as error:
             raise SpecError(f"unknown workload: {error.args[0]}") from error
-        if self.engine is not None:
-            try:
-                validate_engine_name(self.engine)
-            except EngineError as error:
-                raise SpecError(str(error)) from error
+        try:
+            validate_engine_name(self.engine)
+        except EngineError as error:
+            raise SpecError(str(error)) from error
         if self.num_frames < 1:
             raise SpecError("need at least one frame")
         if self.seed < 0:
@@ -184,49 +180,18 @@ class RunSpec:
             self.workload, self.num_frames, self.seed, self.draw_scale
         )
 
-    @property
-    def effective_engine(self) -> str:
-        """The engine that actually prices this cell.
-
-        The engine can be chosen three ways; precedence mirrors how
-        :meth:`build` layers them: an explicit :attr:`engine` field
-        (even ``"analytic"``) overrides everything, else the last
-        ``engine=`` modifier in a variant framework name
-        (``oo-vr:engine=event`` — applied after construction by the
-        variant builder), else the config's ``engine``.  Result
-        provenance (``ResultSet`` records and ``select(engine=...)``)
-        keys on this, not the raw field.
-        """
-        from repro.frameworks.variants import engine_modifier
-
-        if self.engine is not None:
-            return self.engine
-        chosen = engine_modifier(self.framework)
-        if chosen is not None:
-            return chosen
-        if self.config is not None:
-            return self.config.engine
-        return "analytic"
-
     def build(self):
-        """The framework instance this spec describes, engine applied.
+        """The framework instance this spec describes, every machine
+        it builds priced by :attr:`engine`.
 
-        An explicit :attr:`engine` overrides the built framework's
-        config engine *after* construction — so ``engine="analytic"``
-        really does force the analytic model even on an
-        ``:engine=event`` variant, while the ``None`` default leaves
-        the framework's own selection alone (schemes that transform
-        their config — e.g. ``1tbs-bw`` — keep doing so).  The single
-        construction path shared by :meth:`execute` (worker processes)
-        and :meth:`Session.run <repro.session.session.Session.run>`
-        (which keeps the instance for introspection).
+        The single construction path shared by :meth:`execute` (worker
+        processes) and :meth:`Session.run
+        <repro.session.session.Session.run>` (which keeps the instance
+        for introspection).
         """
         from repro.frameworks.base import build_framework
 
-        framework = build_framework(self.framework, self.config)
-        if self.engine is not None:
-            framework.config = framework.config.with_engine(self.engine)
-        return framework
+        return build_framework(self.framework, self.config, self.engine)
 
     def execute(self) -> SceneResult:
         """Render this cell: fresh framework, memoised scene.

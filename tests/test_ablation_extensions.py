@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import baseline_system
 from repro.core.ablation import ABLATION_VARIANTS
 from repro.core.oovr import OOVRFramework
 from repro.experiments.extensions import (
@@ -58,9 +57,8 @@ class TestAblatedRendering:
 
     @pytest.mark.parametrize("engine", ["analytic", "event"])
     def test_full_matches_oovr_semantics(self, scene, engine):
-        config = baseline_system().with_engine(engine)
-        full = build_framework("oo-vr:full", config).render_scene(scene)
-        oovr = build_framework("oo-vr", config).render_scene(scene)
+        full = build_framework("oo-vr:full", engine=engine).render_scene(scene)
+        oovr = build_framework("oo-vr", engine=engine).render_scene(scene)
         assert _without_framework(full) == _without_framework(oovr)
 
     def test_no_dhc_slower_composition(self, scene):

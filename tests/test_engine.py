@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.config import ConfigError, baseline_system
+from repro.config import baseline_system
 from repro.engine import (
     ENGINE_DEFAULT,
     ENGINE_NAMES,
@@ -25,14 +25,14 @@ from repro.engine import (
     classify_bottleneck,
     validate_engine_name,
 )
-from repro.frameworks.base import build_framework
+from repro.frameworks.base import build_framework, framework_names
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.placement import PagePlacement, PlacementPolicy
 from repro.pipeline.characterize import DrawCharacterizer
 from repro.pipeline.workunit import UnitColumns
 from repro.scene.scene import Scene
 from repro.session import Session, SessionError, Sweep, sweep_defaults
-from repro.session.cache import ResultCache, config_fingerprint, spec_key
+from repro.session.cache import ResultCache, spec_key
 from repro.session.spec import FAST, RunSpec, SpecError, cached_scene
 from tests.conftest import MB, unit_for
 from tests.oracles import (
@@ -61,12 +61,8 @@ class TestEngineSelection:
 
     def test_system_builds_configured_engine(self, config):
         assert isinstance(MultiGPUSystem(config).engine, AnalyticEngine)
-        event_system = MultiGPUSystem(config.with_engine("event"))
+        event_system = MultiGPUSystem(config, engine="event")
         assert isinstance(event_system.engine, EventEngine)
-
-    def test_config_rejects_unknown_engine(self, config):
-        with pytest.raises(ConfigError):
-            replace(config, engine="bogus").validate()
 
     def test_build_engine_rejects_unknown(self, config):
         with pytest.raises(EngineError):
@@ -104,16 +100,6 @@ class TestEngineSelection:
         )
         assert all(spec.engine == "event" for spec in specs)
 
-    def test_variant_grammar_selects_engine(self):
-        framework = build_framework("oo-vr:engine=event")
-        assert framework.config.engine == "event"
-        assert framework.name == "oo-vr:engine=event"
-        # Stacks with other wrapper modifiers on any base.
-        framework = build_framework("baseline:topo=ring:engine=event")
-        assert framework.config.engine == "event"
-        with pytest.raises(KeyError):
-            build_framework("baseline:engine=bogus")
-
     def test_session_run_applies_engine(self):
         session = (
             Session()
@@ -124,7 +110,7 @@ class TestEngineSelection:
             .engine("event")
         )
         session.run()
-        assert session.last_framework.config.engine == "event"
+        assert session.last_framework.engine_name == "event"
         trace = session.last_framework.last_system.last_trace
         assert trace is not None and trace.engine == "event"
 
@@ -136,7 +122,7 @@ class TestEngineSelection:
             draw_scale=0.1,
             engine="event",
         ).validate()
-        assert spec.build().config.engine == "event"
+        assert spec.build().engine_name == "event"
         result = spec.execute()
         assert result.single_frame_cycles > 0
 
@@ -165,37 +151,54 @@ class TestEngineSelection:
         assert len(event.select(engine="analytic")) == 0
         with pytest.raises(KeyError):
             event.select(enigne="event")
-
-    def test_effective_engine_sees_variant_and_config_selection(self):
-        variant = RunSpec(framework="oo-vr:engine=event", workload="WE")
-        assert variant.effective_engine == "event"
-        config = RunSpec(
-            framework="baseline",
-            workload="WE",
-            config=baseline_system().with_engine("event"),
-        )
-        assert config.effective_engine == "event"
-        # An explicit field — even "analytic" — wins over both, so the
-        # paper's model can be forced back onto an :engine=event
-        # variant (oovr run ... --engine analytic).
-        forced = replace(variant, engine="analytic")
-        assert forced.effective_engine == "analytic"
-        assert forced.build().config.engine == "analytic"
-        plain = RunSpec(framework="baseline", workload="WE")
-        assert plain.effective_engine == "analytic"
-        # Mixed sweeps spelled through the variant grammar also get
-        # the provenance column.
-        mixed = (
-            Sweep()
-            .frameworks("baseline", "baseline:engine=event")
-            .workloads("HL2-640")
-            .frames(1)
-            .scale(0.1)
-            .run()
-        )
+        # A grid run once per engine and merged carries the provenance
+        # column on every record.
+        mixed = analytic.merge(event)
         records = mixed.to_records()
         assert [r["engine"] for r in records] == ["analytic", "event"]
         assert len(mixed.select(engine="event")) == 1
+
+
+#: Every registered scheme plus one variant per modifier kind: a
+#: constructor modifier (ablation, middleware) and a wrapper modifier
+#: (topology, foveation).
+_ALL_BUILDS = (
+    *framework_names(),
+    "oo-vr:no-dhc",
+    "oo-vr:tsl=0.3",
+    "baseline:topo=ring",
+    "object:fov",
+)
+
+
+class TestRunEngineReachesEveryMachine:
+    """The spec's engine is the only engine: every framework, and every
+    constructor or wrapper around one, builds its machine with it."""
+
+    @staticmethod
+    def _machine(framework, **engine):
+        spec = RunSpec(
+            framework=framework,
+            workload="HL2-640",
+            num_frames=1,
+            draw_scale=0.05,
+            **engine,
+        ).validate()
+        built = spec.build()
+        built.render_scene(spec.scene())
+        return built.last_system
+
+    @pytest.mark.parametrize("framework", _ALL_BUILDS)
+    def test_event_run_builds_event_machines(self, framework):
+        system = self._machine(framework, engine="event")
+        assert system.engine.name == "event"
+        assert system.last_trace.engine == "event"
+
+    @pytest.mark.parametrize("framework", _ALL_BUILDS)
+    def test_default_run_builds_analytic_machines(self, framework):
+        system = self._machine(framework)
+        assert system.engine.name == "analytic"
+        assert system.last_trace.engine == "analytic"
 
 
 # ---------------------------------------------------------------------------
@@ -226,38 +229,6 @@ class TestEngineCacheKey:
             spec_key(replace(self.GOLDEN_SPEC, engine="event"))
             != self.GOLDEN_KEY
         )
-
-    def test_analytic_override_never_collides_with_event_cell(self):
-        # An :engine=event variant cell and the same cell forced back
-        # to analytic price differently, so they must cache apart.
-        variant = RunSpec(framework="oo-vr:engine=event", workload="WE")
-        forced = replace(variant, engine="analytic")
-        assert variant.effective_engine != forced.effective_engine
-        assert spec_key(variant) != spec_key(forced)
-        # Forcing analytic restores the plain cell's pricing but keeps
-        # its own key (the framework name is part of the identity).
-        config_event = RunSpec(
-            framework="baseline",
-            workload="WE",
-            config=baseline_system().with_engine("event"),
-        )
-        assert spec_key(config_event) != spec_key(
-            replace(config_event, engine="analytic")
-        )
-
-    def test_default_engine_elided_from_config_fingerprint(self):
-        spec = replace(self.GOLDEN_SPEC, config=baseline_system())
-        assert "engine" not in config_fingerprint(spec)
-        event_cfg = baseline_system().with_engine("event")
-        fingerprint = config_fingerprint(replace(spec, config=event_cfg))
-        assert fingerprint["engine"] == "event"
-
-    def test_config_engine_changes_the_key(self):
-        base = replace(self.GOLDEN_SPEC, config=baseline_system())
-        event = replace(
-            self.GOLDEN_SPEC, config=baseline_system().with_engine("event")
-        )
-        assert spec_key(base) != spec_key(event)
 
     #: Keys of ``GOLDEN_SPEC`` under the event engine, on a 16 GB/s
     #: config, and both, computed before the engine became the run's
@@ -491,9 +462,7 @@ class TestEventEngine:
         scene = fast_scene()
         cfg = baseline_system(num_gpms=1)
         analytic = build_framework("baseline", cfg).render_scene(scene)
-        event = build_framework(
-            "baseline", cfg.with_engine("event")
-        ).render_scene(scene)
+        event = build_framework("baseline", cfg, "event").render_scene(scene)
         for a_frame, e_frame in zip(analytic.frames, event.frames):
             # Per-GPM busy cycles conserved...
             assert e_frame.gpm_busy_cycles[0] == pytest.approx(
@@ -510,9 +479,7 @@ class TestEventEngine:
         scene = fast_scene()
         cfg = baseline_system()
         analytic = build_framework(framework, cfg).render_scene(scene)
-        event = build_framework(
-            framework, cfg.with_engine("event")
-        ).render_scene(scene)
+        event = build_framework(framework, cfg, "event").render_scene(scene)
         for a_frame, e_frame in zip(analytic.frames, event.frames):
             assert e_frame.traffic.by_type == a_frame.traffic.by_type
             assert list(e_frame.dram_bytes) == list(a_frame.dram_bytes)
@@ -522,7 +489,7 @@ class TestEventEngine:
         self, config, characterizer, pool
     ):
         """A lone unit drains in exactly the analytic roofline time."""
-        system = MultiGPUSystem(config.with_engine("event"))
+        system = MultiGPUSystem(config, engine="event")
         system.begin_frame()
         unit = unit_for(characterizer, pool)
         execution = system.execute_unit(unit, 0, fb_targets={0: 1.0})
@@ -540,7 +507,7 @@ class TestEventEngine:
             cfg, gpm=replace(cfg.gpm, dram_bytes_per_cycle=2.0)
         )
         analytic_sys = MultiGPUSystem(starved)
-        event_sys = MultiGPUSystem(starved.with_engine("event"))
+        event_sys = MultiGPUSystem(starved, engine="event")
         for system in (analytic_sys, event_sys):
             system.begin_frame()
             units = [
@@ -570,7 +537,7 @@ class TestEventEngine:
             scene
         )
         event = build_framework(
-            "baseline:topo=switch:engine=event", cfg
+            "baseline:topo=switch", cfg, "event"
         ).render_scene(scene)
         assert (
             event.single_frame_cycles
@@ -587,7 +554,7 @@ class TestEventEngine:
         executions = {}
         ends = {}
         for engine_name in ("analytic", "event"):
-            system = MultiGPUSystem(cfg.with_engine(engine_name))
+            system = MultiGPUSystem(cfg, engine=engine_name)
             install_topology(system, Topology.SWITCH)
             system.begin_frame()
             unit = unit_for(characterizer, pool, w=800.0, h=600.0)
@@ -604,13 +571,12 @@ class TestEventEngine:
 
     def test_event_engine_deterministic(self):
         scene = fast_scene()
-        cfg = baseline_system().with_engine("event")
-        first = build_framework("oo-vr", cfg).render_scene(scene)
-        second = build_framework("oo-vr", cfg).render_scene(scene)
+        first = build_framework("oo-vr", engine="event").render_scene(scene)
+        second = build_framework("oo-vr", engine="event").render_scene(scene)
         assert first.to_dict() == second.to_dict()
 
     def test_start_floor_delays_job(self, config, characterizer, pool):
-        system = MultiGPUSystem(config.with_engine("event"))
+        system = MultiGPUSystem(config, engine="event")
         system.begin_frame()
         unit = unit_for(characterizer, pool)
         execution = system.execute_unit(
@@ -627,7 +593,7 @@ class TestEventEngine:
 
     def test_zero_demand_job_does_not_block_its_gpm(self, config):
         """An instantaneous unit hands the GPM on in the same window."""
-        system = MultiGPUSystem(config.with_engine("event"))
+        system = MultiGPUSystem(config, engine="event")
         system.begin_frame()
         engine = system.engine
         engine.stall(1, "long", 1000.0)
@@ -645,7 +611,7 @@ class TestEventEngine:
         from repro.engine.base import LinkFlow, ResolvedUnit
         from repro.memory.link import TrafficType
 
-        system = MultiGPUSystem(config.with_engine("event"))
+        system = MultiGPUSystem(config, engine="event")
         system.begin_frame()
         engine = system.engine
         fabric = system.fabric
@@ -711,7 +677,7 @@ class TestEventEngine:
         ]
 
     def test_finish_frame_is_repeatable(self, config, characterizer, pool):
-        system = MultiGPUSystem(config.with_engine("event"))
+        system = MultiGPUSystem(config, engine="event")
         system.begin_frame()
         system.execute_unit(
             unit_for(characterizer, pool), 0, fb_targets={0: 1.0}
@@ -721,7 +687,7 @@ class TestEventEngine:
         assert first.to_dict() == second.to_dict()
 
     def test_trace_exports(self, config, characterizer, pool):
-        system = MultiGPUSystem(config.with_engine("event"))
+        system = MultiGPUSystem(config, engine="event")
         system.begin_frame()
         unit = unit_for(characterizer, pool)
         system.placement.place_fixed(
@@ -774,9 +740,7 @@ class TestUnreadObjectsAreNotBuilt:
     def test_objects_are_built_only_when_read(
         self, framework, engine, monkeypatch
     ):
-        renderer = build_framework(
-            framework, baseline_system().with_engine(engine)
-        )
+        renderer = build_framework(framework, baseline_system(), engine)
         # A twin of the memoised frame: nothing it derives is cached.
         scene = cached_scene("HL2-640", 1, 2019, FAST.draw_scale)
         frame = replace(scene.frames[0])
@@ -879,9 +843,7 @@ class TestFullFrameCoverage:
         cfg = baseline_system(num_gpms=1)
         outcomes = {}
         for engine_name in ("analytic", "event"):
-            framework_obj = build_framework(
-                framework, cfg.with_engine(engine_name)
-            )
+            framework_obj = build_framework(framework, cfg, engine_name)
             result = framework_obj.render_scene(scene)
             outcomes[engine_name] = (
                 result,
@@ -911,9 +873,7 @@ class TestFullFrameCoverage:
         traces = {}
         results = {}
         for engine_name in ("analytic", "event"):
-            framework_obj = build_framework(
-                framework, cfg.with_engine(engine_name)
-            )
+            framework_obj = build_framework(framework, cfg, engine_name)
             results[engine_name] = framework_obj.render_scene(scene)
             traces[engine_name] = framework_obj.last_system.last_trace
         assert dict(traces["analytic"].phase_link_bytes) == dict(
@@ -930,7 +890,7 @@ class TestFullFrameCoverage:
         """The phase decomposition sums to the frame on any machine."""
         for framework in ("oo-app", "oo-vr", "tile-v"):
             framework_obj = build_framework(
-                framework, baseline_system().with_engine("event")
+                framework, baseline_system(), "event"
             )
             result = framework_obj.render_scene(fast_scene())
             trace = framework_obj.last_system.last_trace
@@ -940,9 +900,7 @@ class TestFullFrameCoverage:
 
     def test_pa_copies_become_background_stage_lane(self):
         """OO-VR's PA flows show up as a stage lane, not GPM time."""
-        framework = build_framework(
-            "oo-vr", baseline_system().with_engine("event")
-        )
+        framework = build_framework("oo-vr", baseline_system(), "event")
         framework.render_scene(fast_scene())
         trace = framework.last_system.last_trace
         stage_spans = [s for s in trace.intervals if s.kind == "stage"]
@@ -965,7 +923,7 @@ class TestFullFrameCoverage:
 
         ends = {}
         for engine_name in ("analytic", "event"):
-            system = MultiGPUSystem(config.with_engine(engine_name))
+            system = MultiGPUSystem(config, engine=engine_name)
             system.begin_frame()
             unit = unit_for(characterizer, pool)
             staging = StagingManager(system)
@@ -993,7 +951,7 @@ class TestFullFrameCoverage:
         spans = {}
         stalls = {}
         for engine_name in ("analytic", "event"):
-            system = MultiGPUSystem(config.with_engine(engine_name))
+            system = MultiGPUSystem(config, engine=engine_name)
             install_topology(system, Topology.SWITCH)
             system.begin_frame()
             unit = unit_for(characterizer, pool)
@@ -1027,9 +985,7 @@ class TestFullFrameCoverage:
         """`oovr run --engine event` acceptance: all three lanes."""
         from repro.stats.timeline import trace_timeline
 
-        framework = build_framework(
-            "oo-app", baseline_system().with_engine("event")
-        )
+        framework = build_framework("oo-app", baseline_system(), "event")
         framework.render_scene(fast_scene())
         trace = framework.last_system.last_trace
         kinds = {span.kind for span in trace.intervals}
@@ -1044,7 +1000,7 @@ class TestFullFrameCoverage:
         cfg = baseline_system().with_link_bandwidth(16.0)
         analytic = build_framework("oo-vr:topo=switch", cfg)
         analytic.render_scene(scene)
-        event = build_framework("oo-vr:topo=switch:engine=event", cfg)
+        event = build_framework("oo-vr:topo=switch", cfg, "event")
         event.render_scene(scene)
         a_comp = analytic.last_system.last_trace.composition_cycles
         e_comp = event.last_system.last_trace.composition_cycles
@@ -1460,7 +1416,7 @@ class TestIncrementalWindowLoop:
 
     @staticmethod
     def _engine(config, topology=None):
-        system = MultiGPUSystem(config.with_engine("event"))
+        system = MultiGPUSystem(config, engine="event")
         if topology is not None:
             from repro.extensions.topology import Topology, install_topology
 
@@ -1533,10 +1489,13 @@ class TestIncrementalWindowLoop:
         A/B patch) changes nothing, on the baseline family's crowded
         windows as on oo-vr's sparse ones."""
         scene = fast_scene()
-        cfg = baseline_system().with_engine("event")
-        default = build_framework(framework, cfg).render_scene(scene)
+        default = build_framework(framework, engine="event").render_scene(
+            scene
+        )
         with WINDOW_LOOP.patch():
-            reference = build_framework(framework, cfg).render_scene(scene)
+            reference = build_framework(
+                framework, engine="event"
+            ).render_scene(scene)
         assert default.to_dict() == reference.to_dict()
 
     @pytest.mark.parametrize(
@@ -1861,10 +1820,10 @@ class TestSplitBind:
     def _system(knobs, policy, engine, resources):
         from repro.extensions.topology import Topology, install_topology
 
-        config = baseline_system().with_engine(engine)
+        config = baseline_system()
         if not knobs.get("numa", True):
             config = replace(config, numa_optimizations=False)
-        system = MultiGPUSystem(config, policy)
+        system = MultiGPUSystem(config, policy, engine)
         if "topology" in knobs:
             install_topology(system, Topology(knobs["topology"]))
         _prepare_placement(system.placement, resources)
@@ -2033,8 +1992,8 @@ class TestSplitBind:
 
         monkeypatch.setattr(StagingManager, "begin_frame", record)
         scene = fast_scene()
-        config = baseline_system(num_gpms=num_gpms).with_engine(engine)
-        split = build_framework(framework, config)
+        config = baseline_system(num_gpms=num_gpms)
+        split = build_framework(framework, config, engine)
         split_result = split.render_scene(scene)
         split_managers = list(managers)
         managers.clear()
@@ -2044,7 +2003,7 @@ class TestSplitBind:
             if isinstance(split, entry.resolve()[0])
         ]
         with body.patch():
-            oracle = build_framework(framework, config)
+            oracle = build_framework(framework, config, engine)
             oracle_result = oracle.render_scene(scene)
         assert split_result.to_dict() == oracle_result.to_dict()
         assert _machine_state(split.last_system, None, split_managers) == (

@@ -264,9 +264,7 @@ class TestMigration:
 
             monkeypatch.setattr(cls, "finish_frame", counted)
         scene = make_benchmark_scene("HL2-640", num_frames=3, draw_scale=0.05)
-        framework = build_framework(
-            "baseline-mig", baseline_system().with_engine(engine)
-        )
+        framework = build_framework("baseline-mig", engine=engine)
         framework.render_scene(scene)
         assert calls == [engine] * 3
         assert framework.engine.migrated_bytes_total > 0

@@ -4,7 +4,11 @@ import pytest
 
 from repro.config import baseline_system
 from repro.frameworks.base import build_framework, framework_names
-from repro.frameworks.tile_sfr import TileOrientation, TileSplitFrameRendering
+from repro.frameworks.tile_sfr import (
+    HorizontalTileSFR,
+    TileOrientation,
+    VerticalTileSFR,
+)
 from repro.memory.link import TrafficType
 from repro.scene.benchmarks import make_benchmark_scene
 
@@ -117,11 +121,15 @@ class TestVariantGrammarErrors:
             "unknown topology 'torus'",
         )
 
-    def test_unknown_engine(self):
+    def test_engine_is_not_a_modifier(self):
+        # The engine is the run's (RunSpec.engine), never the name's.
         self._rejects(
-            "baseline:engine=quantum",
-            "unknown execution engine 'quantum'",
+            "oo-vr:engine=event",
+            "unknown framework variant modifier 'engine=event' in "
+            "'oo-vr:engine=event'",
         )
+        with pytest.raises(KeyError, match="modifier 'engine=event'"):
+            build_framework("oo-vr:engine=event")
 
     def test_wrapper_modifiers_still_stack(self):
         # Guard against over-tight rejection: the legal spellings the
@@ -131,7 +139,7 @@ class TestVariantGrammarErrors:
         for name in (
             "oo-vr:no-dhc",
             "oo-vr:tsl=0.3:topo=ring:fov",
-            "baseline:topo=switch:engine=event",
+            "baseline:topo=switch:fov",
         ):
             validate_variant(name)
 
@@ -204,8 +212,10 @@ class TestAFR:
 
 class TestTileSFR:
     def test_orientation_selection(self):
-        v = TileSplitFrameRendering(orientation=TileOrientation.VERTICAL)
-        h = TileSplitFrameRendering(orientation=TileOrientation.HORIZONTAL)
+        v = VerticalTileSFR()
+        h = HorizontalTileSFR()
+        assert v.orientation is TileOrientation.VERTICAL
+        assert h.orientation is TileOrientation.HORIZONTAL
         scene_strips_v = v.strips(make_benchmark_scene("WE", num_frames=1).frames[0])
         scene_strips_h = h.strips(make_benchmark_scene("WE", num_frames=1).frames[0])
         assert scene_strips_v[0].width < scene_strips_h[0].width

@@ -124,16 +124,9 @@ class TestRunQueuesAndResult:
     def test_placement_persists_across_frames(self, system, characterizer, pool):
         unit = unit_for(characterizer, pool)
         system.execute_unit(unit, 2, fb_targets={2: 1.0})
-        system.begin_frame(keep_placement=True)
+        system.begin_frame()
         for touch in unit.texture_touches:
             assert system.placement.is_placed(touch.resource)
-
-    def test_placement_reset_on_request(self, system, characterizer, pool):
-        unit = unit_for(characterizer, pool)
-        system.execute_unit(unit, 2, fb_targets={2: 1.0})
-        system.begin_frame(keep_placement=False)
-        for touch in unit.texture_touches:
-            assert not system.placement.is_placed(touch.resource)
 
 
 class TestComposition:

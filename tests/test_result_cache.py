@@ -115,7 +115,8 @@ class TestResultCacheStore:
         spec = tiny_spec().validate()
         result = spec.execute()
         cache.put(spec, result)
-        cache.path_for(spec).write_text("{ not json", encoding="utf-8")
+        path = cache.entry_path(cache.key(spec))
+        path.write_text("{ not json", encoding="utf-8")
         assert cache.get(spec) is None
         assert cache.stats.corrupt == 1
         # A sweep through the same cache re-executes and heals the entry.
@@ -131,7 +132,7 @@ class TestResultCacheStore:
         cache = ResultCache(tmp_path)
         spec = tiny_spec().validate()
         cache.put(spec, spec.execute())
-        path = cache.path_for(spec)
+        path = cache.entry_path(cache.key(spec))
         entry = json.loads(path.read_text())
         entry["version"] = -1
         path.write_text(json.dumps(entry), encoding="utf-8")
@@ -155,7 +156,7 @@ class TestResultCacheStore:
         cache = ResultCache(tmp_path)
         spec = tiny_spec().validate()
         cache.put(spec, spec.execute())
-        path = cache.path_for(spec)
+        path = cache.entry_path(cache.key(spec))
         entry = json.loads(path.read_text())
         entry["spec"]["seed"] = 7
         path.write_text(json.dumps(entry), encoding="utf-8")
@@ -170,7 +171,7 @@ class TestResultCacheStore:
         spec = tiny_spec().validate()
         result = spec.execute()
         cache.put(spec, result)
-        path = cache.path_for(spec)
+        path = cache.entry_path(cache.key(spec))
         entry = json.loads(path.read_text())
         entry["engine"] = "event"
         path.write_text(json.dumps(entry), encoding="utf-8")
@@ -245,7 +246,7 @@ class TestValidatedMemo:
         text = cache.recall(key)
         assert cache.entry_text(spec, key) == text
         assert dict(entry_reads) == {}
-        assert text == cache.path_for(spec).read_bytes().decode("utf-8")
+        assert text == cache.entry_path(key).read_bytes().decode("utf-8")
         # A memo hit is counted as the hit get() would have counted.
         assert (cache.stats.hits, cache.stats.misses) == (2, 0)
 
@@ -270,14 +271,14 @@ class TestValidatedMemo:
         text = cache.entry_text(spec, key)
         assert (entry_reads["open"], entry_reads["decode"]) == (1, 1)
         # The text the lookup validated, without a second stat.
-        assert text == cache.path_for(spec).read_text(encoding="utf-8")
+        assert text == cache.entry_path(key).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("change", sorted(_CHANGES))
     def test_changed_file_goes_back_to_disk(
         self, stored, entry_reads, change
     ):
         cache, spec = stored
-        path = cache.path_for(spec)
+        path = cache.entry_path(cache.key(spec))
         assert cache.get(spec) is not None
         _CHANGES[change](cache, spec, path)
         # What a cache that never saw the entry makes of the file now.
@@ -317,7 +318,7 @@ class TestValidatedMemo:
         )
         assert cache.get(spec) is not None
         assert cache.recall(spec_key(spec)) is not None
-        _CHANGES[change](cache, spec, cache.path_for(spec))
+        _CHANGES[change](cache, spec, cache.entry_path(cache.key(spec)))
         assert cache.recall(spec_key(spec)) is None
 
     def test_get_returns_a_fresh_object_each_call(self, stored):

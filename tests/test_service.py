@@ -98,7 +98,7 @@ class TestWireProtocol:
             seed=7,
             draw_scale=0.1,
         ),
-        RunSpec(framework="oo-vr:engine=event", workload="WE", engine="analytic"),
+        RunSpec(framework="oo-vr:topo=ring", workload="WE", engine="event"),
     )
 
     @pytest.mark.parametrize(
@@ -161,6 +161,20 @@ class TestWireProtocol:
         with pytest.raises(SpecError, match=re.escape(message)):
             spec_from_wire(wire)
 
+    def test_analytic_engine_is_not_sent(self):
+        # The default engine stays off the wire, as it stays out of the
+        # key; any other engine is sent.
+        assert "engine" not in spec_to_wire(self.SPECS[0])
+        assert spec_to_wire(self.SPECS[1])["engine"] == "event"
+
+    def test_config_naming_an_engine_rejected(self):
+        """A config document names hardware only (version 3): one that
+        names an ``engine`` is refused, never run as an analytic cell."""
+        wire = spec_to_wire(self.SPECS[2])
+        wire["config"]["engine"] = "event"
+        with pytest.raises(ProtocolError, match="engine"):
+            spec_from_wire(wire)
+
     def test_version_mismatch_rejected(self):
         with pytest.raises(ProtocolError, match="version"):
             check_version({"version": 99}, "request")
@@ -170,9 +184,18 @@ class TestWireProtocol:
         deleted; they are refused, not half-served."""
         with pytest.raises(
             ProtocolError, match="speaks protocol version 1; this side "
-            "speaks 2"
+            "speaks 3"
         ):
             check_version({"version": 1}, "request")
+
+    def test_version_two_peer_refused_by_name(self):
+        """Version 2 config documents could name an engine; version 3
+        ones cannot, so a version 2 peer is refused outright."""
+        with pytest.raises(
+            ProtocolError, match="speaks protocol version 2; this side "
+            "speaks 3"
+        ):
+            check_version({"version": 2}, "request")
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +851,28 @@ class TestLoopback:
             with pytest.raises(ServiceError, match="400: .*version 1"):
                 client._request("POST", "/sweeps", body)
             assert server.service.stats()["jobs"] == []
+
+    def test_config_naming_an_engine_is_refused_at_submit(self, tmp_path):
+        """A spec whose config names an engine is a 400 at submit: no
+        job, no lease, nothing run under the analytic default."""
+        cache = ResultCache(tmp_path / "server-cache")
+        with daemon(cache) as server:
+            client = ServiceClient(server.url)
+            document = spec_to_wire(
+                RunSpec(
+                    framework="baseline",
+                    workload="WE",
+                    config=baseline_system(),
+                    num_frames=2,
+                    draw_scale=0.08,
+                )
+            )
+            document["config"]["engine"] = "event"
+            body = {"specs": [document]}
+            with pytest.raises(ServiceError, match="400: .*engine"):
+                client._request("POST", "/sweeps", body)
+            assert server.service.stats()["jobs"] == []
+        assert len(cache) == 0
 
     def test_rejected_service_closes_the_listening_socket(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:

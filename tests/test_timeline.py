@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.config import baseline_system
 from repro.core.distribution import DispatchRecord
 from repro.core.oovr import OOVRFramework
 from repro.engine.trace import KINDS, FrameTrace, TraceInterval, TraceSpans
+from repro.frameworks.base import build_framework
 from repro.scene.benchmarks import make_benchmark_scene
 from repro.stats.timeline import dispatch_timeline, trace_timeline
 
@@ -187,7 +187,7 @@ class TestTraceTimeline:
 
     def test_renders_real_event_trace(self):
         scene = make_benchmark_scene("HL2-640", num_frames=1, draw_scale=0.1)
-        framework = OOVRFramework(baseline_system().with_engine("event"))
+        framework = build_framework("oo-vr", engine="event")
         framework.render_scene(scene)
         trace = framework.last_system.last_trace
         text = trace_timeline(trace)
