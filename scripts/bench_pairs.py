@@ -6,12 +6,14 @@ Run from the root of a checkout::
     python3 scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N \\
         [--seconds S] [--seed K]
 
-``PARENT`` and ``CHANGE`` are git revisions.  Each is exported with
-``git archive`` into a fresh temporary directory, under names of equal
-length (``parent`` and ``change``), because path strings shift the
-allocator's layout and so peak RSS.  Pair ``i`` runs
-``perfbench/run.py --workload W --seconds S --seed K --trace 0`` in
-both copies, one after the other, the parent first in even pairs and
+``PARENT`` and ``CHANGE`` are git revisions.  Each is exported once
+with ``git archive`` into a temporary directory.  Path strings shift
+the allocator's layout and so peak RSS, so no run starts in either
+export: before each run, that side's tree is moved to one run
+directory, and moved back afterwards, and every benchmark process of
+both sides sees the same path.  Pair ``i`` runs
+``perfbench/run.py --workload W --seconds S --seed K --trace 0`` on
+both sides, one after the other, the parent first in even pairs and
 the change first in odd ones.  Every run's last stdout line (the
 benchmark's JSON verdict) is kept, with its pair, side and revision, in
 one raw file under ``.perfbench/pairs/``; the table is printed from it:
@@ -33,8 +35,10 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
-#: The two sides, named alike in length.
+#: The two sides.
 SIDES = ("parent", "change")
+#: Where a side's tree sits while it is measured, next to the exports.
+RUN_DIR = "run"
 
 
 class Summary(NamedTuple):
@@ -144,6 +148,16 @@ def run_once(checkout: Path, args) -> dict:
     return json.loads(lines[-1])
 
 
+def run_moved(tree: Path, run_dir: Path, args) -> dict:
+    """:func:`run_once` with ``tree`` moved to ``run_dir`` for the run
+    and moved back afterwards, so that every side runs from one path."""
+    tree.rename(run_dir)
+    try:
+        return run_once(run_dir, args)
+    finally:
+        run_dir.rename(tree)
+
+
 def table(runs: List[dict], workload: str) -> List[str]:
     """The per-metric lines of the summary table."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -199,16 +213,18 @@ def main(argv=None) -> int:
     raw.parent.mkdir(parents=True, exist_ok=True)
     runs: List[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        checkouts = {side: Path(scratch) / side for side in SIDES}
+        trees = {side: Path(scratch) / side for side in SIDES}
         for side in SIDES:
-            export(revisions[side], checkouts[side])
+            export(revisions[side], trees[side])
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 runs.append(
                     dict(
                         pair=pair, side=side, revision=revisions[side],
-                        result=run_once(checkouts[side], args),
+                        result=run_moved(
+                            trees[side], Path(scratch) / RUN_DIR, args
+                        ),
                     )
                 )
                 raw.write_text(json.dumps(

@@ -122,3 +122,41 @@ def test_table_reads_every_end_to_end_metric_from_the_raw_runs():
         "grid_s": "gain", "setup_s": "held", "peak_rss_mb": "held",
         "cells_per_s": "gain",
     }
+
+
+def test_both_sides_run_from_one_path(tmp_path, monkeypatch, capsys):
+    """Each run finds its own side's tree at the same path, so a path
+    string cannot tell the sides apart in peak RSS."""
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+
+    def export(revision, directory):
+        directory.mkdir(parents=True)
+        (directory / "REVISION").write_text(revision, encoding="utf-8")
+
+    seen = []
+
+    def run_once(checkout, args):
+        seen.append((checkout, (checkout / "REVISION").read_text()))
+        metrics = {"grid_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 50.0,
+                   "cells_per_s": 27.0}
+        return {"correct": True, "failed": 0, "metrics": {
+            name: {"value": value, "unit": "x"}
+            for name, value in metrics.items()
+        }}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: f"{rev:0<40}")
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(
+        ["a", "b", "--workload", "grid-x", "--pairs", "3"]
+    ) == 0
+    assert len({checkout for checkout, _ in seen}) == 1
+    # Alternating order, each run on its own side's tree.
+    assert [revision[0] for _, revision in seen] == list("abbaab")
+    assert "grid-x: 3 pairs" in capsys.readouterr().out
