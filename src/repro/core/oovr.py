@@ -36,14 +36,21 @@ from repro.gpu.staging import StagingManager
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.placement import PlacementPolicy
 from repro.pipeline.smp import SMPMode
-from repro.pipeline.workunit import WorkUnit, merge_units
+from repro.pipeline.workunit import WorkUnit, merge_rows
 from repro.profiling import phase
 from repro.scene.scene import Frame
 from repro.stats.metrics import FrameResult
 
 
 class _BatchBuilder:
-    """Shared OO_APP front end: frame -> (batch, merged work unit)."""
+    """Shared OO_APP front end: frame -> (batch, merged work unit).
+
+    The middleware groups the frame's objects into Fig. 12 batches, and
+    each batch's unit is merged straight from the rows of the frame's
+    memoised multi-view unit table (:func:`merge_rows`), so no
+    per-object :class:`WorkUnit` or :class:`~repro.memory.address.Touch`
+    is built on the way.
+    """
 
     def __init__(
         self,
@@ -65,7 +72,9 @@ class _BatchBuilder:
         The pairs depend only on the frame's objects, the middleware's
         grouping knobs and the (frozen) cost model, so the built pairs
         are memoised on the frame (:meth:`Frame.derived`) — cells
-        sharing a workload skip Fig. 12 grouping and the batch merges.
+        sharing a workload skip Fig. 12 grouping and the batch merges,
+        for as long as the frame's scene stays memoised (a serial sweep
+        lets it go when it moves on to the next workload point).
         Batches and units are frozen; a fresh list is returned per call
         so no consumer can alias another cell's container.  The build
         runs inside the ``bind`` profiling phase.
@@ -84,34 +93,37 @@ class _BatchBuilder:
 
     def _build(self, frame: Frame) -> Tuple[Tuple[Batch, WorkUnit], ...]:
         with phase("bind"):
-            characterizer = self._characterizer
             discount = self._cost.batch_draw_discount
             batches = self._middleware.build_batches(frame.objects)
-            # One vectorized pass prices every object's multi-view draw
-            # (frame.object_batch order == frame.objects order); each
-            # batch then just gathers its members' units in draw order,
-            # so the merge sees the exact units a per-draw walk builds.
-            units_by_object = dict(
-                zip(
-                    (obj.object_id for obj in frame.objects),
-                    characterizer.characterize_frame(
-                        frame, mode=SMPMode.SIMULTANEOUS, expansion="multiview"
-                    ),
-                )
+            # The frame's multi-view unit table holds one row per object
+            # in draw order (frame.object_batch order == frame.objects
+            # order); each batch merges its members' rows in member
+            # order, so the merge reads the units a per-draw walk builds.
+            table = self._characterizer.unit_columns(
+                frame, mode=SMPMode.SIMULTANEOUS, expansion="multiview"
+            )
+            row_of = {
+                obj.object_id: row for row, obj in enumerate(frame.objects)
+            }
+            merged = merge_rows(
+                table,
+                [
+                    (
+                        f"batch{batch.batch_id}",
+                        [row_of[obj.object_id] for obj in batch.objects],
+                    )
+                    for batch in batches
+                ],
             )
             out: List[Tuple[Batch, WorkUnit]] = []
-            for batch in batches:
-                units = tuple(
-                    units_by_object[obj.object_id] for obj in batch.objects
-                )
-                merged = merge_units(f"batch{batch.batch_id}", units)
+            for batch, unit in zip(batches, merged):
                 if len(batch.objects) > 1:
                     # Texture-sorted submission needs fewer state changes.
-                    merged = replace(
-                        merged,
-                        draw_count=max(1.0, merged.draw_count * discount),
+                    unit = replace(
+                        unit,
+                        draw_count=max(1.0, unit.draw_count * discount),
                     )
-                out.append((batch, merged))
+                out.append((batch, unit))
             return tuple(out)
 
 

@@ -23,7 +23,7 @@ class ResourceKind(enum.Enum):
     COMMAND = "command"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resource:
     """A paged memory object.
 
@@ -55,7 +55,7 @@ def vertex_resource(object_id: int, size_bytes: int) -> Resource:
     return Resource(("vb", object_id), ResourceKind.VERTEX, size_bytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Touch:
     """One work unit's use of a resource.
 

@@ -26,8 +26,8 @@ gathers of the counters and the batch, with one
 :class:`~repro.memory.address.Resource` per distinct resource and no
 ``WorkUnit`` or ``Touch`` built.  The statically scheduled frameworks
 hand the table to the slice pass; the dispatchers that schedule units
-one at a time (OO-VR, OO_APP) read its
-:meth:`~repro.pipeline.workunit.UnitColumns.units`.
+one at a time (OO-VR, OO_APP) merge each of their batches from its
+rows (:func:`~repro.pipeline.workunit.merge_rows`).
 
 Exactness contract: every expression here is the scalar expression
 evaluated elementwise, with the same association order — products stay

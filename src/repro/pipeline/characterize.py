@@ -14,11 +14,14 @@ A frame is characterised in one vectorized pass
 the cost model, SMP mode and draw expansion.  The table is the one
 reader of the frame's counters and the one characterisation path:
 the statically scheduled frameworks (and the Section 3 SMP check) hand
-it to the slice pass, and the clock-driven dispatchers read its units
-(:meth:`~DrawCharacterizer.characterize_frame`).  So tile-level SFR (H)
-renders the very multi-view table OO-VR's units came from.  The
-per-draw walk it replaced is the oracle table's reference
-(``tests/oracles.py``, entry ``UNIT_TABLE``), never run here.
+it to the slice pass, and the clock-driven dispatchers (OO-VR, OO_APP)
+merge each Fig. 12 batch straight from its rows
+(:func:`~repro.pipeline.workunit.merge_rows`);
+:meth:`~DrawCharacterizer.characterize_frame` reads its units out one
+per draw.  So tile-level SFR (H) renders the very multi-view table
+OO-VR's batches came from.  The per-draw walk it replaced is the
+oracle table's reference (``tests/oracles.py``, entry
+``UNIT_TABLE``), never run here.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ where those bytes go depends on the framework's framebuffer layout
 read straight from the frame's counters
 (:func:`repro.pipeline.batch.unit_columns`) without a single
 :class:`WorkUnit`.  The statically scheduled frameworks hand it to the
-slice pass (:mod:`repro.engine.split`) as it is;
-:meth:`UnitColumns.units` reads the units back out of it for the
-clock-driven dispatchers (OO-VR, OO_APP), and
+slice pass (:mod:`repro.engine.split`) as it is; the clock-driven
+dispatchers (OO-VR, OO_APP) merge each of their batches straight from
+its rows (:func:`merge_rows`), building only the merged units;
+:meth:`UnitColumns.units` reads the units back out of it, and
 :meth:`UnitColumns.from_units` is the bridge from units (the per-slice
 oracles and the tests).
 """
@@ -36,7 +37,7 @@ import numpy as np
 from repro.memory.address import Resource, Touch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkUnit:
     """One schedulable piece of rendering work.
 
@@ -172,64 +173,6 @@ class WorkUnit:
     @property
     def texture_stream_bytes(self) -> float:
         return sum(t.stream_bytes for t in self.texture_touches)
-
-
-def merge_units(label: str, units: Tuple[WorkUnit, ...]) -> WorkUnit:
-    """Concatenate several units into one batch-level unit.
-
-    Used by the OO middleware after grouping objects into a batch: the
-    batch is scheduled as one quantum, its draw overheads amortised by
-    the command processor submitting them back to back.
-    """
-    if not units:
-        raise ValueError("cannot merge zero units")
-    views = max(u.views for u in units)
-    touches: dict = {}
-    for unit in units:
-        for touch in unit.texture_touches:
-            prev = touches.get(touch.resource.resource_id)
-            if prev is None:
-                touches[touch.resource.resource_id] = Touch(
-                    resource=touch.resource,
-                    unique_bytes=touch.unique_bytes,
-                    stream_bytes=touch.stream_bytes,
-                    write_bytes=touch.write_bytes,
-                )
-            else:
-                # Shared texture within the batch: streams add, but the
-                # unique footprint is shared (this is the TSL payoff —
-                # the second object re-reads cached data).
-                touches[touch.resource.resource_id] = Touch(
-                    resource=touch.resource,
-                    unique_bytes=max(prev.unique_bytes, touch.unique_bytes),
-                    stream_bytes=prev.stream_bytes + touch.stream_bytes,
-                    write_bytes=prev.write_bytes + touch.write_bytes,
-                )
-    vertex_touches: list = []
-    for unit in units:
-        vertex_touches.extend(unit.vertex_touches)
-    return WorkUnit(
-        label=label,
-        views=views,
-        vertices=sum(u.vertices for u in units),
-        triangles_setup=sum(u.triangles_setup for u in units),
-        triangles_raster=sum(u.triangles_raster for u in units),
-        fragments=sum(u.fragments for u in units),
-        pixels_out=sum(u.pixels_out for u in units),
-        texel_requests=sum(u.texel_requests for u in units),
-        shader_complexity=(
-            sum(u.shader_complexity * u.fragments for u in units)
-            / max(1.0, sum(u.fragments for u in units))
-        ),
-        texture_touches=tuple(touches.values()),
-        vertex_touches=tuple(vertex_touches),
-        z_stream_bytes=sum(u.z_stream_bytes for u in units),
-        z_unique_bytes=sum(u.z_unique_bytes for u in units),
-        fb_write_bytes=sum(u.fb_write_bytes for u in units),
-        command_bytes=sum(u.command_bytes for u in units),
-        fraction=1.0,
-        draw_count=sum(u.draw_count for u in units),
-    )
 
 
 #: The :class:`WorkUnit` counts :class:`UnitColumns` holds as float
@@ -402,3 +345,93 @@ class UnitColumns:
                 *(getattr(self, name).tolist() for name in _FLOATS),
             )
         )
+
+
+#: The counts a merged unit sums over its members.
+_SUMMED = _COUNTS + ("draw_count",)
+
+
+def merge_rows(
+    table: UnitColumns, groups: Sequence[Tuple[str, Sequence[int]]]
+) -> List[WorkUnit]:
+    """Each ``(label, rows)`` group of ``table``'s units merged into one
+    batch-level unit, in group order.
+
+    Used by the OO middleware after grouping objects into batches: a
+    batch is scheduled as one quantum, its draw overheads amortised by
+    the command processor submitting its members back to back.  The
+    members are read straight from the table's columns, so no member
+    :class:`WorkUnit` or :class:`Touch` is built.  Every count is
+    builtin ``sum()`` over the members in member order, the shader
+    complexity their fragment-weighted mean and the view count their
+    maximum.  Texture touches merge per resource id in first-use
+    order: streams and writes add in member order, but the unique
+    footprint is shared (the larger one: the TSL payoff, the second
+    object re-reads cached data).  Vertex touches are concatenated, one
+    per member, so page placement stays per-object.  The reference
+    reads the members out as units and merges those
+    (``tests/oracles.py::merge_units``).
+    """
+    resources = table.resources
+    bounds = table.touch_bounds.tolist()
+    touch_resource = table.touch_resource.tolist()
+    touch_unique = table.touch_unique.tolist()
+    touch_stream = table.touch_stream.tolist()
+    touch_write = table.touch_write.tolist()
+    touch_texture = table.touch_texture.tolist()
+    views = table.views.tolist()
+    complexity = table.shader_complexity.tolist()
+    fragments = table.fragments.tolist()
+    counts = {name: getattr(table, name).tolist() for name in _SUMMED}
+    merged: List[WorkUnit] = []
+    for label, rows in groups:
+        if not rows:
+            raise ValueError("cannot merge zero units")
+        # resource id -> [resource, unique, stream, write]
+        shared: Dict[Tuple[str, int], list] = {}
+        vertex_touches: List[Touch] = []
+        for row in rows:
+            for touch in range(bounds[row], bounds[row + 1]):
+                resource = resources[touch_resource[touch]]
+                if not touch_texture[touch]:
+                    vertex_touches.append(
+                        Touch(
+                            resource,
+                            touch_unique[touch],
+                            touch_stream[touch],
+                            touch_write[touch],
+                        )
+                    )
+                    continue
+                seen = shared.get(resource.resource_id)
+                if seen is None:
+                    shared[resource.resource_id] = [
+                        resource,
+                        touch_unique[touch],
+                        touch_stream[touch],
+                        touch_write[touch],
+                    ]
+                else:
+                    seen[0] = resource
+                    seen[1] = max(seen[1], touch_unique[touch])
+                    seen[2] += touch_stream[touch]
+                    seen[3] += touch_write[touch]
+        merged.append(
+            WorkUnit(
+                label=label,
+                views=max(views[row] for row in rows),
+                shader_complexity=(
+                    sum(complexity[row] * fragments[row] for row in rows)
+                    / max(1.0, sum(fragments[row] for row in rows))
+                ),
+                texture_touches=tuple(
+                    Touch(*values) for values in shared.values()
+                ),
+                vertex_touches=tuple(vertex_touches),
+                **{
+                    name: sum(column[row] for row in rows)
+                    for name, column in counts.items()
+                },
+            )
+        )
+    return merged

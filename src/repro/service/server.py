@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import uuid
@@ -625,6 +626,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
 
+#: How a connection fails when its peer resets or drops it.
+_PEER_GONE = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+
+
 class SweepServer(ThreadingHTTPServer):
     """The daemon: a threaded HTTP server owning one :class:`SweepService`.
 
@@ -665,6 +670,14 @@ class SweepServer(ThreadingHTTPServer):
         with self._connections_lock:
             self._connections.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        """A peer that resets or drops its connection is routine for a
+        long-running daemon: the connection is closed without a
+        traceback.  Every other error goes to ``socketserver``'s
+        report."""
+        if not isinstance(sys.exc_info()[1], _PEER_GONE):
+            super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         super().server_close()

@@ -7,11 +7,16 @@ Four backends ship, selectable by name end-to-end (``Sweep.run
 block around a figure or study, ``oovr sweep --executor``); any other
 object with ``name`` and ``run`` is passed as an instance:
 
-- ``serial`` — in-process, one cell at a time, in grid order;
+- ``serial`` — in-process, one cell at a time, one scene at a time:
+  cells run grouped by the workload point they render, and each
+  group's scene leaves the scene memo when the run moves on to the
+  next group, so the scene and its frames' artefacts are held while
+  one group runs rather than for the whole grid;
 - ``process`` — fans cache misses out over a ``ProcessPoolExecutor``
-  (``Sweep.run(jobs=N)`` remains sugar for this backend) while
-  gathering results in grid order, so records stay byte-identical to a
-  serial run;
+  (``Sweep.run(jobs=N)`` remains sugar for this backend) in grid
+  order (the parent builds no scene; dealing cells to workers by
+  workload point measured slower) while gathering results in grid
+  order, so records stay byte-identical to a serial run;
 - ``shard`` — executes only the deterministic ``shard_index/shard_count``
   slice of the grid (:func:`shard_of` partitions by :func:`spec_key
   <repro.session.cache.spec_key>`, so membership depends on cell
@@ -30,9 +35,10 @@ DIR``, collects the cache directories, ``oovr cache merge``\\ s them
 and replays the grid unsharded against the merged directory — 100 %
 hits, byte-identical exports.
 
-Every executor threads an optional ``on_result`` callback —
-``on_result(spec, result, cached)`` fired once per completed cell, in
-grid order — which ``oovr sweep --progress`` uses to print one line
+Every executor returns results, and threads an optional
+``on_result`` callback — ``on_result(spec, result, cached)`` fired
+once per completed cell — in grid order, whatever order its cells
+ran in; ``oovr sweep --progress`` uses the callback to print one line
 per cell.
 
 Executors with no work left to place (every cell a cache hit) still
@@ -61,7 +67,7 @@ from typing import (
 
 from repro.profiling import PhaseProfile, capture, phase
 from repro.session.cache import ResultCache, atomic_write, spec_key
-from repro.session.spec import RunSpec
+from repro.session.spec import RunSpec, SceneKey, release_scene
 from repro.stats.metrics import SceneResult
 
 
@@ -118,8 +124,35 @@ def _lookup(
     return results, hits
 
 
+def _scene_groups(specs: Sequence[RunSpec]) -> Dict[SceneKey, List[int]]:
+    """The grid's cells grouped by the scene they read.
+
+    One group per workload point (:attr:`RunSpec.scene_key
+    <repro.session.spec.RunSpec.scene_key>`, the key
+    :func:`~repro.session.spec.cached_scene` memoises scenes by), in
+    order of first appearance; a group lists its cells' grid indices
+    in grid order.
+    """
+    groups: Dict[SceneKey, List[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(spec.scene_key, []).append(index)
+    return groups
+
+
 class SerialExecutor:
-    """In-process execution, one cell at a time, in grid order."""
+    """In-process execution, one cell at a time, one scene at a time.
+
+    Cells run grouped by the scene they read (:func:`_scene_groups`),
+    so a scene and the artefacts memoised on its frames are built,
+    shared by the group's cells and let go before the next scene is
+    built.  When the run moves on to the next group it releases the
+    previous group's scene from :func:`~repro.session.spec.cached_scene`
+    (:func:`~repro.session.spec.release_scene`); the last group's scene
+    stays memoised, so a one-group run (a worker's one-cell lease, a
+    repeated cell) releases nothing.  Results are returned, and
+    ``on_result`` fires, in grid order: a cell is reported once every
+    cell before it in the grid has finished.
+    """
 
     name = "serial"
 
@@ -129,23 +162,39 @@ class SerialExecutor:
         cache: Optional[ResultCache] = None,
         on_result: Optional[ResultCallback] = None,
     ) -> List[Optional[SceneResult]]:
-        results: List[Optional[SceneResult]] = []
-        for spec in specs:
-            cached = True
-            result = None
-            if cache is not None:
-                with phase("cache"):
-                    result = cache.get(spec)
-            if result is None:
-                cached = False
-                result = _execute_spec(spec)
-                if cache is not None:
-                    with phase("cache"):
-                        cache.put(spec, result)
-            results.append(result)
-            if on_result is not None:
-                on_result(spec, result, cached)
+        results: List[Optional[SceneResult]] = [None] * len(specs)
+        hits = [False] * len(specs)
+        reported = 0
+        previous: Optional[SceneKey] = None
+        for key, group in _scene_groups(specs).items():
+            if previous is not None:
+                release_scene(*previous)
+            previous = key
+            for index in group:
+                results[index], hits[index] = _resolve(specs[index], cache)
+                while reported < len(specs) and results[reported] is not None:
+                    if on_result is not None:
+                        on_result(
+                            specs[reported], results[reported], hits[reported]
+                        )
+                    reported += 1
         return results
+
+
+def _resolve(
+    spec: RunSpec, cache: Optional[ResultCache]
+) -> Tuple[SceneResult, bool]:
+    """One cell's result, and whether the cache answered it."""
+    if cache is not None:
+        with phase("cache"):
+            found = cache.get(spec)
+        if found is not None:
+            return found, True
+    result = _execute_spec(spec)
+    if cache is not None:
+        with phase("cache"):
+            cache.put(spec, result)
+    return result, False
 
 
 class ProfilingSerialExecutor(SerialExecutor):

@@ -13,10 +13,11 @@ canonical home of what :mod:`repro.experiments.runner` used to define.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.profiling import add_counter, phase
@@ -71,7 +72,17 @@ FULL = ExperimentConfig()
 FAST = ExperimentConfig(draw_scale=FAST_SCALE, num_frames=FAST_FRAMES)
 
 
-@lru_cache(maxsize=128)
+#: A workload point, as :func:`cached_scene` keys its scene.
+SceneKey = Tuple[str, int, int, float]
+
+#: How many scenes :func:`cached_scene` keeps before it evicts the
+#: least recently used one.
+_SCENE_MEMO_SIZE = 128
+#: The memoised scenes, least recently used first.
+_SCENES: "OrderedDict[SceneKey, Scene]" = OrderedDict()
+_SCENES_LOCK = threading.Lock()
+
+
 def cached_scene(
     workload: str, num_frames: int, seed: int, draw_scale: float
 ) -> Scene:
@@ -87,13 +98,23 @@ def cached_scene(
     This memo is also what shares frame-derived artefacts: cells of a
     sweep that share a workload point get the *same* :class:`Scene` —
     hence the same :class:`~repro.scene.scene.Frame` objects — so the
-    batch groupings and characterised work units memoised on each
-    frame (:meth:`Frame.derived <repro.scene.scene.Frame.derived>`)
-    are reused across frameworks and engine variants within one
-    process.  An ``lru_cache`` eviction drops the scene wholesale, and
-    its frames' artefacts go with it, so the 128-scene bound is also
-    the artefacts' bound.
+    batch groupings and unit tables memoised on each frame
+    (:meth:`Frame.derived <repro.scene.scene.Frame.derived>`) are
+    reused across frameworks and engine variants within one process.
+    A scene leaves the memo wholesale, and its frames' artefacts go
+    with it: the serial executor releases each workload point's scene
+    (:func:`release_scene`) when its sweep moves on to the next one,
+    and otherwise the least recently used of 128 scenes is evicted,
+    so the 128-scene bound is also the artefacts' bound.
+    ``cached_scene.cache_clear()`` empties the memo, as
+    ``functools.lru_cache`` spells it.
     """
+    key = (workload, num_frames, seed, draw_scale)
+    with _SCENES_LOCK:
+        scene = _SCENES.get(key)
+        if scene is not None:
+            _SCENES.move_to_end(key)
+            return scene
     start = time.perf_counter()
     scene = make_benchmark_scene(
         workload, num_frames=num_frames, seed=seed, draw_scale=draw_scale
@@ -104,7 +125,33 @@ def cached_scene(
         sum(len(frame.objects) for frame in scene.frames),
     )
     add_counter("scene_frames_built", len(scene.frames))
+    with _SCENES_LOCK:
+        # Two threads that built one point at once share the first.
+        scene = _SCENES.setdefault(key, scene)
+        _SCENES.move_to_end(key)
+        if len(_SCENES) > _SCENE_MEMO_SIZE:
+            _SCENES.popitem(last=False)
     return scene
+
+
+def release_scene(
+    workload: str, num_frames: int, seed: int, draw_scale: float
+) -> None:
+    """Drop one workload point's scene from :func:`cached_scene`'s memo.
+
+    A point the memo does not hold is a no-op.  The scene, its frames
+    and their artefacts are freed once no caller holds them.
+    """
+    with _SCENES_LOCK:
+        _SCENES.pop((workload, num_frames, seed, draw_scale), None)
+
+
+def _clear_scenes() -> None:
+    with _SCENES_LOCK:
+        _SCENES.clear()
+
+
+cached_scene.cache_clear = _clear_scenes  # type: ignore[attr-defined]
 
 
 #: The identity columns every tidy result record carries, in column
@@ -176,9 +223,13 @@ class RunSpec:
         workload under different hardware configurations (Figs. 4, 17,
         18) compare identical inputs.
         """
-        return cached_scene(
-            self.workload, self.num_frames, self.seed, self.draw_scale
-        )
+        return cached_scene(*self.scene_key)
+
+    @property
+    def scene_key(self) -> SceneKey:
+        """The workload point :func:`cached_scene` keys this spec's
+        scene by."""
+        return (self.workload, self.num_frames, self.seed, self.draw_scale)
 
     def build(self):
         """The framework instance this spec describes, every machine

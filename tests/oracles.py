@@ -525,6 +525,81 @@ def build_batches_reference(
 
 
 # ---------------------------------------------------------------------------
+# The OO batch merge
+# ---------------------------------------------------------------------------
+
+
+def merge_units(label: str, units: Tuple[WorkUnit, ...]) -> WorkUnit:
+    """Concatenate several units into one batch-level unit.
+
+    The OO middleware's merge over built units: the batch is scheduled
+    as one quantum, its draw overheads amortised by the command
+    processor submitting them back to back.
+    """
+    if not units:
+        raise ValueError("cannot merge zero units")
+    views = max(u.views for u in units)
+    touches: dict = {}
+    for unit in units:
+        for touch in unit.texture_touches:
+            prev = touches.get(touch.resource.resource_id)
+            if prev is None:
+                touches[touch.resource.resource_id] = Touch(
+                    resource=touch.resource,
+                    unique_bytes=touch.unique_bytes,
+                    stream_bytes=touch.stream_bytes,
+                    write_bytes=touch.write_bytes,
+                )
+            else:
+                # Shared texture within the batch: streams add, but the
+                # unique footprint is shared (this is the TSL payoff —
+                # the second object re-reads cached data).
+                touches[touch.resource.resource_id] = Touch(
+                    resource=touch.resource,
+                    unique_bytes=max(prev.unique_bytes, touch.unique_bytes),
+                    stream_bytes=prev.stream_bytes + touch.stream_bytes,
+                    write_bytes=prev.write_bytes + touch.write_bytes,
+                )
+    vertex_touches: list = []
+    for unit in units:
+        vertex_touches.extend(unit.vertex_touches)
+    return WorkUnit(
+        label=label,
+        views=views,
+        vertices=sum(u.vertices for u in units),
+        triangles_setup=sum(u.triangles_setup for u in units),
+        triangles_raster=sum(u.triangles_raster for u in units),
+        fragments=sum(u.fragments for u in units),
+        pixels_out=sum(u.pixels_out for u in units),
+        texel_requests=sum(u.texel_requests for u in units),
+        shader_complexity=(
+            sum(u.shader_complexity * u.fragments for u in units)
+            / max(1.0, sum(u.fragments for u in units))
+        ),
+        texture_touches=tuple(touches.values()),
+        vertex_touches=tuple(vertex_touches),
+        z_stream_bytes=sum(u.z_stream_bytes for u in units),
+        z_unique_bytes=sum(u.z_unique_bytes for u in units),
+        fb_write_bytes=sum(u.fb_write_bytes for u in units),
+        command_bytes=sum(u.command_bytes for u in units),
+        fraction=1.0,
+        draw_count=sum(u.draw_count for u in units),
+    )
+
+
+def merge_rows_reference(
+    table: UnitColumns, groups: Sequence[Tuple[str, Sequence[int]]]
+) -> List[WorkUnit]:
+    """Each ``(label, rows)`` group's units read out of the table
+    (:meth:`UnitColumns.units`), then merged by :func:`merge_units`."""
+    units = table.units()
+    return [
+        merge_units(label, tuple(units[row] for row in rows))
+        for label, rows in groups
+    ]
+
+
+# ---------------------------------------------------------------------------
 # The validation rasterizer
 # ---------------------------------------------------------------------------
 
@@ -1524,6 +1599,12 @@ GROUPING = Oracle(
     "the Fig. 12 columnar grouping scan: the queue walked one scalar "
     "Eq. 1 probe per candidate",
 )
+BATCH_MERGE = Oracle(
+    "repro.core.oovr.merge_rows",
+    merge_rows_reference,
+    "the OO batch merge straight from the frame's multi-view unit table: "
+    "every member read out as a WorkUnit, then merge_units",
+)
 RASTERIZER = Oracle(
     "repro.render.raster.Rasterizer.draw_mesh",
     draw_mesh_reference,
@@ -1634,6 +1715,7 @@ AFR_FRAME = Oracle(
 ORACLES: Tuple[Oracle, ...] = (
     WINDOW_LOOP,
     GROUPING,
+    BATCH_MERGE,
     RASTERIZER,
     SCENE_GENERATOR,
     TRAFFIC_FOLD,

@@ -1,5 +1,7 @@
 """The OO-VR software layer: TSL (Eq. 1), programming model, middleware."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.middleware import Batch, OOMiddleware
@@ -15,7 +17,7 @@ from repro.scene.geometry import Viewport
 from repro.scene.objects import Eye
 from repro.session.spec import FAST, FULL, cached_scene
 from tests.conftest import MB, make_object
-from tests.oracles import GROUPING, build_batches_reference
+from tests.oracles import BATCH_MERGE, GROUPING, build_batches_reference
 
 
 class TestTSL:
@@ -254,6 +256,38 @@ class TestColumnarGroupingIsDecisionExact:
         columnar = builder._build(frame)
         with GROUPING.patch():
             assert builder._build(frame) == columnar
+
+
+class TestColumnMergeIsExact:
+    """The OO batch build merges each batch from the frame's multi-view
+    unit table; the oracle table's ``BATCH_MERGE`` reference reads every
+    member out as a unit and merges those.  The built pairs must be
+    equal with ``==``, under the paper's middleware and both batching
+    variants."""
+
+    MIDDLEWARES = ("oo-vr", "oo-vr:tsl=0.3", "oo-vr:cap=8192")
+
+    @staticmethod
+    def assert_exact(framework, frames):
+        builder = build_framework(framework)._builder
+        calls = Counter()
+        for frame in frames:
+            columnar = builder._build(frame)
+            with BATCH_MERGE.patch(calls):
+                assert builder._build(frame) == columnar, frame.frame_id
+        assert calls[BATCH_MERGE.target] == len(frames)
+
+    @pytest.mark.parametrize("framework", MIDDLEWARES)
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_fast_workloads(self, workload, framework):
+        scene = cached_scene(workload, FAST.num_frames, 2019, FAST.draw_scale)
+        self.assert_exact(framework, scene.frames)
+
+    @pytest.mark.parametrize("framework", MIDDLEWARES)
+    @pytest.mark.parametrize("workload", ("HL2-1280", "DM3-1280", "WE"))
+    def test_full_scale_frames(self, workload, framework):
+        scene = cached_scene(workload, FULL.num_frames, 2019, FULL.draw_scale)
+        self.assert_exact(framework, scene.frames)
 
 
 class TestProgrammingModel:

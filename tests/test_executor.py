@@ -5,13 +5,18 @@ serial, process pool, or a scatter of shard slices merged back
 together — the exported records must be byte-identical.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
 from repro import cli
+from repro.config import baseline_system
+from repro.profiling import PhaseProfile, capture
 from repro.session import (
     EXECUTOR_NAMES,
+    FAST,
     ExecutorError,
     ExperimentConfig,
     ProcessExecutor,
@@ -28,6 +33,7 @@ from repro.session import (
     spec_key,
     sweep_defaults,
 )
+from repro.session.spec import RunSpec, cached_scene
 
 #: Two tiny workloads keep these tests quick.
 TINY = ExperimentConfig(
@@ -289,6 +295,113 @@ class TestProgressCallback:
             on_result=lambda spec, result, cached: seen.append(result)
         )
         assert seen == results.results
+
+
+#: The workload points of :func:`scene_grid`, in grid order.
+SCENE_WORKLOADS = ("HL2-640", "DM3-640", "WE")
+
+
+def scene_grid() -> Sweep:
+    """2 configs x 3 frameworks x 3 workloads, fast: each workload
+    point's six cells are spread over the whole grid."""
+    base = baseline_system()
+    return (
+        Sweep()
+        .fast()
+        .config(base, "64GB/s")
+        .config(base.with_link_bandwidth(16.0), "16GB/s")
+        .frameworks("baseline", "oo-vr", "tile-h")
+        .workloads(*SCENE_WORKLOADS)
+    )
+
+
+def fast_scene(workload):
+    return cached_scene(workload, FAST.num_frames, FAST.seed, FAST.draw_scale)
+
+
+class TestSceneOrder:
+    """The serial executor runs one scene's cells back to back, lets
+    the scene go when it moves on to the next, and still reports in
+    grid order."""
+
+    def test_callback_in_grid_order_and_csv_equals_the_pool(self):
+        seen = []
+        serial = scene_grid().run(
+            on_result=lambda spec, result, cached: seen.append(
+                (spec, result, cached)
+            )
+        )
+        assert [spec for spec, _, _ in seen] == scene_grid().specs()
+        assert [result for _, result, _ in seen] == serial.results
+        assert not any(cached for _, _, cached in seen)
+        assert serial.to_csv() == scene_grid().run(jobs=2).to_csv()
+
+    def test_cells_run_one_scene_at_a_time(self, monkeypatch):
+        ran = []
+        execute = RunSpec.execute
+
+        def spied(spec):
+            ran.append(spec.workload)
+            return execute(spec)
+
+        monkeypatch.setattr(RunSpec, "execute", spied)
+        scene_grid().run()
+        assert ran == [
+            workload for workload in SCENE_WORKLOADS for _ in range(6)
+        ]
+
+    def test_only_the_last_scene_stays_memoised(self):
+        cached_scene.cache_clear()
+        scene_grid().run()
+        frames_built = {}
+        for workload in reversed(SCENE_WORKLOADS):
+            with capture(PhaseProfile()) as profile:
+                fast_scene(workload)
+            frames_built[workload] = profile.counters.get(
+                "scene_frames_built", 0.0
+            )
+        assert frames_built == {"WE": 0.0, "DM3-640": 2.0, "HL2-640": 2.0}
+
+    def test_earlier_scenes_are_dead_when_a_later_group_starts(
+        self, monkeypatch
+    ):
+        cached_scene.cache_clear()
+        scenes = {}
+        alive_at_start = []
+        execute = RunSpec.execute
+
+        def spied(spec):
+            gc.collect()
+            alive_at_start.append(
+                sorted(
+                    workload
+                    for workload, scene in scenes.items()
+                    if workload != spec.workload and scene() is not None
+                )
+            )
+            result = execute(spec)
+            scenes.setdefault(spec.workload, weakref.ref(spec.scene()))
+            return result
+
+        monkeypatch.setattr(RunSpec, "execute", spied)
+        scene_grid().run()
+        assert list(scenes) == list(SCENE_WORKLOADS)
+        assert alive_at_start == [[]] * 18
+        assert scenes["WE"]() is fast_scene("WE")
+
+    def test_consecutive_one_cell_runs_build_their_scene_once(self):
+        """A one-group run, such as a worker's one-cell lease, releases
+        nothing: the next run on the same workload point hits."""
+        cached_scene.cache_clear()
+        with capture(PhaseProfile()) as profile:
+            for framework in ("baseline", "oo-vr"):
+                Sweep().fast().frameworks(framework).workloads("HL2-640").run()
+        assert profile.counters["scene_frames_built"] == FAST.num_frames
+
+    def test_a_scene_outside_the_grid_survives(self):
+        outside = fast_scene("UT3")
+        scene_grid().run()
+        assert fast_scene("UT3") is outside
 
 
 class TestShardScatterMerge:

@@ -1,5 +1,8 @@
 """Pipeline: SMP geometry, fragment demand, work units, stage pricing."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from repro.pipeline.raster import strip_share_columns
 from repro.pipeline.rop import distributed_composition, master_composition
 from repro.pipeline.smp import SMPMode, project_viewports
 from repro.pipeline.timing import price_work_unit
-from repro.pipeline.workunit import merge_units
+from repro.pipeline.workunit import UnitColumns, merge_rows
 from repro.scene.geometry import (
     Viewport,
     full_screen,
@@ -19,6 +22,7 @@ from repro.scene.objects import Eye
 from tests.conftest import MB, make_object, object_units, unit_for
 from tests.oracles import (
     depth_and_color_reference,
+    merge_units,
     normalize_pixel_shares,
     strip_share_columns_reference,
     strip_shares,
@@ -287,6 +291,45 @@ class TestWorkUnit:
     def test_merge_empty_rejected(self):
         with pytest.raises(ValueError):
             merge_units("empty", ())
+
+    def test_row_merge_equals_the_unit_merge(self, characterizer, pool):
+        """The OO batch build merges rows of the frame's unit table; from
+        the table of the same units it equals the unit merge, a texture
+        two members share and a member order unlike the table's
+        included, and it rejects an empty group."""
+        bindings = (
+            (("stone", MB),),
+            (("stone", MB), ("dirt", MB)),
+            (("cloth", MB // 2),),
+        )
+        units = tuple(
+            unit_for(characterizer, pool, i, textures=textures)
+            for i, textures in enumerate(bindings)
+        )
+        table = UnitColumns.from_units(units)
+        groups = [("all", [0, 1, 2]), ("pair", [1, 0]), ("one", [2])]
+        assert merge_rows(table, groups) == [
+            merge_units(label, tuple(units[row] for row in rows))
+            for label, rows in groups
+        ]
+        with pytest.raises(ValueError, match="zero units"):
+            merge_rows(table, [("empty", [])])
+
+
+class TestSlottedRecords:
+    def test_no_instance_dict_and_value_semantics(self, characterizer, pool):
+        """``WorkUnit``, ``Touch`` and ``Resource`` keep their fields in
+        slots, with no per-instance dict, and still pickle, ``replace()``
+        and compare equal."""
+        unit = unit_for(characterizer, pool)
+        touch = unit.texture_touches[0]
+        for record in (unit, touch, touch.resource):
+            assert not hasattr(record, "__dict__")
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert replace(record) == record
+            assert hash(replace(record)) == hash(record)
+        assert replace(touch, write_bytes=1.0) != touch
+        assert replace(unit, draw_count=0.5).draw_count == 0.5
 
 
 class TestTiming:

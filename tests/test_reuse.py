@@ -201,10 +201,9 @@ class TestFrameAnchoredMemo:
         assert all(a is b for a, b in zip(first, second))
 
     def test_memo_builds_run_inside_bind_and_price(self):
-        """The grouping, the merges and reading the units out of the
-        unit table are charged to ``bind``, the table's Eq. 3 build to
-        ``price``; a memo hit enters no phase and nothing else is
-        counted."""
+        """The grouping and the merges out of the unit table are
+        charged to ``bind``, the table's Eq. 3 build to ``price``; a
+        memo hit enters no phase and nothing else is counted."""
         from repro.profiling import PhaseProfile, capture
 
         frame = fresh_frame("HL2-640")
@@ -277,7 +276,7 @@ class TestFrameAnchoredMemo:
         frame = fresh_frame("HL2-640")
         built = build_framework("oo-vr")._builder.build(frame)
         oo_app = build_framework("oo-app")
-        oo_app.characterizer.characterize_frame = None  # would raise
+        oo_app.characterizer.unit_columns = None  # would raise
         oo_app._builder._middleware.build_batches = None  # would raise
         reused = oo_app._builder.build(frame)
         assert reused == built
@@ -293,7 +292,7 @@ class TestFrameAnchoredMemo:
     ):
         """Tile-v renders the sequential stereo draws the baseline
         splits, and tile-h the multi-view draws OO-VR groups, whose
-        units OO-VR read out of the frame's multi-view unit table.  So
+        batches OO-VR merged from the frame's multi-view unit table.  So
         after the partner's cell, each tile scheme's table of every
         frame of the same workload point is a memo hit: it builds
         neither a table nor counters."""
@@ -328,7 +327,7 @@ class TestFrameAnchoredMemo:
     def test_frame_memo_holds_groupings_and_unit_tables(self, monkeypatch):
         """An ``oo-vr`` cell, then a ``tile-h`` cell, ask the frame memo
         for two sections only: the Fig. 12 grouping and the unit table
-        (OO-VR's units are read out of the table, not memoised).
+        (OO-VR's batches merge its rows; no unit is memoised).
         The scenes start cold, so every section is built, not hit."""
         cached_scene.cache_clear()
         sections = set()

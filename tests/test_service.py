@@ -16,6 +16,7 @@ import http.client
 import json
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -753,6 +754,25 @@ class TestLoopback:
             assert len(server.connections) == 2
             assert server.requests == [("POST", "/sweeps")] * 2
             assert len(server.service.stats()["jobs"]) == 2
+
+    def test_reset_peer_leaves_no_traceback(self, tmp_path, capfd):
+        """A peer that resets its connection halfway through a request
+        line is closed quietly, and the daemon keeps answering."""
+        with daemon(ResultCache(tmp_path / "server-cache")) as server:
+            peer = socket.create_connection(server.server_address[:2])
+            peer.sendall(b"GET /hea")
+            deadline = time.monotonic() + 10
+            while not server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the daemon accepted it
+            peer.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            peer.close()  # a reset, not an orderly close
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the daemon closed its side
+            assert not server._connections
+            assert ServiceClient(server.url).health()["ok"] is True
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_client_resends_once_after_a_restart(self, tmp_path):
         """A daemon restarted on the same port serves the kept client;
