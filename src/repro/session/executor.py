@@ -168,7 +168,7 @@ class SerialExecutor:
         previous: Optional[SceneKey] = None
         for key, group in _scene_groups(specs).items():
             if previous is not None:
-                release_scene(*previous)
+                release_scene(previous)
             previous = key
             for index in group:
                 results[index], hits[index] = _resolve(specs[index], cache)

@@ -134,16 +134,14 @@ def cached_scene(
     return scene
 
 
-def release_scene(
-    workload: str, num_frames: int, seed: int, draw_scale: float
-) -> None:
+def release_scene(key: SceneKey) -> None:
     """Drop one workload point's scene from :func:`cached_scene`'s memo.
 
     A point the memo does not hold is a no-op.  The scene, its frames
     and their artefacts are freed once no caller holds them.
     """
     with _SCENES_LOCK:
-        _SCENES.pop((workload, num_frames, seed, draw_scale), None)
+        _SCENES.pop(key, None)
 
 
 def _clear_scenes() -> None:
