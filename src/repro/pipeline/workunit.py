@@ -373,16 +373,12 @@ def merge_rows(
     (``tests/oracles.py::merge_units``).
     """
     resources = table.resources
-    touches = list(
-        zip(
-            [resources[row] for row in table.touch_resource.tolist()],
-            table.touch_unique.tolist(),
-            table.touch_stream.tolist(),
-            table.touch_write.tolist(),
-        )
-    )
-    on_texture = table.touch_texture.tolist()
     bounds = table.touch_bounds.tolist()
+    touch_resource = table.touch_resource.tolist()
+    touch_unique = table.touch_unique.tolist()
+    touch_stream = table.touch_stream.tolist()
+    touch_write = table.touch_write.tolist()
+    touch_texture = table.touch_texture.tolist()
     views = table.views.tolist()
     complexity = table.shader_complexity.tolist()
     fragments = table.fragments.tolist()
@@ -395,21 +391,31 @@ def merge_rows(
         shared: Dict[Tuple[str, int], list] = {}
         vertex_touches: List[Touch] = []
         for row in rows:
-            for index in range(bounds[row], bounds[row + 1]):
-                if not on_texture[index]:
-                    vertex_touches.append(Touch(*touches[index]))
+            for touch in range(bounds[row], bounds[row + 1]):
+                resource = resources[touch_resource[touch]]
+                if not touch_texture[touch]:
+                    vertex_touches.append(
+                        Touch(
+                            resource,
+                            touch_unique[touch],
+                            touch_stream[touch],
+                            touch_write[touch],
+                        )
+                    )
                     continue
-                resource, unique, stream, write = touches[index]
                 seen = shared.get(resource.resource_id)
                 if seen is None:
-                    shared[resource.resource_id] = list(touches[index])
-                else:
-                    seen[:] = (
+                    shared[resource.resource_id] = [
                         resource,
-                        max(seen[1], unique),
-                        seen[2] + stream,
-                        seen[3] + write,
-                    )
+                        touch_unique[touch],
+                        touch_stream[touch],
+                        touch_write[touch],
+                    ]
+                else:
+                    seen[0] = resource
+                    seen[1] = max(seen[1], touch_unique[touch])
+                    seen[2] += touch_stream[touch]
+                    seen[3] += touch_write[touch]
         merged.append(
             WorkUnit(
                 label=label,

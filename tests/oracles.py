@@ -1,8 +1,8 @@
 """The oracle table: every batched fast path beside its scalar reference.
 
-Each fast path behind the paper's mechanisms (the Fig. 12 TSL grouping,
-Eq. 3 characterisation, the Table 3 workload generator, the slice pass,
-the event window loop) keeps a scalar reference that production never
+Each fast path behind the paper's mechanisms (the Fig. 12 TSL grouping
+and batch merge, Eq. 3 characterisation, the Table 3 workload
+generator, the slice pass, the event window loop) keeps a scalar reference that production never
 runs, and tests hold the two equal with ``==``.  :data:`ORACLES` is the
 one list of them.  Each :class:`Oracle` names a production target by
 dotted path (where production looks it up, so a patch takes effect),
