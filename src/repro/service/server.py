@@ -72,7 +72,7 @@ from repro.service.protocol import (
 )
 from repro.session.cache import CacheMergeError, ResultCache, spec_key
 from repro.session.executor import shard_of
-from repro.session.spec import RunSpec, SpecError
+from repro.session.spec import RunSpec, SceneKey, SpecError
 
 #: Seconds a worker may sit on a lease before its cells re-dispatch.
 DEFAULT_LEASE_TIMEOUT = 60.0
@@ -93,6 +93,9 @@ class _Cell:
     #: Position in the submitted grid (events/results keep grid order
     #: recoverable client-side).
     index: int
+    #: Rank of the cell's workload point (``RunSpec.scene_key``) among
+    #: the grid's, in order of first appearance.
+    scene: int = 0
     state: str = "pending"  # pending -> leased -> done
     #: True when the submit-time cache already held the result.
     cached: bool = False
@@ -130,8 +133,14 @@ class _Job:
         self.job_id = job_id
         self.cells: List[_Cell] = []
         self.by_key: Dict[str, _Cell] = {}
+        scenes: Dict[SceneKey, int] = {}
         for index, spec in enumerate(specs):
-            cell = _Cell(spec=spec, key=spec_key(spec), index=index)
+            cell = _Cell(
+                spec=spec,
+                key=spec_key(spec),
+                index=index,
+                scene=scenes.setdefault(spec.scene_key, len(scenes)),
+            )
             if cell.key in self.by_key:
                 raise ProtocolError(
                     f"duplicate cell in grid: {cell.key[:12]}… "
@@ -336,7 +345,11 @@ class SweepService:
         deterministic content partition, so a stable fleet splits a
         grid exactly like ``--shard I/N`` hosts would — and steals
         other slots' cells only when its own slice is empty (covering
-        dead or slow peers).
+        dead or slow peers).  Either way one workload point's cells go
+        out together (points in order of first appearance, grid order
+        within one), the order a serial executor runs them in, so a
+        serial worker's lease reads as few scenes as it can and starts
+        on the scene its last lease kept.
         """
         limit = int(limit)
         if limit < 1:
@@ -358,6 +371,7 @@ class SweepService:
                 pending.sort(
                     key=lambda cell: (
                         shard_of(cell.spec, fleet) != slot,
+                        cell.scene,
                         cell.index,
                     )
                 )

@@ -8,10 +8,11 @@ block around a figure or study, ``oovr sweep --executor``); any other
 object with ``name`` and ``run`` is passed as an instance:
 
 - ``serial`` — in-process, one cell at a time, one scene at a time:
-  cells run grouped by the workload point they render, and each
-  group's scene leaves the scene memo when the run moves on to the
-  next group, so the scene and its frames' artefacts are held while
-  one group runs rather than for the whole grid;
+  cells run grouped by the workload point they render, and a group's
+  scene leaves the scene memo when the run moves on to the next
+  group (unless the cache answered every cell of the group), so the
+  scene and its frames' artefacts are held while one group runs
+  rather than for the whole grid;
 - ``process`` — fans cache misses out over a ``ProcessPoolExecutor``
   (``Sweep.run(jobs=N)`` remains sugar for this backend) in grid
   order (the parent builds no scene; dealing cells to workers by
@@ -39,7 +40,10 @@ Every executor returns results, and threads an optional
 ``on_result`` callback — ``on_result(spec, result, cached)`` fired
 once per completed cell — in grid order, whatever order its cells
 ran in; ``oovr sweep --progress`` uses the callback to print one line
-per cell.
+per cell.  A cell is reported only once every cell before it in the
+grid has finished, so where cells run out of grid order (the serial
+backend on a grid of several workload points) the lines come in
+bursts rather than as each cell finishes.
 
 Executors with no work left to place (every cell a cache hit) still
 fire the callbacks, so progress output is a complete account of the
@@ -145,13 +149,21 @@ class SerialExecutor:
     Cells run grouped by the scene they read (:func:`_scene_groups`),
     so a scene and the artefacts memoised on its frames are built,
     shared by the group's cells and let go before the next scene is
-    built.  When the run moves on to the next group it releases the
-    previous group's scene from :func:`~repro.session.spec.cached_scene`
-    (:func:`~repro.session.spec.release_scene`); the last group's scene
-    stays memoised, so a one-group run (a worker's one-cell lease, a
-    repeated cell) releases nothing.  Results are returned, and
-    ``on_result`` fires, in grid order: a cell is reported once every
-    cell before it in the grid has finished.
+    built.  Once a group that executed a cell is done, and another
+    group follows, its scene leaves
+    :func:`~repro.session.spec.cached_scene`'s memo
+    (:func:`~repro.session.spec.release_scene`).  The last group's
+    scene stays, so a one-group run (a worker's lease of one workload
+    point's cells, a repeated cell) releases nothing, and neither
+    does a group the cache answered whole, whose scene the run never
+    read.  A caller that runs a second grid over the same scenes
+    (both engines of one grid, a reference column) builds them again.
+
+    Results are returned, and ``on_result`` fires, in grid order: a
+    cell is reported once every cell before it in the grid has
+    finished, so on a grid of several workload points the callbacks
+    arrive in bursts, most of them while the last group runs.
+    :meth:`_run_cell` is the one per-cell step a subclass overrides.
     """
 
     name = "serial"
@@ -165,36 +177,38 @@ class SerialExecutor:
         results: List[Optional[SceneResult]] = [None] * len(specs)
         hits = [False] * len(specs)
         reported = 0
-        previous: Optional[SceneKey] = None
-        for key, group in _scene_groups(specs).items():
-            if previous is not None:
-                release_scene(previous)
-            previous = key
+        groups = _scene_groups(specs)
+        for position, (key, group) in enumerate(groups.items(), 1):
             for index in group:
-                results[index], hits[index] = _resolve(specs[index], cache)
+                results[index], hits[index] = self._run_cell(
+                    index, specs[index], cache
+                )
                 while reported < len(specs) and results[reported] is not None:
                     if on_result is not None:
                         on_result(
                             specs[reported], results[reported], hits[reported]
                         )
                     reported += 1
+            if position < len(groups) and not all(
+                hits[index] for index in group
+            ):
+                release_scene(key)
         return results
 
-
-def _resolve(
-    spec: RunSpec, cache: Optional[ResultCache]
-) -> Tuple[SceneResult, bool]:
-    """One cell's result, and whether the cache answered it."""
-    if cache is not None:
-        with phase("cache"):
-            found = cache.get(spec)
-        if found is not None:
-            return found, True
-    result = _execute_spec(spec)
-    if cache is not None:
-        with phase("cache"):
-            cache.put(spec, result)
-    return result, False
+    def _run_cell(
+        self, index: int, spec: RunSpec, cache: Optional[ResultCache]
+    ) -> Tuple[SceneResult, bool]:
+        """Cell ``index``'s result, and whether the cache answered it."""
+        if cache is not None:
+            with phase("cache"):
+                found = cache.get(spec)
+            if found is not None:
+                return found, True
+        result = _execute_spec(spec)
+        if cache is not None:
+            with phase("cache"):
+                cache.put(spec, result)
+        return result, False
 
 
 class ProfilingSerialExecutor(SerialExecutor):
@@ -202,12 +216,13 @@ class ProfilingSerialExecutor(SerialExecutor):
 
     Each cell runs under :func:`repro.profiling.capture`, so the phase
     timers inside the spec/engine/cache layers record into a fresh
-    profile; :attr:`profiles` is aligned with the grid (one entry per
-    spec, cache hits included — those show only ``cache`` time).
-    Results are byte-identical to :class:`SerialExecutor`'s: timing
-    never changes what executes.  ``Sweep.run(profile=True)`` builds
-    it; it is not selectable by name, since only that call returns
-    the profiles.
+    profile; :attr:`profiles` is aligned with the last grid run (one
+    entry per spec, cache hits included — those show only ``cache``
+    time).  Cells run in :class:`SerialExecutor`'s order and release
+    its scenes, so a profiled sweep times the schedule a plain one
+    runs, and results are byte-identical: timing never changes what
+    executes.  ``Sweep.run(profile=True)`` builds it; it is not
+    selectable by name, since only that call returns the profiles.
     """
 
     def __init__(self) -> None:
@@ -219,14 +234,14 @@ class ProfilingSerialExecutor(SerialExecutor):
         cache: Optional[ResultCache] = None,
         on_result: Optional[ResultCallback] = None,
     ) -> List[Optional[SceneResult]]:
-        results: List[Optional[SceneResult]] = []
-        for spec in specs:
-            profile = PhaseProfile()
-            with capture(profile):
-                cell = super().run([spec], cache=cache, on_result=on_result)
-            self.profiles.append(profile)
-            results.extend(cell)
-        return results
+        self.profiles = [PhaseProfile() for _ in specs]
+        return super().run(specs, cache=cache, on_result=on_result)
+
+    def _run_cell(
+        self, index: int, spec: RunSpec, cache: Optional[ResultCache]
+    ) -> Tuple[SceneResult, bool]:
+        with capture(self.profiles[index]):
+            return super()._run_cell(index, spec, cache)
 
 
 class ProcessExecutor:

@@ -404,6 +404,54 @@ class TestSceneOrder:
         scene_grid().run()
         assert fast_scene("UT3") is outside
 
+    def test_a_group_the_cache_answered_keeps_its_scene(self, tmp_path):
+        """A run that executes none of a group's cells never reads its
+        scene, so it leaves the scene memoised."""
+        cache = ResultCache(tmp_path)
+        scene_grid().run(cache=cache)
+        scenes = [fast_scene(workload) for workload in SCENE_WORKLOADS]
+        scene_grid().run(cache=cache)
+        assert cache.stats.hits == len(scene_grid().specs())
+        assert all(
+            fast_scene(workload) is scene
+            for workload, scene in zip(SCENE_WORKLOADS, scenes)
+        )
+
+    def test_a_profiled_sweep_runs_the_plain_schedule(self, monkeypatch):
+        """``profile=True`` times the grouped order and releases the
+        same scenes; each group's first cell carries its scene build."""
+        cached_scene.cache_clear()
+        ran = []
+        execute = RunSpec.execute
+
+        def spied(spec):
+            ran.append(spec.workload)
+            return execute(spec)
+
+        monkeypatch.setattr(RunSpec, "execute", spied)
+        profiled = scene_grid().run(profile=True)
+        assert ran == [
+            workload for workload in SCENE_WORKLOADS for _ in range(6)
+        ]
+        specs = scene_grid().specs()
+        firsts = [
+            index
+            for index, spec in enumerate(specs)
+            if spec.workload not in {s.workload for s in specs[:index]}
+        ]
+        built = [
+            profile.counters.get("scene_frames_built", 0.0)
+            for profile in profiled.profiles
+        ]
+        assert built == [
+            FAST.num_frames if index in firsts else 0.0
+            for index in range(len(specs))
+        ]
+        with capture(PhaseProfile()) as profile:
+            fast_scene(SCENE_WORKLOADS[0])
+        assert profile.counters["scene_frames_built"] == FAST.num_frames
+        assert profiled.results == scene_grid().run().results
+
 
 class TestShardScatterMerge:
     """The acceptance bar: scattered-then-merged == serial, byte for byte."""

@@ -29,6 +29,7 @@ import pytest
 
 from repro import cli
 from repro.config import baseline_system
+from repro.profiling import PhaseProfile, capture
 from repro.service import (
     ProtocolError,
     RemoteExecutor,
@@ -55,6 +56,7 @@ from repro.session import (
     shard_of,
     spec_key,
 )
+from repro.session.spec import cached_scene
 
 #: Two tiny workloads keep these tests quick.
 TINY = ExperimentConfig(
@@ -401,6 +403,37 @@ class TestSweepService:
                 spec_key(s) for s in specs_from_wire(lease["specs"])
             )
             assert keys == owned[slot]
+
+    def test_a_serial_worker_reads_each_scene_once(self, service):
+        """Leases hand out one workload point's cells together, in the
+        serial executor's order, so a serial worker leasing two cells
+        at a time builds each scene once although it lets a scene go
+        when its lease moves on to the next."""
+        specs = Sweep().preset(TINY).frameworks(
+            "baseline", "oo-vr", "tile-h"
+        ).specs()
+        job = self.submit(service, specs)
+        worker = service.register_worker("w0")["worker"]
+        executor = SerialExecutor()
+        leased = []
+        cached_scene.cache_clear()
+        with capture(PhaseProfile()) as profile:
+            while True:
+                lease = service.lease(worker, limit=2)
+                if lease["lease"] is None:
+                    break
+                batch = specs_from_wire(lease["specs"])
+                leased.append([spec.workload for spec in batch])
+                entries = [
+                    {"key": spec_key(spec), "payload": encode_entry(spec, result)}
+                    for spec, result in zip(batch, executor.run(batch))
+                ]
+                service.upload(
+                    worker, job["job"], entries, lease_id=lease["lease"]
+                )
+        assert leased == [["DM3-640"] * 2, ["DM3-640", "WE"], ["WE"] * 2]
+        assert profile.counters["scene_frames_built"] == 2 * TINY.num_frames
+        assert service.job_status(job["job"])["state"] == "done"
 
     def test_events_guards(self, service):
         specs = tiny_specs()
