@@ -38,42 +38,51 @@ already-measured cells byte-identically.  The same grids drive ``oovr
 fig``, ``oovr sweep --jobs N --cache DIR``, and the benchmark harness.
 """
 
-from repro.config import (
-    CostModel,
-    GPMConfig,
-    LinkConfig,
-    SMConfig,
-    SystemConfig,
-    baseline_system,
+from repro.lazy import lazy_exports
+
+# Each name is imported from its module when first read, so importing
+# the package loads neither numpy nor the simulator.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.config": (
+            "CostModel",
+            "GPMConfig",
+            "LinkConfig",
+            "SMConfig",
+            "SystemConfig",
+            "baseline_system",
+        ),
+        "repro.frameworks": ("build_framework", "framework_names"),
+        "repro.scene": (
+            "BENCHMARKS",
+            "Frame",
+            "RenderObject",
+            "Scene",
+            "make_benchmark_scene",
+            "workload_scene",
+        ),
+        "repro.workloads": ("WORKLOADS",),
+        "repro.core": (
+            "OOApplication",
+            "OOMiddleware",
+            "OverheadModel",
+            "RenderingTimePredictor",
+            "texture_sharing_level",
+        ),
+        "repro.session": (
+            "FAST",
+            "FULL",
+            "ExperimentConfig",
+            "ResultCache",
+            "ResultSet",
+            "RunSpec",
+            "Session",
+            "Sweep",
+        ),
+        "repro.stats": ("FrameResult", "SceneResult", "geomean", "normalize"),
+    },
 )
-from repro.frameworks import build_framework, framework_names
-from repro.scene import (
-    BENCHMARKS,
-    WORKLOADS,
-    Frame,
-    RenderObject,
-    Scene,
-    make_benchmark_scene,
-    workload_scene,
-)
-from repro.core import (
-    OOApplication,
-    OOMiddleware,
-    OverheadModel,
-    RenderingTimePredictor,
-    texture_sharing_level,
-)
-from repro.session import (
-    FAST,
-    FULL,
-    ExperimentConfig,
-    ResultCache,
-    ResultSet,
-    RunSpec,
-    Session,
-    Sweep,
-)
-from repro.stats import FrameResult, SceneResult, geomean, normalize
 
 __version__ = "1.2.0"
 

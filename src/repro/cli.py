@@ -39,10 +39,10 @@ import os
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.engine import ENGINE_NAMES
-from repro.experiments import figures, tables
-from repro.frameworks.base import build_framework, framework_names
-from repro.scene.benchmarks import WORKLOADS
+# The session layer loads no simulator; each command imports the
+# simulator code it runs, so `oovr serve` and `oovr cache` start
+# without numpy.
+from repro.service.client import ServiceError
 from repro.session import (
     EXECUTOR_NAMES,
     FAST,
@@ -57,8 +57,20 @@ from repro.session import (
     spec_key,
     sweep_defaults,
 )
-from repro.service.client import ServiceError
-from repro.trace import load_scene, profile_scene, save_scene
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Names the registered engines where a help text says
+    ``{engines}``, when the help is printed: building the parser
+    imports no engine."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        text = super()._get_help_string(action)
+        if text is not None and "{engines}" in text:
+            from repro.engine import ENGINE_NAMES
+
+            text = text.replace("{engines}", "/".join(ENGINE_NAMES))
+        return text
 
 
 def _experiment(args: argparse.Namespace):
@@ -80,6 +92,8 @@ def _on_result(args: argparse.Namespace):
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:
+    from repro.experiments import figures
+
     key = args.number
     if key not in figures.FIGURES:
         print(
@@ -102,6 +116,8 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.experiments import tables
+
     experiment = _experiment(args)
     if args.number == "1":
         print(tables.table1_requirements())
@@ -116,6 +132,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from repro.experiments import tables
+
     print(tables.overhead_analysis(num_gpms=args.gpms))
     return 0
 
@@ -216,6 +234,8 @@ def _grid(args: argparse.Namespace) -> Sweep:
     ``--frames``/``--seed``; bad input is a usage error (exit 2)."""
     sweep = Sweep().preset(_experiment(args))
     if args.frameworks is None:
+        from repro.frameworks.base import framework_names
+
         sweep.frameworks(*framework_names())
     else:
         names = _csv_list(args.frameworks)
@@ -496,6 +516,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
+    from repro.trace import profile_scene, save_scene
+
     scene = Session().preset(_experiment(args)).workload(args.workload).scene()
     path = save_scene(scene, args.path)
     profile = profile_scene(scene).representative
@@ -507,12 +529,17 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
+    from repro.trace import load_scene, profile_scene
+
     scene = load_scene(args.path)
     print(profile_scene(scene).table())
     return 0
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
+    from repro.frameworks.base import build_framework
+    from repro.trace import load_scene
+
     scene = load_scene(args.path)
     framework = build_framework(args.framework)
     result = framework.render_scene(scene)
@@ -607,6 +634,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments import figures
+    from repro.frameworks.base import framework_names
+    from repro.workloads import WORKLOADS
+
     print("frameworks:")
     for name in framework_names():
         print(f"  {name}")
@@ -649,7 +680,10 @@ def make_parser() -> argparse.ArgumentParser:
     overhead.add_argument("--gpms", type=int, default=4)
     overhead.set_defaults(func=_cmd_overhead)
 
-    run = sub.add_parser("run", help="run one framework on one workload")
+    run = sub.add_parser(
+        "run", help="run one framework on one workload",
+        formatter_class=_HelpFormatter,
+    )
     run.add_argument(
         "names", nargs="*", metavar="NAME",
         help="framework then workload, positionally; either slot may "
@@ -672,9 +706,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine", metavar="NAME", default="analytic",
-        help="execution engine "
-        f"({'/'.join(ENGINE_NAMES)}): the paper's analytic roofline or "
-        "discrete-event contention-aware timing (default: analytic)",
+        help="execution engine ({engines}): the paper's analytic "
+        "roofline or discrete-event contention-aware timing (default: "
+        "analytic)",
     )
     run.add_argument(
         "--profile", action="store_true",
@@ -685,7 +719,8 @@ def make_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser(
-        "sweep", help="run a (framework x workload) grid to tidy records"
+        "sweep", help="run a (framework x workload) grid to tidy records",
+        formatter_class=_HelpFormatter,
     )
     sweep.add_argument(
         "--frameworks",
@@ -710,9 +745,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--engine", metavar="NAME", default="analytic",
-        help=f"execution engine ({'/'.join(ENGINE_NAMES)}) for every "
-        "cell (default: analytic; part of the cache key when not "
-        "'analytic')",
+        help="execution engine ({engines}) for every cell (default: "
+        "analytic; part of the cache key when not 'analytic')",
     )
     sweep.add_argument(
         "--executor", metavar="NAME", default=None,

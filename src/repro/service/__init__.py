@@ -15,29 +15,38 @@ to the ``serial`` backend.
 Wire format and invariants live in :mod:`repro.service.protocol`.
 """
 
-from repro.service.client import (
-    SERVER_ENV,
-    RemoteExecutor,
-    ServiceClient,
-    ServiceError,
+from repro.lazy import lazy_exports
+
+# Each name is imported from its module when first read, so a client
+# or the daemon loads only the modules it uses.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.client": (
+            "SERVER_ENV",
+            "RemoteExecutor",
+            "ServiceClient",
+            "ServiceError",
+        ),
+        "repro.service.protocol": (
+            "PROTOCOL_VERSION",
+            "ProtocolError",
+            "config_from_wire",
+            "config_to_wire",
+            "spec_from_wire",
+            "spec_to_wire",
+            "specs_from_wire",
+            "specs_to_wire",
+        ),
+        "repro.service.server": (
+            "DEFAULT_LEASE_TIMEOUT",
+            "SweepServer",
+            "SweepService",
+            "serve",
+        ),
+        "repro.service.worker": ("SweepWorker",),
+    },
 )
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    config_from_wire,
-    config_to_wire,
-    spec_from_wire,
-    spec_to_wire,
-    specs_from_wire,
-    specs_to_wire,
-)
-from repro.service.server import (
-    DEFAULT_LEASE_TIMEOUT,
-    SweepServer,
-    SweepService,
-    serve,
-)
-from repro.service.worker import SweepWorker
 
 __all__ = [
     "DEFAULT_LEASE_TIMEOUT",

@@ -30,14 +30,16 @@ import os
 import threading
 import time
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.service.protocol import PROTOCOL_VERSION, specs_to_wire
 from repro.session.cache import CacheMergeError, ResultCache, spec_key
 from repro.session.executor import ExecutorError, ResultCallback, _lookup
 from repro.session.spec import RunSpec
-from repro.stats.metrics import SceneResult
+
+if TYPE_CHECKING:  # pragma: no cover - decoding loads the simulator
+    from repro.stats.metrics import SceneResult
 
 #: Environment variable naming the daemon for ``--executor remote``.
 SERVER_ENV = "OOVR_SERVER"
@@ -265,6 +267,8 @@ class RemoteExecutor:
         cache: Optional[ResultCache] = None,
         on_result: Optional[ResultCallback] = None,
     ) -> List[Optional[SceneResult]]:
+        from repro.stats.metrics import SceneResult
+
         specs = list(specs)
         results, hits = _lookup(specs, cache)
         fired = 0

@@ -70,7 +70,12 @@ from repro.service.protocol import (
     specs_from_wire,
     specs_to_wire,
 )
-from repro.session.cache import CacheMergeError, ResultCache, spec_key
+from repro.session.cache import (
+    CacheMergeError,
+    ResultCache,
+    decode_entry,
+    spec_key,
+)
 from repro.session.executor import shard_of
 from repro.session.spec import RunSpec, SceneKey, SpecError
 
@@ -351,9 +356,12 @@ class SweepService:
         serial worker's lease reads as few scenes as it can and starts
         on the scene its last lease kept.
         """
-        limit = int(limit)
-        if limit < 1:
-            raise ProtocolError("lease limit must be at least 1")
+        # A JSON integer: a bool, a float, null or a list is a 400,
+        # never a silently rounded or failing conversion.
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise ProtocolError(
+                f"lease limit must be an integer of at least 1, got {limit!r}"
+            )
         with self._lock:
             self._expire_leases()
             worker = self._worker(worker_id)
@@ -404,6 +412,13 @@ class SweepService:
     ) -> Dict[str, object]:
         """Fold executed entries into the cache and complete their cells.
 
+        Every entry is checked first, exactly as :meth:`ResultCache.get
+        <repro.session.cache.ResultCache.get>` checks an entry it reads
+        (:func:`~repro.session.cache.decode_entry`), and must name a
+        cell of the job: one that fails either check fails the upload
+        (a :class:`ProtocolError` or :class:`UnknownResource`) before
+        any entry reaches the cache or completes a cell.
+
         Content-addressed merging makes uploads safe regardless of
         lease state: a late upload from an expired lease (the worker
         was slow, not dead) lands as a no-op if the re-dispatched copy
@@ -412,20 +427,30 @@ class SweepService:
         errored, because two workers disagreeing about a content
         address means the fleet is running skewed models.
         """
+        uploads = [
+            (str(entry["key"]), str(entry["payload"])) for entry in entries
+        ]
+        for key, payload in uploads:
+            try:
+                decode_entry(key, payload)
+            except ValueError as error:
+                raise ProtocolError(
+                    f"upload for cell {key[:12]}… is not a valid cache "
+                    f"entry: {error}"
+                ) from None
         with self._lock:
             self._expire_leases()
             worker = self._worker(worker_id)
             worker.last_seen = self.clock()
             job = self._job(job_id)
-            merged = {"copied": 0, "identical": 0}
-            for entry in entries:
-                key = str(entry["key"])
-                payload = str(entry["payload"])
-                cell = job.by_key.get(key)
-                if cell is None:
+            for key, _ in uploads:
+                if key not in job.by_key:
                     raise UnknownResource(
                         f"job {job_id} has no cell {key[:12]}…"
                     )
+            merged = {"copied": 0, "identical": 0}
+            for key, payload in uploads:
+                cell = job.by_key[key]
                 try:
                     outcome = self.merge_payload(key, payload)
                 except CacheMergeError as error:

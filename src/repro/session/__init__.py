@@ -36,46 +36,56 @@ the grid, the scatter half of cross-machine sweeps whose caches
 passed as an instance.
 """
 
-from repro.session.cache import (
-    CacheMergeError,
-    CacheStats,
-    MergeStats,
-    ResultCache,
-    encode_entry,
-    is_entry_key,
-    spec_key,
-)
-from repro.session.executor import (
-    EXECUTOR_NAMES,
-    ExecutorError,
-    ProcessExecutor,
-    ResultCallback,
-    SerialExecutor,
-    ShardExecutor,
-    ShardManifest,
-    SweepExecutor,
-    grid_key,
-    make_executor,
-    parse_shard,
-    shard_manifest_paths,
-    shard_of,
-)
-from repro.session.result import ResultSet
-from repro.session.session import (
-    Session,
-    SessionError,
-    Sweep,
-    sweep_defaults,
-)
-from repro.session.spec import (
-    DEFAULT_FRAMES,
-    DEFAULT_SEED,
-    FAST,
-    FULL,
-    RECORD_FIELDS,
-    ExperimentConfig,
-    RunSpec,
-    SpecError,
+from repro.lazy import lazy_exports
+
+# Each name is imported from its module when first read: the spec,
+# cache and executor modules load no simulator, so neither does
+# importing them through this package.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.session.cache": (
+            "CacheMergeError",
+            "CacheStats",
+            "MergeStats",
+            "ResultCache",
+            "encode_entry",
+            "is_entry_key",
+            "spec_key",
+        ),
+        "repro.session.executor": (
+            "EXECUTOR_NAMES",
+            "ExecutorError",
+            "ProcessExecutor",
+            "ResultCallback",
+            "SerialExecutor",
+            "ShardExecutor",
+            "ShardManifest",
+            "SweepExecutor",
+            "grid_key",
+            "make_executor",
+            "parse_shard",
+            "shard_manifest_paths",
+            "shard_of",
+        ),
+        "repro.session.result": ("ResultSet",),
+        "repro.session.session": (
+            "Session",
+            "SessionError",
+            "Sweep",
+            "sweep_defaults",
+        ),
+        "repro.session.spec": (
+            "DEFAULT_FRAMES",
+            "DEFAULT_SEED",
+            "FAST",
+            "FULL",
+            "RECORD_FIELDS",
+            "ExperimentConfig",
+            "RunSpec",
+            "SpecError",
+        ),
+    },
 )
 
 __all__ = [

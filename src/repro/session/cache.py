@@ -57,10 +57,12 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.session.spec import RunSpec
-from repro.stats.metrics import SceneResult
+
+if TYPE_CHECKING:  # pragma: no cover - decoding loads the simulator
+    from repro.stats.metrics import SceneResult
 
 #: Bumped whenever the entry schema changes; mismatching entries are
 #: treated as misses and rewritten.
@@ -167,6 +169,38 @@ def _address(
         payload["engine"] = engine
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def decode_entry(key: str, text: str) -> SceneResult:
+    """The result an entry's ``text`` holds, checked as the entry
+    stored under address ``key``.
+
+    The one check :meth:`ResultCache.get` applies to every entry it
+    reads and the sweep service to every entry a worker uploads: the
+    text parses as JSON, its version is
+    :data:`CACHE_VERSION`, the identity it records (spec,
+    ``config_label`` aside, config and engine) hashes through
+    :func:`_address` to ``key``, and its result decodes.  Any failure
+    raises :class:`ValueError`.
+    """
+    from repro.stats.metrics import SceneResult
+
+    try:
+        entry = json.loads(text)
+        if entry["version"] != CACHE_VERSION:
+            raise ValueError("cache entry from another schema version")
+        recorded = _address(
+            entry["spec"],
+            entry.get("config"),
+            entry.get("engine", "analytic"),
+        )
+        if recorded != key:
+            raise ValueError("cache entry identity mismatch")
+        return SceneResult.from_dict(entry["result"])
+    except (KeyError, TypeError, AttributeError) as error:
+        # JSON of the wrong shape: a missing key, or a list, string or
+        # number where the schema has an object.
+        raise ValueError(f"malformed cache entry: {error!r}") from None
 
 
 def spec_key(spec: RunSpec) -> str:
@@ -294,24 +328,11 @@ class ResultCache:
             with open(self.entry_path(key), "r", encoding="utf-8") as handle:
                 text = handle.read()
                 identity = _identity(os.fstat(handle.fileno()))
-            entry = json.loads(text)
-            if entry["version"] != CACHE_VERSION:
-                raise ValueError("cache entry from another schema version")
-            # The identity the entry records must hash to the address
-            # it was looked up under: spec (config_label aside, so a
-            # relabelled lookup still hits), config and engine.
-            recorded = _address(
-                entry["spec"],
-                entry.get("config"),
-                entry.get("engine", "analytic"),
-            )
-            if recorded != key:
-                raise ValueError("cache entry identity mismatch")
-            result = SceneResult.from_dict(entry["result"])
+            result = decode_entry(key, text)
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError):
             self.stats.misses += 1
             self.stats.corrupt += 1
             return None

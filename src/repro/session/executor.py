@@ -53,10 +53,10 @@ grid regardless of cache state.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -72,7 +72,9 @@ from typing import (
 from repro.profiling import PhaseProfile, capture, phase
 from repro.session.cache import ResultCache, atomic_write, spec_key
 from repro.session.spec import RunSpec, SceneKey, release_scene
-from repro.stats.metrics import SceneResult
+
+if TYPE_CHECKING:  # pragma: no cover - executing loads the simulator
+    from repro.stats.metrics import SceneResult
 
 
 class ExecutorError(ValueError):
@@ -81,7 +83,7 @@ class ExecutorError(ValueError):
 
 #: ``on_result(spec, result, cached)`` — fired once per completed
 #: cell, in grid order; ``cached`` is True for a cache hit.
-ResultCallback = Callable[[RunSpec, SceneResult, bool], None]
+ResultCallback = Callable[[RunSpec, "SceneResult", bool], None]
 
 
 @runtime_checkable
@@ -288,6 +290,8 @@ class ProcessExecutor:
         if self.jobs == 1 or len(missing) <= 1:
             gather(map(_execute_spec, to_run))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(self.jobs, len(missing))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 gather(pool.map(_execute_spec, to_run))

@@ -15,19 +15,34 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.memory.link import TrafficType
 from repro.profiling import PhaseProfile
 from repro.session.spec import RECORD_FIELDS, RunSpec
-from repro.stats.metrics import SceneResult, geomean
+
+if TYPE_CHECKING:  # pragma: no cover - a set's results load the simulator
+    from repro.stats.metrics import SceneResult
 
 GroupKey = Union[str, Tuple[str, ...]]
 
-#: ``(column, traffic name)`` per :class:`TrafficType`, in enum order.
-_TRAFFIC_COLUMNS: Tuple[Tuple[str, str], ...] = tuple(
-    (f"traffic_{traffic.value}", traffic.value) for traffic in TrafficType
-)
+
+def _traffic_columns() -> List[Tuple[str, str]]:
+    """``(column, traffic name)`` per :class:`TrafficType
+    <repro.memory.link.TrafficType>`, in enum order."""
+    from repro.memory.link import TrafficType
+
+    return [
+        (f"traffic_{traffic.value}", traffic.value) for traffic in TrafficType
+    ]
 
 
 class ResultSet:
@@ -182,6 +197,7 @@ class ResultSet:
                     for name in profile.counters
                 }
             )
+        traffic_columns = _traffic_columns()
         records: List[Dict[str, object]] = []
         for index, (spec, result) in enumerate(self._runs):
             summary = result.to_dict(include_frames=False)
@@ -192,7 +208,7 @@ class ResultSet:
             for key, value in summary.items():
                 if key not in record:  # spec identity wins on overlap
                     record[key] = value
-            for column, name in _TRAFFIC_COLUMNS:
+            for column, name in traffic_columns:
                 record[column] = traffic.get(name, 0.0)
             if self.profiles is not None:
                 for name, seconds in self.profiles[index].to_dict().items():
@@ -261,6 +277,8 @@ class ResultSet:
         negative groups still raise from :func:`geomean
         <repro.stats.metrics.geomean>`.
         """
+        from repro.stats.metrics import geomean
+
         groups: Dict[object, List[float]] = {}
         for record in self.to_records():
             key = self._group_key(record, by)

@@ -38,11 +38,19 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.config import SystemConfig
 from repro.profiling import PhaseProfile, capture, phase
-from repro.scene.scene import Scene
 from repro.session.cache import ResultCache
 from repro.session.executor import (
     ProfilingSerialExecutor,
@@ -59,7 +67,10 @@ from repro.session.spec import (
     ExperimentConfig,
     RunSpec,
 )
-from repro.stats.metrics import SceneResult
+
+if TYPE_CHECKING:  # pragma: no cover - validating a spec loads the simulator
+    from repro.scene.scene import Scene
+    from repro.stats.metrics import SceneResult
 
 
 class SessionError(ValueError):

@@ -9,6 +9,10 @@ picklable, so a sweep can ship them to worker processes unchanged.
 :class:`ExperimentConfig` (with the :data:`FAST` / :data:`FULL`
 presets) captures the scale knobs shared by a whole grid; it is the
 canonical home of what :mod:`repro.experiments.runner` used to define.
+
+Importing this module loads no numpy and no simulator package: a spec
+imports the registries it checks when it is validated, and the scene,
+framework and engine code when it builds or executes.
 """
 
 from __future__ import annotations
@@ -17,17 +21,15 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.profiling import add_counter, phase
-from repro.scene.benchmarks import (
-    WORKLOADS,
-    make_benchmark_scene,
-    parse_workload,
-)
-from repro.scene.scene import Scene
-from repro.stats.metrics import SceneResult
+from repro.workloads import WORKLOADS
+
+if TYPE_CHECKING:  # pragma: no cover - the simulator loads on first use
+    from repro.scene.scene import Scene
+    from repro.stats.metrics import SceneResult
 
 
 class SpecError(ValueError):
@@ -115,6 +117,8 @@ def cached_scene(
         if scene is not None:
             _SCENES.move_to_end(key)
             return scene
+    from repro.scene.benchmarks import make_benchmark_scene
+
     start = time.perf_counter()
     scene = make_benchmark_scene(
         workload, num_frames=num_frames, seed=seed, draw_scale=draw_scale
@@ -186,6 +190,7 @@ class RunSpec:
         """Check the spec against the registries; return it for chaining."""
         from repro.engine import EngineError, validate_engine_name
         from repro.frameworks.base import validate_framework_name
+        from repro.scene.benchmarks import parse_workload
 
         try:
             # Accepts registered names and parameterised variants like

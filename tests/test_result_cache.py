@@ -139,6 +139,22 @@ class TestResultCacheStore:
         assert cache.get(spec) is None
         assert cache.stats.corrupt == 1
 
+    def test_misshapen_result_is_miss(self, tmp_path):
+        """Valid JSON of the wrong shape under a valid identity (a list
+        where the result or a frame's traffic belongs) degrades to a
+        miss instead of raising."""
+        cache = ResultCache(tmp_path)
+        spec = tiny_spec().validate()
+        cache.put(spec, spec.execute())
+        path = cache.entry_path(cache.key(spec))
+        entry = json.loads(path.read_text())
+        traffic_list = json.loads(json.dumps(entry))
+        traffic_list["result"]["frames"][0]["traffic"] = []
+        for misshapen in (dict(entry, result=[]), traffic_list):
+            path.write_text(json.dumps(misshapen), encoding="utf-8")
+            assert cache.get(spec) is None
+        assert cache.stats.corrupt == 2
+
     def test_relabelled_config_still_hits(self, tmp_path):
         """config_label is cosmetic: the same config under another
         label must hit the same entry, not read as corrupt."""

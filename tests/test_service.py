@@ -81,6 +81,14 @@ def executed_entries(specs):
     ]
 
 
+def skewed(payload):
+    """``payload`` as a host running another model writes it: a valid
+    entry for the same cell whose first frame took twice the cycles."""
+    entry = json.loads(payload)
+    entry["result"]["frames"][0]["cycles"] *= 2
+    return json.dumps(entry, indent=1) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol
 # ---------------------------------------------------------------------------
@@ -362,10 +370,7 @@ class TestSweepService:
         rogue = service.register_worker("skewed-model")["worker"]
         honest = service.register_worker("honest")["worker"]
         entries = executed_entries(specs)
-        tampered = dict(entries[0])
-        tampered["payload"] = entries[0]["payload"].replace(
-            '"version"', '"Version"', 1
-        )
+        tampered = dict(entries[0], payload=skewed(entries[0]["payload"]))
         assert tampered["payload"] != entries[0]["payload"]
         lease = service.lease(rogue, limit=1)
         service.upload(rogue, job["job"], [tampered], lease_id=lease["lease"])
@@ -490,6 +495,61 @@ class TestSweepService:
             }
         # Memo hits are counted as the file reads they replace.
         assert service.stats()["cache"] == "8 hits, 4 misses"
+
+    @pytest.mark.parametrize("limit", [None, [2], 2.7, True, "2", 0, -1])
+    def test_lease_limit_is_a_json_integer_of_at_least_1(
+        self, service, limit
+    ):
+        """A bool, float, null, list or string limit, or one below 1,
+        is a protocol error that leases nothing."""
+        self.submit(service, tiny_specs())
+        worker = service.register_worker("w0")["worker"]
+        with pytest.raises(ProtocolError, match="lease limit"):
+            service.lease(worker, limit=limit)
+        assert service.stats()["active_leases"] == 0
+        assert len(service.lease(worker, limit=2)["specs"]) == 2
+
+    def rejected_upload(self, service, bad, match):
+        """Lease the grid, upload ``bad(entries)``: the upload raises
+        ``match`` and leaves every cell leased and the cache empty."""
+        specs = tiny_specs()
+        job = self.submit(service, specs)
+        worker = service.register_worker("w0")["worker"]
+        lease = service.lease(worker, limit=len(specs))
+        entries = executed_entries(specs_from_wire(lease["specs"]))
+        with pytest.raises(ProtocolError, match=match):
+            service.upload(
+                worker, job["job"], bad(entries), lease_id=lease["lease"]
+            )
+        assert_counts(service)
+        cells = service._jobs[job["job"]].cells
+        assert {cell.state for cell in cells} == {"leased"}
+        assert service.cache.keys() == []
+        assert service.uploads == 0
+        # The honest upload still lands afterwards.
+        status = service.upload(
+            worker, job["job"], entries, lease_id=lease["lease"]
+        )
+        assert (status["state"], status["copied"]) == ("done", len(specs))
+
+    def test_upload_rekeyed_to_another_cell_is_rejected(self, service):
+        """An entry uploaded under another cell's address does not hash
+        to that address, so it never enters the cache."""
+
+        def rekeyed(entries):
+            return [dict(entries[1], key=entries[0]["key"])]
+
+        self.rejected_upload(service, rekeyed, "identity mismatch")
+
+    def test_truncated_upload_is_rejected_with_its_batch(self, service):
+        """A torn payload fails the whole upload: the valid entry sent
+        with it does not reach the cache or complete its cell."""
+
+        def truncated(entries):
+            torn = entries[1]["payload"][: len(entries[1]["payload"]) // 2]
+            return [entries[0], dict(entries[1], payload=torn)]
+
+        self.rejected_upload(service, truncated, "not a valid cache entry")
 
     def test_fetched_payload_is_the_entry_file(self, service):
         specs = tiny_specs()[:1]
@@ -944,6 +1004,34 @@ class TestLoopback:
         ]
         assert leaked == []
 
+    def test_bad_lease_limit_and_upload_are_400(self, tmp_path):
+        """Over HTTP, a lease limit that is not a JSON integer and an
+        upload that is not a valid entry are 400s, not 500s."""
+        with loopback(
+            ResultCache(tmp_path / "server-cache"), workers=0
+        ) as server:
+            client = ServiceClient(server.url)
+            specs = tiny_specs()[:1]
+            job = client.submit(specs)
+            worker = client.register_worker("w0")["worker"]
+            for limit in (None, [2], 2.7, True):
+                with pytest.raises(ServiceError, match="400: lease limit"):
+                    client._request(
+                        "POST", "/lease", {"worker": worker, "limit": limit}
+                    )
+            lease = client.lease(worker, limit=1)
+            (entry,) = executed_entries(specs)
+            torn = dict(entry, payload=entry["payload"][:-40])
+            with pytest.raises(ServiceError, match="400: upload"):
+                client.upload(
+                    worker, job["job"], [torn], lease_id=lease["lease"]
+                )
+            assert client.job(job["job"])["done"] == 0
+            status = client.upload(
+                worker, job["job"], [entry], lease_id=lease["lease"]
+            )
+            assert status["state"] == "done"
+
     def test_unknown_routes_are_404(self, tmp_path):
         with loopback(
             ResultCache(tmp_path / "server-cache"), workers=0
@@ -973,9 +1061,7 @@ class TestLoopback:
             job = client.submit(specs)
             rogue = client.register_worker("skewed")["worker"]
             entries = executed_entries(specs[:1])
-            tampered = entries[0]["payload"].replace(
-                '"version"', '"Version"', 1
-            )
+            tampered = skewed(entries[0]["payload"])
             lease = client.lease(rogue, limit=1)
             client.upload(
                 rogue,
